@@ -1,10 +1,18 @@
 """Continuous sequence decoding.
 
-One start state per (class, duration) pair carries the calibrated subsequence
-probability raised to the duration-th power; a shared countdown chain of
-dummy states (observation weight 1) enforces the exact duration.  A Viterbi
-pass over this machine yields the most likely tiling of the video into
-labeled segments.
+The paper's duration-constrained HMM has one start state per (class,
+duration) pair, weighted by the calibrated window probability raised to the
+duration-th power, and countdown states that enforce the exact duration.
+Its most likely path is found here without building the machine, as the
+equivalent semi-Markov (segment-level) Viterbi over end frames e:
+
+    best[e] = max over (d, c) of best[e - d] + log(p_c(e - d, d) ** d)
+
+in O(frames x sum of per-class duration counts) time.  Ties go to the
+smallest duration, then the smallest class index: the path a state-level
+Viterbi over the machine picks when it breaks ties toward the lowest state
+index.  `viterbi_generic` is the plain HMM Viterbi the segmentation
+trackers use.
 """
 
 from __future__ import annotations
@@ -100,19 +108,19 @@ def build_probability_grid(model: MultiClassModel, roi: RoiVolume,
     specs = enumerate_subsequences(n, min_duration, max_duration)
     n_classes = len(model.class_labels)
     span = max_duration - min_duration + 1
-    probs = [np.full((n, span), -1.0) for _ in range(n_classes)]
+    probs = np.full((n_classes, n, span), -1.0)
     if specs:
         x = featurize_many(roi, channel, delta_t, fps, specs, length, s, threads)
         p = np.clip(predict_probability_matrix(model, x), PROB_FLOOR, PROB_CEIL)
-        for row, sp in enumerate(specs):
-            for c in range(n_classes):
-                probs[c][sp.start, sp.duration - min_duration] = p[row, c]
+        starts = np.array([sp.start for sp in specs])
+        offsets = np.array([sp.duration for sp in specs]) - min_duration
+        probs[:, starts, offsets] = p.T
     return ProbabilityGrid(
         class_labels=list(model.class_labels),
         dmin=np.full(n_classes, min_duration, dtype=int),
         dmax=np.full(n_classes, max_duration, dtype=int),
         frame_count=n,
-        probs=probs,
+        probs=list(probs),
     )
 
 
@@ -136,101 +144,53 @@ def merge_grids(grids: list[ProbabilityGrid]) -> ProbabilityGrid:
     )
 
 
-@dataclass
-class DurationHmm:
-    """Start states (one per class-duration pair) plus a shared dummy
-    countdown chain; transitions all carry weight 1."""
-
-    class_specs: list[tuple[str, int, int]]
-    transitions: np.ndarray
-    priors: np.ndarray
-    state_class: np.ndarray     # class index per state, -1 for dummies
-    state_duration: np.ndarray  # duration d per start state, countdown k per dummy
-
-    @property
-    def n_states(self) -> int:
-        return len(self.state_class)
-
-    def start_states(self) -> np.ndarray:
-        return np.flatnonzero(self.state_class >= 0)
-
-
-def build_duration_hmm(class_specs) -> DurationHmm:
-    """Connectivity of the shared-dummy duration machine.
-
-    Start state (c, d) with d > 1 has exactly one outgoing edge, to dummy
-    d-1.  Dummy k > 1 steps to dummy k-1; dummy 1 and every d = 1 start
-    state fan out to all start states.
-    """
-    class_specs = [(str(lab), int(lo), int(hi)) for lab, lo, hi in class_specs]
-    if not class_specs:
-        raise VsrError("need at least one class")
-    for lab, lo, hi in class_specs:
-        if not 1 <= lo <= hi:
-            raise VsrError(f"class {lab!r} has invalid duration bounds [{lo}, {hi}]")
-    state_class, state_duration = [], []
-    for ci, (_, lo, hi) in enumerate(class_specs):
-        for d in range(lo, hi + 1):
-            state_class.append(ci)
-            state_duration.append(d)
-    n_start = len(state_class)
-    max_d = max(hi for _, _, hi in class_specs)
-    n_dummy = max_d - 1
-    for k in range(1, n_dummy + 1):  # dummy index k = frames still to wait
-        state_class.append(-1)
-        state_duration.append(k)
-    n = n_start + n_dummy
-    state_class = np.array(state_class, dtype=int)
-    state_duration = np.array(state_duration, dtype=int)
-    trans = np.zeros((n, n))
-    start_idx = np.arange(n_start)
-
-    def dummy_index(k: int) -> int:
-        return n_start + k - 1
-
-    for i in range(n_start):
-        d = state_duration[i]
-        if d == 1:
-            trans[i, start_idx] = 1.0
-        else:
-            trans[i, dummy_index(d - 1)] = 1.0
-    for k in range(2, n_dummy + 1):
-        trans[dummy_index(k), dummy_index(k - 1)] = 1.0
-    if n_dummy >= 1:
-        trans[dummy_index(1), start_idx] = 1.0
-    priors = np.zeros(n)
-    priors[start_idx] = 1.0
-    return DurationHmm(class_specs=class_specs, transitions=trans, priors=priors,
-                       state_class=state_class, state_duration=state_duration)
-
-
 def decode_sequence(grid: ProbabilityGrid):
     """Most likely exact tiling of [0, frame_count) into labeled segments.
 
-    A start state (c, d) at time t observes grid[c][t][d]**d when the window
-    fits (zero otherwise); dummy states observe 1.  The Viterbi state path is
-    squeezed into (label, start, duration) entries by dropping dummies.
+    Segment-level Viterbi: best[e] = max over (duration d, class c) of
+    best[e - d] + log(p_c(e - d, d) ** d), where a cell holding -1 weighs 0.
+    Ties go to the smallest duration, then the smallest class index.
+    Returns (label, start, duration) entries in frame order.
     """
-    hmm = build_duration_hmm(
-        [(lab, int(lo), int(hi))
-         for lab, lo, hi in zip(grid.class_labels, grid.dmin, grid.dmax)]
-    )
+    lo = np.asarray(grid.dmin, dtype=int)
+    hi = np.asarray(grid.dmax, dtype=int)
+    if not grid.class_labels:
+        raise VsrError("need at least one class")
+    for lab, a, b in zip(grid.class_labels, lo, hi):
+        if not 1 <= a <= b:
+            raise VsrError(f"class {lab!r} has invalid duration bounds [{a}, {b}]")
+    # (d, c) order makes the first argmax the tie rule
+    pairs = [(d, c) for d in range(1, int(hi.max()) + 1)
+             for c in range(len(lo)) if lo[c] <= d <= hi[c]]
+    durations = np.array([d for d, _ in pairs])
+    weights = []
+    for d, c in pairs:
+        cells = grid.probs[c][:, d - lo[c]]
+        weights.append(np.where(cells >= 0, cells, 0.0) ** d)
+    with np.errstate(divide="ignore"):
+        # log(p**d), not d*log(p): its rounding and its underflow to 0 decide
+        # exact ties and which long segments are infeasible
+        logw = np.log(np.stack(weights))                  # (pairs, frames)
     n = grid.frame_count
-    obs = np.ones((n, hmm.n_states))
-    times = np.arange(n)
-    for idx in hmm.start_states():
-        c = hmm.state_class[idx]
-        d = hmm.state_duration[idx]
-        cell = grid.probs[c][:, d - grid.dmin[c]]
-        fits = (times + d <= n) & (cell >= 0)
-        obs[:, idx] = np.where(fits, np.maximum(cell, 0.0) ** d, 0.0)
-    path, _ = viterbi_generic(hmm.priors, hmm.transitions, obs)
+    best = np.full(n + 1, -np.inf)
+    best[0] = 0.0
+    back = np.zeros(n + 1, dtype=np.intp)
+    for e in range(1, n + 1):
+        k = np.searchsorted(durations, e, side="right")  # pairs with d <= e
+        if k == 0:
+            continue
+        starts = e - durations[:k]
+        scores = best[starts] + logw[np.arange(k), starts]
+        back[e] = np.argmax(scores)
+        best[e] = scores[back[e]]
+    if n < 1 or not np.isfinite(best[n]):
+        raise VsrError("no feasible tiling of the sequence (all weights vanish)")
     entries = []
-    for t, state in enumerate(path):
-        c = hmm.state_class[state]
-        if c >= 0:
-            entries.append((grid.class_labels[c], t, int(hmm.state_duration[state])))
-    return entries
+    while n > 0:
+        d, c = pairs[back[n]]
+        n -= d
+        entries.append((grid.class_labels[c], n, d))
+    return entries[::-1]
 
 
 def expand_biphones(entries, separator: str = "+"):

@@ -104,7 +104,7 @@ def decode_roi(roi: RoiVolume, model: MultiClassModel, cfg: PipelineConfig,
                min_duration: int | None = None, max_duration: int | None = None):
     """Probability grid(s) + duration-constrained decode.
 
-    With a biphone model the two grids are merged into one machine and
+    With a biphone model the two grids are merged and decoded in one pass;
     composite segments are expanded afterwards.  Returns (entries, grid).
     """
     lo = cfg.min_duration if min_duration is None else min_duration

@@ -7,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vsr3d import VsrError
-from vsr3d.decoder import (ProbabilityGrid, build_duration_hmm, decode_sequence,
-                           entries_to_transcript, expand_biphones, merge_grids,
-                           viterbi_generic)
+from vsr3d.decoder import (ProbabilityGrid, decode_sequence, entries_to_transcript,
+                           expand_biphones, merge_grids, viterbi_generic)
 
 
 def brute_force_viterbi(priors, transitions, observations):
@@ -158,41 +157,6 @@ class TestViterbiGeneric:
             viterbi_generic(np.ones(2), np.ones((2, 2)), -np.ones((3, 2)))
 
 
-class TestDurationHmm:
-    def test_state_count_example(self):
-        hmm = build_duration_hmm([("a", 1, 20), ("b", 1, 20), ("c", 1, 20)])
-        assert hmm.n_states == 3 * 20 + 19
-
-    def test_single_class_single_duration(self):
-        hmm = build_duration_hmm([("a", 1, 1)])
-        assert hmm.n_states == 1
-        assert hmm.transitions[0, 0] == 1.0
-
-    def test_start_states_with_duration_above_one_have_out_degree_one(self):
-        hmm = build_duration_hmm([("a", 1, 5), ("b", 2, 3)])
-        for i in hmm.start_states():
-            if hmm.state_duration[i] > 1:
-                assert hmm.transitions[i].sum() == 1.0
-
-    def test_dummy_chain_topology(self):
-        hmm = build_duration_hmm([("a", 1, 4)])
-        n_start = len(hmm.start_states())
-        # dummy k>1 steps only to dummy k-1; dummy 1 fans out to all starts
-        for k in range(2, 4):
-            row = hmm.transitions[n_start + k - 1]
-            assert row.sum() == 1.0 and row[n_start + k - 2] == 1.0
-        assert hmm.transitions[n_start].sum() == n_start
-
-    def test_priors_cover_start_states_only(self):
-        hmm = build_duration_hmm([("a", 1, 3), ("b", 2, 4)])
-        assert (hmm.priors[hmm.start_states()] == 1.0).all()
-        assert hmm.priors.sum() == len(hmm.start_states())
-
-    def test_empty_rejected(self):
-        with pytest.raises(VsrError):
-            build_duration_hmm([])
-
-
 class TestDecodeSequence:
     def test_forced_tiling(self):
         grid = random_grid(np.random.default_rng(3), ["c"], 10, 5, 5)
@@ -201,6 +165,20 @@ class TestDecodeSequence:
 
     def test_no_feasible_tiling_raises(self):
         grid = random_grid(np.random.default_rng(4), ["c"], 3, 4, 5)
+        with pytest.raises(VsrError):
+            decode_sequence(grid)
+
+    def test_empty_inventory_rejected(self):
+        grid = ProbabilityGrid(class_labels=[], dmin=np.zeros(0, dtype=int),
+                               dmax=np.zeros(0, dtype=int), frame_count=4, probs=[])
+        with pytest.raises(VsrError):
+            decode_sequence(grid)
+
+    @pytest.mark.parametrize("lo,hi", [(0, 2), (3, 2)])
+    def test_invalid_bounds_rejected(self, lo, hi):
+        grid = random_grid(np.random.default_rng(12), ["a", "b"], 6, 1, 2)
+        grid.dmin = np.array([1, lo])
+        grid.dmax = np.array([2, hi])
         with pytest.raises(VsrError):
             decode_sequence(grid)
 
@@ -265,6 +243,60 @@ class TestDecodeSequence:
             assert (start, dur) == (3 * i, 3)
             cell = [grid.prob(c, start, 3) for c in range(3)]
             assert lab == grid.class_labels[int(np.argmax(cell))]
+
+
+TIE_LEVELS = np.array([1e-12, 0.25, 0.5, 1.0])
+
+
+def tie_grid(seed, bounds, frame_count):
+    """Grid whose cells come from a few powers of two (and the floor), so many
+    tilings score exactly the same; bounds holds (dmin, dmax) per class."""
+    rng = np.random.default_rng(seed)
+    probs = []
+    for lo, hi in bounds:
+        p = TIE_LEVELS[rng.integers(0, len(TIE_LEVELS), size=(frame_count, hi - lo + 1))]
+        for d in range(lo, hi + 1):
+            p[max(frame_count - d + 1, 0):, d - lo] = -1.0
+        probs.append(p)
+    return ProbabilityGrid(class_labels=[f"k{i}" for i in range(len(bounds))],
+                           dmin=np.array([lo for lo, _ in bounds]),
+                           dmax=np.array([hi for _, hi in bounds]),
+                           frame_count=frame_count, probs=probs)
+
+
+class TestDecodeTies:
+    """Equal-scoring tilings resolve to the smallest duration, then the
+    smallest class index, at every segment boundary.  The expected entries
+    are what a state-level Viterbi over the paper's duration machine returns
+    when it breaks ties toward the lowest state index; class-first or
+    longest-first rules decode each grid differently."""
+
+    @pytest.mark.parametrize("seed,bounds,frame_count,expected", [
+        (0, [(2, 5), (2, 5)], 10,
+         [("k0", 0, 2), ("k0", 2, 3), ("k1", 5, 2), ("k0", 7, 3)]),
+        (1, [(2, 5), (1, 3), (1, 4)], 13,
+         [("k1", 0, 3), ("k2", 3, 1), ("k2", 4, 1), ("k1", 5, 1), ("k0", 6, 2),
+          ("k0", 8, 2), ("k1", 10, 2), ("k2", 12, 1)]),
+        (9, [(1, 3), (1, 2), (1, 3)], 9,
+         [("k1", 0, 1), ("k1", 1, 1), ("k0", 2, 2), ("k0", 4, 1), ("k0", 5, 1),
+          ("k1", 6, 2), ("k1", 8, 1)]),
+        (41, [(3, 4), (2, 2), (3, 4)], 10,
+         [("k0", 0, 4), ("k2", 4, 3), ("k0", 7, 3)]),
+    ])
+    def test_recorded_tie_breaks(self, seed, bounds, frame_count, expected):
+        assert decode_sequence(tie_grid(seed, bounds, frame_count)) == expected
+
+    def test_underflowing_segment_weight_is_infeasible(self):
+        # (1e-12)**27 underflows to 0, so the single 27-frame segment is never
+        # taken, although 27 * log(1e-12) beats the 1e-13-bearing tiling
+        n = 27
+        short = np.full((n, 1), 1e-12)
+        short[0, 0] = 1e-13
+        long = np.full((n, 1), -1.0)
+        long[0, 0] = 1e-12
+        grid = ProbabilityGrid(class_labels=["a", "b"], dmin=np.array([1, 27]),
+                               dmax=np.array([1, 27]), frame_count=n, probs=[short, long])
+        assert decode_sequence(grid) == [("a", t, 1) for t in range(n)]
 
 
 @pytest.fixture(scope="module")
