@@ -165,12 +165,11 @@ def cmd_featurize(args) -> int:
             lo, hi = cfg.duration_bounds(args.kind)
             specs = enumerate_subsequences(roi.frame_count, lo, hi)
             x = featurize_many(roi, cfg.channel, cfg.delta_t_ms, cfg.fps, specs,
-                               cfg.uniform_length, cfg.mask_size, args.threads)
+                               cfg.uniform_length, cfg.mask_size)
             labels = None
         else:
             transcript = read_transcript(d / "transcript.txt")
-            x, labels, specs = extract_labeled_samples(roi, transcript, args.kind, cfg,
-                                                       threads=args.threads)
+            x, labels, specs = extract_labeled_samples(roi, transcript, args.kind, cfg)
         path = out / f"{d.name}.features.csv" if multi else out
         write_features_csv(x, specs, path, labels)
         print(f"featurized {d.name}: {len(specs)} samples")
@@ -213,7 +212,7 @@ def cmd_decode(args) -> int:
     else:
         roi = read_roi(path)
     lo, hi = cfg.duration_bounds(args.units)
-    entries, grid = decode_roi(roi, model, cfg, biphone_model, threads=args.threads,
+    entries, grid = decode_roi(roi, model, cfg, biphone_model,
                                min_duration=lo, max_duration=hi)
     if args.save_grid:
         write_grid(grid, args.save_grid)

@@ -93,7 +93,7 @@ class ProbabilityGrid:
 
 def build_probability_grid(model: MultiClassModel, roi: RoiVolume,
                            min_duration: int, max_duration: int,
-                           fps: float, threads: int = 1) -> ProbabilityGrid:
+                           fps: float) -> ProbabilityGrid:
     """Classify every feasible subsequence window with every class model.
 
     Feature extraction parameters come from the model's config echo.
@@ -110,7 +110,7 @@ def build_probability_grid(model: MultiClassModel, roi: RoiVolume,
     span = max_duration - min_duration + 1
     probs = np.full((n_classes, n, span), -1.0)
     if specs:
-        x = featurize_many(roi, channel, delta_t, fps, specs, length, s, threads)
+        x = featurize_many(roi, channel, delta_t, fps, specs, length, s)
         p = np.clip(predict_probability_matrix(model, x), PROB_FLOOR, PROB_CEIL)
         starts = np.array([sp.start for sp in specs])
         offsets = np.array([sp.duration for sp in specs]) - min_duration

@@ -2,6 +2,13 @@
 volume is resampled to a uniform length, transformed with an orthonormal
 3D-DCT, and reduced to the low-frequency pyramid-mask amplitudes plus the
 original subsequence length.
+
+`featurize` and `featurize_prepared` compute one window exactly that way and
+serve as the reference.  `featurize_many`, which both feature callers use,
+returns the same values computed separably: every step before the mask is
+linear, so each frame is projected once onto the first s rows of the y- and
+x-DCT bases, and a fixed (s x d) matrix per duration d does the resampling
+and the time DCT of every window of that duration.
 """
 
 from __future__ import annotations
@@ -175,16 +182,57 @@ def featurize(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
     return featurize_prepared(preprocess_volume(roi, channel, delta_t_ms, fps), spec, length, s)
 
 
-def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
-                   specs: list[SubSequenceSpec], length: int = 10, s: int = 3,
-                   threads: int = 1) -> np.ndarray:
-    """Feature matrix for a list of subsequences, rows in spec order."""
-    from .util import pmap
+def _dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal type-II DCT as an (n, n) matrix: `_dct_matrix(n) @ x`
+    equals `scipy.fft.dct(x, type=2, norm="ortho", axis=0)`."""
+    return scipy.fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
 
+
+def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
+                   specs: list[SubSequenceSpec], length: int = 10, s: int = 3) -> np.ndarray:
+    """Feature matrix for a list of subsequences, rows in spec order.
+
+    Equal to `featurize` row by row, computed separably: resampling and the
+    3D-DCT are linear, so each frame is projected once onto the first s
+    y- and x-DCT rows, and each window is finished along time by the
+    (s, d) matrix `DCT_L[:s] @ Resample(d -> L)` of its duration d.
+    """
     prepared = preprocess_volume(roi, channel, delta_t_ms, fps)
-    rows = pmap(lambda sp: featurize_prepared(prepared, sp, length, s), specs, threads)
     k = feature_dimension(s)
-    return np.asarray(rows, dtype=float).reshape(len(specs), k)
+    if not specs:
+        return np.zeros((0, k))
+    n, h, w = prepared.shape
+    starts = np.array([sp.start for sp in specs], dtype=np.intp)
+    durations = np.array([sp.duration for sp in specs], dtype=np.intp)
+    over = np.flatnonzero(starts + durations > n)
+    # the per-window path checks each window before transforming it, so a bad
+    # first window wins over bad parameters, which win over later bad windows
+    if over.size and over[0] == 0:
+        raise VsrError(f"subsequence ({starts[0]}, {durations[0]}) exceeds volume")
+    if length < 2:
+        raise VsrError("target length must be >= 2")
+    if s < 1:
+        raise VsrError("mask size must be >= 1")
+    if s > min(length, h, w):
+        raise VsrError(f"mask size {s} exceeds a coefficient dimension {(length, h, w)}")
+    if over.size:
+        i = over[0]
+        raise VsrError(f"subsequence ({starts[i]}, {durations[i]}) exceeds volume")
+
+    # projected[t, j * s + i]: y-frequency j, x-frequency i of frame t
+    projected = (_dct_matrix(h)[:s] @ prepared @ _dct_matrix(w)[:s].T).reshape(n, s * s)
+    # pyramid triple (i, j, k) = (x, y, t frequency) in a (j * s + i, k) block
+    picks = [(j * s + i) * s + kt for (i, j, kt) in pyramid_mask_indices(s)]
+    dct_t = _dct_matrix(length)[:s]
+    out = np.empty((len(specs), k))
+    out[:, -1] = durations
+    for d in np.unique(durations):
+        rows = np.flatnonzero(durations == d)
+        time_map = dct_t @ resample_to_length(np.eye(d), length)          # (s, d)
+        windows = np.lib.stride_tricks.sliding_window_view(projected, d, axis=0)
+        coeffs = windows[starts[rows]] @ time_map.T                       # (m, s*s, s)
+        out[rows, :-1] = coeffs.reshape(len(rows), s * s * s)[:, picks]
+    return out
 
 
 def fit_standardization(train_matrix: np.ndarray) -> StandardizationStats:
@@ -221,8 +269,7 @@ def transcript_to_frames(entry_start_ms: float, entry_end_ms: float, fps: float,
     return start, duration
 
 
-def extract_labeled_samples(roi: RoiVolume, transcript: Transcript, kind: str, cfg,
-                            threads: int = 1):
+def extract_labeled_samples(roi: RoiVolume, transcript: Transcript, kind: str, cfg):
     """Labeled feature samples for one video.
 
     kind selects the class inventory: phoneme/viseme samples span one
@@ -261,5 +308,5 @@ def extract_labeled_samples(roi: RoiVolume, transcript: Transcript, kind: str, c
     if not spans:
         return np.zeros((0, feature_dimension(cfg.mask_size))), [], []
     x = featurize_many(roi, cfg.channel, cfg.delta_t_ms, cfg.fps, spans,
-                       cfg.uniform_length, cfg.mask_size, threads)
+                       cfg.uniform_length, cfg.mask_size)
     return x, labels, spans

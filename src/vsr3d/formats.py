@@ -28,6 +28,7 @@ final DEL column; a final INS row holds insertion counts.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -121,6 +122,16 @@ def is_video_dir(path) -> bool:
     return (Path(path) / "manifest.txt").is_file()
 
 
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    """Exactly n bytes from a binary file, or a VsrError naming the part that
+    is cut short.  The file size is checked first, so a corrupt length field
+    never makes the read allocate more than the file holds."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise VsrError(f"{path}: truncated {what}: needs {n} bytes, {max(left, 0)} left")
+    return fh.read(n)
+
+
 def write_roi(roi: RoiVolume, path):
     c, t, h, w = roi.data.shape
     with open(path, "wb") as fh:
@@ -134,7 +145,7 @@ def read_roi(path, channels: tuple[str, ...] | None = None) -> RoiVolume:
         magic = fh.read(4)
         if magic != b"VSR1":
             raise VsrError(f"{path}: bad ROI magic {magic!r}")
-        w, h, t, c = struct.unpack("<4I", fh.read(16))
+        w, h, t, c = struct.unpack("<4I", _read_exact(fh, 16, path, "ROI header"))
         payload = fh.read()
     expected = c * t * h * w * 4
     if len(payload) != expected:
@@ -239,21 +250,28 @@ def read_grid(path):
     with open(path, "rb") as fh:
         if fh.read(4) != b"GRD1":
             raise VsrError(f"{path}: bad grid magic")
-        n_classes, frame_count, _max_d = struct.unpack("<3I", fh.read(12))
+        n_classes, frame_count, _max_d = struct.unpack(
+            "<3I", _read_exact(fh, 12, path, "grid header"))
         labels, dmin, dmax = [], [], []
-        for _ in range(n_classes):
-            (ln,) = struct.unpack("<I", fh.read(4))
-            labels.append(fh.read(ln).decode("utf-8"))
-            lo, hi = struct.unpack("<2I", fh.read(8))
+        for c in range(n_classes):
+            (ln,) = struct.unpack("<I", _read_exact(fh, 4, path, "grid class directory"))
+            try:
+                labels.append(_read_exact(fh, ln, path, "grid class label").decode("utf-8"))
+            except UnicodeDecodeError:
+                raise VsrError(f"{path}: label of class {c} is not UTF-8") from None
+            lo, hi = struct.unpack("<2I", _read_exact(fh, 8, path, "grid class directory"))
+            if not 1 <= lo <= hi:
+                raise VsrError(f"{path}: class {labels[-1]!r} has durations {lo}..{hi}; "
+                               "need 1 <= dmin <= dmax")
             dmin.append(lo)
             dmax.append(hi)
         probs = []
         for c in range(n_classes):
             span = dmax[c] - dmin[c] + 1
-            raw = fh.read(frame_count * span * 4)
-            if len(raw) != frame_count * span * 4:
-                raise VsrError(f"{path}: truncated grid payload")
+            raw = _read_exact(fh, frame_count * span * 4, path, "grid payload")
             probs.append(np.frombuffer(raw, dtype="<f4").astype(float).reshape(frame_count, span))
+        if fh.read(1):
+            raise VsrError(f"{path}: trailing bytes after the grid payload")
     return ProbabilityGrid(class_labels=labels, dmin=np.array(dmin), dmax=np.array(dmax),
                            frame_count=frame_count, probs=probs)
 

@@ -77,7 +77,7 @@ def collect_labeled_features(video_dirs, kind: str, cfg: PipelineConfig,
             video = read_video_dir(d)
             roi = segment_video(video, cfg, threads=threads).roi
         transcript = read_transcript(d / "transcript.txt")
-        x, labs, _ = extract_labeled_samples(roi, transcript, kind, cfg, threads=threads)
+        x, labs, _ = extract_labeled_samples(roi, transcript, kind, cfg)
         if len(labs):
             xs.append(x)
             labels.extend(labs)
@@ -100,7 +100,7 @@ def train_from_features(x: np.ndarray, labels, cfg: PipelineConfig):
 
 
 def decode_roi(roi: RoiVolume, model: MultiClassModel, cfg: PipelineConfig,
-               biphone_model: MultiClassModel | None = None, threads: int = 1,
+               biphone_model: MultiClassModel | None = None,
                min_duration: int | None = None, max_duration: int | None = None):
     """Probability grid(s) + duration-constrained decode.
 
@@ -109,10 +109,10 @@ def decode_roi(roi: RoiVolume, model: MultiClassModel, cfg: PipelineConfig,
     """
     lo = cfg.min_duration if min_duration is None else min_duration
     hi = cfg.max_duration if max_duration is None else max_duration
-    grid = build_probability_grid(model, roi, lo, hi, cfg.fps, threads)
+    grid = build_probability_grid(model, roi, lo, hi, cfg.fps)
     if biphone_model is not None:
         bigrid = build_probability_grid(biphone_model, roi, cfg.biphone_min_duration,
-                                        cfg.biphone_max_duration, cfg.fps, threads)
+                                        cfg.biphone_max_duration, cfg.fps)
         grid = merge_grids([grid, bigrid])
     entries = decode_sequence(grid)
     entries = expand_biphones(entries)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -163,6 +164,63 @@ class TestPipelineCommands:
         if grid_path.exists():
             assert run_cli("grid-heatmap", "--grid", str(grid_path), "--label", "nope",
                            "--out", str(tiny_corpus / "x.pgm")) == 2
+
+
+def _grid_blob(label=b"A", dmin=1, dmax=2, frames=3, cells=None):
+    """A one-class .grd1 file; cells defaults to a complete payload."""
+    if cells is None:
+        cells = frames * (dmax - dmin + 1) if dmax >= dmin else 0
+    return (b"GRD1" + struct.pack("<3I", 1, frames, dmax) + struct.pack("<I", len(label))
+            + label + struct.pack("<2I", dmin, dmax) + b"\x00\x00\x80\x3f" * cells)
+
+
+class TestMalformedBinaryFiles:
+    """Truncated or inconsistent binary inputs end in exit code 2 with one
+    line on stderr, never a traceback."""
+
+    @staticmethod
+    def assert_one_line_data_error(code, capsys, command):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"vsr3d {command}: error: ")
+
+    @pytest.mark.parametrize("blob", [
+        b"GRD1\x01",
+        _grid_blob()[:20],
+        _grid_blob(label=b"\xff\xfe"),
+        _grid_blob(dmin=0),
+        _grid_blob(dmin=3, dmax=2),
+        _grid_blob(cells=5),
+        _grid_blob() + b"\x00",
+    ], ids=["short-header", "short-directory", "bad-utf8-label", "dmin-zero",
+            "dmin-above-dmax", "short-payload", "trailing-bytes"])
+    def test_grid_heatmap(self, tmp_path, capsys, blob):
+        path = tmp_path / "bad.grd1"
+        path.write_bytes(blob)
+        code = run_cli("grid-heatmap", "--grid", str(path), "--label", "A",
+                       "--out", str(tmp_path / "x.pgm"))
+        self.assert_one_line_data_error(code, capsys, "grid-heatmap")
+
+    def test_complete_grid_is_accepted(self, tmp_path):
+        path = tmp_path / "ok.grd1"
+        path.write_bytes(_grid_blob())
+        assert run_cli("grid-heatmap", "--grid", str(path), "--label", "A",
+                       "--out", str(tmp_path / "x.pgm")) == 0
+
+    @pytest.mark.parametrize("blob", [
+        b"VSR1\x01",
+        b"VSR1" + struct.pack("<4I", 2, 2, 1, 7) + b"\x00" * 8,
+    ], ids=["short-header", "short-payload"])
+    def test_decode_roi(self, tmp_path, capsys, blob):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"classLabels": [], "models": [],
+                                     "stats": {"mean": [], "std": []}}))
+        path = tmp_path / "bad.vsr1"
+        path.write_bytes(blob)
+        code = run_cli("decode", str(path), "--model", str(model),
+                       "--out", str(tmp_path / "hyp.txt"))
+        self.assert_one_line_data_error(code, capsys, "decode")
 
 
 class TestBench:

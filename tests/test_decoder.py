@@ -342,7 +342,7 @@ class TestGridBuilding:
 
         model, roi = fixture_model_and_roi
         a = build_probability_grid(model, roi, 3, 8, corpus_config.fps)
-        b = build_probability_grid(model, roi, 3, 8, corpus_config.fps, threads=4)
+        b = build_probability_grid(model, roi, 3, 8, corpus_config.fps)
         for pa, pb in zip(a.probs, b.probs):
             valid = pa >= 0
             assert ((pa[valid] > 0) & (pa[valid] < 1)).all()

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from vsr3d import VsrError
 from vsr3d.features import (SubSequenceSpec, dct3, enumerate_subsequences, featurize,
-                            featurize_many, feature_dimension, fit_standardization, idct3,
-                            pyramid_extract, pyramid_mask_indices, resample_to_length,
-                            standardize, subtract_sequence_mean, time_shift)
+                            featurize_many, featurize_prepared, feature_dimension,
+                            fit_standardization, idct3, preprocess_volume, pyramid_extract,
+                            pyramid_mask_indices, resample_to_length, standardize,
+                            subtract_sequence_mean, time_shift)
 from vsr3d.segmentation import RoiVolume
 
 
@@ -218,12 +219,59 @@ class TestFeaturize:
         for row, sp in zip(x, specs):
             assert np.allclose(row, featurize(roi, "red", 30.0, 25.0, sp, 10, 3))
 
-    def test_thread_count_does_not_change_output(self):
+    def test_repeat_calls_give_identical_output(self):
         roi = toy_roi(np.random.default_rng(14))
         specs = enumerate_subsequences(roi.frame_count, 1, 3)
-        a = featurize_many(roi, "red", 30.0, 25.0, specs, 10, 3, threads=1)
-        b = featurize_many(roi, "red", 30.0, 25.0, specs, 10, 3, threads=4)
+        a = featurize_many(roi, "red", 30.0, 25.0, specs, 10, 3)
+        b = featurize_many(roi, "red", 30.0, 25.0, specs, 10, 3)
         assert np.array_equal(a, b)
+
+    @given(st.integers(2, 12), st.integers(0, 6), st.integers(1, 6), st.integers(1, 6),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_many_matches_per_window_oracle(self, length, extra, h, w, data):
+        """The separable path equals the per-window 3D-DCT of `featurize_prepared`
+        for unsorted, repeated windows of every duration class, and raises the
+        same errors."""
+        frames = length + 1 + extra
+        seed = data.draw(st.integers(0, 10**6))
+        delta_t = data.draw(st.sampled_from([0.0, 30.0]))
+        s = data.draw(st.integers(1, min(length, h, w)))
+        rng = np.random.default_rng(seed)
+        roi = RoiVolume(data=255.0 * rng.random((1, frames, h, w)), channels=("red",),
+                        scale=1.0)
+        drawn = data.draw(st.lists(
+            st.integers(0, frames - 1).flatmap(
+                lambda start: st.tuples(st.just(start), st.integers(1, frames - start))),
+            max_size=12))
+        required = [(frames - 1, 1), (0, length), (frames - length - 1, length + 1),
+                    (0, frames)]
+        pairs = data.draw(st.permutations(required + drawn + drawn[:2]))
+        specs = [SubSequenceSpec(a, d) for a, d in pairs]
+
+        x = featurize_many(roi, "red", delta_t, 25.0, specs, length, s)
+        prepared = preprocess_volume(roi, "red", delta_t, 25.0)
+        oracle = np.array([featurize_prepared(prepared, sp, length, s) for sp in specs])
+        assert x.shape == oracle.shape == (len(specs), feature_dimension(s))
+        assert (np.abs(x - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle))).all()
+
+        def message(fn):
+            with pytest.raises(VsrError) as err:
+                fn()
+            return str(err.value)
+
+        past_end = SubSequenceSpec(frames - 1, 2)
+        assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, specs + [past_end],
+                                              length, s)) == \
+            message(lambda: featurize_prepared(prepared, past_end, length, s))
+        too_big = min(length, h, w) + 1
+        assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, specs, length,
+                                              too_big)) == \
+            message(lambda: featurize_prepared(prepared, specs[0], length, too_big))
+        # a window past the end that comes first is reported before a bad mask size
+        assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, [past_end] + specs,
+                                              length, too_big)) == \
+            message(lambda: featurize_prepared(prepared, past_end, length, too_big))
 
 
 class TestStandardization:
