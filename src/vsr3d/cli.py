@@ -16,8 +16,8 @@ from .formats import (find_video_dirs, read_grid, read_features_csv, read_label_
                       read_roi, read_transcript, read_video_dir, write_confusion_csv,
                       write_eval_report, write_features_csv, write_grid, write_keypoints_csv,
                       write_pgm, write_roi, write_transcript)
-from .pipeline import (BENCH_STAGES, bench_video, collect_labeled_features, decode_roi,
-                       grid_to_heatmap, keypoint_rows, segment_video, train_from_features)
+from .pipeline import (collect_labeled_features, decode_roi, grid_to_heatmap, keypoint_rows,
+                       segment_video, train_from_features)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,7 +32,8 @@ def _add_common(p: _Parser):
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override one config value (repeatable)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for parallel maps")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for synth; other subcommands run single-threaded")
 
 
 def _load_config(args) -> PipelineConfig:
@@ -110,7 +111,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="report CSV path")
     p.add_argument("--confusion", default=None, help="confusion matrix CSV path")
 
-    p = sub.add_parser("bench", help="per-stage runtime table over synthetic videos")
+    p = sub.add_parser(
+        "bench", help="end-to-end load/segment/decode wall time over synthetic videos",
+        description="End-to-end load/segment/decode wall time over synthetic videos. "
+                    "For the per-layer split of the same calls, run "
+                    "`python3 perfbench/run.py --workload decode-phoneme --trace 1`.")
     _add_common(p)
     p.add_argument("--frames", required=True, help="comma-separated frame counts")
     p.add_argument("--seed", type=int, default=7)
@@ -141,8 +146,7 @@ def cmd_segment(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for d in find_video_dirs(args.input):
         video = read_video_dir(d)
-        result = segment_video(video, cfg, force_lip_row=args.force_lip_row,
-                               threads=args.threads)
+        result = segment_video(video, cfg, force_lip_row=args.force_lip_row)
         write_keypoints_csv(keypoint_rows(result), out / f"{d.name}.keypoints.csv")
         write_roi(result.roi, out / f"{d.name}.vsr1")
         print(f"segmented {d.name}: {video.frame_count} frames")
@@ -160,7 +164,7 @@ def cmd_featurize(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     for d in dirs:
         video = read_video_dir(d)
-        roi = segment_video(video, cfg, threads=args.threads).roi
+        roi = segment_video(video, cfg).roi
         if args.all_subsequences:
             lo, hi = cfg.duration_bounds(args.kind)
             specs = enumerate_subsequences(roi.frame_count, lo, hi)
@@ -207,8 +211,7 @@ def cmd_decode(args) -> int:
         biphone_model = load_model(args.biphone_model)
     path = Path(args.input)
     if path.is_dir():
-        video = read_video_dir(path)
-        roi = segment_video(video, cfg, threads=args.threads).roi
+        roi = segment_video(read_video_dir(path), cfg).roi
     else:
         roi = read_roi(path)
     lo, hi = cfg.duration_bounds(args.units)
@@ -260,6 +263,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     import tempfile
+    import time
 
     from .fixtures import SynthConfig, derive_seed, synth_sentence
     from .formats import write_video_dir
@@ -268,21 +272,30 @@ def cmd_bench(args) -> int:
         frame_counts = [int(v) for v in args.frames.split(",") if v]
     except ValueError:
         raise VsrError(f"--frames must be comma-separated integers, got {args.frames!r}")
+    if not frame_counts or min(frame_counts) < 1:
+        raise VsrError(f"--frames needs one or more counts >= 1, got {args.frames!r}")
     cfg = _load_config(args)
     synth_cfg = SynthConfig(seed=args.seed, sentence_length=6)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         model = _bench_model(synth_cfg, cfg, tmp)
-        lines = ["frames," + ",".join(BENCH_STAGES) + ",total,per_frame_ms"]
+        lines = ["frames,load,segment,decode,total,per_frame_ms"]
         for n in frame_counts:
             units = _units_for_exact_frames(synth_cfg, n)
             video, _ = synth_sentence(synth_cfg, units, (synth_cfg.frame_width - 1) / 2.0,
                                       0.0, derive_seed(args.seed, 99, n))
             vdir = tmp / f"bench_{n}"
             write_video_dir(video, vdir)
-            row = bench_video(vdir, model, cfg)
-            cells = ",".join(f"{row.timings[s]:.3f}" for s in BENCH_STAGES)
-            lines.append(f"{n},{cells},{row.total:.3f},{1000.0 * row.total / n:.2f}")
+            t0 = time.perf_counter()
+            video = read_video_dir(vdir)
+            t1 = time.perf_counter()
+            roi = segment_video(video, cfg).roi
+            t2 = time.perf_counter()
+            decode_roi(roi, model, cfg)
+            t3 = time.perf_counter()
+            total = t3 - t0
+            lines.append(f"{n},{t1 - t0:.3f},{t2 - t1:.3f},{t3 - t2:.3f},{total:.3f},"
+                         f"{1000.0 * total / n:.2f}")
         table = "\n".join(lines)
     print(table)
     if args.out:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,6 @@ from .segmentation import (ChannelSet, MouthKeypoints, RoiVolume, SymmetryLine, 
                            build_min_luminance_line, extract_roi, find_symmetry_lines,
                            prepare_frames)
 from .svm import MultiClassModel, TrainConfig, train_multiclass
-from .util import pmap
 
 
 @dataclass
@@ -32,14 +30,13 @@ class SegmentationResult:
 
 
 def segment_video(video: VideoSequence, cfg: PipelineConfig,
-                  force_lip_row: int | None = None, threads: int = 1) -> SegmentationResult:
+                  force_lip_row: int | None = None) -> SegmentationResult:
     """Full segmentation stage: symmetry lines, lip/corner tracking, ROI."""
     lines = find_symmetry_lines(video)
     _, channels = prepare_frames(video, lines)
     lip_rows = detect_inner_lower_lip(channels, force_first_row=force_lip_row)
-    lum_lines = np.stack(pmap(
-        lambda t: build_min_luminance_line(channels[t], lip_rows[t]),
-        range(len(channels)), threads))
+    lum_lines = np.stack([build_min_luminance_line(channels[t], lip_rows[t])
+                          for t in range(len(channels))])
     left, right = detect_mouth_corners(channels, lum_lines)
     keypoints = MouthKeypoints(lip_rows=lip_rows, left=left, right=right, lum_lines=lum_lines)
     roi = extract_roi(channels, keypoints, cfg.roi_width, cfg.roi_height)
@@ -62,20 +59,13 @@ def keypoint_rows(result: SegmentationResult):
     ]
 
 
-def collect_labeled_features(video_dirs, kind: str, cfg: PipelineConfig,
-                             rois: dict | None = None, threads: int = 1):
-    """Labeled samples pooled over a list of video directories.
-
-    rois may cache {dir: RoiVolume} from a previous segmentation pass;
-    missing entries are segmented on the fly.  Returns (X, labels).
-    """
+def collect_labeled_features(video_dirs, kind: str, cfg: PipelineConfig):
+    """Labeled samples pooled over a list of video directories, each
+    segmented on the fly.  Returns (X, labels)."""
     xs, labels = [], []
     for d in video_dirs:
         d = Path(d)
-        roi = (rois or {}).get(d)
-        if roi is None:
-            video = read_video_dir(d)
-            roi = segment_video(video, cfg, threads=threads).roi
+        roi = segment_video(read_video_dir(d), cfg).roi
         transcript = read_transcript(d / "transcript.txt")
         x, labs, _ = extract_labeled_samples(roi, transcript, kind, cfg)
         if len(labs):
@@ -117,76 +107,6 @@ def decode_roi(roi: RoiVolume, model: MultiClassModel, cfg: PipelineConfig,
     entries = decode_sequence(grid)
     entries = expand_biphones(entries)
     return entries, grid
-
-
-@dataclass
-class BenchRow:
-    frames: int
-    timings: dict  # stage -> seconds
-
-    @property
-    def total(self) -> float:
-        return sum(self.timings.values())
-
-
-BENCH_STAGES = ("load", "symmetry", "lip", "corners", "roi", "features", "svm", "hmm")
-
-
-def bench_video(video_dir, model: MultiClassModel, cfg: PipelineConfig) -> BenchRow:
-    """Per-stage wall time of the recognition path on one video."""
-    timings = {}
-    t0 = time.perf_counter()
-    video = read_video_dir(video_dir)
-    timings["load"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    lines = find_symmetry_lines(video)
-    _, channels = prepare_frames(video, lines)
-    timings["symmetry"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    lip_rows = detect_inner_lower_lip(channels)
-    timings["lip"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    lum_lines = np.stack([build_min_luminance_line(channels[t], lip_rows[t])
-                          for t in range(len(channels))])
-    left, right = detect_mouth_corners(channels, lum_lines)
-    timings["corners"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    keypoints = MouthKeypoints(lip_rows=lip_rows, left=left, right=right, lum_lines=lum_lines)
-    roi = extract_roi(channels, keypoints, cfg.roi_width, cfg.roi_height)
-    timings["roi"] = time.perf_counter() - t0
-
-    from .decoder import PROB_CEIL, PROB_FLOOR, ProbabilityGrid
-    from .features import enumerate_subsequences, featurize_many
-    from .svm import predict_probability_matrix
-
-    t0 = time.perf_counter()
-    specs = enumerate_subsequences(roi.frame_count, cfg.min_duration, cfg.max_duration)
-    x = featurize_many(roi, cfg.channel, cfg.delta_t_ms, cfg.fps, specs,
-                       cfg.uniform_length, cfg.mask_size)
-    timings["features"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    p = np.clip(predict_probability_matrix(model, x), PROB_FLOOR, PROB_CEIL)
-    timings["svm"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    n_classes = len(model.class_labels)
-    span = cfg.max_duration - cfg.min_duration + 1
-    probs = [np.full((roi.frame_count, span), -1.0) for _ in range(n_classes)]
-    for row, sp in enumerate(specs):
-        for c in range(n_classes):
-            probs[c][sp.start, sp.duration - cfg.min_duration] = p[row, c]
-    grid = ProbabilityGrid(class_labels=list(model.class_labels),
-                           dmin=np.full(n_classes, cfg.min_duration, dtype=int),
-                           dmax=np.full(n_classes, cfg.max_duration, dtype=int),
-                           frame_count=roi.frame_count, probs=probs)
-    decode_sequence(grid)
-    timings["hmm"] = time.perf_counter() - t0
-    return BenchRow(frames=video.frame_count, timings=timings)
 
 
 def grid_to_heatmap(grid, label: str) -> np.ndarray:

@@ -437,20 +437,46 @@ def load_model(path) -> MultiClassModel:
     except json.JSONDecodeError as e:
         raise VsrError(f"malformed model file {path}: {e}") from e
     try:
-        stats = StandardizationStats(mean=np.array(doc["stats"]["mean"], dtype=float),
-                                     std=np.array(doc["stats"]["std"], dtype=float))
-        models = [
-            BinarySvmModel(
-                support_vectors=np.array(m["supportVectors"], dtype=float),
-                dual_coef=np.array(m["alphas"], dtype=float),
-                bias=float(m["bias"]),
-                gamma=float(m["gamma"]),
-                platt_a=float(m["plattA"]),
-                platt_b=float(m["plattB"]),
-            )
-            for m in doc["models"]
-        ]
-        return MultiClassModel(class_labels=list(doc["classLabels"]), models=models,
-                               stats=stats, config=dict(doc.get("config") or {}))
-    except (KeyError, TypeError) as e:
+        return _model_from_doc(doc)
+    except KeyError as e:
         raise VsrError(f"malformed model file {path}: missing {e}") from e
+    except (TypeError, VsrError) as e:
+        raise VsrError(f"malformed model file {path}: {e}") from e
+
+
+def _finite_array(value, ndim: int, what: str) -> np.ndarray:
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise VsrError(f"{what} is not a rectangular array of numbers") from None
+    if a.ndim != ndim:
+        raise VsrError(f"{what} has {a.ndim} dimensions, expected {ndim}")
+    if not np.isfinite(a).all():
+        raise VsrError(f"{what} has a non-finite value")
+    return a
+
+
+def _model_from_doc(doc) -> MultiClassModel:
+    """A model checked for finite numbers and consistent shapes, so that a
+    corrupt file fails here rather than deep inside prediction."""
+    mean = _finite_array(doc["stats"]["mean"], 1, "stats.mean")
+    std = _finite_array(doc["stats"]["std"], 1, "stats.std")
+    if len(std) != len(mean) or (std <= 0).any():
+        raise VsrError("stats.std must be positive and as long as stats.mean")
+    labels = list(doc["classLabels"])
+    if len(labels) != len(doc["models"]):
+        raise VsrError(f"{len(labels)} class labels for {len(doc['models'])} models")
+    models = []
+    for i, m in enumerate(doc["models"]):
+        sv = _finite_array(m["supportVectors"], 2, f"models[{i}].supportVectors")
+        alphas = _finite_array(m["alphas"], 1, f"models[{i}].alphas")
+        if sv.shape[1] != len(mean) or len(alphas) != sv.shape[0]:
+            raise VsrError(f"models[{i}]: {sv.shape[0]}x{sv.shape[1]} support vectors and "
+                           f"{len(alphas)} alphas do not fit {len(mean)} features")
+        bias, gamma, platt_a, platt_b = (float(_finite_array(m[k], 0, f"models[{i}].{k}"))
+                                         for k in ("bias", "gamma", "plattA", "plattB"))
+        models.append(BinarySvmModel(support_vectors=sv, dual_coef=alphas, bias=bias,
+                                     gamma=gamma, platt_a=platt_a, platt_b=platt_b))
+    return MultiClassModel(class_labels=labels, models=models,
+                           stats=StandardizationStats(mean=mean, std=std),
+                           config=dict(doc.get("config") or {}))

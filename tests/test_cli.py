@@ -1,6 +1,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from vsr3d.cli import main
@@ -174,16 +175,16 @@ def _grid_blob(label=b"A", dmin=1, dmax=2, frames=3, cells=None):
             + label + struct.pack("<2I", dmin, dmax) + b"\x00\x00\x80\x3f" * cells)
 
 
+def assert_one_line_data_error(code, capsys, command):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"vsr3d {command}: error: ")
+
+
 class TestMalformedBinaryFiles:
     """Truncated or inconsistent binary inputs end in exit code 2 with one
     line on stderr, never a traceback."""
-
-    @staticmethod
-    def assert_one_line_data_error(code, capsys, command):
-        err = capsys.readouterr().err
-        assert code == 2
-        assert len(err.strip().splitlines()) == 1
-        assert err.startswith(f"vsr3d {command}: error: ")
 
     @pytest.mark.parametrize("blob", [
         b"GRD1\x01",
@@ -200,7 +201,7 @@ class TestMalformedBinaryFiles:
         path.write_bytes(blob)
         code = run_cli("grid-heatmap", "--grid", str(path), "--label", "A",
                        "--out", str(tmp_path / "x.pgm"))
-        self.assert_one_line_data_error(code, capsys, "grid-heatmap")
+        assert_one_line_data_error(code, capsys, "grid-heatmap")
 
     def test_complete_grid_is_accepted(self, tmp_path):
         path = tmp_path / "ok.grd1"
@@ -220,17 +221,135 @@ class TestMalformedBinaryFiles:
         path.write_bytes(blob)
         code = run_cli("decode", str(path), "--model", str(model),
                        "--out", str(tmp_path / "hyp.txt"))
-        self.assert_one_line_data_error(code, capsys, "decode")
+        assert_one_line_data_error(code, capsys, "decode")
+
+
+def _model_doc():
+    """A small valid two-class model document for `decode` (11 features =
+    the default pyramid mask plus the duration column)."""
+    features, svs = 11, 3
+    rng = np.random.default_rng(5)
+    return {
+        "version": 1,
+        "classLabels": ["C0", "C1"],
+        "config": {"channel": "red", "deltaTms": 0.0, "l": 10, "s": 3},
+        "stats": {"mean": rng.normal(size=features).tolist(),
+                  "std": rng.uniform(0.5, 2.0, size=features).tolist()},
+        "models": [
+            {"label": f"C{c}", "gamma": 0.125, "bias": 0.1 * c, "plattA": -2.0, "plattB": 0.0,
+             "alphas": rng.normal(size=svs).tolist(),
+             "supportVectors": rng.normal(size=(svs, features)).tolist()}
+            for c in range(2)
+        ],
+    }
+
+
+def _set(path, value):
+    """Corruption that replaces doc[path[0]][path[1]]... with value(old)."""
+    def corrupt(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value(node[path[-1]])
+    return corrupt
+
+
+def _widen_support_vectors(doc):
+    for m in doc["models"]:
+        m["supportVectors"] = [row + [0.0] for row in m["supportVectors"]]
+
+
+class TestMalformedModelFiles:
+    """A model file with non-finite numbers or inconsistent shapes ends in
+    exit code 2 with one line on stderr, never a traceback or a decode."""
+
+    @pytest.fixture
+    def roi_path(self, tmp_path):
+        from vsr3d.config import CHANNEL_NAMES
+        from vsr3d.formats import write_roi
+        from vsr3d.segmentation import RoiVolume
+
+        data = np.random.default_rng(3).uniform(size=(len(CHANNEL_NAMES), 12, 8, 10))
+        path = tmp_path / "s.vsr1"
+        write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
+        return path
+
+    def decode(self, tmp_path, roi_path, doc):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        return run_cli("decode", str(roi_path), "--model", str(model),
+                       "--set", "min_duration=2", "--set", "max_duration=6",
+                       "--out", str(tmp_path / "hyp.txt"))
+
+    def test_valid_model_decodes(self, tmp_path, roi_path):
+        assert self.decode(tmp_path, roi_path, _model_doc()) == 0
+
+    @pytest.mark.parametrize("corrupt", [
+        _set(["models", 0, "bias"], lambda v: float("nan")),
+        _set(["models", 1, "supportVectors", 0, 0], lambda v: float("inf")),
+        _set(["models", 0, "alphas", 2], lambda v: float("-inf")),
+        _set(["models", 1, "gamma"], lambda v: float("nan")),
+        _set(["models", 0, "plattA"], lambda v: float("inf")),
+        _set(["models", 1, "plattB"], lambda v: float("nan")),
+        _set(["stats", "mean", 4], lambda v: float("nan")),
+        _set(["stats", "std", 4], lambda v: float("inf")),
+        _set(["stats", "std", 0], lambda v: 0.0),
+        _set(["stats", "std", 1], lambda v: -1.0),
+        _set(["stats", "std"], lambda v: v[:-1]),
+        _set(["classLabels"], lambda v: v[:-1]),
+        _set(["models", 0, "alphas"], lambda v: v[:-1]),
+        _set(["models", 0, "supportVectors", 1], lambda v: v[:-1]),
+        _set(["models", 0, "supportVectors"], lambda v: v[0]),
+        _set(["models", 1, "supportVectors"], lambda v: [v]),
+        _widen_support_vectors,
+    ], ids=["nan-bias", "inf-support-vector", "inf-alpha", "nan-gamma", "inf-platt-a",
+            "nan-platt-b", "nan-mean", "inf-std", "zero-std", "negative-std", "short-std",
+            "missing-class-label", "short-alphas", "ragged-support-vectors",
+            "1d-support-vectors", "3d-support-vectors", "support-vector-columns"])
+    def test_decode_rejects(self, tmp_path, capsys, roi_path, corrupt):
+        doc = _model_doc()
+        corrupt(doc)
+        code = self.decode(tmp_path, roi_path, doc)
+        assert_one_line_data_error(code, capsys, "decode")
 
 
 class TestBench:
-    def test_bench_table(self, capsys, tmp_path):
+    def test_bench_table(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert run_cli("bench", "--frames", "10,14", "--seed", "3", "--out", str(out)) == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("frames,load,symmetry,lip,corners,roi,features,svm,hmm")
+        assert lines[0] == "frames,load,segment,decode,total,per_frame_ms"
         assert len(lines) == 3
-        assert lines[1].startswith("10,") and lines[2].startswith("14,")
+        for line, frames in zip(lines[1:], (10, 14)):
+            n, load, segment, decode, total, per_frame_ms = line.split(",")
+            assert int(n) == frames
+            parts = [float(load), float(segment), float(decode)]
+            assert min(parts) >= 0 and float(total) > 0
+            assert abs(sum(parts) - float(total)) <= 0.002 + 1e-9  # four 3-decimal roundings
+            assert float(per_frame_ms) == pytest.approx(1000.0 * float(total) / frames,
+                                                        abs=0.06)
+
+    def test_bench_times_the_production_calls(self, monkeypatch):
+        import vsr3d.cli
+
+        calls = {"segment_video": 0, "decode_roi": 0}
+
+        def counted(name):
+            real = getattr(vsr3d.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(vsr3d.cli, name, counted(name))
+        assert run_cli("bench", "--frames", "10,14", "--seed", "3") == 0
+        assert calls == {"segment_video": 2, "decode_roi": 2}
 
     def test_bad_frames_argument(self):
         assert run_cli("bench", "--frames", "ten") == 2
+
+    @pytest.mark.parametrize("frames", ["0", "-5", "10,0", ",", ""])
+    def test_frame_counts_below_one_or_none(self, capsys, frames):
+        assert_one_line_data_error(run_cli("bench", f"--frames={frames}"), capsys, "bench")

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from vsr3d.pipeline import (bench_video, collect_labeled_features, grid_to_heatmap,
-                            keypoint_rows, segment_video)
+from vsr3d.pipeline import collect_labeled_features, grid_to_heatmap, keypoint_rows, segment_video
 
 
 class TestSegmentVideo:
@@ -20,13 +19,6 @@ class TestSegmentVideo:
         rows = keypoint_rows(result)
         assert rows[0][0] == 0
         assert len(rows[0]) == 6
-
-    def test_threads_do_not_change_result(self, short_sentence, corpus_config):
-        video, _ = short_sentence
-        a = segment_video(video, corpus_config, threads=1)
-        b = segment_video(video, corpus_config, threads=3)
-        assert np.array_equal(a.roi.data, b.roi.data)
-        assert np.array_equal(a.keypoints_original, b.keypoints_original)
 
     def test_forced_lip_row_pins_frame_zero(self, short_sentence, corpus_config):
         video, _ = short_sentence
@@ -68,15 +60,3 @@ class TestHeatmap:
         with pytest.raises(VsrError):
             grid_to_heatmap(grid, "zz")
 
-
-class TestBench:
-    def test_stage_timings_cover_pipeline(self, tmp_path, corpus_config):
-        from vsr3d.fixtures import SynthConfig, synth_corpus
-        from vsr3d.pipeline import BENCH_STAGES, train_from_features, collect_labeled_features
-
-        dirs = synth_corpus(SynthConfig(seed=21, sentence_length=4), 5, tmp_path / "c")
-        x, labels = collect_labeled_features(dirs, "phoneme", corpus_config)
-        model, _ = train_from_features(x, labels, corpus_config)
-        row = bench_video(dirs[0], model, corpus_config)
-        assert set(row.timings) == set(BENCH_STAGES)
-        assert row.total > 0 and row.frames > 0
