@@ -141,6 +141,8 @@ def write_roi(roi: RoiVolume, path):
 
 
 def read_roi(path, channels: tuple[str, ...] | None = None) -> RoiVolume:
+    """The stored ROI as a read-only float32 view of the file's payload;
+    featurization widens only the plane it reads."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != b"VSR1":
@@ -150,7 +152,7 @@ def read_roi(path, channels: tuple[str, ...] | None = None) -> RoiVolume:
     expected = c * t * h * w * 4
     if len(payload) != expected:
         raise VsrError(f"{path}: ROI payload has {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype="<f4").astype(float).reshape(c, t, h, w)
+    data = np.frombuffer(payload, dtype="<f4").reshape(c, t, h, w)
     if channels is None:
         if c != len(CHANNEL_NAMES):
             raise VsrError(f"{path}: {c} channels but no channel names given")

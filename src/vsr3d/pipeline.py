@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 
 from . import VsrError
-from .config import PipelineConfig
+from .config import CHANNEL_NAMES, PipelineConfig
 from .decoder import (build_probability_grid, decode_sequence, expand_biphones,
                       merge_grids)
 from .features import extract_labeled_samples, feature_dimension
 from .formats import read_transcript, read_video_dir
-from .segmentation import (ChannelSet, MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence,
+from .segmentation import (MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence, box3,
                            cropped_to_original, detect_inner_lower_lip, detect_mouth_corners,
                            build_min_luminance_line, extract_roi, find_symmetry_lines,
                            prepare_frames)
@@ -23,7 +23,6 @@ from .svm import MultiClassModel, TrainConfig, train_multiclass
 @dataclass
 class SegmentationResult:
     lines: list[SymmetryLine]
-    channels: list[ChannelSet]
     keypoints: MouthKeypoints          # cropped-frame coordinates
     keypoints_original: np.ndarray     # (T, 5): lip_row, left r/c, right r/c
     roi: RoiVolume
@@ -33,23 +32,25 @@ def segment_video(video: VideoSequence, cfg: PipelineConfig,
                   force_lip_row: int | None = None) -> SegmentationResult:
     """Full segmentation stage: symmetry lines, lip/corner tracking, ROI."""
     lines = find_symmetry_lines(video)
-    _, channels = prepare_frames(video, lines)
-    lip_rows = detect_inner_lower_lip(channels, force_first_row=force_lip_row)
-    lum_lines = np.stack([build_min_luminance_line(channels[t], lip_rows[t])
-                          for t in range(len(channels))])
-    left, right = detect_mouth_corners(channels, lum_lines)
+    planes = prepare_frames(video, lines)
+    lip_rows = detect_inner_lower_lip(planes[CHANNEL_NAMES.index("ulum")],
+                                      force_first_row=force_lip_row)
+    smooth = box3(planes[CHANNEL_NAMES.index("lum")])
+    lum_lines = np.stack([build_min_luminance_line(frame, row)
+                          for frame, row in zip(smooth, lip_rows)])
+    left, right = detect_mouth_corners(smooth, lum_lines)
     keypoints = MouthKeypoints(lip_rows=lip_rows, left=left, right=right, lum_lines=lum_lines)
-    roi = extract_roi(channels, keypoints, cfg.roi_width, cfg.roi_height)
+    roi = extract_roi(planes, keypoints, cfg.roi_width, cfg.roi_height)
 
-    center_col = channels[0].lum.shape[1] // 2
-    orig = np.empty((len(channels), 5))
+    center_col = planes.shape[-1] // 2
+    orig = np.empty((video.frame_count, 5))
     for t, line in enumerate(lines):
         lr, _ = cropped_to_original(line, video.height, lip_rows[t], center_col)
         l_r, l_c = cropped_to_original(line, video.height, left[t, 0], left[t, 1])
         r_r, r_c = cropped_to_original(line, video.height, right[t, 0], right[t, 1])
         orig[t] = (lr, l_r, l_c, r_r, r_c)
-    return SegmentationResult(lines=lines, channels=channels, keypoints=keypoints,
-                              keypoints_original=orig, roi=roi)
+    return SegmentationResult(lines=lines, keypoints=keypoints, keypoints_original=orig,
+                              roi=roi)
 
 
 def keypoint_rows(result: SegmentationResult):

@@ -80,24 +80,6 @@ class VideoSequence:
 
 
 @dataclass
-class ChannelSet:
-    """Per-frame color planes used by the detectors, all (H, W) float64."""
-
-    lum: np.ndarray
-    u: np.ndarray
-    ulum: np.ndarray
-    pseudo_hue: np.ndarray
-    red: np.ndarray
-    green: np.ndarray
-    blue: np.ndarray
-
-    def plane(self, name: str) -> np.ndarray:
-        if name not in CHANNEL_NAMES:
-            raise VsrError(f"unknown channel {name!r}")
-        return getattr(self, name)
-
-
-@dataclass
 class MouthKeypoints:
     """Per-frame mouth keypoints in cropped-frame coordinates."""
 
@@ -153,7 +135,8 @@ def luminance(rgb: np.ndarray) -> np.ndarray:
 
 def bilinear_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sample with bilinear interpolation; coordinates are clamped to the
-    image rectangle first (edge replication outside)."""
+    image rectangle first (edge replication outside).  An (H, W, k) image
+    gives k values per point, in a trailing axis."""
     h, w = image.shape[:2]
     rows = np.clip(rows, 0.0, h - 1.0)
     cols = np.clip(cols, 0.0, w - 1.0)
@@ -163,12 +146,9 @@ def bilinear_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np
     c1 = np.minimum(c0 + 1, w - 1)
     fr = rows - r0
     fc = cols - c0
-    if image.ndim == 2:
-        top = image[r0, c0] * (1 - fc) + image[r0, c1] * fc
-        bot = image[r1, c0] * (1 - fc) + image[r1, c1] * fc
-        return top * (1 - fr) + bot * fr
-    fr = fr[..., None]
-    fc = fc[..., None]
+    if image.ndim == 3:
+        fr = fr[..., None]
+        fc = fc[..., None]
     top = image[r0, c0] * (1 - fc) + image[r0, c1] * fc
     bot = image[r1, c0] * (1 - fc) + image[r1, c1] * fc
     return top * (1 - fr) + bot * fr
@@ -334,8 +314,9 @@ def cropped_to_original(line: SymmetryLine, height: int, row: float, col: float)
     )
 
 
-def compute_channels(rgb01: np.ndarray) -> ChannelSet:
-    """Color planes of one frame; rgb01 is (H, W, 3) scaled to [0, 1]."""
+def compute_channels(rgb01: np.ndarray) -> np.ndarray:
+    """Color planes of one frame, (7, H, W) in CHANNEL_NAMES order; rgb01 is
+    (H, W, 3) scaled to [0, 1]."""
     r, g, b = rgb01[..., 0], rgb01[..., 1], rgb01[..., 2]
     lum_raw = 0.299 * r + 0.587 * g + 0.114 * b
     lo, hi = lum_raw.min(), lum_raw.max()
@@ -353,35 +334,35 @@ def compute_channels(rgb01: np.ndarray) -> ChannelSet:
 
     rg = r + g
     pseudo_hue = np.where(rg > 0, r / np.where(rg > 0, rg, 1.0), 0.5)
-    return ChannelSet(lum=lum, u=u, ulum=u * lum, pseudo_hue=pseudo_hue, red=r, green=g, blue=b)
+    return np.stack([lum, u, u * lum, pseudo_hue, r, g, b])
 
 
-def prepare_frames(video: VideoSequence, lines: list[SymmetryLine]):
+def prepare_frames(video: VideoSequence, lines: list[SymmetryLine]) -> np.ndarray:
     """Rotate each frame so its symmetry line is vertical and central, crop
-    to +-50 columns, and compute the ChannelSet of every cropped frame.
+    to +-50 columns, and compute the color planes of every cropped frame.
 
-    Returns (cropped_rgb, channel_sets) with cropped_rgb in [0, 1],
-    shape (T, H, 101, 3).
+    Returns a (7, T, H, 101) array in CHANNEL_NAMES order.  Frames are
+    converted one at a time, so no whole-video RGB crop is ever held.
     """
     if len(lines) != video.frame_count:
         raise VsrError("need one symmetry line per frame")
-    cropped = np.empty((video.frame_count, video.height, 2 * CROP_HALF_WIDTH + 1, 3))
-    channels = []
+    planes = np.empty((len(CHANNEL_NAMES), video.frame_count, video.height,
+                       2 * CROP_HALF_WIDTH + 1))
     for t, line in enumerate(lines):
         rows, cols = crop_grid(line, video.height)
-        frame = bilinear_sample(video.frames[t].astype(float) / 255.0, rows, cols)
-        cropped[t] = frame
-        channels.append(compute_channels(frame))
-    return cropped, channels
+        planes[:, t] = compute_channels(
+            bilinear_sample(video.frames[t].astype(float) / 255.0, rows, cols))
+    return planes
 
 
-def _box3(image: np.ndarray) -> np.ndarray:
-    """3x3 box filter with edge replication."""
-    padded = np.pad(image, 1, mode="edge")
+def box3(image: np.ndarray) -> np.ndarray:
+    """3x3 box filter over the last two axes, with edge replication."""
+    h, w = image.shape[-2:]
+    padded = np.pad(image, [(0, 0)] * (image.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
     out = np.zeros_like(image, dtype=float)
     for dr in range(3):
         for dc in range(3):
-            out += padded[dr:dr + image.shape[0], dc:dc + image.shape[1]]
+            out += padded[..., dr:dr + h, dc:dc + w]
     return out / 9.0
 
 
@@ -397,22 +378,22 @@ def gaussian_transition_matrix(n: int, sigma: float) -> np.ndarray:
     return np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * sigma * sigma))
 
 
-def detect_inner_lower_lip(channels: list[ChannelSet], force_first_row: int | None = None) -> np.ndarray:
+def detect_inner_lower_lip(ulum: np.ndarray, force_first_row: int | None = None) -> np.ndarray:
     """Viterbi-track the row where the symmetry column crosses the inner
-    lower lip, using the vertical u*lum gradient as observation weights.
+    lower lip, using the vertical gradient of the (T, H, W) u*lum planes as
+    observation weights.
 
     force_first_row pins the frame-0 state (the manual rescue for videos the
     tracker gets wrong).
     """
     from .decoder import viterbi_generic
 
-    if not channels:
+    if len(ulum) == 0:
         raise VsrError("no frames")
-    height = channels[0].ulum.shape[0]
-    center = channels[0].ulum.shape[1] // 2
-    obs = np.empty((len(channels), height))
-    for t, ch in enumerate(channels):
-        grad = np.gradient(ch.ulum[:, center])
+    n_frames, height, width = ulum.shape
+    obs = np.empty((n_frames, height))
+    for t in range(n_frames):
+        grad = np.gradient(ulum[t, :, width // 2])
         obs[t] = _minmax01(grad, "the inner lower lip")
     if force_first_row is not None:
         if not 0 <= force_first_row < height:
@@ -425,15 +406,15 @@ def detect_inner_lower_lip(channels: list[ChannelSet], force_first_row: int | No
     return np.asarray(path, dtype=float)
 
 
-def build_min_luminance_line(channels: ChannelSet, lip_row: float) -> np.ndarray:
-    """81-point darkest polyline through the mouth slit.
+def build_min_luminance_line(smooth: np.ndarray, lip_row: float) -> np.ndarray:
+    """81-point darkest polyline through the mouth slit of one frame's
+    smoothed luminance `box3(lum)`, (H, W).
 
     Seeded at the darkest smoothed-luminance pixel on the symmetry column
     within rows [lip_row-8, lip_row+4], then grown 40 columns to each side,
     stepping to the darkest of {row-1, row, row+1}; ties prefer staying, then
     the smaller row.  Rows are clamped at the frame boundary.
     """
-    smooth = _box3(channels.lum)
     h, w = smooth.shape
     center = w // 2
     lo = int(np.clip(round(lip_row + LIP_SEED_RANGE[0]), 0, h - 1))
@@ -463,8 +444,9 @@ def build_min_luminance_line(channels: ChannelSet, lip_row: float) -> np.ndarray
     return np.array(line, dtype=int)
 
 
-def detect_mouth_corners(channels: list[ChannelSet], lines: np.ndarray):
-    """Track both mouth corners along the minimal-luminance lines.
+def detect_mouth_corners(smooth: np.ndarray, lines: np.ndarray):
+    """Track both mouth corners along the minimal-luminance lines, given the
+    smoothed luminance `box3(lum)` of every frame, (T, H, W).
 
     The left corner lives on indices 0..40 of each polyline (weights from the
     negated smoothed-luminance gradient), the right corner on 40..80; each is
@@ -473,16 +455,14 @@ def detect_mouth_corners(channels: list[ChannelSet], lines: np.ndarray):
     """
     from .decoder import viterbi_generic
 
-    if len(lines) != len(channels):
+    if len(lines) != len(smooth):
         raise VsrError("need one polyline per frame")
-    n_frames = len(channels)
+    n_frames = len(smooth)
     half = (LUM_LINE_LENGTH - 1) // 2
     obs_left = np.empty((n_frames, half + 1))
     obs_right = np.empty((n_frames, half + 1))
-    for t, ch in enumerate(channels):
-        smooth = _box3(ch.lum)
-        pts = lines[t]
-        values = smooth[pts[:, 0], pts[:, 1]]
+    for t, pts in enumerate(lines):
+        values = smooth[t, pts[:, 0], pts[:, 1]]
         grad = np.gradient(values)
         obs_left[t] = _minmax01(-grad[: half + 1], "the left mouth corner")
         obs_right[t] = _minmax01(grad[half:], "the right mouth corner")
@@ -495,16 +475,17 @@ def detect_mouth_corners(channels: list[ChannelSet], lines: np.ndarray):
     return left, right
 
 
-def extract_roi(channels: list[ChannelSet], keypoints: MouthKeypoints,
+def extract_roi(planes: np.ndarray, keypoints: MouthKeypoints,
                 roi_width: int = 64, roi_height: int = 48) -> RoiVolume:
-    """Resample a mouth window from every cropped frame.
+    """Resample a mouth window from every cropped frame of the (7, T, H, W)
+    color planes.
 
     Each frame is rotated about the corner-line midpoint so the corner line
     is horizontal; one constant scale factor (0.75 * roi_width / the maximum
     corner distance over the sequence) keeps real mouth-width changes in the
     output.  All channel planes are resampled.
     """
-    if keypoints.frame_count != len(channels):
+    if keypoints.frame_count != planes.shape[1]:
         raise VsrError("keypoints do not match frame count")
     d = keypoints.right - keypoints.left
     dists = np.hypot(d[:, 0], d[:, 1])
@@ -515,8 +496,8 @@ def extract_roi(channels: list[ChannelSet], keypoints: MouthKeypoints,
     cy, cx = (roi_height - 1) / 2.0, (roi_width - 1) / 2.0
     gy, gx = np.meshgrid(np.arange(roi_height, dtype=float) - cy,
                          np.arange(roi_width, dtype=float) - cx, indexing="ij")
-    data = np.empty((len(CHANNEL_NAMES), len(channels), roi_height, roi_width))
-    for t, ch in enumerate(channels):
+    data = np.empty((len(planes), planes.shape[1], roi_height, roi_width))
+    for t in range(planes.shape[1]):
         mid = (keypoints.left[t] + keypoints.right[t]) / 2.0
         if dists[t] > 0:
             ux = d[t, 1] / dists[t]  # along-corner-line unit vector, xy
@@ -526,6 +507,6 @@ def extract_roi(channels: list[ChannelSet], keypoints: MouthKeypoints,
         # output x axis follows the corner line; y axis its downward normal
         rows = mid[0] + (gx * uy + gy * ux) / scale
         cols = mid[1] + (gx * ux - gy * uy) / scale
-        for ci, name in enumerate(CHANNEL_NAMES):
-            data[ci, t] = bilinear_sample(ch.plane(name), rows, cols)
+        sampled = bilinear_sample(np.moveaxis(planes[:, t], 0, -1), rows, cols)
+        data[:, t] = np.moveaxis(sampled, -1, 0)
     return RoiVolume(data=data, channels=tuple(CHANNEL_NAMES), scale=scale)

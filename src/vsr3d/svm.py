@@ -466,6 +466,8 @@ def _model_from_doc(doc) -> MultiClassModel:
     labels = list(doc["classLabels"])
     if len(labels) != len(doc["models"]):
         raise VsrError(f"{len(labels)} class labels for {len(doc['models'])} models")
+    if len(set(labels)) != len(labels):
+        raise VsrError("class labels must be distinct")
     models = []
     for i, m in enumerate(doc["models"]):
         sv = _finite_array(m["supportVectors"], 2, f"models[{i}].supportVectors")
@@ -475,6 +477,8 @@ def _model_from_doc(doc) -> MultiClassModel:
                            f"{len(alphas)} alphas do not fit {len(mean)} features")
         bias, gamma, platt_a, platt_b = (float(_finite_array(m[k], 0, f"models[{i}].{k}"))
                                          for k in ("bias", "gamma", "plattA", "plattB"))
+        if gamma <= 0:
+            raise VsrError(f"models[{i}].gamma must be positive")
         models.append(BinarySvmModel(support_vectors=sv, dual_coef=alphas, bias=bias,
                                      gamma=gamma, platt_a=platt_a, platt_b=platt_b))
     return MultiClassModel(class_labels=labels, models=models,

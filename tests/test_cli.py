@@ -260,8 +260,9 @@ def _widen_support_vectors(doc):
 
 
 class TestMalformedModelFiles:
-    """A model file with non-finite numbers or inconsistent shapes ends in
-    exit code 2 with one line on stderr, never a traceback or a decode."""
+    """A model file with non-finite numbers, inconsistent shapes, a gamma
+    that is not positive or a repeated class label ends in exit code 2 with
+    one line on stderr, never a traceback or a decode."""
 
     @pytest.fixture
     def roi_path(self, tmp_path):
@@ -302,10 +303,14 @@ class TestMalformedModelFiles:
         _set(["models", 0, "supportVectors"], lambda v: v[0]),
         _set(["models", 1, "supportVectors"], lambda v: [v]),
         _widen_support_vectors,
+        _set(["models", 0, "gamma"], lambda v: 0.0),
+        _set(["models", 1, "gamma"], lambda v: -50.0),
+        _set(["classLabels", 1], lambda v: "C0"),
     ], ids=["nan-bias", "inf-support-vector", "inf-alpha", "nan-gamma", "inf-platt-a",
             "nan-platt-b", "nan-mean", "inf-std", "zero-std", "negative-std", "short-std",
             "missing-class-label", "short-alphas", "ragged-support-vectors",
-            "1d-support-vectors", "3d-support-vectors", "support-vector-columns"])
+            "1d-support-vectors", "3d-support-vectors", "support-vector-columns",
+            "zero-gamma", "negative-gamma", "duplicate-class-label"])
     def test_decode_rejects(self, tmp_path, capsys, roi_path, corrupt):
         doc = _model_doc()
         corrupt(doc)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from vsr3d import VsrError
+from vsr3d.config import CHANNEL_NAMES
 from vsr3d.decoder import ProbabilityGrid
 from vsr3d.evaluation import AlignmentCounts, align_nw, confusion_matrix
+from vsr3d.features import enumerate_subsequences, featurize_many
 from vsr3d.formats import (find_video_dirs, read_features_csv, read_grid, read_ppm,
                            read_roi, read_transcript, read_video_dir, write_confusion_csv,
                            write_eval_report, write_features_csv, write_grid,
@@ -87,6 +89,19 @@ class TestRoiFile:
         header = path.read_bytes()[:20]
         assert header[:4] == b"VSR1"
         assert np.frombuffer(header[4:], dtype="<u4").tolist() == [6, 5, 3, 7]
+
+    def test_float32_payload_featurizes_like_widened_data(self, tmp_path):
+        data = np.random.default_rng(4).normal(size=(len(CHANNEL_NAMES), 12, 8, 10))
+        path = tmp_path / "r.vsr1"
+        write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
+        loaded = read_roi(path)
+        assert loaded.data.dtype == np.float32
+        widened = RoiVolume(data=data.astype(np.float32).astype(float), channels=CHANNEL_NAMES,
+                            scale=1.0)
+        specs = enumerate_subsequences(12, 2, 7)
+        for channel in ("lum", "blue"):
+            assert np.array_equal(featurize_many(loaded, channel, 60.0, 25.0, specs),
+                                  featurize_many(widened, channel, 60.0, 25.0, specs))
 
     def test_nonstandard_channel_count_needs_names(self, tmp_path):
         roi = RoiVolume(data=np.zeros((2, 1, 2, 2)), channels=("red", "lum"), scale=1.0)

@@ -9,7 +9,6 @@ class TestSegmentVideo:
         video, truth, result = segmented_sentence
         n = video.frame_count
         assert len(result.lines) == n
-        assert len(result.channels) == n
         assert result.keypoints.lum_lines.shape == (n, 81, 2)
         assert result.keypoints_original.shape == (n, 5)
         assert result.roi.data.shape == (7, n, corpus_config.roi_height, corpus_config.roi_width)

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsr3d import VsrError
-from vsr3d.segmentation import (ChannelSet, MouthKeypoints, SymmetryLine, VideoSequence,
-                                area_average_resize, build_image_pyramid,
-                                build_min_luminance_line, compute_channels,
+from vsr3d.config import CHANNEL_NAMES
+from vsr3d.segmentation import (MouthKeypoints, SymmetryLine, VideoSequence,
+                                area_average_resize, bilinear_sample, box3,
+                                build_image_pyramid, build_min_luminance_line, compute_channels,
                                 cropped_to_original, detect_inner_lower_lip,
                                 detect_mouth_corners, extract_roi, find_symmetry_lines,
                                 gaussian_transition_matrix, luminance, prepare_frames,
@@ -28,9 +29,8 @@ def brute_force_track(priors, trans, obs):
     return list(best)
 
 
-def channels_from_gray(gray):
-    rgb = np.repeat(gray[..., None], 3, axis=2)
-    return compute_channels(rgb)
+def plane(planes, name):
+    return planes[CHANNEL_NAMES.index(name)]
 
 
 class TestPyramid:
@@ -135,30 +135,29 @@ class TestPrepareFrames:
     def test_crop_width_fixed(self, short_sentence):
         video, _ = short_sentence
         lines = find_symmetry_lines(video)
-        cropped, channels = prepare_frames(video, lines)
-        assert cropped.shape == (video.frame_count, video.height, 101, 3)
-        assert all(ch.lum.shape == (video.height, 101) for ch in channels)
+        planes = prepare_frames(video, lines)
+        assert planes.shape == (len(CHANNEL_NAMES), video.frame_count, video.height, 101)
 
     def test_neutral_gray_has_zero_u(self):
         rgb = np.full((10, 12, 3), 0.42)
-        ch = compute_channels(rgb)
-        assert np.abs(ch.u).max() < 1e-9
+        planes = compute_channels(rgb)
+        assert np.abs(plane(planes, "u")).max() < 1e-9
 
     def test_pure_red_pseudo_hue(self):
         rgb = np.zeros((4, 4, 3))
         rgb[..., 0] = 1.0
-        ch = compute_channels(rgb)
-        assert np.allclose(ch.pseudo_hue, 1.0)
+        planes = compute_channels(rgb)
+        assert np.allclose(plane(planes, "pseudo_hue"), 1.0)
 
     def test_black_pixels_pseudo_hue_half(self):
-        ch = compute_channels(np.zeros((3, 3, 3)))
-        assert np.allclose(ch.pseudo_hue, 0.5)
+        planes = compute_channels(np.zeros((3, 3, 3)))
+        assert np.allclose(plane(planes, "pseudo_hue"), 0.5)
 
     def test_lum_rescaled_to_unit_range(self):
         rng = np.random.default_rng(8)
-        ch = compute_channels(rng.random((8, 9, 3)))
-        assert ch.lum.min() == pytest.approx(0.0)
-        assert ch.lum.max() == pytest.approx(1.0)
+        lum = plane(compute_channels(rng.random((8, 9, 3))), "lum")
+        assert lum.min() == pytest.approx(0.0)
+        assert lum.max() == pytest.approx(1.0)
 
     def test_line_count_mismatch_rejected(self, short_sentence):
         video, _ = short_sentence
@@ -167,14 +166,10 @@ class TestPrepareFrames:
 
 
 class TestLipDetection:
-    def make_channel(self, ulum):
-        z = np.zeros_like(ulum)
-        return ChannelSet(lum=z, u=z, ulum=ulum, pseudo_hue=z, red=z, green=z, blue=z)
-
     def test_single_frame_is_argmax(self):
         rng = np.random.default_rng(9)
         ulum = rng.random((30, 101))
-        rows = detect_inner_lower_lip([self.make_channel(ulum)])
+        rows = detect_inner_lower_lip(ulum[None])
         grad = np.gradient(ulum[:, 50])
         assert rows[0] == int(np.argmax(grad))
 
@@ -186,9 +181,8 @@ class TestLipDetection:
             col[:120] = 0.0
             col[120:] = 1.0  # step -> gradient peak at row 120
             col += rng.normal(0, 0.05, 160)
-            ulum = np.tile(col[:, None], (1, 101))
-            frames.append(self.make_channel(ulum))
-        rows = detect_inner_lower_lip(frames)
+            frames.append(np.tile(col[:, None], (1, 101)))
+        rows = detect_inner_lower_lip(np.stack(frames))
         assert np.abs(rows - 120).max() <= 3
 
     def test_matches_brute_force_enumeration(self):
@@ -199,10 +193,10 @@ class TestLipDetection:
         for t in range(n_frames):
             col = rng.random(n_rows)
             ulum = np.tile(col[:, None], (1, 101))
-            frames.append(self.make_channel(ulum))
+            frames.append(ulum)
             g = np.gradient(ulum[:, 50])
             obs[t] = (g - g.min()) / (g.max() - g.min())
-        rows = detect_inner_lower_lip(frames)
+        rows = detect_inner_lower_lip(np.stack(frames))
         trans = gaussian_transition_matrix(n_rows, 8.0)
         expected = brute_force_track(np.ones(n_rows), trans, obs)
         assert list(rows.astype(int)) == expected
@@ -210,30 +204,25 @@ class TestLipDetection:
     def test_constant_column_rejected(self):
         ulum = np.zeros((20, 101))
         with pytest.raises(VsrError):
-            detect_inner_lower_lip([self.make_channel(ulum)])
+            detect_inner_lower_lip(ulum[None])
 
     def test_forced_first_row(self):
         rng = np.random.default_rng(12)
-        frames = [self.make_channel(rng.random((30, 101))) for _ in range(4)]
-        rows = detect_inner_lower_lip(frames, force_first_row=7)
+        rows = detect_inner_lower_lip(rng.random((4, 30, 101)), force_first_row=7)
         assert rows[0] == 7
 
 
 class TestMinLuminanceLine:
-    def make_channel(self, lum):
-        z = np.zeros_like(lum)
-        return ChannelSet(lum=lum, u=z, ulum=z, pseudo_hue=z, red=z, green=z, blue=z)
-
     def test_dark_strip_followed_exactly(self):
         lum = np.ones((60, 101))
         lum[32:35, :] = 0.0  # thicker than the smoothing kernel, center row darkest
-        line = build_min_luminance_line(self.make_channel(lum), 35.0)
+        line = build_min_luminance_line(box3(lum), 35.0)
         assert line.shape == (81, 2)
         assert (line[:, 0] == 33).all()
 
     def test_shape_and_column_steps(self):
         rng = np.random.default_rng(13)
-        line = build_min_luminance_line(self.make_channel(rng.random((50, 101))), 25.0)
+        line = build_min_luminance_line(box3(rng.random((50, 101))), 25.0)
         assert line.shape == (81, 2)
         assert np.array_equal(line[:, 1], np.arange(10, 91))
         assert np.abs(np.diff(line[:, 0])).max() <= 1
@@ -243,31 +232,26 @@ class TestMinLuminanceLine:
         for _ in range(5):
             lum = rng.random((64, 101))
             lip = float(rng.uniform(20, 40))
-            line = build_min_luminance_line(self.make_channel(lum), lip)
+            line = build_min_luminance_line(box3(lum), lip)
             seed_row = line[40, 0]
             assert lip - 8 - 0.51 <= seed_row <= lip + 4 + 0.51
 
     def test_rows_clamped_at_boundary(self):
         lum = np.tile(np.linspace(1, 0, 30)[:, None], (1, 101))  # darkest at bottom row
-        line = build_min_luminance_line(self.make_channel(lum), 28.0)
+        line = build_min_luminance_line(box3(lum), 28.0)
         assert line[:, 0].max() <= 29
 
 
 class TestCornerDetection:
-    def make_channel(self, lum):
-        z = np.zeros_like(lum)
-        return ChannelSet(lum=lum, u=z, ulum=z, pseudo_hue=z, red=z, green=z, blue=z)
-
     def mouth_like(self, left_col, right_col, h=60, w=101, row=30):
         lum = np.ones((h, w))
         lum[row, left_col:right_col + 1] = 0.0
         return lum
 
     def test_single_frame_corner_positions(self):
-        lum = self.mouth_like(25, 75)
-        ch = self.make_channel(lum)
-        line = build_min_luminance_line(ch, 30.0)
-        left, right = detect_mouth_corners([ch], np.stack([line]))
+        smooth = box3(self.mouth_like(25, 75))
+        line = build_min_luminance_line(smooth, 30.0)
+        left, right = detect_mouth_corners(smooth[None], np.stack([line]))
         assert abs(left[0][1] - 25) <= 2
         assert abs(right[0][1] - 75) <= 2
 
@@ -277,21 +261,16 @@ class TestCornerDetection:
 
     def test_matches_brute_force_on_tiny_instance(self):
         rng = np.random.default_rng(15)
-        channels, lines = [], []
-        for _ in range(3):
-            lum = rng.random((50, 101))
-            ch = self.make_channel(lum)
-            channels.append(ch)
-            lines.append(build_min_luminance_line(ch, 25.0))
-        lines = np.stack(lines)
-        left, right = detect_mouth_corners(channels, lines)
-        from vsr3d.segmentation import _box3
+        lum = rng.random((3, 50, 101))
+        smooth = box3(lum)
+        assert np.array_equal(smooth, np.stack([box3(frame) for frame in lum]))
+        lines = np.stack([build_min_luminance_line(frame, 25.0) for frame in smooth])
+        left, right = detect_mouth_corners(smooth, lines)
 
         obs_l = np.empty((3, 41))
         obs_r = np.empty((3, 41))
         for t in range(3):
-            smooth = _box3(channels[t].lum)
-            vals = smooth[lines[t][:, 0], lines[t][:, 1]]
+            vals = smooth[t][lines[t][:, 0], lines[t][:, 1]]
             g = np.gradient(vals)
             gl = -g[:41]
             gr = g[40:]
@@ -305,16 +284,29 @@ class TestCornerDetection:
             assert tuple(right[t]) == tuple(lines[t][40 + pr[t]])
 
 
+_COORD = st.one_of(st.integers(-3, 12).map(float),
+                   st.floats(-3.0, 12.0, allow_nan=False, allow_infinity=False))
+
+
+class TestBilinearSample:
+    @given(st.integers(0, 10**6), st.integers(1, 9), st.integers(1, 9), st.integers(1, 7),
+           st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_planes_match_one_call_per_plane(self, seed, h, w, k, points):
+        image = np.random.default_rng(seed).normal(size=(h, w, k))
+        rows, cols = (np.array(c) for c in zip(*points))
+        stacked = bilinear_sample(image, rows, cols)
+        assert stacked.shape == (len(points), k)
+        for i in range(k):
+            assert np.array_equal(stacked[:, i], bilinear_sample(image[..., i], rows, cols))
+
+
 class TestExtractRoi:
-    def make_channels(self, frames, h=60, w=101, seed=0):
+    def make_planes(self, frames, h=60, w=101, seed=0):
         rng = np.random.default_rng(seed)
-        out = []
-        for _ in range(frames):
-            lum = rng.random((h, w))
-            z = np.zeros_like(lum)
-            out.append(ChannelSet(lum=lum, u=z + 0.1, ulum=z + 0.2, pseudo_hue=z + 0.3,
-                                  red=lum * 0.5, green=z, blue=z))
-        return out
+        lum = rng.random((frames, h, w))
+        z = np.zeros_like(lum)
+        return np.stack([lum, z + 0.1, z + 0.2, z + 0.3, lum * 0.5, z, z])
 
     def keypoints(self, rows_left, cols_left, rows_right, cols_right, frames):
         return MouthKeypoints(
@@ -325,20 +317,18 @@ class TestExtractRoi:
         )
 
     def test_horizontal_max_width_frame_is_pure_scale(self):
-        from vsr3d.segmentation import bilinear_sample
-
-        chans = self.make_channels(1)
+        chans = self.make_planes(1)
         kp = self.keypoints([30.0], [30.0], [30.0], [70.0], 1)
         roi = extract_roi(chans, kp, 64, 48)
         s = 0.75 * 64 / 40.0
         assert roi.scale == pytest.approx(s)
         assert roi.data.shape == (7, 1, 48, 64)
         gy, gx = np.meshgrid(np.arange(48.0) - 23.5, np.arange(64.0) - 31.5, indexing="ij")
-        expected = bilinear_sample(chans[0].lum, 30.0 + gy / s, 50.0 + gx / s)
+        expected = bilinear_sample(plane(chans, "lum")[0], 30.0 + gy / s, 50.0 + gx / s)
         assert np.abs(roi.plane("lum")[0] - expected).max() < 1e-12
 
     def test_corner_rows_align_after_transform(self):
-        chans = self.make_channels(3, seed=1)
+        chans = self.make_planes(3, seed=1)
         kp = self.keypoints([30.0, 28.0, 31.0], [28.0, 30.0, 27.0],
                             [34.0, 36.0, 29.0], [72.0, 69.0, 71.0], 3)
         roi = extract_roi(chans, kp, 64, 48)
@@ -355,7 +345,7 @@ class TestExtractRoi:
                 assert abs(out_y - cy) <= 0.5
 
     def test_deterministic(self):
-        chans = self.make_channels(2, seed=2)
+        chans = self.make_planes(2, seed=2)
         kp = self.keypoints([30.0, 30.0], [30.0, 31.0], [30.0, 29.0], [70.0, 69.0], 2)
         a = extract_roi(chans, kp, 64, 48)
         b = extract_roi(chans, kp, 64, 48)
@@ -363,7 +353,7 @@ class TestExtractRoi:
         assert a.scale == b.scale
 
     def test_zero_width_everywhere_rejected(self):
-        chans = self.make_channels(1, seed=3)
+        chans = self.make_planes(1, seed=3)
         kp = self.keypoints([30.0], [50.0], [30.0], [50.0], 1)
         with pytest.raises(VsrError):
             extract_roi(chans, kp, 64, 48)
