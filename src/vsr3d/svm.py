@@ -336,31 +336,31 @@ def train_multiclass(x: np.ndarray, labels, cfg: TrainConfig,
     y_train = [labels[i] for i in train_idx]
     y_cv = [labels[i] for i in cv_idx]
 
-    def calibration_scores(kernel: np.ndarray, y: np.ndarray, c: float, gamma: float):
-        """Out-of-fold decision values (deterministic 3-fold by index), so
-        the sigmoid is fitted on scores the SVM did not train on."""
-        n = len(y)
-        folds = np.arange(n) % 3
-        scores = np.full(n, np.nan)
-        for f in range(3):
+    # deterministic 3-fold split by index, the same for every class
+    folds = np.arange(len(y_train)) % 3
+
+    def calibration_scores(fold_kernels: list[np.ndarray], y: np.ndarray, c: float,
+                           gamma: float):
+        """Out-of-fold decision values, so the sigmoid is fitted on scores
+        the SVM did not train on."""
+        scores = np.full(len(y), np.nan)
+        for f, rest_kernel in enumerate(fold_kernels):
             hold = folds == f
-            rest = ~hold
-            y_rest = y[rest]
+            y_rest = y[~hold]
             if (y_rest > 0).sum() == 0 or (y_rest < 0).sum() == 0:
                 continue
-            sub = train_binary_smo(x_train[rest], y_rest, c, gamma, cfg,
-                                   kernel=kernel[np.ix_(rest, rest)])
-            k = rbf_kernel_matrix(x_train[hold], sub.support_vectors, gamma)
-            scores[hold] = k @ sub.dual_coef + sub.bias
+            sub = train_binary_smo(x_train[~hold], y_rest, c, gamma, cfg, kernel=rest_kernel)
+            scores[hold] = decision_values(sub, x_train[hold])
         return scores
 
     def train_point(c: float, gamma: float) -> list[BinarySvmModel]:
         kernel = rbf_kernel_matrix(x_train, x_train, gamma)
+        fold_kernels = [kernel[np.ix_(folds != f, folds != f)] for f in range(3)]
         models = []
         for lab in class_labels:
             y = np.where(np.array(y_train) == lab, 1.0, -1.0)
             m = train_binary_smo(x_train, y, c, gamma, cfg, kernel=kernel)
-            scores = calibration_scores(kernel, y, c, gamma)
+            scores = calibration_scores(fold_kernels, y, c, gamma)
             have = ~np.isnan(scores)
             if have.any() and (y[have] > 0).any() and (y[have] < 0).any():
                 m.platt_a, m.platt_b = fit_platt(scores[have], y[have])
