@@ -30,8 +30,8 @@ class PipelineConfig:
     fps: float = 25.0
     c_grid: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0, 256.0)
     gamma_grid: tuple[float, ...] = (2.0**-9, 2.0**-7, 2.0**-5, 2.0**-3)
-    svm_tolerance: float = 1e-3
-    svm_max_passes: int = 200
+    svm_tolerance: float = 1e-3     # KKT gap at which SMO stops
+    svm_max_passes: int = 200       # SMO budget: svm_max_passes * n pair updates
     cv_fraction: float = 0.2
 
     def __post_init__(self):

@@ -2,20 +2,23 @@
 sigmoid-calibrated probability outputs and one-vs-rest multi-class training
 under cross-validated hyperparameters.
 
-Training is fully deterministic: the SMO working-set heuristics visit
-examples in index order (violators among non-bound points first), so
-identical inputs give bit-identical models.
+Training is deterministic: SMO picks each working pair by maximal violation
+and second-order gain, breaking ties (up to roundoff) to the smallest index,
+and stops on the KKT gap.  Identical inputs give bit-identical models, and
+last-digit changes of the input move the model only by roundoff.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import VsrError
+from .config import CHANNEL_NAMES
 from .features import StandardizationStats, fit_standardization, standardize
 
 
@@ -23,14 +26,16 @@ from .features import StandardizationStats, fit_standardization, standardize
 class TrainConfig:
     c_grid: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0, 256.0)
     gamma_grid: tuple[float, ...] = (2.0**-9, 2.0**-7, 2.0**-5, 2.0**-3)
-    tolerance: float = 1e-3
-    max_passes: int = 200
+    tolerance: float = 1e-3   # SMO stops once its KKT gap is at most this
+    max_passes: int = 200     # SMO budget: max_passes * n pair updates, then a warning
 
     def __post_init__(self):
         if not self.c_grid or not self.gamma_grid:
             raise VsrError("hyperparameter grids must be non-empty")
         if self.tolerance <= 0:
             raise VsrError("tolerance must be positive")
+        if self.max_passes < 1:
+            raise VsrError("max_passes must be >= 1")
 
 
 @dataclass
@@ -71,122 +76,70 @@ def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 
 
 class _SmoState:
-    """Platt's SMO on a precomputed kernel matrix."""
+    """SMO on a precomputed kernel matrix with second-order working-set
+    selection (WSS2; Fan, Chen & Lin 2005, JMLR 6:1889-1918).
+
+    `v` holds -y_t * G_t for the gradient G of the dual (to be minimized),
+    that is y_t - sum_s alpha_s y_s K_ts.  Each step takes the maximal
+    violator i = argmax v over I_up and the partner j in I_low of largest
+    second-order gain b^2 / a, moves the pair analytically and clips it
+    into the box [0, C].  The loop stops once the KKT gap
+    max_up(v) - min_low(v) is at most `tol`, or at `max_iter` updates with
+    a RuntimeWarning.
+
+    An unclipped step leaves its pair with equal v, so later maxima tie up
+    to roundoff; values within 1e-6 * tol of the maximum count as ties and
+    go to the smallest index, which keeps the path (and the model) stable
+    under last-digit changes of the input.
+    """
 
     def __init__(self, kernel: np.ndarray, y: np.ndarray, c: float, tol: float):
         self.K = kernel
         self.y = y.astype(float)
         self.C = float(c)
         self.tol = float(tol)
-        n = len(y)
-        self.alpha = np.zeros(n)
+        self.alpha = np.zeros(len(y))
+        self.v = self.y.copy()  # -y * G with all-zero alphas
         self.b = 0.0
-        self.errors = -self.y.copy()  # f(x_i) - y_i with all-zero alphas
+        self.gap = math.inf
+        self.iterations = 0
         self.on_step = None
 
-    def take_step(self, i1: int, i2: int) -> bool:
-        if i1 == i2:
-            return False
-        a1, a2 = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        e1, e2 = self.errors[i1], self.errors[i2]
-        s = y1 * y2
-        if y1 != y2:
-            lo, hi = max(0.0, a2 - a1), min(self.C, self.C + a2 - a1)
-        else:
-            lo, hi = max(0.0, a1 + a2 - self.C), min(self.C, a1 + a2)
-        if lo >= hi:
-            return False
-        k11, k12, k22 = self.K[i1, i1], self.K[i1, i2], self.K[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2_new = a2 + y2 * (e1 - e2) / eta
-            a2_new = min(max(a2_new, lo), hi)
-        else:
-            # flat or concave curvature: the dual is convex along the
-            # constraint line, so the gain is maximal at an endpoint
-            u1 = e1 + y1 - self.b
-            u2 = e2 + y2 - self.b
-
-            def gain(a2c: float) -> float:
-                da2 = a2c - a2
-                da1 = s * (a2 - a2c)
-                return (da1 + da2) - (y1 * da1 * u1 + y2 * da2 * u2
-                                      + 0.5 * k11 * da1 * da1 + 0.5 * k22 * da2 * da2
-                                      + s * k12 * da1 * da2)
-
-            g_lo, g_hi = gain(lo), gain(hi)
-            if g_lo > g_hi + 1e-12:
-                a2_new = lo
-            elif g_hi > g_lo + 1e-12:
-                a2_new = hi
-            else:
-                return False
-        if abs(a2_new - a2) < 1e-12 * (a2_new + a2 + 1e-12):
-            return False
-        a1_new = a1 + s * (a2 - a2_new)
-        if a1_new < 0.0:
-            a2_new += s * a1_new
-            a1_new = 0.0
-        elif a1_new > self.C:
-            a2_new += s * (a1_new - self.C)
-            a1_new = self.C
-        d1 = y1 * (a1_new - a1)
-        d2 = y2 * (a2_new - a2)
-        b1 = self.b - e1 - d1 * k11 - d2 * k12
-        b2 = self.b - e2 - d1 * k12 - d2 * k22
-        if 0.0 < a1_new < self.C:
-            b_new = b1
-        elif 0.0 < a2_new < self.C:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-        self.errors += d1 * self.K[:, i1] + d2 * self.K[:, i2] + (b_new - self.b)
-        self.alpha[i1] = a1_new
-        self.alpha[i2] = a2_new
-        self.b = b_new
-        if self.on_step is not None:
-            self.on_step(self)
-        return True
-
-    def _non_bound(self) -> np.ndarray:
-        return np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.C))
-
-    def examine(self, i2: int) -> bool:
-        y2 = self.y[i2]
-        a2 = self.alpha[i2]
-        e2 = self.errors[i2]
-        r2 = e2 * y2
-        if not ((r2 < -self.tol and a2 < self.C) or (r2 > self.tol and a2 > 0.0)):
-            return False
-        non_bound = self._non_bound()
-        if len(non_bound) > 1:
-            diffs = np.abs(self.errors[non_bound] - e2)
-            if self.take_step(int(non_bound[np.argmax(diffs)]), i2):
-                return True
-        for i1 in non_bound:
-            if self.take_step(int(i1), i2):
-                return True
-        for i1 in range(len(self.y)):
-            if self.take_step(i1, i2):
-                return True
-        return False
-
-    def run(self, max_passes: int):
-        examine_all = True
-        passes = 0
-        while passes < max_passes:
-            changed = 0
-            targets = range(len(self.y)) if examine_all else self._non_bound()
-            for i2 in targets:
-                changed += self.examine(int(i2))
-            passes += 1
-            if examine_all:
-                if changed == 0:
-                    break
-                examine_all = False
-            elif changed == 0:
-                examine_all = True
+    def run(self, max_iter: int):
+        K, y, C, alpha, v = self.K, self.y, self.C, self.alpha, self.v
+        diag = np.diag(K)
+        pos = y > 0
+        tie = 1e-6 * self.tol
+        while True:
+            up = np.where(pos, alpha < C, alpha > 0.0)
+            low = np.where(pos, alpha > 0.0, alpha < C)
+            v_up = np.where(up, v, -np.inf)
+            v_max, v_min = v_up.max(), np.where(low, v, np.inf).min()
+            i = int(np.argmax(v_up >= v_max - tie))
+            self.gap = float(v_max - v_min)
+            if self.gap <= self.tol or self.iterations >= max_iter:
+                break
+            b = v[i] - v
+            a = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
+            j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -np.inf)))
+            # step t along alpha_i += y_i t, alpha_j -= y_j t; a clipped
+            # variable is set exactly to its bound so it leaves I_up / I_low
+            lim_i = C - alpha[i] if pos[i] else alpha[i]
+            lim_j = alpha[j] if pos[j] else C - alpha[j]
+            t = min(b[j] / a[j], lim_i, lim_j)
+            new_i = (C if pos[i] else 0.0) if t == lim_i else alpha[i] + y[i] * t
+            new_j = (0.0 if pos[j] else C) if t == lim_j else alpha[j] - y[j] * t
+            v -= y[i] * (new_i - alpha[i]) * K[:, i] + y[j] * (new_j - alpha[j]) * K[:, j]
+            alpha[i], alpha[j] = new_i, new_j
+            self.iterations += 1
+            if self.on_step is not None:
+                self.on_step(self)
+        if self.gap > self.tol:
+            warnings.warn(f"SMO stopped at its budget of {self.iterations} pair updates "
+                          f"with KKT gap {self.gap:.3g} > tolerance {self.tol:g}",
+                          RuntimeWarning, stacklevel=3)
+        free = (alpha > 0.0) & (alpha < C)
+        self.b = float(v[free].mean()) if free.any() else 0.5 * float(v_max + v_min)
 
 
 def dual_objective(kernel: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
@@ -199,7 +152,9 @@ def train_binary_smo(x: np.ndarray, y: np.ndarray, c: float, gamma: float,
                      on_step=None) -> BinarySvmModel:
     """Train one soft-margin binary SVM; y must be +-1 with both labels
     present.  `kernel` may pass a precomputed RBF Gram matrix.  `on_step`
-    (if given) is called with the solver state after every successful update.
+    (if given) is called with the solver state after every pair update.
+    Warns (RuntimeWarning) when cfg.max_passes * n updates do not bring the
+    KKT gap down to cfg.tolerance; the model is then returned as it stands.
     """
     cfg = cfg or TrainConfig()
     x = np.asarray(x, dtype=float)
@@ -210,7 +165,7 @@ def train_binary_smo(x: np.ndarray, y: np.ndarray, c: float, gamma: float,
         kernel = rbf_kernel_matrix(x, x, gamma)
     state = _SmoState(kernel, y, c, cfg.tolerance)
     state.on_step = on_step
-    state.run(cfg.max_passes)
+    state.run(cfg.max_passes * len(y))
     mask = state.alpha > 1e-12
     if not mask.any():
         raise VsrError("SMO produced no support vectors")
@@ -411,7 +366,8 @@ def save_model(model: MultiClassModel, path):
     doc = {
         "version": 1,
         "classLabels": model.class_labels,
-        "config": {k: model.config.get(k) for k in ("channel", "deltaTms", "l", "s", "C", "gamma")},
+        "config": {k: model.config[k] for k in ("channel", "deltaTms", "l", "s", "C", "gamma")
+                   if model.config.get(k) is not None},
         "stats": {"mean": model.stats.mean.tolist(), "std": model.stats.std.tolist()},
         "models": [
             {
@@ -456,6 +412,24 @@ def _finite_array(value, ndim: int, what: str) -> np.ndarray:
     return a
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_feature_echo(config: dict):
+    """The decoder featurizes with these keys of the config echo, so each
+    one that is present must hold a usable value."""
+    if config.get("channel", CHANNEL_NAMES[0]) not in CHANNEL_NAMES:
+        raise VsrError(f"config.channel must be one of {', '.join(CHANNEL_NAMES)}")
+    dt = config.get("deltaTms", 0.0)
+    if not (_is_number(dt) and 0 <= dt < math.inf):
+        raise VsrError("config.deltaTms must be a finite number >= 0")
+    for key, lo in (("l", 2), ("s", 1)):
+        v = config.get(key, lo)
+        if not (_is_number(v) and v >= lo and v % 1 == 0):
+            raise VsrError(f"config.{key} must be an integer >= {lo}")
+
+
 def _model_from_doc(doc) -> MultiClassModel:
     """A model checked for finite numbers and consistent shapes, so that a
     corrupt file fails here rather than deep inside prediction."""
@@ -481,6 +455,9 @@ def _model_from_doc(doc) -> MultiClassModel:
             raise VsrError(f"models[{i}].gamma must be positive")
         models.append(BinarySvmModel(support_vectors=sv, dual_coef=alphas, bias=bias,
                                      gamma=gamma, platt_a=platt_a, platt_b=platt_b))
+    config = doc.get("config") or {}
+    if not isinstance(config, dict):
+        raise VsrError("config must be a JSON object")
+    _check_feature_echo(config)
     return MultiClassModel(class_labels=labels, models=models,
-                           stats=StandardizationStats(mean=mean, std=std),
-                           config=dict(doc.get("config") or {}))
+                           stats=StandardizationStats(mean=mean, std=std), config=dict(config))

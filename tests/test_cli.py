@@ -261,8 +261,9 @@ def _widen_support_vectors(doc):
 
 class TestMalformedModelFiles:
     """A model file with non-finite numbers, inconsistent shapes, a gamma
-    that is not positive or a repeated class label ends in exit code 2 with
-    one line on stderr, never a traceback or a decode."""
+    that is not positive, a repeated class label or an unusable feature
+    config (channel, deltaTms, l, s) ends in exit code 2 with one line on
+    stderr, never a traceback or a decode."""
 
     @pytest.fixture
     def roi_path(self, tmp_path):
@@ -285,6 +286,11 @@ class TestMalformedModelFiles:
     def test_valid_model_decodes(self, tmp_path, roi_path):
         assert self.decode(tmp_path, roi_path, _model_doc()) == 0
 
+    def test_feature_config_keys_are_optional(self, tmp_path, roi_path):
+        doc = _model_doc()
+        doc["config"] = {"l": 10.0}
+        assert self.decode(tmp_path, roi_path, doc) == 0
+
     @pytest.mark.parametrize("corrupt", [
         _set(["models", 0, "bias"], lambda v: float("nan")),
         _set(["models", 1, "supportVectors", 0, 0], lambda v: float("inf")),
@@ -306,11 +312,24 @@ class TestMalformedModelFiles:
         _set(["models", 0, "gamma"], lambda v: 0.0),
         _set(["models", 1, "gamma"], lambda v: -50.0),
         _set(["classLabels", 1], lambda v: "C0"),
+        _set(["config", "channel"], lambda v: "purple"),
+        _set(["config", "deltaTms"], lambda v: "x"),
+        _set(["config", "deltaTms"], lambda v: -30.0),
+        _set(["config", "deltaTms"], lambda v: float("inf")),
+        _set(["config", "l"], lambda v: "abc"),
+        _set(["config", "l"], lambda v: 2.7),
+        _set(["config", "l"], lambda v: 1),
+        _set(["config", "s"], lambda v: None),
+        _set(["config", "s"], lambda v: 0),
+        _set(["config"], lambda v: "red"),
     ], ids=["nan-bias", "inf-support-vector", "inf-alpha", "nan-gamma", "inf-platt-a",
             "nan-platt-b", "nan-mean", "inf-std", "zero-std", "negative-std", "short-std",
             "missing-class-label", "short-alphas", "ragged-support-vectors",
             "1d-support-vectors", "3d-support-vectors", "support-vector-columns",
-            "zero-gamma", "negative-gamma", "duplicate-class-label"])
+            "zero-gamma", "negative-gamma", "duplicate-class-label", "unknown-channel",
+            "string-delta-t", "negative-delta-t", "inf-delta-t", "string-length",
+            "fractional-length", "length-below-2", "null-mask-size", "zero-mask-size",
+            "config-not-an-object"])
     def test_decode_rejects(self, tmp_path, capsys, roi_path, corrupt):
         doc = _model_doc()
         corrupt(doc)

@@ -148,6 +148,10 @@ class TestBinarySmo:
         with pytest.raises(VsrError):
             train_binary_smo(np.random.default_rng(5).random((5, 2)), np.ones(5), 1.0, 1.0)
 
+    def test_zero_budget_rejected(self):
+        with pytest.raises(VsrError, match="max_passes"):
+            TrainConfig(max_passes=0)
+
     def test_reproducible(self):
         rng = np.random.default_rng(6)
         x = rng.random((25, 3))
@@ -158,6 +162,48 @@ class TestBinarySmo:
         m2 = train_binary_smo(x, y, 4.0, 0.5)
         assert np.array_equal(m1.dual_coef, m2.dual_coef)
         assert m1.bias == m2.bias
+
+
+def overlapping_problem(seed=0, n=60):
+    """Two overlapping classes: many bounded and free support vectors."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3))
+    y = np.where(x[:, 0] + 0.5 * rng.normal(size=n) > 0, 1.0, -1.0)
+    return x, y, rng
+
+
+class TestSolverStop:
+    def test_budget_hit_warns_and_returns_a_model(self):
+        x, y, _ = overlapping_problem()
+        with pytest.warns(RuntimeWarning, match=r"budget of 60 pair updates with KKT gap"):
+            model = train_binary_smo(x, y, 64.0, 0.5, TrainConfig(max_passes=1))
+        assert len(model.dual_coef) > 0 and np.isfinite(model.bias)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1.0, 64.0, 1e4])
+    def test_final_gap_within_tolerance(self, c):
+        x, y, _ = overlapping_problem()
+        kernel = rbf_kernel_matrix(x, x, 0.5)
+        states = []
+        cfg = TrainConfig(tolerance=1e-3)
+        train_binary_smo(x, y, c, 0.5, cfg, kernel=kernel, on_step=states.append)
+        alpha = states[-1].alpha
+        assert alpha.min() >= 0.0 and alpha.max() <= c
+        v = y - kernel @ (alpha * y)      # -y * gradient of the dual
+        up = np.where(y > 0, alpha < c, alpha > 0)
+        low = np.where(y > 0, alpha > 0, alpha < c)
+        gap = v[up].max() - v[low].min()
+        assert gap <= cfg.tolerance
+        assert states[-1].gap == pytest.approx(gap, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [4.0, 64.0])
+    def test_bias_stable_under_last_digit_input_changes(self, c):
+        x, y, rng = overlapping_problem()
+        perturbed = x * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0, size=x.shape))
+        a = train_binary_smo(x, y, c, 0.5)
+        b = train_binary_smo(perturbed, y, c, 0.5)
+        assert len(a.dual_coef) == len(b.dual_coef)
+        assert abs(a.bias - b.bias) < 1e-9
 
 
 class TestDecisionValue:
