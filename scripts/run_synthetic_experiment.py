@@ -18,6 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from vsr3d import VsrError
 from vsr3d.config import PipelineConfig
 from vsr3d.evaluation import accuracy, align_nw, paired_t_test_one_tailed
 from vsr3d.features import Transcript, TranscriptEntry, extract_labeled_samples
@@ -88,7 +89,7 @@ def main():
     try:
         t, p = paired_t_test_one_tailed(acc_bi, acc_plain)
         print(f"one-tailed paired t-test (biphone > plain): t={t:.3f}, p={p:.4f}")
-    except Exception as e:
+    except VsrError as e:
         print(f"t-test unavailable: {e}")
 
 

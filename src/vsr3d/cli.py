@@ -97,7 +97,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--biphone-model", default=None)
     p.add_argument("--use-biphones", action="store_true")
-    p.add_argument("--units", default="phoneme", choices=["phoneme", "viseme"])
+    p.add_argument("--units", default="phoneme", choices=["phoneme", "viseme"],
+                   help="unit kind of the model; both decode with min/max_duration")
     p.add_argument("--save-grid", default=None, help="write the probability grid (.grd1)")
     p.add_argument("--out", required=True, help="output transcript path")
 
@@ -214,9 +215,7 @@ def cmd_decode(args) -> int:
         roi = segment_video(read_video_dir(path), cfg).roi
     else:
         roi = read_roi(path)
-    lo, hi = cfg.duration_bounds(args.units)
-    entries, grid = decode_roi(roi, model, cfg, biphone_model,
-                               min_duration=lo, max_duration=hi)
+    entries, grid = decode_roi(roi, model, cfg, biphone_model)
     if args.save_grid:
         write_grid(grid, args.save_grid)
     from .decoder import entries_to_transcript

@@ -34,6 +34,7 @@ JEFFERS_MAP = {
     SILENCE: "/L",
 }
 UNMAPPED_PHONEMES = frozenset({"HH"})
+VISEMES = frozenset(JEFFERS_MAP.values())
 
 
 @dataclass
@@ -53,17 +54,22 @@ class ConfusionMatrix:
     insertions: np.ndarray  # (n,)
 
 
+def to_viseme(tok: str) -> str | None:
+    """The Jeffers viseme of a phoneme token (a viseme token maps to
+    itself); None for HH, which has no viseme."""
+    if tok in UNMAPPED_PHONEMES:
+        return None
+    if tok in VISEMES:
+        return tok
+    if tok not in JEFFERS_MAP:
+        raise VsrError(f"token {tok!r} has no viseme mapping")
+    return JEFFERS_MAP[tok]
+
+
 def map_to_visemes(seq) -> list[str]:
     """Replace phoneme tokens with their viseme; HH tokens are removed and
     consecutive identical visemes are kept separate."""
-    out = []
-    for tok in seq:
-        if tok in UNMAPPED_PHONEMES:
-            continue
-        if tok not in JEFFERS_MAP:
-            raise VsrError(f"token {tok!r} has no viseme mapping")
-        out.append(JEFFERS_MAP[tok])
-    return out
+    return [v for v in map(to_viseme, seq) if v is not None]
 
 
 def strip_internal_silence(seq) -> list[str]:
@@ -189,10 +195,7 @@ def evaluate_sequences(refs: dict, hyps: dict, strip_ref_silence: bool = True,
         ref = list(refs[sid])
         hyp = list(hyps[sid])
         if to_visemes:
-            ref = [tok if tok.startswith("/") else _viseme(tok) for tok in ref]
-            ref = [tok for tok in ref if tok is not None]
-            hyp = [tok if tok.startswith("/") else _viseme(tok) for tok in hyp]
-            hyp = [tok for tok in hyp if tok is not None]
+            ref, hyp = map_to_visemes(ref), map_to_visemes(hyp)
         if strip_ref_silence:
             ref = strip_internal_silence(ref)
         counts, pairs = align_nw(ref, hyp)
@@ -211,10 +214,3 @@ def evaluate_sequences(refs: dict, hyps: dict, strip_ref_silence: bool = True,
     )
     return rows, confusion, totals
 
-
-def _viseme(tok: str):
-    if tok in UNMAPPED_PHONEMES:
-        return None
-    if tok not in JEFFERS_MAP:
-        raise VsrError(f"token {tok!r} has no viseme mapping")
-    return JEFFERS_MAP[tok]

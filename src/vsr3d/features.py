@@ -277,20 +277,14 @@ def extract_labeled_samples(roi: RoiVolume, transcript: Transcript, kind: str, c
     with a composite "A+B" label.  Viseme kinds pass labels through the
     Jeffers map, dropping HH entries.  Returns (X, labels, spans).
     """
-    from .evaluation import JEFFERS_MAP
+    from .evaluation import to_viseme
 
     if kind not in ("phoneme", "viseme", "biphone", "bi-viseme"):
         raise VsrError(f"unknown sample kind {kind!r}")
     entries = transcript.entries
     if kind in ("viseme", "bi-viseme"):
-        mapped = []
-        for e in entries:
-            if e.label == "HH":
-                continue
-            if e.label not in JEFFERS_MAP:
-                raise VsrError(f"token {e.label!r} has no viseme mapping")
-            mapped.append(TranscriptEntry(JEFFERS_MAP[e.label], e.start_ms, e.end_ms))
-        entries = mapped
+        entries = [TranscriptEntry(v, e.start_ms, e.end_ms)
+                   for e in entries if (v := to_viseme(e.label)) is not None]
     n = roi.frame_count
     spans, labels = [], []
     if kind in ("phoneme", "viseme"):

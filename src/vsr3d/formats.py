@@ -140,7 +140,7 @@ def write_roi(roi: RoiVolume, path):
         fh.write(roi.data.astype("<f4").tobytes())
 
 
-def read_roi(path, channels: tuple[str, ...] | None = None) -> RoiVolume:
+def read_roi(path) -> RoiVolume:
     """The stored ROI as a read-only float32 view of the file's payload;
     featurization widens only the plane it reads."""
     with open(path, "rb") as fh:
@@ -153,13 +153,9 @@ def read_roi(path, channels: tuple[str, ...] | None = None) -> RoiVolume:
     if len(payload) != expected:
         raise VsrError(f"{path}: ROI payload has {len(payload)} bytes, expected {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(c, t, h, w)
-    if channels is None:
-        if c != len(CHANNEL_NAMES):
-            raise VsrError(f"{path}: {c} channels but no channel names given")
-        channels = tuple(CHANNEL_NAMES)
-    elif len(channels) != c:
-        raise VsrError(f"{path}: {c} channels do not match names {channels}")
-    return RoiVolume(data=data, channels=tuple(channels), scale=1.0)
+    if c != len(CHANNEL_NAMES):
+        raise VsrError(f"{path}: {c} channels, expected {len(CHANNEL_NAMES)}")
+    return RoiVolume(data=data, channels=tuple(CHANNEL_NAMES), scale=1.0)
 
 
 def write_keypoints_csv(rows, path):

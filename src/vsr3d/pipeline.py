@@ -91,16 +91,13 @@ def train_from_features(x: np.ndarray, labels, cfg: PipelineConfig):
 
 
 def decode_roi(roi: RoiVolume, model: MultiClassModel, cfg: PipelineConfig,
-               biphone_model: MultiClassModel | None = None,
-               min_duration: int | None = None, max_duration: int | None = None):
+               biphone_model: MultiClassModel | None = None):
     """Probability grid(s) + duration-constrained decode.
 
     With a biphone model the two grids are merged and decoded in one pass;
     composite segments are expanded afterwards.  Returns (entries, grid).
     """
-    lo = cfg.min_duration if min_duration is None else min_duration
-    hi = cfg.max_duration if max_duration is None else max_duration
-    grid = build_probability_grid(model, roi, lo, hi, cfg.fps)
+    grid = build_probability_grid(model, roi, cfg.min_duration, cfg.max_duration, cfg.fps)
     if biphone_model is not None:
         bigrid = build_probability_grid(biphone_model, roi, cfg.biphone_min_duration,
                                         cfg.biphone_max_duration, cfg.fps)

@@ -7,7 +7,7 @@ from vsr3d import VsrError
 from vsr3d.evaluation import (AlignmentCounts, JEFFERS_MAP, UNMAPPED_PHONEMES, accuracy,
                               align_nw, confusion_matrix, evaluate_sequences, map_to_visemes,
                               paired_t_test_one_tailed, strip_internal_silence,
-                              t_tail_probability)
+                              t_tail_probability, to_viseme)
 
 TABLE2_PHONEMES = [
     "SH", "IY", "HH", "AE", "D", "Y", "AO", "R", "AA", "K", "S", "UW", "T", "IH",
@@ -55,6 +55,12 @@ class TestVisemeMapping:
     def test_unknown_token_named_in_error(self):
         with pytest.raises(VsrError, match="XX"):
             map_to_visemes(["XX"])
+
+    def test_viseme_token_maps_to_itself(self):
+        assert to_viseme("/A") == "/A"
+        assert to_viseme("HH") is None
+        with pytest.raises(VsrError):
+            to_viseme("/Z")
 
 
 class TestSilenceStripping:
