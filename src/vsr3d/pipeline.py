@@ -36,8 +36,7 @@ def segment_video(video: VideoSequence, cfg: PipelineConfig,
     lip_rows = detect_inner_lower_lip(planes[CHANNEL_NAMES.index("ulum")],
                                       force_first_row=force_lip_row)
     smooth = box3(planes[CHANNEL_NAMES.index("lum")])
-    lum_lines = np.stack([build_min_luminance_line(frame, row)
-                          for frame, row in zip(smooth, lip_rows)])
+    lum_lines = build_min_luminance_line(smooth, lip_rows)
     left, right = detect_mouth_corners(smooth, lum_lines)
     keypoints = MouthKeypoints(lip_rows=lip_rows, left=left, right=right, lum_lines=lum_lines)
     roi = extract_roi(planes, keypoints, cfg.roi_width, cfg.roi_height)

@@ -1,9 +1,9 @@
 """Mouth-region segmentation.
 
-Finds the facial symmetry line coarse-to-fine over an image pyramid, tracks
-the inner-lower-lip row and the mouth corners with Gaussian-transition HMMs,
-and resamples a rotation/position/scale-normalized mouth window from every
-frame.
+Finds the facial symmetry line coarse-to-fine over an image pyramid, one
+array call per search window; tracks the inner-lower-lip row and the mouth
+corners of the whole video at once with Gaussian-transition HMMs; and
+resamples a rotation/position/scale-normalized mouth window from every frame.
 
 Coordinates: (row, col) with row increasing downward.  A symmetry line is
 anchored at the vertical image center; positive angles tilt it clockwise.
@@ -192,53 +192,55 @@ def build_image_pyramid(image: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
-def symmetry_cost(image: np.ndarray, column: float, angle_deg: float, band: int = 5) -> float:
-    """Sum of squared differences between the bands on either side of the
-    line.  Pairs sit at perpendicular offsets k - 0.5 (k = 1..band) so exact
-    mirror images about pixel or half-pixel centers cost 0.  Rows whose band
-    does not fit entirely inside the image are clipped; fewer than 25% valid
-    rows yields +inf, and partial sums are rescaled to full-image weight."""
+def symmetry_costs(image: np.ndarray, columns, angles, band: int = 5) -> np.ndarray:
+    """(len(columns), len(angles)) sums of squared differences between the
+    bands on either side of each candidate line.  Pairs sit at perpendicular
+    offsets k - 0.5 (k = 1..band) so exact mirror images about pixel or
+    half-pixel centers cost 0.  Rows whose band does not fit entirely inside
+    the image are dropped; fewer than 25% valid rows yields +inf, and partial
+    sums are rescaled to full-image weight."""
     image = np.asarray(image, dtype=float)
     h, w = image.shape
-    theta = math.radians(angle_deg)
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    sin_t, cos_t, tan_t = (np.array([[[f(math.radians(a))]] for a in angles])
+                           for f in (math.sin, math.cos, math.tan))
     c_row = (h - 1) / 2.0
-    rows = np.arange(h, dtype=float)
-    line_cols = column + (rows - c_row) * math.tan(theta)
-    offs = (np.arange(1, band + 1) - 0.5)[:, None]  # (band, 1)
-    lr = rows[None, :] + offs * sin_t
-    lc = line_cols[None, :] - offs * cos_t
-    rr = rows[None, :] - offs * sin_t
-    rc = line_cols[None, :] + offs * cos_t
+    rows = np.arange(h, dtype=float)[:, None]
+    line_cols = np.asarray(columns, dtype=float)[:, None, None, None] + (rows - c_row) * tan_t
+    offs = np.arange(1, band + 1) - 0.5
+    lr = rows + offs * sin_t
+    lc = line_cols - offs * cos_t
+    rr = rows - offs * sin_t
+    rc = line_cols + offs * cos_t
     inside = (
         (lr >= 0) & (lr <= h - 1) & (lc >= 0) & (lc <= w - 1)
         & (rr >= 0) & (rr <= h - 1) & (rc >= 0) & (rc <= w - 1)
     )
-    valid_rows = inside.all(axis=0)
-    n_valid = int(valid_rows.sum())
-    if n_valid < 0.25 * h:
-        return float("inf")
-    left = bilinear_sample(image, lr[:, valid_rows], lc[:, valid_rows])
-    right = bilinear_sample(image, rr[:, valid_rows], rc[:, valid_rows])
-    return float(np.sum((left - right) ** 2)) * (h / n_valid)
+    sq = ((bilinear_sample(image, lr, lc) - bilinear_sample(image, rr, rc)) ** 2
+          ).reshape(-1, h, band)
+    valid = inside.all(axis=-1).reshape(-1, h)
+    n_valid = valid.sum(axis=1)
+    costs = np.full(len(n_valid), np.inf)
+    # each candidate sums its valid rows' band pairs as one compacted block,
+    # row by row; candidates with as many valid rows share one reduction
+    for n in np.unique(n_valid[n_valid >= 0.25 * h]):
+        same = n_valid == n
+        costs[same] = sq[same[:, None] & valid].reshape(same.sum(), -1).sum(axis=1) * (h / n)
+    return costs.reshape(line_cols.shape[:2])
 
 
 def _best_line(image, columns, angles, band=5, polish=False) -> SymmetryLine:
-    best = None
-    best_cost = float("inf")
-    for col in columns:
-        for ang in angles:
-            c = symmetry_cost(image, col, ang, band)
-            if c < best_cost:
-                best_cost = c
-                best = SymmetryLine(float(col), float(ang))
-    if best is None or not math.isfinite(best_cost):
+    """The least-cost candidate, the first in (column, angle) order on ties."""
+    costs = symmetry_costs(image, columns, angles, band)
+    i, j = np.unravel_index(np.argmin(costs), costs.shape)
+    best_cost = costs[i, j]
+    if not math.isfinite(best_cost):
         raise VsrError("no usable symmetry line (all candidates degenerate)")
+    best = SymmetryLine(float(columns[i]), float(angles[j]))
     if polish:
         # sub-pixel column: parabolic interpolation of the cost through the
         # winner and its neighbours, clamped to the search window
-        lo = symmetry_cost(image, best.column - 1.0, best.angle_deg, band)
-        hi = symmetry_cost(image, best.column + 1.0, best.angle_deg, band)
+        lo, hi = symmetry_costs(image, [best.column - 1.0, best.column + 1.0],
+                                [best.angle_deg], band)[:, 0]
         denom = lo - 2.0 * best_cost + hi
         if math.isfinite(lo) and math.isfinite(hi) and denom > 0:
             delta = 0.5 * (lo - hi) / denom
@@ -367,8 +369,9 @@ def box3(image: np.ndarray) -> np.ndarray:
 
 
 def _minmax01(values: np.ndarray, what: str) -> np.ndarray:
-    lo, hi = float(values.min()), float(values.max())
-    if hi <= lo:
+    """Each row of a (T, n) array rescaled to [0, 1]."""
+    lo, hi = values.min(axis=1, keepdims=True), values.max(axis=1, keepdims=True)
+    if (hi <= lo).any():
         raise VsrError(f"degenerate gradient while detecting {what}")
     return (values - lo) / (hi - lo)
 
@@ -390,11 +393,8 @@ def detect_inner_lower_lip(ulum: np.ndarray, force_first_row: int | None = None)
 
     if len(ulum) == 0:
         raise VsrError("no frames")
-    n_frames, height, width = ulum.shape
-    obs = np.empty((n_frames, height))
-    for t in range(n_frames):
-        grad = np.gradient(ulum[t, :, width // 2])
-        obs[t] = _minmax01(grad, "the inner lower lip")
+    height, width = ulum.shape[1:]
+    obs = _minmax01(np.gradient(ulum[:, :, width // 2], axis=1), "the inner lower lip")
     if force_first_row is not None:
         if not 0 <= force_first_row < height:
             raise VsrError(f"forced lip row {force_first_row} outside frame")
@@ -406,42 +406,33 @@ def detect_inner_lower_lip(ulum: np.ndarray, force_first_row: int | None = None)
     return np.asarray(path, dtype=float)
 
 
-def build_min_luminance_line(smooth: np.ndarray, lip_row: float) -> np.ndarray:
-    """81-point darkest polyline through the mouth slit of one frame's
-    smoothed luminance `box3(lum)`, (H, W).
+def build_min_luminance_line(smooth: np.ndarray, lip_rows: np.ndarray) -> np.ndarray:
+    """81-point darkest polyline through the mouth slit of every frame, given
+    the smoothed luminance `box3(lum)`, (T, H, W), and the lip row of each
+    frame.  Returns (T, 81, 2) int (row, col).
 
     Seeded at the darkest smoothed-luminance pixel on the symmetry column
     within rows [lip_row-8, lip_row+4], then grown 40 columns to each side,
     stepping to the darkest of {row-1, row, row+1}; ties prefer staying, then
     the smaller row.  Rows are clamped at the frame boundary.
     """
-    h, w = smooth.shape
+    n_frames, h, w = smooth.shape
     center = w // 2
-    lo = int(np.clip(round(lip_row + LIP_SEED_RANGE[0]), 0, h - 1))
-    hi = int(np.clip(round(lip_row + LIP_SEED_RANGE[1]), 0, h - 1))
-    seed_row = lo + int(np.argmin(smooth[lo:hi + 1, center]))
     half = (LUM_LINE_LENGTH - 1) // 2
-
-    def grow(direction: int) -> list[tuple[int, int]]:
-        pts = []
-        row, col = seed_row, center
-        for _ in range(half):
-            col += direction
-            candidates = [row, row - 1, row + 1]  # tie order: stay, up, down
-            best_row, best_val = None, None
-            for cand in candidates:
-                cand = min(max(cand, 0), h - 1)
-                val = smooth[cand, col]
-                if best_val is None or val < best_val:
-                    best_row, best_val = cand, val
-            row = best_row
-            pts.append((row, col))
-        return pts
-
-    left = grow(-1)
-    right = grow(+1)
-    line = list(reversed(left)) + [(seed_row, center)] + right
-    return np.array(line, dtype=int)
+    lo, hi = (np.clip(np.round(lip_rows + off), 0, h - 1).astype(int) for off in LIP_SEED_RANGE)
+    # rows past hi repeat hi, so the first minimum is the first in [lo, hi]
+    window = np.minimum(lo[:, None] + np.arange(LIP_SEED_RANGE[1] - LIP_SEED_RANGE[0] + 1),
+                        hi[:, None])
+    frames = np.arange(n_frames)[:, None]
+    rows = np.empty((n_frames, LUM_LINE_LENGTH), dtype=int)
+    rows[:, half] = window[frames[:, 0], np.argmin(smooth[frames, window, center], axis=1)]
+    cols = np.arange(center - half, center + half + 1)
+    for k in range(1, half + 1):
+        step = half + np.array([-k, k])  # one column further out on each side
+        cand = np.clip(rows[:, step + (1, -1), None] + (0, -1, 1), 0, h - 1)  # stay, up, down
+        best = np.argmin(smooth[frames[:, :, None], cand, cols[step, None]], axis=2)
+        rows[:, step] = np.take_along_axis(cand, best[..., None], axis=2)[..., 0]
+    return np.stack([rows, np.broadcast_to(cols, rows.shape)], axis=-1)
 
 
 def detect_mouth_corners(smooth: np.ndarray, lines: np.ndarray):
@@ -457,21 +448,17 @@ def detect_mouth_corners(smooth: np.ndarray, lines: np.ndarray):
 
     if len(lines) != len(smooth):
         raise VsrError("need one polyline per frame")
-    n_frames = len(smooth)
+    frames = np.arange(len(smooth))
     half = (LUM_LINE_LENGTH - 1) // 2
-    obs_left = np.empty((n_frames, half + 1))
-    obs_right = np.empty((n_frames, half + 1))
-    for t, pts in enumerate(lines):
-        values = smooth[t, pts[:, 0], pts[:, 1]]
-        grad = np.gradient(values)
-        obs_left[t] = _minmax01(-grad[: half + 1], "the left mouth corner")
-        obs_right[t] = _minmax01(grad[half:], "the right mouth corner")
+    grad = np.gradient(smooth[frames[:, None], lines[..., 0], lines[..., 1]], axis=1)
+    obs_left = _minmax01(-grad[:, : half + 1], "the left mouth corner")
+    obs_right = _minmax01(grad[:, half:], "the right mouth corner")
     trans = gaussian_transition_matrix(half + 1, CORNER_TRACK_SIGMA)
     priors = np.ones(half + 1)
     path_l, _ = viterbi_generic(priors, trans, obs_left)
     path_r, _ = viterbi_generic(priors, trans, obs_right)
-    left = np.array([lines[t][path_l[t]] for t in range(n_frames)], dtype=float)
-    right = np.array([lines[t][half + path_r[t]] for t in range(n_frames)], dtype=float)
+    left = lines[frames, np.asarray(path_l)].astype(float)
+    right = lines[frames, half + np.asarray(path_r)].astype(float)
     return left, right
 
 

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from vsr3d import VsrError
 from vsr3d.config import CHANNEL_NAMES
-from vsr3d.segmentation import (MouthKeypoints, SymmetryLine, VideoSequence,
+from vsr3d.segmentation import (MouthKeypoints, SymmetryLine, VideoSequence, _best_line,
                                 area_average_resize, bilinear_sample, box3,
                                 build_image_pyramid, build_min_luminance_line, compute_channels,
                                 cropped_to_original, detect_inner_lower_lip,
                                 detect_mouth_corners, extract_roi, find_symmetry_lines,
                                 gaussian_transition_matrix, luminance, prepare_frames,
-                                symmetry_cost)
+                                symmetry_costs)
 
 
 def brute_force_track(priors, trans, obs):
@@ -31,6 +31,60 @@ def brute_force_track(priors, trans, obs):
 
 def plane(planes, name):
     return planes[CHANNEL_NAMES.index(name)]
+
+
+def symmetry_cost(image, column, angle_deg, band=5):
+    """One candidate's cost through the batched search."""
+    return symmetry_costs(image, [column], [angle_deg], band)[0, 0]
+
+
+def reference_symmetry_cost(image, column, angle_deg, band=5):
+    """One candidate scored on its own: its valid rows are compacted and
+    sampled, and the squared differences summed in row-major order."""
+    h, w = image.shape
+    theta = math.radians(angle_deg)
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    rows = np.arange(h, dtype=float)
+    line_cols = column + (rows - (h - 1) / 2.0) * math.tan(theta)
+    offs = (np.arange(1, band + 1) - 0.5)[:, None]
+    lr, lc = rows + offs * sin_t, line_cols - offs * cos_t
+    rr, rc = rows - offs * sin_t, line_cols + offs * cos_t
+    inside = ((lr >= 0) & (lr <= h - 1) & (lc >= 0) & (lc <= w - 1)
+              & (rr >= 0) & (rr <= h - 1) & (rc >= 0) & (rc <= w - 1))
+    valid = inside.all(axis=0)
+    n_valid = int(valid.sum())
+    if n_valid < 0.25 * h:
+        return math.inf
+    left = bilinear_sample(image, lr[:, valid], lc[:, valid])
+    right = bilinear_sample(image, rr[:, valid], rc[:, valid])
+    return float(np.sum((left - right) ** 2)) * (h / n_valid)
+
+
+def one_line(smooth, lip_row):
+    """The min-luminance line of one (H, W) frame."""
+    return build_min_luminance_line(smooth[None], np.array([lip_row]))[0]
+
+
+def reference_min_luminance_line(smooth, lip_row):
+    """One frame's line grown point by point: seed on the center column in
+    [lip_row-8, lip_row+4], then the darkest of stay/up/down per column."""
+    h, w = smooth.shape
+    center = w // 2
+    lo = int(np.clip(round(lip_row - 8), 0, h - 1))
+    hi = int(np.clip(round(lip_row + 4), 0, h - 1))
+    seed = lo + int(np.argmin(smooth[lo:hi + 1, center]))
+    rows = {0: seed}
+    for direction in (-1, 1):
+        row = seed
+        for k in range(1, 41):
+            col = center + direction * k
+            best = None
+            for cand in (row, row - 1, row + 1):
+                cand = min(max(cand, 0), h - 1)
+                if best is None or smooth[cand, col] < smooth[best, col]:
+                    best = cand
+            row = rows[direction * k] = best
+    return np.array([(rows[k], center + k) for k in range(-40, 41)])
 
 
 class TestPyramid:
@@ -100,6 +154,43 @@ class TestSymmetryCost:
     def test_degenerate_band_is_infinite(self):
         img = np.random.default_rng(5).random((20, 30))
         assert math.isinf(symmetry_cost(img, 0.0, 0.0))
+
+    @given(st.integers(0, 10**6), st.integers(4, 24), st.integers(4, 32), st.integers(1, 6),
+           st.lists(st.floats(-3.0, 35.0), min_size=1, max_size=5),
+           st.lists(st.floats(-45.0, 45.0), min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_matches_one_candidate_reference(self, seed, h, w, band, columns, angles):
+        img = np.random.default_rng(seed).random((h, w))
+        costs = symmetry_costs(img, columns, angles, band)
+        ref = np.array([[reference_symmetry_cost(img, c, a, band) for a in angles]
+                        for c in columns])
+        assert costs.shape == ref.shape
+        assert np.array_equal(np.isinf(costs), np.isinf(ref))
+        finite = np.isfinite(ref)
+        np.testing.assert_allclose(costs[finite], ref[finite], rtol=1e-12, atol=0)
+
+    def test_batch_covers_lost_rows(self):
+        # a small tilted grid has candidates with every row, some rows lost,
+        # and too few rows (+inf); each matches the reference
+        img = np.random.default_rng(16).random((12, 16))
+        columns, angles = [2.0, 4.5, 7.5, 8.0], [-20.0, 0.0, 10.0]
+        costs = symmetry_costs(img, columns, angles)
+        ref = np.array([[reference_symmetry_cost(img, c, a) for a in angles] for c in columns])
+        assert np.isinf(ref).any() and np.isfinite(ref).any()
+        assert np.array_equal(np.isinf(costs), np.isinf(ref))
+        finite = np.isfinite(ref)
+        np.testing.assert_allclose(costs[finite], ref[finite], rtol=1e-12, atol=0)
+
+    def test_ties_go_to_first_column_then_angle(self):
+        # constant image: every finite candidate costs exactly 0; column 3 at
+        # 0 degrees has no valid rows, so the first tie in (column, angle)
+        # order is (3, 60), while (angle, column) order would give (15, 0)
+        img = np.full((20, 30), 0.4)
+        costs = symmetry_costs(img, [3.0, 15.0], [0.0, 60.0])
+        assert math.isinf(costs[0, 0])
+        assert (costs.ravel()[1:] == 0.0).all()
+        assert _best_line(img, [3.0, 15.0], [0.0, 60.0]) == SymmetryLine(3.0, 60.0)
+        assert _best_line(img, [10.0, 11.0, 12.0], [-1.0, 0.0, 1.0]) == SymmetryLine(10.0, -1.0)
 
 
 class TestFindSymmetryLines:
@@ -216,13 +307,13 @@ class TestMinLuminanceLine:
     def test_dark_strip_followed_exactly(self):
         lum = np.ones((60, 101))
         lum[32:35, :] = 0.0  # thicker than the smoothing kernel, center row darkest
-        line = build_min_luminance_line(box3(lum), 35.0)
+        line = one_line(box3(lum), 35.0)
         assert line.shape == (81, 2)
         assert (line[:, 0] == 33).all()
 
     def test_shape_and_column_steps(self):
         rng = np.random.default_rng(13)
-        line = build_min_luminance_line(box3(rng.random((50, 101))), 25.0)
+        line = one_line(box3(rng.random((50, 101))), 25.0)
         assert line.shape == (81, 2)
         assert np.array_equal(line[:, 1], np.arange(10, 91))
         assert np.abs(np.diff(line[:, 0])).max() <= 1
@@ -232,14 +323,29 @@ class TestMinLuminanceLine:
         for _ in range(5):
             lum = rng.random((64, 101))
             lip = float(rng.uniform(20, 40))
-            line = build_min_luminance_line(box3(lum), lip)
+            line = one_line(box3(lum), lip)
             seed_row = line[40, 0]
             assert lip - 8 - 0.51 <= seed_row <= lip + 4 + 0.51
 
     def test_rows_clamped_at_boundary(self):
         lum = np.tile(np.linspace(1, 0, 30)[:, None], (1, 101))  # darkest at bottom row
-        line = build_min_luminance_line(box3(lum), 28.0)
+        line = one_line(box3(lum), 28.0)
         assert line[:, 0].max() <= 29
+
+    @given(st.integers(0, 10**6), st.integers(3, 20),
+           st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 8.0, 8.5]), min_size=1,
+                    max_size=6), st.lists(st.booleans(), min_size=6, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_whole_video_matches_per_frame_reference(self, seed, h, offsets, from_bottom):
+        # values in {0, 1, 2} make ties at almost every step; lip rows sit
+        # near the top and bottom borders, half-rows included
+        smooth = np.random.default_rng(seed).integers(0, 3, (len(offsets), h, 101)).astype(float)
+        lip_rows = np.array([h - 1 - off if flip else off
+                             for off, flip in zip(offsets, from_bottom)])
+        lines = build_min_luminance_line(smooth, lip_rows)
+        expected = np.stack([reference_min_luminance_line(frame, lip)
+                             for frame, lip in zip(smooth, lip_rows)])
+        assert np.array_equal(lines, expected)
 
 
 class TestCornerDetection:
@@ -250,7 +356,7 @@ class TestCornerDetection:
 
     def test_single_frame_corner_positions(self):
         smooth = box3(self.mouth_like(25, 75))
-        line = build_min_luminance_line(smooth, 30.0)
+        line = one_line(smooth, 30.0)
         left, right = detect_mouth_corners(smooth[None], np.stack([line]))
         assert abs(left[0][1] - 25) <= 2
         assert abs(right[0][1] - 75) <= 2
@@ -264,7 +370,7 @@ class TestCornerDetection:
         lum = rng.random((3, 50, 101))
         smooth = box3(lum)
         assert np.array_equal(smooth, np.stack([box3(frame) for frame in lum]))
-        lines = np.stack([build_min_luminance_line(frame, 25.0) for frame in smooth])
+        lines = np.stack([one_line(frame, 25.0) for frame in smooth])
         left, right = detect_mouth_corners(smooth, lines)
 
         obs_l = np.empty((3, 41))
