@@ -95,10 +95,8 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("input", help="ROI file (.vsr1) or video directory")
     p.add_argument("--model", required=True)
-    p.add_argument("--biphone-model", default=None)
-    p.add_argument("--use-biphones", action="store_true")
-    p.add_argument("--units", default="phoneme", choices=["phoneme", "viseme"],
-                   help="unit kind of the model; both decode with min/max_duration")
+    p.add_argument("--biphone-model", default=None,
+                   help="also decode with this biphone model (merged grid)")
     p.add_argument("--save-grid", default=None, help="write the probability grid (.grd1)")
     p.add_argument("--out", required=True, help="output transcript path")
 
@@ -205,11 +203,7 @@ def cmd_decode(args) -> int:
 
     cfg = _load_config(args)
     model = load_model(args.model)
-    biphone_model = None
-    if args.use_biphones or args.biphone_model:
-        if not args.biphone_model:
-            raise VsrError("--use-biphones needs --biphone-model")
-        biphone_model = load_model(args.biphone_model)
+    biphone_model = load_model(args.biphone_model) if args.biphone_model else None
     path = Path(args.input)
     if path.is_dir():
         roi = segment_video(read_video_dir(path), cfg).roi

@@ -74,7 +74,11 @@ class PipelineConfig:
         clean = dict(d)
         for k in ("c_grid", "gamma_grid"):
             if k in clean:
-                clean[k] = tuple(float(v) for v in clean[k])
+                grid = clean[k]
+                if not isinstance(grid, (list, tuple)) or any(type(v) not in (int, float)
+                                                              for v in grid):
+                    raise VsrError(f"{k} must be a list of numbers, got {grid!r}")
+                clean[k] = tuple(float(v) for v in grid)
         try:
             return cls(**clean)
         except TypeError as e:

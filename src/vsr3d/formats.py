@@ -90,29 +90,33 @@ def write_video_dir(video: VideoSequence, out_dir):
                                           encoding="ascii")
 
 
+def _read_ascii(path) -> str:
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as e:
+        raise VsrError(f"{path}: non-ASCII byte at offset {e.start}") from None
+
+
 def read_video_dir(path) -> VideoSequence:
     path = Path(path)
     manifest = path / "manifest.txt"
     if not manifest.is_file():
         raise VsrError(f"{path}: missing manifest.txt")
-    fps, frames = None, None
-    for line in manifest.read_text(encoding="ascii").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        if key == "fps":
-            fps = float(value)
-        elif key == "frames":
-            frames = int(value)
-    if fps is None or frames is None:
+    fields = dict(line.strip().partition("=")[::2] for line in _read_ascii(manifest).splitlines())
+    if "fps" not in fields or "frames" not in fields:
         raise VsrError(f"{manifest}: need fps= and frames= lines")
+    try:
+        fps, frames = float(fields["fps"]), int(fields["frames"])
+    except ValueError:
+        raise VsrError(f"{manifest}: fps= and frames= need numbers") from None
     stack = []
     for t in range(frames):
         frame_path = path / f"frame_{t:05d}.ppm"
         if not frame_path.is_file():
             raise VsrError(f"{path}: missing {frame_path.name}")
         stack.append(read_ppm(frame_path))
+        if stack[-1].shape != stack[0].shape:
+            raise VsrError(f"{frame_path}: frame size differs from frame 0")
     if not stack:
         raise VsrError(f"{path}: zero frames")
     return VideoSequence(frames=np.stack(stack), fps=fps)
@@ -174,7 +178,7 @@ def write_transcript(rows, path):
 
 def read_transcript(path) -> Transcript:
     entries = []
-    text = Path(path).read_text(encoding="ascii")
+    text = _read_ascii(path)
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -205,7 +209,7 @@ def write_features_csv(x: np.ndarray, spans, path, labels=None):
 
 def read_features_csv(path):
     """Returns (x, labels_or_None, spans as (start, duration))."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = _read_ascii(path).splitlines()
     if not lines:
         raise VsrError(f"{path}: empty features file")
     header = lines[0].split(",")
@@ -221,8 +225,11 @@ def read_features_csv(path):
         want = 2 + n_feat + (1 if has_label else 0)
         if len(parts) != want:
             raise VsrError(f"{path}:{ln}: expected {want} columns")
-        spans.append((int(parts[0]), int(parts[1])))
-        x.append([float(v) for v in parts[2:2 + n_feat]])
+        try:
+            spans.append((int(parts[0]), int(parts[1])))
+            x.append([float(v) for v in parts[2:2 + n_feat]])
+        except ValueError:
+            raise VsrError(f"{path}:{ln}: need integer start/duration, numeric features") from None
         if has_label:
             labels.append(parts[-1])
     return np.array(x, dtype=float), (labels if has_label else None), spans
@@ -291,7 +298,7 @@ def write_groundtruth_csv(truth, path):
 
 def read_groundtruth_csv(path):
     """Returns arrays (sym_col, sym_angle, lip_row, left, right)."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = _read_ascii(path).splitlines()
     rows = [line.split(",") for line in lines[1:] if line.strip()]
     vals = np.array([[float(v) for v in r[1:]] for r in rows])
     return vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3:5], vals[:, 5:7]

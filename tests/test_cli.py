@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from vsr3d.cli import main
-from vsr3d.formats import read_features_csv, read_grid, read_label_sequence, read_roi
+from vsr3d.config import CHANNEL_NAMES
+from vsr3d.decoder import decode_sequence
+from vsr3d.formats import (read_features_csv, read_grid, read_label_sequence, read_roi,
+                           read_video_dir, write_ppm, write_roi)
+from vsr3d.segmentation import RoiVolume
 
 
 def run_cli(*args):
@@ -160,6 +164,33 @@ class TestPipelineCommands:
         assert run_cli("eval", "--ref", str(t), "--hyp", str(t)) == 0
         assert "pooled=1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["phoneme", "biphone"])
+    def test_featurize_all_subsequences(self, tiny_corpus, corpus_cfg_file, kind):
+        from vsr3d.features import enumerate_subsequences
+
+        sent = tiny_corpus / "corpus" / "sent_001"
+        out = tiny_corpus / f"all_{kind}.csv"
+        assert run_cli("featurize", str(sent), "--kind", kind, "--all-subsequences",
+                       "--out", str(out), "--config", str(corpus_cfg_file)) == 0
+        x, labels, spans = read_features_csv(out)
+        lo, hi = {"phoneme": (3, 12), "biphone": (6, 24)}[kind]  # corpus_cfg_file's bounds
+        frames = read_video_dir(sent).frame_count
+        assert len(spans) == x.shape[0] == len(enumerate_subsequences(frames, lo, hi))
+        assert labels is None
+        assert not out.read_text().splitlines()[0].endswith(",label")
+
+    def test_eval_viseme_units(self, tmp_path, capsys):
+        # each hypothesis phoneme differs from the reference but shares its
+        # Jeffers viseme (/C, /I, /H)
+        ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+        ref.write_text("P 0 40\nAA 40 80\nS 80 120\n")
+        hyp.write_text("B 0 40\nEH 40 80\nZ 80 120\n")
+        assert run_cli("eval", "--ref", str(ref), "--hyp", str(hyp)) == 0
+        assert "C=0 S=3" in capsys.readouterr().out
+        assert run_cli("eval", "--ref", str(ref), "--hyp", str(hyp), "--units", "viseme") == 0
+        out = capsys.readouterr().out
+        assert "T=3 C=3 S=0" in out and "pooled=1.0000" in out
+
     def test_unknown_heatmap_label_is_data_error(self, tiny_corpus):
         grid_path = tiny_corpus / "sent_007.grd1"
         if grid_path.exists():
@@ -180,6 +211,69 @@ def assert_one_line_data_error(code, capsys, command):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"vsr3d {command}: error: ")
+    return err
+
+
+def _segment_video_dir(manifest, sizes=((4, 6),)):
+    """`segment` on a video directory with the given manifest text and
+    frames of the given (height, width)."""
+    def argv(tmp_path):
+        video = tmp_path / "video"
+        video.mkdir()
+        for t, (h, w) in enumerate(sizes):
+            write_ppm(np.zeros((h, w, 3), np.uint8), video / f"frame_{t:05d}.ppm")
+        (video / "manifest.txt").write_bytes(manifest)
+        return ["segment", str(video), "--out", str(tmp_path / "seg")]
+    return argv
+
+
+def _train_on(features):
+    def argv(tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_bytes(features)
+        return ["train", "--features", str(path), "--out", str(tmp_path / "model.json")]
+    return argv
+
+
+def _eval_on(transcript):
+    def argv(tmp_path):
+        path = tmp_path / "ref.txt"
+        path.write_bytes(transcript)
+        return ["eval", "--ref", str(path), "--hyp", str(path)]
+    return argv
+
+
+def _config(doc):
+    def argv(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return ["segment", str(tmp_path), "--config", str(path), "--out", str(tmp_path / "seg")]
+    return argv
+
+
+class TestMalformedTextInput:
+    """Malformed manifests, frame sets, feature CSVs, transcripts and config
+    grids end in exit code 2 with one line on stderr that names the file or
+    key, never a traceback."""
+
+    @pytest.mark.parametrize("argv, names", [
+        (_segment_video_dir(b"fps=abc\nframes=1\n"), "manifest.txt"),
+        (_segment_video_dir(b"fps=25\nframes=x\n"), "manifest.txt"),
+        (_segment_video_dir(b"fps=25\nframes=2\n", sizes=[(4, 6), (5, 6)]), "frame_00001.ppm"),
+        (_train_on(b"start,duration,f0,label\n1.5,3,0.1,A\n"), "features.csv:2"),
+        (_train_on(b"start,duration,f0,label\n0,three,0.1,A\n"), "features.csv:2"),
+        (_train_on(b"start,duration,f0,label\n0,3,abc,A\n"), "features.csv:2"),
+        (_train_on(b"start,duration,f0,label\n0,3,0.1,\xc3\x89\n"), "features.csv"),
+        (_eval_on(b"A 0 40\n\xc3\x89 40 80\n"), "ref.txt"),
+        (_config({"c_grid": 5}), "c_grid"),
+        (_config({"gamma_grid": ["a"]}), "gamma_grid"),
+    ], ids=["manifest-fps", "manifest-frames", "frame-sizes-differ", "features-start",
+            "features-duration", "features-value", "features-non-ascii",
+            "transcript-non-ascii", "config-grid-number", "config-grid-strings"])
+    def test_one_line_error(self, tmp_path, capsys, argv, names):
+        args = argv(tmp_path)
+        err = assert_one_line_data_error(run_cli(*args), capsys, args[0])
+        assert names in err
 
 
 class TestMalformedBinaryFiles:
@@ -259,22 +353,41 @@ def _widen_support_vectors(doc):
         m["supportVectors"] = [row + [0.0] for row in m["supportVectors"]]
 
 
+@pytest.fixture
+def roi_path(tmp_path):
+    data = np.random.default_rng(3).uniform(size=(len(CHANNEL_NAMES), 12, 8, 10))
+    path = tmp_path / "s.vsr1"
+    write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
+    return path
+
+
+class TestDecodeBiphones:
+    def test_biphone_model_decodes_with_phoneme_model(self, tmp_path, roi_path):
+        model, bimodel = tmp_path / "model.json", tmp_path / "bimodel.json"
+        model.write_text(json.dumps(_model_doc()))
+        bidoc = _model_doc()
+        bidoc["classLabels"] = ["C0+C1", "C1+C0"]
+        for m, label in zip(bidoc["models"], bidoc["classLabels"]):
+            m["label"], m["plattB"] = label, -20.0  # pair probabilities near 1
+        bimodel.write_text(json.dumps(bidoc))
+        grid_path, hyp = tmp_path / "s.grd1", tmp_path / "hyp.txt"
+        assert run_cli("decode", str(roi_path), "--model", str(model),
+                       "--biphone-model", str(bimodel), "--save-grid", str(grid_path),
+                       "--set", "min_duration=2", "--set", "max_duration=6",
+                       "--set", "biphone_min_duration=2", "--set", "biphone_max_duration=6",
+                       "--out", str(hyp)) == 0
+        grid = read_grid(grid_path)
+        assert grid.class_labels == ["C0", "C1", "C0+C1", "C1+C0"]
+        assert any("+" in label for label, _, _ in decode_sequence(grid))
+        labels = read_label_sequence(hyp)
+        assert labels and set(labels) <= {"C0", "C1"}
+
+
 class TestMalformedModelFiles:
     """A model file with non-finite numbers, inconsistent shapes, a gamma
     that is not positive, a repeated class label or an unusable feature
     config (channel, deltaTms, l, s) ends in exit code 2 with one line on
     stderr, never a traceback or a decode."""
-
-    @pytest.fixture
-    def roi_path(self, tmp_path):
-        from vsr3d.config import CHANNEL_NAMES
-        from vsr3d.formats import write_roi
-        from vsr3d.segmentation import RoiVolume
-
-        data = np.random.default_rng(3).uniform(size=(len(CHANNEL_NAMES), 12, 8, 10))
-        path = tmp_path / "s.vsr1"
-        write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
-        return path
 
     def decode(self, tmp_path, roi_path, doc):
         model = tmp_path / "model.json"
