@@ -220,8 +220,9 @@ def symmetry_costs(image: np.ndarray, columns, angles, band: int = 5) -> np.ndar
     valid = inside.all(axis=-1).reshape(-1, h)
     n_valid = valid.sum(axis=1)
     costs = np.full(len(n_valid), np.inf)
-    # each candidate sums its valid rows' band pairs as one compacted block,
-    # row by row; candidates with as many valid rows share one reduction
+    # a candidate's valid terms are summed as one compacted block in row
+    # order, so its cost does not depend on the other candidates of the call;
+    # candidates with as many valid rows share one reduction
     for n in np.unique(n_valid[n_valid >= 0.25 * h]):
         same = n_valid == n
         costs[same] = sq[same[:, None] & valid].reshape(same.sum(), -1).sum(axis=1) * (h / n)
