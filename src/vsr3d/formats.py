@@ -15,7 +15,8 @@ cells stored as -1.0.
 
 Transcript: one "LABEL START_MS END_MS" line per entry, integer milliseconds.
 
-Feature matrix CSV: header "start,duration,f0,...,f{k-1}[,label]".
+Feature matrix CSV: header "start,duration,f0,...,f{k-1}[,label]"; every
+feature is a finite number.
 
 Keypoints CSV: header "frame,lipRow,leftRow,leftCol,rightRow,rightCol",
 coordinates in original-video pixels.
@@ -230,6 +231,8 @@ def read_features_csv(path):
             x.append([float(v) for v in parts[2:2 + n_feat]])
         except ValueError:
             raise VsrError(f"{path}:{ln}: need integer start/duration, numeric features") from None
+        if not np.isfinite(x[-1]).all():
+            raise VsrError(f"{path}:{ln}: features must be finite numbers")
         if has_label:
             labels.append(parts[-1])
     return np.array(x, dtype=float), (labels if has_label else None), spans

@@ -6,6 +6,14 @@ Training is deterministic: SMO picks each working pair by maximal violation
 and second-order gain, breaking ties (up to roundoff) to the smallest index,
 and stops on the KKT gap.  Identical inputs give bit-identical models, and
 last-digit changes of the input move the model only by roundoff.
+
+Prediction scores every class at once.  The one-vs-rest models of one
+training run share their gamma, and their support vectors are rows of the
+same training matrix, so each distinct row is stored once (as LIBSVM does)
+with the classes' dual coefficients summed into a (rows, classes) matrix:
+one kernel per gamma over the distinct support vectors and one matmul give
+every class's decision value.  The per-model `decision_values` is what
+training uses and what the tests compare against.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +58,45 @@ class BinarySvmModel:
 
 
 @dataclass
+class KernelTable:
+    """The support vectors of the class models that share one gamma, each
+    distinct row once, and every model's dual coefficients summed into the
+    rows it uses (a row repeated within or across models counts each time)."""
+    gamma: float
+    columns: list[int]   # indices of the class models in this group
+    rows: np.ndarray     # (U, k) distinct support vectors
+    coef: np.ndarray     # (U, len(columns)) summed dual coefficients
+
+
+def _kernel_tables(models: list[BinarySvmModel]) -> list[KernelTable]:
+    """One KernelTable per distinct gamma, in order of first appearance."""
+    groups: dict[float, list[int]] = {}
+    for i, m in enumerate(models):
+        groups.setdefault(m.gamma, []).append(i)
+    tables = []
+    for gamma, columns in groups.items():
+        members = [models[i] for i in columns]
+        rows, where = np.unique(np.vstack([m.support_vectors for m in members]), axis=0,
+                                return_inverse=True)
+        owner = np.repeat(np.arange(len(members)), [len(m.dual_coef) for m in members])
+        coef = np.zeros((len(rows), len(members)))
+        np.add.at(coef, (where.reshape(-1), owner), np.concatenate([m.dual_coef for m in members]))
+        tables.append(KernelTable(gamma=gamma, columns=columns, rows=rows, coef=coef))
+    return tables
+
+
+@dataclass
 class MultiClassModel:
     class_labels: list[str]
     models: list[BinarySvmModel]
     stats: StandardizationStats
     config: dict = field(default_factory=dict)
+
+    @cached_property
+    def kernel_tables(self) -> list[KernelTable]:
+        """The shared support-vector tables prediction uses, built on first
+        use; the class models are not to be changed after that."""
+        return _kernel_tables(self.models)
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
@@ -246,9 +289,36 @@ def fit_platt(scores, labels) -> tuple[float, float]:
     return a, b
 
 
-def platt_probability(model: BinarySvmModel, score) -> np.ndarray:
-    z = model.platt_a * np.asarray(score, dtype=float) + model.platt_b
+def _sigmoid_of_negative(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(z)) without overflow."""
     return np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+
+
+def platt_probability(model: BinarySvmModel, score) -> np.ndarray:
+    return _sigmoid_of_negative(model.platt_a * np.asarray(score, dtype=float) + model.platt_b)
+
+
+# Rows are scored in blocks whose kernel has at most this many cells (512 KiB
+# per float64 temporary), so scoring against the whole table of distinct
+# support vectors needs no larger temporaries than one class model's kernel.
+_KERNEL_BLOCK_CELLS = 1 << 16
+
+
+def _probability_matrix(models: list[BinarySvmModel], tables: list[KernelTable],
+                        z: np.ndarray) -> np.ndarray:
+    """(n, classes) calibrated probabilities of standardized rows z."""
+    bias = np.array([m.bias for m in models])
+    a = np.array([m.platt_a for m in models])
+    b = np.array([m.platt_b for m in models])
+    out = np.empty((z.shape[0], len(models)))
+    step = max(1, _KERNEL_BLOCK_CELLS // max((len(t.rows) for t in tables), default=1))
+    for lo in range(0, z.shape[0], step):
+        rows = z[lo:lo + step]
+        scores = np.empty((len(rows), len(models)))
+        for t in tables:
+            scores[:, t.columns] = rbf_kernel_matrix(rows, t.rows, t.gamma) @ t.coef
+        out[lo:lo + step] = _sigmoid_of_negative(a * (scores + bias) + b)
+    return out
 
 
 def _class_order(labels) -> list[str]:
@@ -327,8 +397,7 @@ def train_multiclass(x: np.ndarray, labels, cfg: TrainConfig,
     def cv_accuracy(models: list[BinarySvmModel]) -> float:
         if len(y_cv) == 0:
             return 0.0
-        probs = np.stack([platt_probability(m, decision_values(m, x_cv)) for m in models], axis=1)
-        pred = np.argmax(probs, axis=1)
+        pred = np.argmax(_probability_matrix(models, _kernel_tables(models), x_cv), axis=1)
         truth = np.array([class_labels.index(l) for l in y_cv])
         return float(np.mean(pred == truth))
 
@@ -352,14 +421,14 @@ def train_multiclass(x: np.ndarray, labels, cfg: TrainConfig,
 def predict_probabilities(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
     """Independent one-vs-rest calibrated probability per class for one
     vector (deliberately not normalized to sum 1)."""
-    z = standardize(np.asarray(x, dtype=float), model.stats)
-    return np.array([float(platt_probability(m, decision_value(m, z))) for m in model.models])
+    return predict_probability_matrix(model, np.asarray(x, dtype=float)[None])[0]
 
 
 def predict_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
-    """(n, classes) calibrated probabilities for a feature matrix."""
+    """(n, classes) calibrated probabilities for a feature matrix, from one
+    kernel per gamma over the model's distinct support vectors."""
     z = standardize(np.asarray(x, dtype=float), model.stats)
-    return np.stack([platt_probability(m, decision_values(m, z)) for m in model.models], axis=1)
+    return _probability_matrix(model.models, model.kernel_tables, z)
 
 
 def save_model(model: MultiClassModel, path):

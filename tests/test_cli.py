@@ -263,13 +263,16 @@ class TestMalformedTextInput:
         (_train_on(b"start,duration,f0,label\n1.5,3,0.1,A\n"), "features.csv:2"),
         (_train_on(b"start,duration,f0,label\n0,three,0.1,A\n"), "features.csv:2"),
         (_train_on(b"start,duration,f0,label\n0,3,abc,A\n"), "features.csv:2"),
+        (_train_on(b"start,duration,f0,label\n0,3,0.1,A\n0,3,nan,A\n"), "features.csv:3"),
+        (_train_on(b"start,duration,f0,label\n0,3,-inf,A\n"), "features.csv:2"),
         (_train_on(b"start,duration,f0,label\n0,3,0.1,\xc3\x89\n"), "features.csv"),
         (_eval_on(b"A 0 40\n\xc3\x89 40 80\n"), "ref.txt"),
         (_config({"c_grid": 5}), "c_grid"),
         (_config({"gamma_grid": ["a"]}), "gamma_grid"),
     ], ids=["manifest-fps", "manifest-frames", "frame-sizes-differ", "features-start",
-            "features-duration", "features-value", "features-non-ascii",
-            "transcript-non-ascii", "config-grid-number", "config-grid-strings"])
+            "features-duration", "features-value", "features-nan", "features-inf",
+            "features-non-ascii", "transcript-non-ascii", "config-grid-number",
+            "config-grid-strings"])
     def test_one_line_error(self, tmp_path, capsys, argv, names):
         args = argv(tmp_path)
         err = assert_one_line_data_error(run_cli(*args), capsys, args[0])

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsr3d import VsrError
-from vsr3d.svm import (BinarySvmModel, TrainConfig, decision_value, decision_values,
-                       dual_objective, fit_platt, load_model, platt_probability,
-                       predict_probabilities, rbf_kernel, rbf_kernel_matrix, save_model,
-                       train_binary_smo, train_multiclass)
+from vsr3d.features import StandardizationStats
+from vsr3d.svm import (BinarySvmModel, MultiClassModel, TrainConfig, decision_value,
+                       decision_values, dual_objective, fit_platt, load_model, platt_probability,
+                       predict_probabilities, predict_probability_matrix, rbf_kernel,
+                       rbf_kernel_matrix, save_model, train_binary_smo, train_multiclass)
 
 
 def two_point_dual_brute_force(x1, x2, gamma, c):
@@ -350,6 +353,49 @@ class TestMulticlass:
         labels = ["zebra"] * 6 + ["apple"] * 6
         model, _ = train_multiclass(x, labels, TrainConfig(c_grid=(4.0,), gamma_grid=(0.5,)))
         assert model.class_labels == ["zebra", "apple"]
+
+
+class TestPredictProbabilityMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_shared_tables_match_per_class_oracle(self, data):
+        """Random one-vs-rest models over a small pool of rows, so support
+        vectors are shared across classes; class 0 has a single support
+        vector, class 1 repeats one, and the classes alternate between two
+        gammas.  Summing a repeated row's coefficients is what keeps the
+        shared table equal to the per-class sums."""
+        dim = data.draw(st.integers(1, 3))
+        pool = np.array(data.draw(st.lists(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim),
+                                           min_size=1, max_size=4)))
+        gammas = data.draw(st.lists(st.floats(0.05, 0.5), min_size=2, max_size=2, unique=True))
+        models = []
+        for c in range(data.draw(st.integers(2, 5))):
+            idx = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                                     max_size=1 if c == 0 else 6))
+            if c == 1:
+                idx.append(idx[0])
+            sign = st.sampled_from([-1, 1])
+            coef = [data.draw(st.floats(0.1, 1)) * data.draw(sign) for _ in idx]
+            models.append(BinarySvmModel(support_vectors=pool[idx], dual_coef=np.array(coef),
+                                         bias=data.draw(st.floats(-1, 1)), gamma=gammas[c % 2],
+                                         platt_a=data.draw(st.floats(-1, -0.1)),
+                                         platt_b=data.draw(st.floats(-1, 1))))
+        stats = StandardizationStats(mean=np.array(data.draw(st.lists(
+            st.floats(-0.5, 0.5), min_size=dim, max_size=dim))), std=np.full(dim, 0.5))
+        model = MultiClassModel(class_labels=[f"c{i}" for i in range(len(models))],
+                                models=models, stats=stats)
+        x = np.array(data.draw(st.lists(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim),
+                                        min_size=1, max_size=4)))
+        for rows in (x, x[:0]):
+            z = (rows - stats.mean) / stats.std
+            oracle = np.stack([platt_probability(m, decision_values(m, z)) for m in models],
+                              axis=1)
+            got = predict_probability_matrix(model, rows)
+            assert got.shape == (len(rows), len(models))
+            assert np.abs(got - oracle).max(initial=0.0) <= 1e-12
+        assert len(model.kernel_tables) == 2
+        assert np.array_equal(predict_probabilities(model, x[0]),
+                              predict_probability_matrix(model, x[:1])[0])
 
 
 class TestModelIo:
