@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vsr3d.config import PipelineConfig
 from vsr3d.features import Transcript, TranscriptEntry, extract_labeled_samples
-from vsr3d.fixtures import Rng, SynthConfig, derive_seed, random_units, synth_sentence
+from vsr3d.fixtures import SynthConfig, corpus_sentence
 from vsr3d.pipeline import segment_video, train_from_features
 from vsr3d.svm import predict_probability_matrix
 
@@ -44,11 +44,7 @@ def main():
     xs, labels = [], []
     print(f"segmenting {args.sentences} sentences ...", file=sys.stderr)
     for i in range(args.sentences):
-        rng = Rng(derive_seed(args.seed, 0, i))
-        units = random_units(scfg, rng)
-        col = (scfg.frame_width - 1) / 2.0 + rng.randint(-8, 8)
-        ang = float(rng.randint(-3, 3))
-        video, truth = synth_sentence(scfg, units, col, ang, derive_seed(args.seed, 3, i))
+        video, truth = corpus_sentence(scfg, i)
         roi = segment_video(video, cfg).roi
         tr = Transcript([TranscriptEntry(*r) for r in truth.transcript_rows])
         x, labs, _ = extract_labeled_samples(roi, tr, "phoneme", cfg)
@@ -58,8 +54,6 @@ def main():
     lines = ["trainingFraction,nSamples,accTrain,accCv"]
     for frac in (float(v) for v in args.fractions.split(",")):
         n = max(2, int(round(frac * args.sentences)))
-        x = np.vstack(xs[:n])
-        labs = [lab for chunk in labels[:n] for lab in chunk]
         # hold out the last fifth of sentences of the slice for the cv column
         n_cv = max(1, n // 5)
         x_tr = np.vstack(xs[: n - n_cv])

@@ -22,20 +22,13 @@ from vsr3d import VsrError
 from vsr3d.config import PipelineConfig
 from vsr3d.evaluation import accuracy, align_nw, paired_t_test_one_tailed
 from vsr3d.features import Transcript, TranscriptEntry, extract_labeled_samples
-from vsr3d.fixtures import Rng, SynthConfig, derive_seed, random_units, synth_sentence
+from vsr3d.fixtures import SynthConfig, corpus_sentence
 from vsr3d.pipeline import decode_roi, segment_video, train_from_features
 
 
 def build_corpus(seed, count, noise):
     scfg = SynthConfig(seed=seed, noise_sigma=noise)
-    out = []
-    for i in range(count):
-        rng = Rng(derive_seed(seed, 0, i))
-        units = random_units(scfg, rng)
-        col = (scfg.frame_width - 1) / 2.0 + rng.randint(-8, 8)
-        ang = float(rng.randint(-3, 3))
-        out.append(synth_sentence(scfg, units, col, ang, derive_seed(seed, 3, i)))
-    return out
+    return [corpus_sentence(scfg, i) for i in range(count)]
 
 
 def main():

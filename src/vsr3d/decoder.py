@@ -11,8 +11,8 @@ equivalent semi-Markov (segment-level) Viterbi over end frames e:
 in O(frames x sum of per-class duration counts) time.  Ties go to the
 smallest duration, then the smallest class index: the path a state-level
 Viterbi over the machine picks when it breaks ties toward the lowest state
-index.  `viterbi_generic` is the plain HMM Viterbi the segmentation
-trackers use.
+index.  Every class inventory (phonemes, biphones) reads one probability
+grid, built from one featurization of the union of their windows.
 """
 
 from __future__ import annotations
@@ -23,52 +23,12 @@ from math import ceil
 import numpy as np
 
 from . import VsrError
-from .features import enumerate_subsequences, featurize_many
+from .features import SubSequenceSpec, featurize_many
 from .segmentation import RoiVolume
 from .svm import MultiClassModel, predict_probability_matrix
 
 PROB_FLOOR = 1e-12
 PROB_CEIL = 1.0 - 1e-12
-
-
-def viterbi_generic(priors, transitions, observations):
-    """Most likely state path under unnormalized non-negative weights.
-
-    priors: (n,), transitions: (n, n) with 0 meaning "no edge",
-    observations: (steps, n).  Scores are accumulated in log space
-    (log 0 = -inf); ties resolve to the smallest state index.  Returns
-    (path, log_score); raises if no positive-weight path exists.
-    """
-    priors = np.asarray(priors, dtype=float)
-    transitions = np.asarray(transitions, dtype=float)
-    observations = np.asarray(observations, dtype=float)
-    if observations.ndim != 2 or observations.shape[0] < 1:
-        raise VsrError("observations must be (steps, states) with at least one step")
-    n_steps, n_states = observations.shape
-    if priors.shape != (n_states,) or transitions.shape != (n_states, n_states):
-        raise VsrError("inconsistent HMM dimensions")
-    if (priors < 0).any() or (transitions < 0).any() or (observations < 0).any():
-        raise VsrError("weights must be non-negative")
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(priors)
-        log_trans = np.log(transitions)
-        log_obs = np.log(observations)
-    delta = log_prior + log_obs[0]
-    back = np.zeros((n_steps, n_states), dtype=np.intp)
-    for t in range(1, n_steps):
-        scores = delta[:, None] + log_trans
-        best_prev = np.argmax(scores, axis=0)          # first max = smallest index
-        delta = scores[best_prev, np.arange(n_states)] + log_obs[t]
-        back[t] = best_prev
-    final = int(np.argmax(delta))
-    best = float(delta[final])
-    if not np.isfinite(best):
-        raise VsrError("no feasible state path (all weights vanish)")
-    path = np.empty(n_steps, dtype=np.intp)
-    path[-1] = final
-    for t in range(n_steps - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path, best
 
 
 @dataclass
@@ -91,56 +51,54 @@ class ProbabilityGrid:
         return float(self.probs[c][start, duration - self.dmin[c]])
 
 
-def build_probability_grid(model: MultiClassModel, roi: RoiVolume,
-                           min_duration: int, max_duration: int,
-                           fps: float) -> ProbabilityGrid:
+def _feature_echo(model: MultiClassModel) -> tuple:
+    """(channel, delta_t_ms, length, s) a model was trained on."""
+    cfgd = model.config
+    return (cfgd.get("channel", "red"), float(cfgd.get("deltaTms", 30.0)),
+            int(cfgd.get("l", 10)), int(cfgd.get("s", 3)))
+
+
+def build_probability_grid(roi: RoiVolume, inventories, fps: float) -> ProbabilityGrid:
     """Classify every feasible subsequence window with every class model.
 
-    Feature extraction parameters come from the model's config echo.
-    Probabilities are clamped to [1e-12, 1 - 1e-12].
+    inventories: (model, min_duration, max_duration) per class inventory, in
+    class order.  Windows are featurized once per distinct feature config
+    echo of the models, over the union of their duration ranges; each model
+    predicts only the rows inside its own range, ordered by start then
+    duration.  Probabilities are clamped to [1e-12, 1 - 1e-12].
     """
-    cfgd = model.config
-    channel = cfgd.get("channel", "red")
-    delta_t = float(cfgd.get("deltaTms", 30.0))
-    length = int(cfgd.get("l", 10))
-    s = int(cfgd.get("s", 3))
-    n = roi.frame_count
-    specs = enumerate_subsequences(n, min_duration, max_duration)
-    n_classes = len(model.class_labels)
-    span = max_duration - min_duration + 1
-    probs = np.full((n_classes, n, span), -1.0)
-    if specs:
-        x = featurize_many(roi, channel, delta_t, fps, specs, length, s)
-        p = np.clip(predict_probability_matrix(model, x), PROB_FLOOR, PROB_CEIL)
-        starts = np.array([sp.start for sp in specs])
-        offsets = np.array([sp.duration for sp in specs]) - min_duration
-        probs[:, starts, offsets] = p.T
-    return ProbabilityGrid(
-        class_labels=list(model.class_labels),
-        dmin=np.full(n_classes, min_duration, dtype=int),
-        dmax=np.full(n_classes, max_duration, dtype=int),
-        frame_count=n,
-        probs=list(probs),
-    )
-
-
-def merge_grids(grids: list[ProbabilityGrid]) -> ProbabilityGrid:
-    """Concatenate the class axes of grids over the same frame range (used to
-    decode phonemes and biphones in one pass)."""
-    if not grids:
-        raise VsrError("no grids to merge")
-    n = grids[0].frame_count
-    if any(g.frame_count != n for g in grids):
-        raise VsrError("grids cover different frame counts")
-    labels = [lab for g in grids for lab in g.class_labels]
+    if not inventories:
+        raise VsrError("need at least one class inventory")
+    models, lows, highs = zip(*inventories)
+    labels = [lab for model in models for lab in model.class_labels]
     if len(set(labels)) != len(labels):
-        raise VsrError("duplicate class labels across grids")
+        raise VsrError("duplicate class labels across inventories")
+    if not all(1 <= lo <= hi for lo, hi in zip(lows, highs)):
+        raise VsrError("need 1 <= min_dur <= max_dur")
+    n = roi.frame_count
+    sizes = [len(model.class_labels) for model in models]
+    blocks = [np.full((k, n, hi - lo + 1), -1.0) for k, lo, hi in zip(sizes, lows, highs)]
+    by_echo = {}
+    for i, model in enumerate(models):
+        by_echo.setdefault(_feature_echo(model), []).append(i)
+    for (channel, delta_t, length, s), members in by_echo.items():
+        durations = np.unique(np.concatenate([np.arange(lows[i], highs[i] + 1) for i in members]))
+        starts, which = np.nonzero(np.arange(n)[:, None] + durations <= n)  # by start, then d
+        durs = durations[which]
+        if not starts.size:
+            continue
+        specs = [SubSequenceSpec(int(a), int(d)) for a, d in zip(starts, durs)]
+        x = featurize_many(roi, channel, delta_t, fps, specs, length, s)
+        for i in members:
+            rows = np.flatnonzero((durs >= lows[i]) & (durs <= highs[i]))
+            p = np.clip(predict_probability_matrix(models[i], x[rows]), PROB_FLOOR, PROB_CEIL)
+            blocks[i][:, starts[rows], durs[rows] - lows[i]] = p.T
     return ProbabilityGrid(
         class_labels=labels,
-        dmin=np.concatenate([g.dmin for g in grids]),
-        dmax=np.concatenate([g.dmax for g in grids]),
+        dmin=np.repeat(lows, sizes),
+        dmax=np.repeat(highs, sizes),
         frame_count=n,
-        probs=[p for g in grids for p in g.probs],
+        probs=[p for block in blocks for p in block],
     )
 
 

@@ -315,6 +315,16 @@ def random_units(cfg: SynthConfig, rng: Rng) -> list[tuple[int, int]]:
     ]
 
 
+def corpus_sentence(cfg: SynthConfig, i: int):
+    """(VideoSequence, SynthGroundTruth) of sentence i of the `synth_corpus`
+    of cfg: units, symmetry column and tilt from the sentence's stream."""
+    rng = Rng(derive_seed(cfg.seed, 0, i))
+    units = random_units(cfg, rng)
+    sym_col = (cfg.frame_width - 1) / 2.0 + rng.randint(-8, 8)
+    sym_angle = float(rng.randint(-3, 3))
+    return synth_sentence(cfg, units, sym_col, sym_angle, derive_seed(cfg.seed, 3, i))
+
+
 def synth_corpus(cfg: SynthConfig, sentences: int, out_dir, threads: int = 1):
     """Write `sentences` video directories (PPM frames + manifest +
     transcript + groundtruth.csv) under out_dir; returns the directory paths.
@@ -327,12 +337,7 @@ def synth_corpus(cfg: SynthConfig, sentences: int, out_dir, threads: int = 1):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def build(i: int):
-        rng = Rng(derive_seed(cfg.seed, 0, i))
-        units = random_units(cfg, rng)
-        sym_col = (cfg.frame_width - 1) / 2.0 + rng.randint(-8, 8)
-        sym_angle = float(rng.randint(-3, 3))
-        video, truth = synth_sentence(cfg, units, sym_col, sym_angle,
-                                      derive_seed(cfg.seed, 3, i))
+        video, truth = corpus_sentence(cfg, i)
         sent_dir = out_dir / f"sent_{i:03d}"
         write_video_dir(video, sent_dir)
         write_transcript(truth.transcript_rows, sent_dir / "transcript.txt")

@@ -9,8 +9,7 @@ import numpy as np
 
 from . import VsrError
 from .config import CHANNEL_NAMES, PipelineConfig
-from .decoder import (build_probability_grid, decode_sequence, expand_biphones,
-                      merge_grids)
+from .decoder import build_probability_grid, decode_sequence, expand_biphones
 from .features import extract_labeled_samples, feature_dimension
 from .formats import read_transcript, read_video_dir
 from .segmentation import (MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence, box3,
@@ -91,19 +90,16 @@ def train_from_features(x: np.ndarray, labels, cfg: PipelineConfig):
 
 def decode_roi(roi: RoiVolume, model: MultiClassModel, cfg: PipelineConfig,
                biphone_model: MultiClassModel | None = None):
-    """Probability grid(s) + duration-constrained decode.
+    """Probability grid + duration-constrained decode.
 
-    With a biphone model the two grids are merged and decoded in one pass;
-    composite segments are expanded afterwards.  Returns (entries, grid).
+    With a biphone model both inventories share one grid, decoded in one
+    pass; composite segments are expanded afterwards.  Returns (entries, grid).
     """
-    grid = build_probability_grid(model, roi, cfg.min_duration, cfg.max_duration, cfg.fps)
+    inventories = [(model, *cfg.duration_bounds("phoneme"))]
     if biphone_model is not None:
-        bigrid = build_probability_grid(biphone_model, roi, cfg.biphone_min_duration,
-                                        cfg.biphone_max_duration, cfg.fps)
-        grid = merge_grids([grid, bigrid])
-    entries = decode_sequence(grid)
-    entries = expand_biphones(entries)
-    return entries, grid
+        inventories.append((biphone_model, *cfg.duration_bounds("biphone")))
+    grid = build_probability_grid(roi, inventories, cfg.fps)
+    return expand_biphones(decode_sequence(grid)), grid
 
 
 def grid_to_heatmap(grid, label: str) -> np.ndarray:

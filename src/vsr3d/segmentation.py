@@ -2,8 +2,9 @@
 
 Finds the facial symmetry line coarse-to-fine over an image pyramid, one
 array call per search window; tracks the inner-lower-lip row and the mouth
-corners of the whole video at once with Gaussian-transition HMMs; and
-resamples a rotation/position/scale-normalized mouth window from every frame.
+corners of the whole video at once with Gaussian-transition HMMs, each
+decoded by the plain Viterbi `viterbi_generic`; and resamples a
+rotation/position/scale-normalized mouth window from every frame.
 
 Coordinates: (row, col) with row increasing downward.  A symmetry line is
 anchored at the vertical image center; positive angles tilt it clockwise.
@@ -377,6 +378,46 @@ def _minmax01(values: np.ndarray, what: str) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
+def viterbi_generic(priors, transitions, observations):
+    """Most likely state path under unnormalized non-negative weights.
+
+    priors: (n,), transitions: (n, n) with 0 meaning "no edge",
+    observations: (steps, n).  Scores are accumulated in log space
+    (log 0 = -inf); ties resolve to the smallest state index.  Returns
+    (path, log_score); raises if no positive-weight path exists.
+    """
+    priors = np.asarray(priors, dtype=float)
+    transitions = np.asarray(transitions, dtype=float)
+    observations = np.asarray(observations, dtype=float)
+    if observations.ndim != 2 or observations.shape[0] < 1:
+        raise VsrError("observations must be (steps, states) with at least one step")
+    n_steps, n_states = observations.shape
+    if priors.shape != (n_states,) or transitions.shape != (n_states, n_states):
+        raise VsrError("inconsistent HMM dimensions")
+    if (priors < 0).any() or (transitions < 0).any() or (observations < 0).any():
+        raise VsrError("weights must be non-negative")
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(priors)
+        log_trans = np.log(transitions)
+        log_obs = np.log(observations)
+    delta = log_prior + log_obs[0]
+    back = np.zeros((n_steps, n_states), dtype=np.intp)
+    for t in range(1, n_steps):
+        scores = delta[:, None] + log_trans
+        best_prev = np.argmax(scores, axis=0)          # first max = smallest index
+        delta = scores[best_prev, np.arange(n_states)] + log_obs[t]
+        back[t] = best_prev
+    final = int(np.argmax(delta))
+    best = float(delta[final])
+    if not np.isfinite(best):
+        raise VsrError("no feasible state path (all weights vanish)")
+    path = np.empty(n_steps, dtype=np.intp)
+    path[-1] = final
+    for t in range(n_steps - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    return path, best
+
+
 def gaussian_transition_matrix(n: int, sigma: float) -> np.ndarray:
     idx = np.arange(n, dtype=float)
     return np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * sigma * sigma))
@@ -390,8 +431,6 @@ def detect_inner_lower_lip(ulum: np.ndarray, force_first_row: int | None = None)
     force_first_row pins the frame-0 state (the manual rescue for videos the
     tracker gets wrong).
     """
-    from .decoder import viterbi_generic
-
     if len(ulum) == 0:
         raise VsrError("no frames")
     height, width = ulum.shape[1:]
@@ -445,8 +484,6 @@ def detect_mouth_corners(smooth: np.ndarray, lines: np.ndarray):
     tracked by its own Gaussian-transition HMM.  Returns (left, right) arrays
     of (row, col) per frame.
     """
-    from .decoder import viterbi_generic
-
     if len(lines) != len(smooth):
         raise VsrError("need one polyline per frame")
     frames = np.arange(len(smooth))

@@ -1,7 +1,7 @@
 import pytest
 
 from vsr3d.config import PipelineConfig
-from vsr3d.fixtures import Rng, SynthConfig, derive_seed, random_units, synth_sentence
+from vsr3d.fixtures import SynthConfig, corpus_sentence
 
 
 @pytest.fixture(scope="session")
@@ -9,19 +9,10 @@ def synth_cfg():
     return SynthConfig(seed=42, noise_sigma=4.0 / 255.0)
 
 
-def make_sentence(synth_cfg, index, seed=42):
-    """One deterministic rendered sentence with ground truth."""
-    rng = Rng(derive_seed(seed, 0, index))
-    units = random_units(synth_cfg, rng)
-    col = (synth_cfg.frame_width - 1) / 2.0 + rng.randint(-8, 8)
-    ang = float(rng.randint(-3, 3))
-    return synth_sentence(synth_cfg, units, col, ang, derive_seed(seed, 3, index))
-
-
 @pytest.fixture(scope="session")
 def short_sentence(synth_cfg):
-    video, truth = make_sentence(synth_cfg, 0)
-    return video, truth
+    """Sentence 0 of the seed-42 corpus, (video, truth)."""
+    return corpus_sentence(synth_cfg, 0)
 
 
 @pytest.fixture(scope="session")

@@ -20,12 +20,13 @@ import numpy as np
 import pytest
 
 from vsr3d.config import PipelineConfig
-from vsr3d.decoder import ProbabilityGrid, decode_sequence, viterbi_generic
+from vsr3d.decoder import ProbabilityGrid, decode_sequence
 from vsr3d.evaluation import (AlignmentCounts, accuracy, align_nw, t_tail_probability)
 from vsr3d.features import dct3, idct3, pyramid_mask_indices, extract_labeled_samples
 from vsr3d.features import Transcript, TranscriptEntry
-from vsr3d.fixtures import Rng, SynthConfig, derive_seed, random_units, synth_sentence
+from vsr3d.fixtures import Rng, SynthConfig, corpus_sentence, derive_seed, synth_sentence
 from vsr3d.pipeline import decode_roi, segment_video, train_from_features
+from vsr3d.segmentation import viterbi_generic
 from vsr3d.svm import TrainConfig, decision_values, train_binary_smo
 
 SEED = 42
@@ -48,16 +49,6 @@ def corpus_pipeline_config():
     )
 
 
-class SlimResult:
-    """Just the segmentation outputs the criteria consume (the full result
-    retains per-frame channel planes, ~27 MB per sentence)."""
-
-    def __init__(self, res):
-        self.lines = res.lines
-        self.keypoints_original = res.keypoints_original
-        self.roi = res.roi
-
-
 @pytest.fixture(scope="module")
 def acceptance_corpus():
     """50 deterministic sentences (segmented), with per-sentence timing."""
@@ -65,17 +56,13 @@ def acceptance_corpus():
     scfg = SynthConfig(seed=SEED, noise_sigma=4.0 / 255.0)
     frame_counts, truths, results, seg_seconds = [], [], [], []
     for i in range(50):
-        rng = Rng(derive_seed(SEED, 0, i))
-        units = random_units(scfg, rng)
-        col = (scfg.frame_width - 1) / 2.0 + rng.randint(-8, 8)
-        ang = float(rng.randint(-3, 3))
-        video, truth = synth_sentence(scfg, units, col, ang, derive_seed(SEED, 3, i))
+        video, truth = corpus_sentence(scfg, i)
         t0 = time.perf_counter()
         res = segment_video(video, cfg)
         seg_seconds.append(time.perf_counter() - t0)
         frame_counts.append(video.frame_count)
         truths.append(truth)
-        results.append(SlimResult(res))
+        results.append(res)
     return cfg, frame_counts, truths, results, seg_seconds
 
 
@@ -401,7 +388,7 @@ def test_criterion_11_linear_runtime(trained_models):
                                   derive_seed(SEED, 91, n))
         t0 = time.perf_counter()
         res = segment_video(video, cfg)
-        grid = build_probability_grid(model, res.roi, cfg.min_duration, cfg.max_duration,
+        grid = build_probability_grid(res.roi, [(model, cfg.min_duration, cfg.max_duration)],
                                       cfg.fps)
         decode_grid(grid)
         per_frame.append((time.perf_counter() - t0) / n)

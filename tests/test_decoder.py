@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from vsr3d import VsrError
 from vsr3d.decoder import (ProbabilityGrid, decode_sequence, entries_to_transcript,
-                           expand_biphones, merge_grids, viterbi_generic)
+                           expand_biphones)
+from vsr3d.segmentation import viterbi_generic
 
 
 def brute_force_viterbi(priors, transitions, observations):
@@ -324,13 +326,38 @@ def fixture_model_and_roi(corpus_config):
     return model, probe_roi
 
 
+def relabeled(model, prefix, **config):
+    """The same trained model under other class labels and config echo."""
+    return dataclasses.replace(model, class_labels=[prefix + lab for lab in model.class_labels],
+                               config={**model.config, **config})
+
+
+def single_inventory_grid(model, roi, lo, hi, fps):
+    """One inventory's grid the direct way: featurize its own windows in
+    enumeration order and predict them all."""
+    from vsr3d.decoder import PROB_CEIL, PROB_FLOOR
+    from vsr3d.features import enumerate_subsequences, featurize_many
+    from vsr3d.svm import predict_probability_matrix
+
+    cfgd = model.config
+    specs = enumerate_subsequences(roi.frame_count, lo, hi)
+    probs = np.full((len(model.class_labels), roi.frame_count, hi - lo + 1), -1.0)
+    if specs:
+        x = featurize_many(roi, cfgd["channel"], cfgd["deltaTms"], fps, specs,
+                           cfgd["l"], cfgd["s"])
+        p = np.clip(predict_probability_matrix(model, x), PROB_FLOOR, PROB_CEIL)
+        probs[:, [sp.start for sp in specs], [sp.duration - lo for sp in specs]] = p.T
+    return list(model.class_labels), [lo] * len(probs), [hi] * len(probs), list(probs)
+
+
 class TestGridBuilding:
     def test_known_unit_cell_is_top_percentile(self, fixture_model_and_roi, corpus_config):
         from vsr3d.decoder import build_probability_grid
 
         model, roi = fixture_model_and_roi
-        grid = build_probability_grid(model, roi, corpus_config.min_duration,
-                                      corpus_config.max_duration, corpus_config.fps)
+        grid = build_probability_grid(
+            roi, [(model, corpus_config.min_duration, corpus_config.max_duration)],
+            corpus_config.fps)
         c = grid.class_labels.index("C1")
         cells = grid.probs[c][grid.probs[c] >= 0]
         target = grid.prob(c, 10, 10)
@@ -341,28 +368,66 @@ class TestGridBuilding:
         from vsr3d.decoder import build_probability_grid
 
         model, roi = fixture_model_and_roi
-        a = build_probability_grid(model, roi, 3, 8, corpus_config.fps)
-        b = build_probability_grid(model, roi, 3, 8, corpus_config.fps)
+        a = build_probability_grid(roi, [(model, 3, 8)], corpus_config.fps)
+        b = build_probability_grid(roi, [(model, 3, 8)], corpus_config.fps)
         for pa, pb in zip(a.probs, b.probs):
             valid = pa >= 0
             assert ((pa[valid] > 0) & (pa[valid] < 1)).all()
             assert np.array_equal(pa, pb)
 
+    @pytest.mark.parametrize("first, second, config", [
+        ((3, 8), (6, 12), {}),                    # overlapping ranges
+        ((3, 5), (9, 12), {}),                    # disjoint ranges
+        ((3, 12), (6, 24), {"channel": "green"}),  # different feature echoes
+        ((3, 12), (40, 50), {}),                  # no window fits the second range
+    ])
+    def test_two_inventories_concatenate_single_grids(self, fixture_model_and_roi,
+                                                      corpus_config, first, second, config):
+        from vsr3d.decoder import build_probability_grid
+
+        model, roi = fixture_model_and_roi
+        other = relabeled(model, "B", **config)
+        fps = corpus_config.fps
+        grid = build_probability_grid(roi, [(model, *first), (other, *second)], fps)
+        labels, dmin, dmax, probs = (a + b for a, b in zip(
+            single_inventory_grid(model, roi, *first, fps),
+            single_inventory_grid(other, roi, *second, fps)))
+        assert grid.class_labels == labels
+        assert grid.frame_count == roi.frame_count
+        assert np.array_equal(grid.dmin, dmin) and np.array_equal(grid.dmax, dmax)
+        assert len(grid.probs) == len(probs)
+        for got, want in zip(grid.probs, probs):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_rejects_duplicate_labels_and_no_inventory(self, fixture_model_and_roi):
+        from vsr3d.decoder import build_probability_grid
+
+        model, roi = fixture_model_and_roi
+        with pytest.raises(VsrError, match="duplicate class labels"):
+            build_probability_grid(roi, [(model, 3, 8), (relabeled(model, ""), 6, 12)], 25.0)
+        with pytest.raises(VsrError, match="at least one class inventory"):
+            build_probability_grid(roi, [], 25.0)
+
+    def test_biphone_decode_featurizes_once(self, fixture_model_and_roi, corpus_config,
+                                            monkeypatch):
+        import vsr3d.decoder
+        from vsr3d.pipeline import decode_roi
+
+        model, roi = fixture_model_and_roi
+        calls = []
+        featurize = vsr3d.decoder.featurize_many
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return featurize(*args, **kwargs)
+
+        monkeypatch.setattr(vsr3d.decoder, "featurize_many", counting)
+        _, grid = decode_roi(roi, model, corpus_config, biphone_model=relabeled(model, "B+"))
+        assert len(calls) == 1
+        assert len(grid.class_labels) == 2 * len(model.class_labels)
+
 
 class TestMergeAndExpand:
-    def test_merge_concatenates_classes(self):
-        rng = np.random.default_rng(10)
-        g1 = random_grid(rng, ["a"], 6, 1, 2)
-        g2 = random_grid(rng, ["a+b"], 6, 2, 4)
-        merged = merge_grids([g1, g2])
-        assert merged.class_labels == ["a", "a+b"]
-        assert merged.prob(1, 0, 3) == g2.prob(0, 0, 3)
-
-    def test_merge_rejects_mismatched_frames(self):
-        rng = np.random.default_rng(11)
-        with pytest.raises(VsrError):
-            merge_grids([random_grid(rng, ["a"], 5, 1, 2), random_grid(rng, ["b"], 6, 1, 2)])
-
     def test_expand_splits_ceil(self):
         assert expand_biphones([("AE+T", 0, 5)]) == [("AE", 0, 3), ("T", 3, 2)]
 

@@ -14,7 +14,7 @@ from vsr3d.segmentation import (MouthKeypoints, SymmetryLine, VideoSequence, _be
                                 cropped_to_original, detect_inner_lower_lip,
                                 detect_mouth_corners, extract_roi, find_symmetry_lines,
                                 gaussian_transition_matrix, luminance, prepare_frames,
-                                symmetry_costs)
+                                symmetry_costs, viterbi_generic)
 
 
 def brute_force_track(priors, trans, obs):
@@ -477,8 +477,6 @@ class TestTrackingHmmOracle:
     @given(st.integers(0, 10**6), st.integers(2, 5), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
     def test_gaussian_hmm_matches_enumeration(self, seed, n_states, n_steps):
-        from vsr3d.decoder import viterbi_generic
-
         rng = np.random.default_rng(seed)
         obs = rng.uniform(0.05, 1.0, (n_steps, n_states))
         for sigma in (2.0, 8.0):
