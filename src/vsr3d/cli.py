@@ -166,16 +166,16 @@ def cmd_featurize(args) -> int:
         roi = segment_video(video, cfg).roi
         if args.all_subsequences:
             lo, hi = cfg.duration_bounds(args.kind)
-            specs = enumerate_subsequences(roi.frame_count, lo, hi)
-            x = featurize_many(roi, cfg.channel, cfg.delta_t_ms, cfg.fps, specs,
+            spans = enumerate_subsequences(roi.frame_count, range(lo, hi + 1))
+            x = featurize_many(roi, cfg.channel, cfg.delta_t_ms, cfg.fps, spans,
                                cfg.uniform_length, cfg.mask_size)
             labels = None
         else:
             transcript = read_transcript(d / "transcript.txt")
-            x, labels, specs = extract_labeled_samples(roi, transcript, args.kind, cfg)
+            x, labels, spans = extract_labeled_samples(roi, transcript, args.kind, cfg)
         path = out / f"{d.name}.features.csv" if multi else out
-        write_features_csv(x, specs, path, labels)
-        print(f"featurized {d.name}: {len(specs)} samples")
+        write_features_csv(x, spans, path, labels)
+        print(f"featurized {d.name}: {len(spans)} samples")
     return 0
 
 

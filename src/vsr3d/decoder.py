@@ -23,7 +23,7 @@ from math import ceil
 import numpy as np
 
 from . import VsrError
-from .features import SubSequenceSpec, featurize_many
+from .features import enumerate_subsequences, featurize_many
 from .segmentation import RoiVolume
 from .svm import MultiClassModel, predict_probability_matrix
 
@@ -83,12 +83,11 @@ def build_probability_grid(roi: RoiVolume, inventories, fps: float) -> Probabili
         by_echo.setdefault(_feature_echo(model), []).append(i)
     for (channel, delta_t, length, s), members in by_echo.items():
         durations = np.unique(np.concatenate([np.arange(lows[i], highs[i] + 1) for i in members]))
-        starts, which = np.nonzero(np.arange(n)[:, None] + durations <= n)  # by start, then d
-        durs = durations[which]
-        if not starts.size:
+        spans = enumerate_subsequences(n, durations)
+        if not spans.size:
             continue
-        specs = [SubSequenceSpec(int(a), int(d)) for a, d in zip(starts, durs)]
-        x = featurize_many(roi, channel, delta_t, fps, specs, length, s)
+        x = featurize_many(roi, channel, delta_t, fps, spans, length, s)
+        starts, durs = spans.T
         for i in members:
             rows = np.flatnonzero((durs >= lows[i]) & (durs <= highs[i]))
             p = np.clip(predict_probability_matrix(models[i], x[rows]), PROB_FLOOR, PROB_CEIL)

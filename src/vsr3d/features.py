@@ -3,12 +3,14 @@ volume is resampled to a uniform length, transformed with an orthonormal
 3D-DCT, and reduced to the low-frequency pyramid-mask amplitudes plus the
 original subsequence length.
 
-`featurize` and `featurize_prepared` compute one window exactly that way and
-serve as the reference.  `featurize_many`, which both feature callers use,
-returns the same values computed separably: every step before the mask is
-linear, so each frame is projected once onto the first s rows of the y- and
-x-DCT bases, and a fixed (s x d) matrix per duration d does the resampling
-and the time DCT of every window of that duration.
+Windows travel as (m, 2) integer arrays of (start, duration) rows, such as
+`enumerate_subsequences` builds.  `featurize` and `featurize_prepared`
+compute one window exactly that way and serve as the reference.
+`featurize_many`, which both feature callers use, returns the same values
+computed separably: every step before the mask is linear, so each frame is
+projected once onto the first s rows of the y- and x-DCT bases, and a fixed
+(s x d) matrix per duration d does the resampling and the time DCT of every
+window of that duration.
 """
 
 from __future__ import annotations
@@ -21,16 +23,6 @@ import scipy.fft
 
 from . import VsrError
 from .segmentation import RoiVolume
-
-
-@dataclass(frozen=True)
-class SubSequenceSpec:
-    start: int
-    duration: int
-
-    def __post_init__(self):
-        if self.start < 0 or self.duration < 1:
-            raise VsrError(f"bad subsequence spec ({self.start}, {self.duration})")
 
 
 @dataclass
@@ -86,18 +78,15 @@ def subtract_sequence_mean(volume: np.ndarray) -> np.ndarray:
     return volume - volume.mean(axis=0)
 
 
-def enumerate_subsequences(frame_count: int, min_dur: int, max_dur: int) -> list[SubSequenceSpec]:
-    """All (start, duration) windows with min_dur <= d <= min(max_dur, n)
-    and start + d <= n, ordered by start then duration."""
-    if not 1 <= min_dur <= max_dur:
-        raise VsrError("need 1 <= min_dur <= max_dur")
-    specs = []
-    top = min(max_dur, frame_count)
-    for start in range(frame_count):
-        for d in range(min_dur, top + 1):
-            if start + d <= frame_count:
-                specs.append(SubSequenceSpec(start, d))
-    return specs
+def enumerate_subsequences(frame_count: int, durations) -> np.ndarray:
+    """Every window of one of the given ascending durations that fits in
+    frame_count frames, as an (m, 2) array of (start, duration) rows ordered
+    by start then duration."""
+    durations = np.asarray(durations, dtype=np.intp)
+    if (durations < 1).any() or (np.diff(durations) <= 0).any():
+        raise VsrError("durations must be ascending and >= 1")
+    starts, which = np.nonzero(np.arange(frame_count)[:, None] + durations <= frame_count)
+    return np.stack([starts, durations[which]], axis=1)
 
 
 def resample_to_length(subvolume: np.ndarray, length: int = 10) -> np.ndarray:
@@ -167,19 +156,26 @@ def preprocess_volume(roi: RoiVolume, channel: str, delta_t_ms: float, fps: floa
     return subtract_sequence_mean(time_shift(vol, delta_t_ms, fps))
 
 
-def featurize_prepared(prepared: np.ndarray, spec: SubSequenceSpec, length: int, s: int) -> np.ndarray:
-    if spec.start + spec.duration > prepared.shape[0]:
-        raise VsrError(f"subsequence ({spec.start}, {spec.duration}) exceeds volume")
-    sub = prepared[spec.start:spec.start + spec.duration]
+def _check_window(start, duration, frame_count: int):
+    if start < 0 or duration < 1:
+        raise VsrError(f"bad subsequence ({start}, {duration})")
+    if start + duration > frame_count:
+        raise VsrError(f"subsequence ({start}, {duration}) exceeds volume")
+
+
+def featurize_prepared(prepared: np.ndarray, start: int, duration: int, length: int, s: int):
+    _check_window(start, duration, prepared.shape[0])
+    sub = prepared[start:start + duration]
     coeffs = dct3(resample_to_length(sub, length))
-    return np.concatenate([pyramid_extract(coeffs, s), [float(spec.duration)]])
+    return np.concatenate([pyramid_extract(coeffs, s), [float(duration)]])
 
 
 def featurize(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
-              spec: SubSequenceSpec, length: int = 10, s: int = 3) -> np.ndarray:
+              start: int, duration: int, length: int = 10, s: int = 3) -> np.ndarray:
     """Feature vector of one subsequence: pyramid-mask DCT amplitudes of the
     length-normalized window plus the original duration in frames."""
-    return featurize_prepared(preprocess_volume(roi, channel, delta_t_ms, fps), spec, length, s)
+    return featurize_prepared(preprocess_volume(roi, channel, delta_t_ms, fps), start, duration,
+                              length, s)
 
 
 def _dct_matrix(n: int) -> np.ndarray:
@@ -189,8 +185,9 @@ def _dct_matrix(n: int) -> np.ndarray:
 
 
 def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
-                   specs: list[SubSequenceSpec], length: int = 10, s: int = 3) -> np.ndarray:
-    """Feature matrix for a list of subsequences, rows in spec order.
+                   spans, length: int = 10, s: int = 3) -> np.ndarray:
+    """Feature matrix of the windows in an (m, 2) array of (start, duration)
+    rows, one feature row per window in the same order.
 
     Equal to `featurize` row by row, computed separably: resampling and the
     3D-DCT are linear, so each frame is projected once onto the first s
@@ -199,32 +196,31 @@ def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
     """
     prepared = preprocess_volume(roi, channel, delta_t_ms, fps)
     k = feature_dimension(s)
-    if not specs:
+    spans = np.asarray(spans, dtype=np.intp)
+    if not spans.size:
         return np.zeros((0, k))
     n, h, w = prepared.shape
-    starts = np.array([sp.start for sp in specs], dtype=np.intp)
-    durations = np.array([sp.duration for sp in specs], dtype=np.intp)
-    over = np.flatnonzero(starts + durations > n)
+    starts, durations = spans.T
+    bad = np.flatnonzero((starts < 0) | (durations < 1) | (starts + durations > n))
     # the per-window path checks each window before transforming it, so a bad
     # first window wins over bad parameters, which win over later bad windows
-    if over.size and over[0] == 0:
-        raise VsrError(f"subsequence ({starts[0]}, {durations[0]}) exceeds volume")
+    if bad.size and bad[0] == 0:
+        _check_window(starts[0], durations[0], n)
     if length < 2:
         raise VsrError("target length must be >= 2")
     if s < 1:
         raise VsrError("mask size must be >= 1")
     if s > min(length, h, w):
         raise VsrError(f"mask size {s} exceeds a coefficient dimension {(length, h, w)}")
-    if over.size:
-        i = over[0]
-        raise VsrError(f"subsequence ({starts[i]}, {durations[i]}) exceeds volume")
+    if bad.size:
+        _check_window(starts[bad[0]], durations[bad[0]], n)
 
     # projected[t, j * s + i]: y-frequency j, x-frequency i of frame t
     projected = (_dct_matrix(h)[:s] @ prepared @ _dct_matrix(w)[:s].T).reshape(n, s * s)
     # pyramid triple (i, j, k) = (x, y, t frequency) in a (j * s + i, k) block
     picks = [(j * s + i) * s + kt for (i, j, kt) in pyramid_mask_indices(s)]
     dct_t = _dct_matrix(length)[:s]
-    out = np.empty((len(specs), k))
+    out = np.empty((len(spans), k))
     out[:, -1] = durations
     for d in np.unique(durations):
         rows = np.flatnonzero(durations == d)
@@ -275,7 +271,8 @@ def extract_labeled_samples(roi: RoiVolume, transcript: Transcript, kind: str, c
     kind selects the class inventory: phoneme/viseme samples span one
     transcript entry, biphone/bi-viseme samples span two consecutive entries
     with a composite "A+B" label.  Viseme kinds pass labels through the
-    Jeffers map, dropping HH entries.  Returns (X, labels, spans).
+    Jeffers map, dropping HH entries.  Returns (X, labels, spans), spans an
+    (m, 2) array of the samples' (start, duration) windows.
     """
     from .evaluation import to_viseme
 
@@ -286,21 +283,16 @@ def extract_labeled_samples(roi: RoiVolume, transcript: Transcript, kind: str, c
         entries = [TranscriptEntry(v, e.start_ms, e.end_ms)
                    for e in entries if (v := to_viseme(e.label)) is not None]
     n = roi.frame_count
-    spans, labels = [], []
+    frames = np.array([transcript_to_frames(e.start_ms, e.end_ms, cfg.fps, n) for e in entries],
+                      dtype=np.intp).reshape(-1, 2)
     if kind in ("phoneme", "viseme"):
-        for e in entries:
-            start, dur = transcript_to_frames(e.start_ms, e.end_ms, cfg.fps, n)
-            spans.append(SubSequenceSpec(start, dur))
-            labels.append(e.label)
-    else:
-        for a, b in zip(entries, entries[1:]):
-            start, _ = transcript_to_frames(a.start_ms, a.end_ms, cfg.fps, n)
-            end_start, end_dur = transcript_to_frames(b.start_ms, b.end_ms, cfg.fps, n)
-            dur = end_start + end_dur - start
-            spans.append(SubSequenceSpec(start, dur))
-            labels.append(f"{a.label}+{b.label}")
-    if not spans:
-        return np.zeros((0, feature_dimension(cfg.mask_size))), [], []
+        spans, labels = frames, [e.label for e in entries]
+    else:  # from the start of one entry to the end of the next
+        starts, ends = frames[:-1, 0], frames[1:].sum(axis=1)
+        spans = np.stack([starts, ends - starts], axis=1)
+        labels = [f"{a.label}+{b.label}" for a, b in zip(entries, entries[1:])]
+    if not spans.size:
+        return np.zeros((0, feature_dimension(cfg.mask_size))), [], spans
     x = featurize_many(roi, cfg.channel, cfg.delta_t_ms, cfg.fps, spans,
                        cfg.uniform_length, cfg.mask_size)
     return x, labels, spans

@@ -16,7 +16,8 @@ cells stored as -1.0.
 Transcript: one "LABEL START_MS END_MS" line per entry, integer milliseconds.
 
 Feature matrix CSV: header "start,duration,f0,...,f{k-1}[,label]"; every
-feature is a finite number.
+row's window has integer start >= 0 and duration >= 1, and every feature is
+a finite number.
 
 Keypoints CSV: header "frame,lipRow,leftRow,leftCol,rightRow,rightCol",
 coordinates in original-video pixels.
@@ -201,15 +202,15 @@ def write_features_csv(x: np.ndarray, spans, path, labels=None):
         header += ",label"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for i, span in enumerate(spans):
-            row = f"{span.start},{span.duration}," + ",".join(repr(float(v)) for v in x[i])
+        for i, (start, duration) in enumerate(spans):
+            row = f"{start},{duration}," + ",".join(repr(float(v)) for v in x[i])
             if labels is not None:
                 row += f",{labels[i]}"
             fh.write(row + "\n")
 
 
 def read_features_csv(path):
-    """Returns (x, labels_or_None, spans as (start, duration))."""
+    """Returns (x, labels_or_None, spans as (m, 2) (start, duration) rows)."""
     lines = _read_ascii(path).splitlines()
     if not lines:
         raise VsrError(f"{path}: empty features file")
@@ -231,11 +232,14 @@ def read_features_csv(path):
             x.append([float(v) for v in parts[2:2 + n_feat]])
         except ValueError:
             raise VsrError(f"{path}:{ln}: need integer start/duration, numeric features") from None
+        if spans[-1][0] < 0 or spans[-1][1] < 1:
+            raise VsrError(f"{path}:{ln}: need start >= 0 and duration >= 1")
         if not np.isfinite(x[-1]).all():
             raise VsrError(f"{path}:{ln}: features must be finite numbers")
         if has_label:
             labels.append(parts[-1])
-    return np.array(x, dtype=float), (labels if has_label else None), spans
+    return (np.array(x, dtype=float), (labels if has_label else None),
+            np.array(spans, dtype=np.intp).reshape(-1, 2))
 
 
 def write_grid(grid, path):

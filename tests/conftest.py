@@ -1,7 +1,16 @@
+import numpy as np
 import pytest
 
 from vsr3d.config import PipelineConfig
 from vsr3d.fixtures import SynthConfig, corpus_sentence
+
+
+def reference_windows(frame_count, durations):
+    """`enumerate_subsequences` by a plain double loop: every (start,
+    duration) window that fits, ordered by start then duration."""
+    rows = [(start, d) for start in range(frame_count) for d in durations
+            if start + d <= frame_count]
+    return np.array(rows, dtype=np.intp).reshape(-1, 2)
 
 
 @pytest.fixture(scope="session")

@@ -175,7 +175,8 @@ class TestPipelineCommands:
         x, labels, spans = read_features_csv(out)
         lo, hi = {"phoneme": (3, 12), "biphone": (6, 24)}[kind]  # corpus_cfg_file's bounds
         frames = read_video_dir(sent).frame_count
-        assert len(spans) == x.shape[0] == len(enumerate_subsequences(frames, lo, hi))
+        assert len(spans) == x.shape[0]
+        assert np.array_equal(spans, enumerate_subsequences(frames, range(lo, hi + 1)))
         assert labels is None
         assert not out.read_text().splitlines()[0].endswith(",label")
 
@@ -227,6 +228,11 @@ def _segment_video_dir(manifest, sizes=((4, 6),)):
     return argv
 
 
+# two separable classes that `train` accepts; a bad row appended is line 8
+TRAINABLE_CSV = (b"start,duration,f0,label\n0,3,0.1,A\n3,3,0.2,A\n6,3,0.15,A\n"
+                 b"9,3,0.9,B\n12,3,0.8,B\n15,3,0.85,B\n")
+
+
 def _train_on(features):
     def argv(tmp_path):
         path = tmp_path / "features.csv"
@@ -265,12 +271,15 @@ class TestMalformedTextInput:
         (_train_on(b"start,duration,f0,label\n0,3,abc,A\n"), "features.csv:2"),
         (_train_on(b"start,duration,f0,label\n0,3,0.1,A\n0,3,nan,A\n"), "features.csv:3"),
         (_train_on(b"start,duration,f0,label\n0,3,-inf,A\n"), "features.csv:2"),
+        (_train_on(TRAINABLE_CSV + b"-1,3,0.1,A\n"), "features.csv:8"),
+        (_train_on(TRAINABLE_CSV + b"0,0,0.1,A\n"), "features.csv:8"),
         (_train_on(b"start,duration,f0,label\n0,3,0.1,\xc3\x89\n"), "features.csv"),
         (_eval_on(b"A 0 40\n\xc3\x89 40 80\n"), "ref.txt"),
         (_config({"c_grid": 5}), "c_grid"),
         (_config({"gamma_grid": ["a"]}), "gamma_grid"),
     ], ids=["manifest-fps", "manifest-frames", "frame-sizes-differ", "features-start",
             "features-duration", "features-value", "features-nan", "features-inf",
+            "features-negative-start", "features-zero-duration",
             "features-non-ascii", "transcript-non-ascii", "config-grid-number",
             "config-grid-strings"])
     def test_one_line_error(self, tmp_path, capsys, argv, names):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import reference_windows
 from vsr3d import VsrError
 from vsr3d.decoder import (ProbabilityGrid, decode_sequence, entries_to_transcript,
                            expand_biphones)
@@ -333,20 +334,20 @@ def relabeled(model, prefix, **config):
 
 
 def single_inventory_grid(model, roi, lo, hi, fps):
-    """One inventory's grid the direct way: featurize its own windows in
-    enumeration order and predict them all."""
+    """One inventory's grid the direct way: featurize its own windows, listed
+    by the reference double loop, and predict them all."""
     from vsr3d.decoder import PROB_CEIL, PROB_FLOOR
-    from vsr3d.features import enumerate_subsequences, featurize_many
+    from vsr3d.features import featurize_many
     from vsr3d.svm import predict_probability_matrix
 
     cfgd = model.config
-    specs = enumerate_subsequences(roi.frame_count, lo, hi)
+    spans = reference_windows(roi.frame_count, range(lo, hi + 1))
     probs = np.full((len(model.class_labels), roi.frame_count, hi - lo + 1), -1.0)
-    if specs:
-        x = featurize_many(roi, cfgd["channel"], cfgd["deltaTms"], fps, specs,
+    if len(spans):
+        x = featurize_many(roi, cfgd["channel"], cfgd["deltaTms"], fps, spans,
                            cfgd["l"], cfgd["s"])
         p = np.clip(predict_probability_matrix(model, x), PROB_FLOOR, PROB_CEIL)
-        probs[:, [sp.start for sp in specs], [sp.duration - lo for sp in specs]] = p.T
+        probs[:, spans[:, 0], spans[:, 1] - lo] = p.T
     return list(model.class_labels), [lo] * len(probs), [hi] * len(probs), list(probs)
 
 

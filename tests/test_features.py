@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_windows
 from vsr3d import VsrError
-from vsr3d.features import (SubSequenceSpec, dct3, enumerate_subsequences, featurize,
+from vsr3d.features import (dct3, enumerate_subsequences, featurize,
                             featurize_many, featurize_prepared, feature_dimension,
                             fit_standardization, idct3, preprocess_volume, pyramid_extract,
                             pyramid_mask_indices, resample_to_length, standardize,
@@ -84,22 +86,36 @@ class TestSequenceMean:
 
 class TestEnumerate:
     def test_counts_small(self):
-        assert len(enumerate_subsequences(5, 1, 3)) == 12
-        assert enumerate_subsequences(3, 4, 5) == []
-        assert len(enumerate_subsequences(100, 1, 25)) == 2200
+        assert len(enumerate_subsequences(5, range(1, 4))) == 12
+        assert enumerate_subsequences(3, range(4, 6)).shape == (0, 2)
+        assert len(enumerate_subsequences(100, range(1, 26))) == 2200
 
     def test_ordering(self):
-        specs = enumerate_subsequences(4, 1, 2)
-        assert [(s.start, s.duration) for s in specs] == [
-            (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
+        spans = enumerate_subsequences(4, range(1, 3))
+        assert spans.tolist() == [[0, 1], [0, 2], [1, 1], [1, 2], [2, 1], [2, 2], [3, 1]]
 
     @given(st.integers(0, 40), st.integers(1, 10), st.integers(1, 45), st.integers(0, 10**6))
     def test_count_formula(self, n, dmin_raw, dmax_raw, _seed):
         dmin = dmin_raw
         dmax = max(dmin_raw, dmax_raw)
-        specs = enumerate_subsequences(n, dmin, dmax)
+        spans = enumerate_subsequences(n, range(dmin, dmax + 1))
         expected = sum(max(0, n - d + 1) for d in range(dmin, min(dmax, n) + 1))
-        assert len(specs) == expected
+        assert len(spans) == expected
+
+    @given(st.integers(0, 40), st.sets(st.integers(1, 50), max_size=12))
+    def test_matches_double_loop(self, n, durations):
+        """Equal row for row to the double loop over start and duration, for
+        duration sets with gaps and durations longer than the sequence."""
+        durations = sorted(durations)
+        spans = enumerate_subsequences(n, durations)
+        want = reference_windows(n, durations)
+        assert spans.dtype == np.intp and spans.shape == want.shape
+        assert np.array_equal(spans, want)
+
+    @pytest.mark.parametrize("durations", [[0, 1], [-2], [3, 2], [2, 2]])
+    def test_rejects_short_or_unordered_durations(self, durations):
+        with pytest.raises(VsrError, match="ascending and >= 1"):
+            enumerate_subsequences(10, durations)
 
 
 class TestResample:
@@ -179,24 +195,23 @@ class TestPyramidMask:
 class TestFeaturize:
     def test_last_value_is_duration(self):
         roi = toy_roi(np.random.default_rng(10))
-        vec = featurize(roi, "red", 30.0, 25.0, SubSequenceSpec(2, 5), 10, 3)
+        vec = featurize(roi, "red", 30.0, 25.0, 2, 5, 10, 3)
         assert vec[-1] == 5.0
         assert len(vec) == 11
 
     def test_constant_video_gives_zero_amplitudes(self):
         data = np.full((1, 9, 4, 4), 0.3)
         roi = RoiVolume(data=data, channels=("red",), scale=1.0)
-        vec = featurize(roi, "red", 30.0, 25.0, SubSequenceSpec(1, 4), 10, 3)
+        vec = featurize(roi, "red", 30.0, 25.0, 1, 4, 10, 3)
         assert np.allclose(vec[:-1], 0.0, atol=1e-9)
         assert vec[-1] == 4.0
 
     def test_matches_hand_composition(self):
         roi = toy_roi(np.random.default_rng(11))
-        spec = SubSequenceSpec(3, 6)
-        vec = featurize(roi, "red", 30.0, 25.0, spec, 10, 3)
+        vec = featurize(roi, "red", 30.0, 25.0, 3, 6, 10, 3)
         shifted = time_shift(roi.plane("red"), 30.0, 25.0)
         centered = subtract_sequence_mean(shifted)
-        sub = centered[spec.start:spec.start + spec.duration]
+        sub = centered[3:3 + 6]
         coeffs = dct3(resample_to_length(sub, 10))
         expected = np.concatenate([pyramid_extract(coeffs, 3), [6.0]])
         assert np.allclose(vec, expected, atol=0, rtol=0)
@@ -207,24 +222,34 @@ class TestFeaturize:
         offset = rng.random((5, 5))
         roi_a = RoiVolume(data=data, channels=("red",), scale=1.0)
         roi_b = RoiVolume(data=data + offset[None, None, :, :], channels=("red",), scale=1.0)
-        spec = SubSequenceSpec(2, 6)
-        va = featurize(roi_a, "red", 20.0, 25.0, spec, 8, 3)
-        vb = featurize(roi_b, "red", 20.0, 25.0, spec, 8, 3)
+        va = featurize(roi_a, "red", 20.0, 25.0, 2, 6, 8, 3)
+        vb = featurize(roi_b, "red", 20.0, 25.0, 2, 6, 8, 3)
         assert np.abs(va - vb).max() < 1e-9
 
     def test_many_matches_single(self):
         roi = toy_roi(np.random.default_rng(13))
-        specs = enumerate_subsequences(roi.frame_count, 2, 4)
-        x = featurize_many(roi, "red", 30.0, 25.0, specs, 10, 3)
-        for row, sp in zip(x, specs):
-            assert np.allclose(row, featurize(roi, "red", 30.0, 25.0, sp, 10, 3))
+        spans = enumerate_subsequences(roi.frame_count, range(2, 5))
+        x = featurize_many(roi, "red", 30.0, 25.0, spans, 10, 3)
+        for row, (a, d) in zip(x, spans):
+            assert np.allclose(row, featurize(roi, "red", 30.0, 25.0, a, d, 10, 3))
 
     def test_repeat_calls_give_identical_output(self):
         roi = toy_roi(np.random.default_rng(14))
-        specs = enumerate_subsequences(roi.frame_count, 1, 3)
-        a = featurize_many(roi, "red", 30.0, 25.0, specs, 10, 3)
-        b = featurize_many(roi, "red", 30.0, 25.0, specs, 10, 3)
+        spans = enumerate_subsequences(roi.frame_count, range(1, 4))
+        a = featurize_many(roi, "red", 30.0, 25.0, spans, 10, 3)
+        b = featurize_many(roi, "red", 30.0, 25.0, spans, 10, 3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("window", [(-1, 2), (0, 0)])
+    def test_many_rejects_negative_start_and_empty_window(self, window):
+        """A window before the first frame or without frames is an error
+        naming it, not a wrapped-around or empty slice."""
+        roi = toy_roi(np.random.default_rng(15))
+        spans = np.array([(0, 3), window, (2, 4)])
+        with pytest.raises(VsrError, match=re.escape(f"bad subsequence {window}")):
+            featurize_many(roi, "red", 30.0, 25.0, spans, 10, 3)
+        with pytest.raises(VsrError, match=re.escape(f"bad subsequence {window}")):
+            featurize(roi, "red", 30.0, 25.0, *window, 10, 3)
 
     @given(st.integers(2, 12), st.integers(0, 6), st.integers(1, 6), st.integers(1, 6),
            st.data())
@@ -247,12 +272,12 @@ class TestFeaturize:
         required = [(frames - 1, 1), (0, length), (frames - length - 1, length + 1),
                     (0, frames)]
         pairs = data.draw(st.permutations(required + drawn + drawn[:2]))
-        specs = [SubSequenceSpec(a, d) for a, d in pairs]
+        spans = np.array(pairs)
 
-        x = featurize_many(roi, "red", delta_t, 25.0, specs, length, s)
+        x = featurize_many(roi, "red", delta_t, 25.0, spans, length, s)
         prepared = preprocess_volume(roi, "red", delta_t, 25.0)
-        oracle = np.array([featurize_prepared(prepared, sp, length, s) for sp in specs])
-        assert x.shape == oracle.shape == (len(specs), feature_dimension(s))
+        oracle = np.array([featurize_prepared(prepared, a, d, length, s) for a, d in pairs])
+        assert x.shape == oracle.shape == (len(pairs), feature_dimension(s))
         assert (np.abs(x - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle))).all()
 
         def message(fn):
@@ -260,18 +285,18 @@ class TestFeaturize:
                 fn()
             return str(err.value)
 
-        past_end = SubSequenceSpec(frames - 1, 2)
-        assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, specs + [past_end],
+        past_end = (frames - 1, 2)
+        assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, pairs + [past_end],
                                               length, s)) == \
-            message(lambda: featurize_prepared(prepared, past_end, length, s))
+            message(lambda: featurize_prepared(prepared, *past_end, length, s))
         too_big = min(length, h, w) + 1
-        assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, specs, length,
+        assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, spans, length,
                                               too_big)) == \
-            message(lambda: featurize_prepared(prepared, specs[0], length, too_big))
+            message(lambda: featurize_prepared(prepared, *pairs[0], length, too_big))
         # a window past the end that comes first is reported before a bad mask size
-        assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, [past_end] + specs,
+        assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, [past_end] + pairs,
                                               length, too_big)) == \
-            message(lambda: featurize_prepared(prepared, past_end, length, too_big))
+            message(lambda: featurize_prepared(prepared, *past_end, length, too_big))
 
 
 class TestStandardization:

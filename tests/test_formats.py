@@ -98,10 +98,10 @@ class TestRoiFile:
         assert loaded.data.dtype == np.float32
         widened = RoiVolume(data=data.astype(np.float32).astype(float), channels=CHANNEL_NAMES,
                             scale=1.0)
-        specs = enumerate_subsequences(12, 2, 7)
+        spans = enumerate_subsequences(12, range(2, 8))
         for channel in ("lum", "blue"):
-            assert np.array_equal(featurize_many(loaded, channel, 60.0, 25.0, specs),
-                                  featurize_many(widened, channel, 60.0, 25.0, specs))
+            assert np.array_equal(featurize_many(loaded, channel, 60.0, 25.0, spans),
+                                  featurize_many(widened, channel, 60.0, 25.0, spans))
 
     def test_nonstandard_channel_count_rejected(self, tmp_path):
         roi = RoiVolume(data=np.zeros((2, 1, 2, 2)), channels=("red", "lum"), scale=1.0)
@@ -138,10 +138,8 @@ class TestTranscriptFile:
 
 class TestFeaturesCsv:
     def test_roundtrip_labeled(self, tmp_path):
-        from vsr3d.features import SubSequenceSpec
-
         x = np.random.default_rng(3).random((4, 11))
-        spans = [SubSequenceSpec(i, i + 1) for i in range(4)]
+        spans = np.array([(i, i + 1) for i in range(4)])
         labels = ["a", "b", "a", "c"]
         path = tmp_path / "f.csv"
         write_features_csv(x, spans, path, labels)
@@ -150,16 +148,16 @@ class TestFeaturesCsv:
         x2, labels2, spans2 = read_features_csv(path)
         assert np.array_equal(x2, x)  # repr() round-trips doubles exactly
         assert labels2 == labels
-        assert spans2 == [(s.start, s.duration) for s in spans]
+        assert spans2.dtype == np.intp and np.array_equal(spans2, spans)
 
     def test_roundtrip_unlabeled(self, tmp_path):
-        from vsr3d.features import SubSequenceSpec
-
         x = np.random.default_rng(4).random((2, 3))
+        spans = np.array([(0, 2), (1, 2)])
         path = tmp_path / "u.csv"
-        write_features_csv(x, [SubSequenceSpec(0, 2), SubSequenceSpec(1, 2)], path)
-        x2, labels2, _ = read_features_csv(path)
+        write_features_csv(x, spans, path)
+        x2, labels2, spans2 = read_features_csv(path)
         assert labels2 is None and np.array_equal(x2, x)
+        assert spans2.dtype == np.intp and np.array_equal(spans2, spans)
 
 
 class TestGridFile:
