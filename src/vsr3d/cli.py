@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,19 +39,16 @@ def _add_common(p: _Parser):
 
 def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
-    pairs = getattr(args, "overrides", [])
-    if pairs:
-        base = json.loads(cfg.to_json())
-        for pair in pairs:
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise VsrError(f"--set expects KEY=VALUE, got {pair!r}")
-            try:
-                base[key] = json.loads(value)
-            except json.JSONDecodeError:
-                base[key] = value
-        cfg = PipelineConfig.from_dict(base)
-    return cfg
+    overrides = {}
+    for pair in getattr(args, "overrides", []):
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise VsrError(f"--set expects KEY=VALUE, got {pair!r}")
+        try:
+            overrides[key] = json.loads(value)
+        except json.JSONDecodeError:
+            overrides[key] = value
+    return PipelineConfig.from_dict({**dataclasses.asdict(cfg), **overrides})
 
 
 def build_parser() -> _Parser:
@@ -325,8 +323,7 @@ def _bench_model(synth_cfg, cfg: PipelineConfig, tmp: Path):
     keep = [i for i, lab in enumerate(labels) if counts[lab] >= 2]
     x = x[keep]
     labels = [labels[i] for i in keep]
-    small = PipelineConfig.from_dict({**json.loads(cfg.to_json()),
-                                      "c_grid": [64.0], "gamma_grid": [2.0**-7]})
+    small = dataclasses.replace(cfg, c_grid=(64.0,), gamma_grid=(2.0**-7,))
     model, _ = train_from_features(x, labels, small)
     return model
 

@@ -1,18 +1,58 @@
 """Pipeline configuration with the optimized operating point as defaults.
 
 Config files are JSON objects whose keys match the PipelineConfig field
-names; unknown keys are rejected. CLI flags override file values.
+names; unknown keys are rejected. CLI flags override file values. Every
+value is checked once, by its declared type and range (ints integral,
+floats finite, grid entries positive, bools never numbers); a bad one
+raises VsrError naming its key.  A model's feature echo, its record of the
+feature settings it was trained with, is written and read back here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 
 from . import VsrError
 
 CHANNEL_NAMES = ("lum", "u", "ulum", "pseudo_hue", "red", "green", "blue")
+
+# model-file key -> PipelineConfig field of the feature echo
+FEATURE_ECHO = {"channel": "channel", "deltaTms": "delta_t_ms", "l": "uniform_length",
+                "s": "mask_size"}
+
+
+def _finite(value) -> float | None:
+    """value as a finite float, or None; bools are not numbers."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return float(value) if ok and abs(value) <= sys.float_info.max else None
+
+
+def _as_float(name: str, value) -> float:
+    if (v := _finite(value)) is None:
+        raise VsrError(f"{name} must be a finite number, got {value!r}")
+    return v
+
+
+def _as_int(name: str, value) -> int:
+    if (v := _finite(value)) is None or not v.is_integer():
+        raise VsrError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_grid(name: str, value) -> tuple[float, ...]:
+    grid = tuple(map(_finite, value)) if isinstance(value, (list, tuple)) else ()
+    if not grid or not all(v is not None and v > 0 for v in grid):
+        raise VsrError(f"{name} must be a non-empty list of positive numbers, got {value!r}")
+    return grid
+
+
+# declared field type (a string: annotations are postponed) -> checked value
+_CONVERT = {"int": _as_int, "float": _as_float, "tuple[float, ...]": _as_grid,
+            "str": lambda name, value: value}
 
 
 @dataclass
@@ -35,20 +75,21 @@ class PipelineConfig:
     cv_fraction: float = 0.2
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _CONVERT[f.type](f.name, getattr(self, f.name)))
         if self.channel not in CHANNEL_NAMES:
             raise VsrError(f"unknown channel {self.channel!r}; choose from {CHANNEL_NAMES}")
-        if self.fps <= 0:
-            raise VsrError("fps must be positive")
+        for name in ("fps", "svm_tolerance"):
+            if getattr(self, name) <= 0:
+                raise VsrError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, lo in (("delta_t_ms", 0), ("uniform_length", 2), ("mask_size", 1),
+                         ("roi_width", 1), ("roi_height", 1), ("svm_max_passes", 1)):
+            if getattr(self, name) < lo:
+                raise VsrError(f"{name} must be >= {lo}, got {getattr(self, name)}")
         if not (1 <= self.min_duration <= self.max_duration):
             raise VsrError("need 1 <= min_duration <= max_duration")
         if not (1 <= self.biphone_min_duration <= self.biphone_max_duration):
             raise VsrError("need 1 <= biphone_min_duration <= biphone_max_duration")
-        if self.uniform_length < 2:
-            raise VsrError("uniform_length must be >= 2")
-        if self.mask_size < 1:
-            raise VsrError("mask_size must be >= 1")
-        if not self.c_grid or not self.gamma_grid:
-            raise VsrError("hyperparameter grids must be non-empty")
         if not 0.0 < self.cv_fraction < 1.0:
             raise VsrError("cv_fraction must be in (0, 1)")
 
@@ -60,10 +101,7 @@ class PipelineConfig:
         raise VsrError(f"unknown sample kind {kind!r}")
 
     def to_json(self) -> str:
-        d = dataclasses.asdict(self)
-        d["c_grid"] = list(self.c_grid)
-        d["gamma_grid"] = list(self.gamma_grid)
-        return json.dumps(d, indent=2)
+        return json.dumps(dataclasses.asdict(self), indent=2)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -71,18 +109,22 @@ class PipelineConfig:
         bad = set(d) - known
         if bad:
             raise VsrError(f"unknown config keys: {sorted(bad)}")
-        clean = dict(d)
-        for k in ("c_grid", "gamma_grid"):
-            if k in clean:
-                grid = clean[k]
-                if not isinstance(grid, (list, tuple)) or any(type(v) not in (int, float)
-                                                              for v in grid):
-                    raise VsrError(f"{k} must be a list of numbers, got {grid!r}")
-                clean[k] = tuple(float(v) for v in grid)
+        return cls(**d)
+
+    def feature_echo(self) -> dict:
+        """The feature settings a trained model records, under its file's keys."""
+        return {key: getattr(self, name) for key, name in FEATURE_ECHO.items()}
+
+    @classmethod
+    def from_feature_echo(cls, echo) -> "PipelineConfig":
+        """A checked config holding a model's recorded feature settings; keys
+        the echo leaves out keep their defaults."""
+        if not isinstance(echo, dict):
+            raise VsrError("config must be a JSON object")
         try:
-            return cls(**clean)
-        except TypeError as e:
-            raise VsrError(f"malformed config: {e}") from e
+            return cls(**{name: echo[key] for key, name in FEATURE_ECHO.items() if key in echo})
+        except VsrError as e:
+            raise VsrError(f"config: {e}") from None
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":

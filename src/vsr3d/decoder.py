@@ -23,6 +23,7 @@ from math import ceil
 import numpy as np
 
 from . import VsrError
+from .config import PipelineConfig
 from .features import enumerate_subsequences, featurize_many
 from .segmentation import RoiVolume
 from .svm import MultiClassModel, predict_probability_matrix
@@ -52,10 +53,9 @@ class ProbabilityGrid:
 
 
 def _feature_echo(model: MultiClassModel) -> tuple:
-    """(channel, delta_t_ms, length, s) a model was trained on."""
-    cfgd = model.config
-    return (cfgd.get("channel", "red"), float(cfgd.get("deltaTms", 30.0)),
-            int(cfgd.get("l", 10)), int(cfgd.get("s", 3)))
+    """(channel, delta_t_ms, uniform_length, mask_size) a model was trained on."""
+    cfg = PipelineConfig.from_feature_echo(model.config)
+    return cfg.channel, cfg.delta_t_ms, cfg.uniform_length, cfg.mask_size
 
 
 def build_probability_grid(roi: RoiVolume, inventories, fps: float) -> ProbabilityGrid:

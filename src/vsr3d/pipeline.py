@@ -16,7 +16,7 @@ from .segmentation import (MouthKeypoints, RoiVolume, SymmetryLine, VideoSequenc
                            cropped_to_original, detect_inner_lower_lip, detect_mouth_corners,
                            build_min_luminance_line, extract_roi, find_symmetry_lines,
                            prepare_frames)
-from .svm import MultiClassModel, TrainConfig, train_multiclass
+from .svm import MultiClassModel, train_multiclass
 
 
 @dataclass
@@ -76,16 +76,7 @@ def collect_labeled_features(video_dirs, kind: str, cfg: PipelineConfig):
 
 
 def train_from_features(x: np.ndarray, labels, cfg: PipelineConfig):
-    tc = TrainConfig(c_grid=cfg.c_grid, gamma_grid=cfg.gamma_grid,
-                     tolerance=cfg.svm_tolerance, max_passes=cfg.svm_max_passes)
-    feature_config = {
-        "channel": cfg.channel,
-        "deltaTms": cfg.delta_t_ms,
-        "l": cfg.uniform_length,
-        "s": cfg.mask_size,
-    }
-    return train_multiclass(x, labels, tc, cv_split=cfg.cv_fraction,
-                            feature_config=feature_config)
+    return train_multiclass(x, labels, cfg)
 
 
 def decode_roi(roi: RoiVolume, model: MultiClassModel, cfg: PipelineConfig,

@@ -14,6 +14,9 @@ with the classes' dual coefficients summed into a (rows, classes) matrix:
 one kernel per gamma over the distinct support vectors and one matmul give
 every class's decision value.  The per-model `decision_values` is what
 training uses and what the tests compare against.
+
+Training reads its grids, SMO stop and CV fraction from a PipelineConfig;
+the model records that config's feature echo.
 """
 
 from __future__ import annotations
@@ -27,24 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from . import VsrError
-from .config import CHANNEL_NAMES
+from .config import FEATURE_ECHO, PipelineConfig
 from .features import StandardizationStats, fit_standardization, standardize
-
-
-@dataclass
-class TrainConfig:
-    c_grid: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0, 256.0)
-    gamma_grid: tuple[float, ...] = (2.0**-9, 2.0**-7, 2.0**-5, 2.0**-3)
-    tolerance: float = 1e-3   # SMO stops once its KKT gap is at most this
-    max_passes: int = 200     # SMO budget: max_passes * n pair updates, then a warning
-
-    def __post_init__(self):
-        if not self.c_grid or not self.gamma_grid:
-            raise VsrError("hyperparameter grids must be non-empty")
-        if self.tolerance <= 0:
-            raise VsrError("tolerance must be positive")
-        if self.max_passes < 1:
-            raise VsrError("max_passes must be >= 1")
 
 
 @dataclass
@@ -191,24 +178,25 @@ def dual_objective(kernel: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> floa
 
 
 def train_binary_smo(x: np.ndarray, y: np.ndarray, c: float, gamma: float,
-                     cfg: TrainConfig | None = None, kernel: np.ndarray | None = None,
+                     cfg: PipelineConfig | None = None, kernel: np.ndarray | None = None,
                      on_step=None) -> BinarySvmModel:
     """Train one soft-margin binary SVM; y must be +-1 with both labels
     present.  `kernel` may pass a precomputed RBF Gram matrix.  `on_step`
     (if given) is called with the solver state after every pair update.
-    Warns (RuntimeWarning) when cfg.max_passes * n updates do not bring the
-    KKT gap down to cfg.tolerance; the model is then returned as it stands.
+    Warns (RuntimeWarning) when cfg.svm_max_passes * n updates do not bring
+    the KKT gap down to cfg.svm_tolerance (defaults when cfg is None); the
+    model is then returned as it stands.
     """
-    cfg = cfg or TrainConfig()
+    cfg = cfg or PipelineConfig()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise VsrError("binary training needs at least one example of each label")
     if kernel is None:
         kernel = rbf_kernel_matrix(x, x, gamma)
-    state = _SmoState(kernel, y, c, cfg.tolerance)
+    state = _SmoState(kernel, y, c, cfg.svm_tolerance)
     state.on_step = on_step
-    state.run(cfg.max_passes * len(y))
+    state.run(cfg.svm_max_passes * len(y))
     mask = state.alpha > 1e-12
     if not mask.any():
         raise VsrError("SMO produced no support vectors")
@@ -232,6 +220,11 @@ def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
     """Decision function over the rows of x."""
     k = rbf_kernel_matrix(np.asarray(x, dtype=float), model.support_vectors, model.gamma)
     return k @ model.dual_coef + model.bias
+
+
+def _sigmoid_of_negative(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(z)) without overflow."""
+    return np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
 
 
 def fit_platt(scores, labels) -> tuple[float, float]:
@@ -262,7 +255,7 @@ def fit_platt(scores, labels) -> tuple[float, float]:
     sigma = 1e-12
     for _ in range(100):
         z = a * f + b
-        p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+        p = _sigmoid_of_negative(z)
         d1 = t - p
         d2 = p * (1.0 - p)
         g1 = float(np.sum(f * d1))
@@ -287,11 +280,6 @@ def fit_platt(scores, labels) -> tuple[float, float]:
         else:
             break
     return a, b
-
-
-def _sigmoid_of_negative(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(z)) without overflow."""
-    return np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
 
 
 def platt_probability(model: BinarySvmModel, score) -> np.ndarray:
@@ -328,14 +316,14 @@ def _class_order(labels) -> list[str]:
     return list(seen)
 
 
-def train_multiclass(x: np.ndarray, labels, cfg: TrainConfig,
-                     cv_split: float = 0.2, feature_config: dict | None = None):
-    """One-vs-rest training with grid-searched (C, gamma).
+def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
+    """One-vs-rest training with (C, gamma) grid-searched over cfg's grids.
 
-    The first floor(cv_split * n_c) samples of each class (in stable input
-    order) form the cross-validation set; standardization is fitted on the
-    remaining training portion only.  The grid point with the best top-1
+    The first floor(cfg.cv_fraction * n_c) samples of each class (in stable
+    input order) form the cross-validation set; standardization is fitted on
+    the remaining training portion only.  The grid point with the best top-1
     cross-validation accuracy wins (ties to smaller C, then smaller gamma).
+    The model's config is cfg's feature echo plus the chosen C and gamma.
     Returns (MultiClassModel, report) where report lists every grid point.
     """
     x = np.asarray(x, dtype=float)
@@ -350,7 +338,7 @@ def train_multiclass(x: np.ndarray, labels, cfg: TrainConfig,
         idx = [i for i, l in enumerate(labels) if l == lab]
         if len(idx) < 2:
             raise VsrError(f"class {lab!r} has fewer than 2 samples")
-        n_cv = int(cv_split * len(idx))
+        n_cv = int(cfg.cv_fraction * len(idx))
         cv_idx.extend(idx[:n_cv])
         train_idx.extend(idx[n_cv:])
     cv_idx.sort()
@@ -411,8 +399,7 @@ def train_multiclass(x: np.ndarray, labels, cfg: TrainConfig,
             if best is None or acc > best[0]:
                 best = (acc, c, gamma, models)
     _, c_best, gamma_best, models = best
-    echo = dict(feature_config or {})
-    echo.update({"C": c_best, "gamma": gamma_best})
+    echo = {**cfg.feature_echo(), "C": c_best, "gamma": gamma_best}
     model = MultiClassModel(class_labels=class_labels, models=models, stats=stats, config=echo)
     return model, {"grid": report, "chosen": {"C": c_best, "gamma": gamma_best},
                    "cv_samples": len(y_cv), "train_samples": len(y_train)}
@@ -435,7 +422,7 @@ def save_model(model: MultiClassModel, path):
     doc = {
         "version": 1,
         "classLabels": model.class_labels,
-        "config": {k: model.config[k] for k in ("channel", "deltaTms", "l", "s", "C", "gamma")
+        "config": {k: model.config[k] for k in (*FEATURE_ECHO, "C", "gamma")
                    if model.config.get(k) is not None},
         "stats": {"mean": model.stats.mean.tolist(), "std": model.stats.std.tolist()},
         "models": [
@@ -481,24 +468,6 @@ def _finite_array(value, ndim: int, what: str) -> np.ndarray:
     return a
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_feature_echo(config: dict):
-    """The decoder featurizes with these keys of the config echo, so each
-    one that is present must hold a usable value."""
-    if config.get("channel", CHANNEL_NAMES[0]) not in CHANNEL_NAMES:
-        raise VsrError(f"config.channel must be one of {', '.join(CHANNEL_NAMES)}")
-    dt = config.get("deltaTms", 0.0)
-    if not (_is_number(dt) and 0 <= dt < math.inf):
-        raise VsrError("config.deltaTms must be a finite number >= 0")
-    for key, lo in (("l", 2), ("s", 1)):
-        v = config.get(key, lo)
-        if not (_is_number(v) and v >= lo and v % 1 == 0):
-            raise VsrError(f"config.{key} must be an integer >= {lo}")
-
-
 def _model_from_doc(doc) -> MultiClassModel:
     """A model checked for finite numbers and consistent shapes, so that a
     corrupt file fails here rather than deep inside prediction."""
@@ -525,8 +494,6 @@ def _model_from_doc(doc) -> MultiClassModel:
         models.append(BinarySvmModel(support_vectors=sv, dual_coef=alphas, bias=bias,
                                      gamma=gamma, platt_a=platt_a, platt_b=platt_b))
     config = doc.get("config") or {}
-    if not isinstance(config, dict):
-        raise VsrError("config must be a JSON object")
-    _check_feature_echo(config)
+    PipelineConfig.from_feature_echo(config)   # the decoder featurizes with it
     return MultiClassModel(class_labels=labels, models=models,
                            stats=StandardizationStats(mean=mean, std=std), config=dict(config))

@@ -27,7 +27,7 @@ from vsr3d.features import Transcript, TranscriptEntry
 from vsr3d.fixtures import Rng, SynthConfig, corpus_sentence, derive_seed, synth_sentence
 from vsr3d.pipeline import decode_roi, segment_video, train_from_features
 from vsr3d.segmentation import viterbi_generic
-from vsr3d.svm import TrainConfig, decision_values, train_binary_smo
+from vsr3d.svm import decision_values, train_binary_smo
 
 SEED = 42
 
@@ -237,7 +237,7 @@ def test_criterion_04_decoder_oracle():
 
 def test_criterion_05_smo_correctness():
     rng = np.random.default_rng(105)
-    cfg = TrainConfig(tolerance=1e-3, max_passes=500)
+    cfg = PipelineConfig(svm_tolerance=1e-3, svm_max_passes=500)
     kkt_ok = True
     sum_ok = True
     for _ in range(20):
@@ -258,11 +258,11 @@ def test_criterion_05_smo_correctness():
         for i in range(n):
             margin = y[i] * f[i]
             if alphas[i] < 1e-9:
-                kkt_ok &= margin >= 1.0 - cfg.tolerance - 1e-9
+                kkt_ok &= margin >= 1.0 - cfg.svm_tolerance - 1e-9
             elif alphas[i] > c - 1e-9:
-                kkt_ok &= margin <= 1.0 + cfg.tolerance + 1e-9
+                kkt_ok &= margin <= 1.0 + cfg.svm_tolerance + 1e-9
             else:
-                kkt_ok &= abs(margin - 1.0) <= cfg.tolerance + 1e-9
+                kkt_ok &= abs(margin - 1.0) <= cfg.svm_tolerance + 1e-9
 
     xs = np.vstack([rng.normal((-1, -1), 0.3, (25, 2)), rng.normal((1, 1), 0.3, (25, 2))])
     ys = np.array([-1.0] * 25 + [1.0] * 25)

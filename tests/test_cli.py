@@ -277,15 +277,33 @@ class TestMalformedTextInput:
         (_eval_on(b"A 0 40\n\xc3\x89 40 80\n"), "ref.txt"),
         (_config({"c_grid": 5}), "c_grid"),
         (_config({"gamma_grid": ["a"]}), "gamma_grid"),
+        (_config({"gamma_grid": [0]}), "gamma_grid"),
+        (_config({"c_grid": [-4]}), "c_grid"),
+        (_config({"fps": float("nan")}), "fps"),
+        (_config({"mask_size": 1.5}), "mask_size"),
+        (_config({"mask_size": True}), "mask_size"),
+        (_config({"roi_width": -3}), "roi_width"),
+        (_config({"svm_max_passes": 1.5}), "svm_max_passes"),
+        (_config({"delta_t_ms": -1}), "delta_t_ms"),
     ], ids=["manifest-fps", "manifest-frames", "frame-sizes-differ", "features-start",
             "features-duration", "features-value", "features-nan", "features-inf",
             "features-negative-start", "features-zero-duration",
             "features-non-ascii", "transcript-non-ascii", "config-grid-number",
-            "config-grid-strings"])
+            "config-grid-strings", "config-gamma-zero", "config-c-negative", "config-fps-nan",
+            "config-mask-fractional", "config-mask-bool", "config-roi-width-negative",
+            "config-passes-fractional", "config-delta-t-negative"])
     def test_one_line_error(self, tmp_path, capsys, argv, names):
         args = argv(tmp_path)
         err = assert_one_line_data_error(run_cli(*args), capsys, args[0])
-        assert names in err
+        # the directory name is derived from the test id, so it may hold the key
+        assert names in err.replace(str(tmp_path), "<tmp>")
+
+    def test_bad_set_value_writes_no_model(self, tmp_path, capsys):
+        args = _train_on(TRAINABLE_CSV)(tmp_path)
+        err = assert_one_line_data_error(run_cli(*args, "--set", "gamma_grid=[0]"), capsys,
+                                         "train")
+        assert "gamma_grid" in err
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestMalformedBinaryFiles:

@@ -1,9 +1,21 @@
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsr3d import VsrError
 from vsr3d.config import PipelineConfig
+
+FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)]
+INT_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig) if f.type == "int"]
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig) if f.type == "float"]
+
+json_scalars = st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=4),
+                         st.none(), st.sampled_from([0, 1, 2, 3, 0.5, 1.5, 2.0, -1, "lum"]))
+json_values = st.one_of(json_scalars, st.lists(json_scalars, max_size=3))
 
 
 class TestDefaults:
@@ -87,3 +99,31 @@ class TestRoundTrip:
         arr.write_text("[1,2]")
         with pytest.raises(VsrError):
             PipelineConfig.load(arr)
+
+
+class TestValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(FIELDS), value=json_values)
+    def test_any_json_value_is_rejected_or_normalized(self, field, value):
+        try:
+            cfg = PipelineConfig.from_dict({field: value})
+        except VsrError:
+            return
+        for name in INT_FIELDS:
+            assert type(getattr(cfg, name)) is int, name
+        for name in FLOAT_FIELDS:
+            v = getattr(cfg, name)
+            assert type(v) is float and math.isfinite(v), name
+        for grid in (cfg.c_grid, cfg.gamma_grid):
+            assert type(grid) is tuple and grid
+            assert all(type(v) is float and math.isfinite(v) and v > 0 for v in grid)
+        assert PipelineConfig.from_dict(json.loads(cfg.to_json())) == cfg
+
+    @pytest.mark.parametrize("field, value", [
+        ("c_grid", [1.0, math.inf]), ("gamma_grid", []), ("gamma_grid", [True]),
+        ("fps", True), ("mask_size", "3"), ("roi_height", 0), ("svm_tolerance", 0.0),
+        ("delta_t_ms", math.inf), ("uniform_length", None),
+    ])
+    def test_bad_value_names_its_key(self, field, value):
+        with pytest.raises(VsrError, match=field):
+            PipelineConfig.from_dict({field: value})

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsr3d import VsrError
+from vsr3d.config import PipelineConfig
 from vsr3d.features import StandardizationStats
-from vsr3d.svm import (BinarySvmModel, MultiClassModel, TrainConfig, decision_value,
+from vsr3d.svm import (BinarySvmModel, MultiClassModel, decision_value,
                        decision_values, dual_objective, fit_platt, load_model, platt_probability,
                        predict_probabilities, predict_probability_matrix, rbf_kernel,
                        rbf_kernel_matrix, save_model, train_binary_smo, train_multiclass)
@@ -114,7 +115,7 @@ class TestBinarySmo:
 
     def test_kkt_on_random_training_sets(self):
         rng = np.random.default_rng(2)
-        cfg = TrainConfig(tolerance=1e-3, max_passes=500)
+        cfg = PipelineConfig(svm_tolerance=1e-3, svm_max_passes=500)
         for trial in range(20):
             n = int(rng.integers(6, 25))
             x = rng.random((n, 3))
@@ -124,7 +125,7 @@ class TestBinarySmo:
             c = float(rng.choice([1.0, 8.0, 64.0]))
             gamma = float(rng.choice([0.25, 1.0, 4.0]))
             model = train_binary_smo(x, y, c, gamma, cfg)
-            assert kkt_violation(model, x, y, c, cfg.tolerance) <= 1e-6, f"trial {trial}"
+            assert kkt_violation(model, x, y, c, cfg.svm_tolerance) <= 1e-6, f"trial {trial}"
 
     def test_separable_2d_perfect_accuracy(self):
         rng = np.random.default_rng(3)
@@ -152,8 +153,8 @@ class TestBinarySmo:
             train_binary_smo(np.random.default_rng(5).random((5, 2)), np.ones(5), 1.0, 1.0)
 
     def test_zero_budget_rejected(self):
-        with pytest.raises(VsrError, match="max_passes"):
-            TrainConfig(max_passes=0)
+        with pytest.raises(VsrError, match="svm_max_passes"):
+            PipelineConfig(svm_max_passes=0)
 
     def test_reproducible(self):
         rng = np.random.default_rng(6)
@@ -179,7 +180,7 @@ class TestSolverStop:
     def test_budget_hit_warns_and_returns_a_model(self):
         x, y, _ = overlapping_problem()
         with pytest.warns(RuntimeWarning, match=r"budget of 60 pair updates with KKT gap"):
-            model = train_binary_smo(x, y, 64.0, 0.5, TrainConfig(max_passes=1))
+            model = train_binary_smo(x, y, 64.0, 0.5, PipelineConfig(svm_max_passes=1))
         assert len(model.dual_coef) > 0 and np.isfinite(model.bias)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -188,7 +189,7 @@ class TestSolverStop:
         x, y, _ = overlapping_problem()
         kernel = rbf_kernel_matrix(x, x, 0.5)
         states = []
-        cfg = TrainConfig(tolerance=1e-3)
+        cfg = PipelineConfig(svm_tolerance=1e-3)
         train_binary_smo(x, y, c, 0.5, cfg, kernel=kernel, on_step=states.append)
         alpha = states[-1].alpha
         assert alpha.min() >= 0.0 and alpha.max() <= c
@@ -196,7 +197,7 @@ class TestSolverStop:
         up = np.where(y > 0, alpha < c, alpha > 0)
         low = np.where(y > 0, alpha > 0, alpha < c)
         gap = v[up].max() - v[low].min()
-        assert gap <= cfg.tolerance
+        assert gap <= cfg.svm_tolerance
         assert states[-1].gap == pytest.approx(gap, abs=1e-12)
 
     @pytest.mark.parametrize("c", [4.0, 64.0])
@@ -289,7 +290,7 @@ class TestMulticlass:
     def test_separable_blobs_reach_full_cv_accuracy(self):
         rng = np.random.default_rng(10)
         x, labels = blobs(rng, [(0, 0), (3, 0), (0, 3)], 20)
-        cfg = TrainConfig(c_grid=(64.0,), gamma_grid=(2.0**-3, 0.5))
+        cfg = PipelineConfig(c_grid=(64.0,), gamma_grid=(2.0**-3, 0.5))
         model, report = train_multiclass(x, labels, cfg)
         assert max(r["cv_accuracy"] for r in report["grid"]) == 1.0
         assert model.class_labels == ["class0", "class1", "class2"]
@@ -297,7 +298,7 @@ class TestMulticlass:
     def test_training_point_gets_highest_probability(self):
         rng = np.random.default_rng(11)
         x, labels = blobs(rng, [(0, 0), (4, 0), (0, 4)], 15)
-        cfg = TrainConfig(c_grid=(64.0,), gamma_grid=(0.25,))
+        cfg = PipelineConfig(c_grid=(64.0,), gamma_grid=(0.25,))
         model, _ = train_multiclass(x, labels, cfg)
         probe = np.array([4.0, 0.0])
         probs = predict_probabilities(model, probe)
@@ -307,7 +308,7 @@ class TestMulticlass:
     def test_published_operating_point_selected_from_singleton_grid(self):
         rng = np.random.default_rng(12)
         x, labels = blobs(rng, [(0, 0), (2, 2)], 10)
-        cfg = TrainConfig(c_grid=(64.0,), gamma_grid=(2.0**-7,))
+        cfg = PipelineConfig(c_grid=(64.0,), gamma_grid=(2.0**-7,))
         model, report = train_multiclass(x, labels, cfg)
         assert report["chosen"] == {"C": 64.0, "gamma": 2.0**-7}
         assert model.config["C"] == 64.0 and model.config["gamma"] == 2.0**-7
@@ -315,14 +316,14 @@ class TestMulticlass:
     def test_tie_break_prefers_smaller_c_then_gamma(self):
         rng = np.random.default_rng(13)
         x, labels = blobs(rng, [(0, 0), (5, 5)], 12)  # trivially separable: all points tie
-        cfg = TrainConfig(c_grid=(4.0, 1.0), gamma_grid=(0.5, 0.125))
+        cfg = PipelineConfig(c_grid=(4.0, 1.0), gamma_grid=(0.5, 0.125))
         _, report = train_multiclass(x, labels, cfg)
         assert report["chosen"] == {"C": 1.0, "gamma": 0.125}
 
     def test_reproducible(self):
         rng = np.random.default_rng(14)
         x, labels = blobs(rng, [(0, 0), (3, 1)], 10)
-        cfg = TrainConfig(c_grid=(8.0,), gamma_grid=(0.5,))
+        cfg = PipelineConfig(c_grid=(8.0,), gamma_grid=(0.5,))
         m1, _ = train_multiclass(x, labels, cfg)
         m2, _ = train_multiclass(x, labels, cfg)
         for a, b in zip(m1.models, m2.models):
@@ -332,12 +333,12 @@ class TestMulticlass:
     def test_small_class_rejected(self):
         x = np.random.default_rng(15).random((5, 2))
         with pytest.raises(VsrError, match="lonely"):
-            train_multiclass(x, ["a", "a", "a", "a", "lonely"], TrainConfig())
+            train_multiclass(x, ["a", "a", "a", "a", "lonely"], PipelineConfig())
 
     def test_within_class_permutation_keeps_selection(self):
         rng = np.random.default_rng(18)
         x, labels = blobs(rng, [(0, 0), (3, 0), (0, 3)], 15)
-        cfg = TrainConfig(c_grid=(4.0, 64.0), gamma_grid=(0.125, 0.5))
+        cfg = PipelineConfig(c_grid=(4.0, 64.0), gamma_grid=(0.125, 0.5))
         _, base = train_multiclass(x, labels, cfg)
         # reverse each class's samples in place (class membership unchanged)
         perm = np.arange(len(labels))
@@ -351,7 +352,7 @@ class TestMulticlass:
         rng = np.random.default_rng(16)
         x, _ = blobs(rng, [(0, 0), (3, 3)], 6)
         labels = ["zebra"] * 6 + ["apple"] * 6
-        model, _ = train_multiclass(x, labels, TrainConfig(c_grid=(4.0,), gamma_grid=(0.5,)))
+        model, _ = train_multiclass(x, labels, PipelineConfig(c_grid=(4.0,), gamma_grid=(0.5,)))
         assert model.class_labels == ["zebra", "apple"]
 
 
@@ -402,9 +403,9 @@ class TestModelIo:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(17)
         x, labels = blobs(rng, [(0, 0), (3, 0)], 8)
-        cfg = TrainConfig(c_grid=(16.0,), gamma_grid=(0.25,))
-        model, _ = train_multiclass(x, labels, cfg, feature_config={
-            "channel": "red", "deltaTms": 30.0, "l": 10, "s": 3})
+        cfg = PipelineConfig(channel="red", delta_t_ms=30.0, uniform_length=10, mask_size=3,
+                             c_grid=(16.0,), gamma_grid=(0.25,))
+        model, _ = train_multiclass(x, labels, cfg)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
