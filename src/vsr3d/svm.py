@@ -7,6 +7,12 @@ and second-order gain, breaking ties (up to roundoff) to the smallest index,
 and stops on the KKT gap.  Identical inputs give bit-identical models, and
 last-digit changes of the input move the model only by roundoff.
 
+All one-vs-rest problems of a (C, gamma) grid point are solved in lockstep
+on one kernel matrix: each class on every training row and, for its sigmoid,
+on the rest of each of three folds, the held-out rows fixed at alpha = 0 and
+masked out of the working set.  A problem stops at its own KKT gap or budget,
+and follows bit for bit the path it would take solved alone.
+
 Prediction scores every class at once.  The one-vs-rest models of one
 training run share their gamma, and their support vectors are rows of the
 same training matrix, so each distinct row is stored once (as LIBSVM does)
@@ -86,15 +92,6 @@ class MultiClassModel:
         return _kernel_tables(self.models)
 
 
-def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise VsrError(f"kernel dimension mismatch: {x.shape} vs {y.shape}")
-    d = x - y
-    return math.exp(-gamma * float(d @ d))
-
-
 def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * ||a_i - b_j||^2) for all pairs."""
     a = np.asarray(a, dtype=float)
@@ -106,75 +103,166 @@ def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 
 
 class _SmoState:
-    """SMO on a precomputed kernel matrix with second-order working-set
-    selection (WSS2; Fan, Chen & Lin 2005, JMLR 6:1889-1918).
+    """SMO for P problems on one precomputed kernel matrix, solved in
+    lockstep with second-order working-set selection (WSS2; Fan, Chen & Lin
+    2005, JMLR 6:1889-1918).
 
-    `v` holds -y_t * G_t for the gradient G of the dual (to be minimized),
-    that is y_t - sum_s alpha_s y_s K_ts.  Each step takes the maximal
-    violator i = argmax v over I_up and the partner j in I_low of largest
-    second-order gain b^2 / a, moves the pair analytically and clips it
-    into the box [0, C].  The loop stops once the KKT gap
-    max_up(v) - min_low(v) is at most `tol`, or at `max_iter` updates with
-    a RuntimeWarning.
+    Problem p trains on the rows where `member[p]` holds, with labels `y[p]`
+    (+-1).  Its other rows keep alpha = 0 and are never in I_up or I_low, so
+    a problem on a subset of the rows (a cross-validation fold) runs on the
+    full kernel.  Each problem's v holds -y * G for the gradient G of its
+    dual (to be minimized), that is y_t - sum_s alpha_s y_s K_ts.  Each step
+    takes, for every running problem at once, the maximal violator
+    i = argmax v over I_up and the partner j in I_low of largest second-order
+    gain b^2 / a, moves the pair analytically and clips it into the box
+    [0, C].  A problem stops once its KKT gap max_up(v) - min_low(v) is at
+    most `tol`, or at its own budget of pair updates; the others run on.
 
     An unclipped step leaves its pair with equal v, so later maxima tie up
     to roundoff; values within 1e-6 * tol of the maximum count as ties and
     go to the smallest index, which keeps the path (and the model) stable
-    under last-digit changes of the input.
+    under last-digit changes of the input.  Every operation is elementwise
+    within a problem or a row-wise max, min or argmax, so each problem takes
+    bit for bit the path it would take alone on its sliced kernel.
     """
 
-    def __init__(self, kernel: np.ndarray, y: np.ndarray, c: float, tol: float):
+    def __init__(self, kernel: np.ndarray, y: np.ndarray, member: np.ndarray, c: float,
+                 tol: float):
         self.K = kernel
-        self.y = y.astype(float)
+        self.y = np.asarray(y, dtype=float)            # (P, n)
+        self.member = np.asarray(member, dtype=bool)   # (P, n)
         self.C = float(c)
         self.tol = float(tol)
-        self.alpha = np.zeros(len(y))
-        self.v = self.y.copy()  # -y * G with all-zero alphas
-        self.b = 0.0
-        self.gap = math.inf
-        self.iterations = 0
-        self.on_step = None
+        self.alpha = np.zeros(self.y.shape)
+        self.b = np.zeros(len(self.y))
+        self.gap = np.full(len(self.y), math.inf)
+        self.iterations = np.zeros(len(self.y), dtype=np.int64)
 
-    def run(self, max_iter: int):
-        K, y, C, alpha, v = self.K, self.y, self.C, self.alpha, self.v
+    def run(self, budget, on_step=None):
+        """Solve every problem, problem p within budget[p] pair updates.
+        `on_step()`, if given, is called after every step, when `alpha` and
+        `gap` are current."""
+        K, C, tol = self.K, self.C, self.tol
         diag = np.diag(K)
-        pos = y > 0
-        tie = 1e-6 * self.tol
-        while True:
-            up = np.where(pos, alpha < C, alpha > 0.0)
-            low = np.where(pos, alpha > 0.0, alpha < C)
-            v_up = np.where(up, v, -np.inf)
-            v_max, v_min = v_up.max(), np.where(low, v, np.inf).min()
-            i = int(np.argmax(v_up >= v_max - tie))
-            self.gap = float(v_max - v_min)
-            if self.gap <= self.tol or self.iterations >= max_iter:
-                break
-            b = v[i] - v
-            a = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
-            j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -np.inf)))
+        # rows of `cols` are the columns of K (K itself when symmetric)
+        cols = K if np.array_equal(K, K.T) else np.ascontiguousarray(K.T)
+        tie = 1e-6 * tol
+        # the running problems' rows, compacted in place as problems stop,
+        # and three (P, n) scratch buffers, so a step allocates no (P, n) array
+        going = np.arange(len(self.y))
+        budget = np.asarray(budget)
+        iterations = np.zeros(len(going), dtype=np.int64)
+        alpha, v = np.zeros(self.y.shape), self.y.copy()  # v = -y * G at alpha = 0
+        pos = self.y > 0
+        up = np.where(pos, alpha < C, alpha > 0.0) & self.member
+        low = np.where(pos, alpha > 0.0, alpha < C) & self.member
+        work = np.empty((3,) + self.y.shape)
+        while going.size:
+            w, b, a = work[:, :len(going)]
+            np.copyto(w, -np.inf)
+            np.copyto(w, v, where=up)
+            v_max = w.max(axis=1)
+            i = np.argmax(w >= (v_max - tie)[:, None], axis=1)
+            np.copyto(w, np.inf)
+            np.copyto(w, v, where=low)
+            v_min = w.min(axis=1)
+            gap = v_max - v_min
+            self.gap[going] = gap
+            stop = (gap <= tol) | (iterations >= budget)
+            if stop.any():
+                self._finish(going[stop], alpha[stop], v[stop], iterations[stop],
+                             v_max[stop], v_min[stop])
+                keep = ~stop
+                going, budget, iterations, i = going[keep], budget[keep], iterations[keep], i[keep]
+                if not going.size:
+                    break
+                for arr in (alpha, v, up, low):
+                    arr[:len(going)] = arr[keep]
+                alpha, v, up, low = (arr[:len(going)] for arr in (alpha, v, up, low))
+                w, b, a = work[:, :len(going)]
+            # take(mode="clip") writes straight into `out` (the indices are
+            # in range); its default mode would gather into a temporary first
+            r = np.arange(len(going))
+            np.subtract(v[r, i][:, None], v, out=b)
+            np.add(diag[i][:, None], diag, out=a)
+            np.take(K, i, axis=0, out=w, mode="clip")
+            w *= 2.0
+            a -= w
+            np.maximum(a, 1e-12, out=a)
+            np.multiply(b, b, out=w)
+            w /= a
+            np.copyto(w, -np.inf, where=~(low & (b > 0.0)))
+            j = np.argmax(w, axis=1)
             # step t along alpha_i += y_i t, alpha_j -= y_j t; a clipped
             # variable is set exactly to its bound so it leaves I_up / I_low
-            lim_i = C - alpha[i] if pos[i] else alpha[i]
-            lim_j = alpha[j] if pos[j] else C - alpha[j]
-            t = min(b[j] / a[j], lim_i, lim_j)
-            new_i = (C if pos[i] else 0.0) if t == lim_i else alpha[i] + y[i] * t
-            new_j = (0.0 if pos[j] else C) if t == lim_j else alpha[j] - y[j] * t
-            v -= y[i] * (new_i - alpha[i]) * K[:, i] + y[j] * (new_j - alpha[j]) * K[:, j]
-            alpha[i], alpha[j] = new_i, new_j
-            self.iterations += 1
-            if self.on_step is not None:
-                self.on_step(self)
-        if self.gap > self.tol:
-            warnings.warn(f"SMO stopped at its budget of {self.iterations} pair updates "
-                          f"with KKT gap {self.gap:.3g} > tolerance {self.tol:g}",
-                          RuntimeWarning, stacklevel=3)
-        free = (alpha > 0.0) & (alpha < C)
-        self.b = float(v[free].mean()) if free.any() else 0.5 * float(v_max + v_min)
+            y_i, y_j = self.y[going, i], self.y[going, j]
+            old_i, old_j = alpha[r, i], alpha[r, j]
+            lim_i = np.where(y_i > 0, C - old_i, old_i)
+            lim_j = np.where(y_j > 0, old_j, C - old_j)
+            t = np.minimum(np.minimum(b[r, j] / a[r, j], lim_i), lim_j)
+            new_i = np.where(t == lim_i, np.where(y_i > 0, C, 0.0), old_i + y_i * t)
+            new_j = np.where(t == lim_j, np.where(y_j > 0, 0.0, C), old_j - y_j * t)
+            # v -= y_i d_i K[:, i] + y_j d_j K[:, j], summed before subtracting
+            np.take(cols, i, axis=0, out=w, mode="clip")
+            w *= (y_i * (new_i - old_i))[:, None]
+            np.take(cols, j, axis=0, out=a, mode="clip")
+            a *= (y_j * (new_j - old_j))[:, None]
+            w += a
+            v -= w
+            for k, new, y_k in ((i, new_i, y_i), (j, new_j, y_j)):
+                alpha[r, k] = new
+                up[r, k] = np.where(y_k > 0, new < C, new > 0.0)
+                low[r, k] = np.where(y_k > 0, new > 0.0, new < C)
+            iterations += 1
+            if on_step is not None:
+                self.alpha[going] = alpha
+                on_step()
+
+    def _finish(self, rows, alpha, v, iterations, v_max, v_min):
+        """Store stopped problems' results; the bias is the mean v over the
+        free support vectors, or the gap midpoint when none is free."""
+        self.alpha[rows], self.iterations[rows] = alpha, iterations
+        for p, al, vp, hi, lo in zip(rows, alpha, v, v_max, v_min):
+            free = (al > 0.0) & (al < self.C)
+            self.b[p] = float(vp[free].mean()) if free.any() else 0.5 * float(hi + lo)
+
+    def warn_if_stopped_early(self, p: int, stacklevel: int = 1):
+        """RuntimeWarning when problem p stopped at its budget, not its tolerance."""
+        if self.gap[p] > self.tol:
+            warnings.warn(f"SMO stopped at its budget of {int(self.iterations[p])} pair "
+                          f"updates with KKT gap {float(self.gap[p]):.3g} > tolerance "
+                          f"{self.tol:g}", RuntimeWarning, stacklevel=stacklevel + 1)
+
+    def counters(self) -> dict:
+        """Problem count, summed pair updates, budget hits and largest final gap."""
+        return {"smo_problems": len(self.gap), "smo_iterations": int(self.iterations.sum()),
+                "smo_budget_hits": int((self.gap > self.tol).sum()),
+                "smo_max_gap": float(self.gap.max(initial=0.0))}
 
 
-def dual_objective(kernel: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
-    ay = alpha * y
-    return float(alpha.sum() - 0.5 * ay @ kernel @ ay)
+class _Problem:
+    """One problem of a lockstep solve as `train_binary_smo`'s on_step
+    callback sees it: its own `y`, `alpha` and KKT `gap`."""
+
+    def __init__(self, state: _SmoState, p: int):
+        self._state, self._p = state, p
+
+    y = property(lambda self: self._state.y[self._p])
+    alpha = property(lambda self: self._state.alpha[self._p])
+    gap = property(lambda self: float(self._state.gap[self._p]))
+
+
+def _binary_model(state: _SmoState, p: int, x: np.ndarray, gamma: float,
+                  stacklevel: int) -> BinarySvmModel:
+    """Problem p of a finished solve as a model over its support vectors
+    (rows of x); warns first if the problem stopped at its budget."""
+    state.warn_if_stopped_early(p, stacklevel + 1)
+    alpha = state.alpha[p]
+    mask = alpha > 1e-12
+    if not mask.any():
+        raise VsrError("SMO produced no support vectors")
+    return BinarySvmModel(support_vectors=x[mask].copy(), dual_coef=(alpha * state.y[p])[mask],
+                          bias=float(state.b[p]), gamma=float(gamma))
 
 
 def train_binary_smo(x: np.ndarray, y: np.ndarray, c: float, gamma: float,
@@ -182,10 +270,11 @@ def train_binary_smo(x: np.ndarray, y: np.ndarray, c: float, gamma: float,
                      on_step=None) -> BinarySvmModel:
     """Train one soft-margin binary SVM; y must be +-1 with both labels
     present.  `kernel` may pass a precomputed RBF Gram matrix.  `on_step`
-    (if given) is called with the solver state after every pair update.
-    Warns (RuntimeWarning) when cfg.svm_max_passes * n updates do not bring
-    the KKT gap down to cfg.svm_tolerance (defaults when cfg is None); the
-    model is then returned as it stands.
+    (if given) is called after every pair update with one object whose `y`,
+    `alpha` and `gap` are the problem's, current then and when the solve
+    ends.  Warns (RuntimeWarning) when cfg.svm_max_passes * n updates do not
+    bring the KKT gap down to cfg.svm_tolerance (defaults when cfg is None);
+    the model is then returned as it stands.
     """
     cfg = cfg or PipelineConfig()
     x = np.asarray(x, dtype=float)
@@ -194,26 +283,10 @@ def train_binary_smo(x: np.ndarray, y: np.ndarray, c: float, gamma: float,
         raise VsrError("binary training needs at least one example of each label")
     if kernel is None:
         kernel = rbf_kernel_matrix(x, x, gamma)
-    state = _SmoState(kernel, y, c, cfg.svm_tolerance)
-    state.on_step = on_step
-    state.run(cfg.svm_max_passes * len(y))
-    mask = state.alpha > 1e-12
-    if not mask.any():
-        raise VsrError("SMO produced no support vectors")
-    return BinarySvmModel(
-        support_vectors=x[mask].copy(),
-        dual_coef=(state.alpha * y)[mask],
-        bias=state.b,
-        gamma=float(gamma),
-    )
-
-
-def decision_value(model: BinarySvmModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != model.support_vectors.shape[1]:
-        raise VsrError("feature dimension does not match the model")
-    k = rbf_kernel_matrix(model.support_vectors, x[None, :], model.gamma)[:, 0]
-    return float(model.dual_coef @ k + model.bias)
+    state = _SmoState(kernel, y[None], np.ones((1, len(y)), dtype=bool), c, cfg.svm_tolerance)
+    view = _Problem(state, 0)
+    state.run([cfg.svm_max_passes * len(y)], on_step and (lambda: on_step(view)))
+    return _binary_model(state, 0, x, gamma, stacklevel=2)
 
 
 def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
@@ -282,10 +355,6 @@ def fit_platt(scores, labels) -> tuple[float, float]:
     return a, b
 
 
-def platt_probability(model: BinarySvmModel, score) -> np.ndarray:
-    return _sigmoid_of_negative(model.platt_a * np.asarray(score, dtype=float) + model.platt_b)
-
-
 # Rows are scored in blocks whose kernel has at most this many cells (512 KiB
 # per float64 temporary), so scoring against the whole table of distinct
 # support vectors needs no larger temporaries than one class model's kernel.
@@ -324,7 +393,9 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     the remaining training portion only.  The grid point with the best top-1
     cross-validation accuracy wins (ties to smaller C, then smaller gamma).
     The model's config is cfg's feature echo plus the chosen C and gamma.
-    Returns (MultiClassModel, report) where report lists every grid point.
+    Returns (MultiClassModel, report) where report lists every grid point
+    with its CV accuracy and its solve's counters: `smo_problems`,
+    `smo_iterations` (summed), `smo_budget_hits` and `smo_max_gap`.
     """
     x = np.asarray(x, dtype=float)
     labels = list(labels)
@@ -349,38 +420,42 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     y_train = [labels[i] for i in train_idx]
     y_cv = [labels[i] for i in cv_idx]
 
-    # deterministic 3-fold split by index, the same for every class
+    # deterministic 3-fold split by index, the same for every class: a fold
+    # model trains on the rest and scores the held-out rows, so the sigmoid
+    # is fitted on decision values the SVM did not train on
     folds = np.arange(len(y_train)) % 3
+    rests = [folds != f for f in range(3)]
+    # class-major: each class on every row, then on each rest holding both labels
+    plan, problem_y, problem_member = [], [], []
+    for lab in class_labels:
+        y = np.where(np.array(y_train) == lab, 1.0, -1.0)
+        used = [f for f, rest in enumerate(rests) if (y[rest] > 0).any() and (y[rest] < 0).any()]
+        plan.append((y, used))
+        problem_y += [y] * (1 + len(used))
+        problem_member += [np.ones(len(y), dtype=bool)] + [rests[f] for f in used]
+    problem_y, problem_member = np.array(problem_y), np.array(problem_member)
 
-    def calibration_scores(fold_kernels: list[np.ndarray], y: np.ndarray, c: float,
-                           gamma: float):
-        """Out-of-fold decision values, so the sigmoid is fitted on scores
-        the SVM did not train on."""
-        scores = np.full(len(y), np.nan)
-        for f, rest_kernel in enumerate(fold_kernels):
-            hold = folds == f
-            y_rest = y[~hold]
-            if (y_rest > 0).sum() == 0 or (y_rest < 0).sum() == 0:
-                continue
-            sub = train_binary_smo(x_train[~hold], y_rest, c, gamma, cfg, kernel=rest_kernel)
-            scores[hold] = decision_values(sub, x_train[hold])
-        return scores
-
-    def train_point(c: float, gamma: float) -> list[BinarySvmModel]:
-        kernel = rbf_kernel_matrix(x_train, x_train, gamma)
-        fold_kernels = [kernel[np.ix_(folds != f, folds != f)] for f in range(3)]
+    def train_point(c: float, gamma: float) -> tuple[list[BinarySvmModel], dict]:
+        """The class models of one grid point, every problem solved in one
+        lockstep SMO on one kernel, and the solver's counters."""
+        state = _SmoState(rbf_kernel_matrix(x_train, x_train, gamma), problem_y, problem_member,
+                          c, cfg.svm_tolerance)
+        state.run(cfg.svm_max_passes * problem_member.sum(axis=1))
+        rows = iter(range(len(problem_y)))
         models = []
-        for lab in class_labels:
-            y = np.where(np.array(y_train) == lab, 1.0, -1.0)
-            m = train_binary_smo(x_train, y, c, gamma, cfg, kernel=kernel)
-            scores = calibration_scores(fold_kernels, y, c, gamma)
+        for y, used in plan:
+            m = _binary_model(state, next(rows), x_train, gamma, stacklevel=1)
+            scores = np.full(len(y), np.nan)
+            for f in used:
+                sub = _binary_model(state, next(rows), x_train, gamma, stacklevel=1)
+                scores[folds == f] = decision_values(sub, x_train[folds == f])
             have = ~np.isnan(scores)
             if have.any() and (y[have] > 0).any() and (y[have] < 0).any():
                 m.platt_a, m.platt_b = fit_platt(scores[have], y[have])
             else:
                 m.platt_a, m.platt_b = fit_platt(decision_values(m, x_train), y)
             models.append(m)
-        return models
+        return models, state.counters()
 
     def cv_accuracy(models: list[BinarySvmModel]) -> float:
         if len(y_cv) == 0:
@@ -393,9 +468,9 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     best = None
     for c in sorted(cfg.c_grid):
         for gamma in sorted(cfg.gamma_grid):
-            models = train_point(c, gamma)
+            models, counters = train_point(c, gamma)
             acc = cv_accuracy(models)
-            report.append({"C": c, "gamma": gamma, "cv_accuracy": acc})
+            report.append({"C": c, "gamma": gamma, "cv_accuracy": acc, **counters})
             if best is None or acc > best[0]:
                 best = (acc, c, gamma, models)
     _, c_best, gamma_best, models = best
@@ -403,12 +478,6 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     model = MultiClassModel(class_labels=class_labels, models=models, stats=stats, config=echo)
     return model, {"grid": report, "chosen": {"C": c_best, "gamma": gamma_best},
                    "cv_samples": len(y_cv), "train_samples": len(y_train)}
-
-
-def predict_probabilities(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
-    """Independent one-vs-rest calibrated probability per class for one
-    vector (deliberately not normalized to sum 1)."""
-    return predict_probability_matrix(model, np.asarray(x, dtype=float)[None])[0]
 
 
 def predict_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,31 @@ def _config(doc):
         path.write_text(json.dumps(doc))
         return ["segment", str(tmp_path), "--config", str(path), "--out", str(tmp_path / "seg")]
     return argv
+
+
+class TestTrainReport:
+    def test_budget_hits_match_the_warnings(self, tmp_path):
+        """Every SMO problem that stops at its budget warns once, and the
+        report's per-grid-point counters count the same problems."""
+        rng = np.random.default_rng(3)
+        rows = [f"{3 * i},3,{f0!r},{f1!r},{'ABC'[i % 3]}"
+                for i, (f0, f1) in enumerate(rng.normal(size=(36, 2)).tolist())]
+        features, report = tmp_path / "features.csv", tmp_path / "cv.json"
+        features.write_text("start,duration,f0,f1,label\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("train", "--features", str(features), "--out",
+                           str(tmp_path / "model.json"), "--report", str(report),
+                           "--set", "svm_max_passes=1") == 0
+        budget = [w for w in caught if issubclass(w.category, RuntimeWarning)
+                  and str(w.message).startswith("SMO stopped at its budget")]
+        grid = json.loads(report.read_text())["grid"]
+        assert len(grid) == 20
+        assert sum(g["smo_budget_hits"] for g in grid) == len(budget) > 0
+        for g in grid:
+            assert 0 <= g["smo_budget_hits"] <= g["smo_problems"] <= 3 * 4
+            assert g["smo_iterations"] > 0
+            assert (g["smo_max_gap"] > 1e-3) == (g["smo_budget_hits"] > 0)
 
 
 class TestMalformedTextInput:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from vsr3d import VsrError
 from vsr3d.config import PipelineConfig
 from vsr3d.features import StandardizationStats
-from vsr3d.svm import (BinarySvmModel, MultiClassModel, decision_value,
-                       decision_values, dual_objective, fit_platt, load_model, platt_probability,
-                       predict_probabilities, predict_probability_matrix, rbf_kernel,
-                       rbf_kernel_matrix, save_model, train_binary_smo, train_multiclass)
+from vsr3d.svm import (BinarySvmModel, MultiClassModel, decision_values, fit_platt, load_model,
+                       predict_probability_matrix, rbf_kernel_matrix, save_model,
+                       train_binary_smo, train_multiclass, _SmoState)
+
+from oracles import (OneProblemSmo, decision_value, dual_objective, platt_probability,
+                     predict_probabilities, rbf_kernel)
 
 
 def two_point_dual_brute_force(x1, x2, gamma, c):
@@ -208,6 +211,67 @@ class TestSolverStop:
         b = train_binary_smo(perturbed, y, c, 0.5)
         assert len(a.dual_coef) == len(b.dual_coef)
         assert abs(a.bias - b.bias) < 1e-9
+
+
+class TestLockstepSmo:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_one_problem_solves_on_sliced_kernels(self, data):
+        """Up to six problems on one kernel, each on all rows, on the rest
+        of a 3-fold split or on a random subset, solved in lockstep and
+        then one at a time on their sliced kernels: member alphas, bias,
+        gap, update count and budget warnings must be equal, and rows
+        outside a problem keep alpha 0.  Budgets of 1 and 2 passes make most
+        small problems stop at their own budget."""
+        n = data.draw(st.integers(4, 40), label="n")
+        c = data.draw(st.sampled_from([1.0, 64.0, 1e4]), label="C")
+        passes = data.draw(st.sampled_from([1, 2, 200]), label="svm_max_passes")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.normal(size=(n, 3))
+        kernel = rbf_kernel_matrix(x, x, 0.5)
+        if data.draw(st.booleans(), label="asymmetric kernel"):
+            kernel = kernel * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, size=kernel.shape))
+        ys, members = [], []
+        for _ in range(data.draw(st.integers(1, 6), label="P")):
+            rows = data.draw(st.sampled_from(["all", 0, 1, 2, "subset"]), label="rows")
+            if rows == "all":
+                member = np.ones(n, dtype=bool)
+            elif rows == "subset":
+                member = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                member[:2] |= member.sum() < 2
+            else:
+                member = np.arange(n) % 3 != rows
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            first = np.flatnonzero(member)[0]
+            if len(set(y[member])) < 2:
+                y[first] = -y[first]
+            ys.append(y)
+            members.append(member)
+        y, member = np.array(ys), np.array(members)
+        tol = PipelineConfig().svm_tolerance
+
+        state = _SmoState(kernel, y, member, c, tol)
+        state.run(passes * member.sum(axis=1))
+        with warnings.catch_warnings(record=True) as lockstep_warnings:
+            warnings.simplefilter("always")
+            for p in range(len(y)):
+                state.warn_if_stopped_early(p)
+        solos = []
+        with warnings.catch_warnings(record=True) as solo_warnings:
+            warnings.simplefilter("always")
+            for p, m in enumerate(member):
+                solo = OneProblemSmo(kernel[np.ix_(m, m)], y[p][m], c, tol)
+                solo.run(passes * int(m.sum()))
+                solos.append(solo)
+
+        for p, (m, solo) in enumerate(zip(member, solos)):
+            assert np.array_equal(state.alpha[p][m], solo.alpha), f"problem {p}"
+            assert not state.alpha[p][~m].any()
+            assert state.b[p] == solo.b
+            assert state.gap[p] == solo.gap
+            assert state.iterations[p] == solo.iterations
+        assert ([str(w.message) for w in lockstep_warnings]
+                == [str(w.message) for w in solo_warnings])
 
 
 class TestDecisionValue:
