@@ -76,7 +76,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("featurize", help="write (optionally labeled) feature CSVs")
     _add_common(p)
-    p.add_argument("input", help="corpus root or single video directory")
+    p.add_argument("input", help="corpus root, single video directory or ROI file (.vsr1)")
+    p.add_argument("--transcript", default=None,
+                   help="transcript of a .vsr1 input (video directories use transcript.txt)")
     p.add_argument("--kind", default="phoneme",
                    choices=["phoneme", "viseme", "biphone", "bi-viseme"])
     p.add_argument("--all-subsequences", action="store_true",
@@ -154,26 +156,37 @@ def cmd_featurize(args) -> int:
     from .features import enumerate_subsequences, extract_labeled_samples, featurize_many
 
     cfg = _load_config(args)
-    dirs = find_video_dirs(args.input)
-    multi = len(dirs) > 1
+    path = Path(args.input)
+    if path.is_dir():
+        if args.transcript:
+            raise VsrError("--transcript is for a .vsr1 input; video directories use their "
+                           "transcript.txt")
+        inputs = [(d.name, d, d / "transcript.txt") for d in find_video_dirs(path)]
+    else:
+        inputs = [(path.stem, path, args.transcript)]
+    multi = len(inputs) > 1
     out = Path(args.out)
     if multi:
         out.mkdir(parents=True, exist_ok=True)
-    for d in dirs:
-        video = read_video_dir(d)
-        roi = segment_video(video, cfg).roi
+    for name, source, transcript in inputs:
+        if source.is_dir():
+            roi = segment_video(read_video_dir(source), cfg).roi
+        else:
+            roi = read_roi(source)
         if args.all_subsequences:
             lo, hi = cfg.duration_bounds(args.kind)
             spans = enumerate_subsequences(roi.frame_count, range(lo, hi + 1))
             x = featurize_many(roi, cfg.channel, cfg.delta_t_ms, cfg.fps, spans,
                                cfg.uniform_length, cfg.mask_size)
             labels = None
+        elif transcript is None:
+            raise VsrError(f"{source}: labeled features of a .vsr1 file need --transcript")
         else:
-            transcript = read_transcript(d / "transcript.txt")
-            x, labels, spans = extract_labeled_samples(roi, transcript, args.kind, cfg)
-        path = out / f"{d.name}.features.csv" if multi else out
+            x, labels, spans = extract_labeled_samples(roi, read_transcript(transcript),
+                                                       args.kind, cfg)
+        path = out / f"{name}.features.csv" if multi else out
         write_features_csv(x, spans, path, labels)
-        print(f"featurized {d.name}: {len(spans)} samples")
+        print(f"featurized {name}: {len(spans)} samples")
     return 0
 
 

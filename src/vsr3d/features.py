@@ -116,10 +116,6 @@ def dct3(volume: np.ndarray) -> np.ndarray:
     return scipy.fft.dctn(volume, type=2, norm="ortho")
 
 
-def idct3(coeffs: np.ndarray) -> np.ndarray:
-    return scipy.fft.idctn(np.asarray(coeffs, dtype=float), type=2, norm="ortho")
-
-
 def pyramid_mask_indices(s: int) -> list[tuple[int, int, int]]:
     """(i, j, k) triples with i+j+k <= s-1 in lexicographic order; there are
     s(s+1)(s+2)/6 of them."""
@@ -153,6 +149,8 @@ def preprocess_volume(roi: RoiVolume, channel: str, delta_t_ms: float, fps: floa
     """Shared sequence-level preparation: channel selection, time shift,
     per-pixel sequence-mean subtraction."""
     vol = roi.plane(channel)
+    if not np.isfinite(vol).all():
+        raise VsrError(f"ROI channel {channel!r} holds non-finite values")
     return subtract_sequence_mean(time_shift(vol, delta_t_ms, fps))
 
 

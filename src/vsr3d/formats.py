@@ -303,14 +303,6 @@ def write_groundtruth_csv(truth, path):
                      f"{ft.left[0]:.3f},{ft.left[1]:.3f},{ft.right[0]:.3f},{ft.right[1]:.3f}\n")
 
 
-def read_groundtruth_csv(path):
-    """Returns arrays (sym_col, sym_angle, lip_row, left, right)."""
-    lines = _read_ascii(path).splitlines()
-    rows = [line.split(",") for line in lines[1:] if line.strip()]
-    vals = np.array([[float(v) for v in r[1:]] for r in rows])
-    return vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3:5], vals[:, 5:7]
-
-
 def write_eval_report(rows, totals, path):
     """rows: (id, AlignmentCounts, accuracy)."""
     with open(path, "w", encoding="ascii") as fh:

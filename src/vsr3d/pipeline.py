@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from . import VsrError
-from .config import CHANNEL_NAMES, PipelineConfig
+from .config import PipelineConfig
 from .decoder import build_probability_grid, decode_sequence, expand_biphones
 from .features import extract_labeled_samples, feature_dimension
 from .formats import read_transcript, read_video_dir
@@ -31,16 +31,16 @@ def segment_video(video: VideoSequence, cfg: PipelineConfig,
                   force_lip_row: int | None = None) -> SegmentationResult:
     """Full segmentation stage: symmetry lines, lip/corner tracking, ROI."""
     lines = find_symmetry_lines(video)
-    planes = prepare_frames(video, lines)
-    lip_rows = detect_inner_lower_lip(planes[CHANNEL_NAMES.index("ulum")],
-                                      force_first_row=force_lip_row)
-    smooth = box3(planes[CHANNEL_NAMES.index("lum")])
+    rgb, lum, ulum = prepare_frames(video, lines)
+    lip_rows = detect_inner_lower_lip(ulum, force_first_row=force_lip_row)
+    smooth = box3(lum)
     lum_lines = build_min_luminance_line(smooth, lip_rows)
     left, right = detect_mouth_corners(smooth, lum_lines)
+    del smooth
     keypoints = MouthKeypoints(lip_rows=lip_rows, left=left, right=right, lum_lines=lum_lines)
-    roi = extract_roi(planes, keypoints, cfg.roi_width, cfg.roi_height)
+    roi = extract_roi(rgb, lum, keypoints, cfg.roi_width, cfg.roi_height)
 
-    center_col = planes.shape[-1] // 2
+    center_col = lum.shape[-1] // 2
     orig = np.empty((video.frame_count, 5))
     for t, line in enumerate(lines):
         lr, _ = cropped_to_original(line, video.height, lip_rows[t], center_col)

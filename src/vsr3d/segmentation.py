@@ -4,7 +4,10 @@ Finds the facial symmetry line coarse-to-fine over an image pyramid, one
 array call per search window; tracks the inner-lower-lip row and the mouth
 corners of the whole video at once with Gaussian-transition HMMs, each
 decoded by the plain Viterbi `viterbi_generic`; and resamples a
-rotation/position/scale-normalized mouth window from every frame.
+rotation/position/scale-normalized mouth window from every frame.  Tracking
+reads the crop's luminance and u*lum on the symmetry column; the window
+keeps the RGB and luminance of its footprint in the crop and makes each
+colour plane (`color_plane`, the one formula) when it is first asked for.
 
 Coordinates: (row, col) with row increasing downward.  A symmetry line is
 anchored at the vertical image center; positive angles tilt it clockwise.
@@ -94,38 +97,54 @@ class MouthKeypoints:
         return len(self.lip_rows)
 
 
-@dataclass
 class RoiVolume:
-    """Normalized mouth window, data shape (channels, frames, H, W)."""
+    """Normalized mouth window: one (frames, H, W) plane per channel name.
 
-    data: np.ndarray
-    channels: tuple[str, ...]
-    scale: float
+    A volume keeps the planes it has made, and `make_plane(name)`, which
+    makes a missing one.  Built from a (channels, frames, H, W) `data`
+    array, it has every plane made up front.  `extract_roi` builds one with
+    no plane made: its `make_plane` computes the channel over the window's
+    footprint in the cropped frames and resamples it.  `plane` makes a
+    plane on first use; `data` stacks every plane in `channels` order.
+    """
 
-    def __post_init__(self):
-        if self.data.ndim != 4:
-            raise VsrError("RoiVolume data must be (channels, frames, H, W)")
-        if len(self.channels) != self.data.shape[0]:
-            raise VsrError("channel name count does not match data")
+    def __init__(self, data=None, channels=tuple(CHANNEL_NAMES), scale: float = 1.0, *,
+                 shape=None, make_plane=None):
+        self.channels = tuple(channels)
+        self.scale = scale
+        self._make_plane = make_plane
+        self._planes = {}
+        if data is not None:
+            if data.ndim != 4:
+                raise VsrError("RoiVolume data must be (channels, frames, H, W)")
+            if len(self.channels) != data.shape[0]:
+                raise VsrError("channel name count does not match data")
+            self._planes = dict(zip(self.channels, data))
+            shape = data.shape[1:]
+        self.shape = tuple(shape)
 
     @property
     def frame_count(self) -> int:
-        return self.data.shape[1]
+        return self.shape[0]
 
     @property
     def height(self) -> int:
-        return self.data.shape[2]
+        return self.shape[1]
 
     @property
     def width(self) -> int:
-        return self.data.shape[3]
+        return self.shape[2]
+
+    @property
+    def data(self) -> np.ndarray:
+        return np.stack([self.plane(name) for name in self.channels])
 
     def plane(self, name: str) -> np.ndarray:
-        try:
-            idx = self.channels.index(name)
-        except ValueError:
-            raise VsrError(f"channel {name!r} not present in ROI volume") from None
-        return self.data[idx]
+        if name not in self.channels:
+            raise VsrError(f"channel {name!r} not present in ROI volume")
+        if name not in self._planes:
+            self._planes[name] = self._make_plane(name)
+        return self._planes[name]
 
 
 def luminance(rgb: np.ndarray) -> np.ndarray:
@@ -134,25 +153,39 @@ def luminance(rgb: np.ndarray) -> np.ndarray:
     return (0.299 * r + 0.587 * g + 0.114 * b) / 255.0
 
 
-def bilinear_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sample with bilinear interpolation; coordinates are clamped to the
-    image rectangle first (edge replication outside).  An (H, W, k) image
-    gives k values per point, in a trailing axis."""
-    h, w = image.shape[:2]
+def _bilinear_taps(rows: np.ndarray, cols: np.ndarray, h: int, w: int):
+    """Corner indices (r0, r1, c0, c1) and weights (fr, fc) of bilinear
+    sampling in an h x w image, coordinates clamped to its rectangle."""
     rows = np.clip(rows, 0.0, h - 1.0)
     cols = np.clip(cols, 0.0, w - 1.0)
     r0 = np.floor(rows).astype(np.intp)
     c0 = np.floor(cols).astype(np.intp)
-    r1 = np.minimum(r0 + 1, h - 1)
-    c1 = np.minimum(c0 + 1, w - 1)
-    fr = rows - r0
-    fc = cols - c0
-    if image.ndim == 3:
-        fr = fr[..., None]
-        fc = fc[..., None]
-    top = image[r0, c0] * (1 - fc) + image[r0, c1] * fc
-    bot = image[r1, c0] * (1 - fc) + image[r1, c1] * fc
-    return top * (1 - fr) + bot * fr
+    return r0, np.minimum(r0 + 1, h - 1), c0, np.minimum(c0 + 1, w - 1), rows - r0, cols - c0
+
+
+def _blend(v00, v01, v10, v11, fr, fc):
+    """Bilinear blend of the values at (r0, c0), (r0, c1), (r1, c0), (r1, c1)
+    for weights (1 - fr, fr) and (1 - fc, fc), each pair a tuple."""
+    top = v00 * fc[0] + v01 * fc[1]
+    bot = v10 * fc[0] + v11 * fc[1]
+    return top * fr[0] + bot * fr[1]
+
+
+def bilinear_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sample the last two axes of `image` with bilinear interpolation;
+    coordinates are clamped to the image rectangle first (edge replication
+    outside).  A (k, H, W) image gives k planes of values, in a leading
+    axis.  Each corner of a plane is one flat `np.take`."""
+    h, w = image.shape[-2:]
+    r0, r1, c0, c1, fr, fc = _bilinear_taps(rows, cols, h, w)
+    corners = [r * w + c for r in (r0, r1) for c in (c0, c1)]
+    weights = (1 - fr, fr), (1 - fc, fc)
+    planes = image.reshape(-1, h * w)
+    shape = corners[0].shape
+    out = np.empty((len(planes),) + shape)
+    for k, plane in enumerate(planes):
+        out[k] = _blend(*(np.take(plane, i) for i in corners), *weights)
+    return out.reshape(image.shape[:-2] + shape)
 
 
 def area_average_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -318,45 +351,63 @@ def cropped_to_original(line: SymmetryLine, height: int, row: float, col: float)
     )
 
 
-def compute_channels(rgb01: np.ndarray) -> np.ndarray:
-    """Color planes of one frame, (7, H, W) in CHANNEL_NAMES order; rgb01 is
-    (H, W, 3) scaled to [0, 1]."""
-    r, g, b = rgb01[..., 0], rgb01[..., 1], rgb01[..., 2]
+def crop_lum(rgb01: np.ndarray) -> np.ndarray:
+    """BT.601 luma of (3, T, H, W) cropped RGB frames scaled to [0, 1], each
+    frame rescaled so its crop spans [0, 1] (all 0 in a flat frame)."""
+    r, g, b = rgb01
     lum_raw = 0.299 * r + 0.587 * g + 0.114 * b
-    lo, hi = lum_raw.min(), lum_raw.max()
-    lum = (lum_raw - lo) / (hi - lo) if hi > lo else np.zeros_like(lum_raw)
+    lo = lum_raw.min(axis=(1, 2), keepdims=True)
+    hi = lum_raw.max(axis=(1, 2), keepdims=True)
+    return np.where(hi > lo, (lum_raw - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
 
-    xyz = rgb01 @ _RGB_TO_XYZ.T
-    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
+
+def color_plane(name: str, rgb01: np.ndarray, lum: np.ndarray) -> np.ndarray:
+    """One plane of CHANNEL_NAMES at every pixel of `rgb01`, (3, ...) RGB
+    planes scaled to [0, 1], given the `crop_lum` values of the same pixels."""
+    if name == "lum":
+        return lum
+    if name in ("red", "green", "blue"):
+        return rgb01[("red", "green", "blue").index(name)]
+    if name == "pseudo_hue":
+        r, rg = rgb01[0], rgb01[0] + rgb01[1]
+        return np.where(rg > 0, r / np.where(rg > 0, rg, 1.0), 0.5)
+    if name not in ("u", "ulum"):
+        raise VsrError(f"unknown channel {name!r}")
+    # one C-ordered (r, g, b) product row per pixel, and at least two rows:
+    # BLAS rounds a one-row product (a matrix-vector kernel) differently
+    # from the rows of a larger one
+    n = lum.size
+    pixels = np.zeros((max(n, 2), 3))
+    pixels[:n] = rgb01.reshape(3, n).T
+    xyz = (pixels @ _RGB_TO_XYZ.T)[:n]
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     denom = x + 15.0 * y + 3.0 * z
     with np.errstate(divide="ignore", invalid="ignore"):
         u_prime = np.where(denom > 0, 4.0 * x / np.where(denom > 0, denom, 1.0), _D65_UN)
-    yr = y  # Yn = 1 for D65-normalized sRGB
-    lstar = np.where(yr > (6.0 / 29.0) ** 3, 116.0 * np.cbrt(yr) - 16.0, (29.0 / 3.0) ** 3 * yr)
+    # Y / Yn with Yn = 1 for D65-normalized sRGB
+    lstar = np.where(y > (6.0 / 29.0) ** 3, 116.0 * np.cbrt(y) - 16.0, (29.0 / 3.0) ** 3 * y)
     # u* rescaled by 1/255 so every channel plane shares the [~-1, ~1] range
-    u = 13.0 * lstar * (u_prime - _D65_UN) / 255.0
-
-    rg = r + g
-    pseudo_hue = np.where(rg > 0, r / np.where(rg > 0, rg, 1.0), 0.5)
-    return np.stack([lum, u, u * lum, pseudo_hue, r, g, b])
+    u = (13.0 * lstar * (u_prime - _D65_UN) / 255.0).reshape(lum.shape)
+    return u if name == "u" else u * lum
 
 
-def prepare_frames(video: VideoSequence, lines: list[SymmetryLine]) -> np.ndarray:
-    """Rotate each frame so its symmetry line is vertical and central, crop
-    to +-50 columns, and compute the color planes of every cropped frame.
+def prepare_frames(video: VideoSequence, lines: list[SymmetryLine]):
+    """Rotate each frame so its symmetry line is vertical and central, and
+    crop it to +-50 columns.
 
-    Returns a (7, T, H, 101) array in CHANNEL_NAMES order.  Frames are
-    converted one at a time, so no whole-video RGB crop is ever held.
+    Returns (rgb, lum, ulum): the (3, T, H, 101) RGB planes of the crop
+    scaled to [0, 1], its (T, H, 101) `crop_lum`, and u*lum on the symmetry
+    column, (T, H), which is all of that plane the lip tracker reads.
     """
     if len(lines) != video.frame_count:
         raise VsrError("need one symmetry line per frame")
-    planes = np.empty((len(CHANNEL_NAMES), video.frame_count, video.height,
-                       2 * CROP_HALF_WIDTH + 1))
+    rgb = np.empty((3, video.frame_count, video.height, 2 * CROP_HALF_WIDTH + 1))
     for t, line in enumerate(lines):
         rows, cols = crop_grid(line, video.height)
-        planes[:, t] = compute_channels(
-            bilinear_sample(video.frames[t].astype(float) / 255.0, rows, cols))
-    return planes
+        frame = np.moveaxis(video.frames[t], -1, 0).astype(float, order="C") / 255.0
+        rgb[:, t] = bilinear_sample(frame, rows, cols)
+    lum = crop_lum(rgb)
+    return rgb, lum, color_plane("ulum", rgb[..., CROP_HALF_WIDTH], lum[..., CROP_HALF_WIDTH])
 
 
 def box3(image: np.ndarray) -> np.ndarray:
@@ -425,16 +476,16 @@ def gaussian_transition_matrix(n: int, sigma: float) -> np.ndarray:
 
 def detect_inner_lower_lip(ulum: np.ndarray, force_first_row: int | None = None) -> np.ndarray:
     """Viterbi-track the row where the symmetry column crosses the inner
-    lower lip, using the vertical gradient of the (T, H, W) u*lum planes as
-    observation weights.
+    lower lip, using the vertical gradient of u*lum along that column,
+    (T, H), as observation weights.
 
     force_first_row pins the frame-0 state (the manual rescue for videos the
     tracker gets wrong).
     """
     if len(ulum) == 0:
         raise VsrError("no frames")
-    height, width = ulum.shape[1:]
-    obs = _minmax01(np.gradient(ulum[:, :, width // 2], axis=1), "the inner lower lip")
+    height = ulum.shape[1]
+    obs = _minmax01(np.gradient(ulum, axis=1), "the inner lower lip")
     if force_first_row is not None:
         if not 0 <= force_first_row < height:
             raise VsrError(f"forced lip row {force_first_row} outside frame")
@@ -500,17 +551,19 @@ def detect_mouth_corners(smooth: np.ndarray, lines: np.ndarray):
     return left, right
 
 
-def extract_roi(planes: np.ndarray, keypoints: MouthKeypoints,
+def extract_roi(rgb: np.ndarray, lum: np.ndarray, keypoints: MouthKeypoints,
                 roi_width: int = 64, roi_height: int = 48) -> RoiVolume:
-    """Resample a mouth window from every cropped frame of the (7, T, H, W)
-    color planes.
+    """The mouth window of every cropped frame, given the (3, T, H, W) RGB
+    planes of the crop and its (T, H, W) `crop_lum`.
 
     Each frame is rotated about the corner-line midpoint so the corner line
     is horizontal; one constant scale factor (0.75 * roi_width / the maximum
     corner distance over the sequence) keeps real mouth-width changes in the
-    output.  All channel planes are resampled.
+    output.  The volume keeps the RGB and lum of the footprint that the
+    window's bilinear taps read, the union over frames, and makes each
+    colour plane from them on first use.
     """
-    if keypoints.frame_count != planes.shape[1]:
+    if keypoints.frame_count != lum.shape[0]:
         raise VsrError("keypoints do not match frame count")
     d = keypoints.right - keypoints.left
     dists = np.hypot(d[:, 0], d[:, 1])
@@ -521,17 +574,30 @@ def extract_roi(planes: np.ndarray, keypoints: MouthKeypoints,
     cy, cx = (roi_height - 1) / 2.0, (roi_width - 1) / 2.0
     gy, gx = np.meshgrid(np.arange(roi_height, dtype=float) - cy,
                          np.arange(roi_width, dtype=float) - cx, indexing="ij")
-    data = np.empty((len(planes), planes.shape[1], roi_height, roi_width))
-    for t in range(planes.shape[1]):
-        mid = (keypoints.left[t] + keypoints.right[t]) / 2.0
-        if dists[t] > 0:
-            ux = d[t, 1] / dists[t]  # along-corner-line unit vector, xy
-            uy = d[t, 0] / dists[t]
-        else:
-            ux, uy = 1.0, 0.0
-        # output x axis follows the corner line; y axis its downward normal
-        rows = mid[0] + (gx * uy + gy * ux) / scale
-        cols = mid[1] + (gx * ux - gy * uy) / scale
-        sampled = bilinear_sample(np.moveaxis(planes[:, t], 0, -1), rows, cols)
-        data[:, t] = np.moveaxis(sampled, -1, 0)
-    return RoiVolume(data=data, channels=tuple(CHANNEL_NAMES), scale=scale)
+    mid = (keypoints.left + keypoints.right) / 2.0
+    # along-corner-line unit vector (x, y); a frame without width keeps x
+    moving = dists > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = np.where(moving, d[:, 1] / dists, 1.0)[:, None, None]
+        uy = np.where(moving, d[:, 0] / dists, 0.0)[:, None, None]
+    # output x axis follows the corner line; y axis its downward normal
+    rows = mid[:, 0, None, None] + (gx * uy + gy * ux) / scale
+    cols = mid[:, 1, None, None] + (gx * ux - gy * uy) / scale
+    n, h, w = lum.shape
+    # taps grow with the coordinates, so the extreme ones bound the footprint
+    r0, r1, c0, c1, _, _ = _bilinear_taps(np.array([rows.min(), rows.max()]),
+                                          np.array([cols.min(), cols.max()]), h, w)
+    top, left = int(r0[0]), int(c0[0])
+    box = (..., slice(top, int(r1[1]) + 1), slice(left, int(c1[1]) + 1))
+    rgb, lum = rgb[box].copy(), lum[box].copy()
+    fh, fw = lum.shape[1:]
+
+    def make_plane(name: str) -> np.ndarray:
+        r0, r1, c0, c1, fr, fc = _bilinear_taps(rows, cols, h, w)
+        base = np.arange(n)[:, None, None] * fh - top
+        flat = color_plane(name, rgb, lum).reshape(-1)
+        return _blend(*(np.take(flat, (base + r) * fw + c - left) for r in (r0, r1)
+                        for c in (c0, c1)), (1 - fr, fr), (1 - fc, fc))
+
+    return RoiVolume(channels=tuple(CHANNEL_NAMES), scale=scale,
+                     shape=(n, roi_height, roi_width), make_plane=make_plane)

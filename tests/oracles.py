@@ -3,17 +3,28 @@
 Nothing in `src/`, `scripts/` or `perfbench/` calls these: the scalar RBF
 kernel and decision value, the per-class probability path, the dual
 objective, and the one-problem SMO loop that the lockstep solver in
-`vsr3d.svm` must reproduce bit for bit.
+`vsr3d.svm` must reproduce bit for bit; the segmentation path that computes
+all seven colour planes over every cropped frame and resamples them all,
+which the footprint path of `vsr3d.segmentation` must reproduce bit for bit;
+and the inverse 3D-DCT and ground-truth CSV reader of the feature and
+fixture tests.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from vsr3d import VsrError
+from vsr3d.config import CHANNEL_NAMES
+from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CROP_HALF_WIDTH, MouthKeypoints,
+                                RoiVolume, box3, build_min_luminance_line, crop_grid,
+                                detect_inner_lower_lip, detect_mouth_corners,
+                                find_symmetry_lines)
 from vsr3d.svm import (BinarySvmModel, MultiClassModel, _sigmoid_of_negative,
                        predict_probability_matrix, rbf_kernel_matrix)
 
@@ -99,3 +110,114 @@ class OneProblemSmo:
                           RuntimeWarning, stacklevel=2)
         free = (alpha > 0.0) & (alpha < C)
         self.b = float(v[free].mean()) if free.any() else 0.5 * float(v_max + v_min)
+
+
+def idct3(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of `vsr3d.features.dct3`."""
+    return scipy.fft.idctn(np.asarray(coeffs, dtype=float), type=2, norm="ortho")
+
+
+def read_groundtruth_csv(path):
+    """The CSV `vsr3d.formats.write_groundtruth_csv` writes, as arrays
+    (sym_col, sym_angle, lip_row, left, right)."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    rows = [line.split(",") for line in lines[1:] if line.strip()]
+    vals = np.array([[float(v) for v in r[1:]] for r in rows])
+    return vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3:5], vals[:, 5:7]
+
+
+# ---- segmentation with all seven planes over every cropped frame ----------
+
+def bilinear_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Bilinear sampling by 2-D fancy indexing, coordinates clamped to the
+    image rectangle; an (H, W, k) image gives k values per point."""
+    h, w = image.shape[:2]
+    rows = np.clip(rows, 0.0, h - 1.0)
+    cols = np.clip(cols, 0.0, w - 1.0)
+    r0 = np.floor(rows).astype(np.intp)
+    c0 = np.floor(cols).astype(np.intp)
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
+    fr = rows - r0
+    fc = cols - c0
+    if image.ndim == 3:
+        fr = fr[..., None]
+        fc = fc[..., None]
+    top = image[r0, c0] * (1 - fc) + image[r0, c1] * fc
+    bot = image[r1, c0] * (1 - fc) + image[r1, c1] * fc
+    return top * (1 - fr) + bot * fr
+
+
+def compute_channels(rgb01: np.ndarray) -> np.ndarray:
+    """Colour planes of one frame, (7, H, W) in CHANNEL_NAMES order; rgb01 is
+    (H, W, 3) scaled to [0, 1]."""
+    r, g, b = rgb01[..., 0], rgb01[..., 1], rgb01[..., 2]
+    lum_raw = 0.299 * r + 0.587 * g + 0.114 * b
+    lo, hi = lum_raw.min(), lum_raw.max()
+    lum = (lum_raw - lo) / (hi - lo) if hi > lo else np.zeros_like(lum_raw)
+
+    xyz = rgb01 @ _RGB_TO_XYZ.T
+    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
+    denom = x + 15.0 * y + 3.0 * z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_prime = np.where(denom > 0, 4.0 * x / np.where(denom > 0, denom, 1.0), _D65_UN)
+    yr = y
+    lstar = np.where(yr > (6.0 / 29.0) ** 3, 116.0 * np.cbrt(yr) - 16.0, (29.0 / 3.0) ** 3 * yr)
+    u = 13.0 * lstar * (u_prime - _D65_UN) / 255.0
+
+    rg = r + g
+    pseudo_hue = np.where(rg > 0, r / np.where(rg > 0, rg, 1.0), 0.5)
+    return np.stack([lum, u, u * lum, pseudo_hue, r, g, b])
+
+
+def prepare_frames(video, lines) -> np.ndarray:
+    """The (7, T, H, 101) colour planes of every rotated, cropped frame."""
+    planes = np.empty((len(CHANNEL_NAMES), video.frame_count, video.height,
+                       2 * CROP_HALF_WIDTH + 1))
+    for t, line in enumerate(lines):
+        rows, cols = crop_grid(line, video.height)
+        planes[:, t] = compute_channels(
+            bilinear_sample(video.frames[t].astype(float) / 255.0, rows, cols))
+    return planes
+
+
+def extract_roi(planes: np.ndarray, keypoints: MouthKeypoints,
+                roi_width: int = 64, roi_height: int = 48) -> RoiVolume:
+    """All seven planes resampled into the mouth window, one frame at a time."""
+    if keypoints.frame_count != planes.shape[1]:
+        raise VsrError("keypoints do not match frame count")
+    d = keypoints.right - keypoints.left
+    dists = np.hypot(d[:, 0], d[:, 1])
+    max_dist = float(dists.max())
+    if max_dist <= 0:
+        raise VsrError("zero mouth width in every frame; cannot normalize ROI")
+    scale = 0.75 * roi_width / max_dist
+    cy, cx = (roi_height - 1) / 2.0, (roi_width - 1) / 2.0
+    gy, gx = np.meshgrid(np.arange(roi_height, dtype=float) - cy,
+                         np.arange(roi_width, dtype=float) - cx, indexing="ij")
+    data = np.empty((len(planes), planes.shape[1], roi_height, roi_width))
+    for t in range(planes.shape[1]):
+        mid = (keypoints.left[t] + keypoints.right[t]) / 2.0
+        if dists[t] > 0:
+            ux = d[t, 1] / dists[t]
+            uy = d[t, 0] / dists[t]
+        else:
+            ux, uy = 1.0, 0.0
+        rows = mid[0] + (gx * uy + gy * ux) / scale
+        cols = mid[1] + (gx * ux - gy * uy) / scale
+        sampled = bilinear_sample(np.moveaxis(planes[:, t], 0, -1), rows, cols)
+        data[:, t] = np.moveaxis(sampled, -1, 0)
+    return RoiVolume(data=data, channels=tuple(CHANNEL_NAMES), scale=scale)
+
+
+def segment_video(video, roi_width: int = 64, roi_height: int = 48):
+    """Keypoints and ROI of the seven-plane path, as (keypoints, roi)."""
+    lines = find_symmetry_lines(video)
+    planes = prepare_frames(video, lines)
+    ulum = planes[CHANNEL_NAMES.index("ulum")]
+    lip_rows = detect_inner_lower_lip(ulum[:, :, ulum.shape[-1] // 2])
+    smooth = box3(planes[CHANNEL_NAMES.index("lum")])
+    lum_lines = build_min_luminance_line(smooth, lip_rows)
+    left, right = detect_mouth_corners(smooth, lum_lines)
+    keypoints = MouthKeypoints(lip_rows=lip_rows, left=left, right=right, lum_lines=lum_lines)
+    return keypoints, extract_roi(planes, keypoints, roi_width, roi_height)

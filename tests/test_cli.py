@@ -181,6 +181,39 @@ class TestPipelineCommands:
         assert labels is None
         assert not out.read_text().splitlines()[0].endswith(",label")
 
+    def test_featurize_stored_roi(self, tiny_corpus, corpus_cfg_file, tmp_path, capsys):
+        from vsr3d.config import PipelineConfig
+        from vsr3d.features import extract_labeled_samples
+        from vsr3d.formats import read_transcript
+
+        sent = tiny_corpus / "corpus" / "sent_002"
+        cfg_args = ("--config", str(corpus_cfg_file))
+        assert run_cli("segment", str(sent), "--out", str(tmp_path / "seg"), *cfg_args) == 0
+        roi_file = tmp_path / "seg" / "sent_002.vsr1"
+        from_roi, from_video = tmp_path / "roi.csv", tmp_path / "video.csv"
+        assert run_cli("featurize", str(roi_file), "--transcript", str(sent / "transcript.txt"),
+                       "--out", str(from_roi), *cfg_args) == 0
+        assert run_cli("featurize", str(sent), "--out", str(from_video), *cfg_args) == 0
+        x, labels, spans = read_features_csv(from_roi)
+        xv, labels_v, spans_v = read_features_csv(from_video)
+        assert labels == labels_v and np.array_equal(spans, spans_v)
+        # the features of the stored float32 volume, within its rounding of
+        # the video directory's
+        expected, _, _ = extract_labeled_samples(
+            read_roi(roi_file), read_transcript(sent / "transcript.txt"), "phoneme",
+            PipelineConfig.load(corpus_cfg_file))
+        assert np.array_equal(x, expected)
+        assert np.allclose(x, xv, rtol=1e-5, atol=1e-5)
+
+        assert run_cli("featurize", str(roi_file), "--all-subsequences",
+                       "--out", str(tmp_path / "all.csv"), *cfg_args) == 0
+        capsys.readouterr()
+        code = run_cli("featurize", str(roi_file), "--out", str(tmp_path / "x.csv"), *cfg_args)
+        assert "need --transcript" in assert_one_line_data_error(code, capsys, "featurize")
+        code = run_cli("featurize", str(sent), "--transcript", str(sent / "transcript.txt"),
+                       "--out", str(tmp_path / "x.csv"), *cfg_args)
+        assert_one_line_data_error(code, capsys, "featurize")
+
     def test_eval_viseme_units(self, tmp_path, capsys):
         # each hypothesis phoneme differs from the reference but shares its
         # Jeffers viseme (/C, /I, /H)
@@ -372,6 +405,25 @@ class TestMalformedBinaryFiles:
         code = run_cli("decode", str(path), "--model", str(model),
                        "--out", str(tmp_path / "hyp.txt"))
         assert_one_line_data_error(code, capsys, "decode")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["roi-nan", "roi-inf"])
+    def test_nonfinite_roi_value(self, tmp_path, capsys, value):
+        data = np.random.default_rng(3).uniform(size=(len(CHANNEL_NAMES), 12, 8, 10))
+        data[CHANNEL_NAMES.index("red"), 5, 3, 4] = value
+        path = tmp_path / "bad.vsr1"
+        write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(_model_doc()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a numpy warning would be a second line
+            code = run_cli("decode", str(path), "--model", str(model),
+                           "--set", "min_duration=2", "--set", "max_duration=6",
+                           "--out", str(tmp_path / "hyp.txt"))
+            err = assert_one_line_data_error(code, capsys, "decode")
+            assert "channel 'red'" in err
+            code = run_cli("featurize", str(path), "--all-subsequences",
+                           "--out", str(tmp_path / "x.csv"))
+            assert "channel 'red'" in assert_one_line_data_error(code, capsys, "featurize")
 
 
 def _model_doc():

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_windows
+from oracles import idct3
 from vsr3d import VsrError
 from vsr3d.features import (dct3, enumerate_subsequences, featurize,
                             featurize_many, featurize_prepared, feature_dimension,
-                            fit_standardization, idct3, preprocess_volume, pyramid_extract,
+                            fit_standardization, preprocess_volume, pyramid_extract,
                             pyramid_mask_indices, resample_to_length, standardize,
                             subtract_sequence_mean, time_shift)
 from vsr3d.segmentation import RoiVolume

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import read_groundtruth_csv
 from vsr3d import VsrError
 from vsr3d.fixtures import (Rng, SynthConfig, default_motions, derive_seed, gaussian_array,
                             mouth_size, random_units, synth_corpus, synth_face_frame,
                             synth_sentence, make_skin_noise, uniform_array)
-from vsr3d.formats import read_groundtruth_csv, read_transcript, read_video_dir
+from vsr3d.formats import read_transcript, read_video_dir
 
 
 class TestRng:

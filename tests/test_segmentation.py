@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from vsr3d import VsrError
-from vsr3d.config import CHANNEL_NAMES
+from vsr3d.config import CHANNEL_NAMES, PipelineConfig
+from vsr3d.pipeline import segment_video
 from vsr3d.segmentation import (MouthKeypoints, SymmetryLine, VideoSequence, _best_line,
                                 area_average_resize, bilinear_sample, box3,
-                                build_image_pyramid, build_min_luminance_line, compute_channels,
-                                cropped_to_original, detect_inner_lower_lip,
+                                build_image_pyramid, build_min_luminance_line, color_plane,
+                                crop_lum, cropped_to_original, detect_inner_lower_lip,
                                 detect_mouth_corners, extract_roi, find_symmetry_lines,
                                 gaussian_transition_matrix, luminance, prepare_frames,
                                 symmetry_costs, viterbi_generic)
@@ -31,6 +33,20 @@ def brute_force_track(priors, trans, obs):
 
 def plane(planes, name):
     return planes[CHANNEL_NAMES.index(name)]
+
+
+def frame_planes(rgb):
+    """The CHANNEL_NAMES planes of one (H, W, 3) frame scaled to [0, 1]."""
+    planar = np.moveaxis(rgb, -1, 0)
+    lum = crop_lum(planar[:, None])[0]
+    return np.stack([color_plane(name, planar, lum) for name in CHANNEL_NAMES])
+
+
+def assert_same_bits(a, b):
+    """Equal bit for bit, so -0.0 differs from 0.0 as it does in a file."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    bits = f"u{a.itemsize}"
+    assert np.array_equal(a.view(bits), b.view(bits))
 
 
 def symmetry_cost(image, column, angle_deg, band=5):
@@ -226,29 +242,41 @@ class TestPrepareFrames:
     def test_crop_width_fixed(self, short_sentence):
         video, _ = short_sentence
         lines = find_symmetry_lines(video)
-        planes = prepare_frames(video, lines)
-        assert planes.shape == (len(CHANNEL_NAMES), video.frame_count, video.height, 101)
+        rgb, lum, ulum = prepare_frames(video, lines)
+        assert rgb.shape == (3, video.frame_count, video.height, 101)
+        assert lum.shape == (video.frame_count, video.height, 101)
+        assert ulum.shape == (video.frame_count, video.height)
 
     def test_neutral_gray_has_zero_u(self):
         rgb = np.full((10, 12, 3), 0.42)
-        planes = compute_channels(rgb)
+        planes = frame_planes(rgb)
         assert np.abs(plane(planes, "u")).max() < 1e-9
 
     def test_pure_red_pseudo_hue(self):
         rgb = np.zeros((4, 4, 3))
         rgb[..., 0] = 1.0
-        planes = compute_channels(rgb)
+        planes = frame_planes(rgb)
         assert np.allclose(plane(planes, "pseudo_hue"), 1.0)
 
     def test_black_pixels_pseudo_hue_half(self):
-        planes = compute_channels(np.zeros((3, 3, 3)))
+        planes = frame_planes(np.zeros((3, 3, 3)))
         assert np.allclose(plane(planes, "pseudo_hue"), 0.5)
 
     def test_lum_rescaled_to_unit_range(self):
         rng = np.random.default_rng(8)
-        lum = plane(compute_channels(rng.random((8, 9, 3))), "lum")
+        lum = plane(frame_planes(rng.random((8, 9, 3))), "lum")
         assert lum.min() == pytest.approx(0.0)
         assert lum.max() == pytest.approx(1.0)
+
+    def test_one_pixel_u_matches_a_larger_block(self):
+        rng = np.random.default_rng(13)
+        rgb = rng.random((3, 1, 4, 5))
+        lum = crop_lum(rgb)
+        block = color_plane("u", rgb, lum)
+        for i, j in itertools.product(range(4), range(5)):
+            pixel = (slice(None), slice(i, i + 1), slice(j, j + 1))
+            assert_same_bits(color_plane("u", rgb[(slice(None),) + pixel], lum[pixel]),
+                             block[pixel])
 
     def test_line_count_mismatch_rejected(self, short_sentence):
         video, _ = short_sentence
@@ -260,7 +288,7 @@ class TestLipDetection:
     def test_single_frame_is_argmax(self):
         rng = np.random.default_rng(9)
         ulum = rng.random((30, 101))
-        rows = detect_inner_lower_lip(ulum[None])
+        rows = detect_inner_lower_lip(ulum[None, :, 50])
         grad = np.gradient(ulum[:, 50])
         assert rows[0] == int(np.argmax(grad))
 
@@ -273,7 +301,7 @@ class TestLipDetection:
             col[120:] = 1.0  # step -> gradient peak at row 120
             col += rng.normal(0, 0.05, 160)
             frames.append(np.tile(col[:, None], (1, 101)))
-        rows = detect_inner_lower_lip(np.stack(frames))
+        rows = detect_inner_lower_lip(np.stack(frames)[:, :, 50])
         assert np.abs(rows - 120).max() <= 3
 
     def test_matches_brute_force_enumeration(self):
@@ -287,7 +315,7 @@ class TestLipDetection:
             frames.append(ulum)
             g = np.gradient(ulum[:, 50])
             obs[t] = (g - g.min()) / (g.max() - g.min())
-        rows = detect_inner_lower_lip(np.stack(frames))
+        rows = detect_inner_lower_lip(np.stack(frames)[:, :, 50])
         trans = gaussian_transition_matrix(n_rows, 8.0)
         expected = brute_force_track(np.ones(n_rows), trans, obs)
         assert list(rows.astype(int)) == expected
@@ -295,11 +323,11 @@ class TestLipDetection:
     def test_constant_column_rejected(self):
         ulum = np.zeros((20, 101))
         with pytest.raises(VsrError):
-            detect_inner_lower_lip(ulum[None])
+            detect_inner_lower_lip(ulum[None, :, 50])
 
     def test_forced_first_row(self):
         rng = np.random.default_rng(12)
-        rows = detect_inner_lower_lip(rng.random((4, 30, 101)), force_first_row=7)
+        rows = detect_inner_lower_lip(rng.random((4, 30)), force_first_row=7)
         assert rows[0] == 7
 
 
@@ -399,20 +427,22 @@ class TestBilinearSample:
            st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_stacked_planes_match_one_call_per_plane(self, seed, h, w, k, points):
-        image = np.random.default_rng(seed).normal(size=(h, w, k))
+        image = np.random.default_rng(seed).normal(size=(k, h, w))
         rows, cols = (np.array(c) for c in zip(*points))
         stacked = bilinear_sample(image, rows, cols)
-        assert stacked.shape == (len(points), k)
+        assert stacked.shape == (k, len(points))
         for i in range(k):
-            assert np.array_equal(stacked[:, i], bilinear_sample(image[..., i], rows, cols))
+            assert np.array_equal(stacked[i], bilinear_sample(image[i], rows, cols))
+        # the flat gathers read what 2-D fancy indexing reads
+        fancy = oracles.bilinear_sample(np.moveaxis(image, 0, -1), rows, cols)
+        assert_same_bits(stacked, np.ascontiguousarray(np.moveaxis(fancy, -1, 0)))
 
 
 class TestExtractRoi:
-    def make_planes(self, frames, h=60, w=101, seed=0):
+    def make_crop(self, frames, h=60, w=101, seed=0):
+        """(3, T, H, W) RGB planes and a (T, H, W) lum plane of a crop."""
         rng = np.random.default_rng(seed)
-        lum = rng.random((frames, h, w))
-        z = np.zeros_like(lum)
-        return np.stack([lum, z + 0.1, z + 0.2, z + 0.3, lum * 0.5, z, z])
+        return rng.random((3, frames, h, w)), rng.random((frames, h, w))
 
     def keypoints(self, rows_left, cols_left, rows_right, cols_right, frames):
         return MouthKeypoints(
@@ -423,21 +453,21 @@ class TestExtractRoi:
         )
 
     def test_horizontal_max_width_frame_is_pure_scale(self):
-        chans = self.make_planes(1)
+        rgb, lum = self.make_crop(1)
         kp = self.keypoints([30.0], [30.0], [30.0], [70.0], 1)
-        roi = extract_roi(chans, kp, 64, 48)
+        roi = extract_roi(rgb, lum, kp, 64, 48)
         s = 0.75 * 64 / 40.0
         assert roi.scale == pytest.approx(s)
         assert roi.data.shape == (7, 1, 48, 64)
         gy, gx = np.meshgrid(np.arange(48.0) - 23.5, np.arange(64.0) - 31.5, indexing="ij")
-        expected = bilinear_sample(plane(chans, "lum")[0], 30.0 + gy / s, 50.0 + gx / s)
+        expected = bilinear_sample(lum[0], 30.0 + gy / s, 50.0 + gx / s)
         assert np.abs(roi.plane("lum")[0] - expected).max() < 1e-12
 
     def test_corner_rows_align_after_transform(self):
-        chans = self.make_planes(3, seed=1)
+        rgb, lum = self.make_crop(3, seed=1)
         kp = self.keypoints([30.0, 28.0, 31.0], [28.0, 30.0, 27.0],
                             [34.0, 36.0, 29.0], [72.0, 69.0, 71.0], 3)
-        roi = extract_roi(chans, kp, 64, 48)
+        roi = extract_roi(rgb, lum, kp, 64, 48)
         cy, cx = (48 - 1) / 2.0, (64 - 1) / 2.0
         for t in range(3):
             mid = (kp.left[t] + kp.right[t]) / 2.0
@@ -451,23 +481,111 @@ class TestExtractRoi:
                 assert abs(out_y - cy) <= 0.5
 
     def test_deterministic(self):
-        chans = self.make_planes(2, seed=2)
+        rgb, lum = self.make_crop(2, seed=2)
         kp = self.keypoints([30.0, 30.0], [30.0, 31.0], [30.0, 29.0], [70.0, 69.0], 2)
-        a = extract_roi(chans, kp, 64, 48)
-        b = extract_roi(chans, kp, 64, 48)
+        a = extract_roi(rgb, lum, kp, 64, 48)
+        b = extract_roi(rgb, lum, kp, 64, 48)
         assert np.array_equal(a.data, b.data)
         assert a.scale == b.scale
 
     def test_zero_width_everywhere_rejected(self):
-        chans = self.make_planes(1, seed=3)
+        rgb, lum = self.make_crop(1, seed=3)
         kp = self.keypoints([30.0], [50.0], [30.0], [50.0], 1)
         with pytest.raises(VsrError):
-            extract_roi(chans, kp, 64, 48)
+            extract_roi(rgb, lum, kp, 64, 48)
 
     def test_scale_constant_across_frames(self, segmented_sentence):
         _, _, result = segmented_sentence
         assert result.roi.scale > 0
         assert result.roi.data.shape == (7, result.keypoints.frame_count, 48, 64)
+
+    def test_planes_are_made_on_first_use(self):
+        rgb, lum = self.make_crop(2, seed=4)
+        kp = self.keypoints([30.0, 30.0], [30.0, 31.0], [30.0, 29.0], [70.0, 69.0], 2)
+        roi = extract_roi(rgb, lum, kp, 64, 48)
+        assert roi._planes == {}
+        red = roi.plane("red")
+        assert list(roi._planes) == ["red"] and roi.plane("red") is red
+        with pytest.raises(VsrError, match="not present"):
+            roi.plane("infrared")
+
+
+_KEYPOINT_ROW = st.floats(-12.0, 40.0, allow_nan=False)
+_KEYPOINT_COL = st.floats(-20.0, 125.0, allow_nan=False)
+
+
+class TestSevenPlaneOracle:
+    """Tracking inputs, keypoints and every ROI plane of the footprint path
+    equal the path that computes all seven planes over every cropped frame
+    (`oracles`), bit for bit."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(2, 24), st.integers(8, 40),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_planes_match_seven_plane_path(self, seed, frames, height, width, data):
+        rng = np.random.default_rng(seed)
+        video = rng.integers(0, 256, (frames, height, width, 3)).astype(np.uint8)
+        for t in range(frames):
+            if data.draw(st.booleans(), label="flat frame"):   # lum has hi == lo
+                video[t] = rng.integers(0, 256, 3)
+        video = VideoSequence(frames=video)
+        lines = [SymmetryLine(data.draw(st.floats(-5.0, width + 5.0)),
+                              data.draw(st.floats(-10.0, 10.0))) for _ in range(frames)]
+        rgb, lum, ulum = prepare_frames(video, lines)
+        planes = oracles.prepare_frames(video, lines)
+        assert_same_bits(lum, plane(planes, "lum"))
+        assert_same_bits(ulum, np.ascontiguousarray(plane(planes, "ulum")[:, :, 50]))
+
+        left = np.array([[data.draw(_KEYPOINT_ROW), data.draw(_KEYPOINT_COL)]
+                         for _ in range(frames)])
+        right = np.array([[data.draw(_KEYPOINT_ROW), data.draw(_KEYPOINT_COL)]
+                          for _ in range(frames)])
+        for t in range(frames):
+            if data.draw(st.booleans(), label="zero corner distance"):
+                right[t] = left[t]
+        kp = MouthKeypoints(lip_rows=np.zeros(frames), left=left, right=right,
+                            lum_lines=np.zeros((frames, 81, 2), dtype=int))
+        size = (data.draw(st.integers(1, 16)), data.draw(st.integers(1, 12)))
+        if (left == right).all():
+            for fn, args in ((extract_roi, (rgb, lum)), (oracles.extract_roi, (planes,))):
+                with pytest.raises(VsrError, match="zero mouth width"):
+                    fn(*args, kp, *size)
+            return
+        ref = oracles.extract_roi(planes, kp, *size)
+        for name in CHANNEL_NAMES:  # each plane asked alone
+            assert_same_bits(extract_roi(rgb, lum, kp, *size).plane(name), ref.plane(name))
+        roi = extract_roi(rgb, lum, kp, *size)
+        for name in data.draw(st.permutations(CHANNEL_NAMES), label="order"):
+            assert_same_bits(roi.plane(name), ref.plane(name))
+        assert_same_bits(roi.data, ref.data)
+        assert_same_bits(extract_roi(rgb, lum, kp, *size).data, ref.data)
+        assert roi.scale == ref.scale
+
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(3, 16), st.integers(20, 32))
+    @settings(max_examples=25, deadline=None)
+    def test_random_videos_segment_alike(self, seed, frames, height, width):
+        rng = np.random.default_rng(seed)
+        video = VideoSequence(rng.integers(0, 256, (frames, height, width, 3)).astype(np.uint8))
+        self.assert_segments_alike(video)
+
+    def test_fixture_sentence_segments_alike(self, short_sentence):
+        self.assert_segments_alike(short_sentence[0])
+
+    def assert_segments_alike(self, video):
+        cfg = PipelineConfig()
+        try:
+            kp, ref = oracles.segment_video(video, cfg.roi_width, cfg.roi_height)
+        except VsrError as e:
+            with pytest.raises(VsrError, match=str(e)):
+                segment_video(video, cfg)
+            return
+        result = segment_video(video, cfg)
+        for field in ("lip_rows", "left", "right", "lum_lines"):
+            assert_same_bits(getattr(result.keypoints, field), getattr(kp, field))
+        for name in CHANNEL_NAMES:
+            assert_same_bits(result.roi.plane(name), ref.plane(name))
+        assert_same_bits(result.roi.data, ref.data)
+        assert result.roi.scale == ref.scale
 
 
 class TestTrackingHmmOracle:
