@@ -11,7 +11,8 @@ equivalent semi-Markov (segment-level) Viterbi over end frames e:
 in O(frames x sum of per-class duration counts) time.  Ties go to the
 smallest duration, then the smallest class index: the path a state-level
 Viterbi over the machine picks when it breaks ties toward the lowest state
-index.  Every class inventory (phonemes, biphones) reads one probability
+index.  The segment weights p**d are taken one duration at a time, over
+the grid columns of every class that allows it.  Every class inventory (phonemes, biphones) reads one probability
 grid, built from one featurization of the union of their windows.
 """
 
@@ -101,13 +102,14 @@ def build_probability_grid(roi: RoiVolume, inventories, fps: float) -> Probabili
     )
 
 
-def decode_sequence(grid: ProbabilityGrid):
-    """Most likely exact tiling of [0, frame_count) into labeled segments.
+def segment_log_weights(grid: ProbabilityGrid):
+    """Every feasible (duration d, class c) pair in (d, c) order, and the
+    log-weight log(p_c(start, d) ** d) of each pair's segments.
 
-    Segment-level Viterbi: best[e] = max over (duration d, class c) of
-    best[e - d] + log(p_c(e - d, d) ** d), where a cell holding -1 weighs 0.
-    Ties go to the smallest duration, then the smallest class index.
-    Returns (label, start, duration) entries in frame order.
+    Returns (durations, classes, logw): logw[i, start] weighs the segment
+    (start, durations[i]) of class classes[i], with -inf for cells holding
+    -1.  The power is taken once per duration, with the scalar exponent d,
+    over the columns of every class whose bounds hold d.
     """
     lo = np.asarray(grid.dmin, dtype=int)
     hi = np.asarray(grid.dmax, dtype=int)
@@ -116,18 +118,34 @@ def decode_sequence(grid: ProbabilityGrid):
     for lab, a, b in zip(grid.class_labels, lo, hi):
         if not 1 <= a <= b:
             raise VsrError(f"class {lab!r} has invalid duration bounds [{a}, {b}]")
-    # (d, c) order makes the first argmax the tie rule
-    pairs = [(d, c) for d in range(1, int(hi.max()) + 1)
-             for c in range(len(lo)) if lo[c] <= d <= hi[c]]
-    durations = np.array([d for d, _ in pairs])
-    weights = []
-    for d, c in pairs:
-        cells = grid.probs[c][:, d - lo[c]]
+    # table[d - 1, c] is column d of class c where its bounds hold d
+    table = np.empty((int(hi.max()), len(lo), grid.frame_count))
+    for c, cells in enumerate(grid.probs):
+        table[lo[c] - 1:hi[c], c] = cells.T
+    durations, classes, weights = [], [], []
+    for d in range(1, int(hi.max()) + 1):
+        members = np.flatnonzero((lo <= d) & (d <= hi))
+        cells = table[d - 1, members]
+        durations.append(np.full(len(members), d))
+        classes.append(members)
         weights.append(np.where(cells >= 0, cells, 0.0) ** d)
     with np.errstate(divide="ignore"):
         # log(p**d), not d*log(p): its rounding and its underflow to 0 decide
         # exact ties and which long segments are infeasible
-        logw = np.log(np.stack(weights))                  # (pairs, frames)
+        logw = np.log(np.concatenate(weights))            # (pairs, frames)
+    return np.concatenate(durations), np.concatenate(classes), logw
+
+
+def decode_sequence(grid: ProbabilityGrid):
+    """Most likely exact tiling of [0, frame_count) into labeled segments.
+
+    Segment-level Viterbi: best[e] = max over (duration d, class c) of
+    best[e - d] + log(p_c(e - d, d) ** d), where a cell holding -1 weighs 0.
+    Ties go to the smallest duration, then the smallest class index: the
+    first maximum over the rows of `segment_log_weights`.
+    Returns (label, start, duration) entries in frame order.
+    """
+    durations, classes, logw = segment_log_weights(grid)
     n = grid.frame_count
     best = np.full(n + 1, -np.inf)
     best[0] = 0.0
@@ -144,7 +162,7 @@ def decode_sequence(grid: ProbabilityGrid):
         raise VsrError("no feasible tiling of the sequence (all weights vanish)")
     entries = []
     while n > 0:
-        d, c = pairs[back[n]]
+        d, c = int(durations[back[n]]), int(classes[back[n]])
         n -= d
         entries.append((grid.class_labels[c], n, d))
     return entries[::-1]

@@ -58,7 +58,8 @@ class Transcript:
 def time_shift(volume: np.ndarray, delta_t_ms: float, fps: float) -> np.ndarray:
     """Delay the volume by delta_t_ms: output frame t samples the input at
     continuous time t - delta_t_ms*fps/1000, linearly interpolated and
-    clamped at the sequence boundaries."""
+    clamped at the sequence boundaries.  A shift of whole frames (every
+    sample time an integer) is a frame gather."""
     if delta_t_ms < 0:
         raise VsrError("delta_t_ms must be non-negative")
     volume = np.asarray(volume, dtype=float)
@@ -66,8 +67,11 @@ def time_shift(volume: np.ndarray, delta_t_ms: float, fps: float) -> np.ndarray:
     shift = delta_t_ms * fps / 1000.0
     tau = np.clip(np.arange(n, dtype=float) - shift, 0.0, n - 1.0)
     lo = np.floor(tau).astype(np.intp)
+    frac = tau - lo
+    if not frac.any():
+        return volume[lo]
     hi = np.minimum(lo + 1, n - 1)
-    frac = (tau - lo).reshape((n,) + (1,) * (volume.ndim - 1))
+    frac = frac.reshape((n,) + (1,) * (volume.ndim - 1))
     return volume[lo] * (1.0 - frac) + volume[hi] * frac
 
 

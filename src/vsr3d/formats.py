@@ -146,22 +146,38 @@ def write_roi(roi: RoiVolume, path):
         fh.write(roi.data.astype("<f4").tobytes())
 
 
+_ROI_HEADER_BYTES = 20
+
+
 def read_roi(path) -> RoiVolume:
-    """The stored ROI as a read-only float32 view of the file's payload;
-    featurization widens only the plane it reads."""
+    """The stored ROI, checked against the file size but with no plane read.
+
+    Each plane is read on first use, as a read-only float32 array of its own
+    bytes only; featurization widens only the plane it reads.  A file whose
+    size changed since the header was read raises VsrError at that point.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != b"VSR1":
             raise VsrError(f"{path}: bad ROI magic {magic!r}")
         w, h, t, c = struct.unpack("<4I", _read_exact(fh, 16, path, "ROI header"))
-        payload = fh.read()
-    expected = c * t * h * w * 4
-    if len(payload) != expected:
-        raise VsrError(f"{path}: ROI payload has {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(c, t, h, w)
+        payload = os.fstat(fh.fileno()).st_size - _ROI_HEADER_BYTES
+    plane_bytes = t * h * w * 4
+    if payload != c * plane_bytes:
+        raise VsrError(f"{path}: ROI payload has {payload} bytes, expected {c * plane_bytes}")
     if c != len(CHANNEL_NAMES):
         raise VsrError(f"{path}: {c} channels, expected {len(CHANNEL_NAMES)}")
-    return RoiVolume(data=data, channels=tuple(CHANNEL_NAMES), scale=1.0)
+
+    def make_plane(name: str) -> np.ndarray:
+        with open(path, "rb") as fh:
+            now = os.fstat(fh.fileno()).st_size - _ROI_HEADER_BYTES
+            if now != payload:
+                raise VsrError(f"{path}: ROI payload now has {now} bytes, expected {payload}")
+            fh.seek(_ROI_HEADER_BYTES + CHANNEL_NAMES.index(name) * plane_bytes)
+            raw = _read_exact(fh, plane_bytes, path, f"ROI plane {name!r}")
+        return np.frombuffer(raw, dtype="<f4").reshape(t, h, w)
+
+    return RoiVolume(channels=CHANNEL_NAMES, scale=1.0, shape=(t, h, w), make_plane=make_plane)
 
 
 def write_keypoints_csv(rows, path):

@@ -104,8 +104,10 @@ class RoiVolume:
     makes a missing one.  Built from a (channels, frames, H, W) `data`
     array, it has every plane made up front.  `extract_roi` builds one with
     no plane made: its `make_plane` computes the channel over the window's
-    footprint in the cropped frames and resamples it.  `plane` makes a
-    plane on first use; `data` stacks every plane in `channels` order.
+    footprint in the cropped frames and resamples it.  `read_roi` does too:
+    its `make_plane` reads the plane's bytes from the `.vsr1` file.  `plane`
+    makes a plane on first use; `data` stacks every plane in `channels`
+    order.
     """
 
     def __init__(self, data=None, channels=tuple(CHANNEL_NAMES), scale: float = 1.0, *,
@@ -418,7 +420,9 @@ def box3(image: np.ndarray) -> np.ndarray:
     for dr in range(3):
         for dc in range(3):
             out += padded[..., dr:dr + h, dc:dc + w]
-    return out / 9.0
+    del padded
+    out /= 9.0
+    return out
 
 
 def _minmax01(values: np.ndarray, what: str) -> np.ndarray:

@@ -6,8 +6,10 @@ objective, and the one-problem SMO loop that the lockstep solver in
 `vsr3d.svm` must reproduce bit for bit; the segmentation path that computes
 all seven colour planes over every cropped frame and resamples them all,
 which the footprint path of `vsr3d.segmentation` must reproduce bit for bit;
-and the inverse 3D-DCT and ground-truth CSV reader of the feature and
-fixture tests.
+the decoder's segment log-weights built one (duration, class) pair at a time,
+and the segment-level Viterbi over them, which `vsr3d.decoder` must
+reproduce bit for bit; and the inverse 3D-DCT and ground-truth CSV reader of
+the feature and fixture tests.
 """
 
 from __future__ import annotations
@@ -221,3 +223,44 @@ def segment_video(video, roi_width: int = 64, roi_height: int = 48):
     left, right = detect_mouth_corners(smooth, lum_lines)
     keypoints = MouthKeypoints(lip_rows=lip_rows, left=left, right=right, lum_lines=lum_lines)
     return keypoints, extract_roi(planes, keypoints, roi_width, roi_height)
+
+
+def pair_log_weights(grid):
+    """The (d, c) pairs of a grid in (d, c) order and their (pairs, frames)
+    log-weights log(p**d), one power per pair."""
+    lo, hi = np.asarray(grid.dmin, dtype=int), np.asarray(grid.dmax, dtype=int)
+    pairs = [(d, c) for d in range(1, int(hi.max()) + 1)
+             for c in range(len(lo)) if lo[c] <= d <= hi[c]]
+    weights = []
+    for d, c in pairs:
+        cells = grid.probs[c][:, d - lo[c]]
+        weights.append(np.where(cells >= 0, cells, 0.0) ** d)
+    with np.errstate(divide="ignore"):
+        return pairs, np.log(np.stack(weights))
+
+
+def decode_sequence(grid):
+    """Segment-level Viterbi over `pair_log_weights`; the first maximum over
+    its rows breaks ties.  None when no tiling is feasible."""
+    pairs, logw = pair_log_weights(grid)
+    durations = np.array([d for d, _ in pairs])
+    n = grid.frame_count
+    best = np.full(n + 1, -np.inf)
+    best[0] = 0.0
+    back = np.zeros(n + 1, dtype=np.intp)
+    for e in range(1, n + 1):
+        k = np.searchsorted(durations, e, side="right")
+        if k == 0:
+            continue
+        starts = e - durations[:k]
+        scores = best[starts] + logw[np.arange(k), starts]
+        back[e] = np.argmax(scores)
+        best[e] = scores[back[e]]
+    if n < 1 or not np.isfinite(best[n]):
+        return None
+    entries = []
+    while n > 0:
+        d, c = pairs[back[n]]
+        n -= d
+        entries.append((grid.class_labels[c], n, d))
+    return entries[::-1]

@@ -1,9 +1,12 @@
 import json
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vsr3d.cli import main
 from vsr3d.config import CHANNEL_NAMES
@@ -425,6 +428,22 @@ class TestMalformedBinaryFiles:
                            "--out", str(tmp_path / "x.csv"))
             assert "channel 'red'" in assert_one_line_data_error(code, capsys, "featurize")
 
+    def test_nonfinite_values_in_unread_planes(self, tmp_path, capsys):
+        data = np.full((len(CHANNEL_NAMES), 12, 8, 10), np.nan)
+        data[CHANNEL_NAMES.index("red")] = np.random.default_rng(3).uniform(size=(12, 8, 10))
+        path = tmp_path / "red_only.vsr1"
+        write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(_model_doc()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("decode", str(path), "--model", str(model),
+                           "--set", "min_duration=2", "--set", "max_duration=6",
+                           "--out", str(tmp_path / "hyp.txt")) == 0
+            assert run_cli("featurize", str(path), "--all-subsequences",
+                           "--out", str(tmp_path / "x.csv")) == 0
+        assert capsys.readouterr().err == ""
+
 
 def _model_doc():
     """A small valid two-class model document for `decode` (11 features =
@@ -489,6 +508,62 @@ class TestDecodeBiphones:
         assert any("+" in label for label, _, _ in decode_sequence(grid))
         labels = read_label_sequence(hyp)
         assert labels and set(labels) <= {"C0", "C1"}
+
+
+def _valid_roi_blob():
+    data = np.random.default_rng(3).uniform(size=(len(CHANNEL_NAMES), 12, 8, 10))
+    return (b"VSR1" + struct.pack("<4I", 10, 8, 12, len(CHANNEL_NAMES))
+            + data.astype("<f4").tobytes())
+
+
+VALID_ROI = _valid_roi_blob()
+
+
+@st.composite
+def corrupt_roi_blobs(draw):
+    """VALID_ROI cut short, or with one to four bits flipped; half of the
+    flips land in the 20-byte header."""
+    if draw(st.booleans()):
+        return VALID_ROI[:draw(st.integers(0, len(VALID_ROI) - 1))]
+    blob = bytearray(VALID_ROI)
+    anywhere = st.integers(0, 8 * len(blob) - 1)
+    for bit in draw(st.lists(st.one_of(st.integers(0, 159), anywhere), min_size=1, max_size=4)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+    return bytes(blob)
+
+
+class TestCorruptRoiFiles:
+    """A truncated or bit-flipped .vsr1 file through `decode` and `featurize`
+    exits 0, or 2 with one line on stderr: never a traceback, a warning, or
+    an allocation the size of a corrupt header."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=corrupt_roi_blobs())
+    def test_decode_and_featurize(self, tmp_path, capsys, blob):
+        model, path = tmp_path / "model.json", tmp_path / "corrupt.vsr1"
+        model.write_text(json.dumps(_model_doc()))
+        path.write_bytes(blob)
+        runs = {
+            "decode": ("--model", str(model), "--out", str(tmp_path / "hyp.txt")),
+            "featurize": ("--all-subsequences", "--out", str(tmp_path / "x.csv")),
+        }
+        for command, args in runs.items():
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = run_cli(command, str(path), *args,
+                                   "--set", "min_duration=2", "--set", "max_duration=6")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+            if code == 0:
+                assert capsys.readouterr().err == ""
+            else:
+                assert_one_line_data_error(code, capsys, command)
 
 
 class TestMalformedModelFiles:

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import reference_windows
 from vsr3d import VsrError
-from vsr3d.decoder import (ProbabilityGrid, decode_sequence, entries_to_transcript,
-                           expand_biphones)
+from vsr3d.decoder import (PROB_CEIL, PROB_FLOOR, ProbabilityGrid, decode_sequence,
+                           entries_to_transcript, expand_biphones, segment_log_weights)
 from vsr3d.segmentation import viterbi_generic
 
 
@@ -246,6 +247,52 @@ class TestDecodeSequence:
             assert (start, dur) == (3 * i, 3)
             cell = [grid.prob(c, start, 3) for c in range(3)]
             assert lab == grid.class_labels[int(np.argmax(cell))]
+
+
+@st.composite
+def ragged_grids(draw):
+    """Grids whose classes have their own duration bounds (the first class
+    always holds d = 1 and 2), with random -1 cells and cells at the
+    probability clamps."""
+    frames = draw(st.integers(1, 16))
+    bounds = [(1, draw(st.integers(2, 6)))]
+    for _ in range(draw(st.integers(0, 4))):
+        lo = draw(st.integers(1, 8))
+        bounds.append((lo, lo + draw(st.integers(0, 5))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = []
+    for lo, hi in bounds:
+        p = rng.uniform(0.0, 1.0, size=(frames, hi - lo + 1))
+        p[rng.random(p.shape) < 0.1] = PROB_FLOOR
+        p[rng.random(p.shape) < 0.1] = PROB_CEIL
+        p[rng.random(p.shape) < 0.15] = -1.0
+        for d in range(lo, hi + 1):
+            p[max(frames - d + 1, 0):, d - lo] = -1.0
+        probs.append(np.clip(p, PROB_FLOOR, PROB_CEIL, where=p >= 0, out=p))
+    return ProbabilityGrid(class_labels=[f"k{i}" for i in range(len(bounds))],
+                           dmin=np.array([lo for lo, _ in bounds]),
+                           dmax=np.array([hi for _, hi in bounds]),
+                           frame_count=frames, probs=probs)
+
+
+class TestSegmentLogWeights:
+    """One power per duration over the gathered columns of its classes gives
+    the bits of one power per (duration, class) pair, in the same row order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_grids())
+    def test_equals_per_pair_oracle(self, grid):
+        durations, classes, logw = segment_log_weights(grid)
+        pairs, oracle_logw = oracles.pair_log_weights(grid)
+        assert list(zip(durations.tolist(), classes.tolist())) == pairs
+        assert logw.shape == oracle_logw.shape
+        assert logw.tobytes() == oracle_logw.tobytes()
+        expected = oracles.decode_sequence(grid)
+        if expected is None:
+            with pytest.raises(VsrError, match="no feasible tiling"):
+                decode_sequence(grid)
+        else:
+            assert decode_sequence(grid) == expected
 
 
 TIE_LEVELS = np.array([1e-12, 0.25, 0.5, 1.0])

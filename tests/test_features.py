@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import reference_windows
 from oracles import idct3
@@ -67,6 +68,24 @@ class TestTimeShift:
     def test_negative_shift_rejected(self):
         with pytest.raises(VsrError):
             time_shift(np.zeros((3, 1, 1)), -1.0, 25.0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(arrays(np.float32, st.tuples(st.integers(1, 9), st.integers(1, 3), st.integers(1, 3)),
+                  elements=st.floats(-1e6, 1e6, width=32)),
+           st.one_of(st.integers(0, 12).map(lambda k: 40.0 * k),
+                     st.floats(0.0, 500.0, allow_nan=False)))
+    def test_equals_linear_blend(self, volume, delta_t_ms):
+        # the blend at 25 fps; whole-frame shifts (multiples of 40 ms) take
+        # the gather path, and must keep its values
+        widened = volume.astype(float)
+        n = len(widened)
+        tau = np.clip(np.arange(n) - delta_t_ms * 25.0 / 1000.0, 0.0, n - 1.0)
+        lo = np.floor(tau).astype(np.intp)
+        frac = (tau - lo)[:, None, None]
+        blend = widened[lo] * (1.0 - frac) + widened[np.minimum(lo + 1, n - 1)] * frac
+        out = time_shift(volume, delta_t_ms, 25.0)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, blend)
 
 
 class TestSequenceMean:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vsr3d import VsrError
+from vsr3d import VsrError, formats
 from vsr3d.config import CHANNEL_NAMES
 from vsr3d.decoder import ProbabilityGrid
 from vsr3d.evaluation import AlignmentCounts, align_nw, confusion_matrix
@@ -114,6 +114,56 @@ class TestRoiFile:
         (tmp_path / "bad.vsr1").write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(VsrError):
             read_roi(tmp_path / "bad.vsr1")
+
+
+class TestLazyRoiPlanes:
+    """`read_roi` checks the file and reads a plane only when it is used."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        data = np.random.default_rng(6).normal(size=(len(CHANNEL_NAMES), 5, 4, 3))
+        path = tmp_path / "r.vsr1"
+        write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
+        return path
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """(offset, bytes) of every read `formats._read_exact` makes."""
+        log, original = [], formats._read_exact
+
+        def spy(fh, n, path, what):
+            log.append((fh.tell(), n))
+            return original(fh, n, path, what)
+
+        monkeypatch.setattr(formats, "_read_exact", spy)
+        return log
+
+    def test_planes_equal_the_eager_payload_slices(self, stored):
+        eager = np.frombuffer(stored.read_bytes()[20:], dtype="<f4").reshape(
+            len(CHANNEL_NAMES), 5, 4, 3)
+        roi = read_roi(stored)
+        assert roi.shape == (5, 4, 3)
+        for i, name in enumerate(CHANNEL_NAMES):
+            plane = roi.plane(name)
+            assert plane.dtype == np.float32 and not plane.flags.writeable
+            assert plane.tobytes() == eager[i].tobytes()
+        assert roi.data.tobytes() == eager.tobytes()
+
+    def test_reads_only_the_requested_plane_once(self, stored, reads):
+        roi = read_roi(stored)
+        assert reads == [(4, 16)]                      # the header, no payload
+        plane_bytes = 5 * 4 * 3 * 4
+        blue = CHANNEL_NAMES.index("blue")
+        first = roi.plane("blue")
+        assert reads[1:] == [(20 + blue * plane_bytes, plane_bytes)]
+        assert roi.plane("blue") is first
+        assert len(reads) == 2
+
+    def test_file_truncated_before_first_plane_raises(self, stored):
+        roi = read_roi(stored)
+        stored.write_bytes(stored.read_bytes()[:-1])
+        with pytest.raises(VsrError, match="payload now has"):
+            roi.plane("lum")
 
 
 class TestTranscriptFile:
