@@ -17,8 +17,8 @@ from .formats import (find_video_dirs, read_grid, read_features_csv, read_label_
                       read_roi, read_transcript, read_video_dir, write_confusion_csv,
                       write_eval_report, write_features_csv, write_grid, write_keypoints_csv,
                       write_pgm, write_roi, write_transcript)
-from .pipeline import (collect_labeled_features, decode_roi, grid_to_heatmap, keypoint_rows,
-                       segment_video, train_from_features)
+from .pipeline import (decode_roi, grid_to_heatmap, keypoint_rows, segment_video,
+                       train_from_features)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,16 +109,6 @@ def build_parser() -> _Parser:
                    help="do not strip internal silence from the reference")
     p.add_argument("--out", default=None, help="report CSV path")
     p.add_argument("--confusion", default=None, help="confusion matrix CSV path")
-
-    p = sub.add_parser(
-        "bench", help="end-to-end load/segment/decode wall time over synthetic videos",
-        description="End-to-end load/segment/decode wall time over synthetic videos. "
-                    "For the per-layer split of the same calls, run "
-                    "`python3 perfbench/run.py --workload decode-phoneme --trace 1`.")
-    _add_common(p)
-    p.add_argument("--frames", required=True, help="comma-separated frame counts")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("grid-heatmap", help="render one class of a grid file as PGM")
     _add_common(p)
@@ -265,82 +255,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import tempfile
-    import time
-
-    from .fixtures import SynthConfig, derive_seed, synth_sentence
-    from .formats import write_video_dir
-
-    try:
-        frame_counts = [int(v) for v in args.frames.split(",") if v]
-    except ValueError:
-        raise VsrError(f"--frames must be comma-separated integers, got {args.frames!r}")
-    if not frame_counts or min(frame_counts) < 1:
-        raise VsrError(f"--frames needs one or more counts >= 1, got {args.frames!r}")
-    cfg = _load_config(args)
-    synth_cfg = SynthConfig(seed=args.seed, sentence_length=6)
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        model = _bench_model(synth_cfg, cfg, tmp)
-        lines = ["frames,load,segment,decode,total,per_frame_ms"]
-        for n in frame_counts:
-            units = _units_for_exact_frames(synth_cfg, n)
-            video, _ = synth_sentence(synth_cfg, units, (synth_cfg.frame_width - 1) / 2.0,
-                                      0.0, derive_seed(args.seed, 99, n))
-            vdir = tmp / f"bench_{n}"
-            write_video_dir(video, vdir)
-            t0 = time.perf_counter()
-            video = read_video_dir(vdir)
-            t1 = time.perf_counter()
-            roi = segment_video(video, cfg).roi
-            t2 = time.perf_counter()
-            decode_roi(roi, model, cfg)
-            t3 = time.perf_counter()
-            total = t3 - t0
-            lines.append(f"{n},{t1 - t0:.3f},{t2 - t1:.3f},{t3 - t2:.3f},{total:.3f},"
-                         f"{1000.0 * total / n:.2f}")
-        table = "\n".join(lines)
-    print(table)
-    if args.out:
-        Path(args.out).write_text(table + "\n", encoding="ascii")
-    return 0
-
-
-def _units_for_exact_frames(synth_cfg, n: int) -> list[tuple[int, int]]:
-    """Unit sequence whose durations sum to exactly n frames."""
-    from .fixtures import Rng
-
-    rng = Rng(1234)
-    units = []
-    remaining = n
-    while remaining > 0:
-        d = min(remaining, rng.randint(synth_cfg.min_unit_frames, synth_cfg.max_unit_frames))
-        if remaining - d < synth_cfg.min_unit_frames and remaining - d > 0:
-            d = remaining  # avoid a trailing sliver shorter than a unit
-        units.append((rng.randint(0, synth_cfg.class_count - 1), d))
-        remaining -= d
-    return units
-
-
-def _bench_model(synth_cfg, cfg: PipelineConfig, tmp: Path):
-    """Small deterministic model so bench exercises the full path."""
-    from .fixtures import synth_corpus
-
-    corpus = tmp / "bench_train"
-    dirs = synth_corpus(synth_cfg, 6, corpus)
-    x, labels = collect_labeled_features(dirs, "phoneme", cfg)
-    counts = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    keep = [i for i, lab in enumerate(labels) if counts[lab] >= 2]
-    x = x[keep]
-    labels = [labels[i] for i in keep]
-    small = dataclasses.replace(cfg, c_grid=(64.0,), gamma_grid=(2.0**-7,))
-    model, _ = train_from_features(x, labels, small)
-    return model
-
-
 def cmd_grid_heatmap(args) -> int:
     grid = read_grid(args.grid)
     write_pgm(grid_to_heatmap(grid, args.label), args.out)
@@ -355,7 +269,6 @@ _COMMANDS = {
     "train": cmd_train,
     "decode": cmd_decode,
     "eval": cmd_eval,
-    "bench": cmd_bench,
     "grid-heatmap": cmd_grid_heatmap,
 }
 

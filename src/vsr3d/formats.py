@@ -4,14 +4,14 @@ Video directory: frame_00000.ppm, frame_00001.ppm, ... (binary P6) plus
 manifest.txt with the lines "fps=25" and "frames=N".
 
 RoiVolume (.vsr1): magic "VSR1"; little-endian u32 width, height, frames,
-channelCount; f32 little-endian data ordered channel-major, frame-major,
-row-major.  Channels are stored in the canonical order
-(lum, u, ulum, pseudo_hue, red, green, blue).
+channelCount (width, height and frames nonzero); f32 little-endian data
+ordered channel-major, frame-major, row-major.  Channels are stored in the
+canonical order (lum, u, ulum, pseudo_hue, red, green, blue).
 
 Probability grid (.grd1): magic "GRD1"; u32 classCount, frameCount,
 maxDuration; per class a u32-length-prefixed UTF-8 label and u32 dmin, dmax;
-then one contiguous f32 block in [class][start][duration] order with invalid
-cells stored as -1.0.
+then one contiguous f32 block of finite cells in [class][start][duration]
+order with invalid cells stored as -1.0.
 
 Transcript: one "LABEL START_MS END_MS" line per entry, integer milliseconds.
 
@@ -162,6 +162,9 @@ def read_roi(path) -> RoiVolume:
             raise VsrError(f"{path}: bad ROI magic {magic!r}")
         w, h, t, c = struct.unpack("<4I", _read_exact(fh, 16, path, "ROI header"))
         payload = os.fstat(fh.fileno()).st_size - _ROI_HEADER_BYTES
+    for name, n in (("frames", t), ("height", h), ("width", w)):
+        if n == 0:
+            raise VsrError(f"{path}: ROI has 0 {name}")
     plane_bytes = t * h * w * 4
     if payload != c * plane_bytes:
         raise VsrError(f"{path}: ROI payload has {payload} bytes, expected {c * plane_bytes}")
@@ -298,6 +301,8 @@ def read_grid(path):
             span = dmax[c] - dmin[c] + 1
             raw = _read_exact(fh, frame_count * span * 4, path, "grid payload")
             probs.append(np.frombuffer(raw, dtype="<f4").astype(float).reshape(frame_count, span))
+            if not np.isfinite(probs[-1]).all():
+                raise VsrError(f"{path}: class {labels[c]!r} has a non-finite cell")
         if fh.read(1):
             raise VsrError(f"{path}: trailing bytes after the grid payload")
     return ProbabilityGrid(class_labels=labels, dmin=np.array(dmin), dmax=np.array(dmax),

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import VsrError
 from .config import PipelineConfig
 from .decoder import build_probability_grid, decode_sequence, expand_biphones
-from .features import extract_labeled_samples, feature_dimension
-from .formats import read_transcript, read_video_dir
 from .segmentation import (MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence, box3,
                            cropped_to_original, detect_inner_lower_lip, detect_mouth_corners,
                            build_min_luminance_line, extract_roi, find_symmetry_lines,
@@ -56,23 +53,6 @@ def keypoint_rows(result: SegmentationResult):
         (t, *result.keypoints_original[t])
         for t in range(result.keypoints_original.shape[0])
     ]
-
-
-def collect_labeled_features(video_dirs, kind: str, cfg: PipelineConfig):
-    """Labeled samples pooled over a list of video directories, each
-    segmented on the fly.  Returns (X, labels)."""
-    xs, labels = [], []
-    for d in video_dirs:
-        d = Path(d)
-        roi = segment_video(read_video_dir(d), cfg).roi
-        transcript = read_transcript(d / "transcript.txt")
-        x, labs, _ = extract_labeled_samples(roi, transcript, kind, cfg)
-        if len(labs):
-            xs.append(x)
-            labels.extend(labs)
-    if not xs:
-        return np.zeros((0, feature_dimension(cfg.mask_size))), []
-    return np.vstack(xs), labels
 
 
 def train_from_features(x: np.ndarray, labels, cfg: PipelineConfig):

@@ -77,9 +77,17 @@ class TestUsageAndVersion:
 
     def test_help_available_everywhere(self, capsys):
         for cmd in ("synth", "segment", "featurize", "train", "decode", "eval",
-                    "bench", "grid-heatmap"):
+                    "grid-heatmap"):
             assert run_cli(cmd, "--help") == 0
             assert "usage" in capsys.readouterr().out
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        assert run_cli("--help") == 0
+        assert "bench" not in capsys.readouterr().out
+        assert run_cli("bench", "--frames", "10") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vsr3d")
+        assert "invalid choice: 'bench'" in err
 
 
 class TestSynth:
@@ -380,13 +388,17 @@ class TestMalformedBinaryFiles:
         _grid_blob(dmin=3, dmax=2),
         _grid_blob(cells=5),
         _grid_blob() + b"\x00",
+        _grid_blob(cells=5) + struct.pack("<f", float("nan")),
+        _grid_blob(cells=5) + struct.pack("<f", float("inf")),
     ], ids=["short-header", "short-directory", "bad-utf8-label", "dmin-zero",
-            "dmin-above-dmax", "short-payload", "trailing-bytes"])
+            "dmin-above-dmax", "short-payload", "trailing-bytes", "nan-cell", "inf-cell"])
     def test_grid_heatmap(self, tmp_path, capsys, blob):
         path = tmp_path / "bad.grd1"
         path.write_bytes(blob)
-        code = run_cli("grid-heatmap", "--grid", str(path), "--label", "A",
-                       "--out", str(tmp_path / "x.pgm"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a numpy warning would be a second line
+            code = run_cli("grid-heatmap", "--grid", str(path), "--label", "A",
+                           "--out", str(tmp_path / "x.pgm"))
         assert_one_line_data_error(code, capsys, "grid-heatmap")
 
     def test_complete_grid_is_accepted(self, tmp_path):
@@ -408,6 +420,22 @@ class TestMalformedBinaryFiles:
         code = run_cli("decode", str(path), "--model", str(model),
                        "--out", str(tmp_path / "hyp.txt"))
         assert_one_line_data_error(code, capsys, "decode")
+
+    @pytest.mark.parametrize("zero", ["frames", "height", "width"])
+    def test_zero_sized_roi(self, tmp_path, capsys, zero):
+        size = {"frames": 12, "height": 8, "width": 10, zero: 0}
+        path = tmp_path / "empty.vsr1"
+        path.write_bytes(b"VSR1" + struct.pack("<4I", size["width"], size["height"],
+                                               size["frames"], len(CHANNEL_NAMES)))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(_model_doc()))
+        runs = {
+            "decode": ("--model", str(model), "--out", str(tmp_path / "hyp.txt")),
+            "featurize": ("--all-subsequences", "--out", str(tmp_path / "x.csv")),
+        }
+        for command, args in runs.items():
+            err = assert_one_line_data_error(run_cli(command, str(path), *args), capsys, command)
+            assert f"ROI has 0 {zero}" in err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["roi-nan", "roi-inf"])
     def test_nonfinite_roi_value(self, tmp_path, capsys, value):
@@ -566,6 +594,67 @@ class TestCorruptRoiFiles:
                 assert_one_line_data_error(code, capsys, command)
 
 
+def _valid_grid_blob():
+    """A two-class .grd1 file with ragged duration bounds and some invalid
+    (-1) cells, and the byte count of its header and class directory."""
+    rng = np.random.default_rng(4)
+    frames, classes = 6, ((b"A", 1, 3), (b"BB", 2, 4))
+    blob = b"GRD1" + struct.pack("<3I", len(classes), frames, 4)
+    for label, lo, hi in classes:
+        blob += struct.pack("<I", len(label)) + label + struct.pack("<2I", lo, hi)
+    directory = len(blob)
+    for _, lo, hi in classes:
+        cells = rng.uniform(size=(frames, hi - lo + 1))
+        cells[rng.uniform(size=cells.shape) < 0.2] = -1.0
+        blob += cells.astype("<f4").tobytes()
+    return blob, directory
+
+
+VALID_GRID, GRID_DIRECTORY_BYTES = _valid_grid_blob()
+
+
+@st.composite
+def corrupt_grid_blobs(draw):
+    """VALID_GRID cut short, or with one to four bits flipped; half of the
+    flips land in the header and class directory."""
+    if draw(st.booleans()):
+        return VALID_GRID[:draw(st.integers(0, len(VALID_GRID) - 1))]
+    blob = bytearray(VALID_GRID)
+    directory = st.integers(0, 8 * GRID_DIRECTORY_BYTES - 1)
+    anywhere = st.integers(0, 8 * len(blob) - 1)
+    for bit in draw(st.lists(st.one_of(directory, anywhere), min_size=1, max_size=4)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+    return bytes(blob)
+
+
+class TestCorruptGridFiles:
+    """A truncated or bit-flipped .grd1 file through `grid-heatmap` exits 0,
+    or 2 with one line on stderr: never a traceback, a warning, or an
+    allocation the size of a corrupt header."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=corrupt_grid_blobs())
+    def test_grid_heatmap(self, tmp_path, capsys, blob):
+        path = tmp_path / "corrupt.grd1"
+        path.write_bytes(blob)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_cli("grid-heatmap", "--grid", str(path), "--label", "A",
+                               "--out", str(tmp_path / "x.pgm"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        if code == 0:
+            assert capsys.readouterr().err == ""
+        else:
+            assert_one_line_data_error(code, capsys, "grid-heatmap")
+
+
 class TestMalformedModelFiles:
     """A model file with non-finite numbers, inconsistent shapes, a gamma
     that is not positive, a repeated class label or an unusable feature
@@ -631,45 +720,3 @@ class TestMalformedModelFiles:
         corrupt(doc)
         code = self.decode(tmp_path, roi_path, doc)
         assert_one_line_data_error(code, capsys, "decode")
-
-
-class TestBench:
-    def test_bench_table(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert run_cli("bench", "--frames", "10,14", "--seed", "3", "--out", str(out)) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "frames,load,segment,decode,total,per_frame_ms"
-        assert len(lines) == 3
-        for line, frames in zip(lines[1:], (10, 14)):
-            n, load, segment, decode, total, per_frame_ms = line.split(",")
-            assert int(n) == frames
-            parts = [float(load), float(segment), float(decode)]
-            assert min(parts) >= 0 and float(total) > 0
-            assert abs(sum(parts) - float(total)) <= 0.002 + 1e-9  # four 3-decimal roundings
-            assert float(per_frame_ms) == pytest.approx(1000.0 * float(total) / frames,
-                                                        abs=0.06)
-
-    def test_bench_times_the_production_calls(self, monkeypatch):
-        import vsr3d.cli
-
-        calls = {"segment_video": 0, "decode_roi": 0}
-
-        def counted(name):
-            real = getattr(vsr3d.cli, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(vsr3d.cli, name, counted(name))
-        assert run_cli("bench", "--frames", "10,14", "--seed", "3") == 0
-        assert calls == {"segment_video": 2, "decode_roi": 2}
-
-    def test_bad_frames_argument(self):
-        assert run_cli("bench", "--frames", "ten") == 2
-
-    @pytest.mark.parametrize("frames", ["0", "-5", "10,0", ",", ""])
-    def test_frame_counts_below_one_or_none(self, capsys, frames):
-        assert_one_line_data_error(run_cli("bench", f"--frames={frames}"), capsys, "bench")

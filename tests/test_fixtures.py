@@ -142,11 +142,19 @@ class TestSentenceAndCorpus:
     def test_motion_classes_recoverable_from_features(self, tmp_path, corpus_config):
         # featurized ground-truth intervals must separate the classes: the
         # trained model classifies its own training samples perfectly
-        from vsr3d.pipeline import collect_labeled_features, train_from_features
+        from vsr3d.features import extract_labeled_samples
+        from vsr3d.formats import read_transcript, read_video_dir
+        from vsr3d.pipeline import segment_video, train_from_features
         from vsr3d.svm import predict_probability_matrix
 
-        dirs = synth_corpus(SynthConfig(seed=31, sentence_length=4), 6, tmp_path / "c")
-        x, labels = collect_labeled_features(dirs, "phoneme", corpus_config)
+        xs, labels = [], []
+        for d in synth_corpus(SynthConfig(seed=31, sentence_length=4), 6, tmp_path / "c"):
+            roi = segment_video(read_video_dir(d), corpus_config).roi
+            x, labs, _ = extract_labeled_samples(roi, read_transcript(d / "transcript.txt"),
+                                                 "phoneme", corpus_config)
+            xs.append(x)
+            labels.extend(labs)
+        x = np.vstack(xs)
         model, _ = train_from_features(x, labels, corpus_config)
         probs = predict_probability_matrix(model, x)
         predicted = [model.class_labels[i] for i in np.argmax(probs, axis=1)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vsr3d.pipeline import collect_labeled_features, grid_to_heatmap, keypoint_rows, segment_video
+from vsr3d.pipeline import grid_to_heatmap, keypoint_rows, segment_video
 
 
 class TestSegmentVideo:
@@ -23,19 +23,6 @@ class TestSegmentVideo:
         video, _ = short_sentence
         res = segment_video(video, corpus_config, force_lip_row=30)
         assert res.keypoints.lip_rows[0] == 30
-
-
-class TestCorpusHelpers:
-    def test_collect_labeled_features(self, tmp_path, corpus_config):
-        from vsr3d.fixtures import SynthConfig, synth_corpus
-
-        dirs = synth_corpus(SynthConfig(seed=13, sentence_length=3), 2, tmp_path / "c")
-        x, labels = collect_labeled_features(dirs, "phoneme", corpus_config)
-        assert x.shape == (6, 11)
-        assert len(labels) == 6
-        xb, blabels = collect_labeled_features(dirs, "biphone", corpus_config)
-        assert xb.shape[0] == 4
-        assert all("+" in lab for lab in blabels)
 
 
 class TestHeatmap:
