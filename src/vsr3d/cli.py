@@ -28,19 +28,23 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_common(p: _Parser):
+def _add_common(p: _Parser, config: bool = True, threads: bool = True):
+    """--version everywhere; --config/--set on the subcommands that read the
+    pipeline config; --threads on synth and those subcommands."""
     p.add_argument("--version", action="version", version=f"vsr3d {__version__}")
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE", help="override one config value (repeatable)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for synth; other subcommands run single-threaded")
+    if config:
+        p.add_argument("--config", help="JSON config file (flags override it)")
+        p.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="KEY=VALUE", help="override one config value (repeatable)")
+    if threads:
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for synth; other subcommands run single-threaded")
 
 
 def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
     overrides = {}
-    for pair in getattr(args, "overrides", []):
+    for pair in args.overrides:
         key, sep, value = pair.partition("=")
         if not sep:
             raise VsrError(f"--set expects KEY=VALUE, got {pair!r}")
@@ -56,8 +60,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"vsr3d {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic corpus")
-    _add_common(p)
+    p = sub.add_parser("synth", help="generate a synthetic corpus")
+    _add_common(p, config=False)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--sentences", type=int, required=True)
@@ -101,7 +105,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output transcript path")
 
     p = sub.add_parser("eval", help="score hypothesis transcripts against references")
-    _add_common(p)
+    _add_common(p, config=False, threads=False)
     p.add_argument("--ref", required=True, help="reference transcript file or directory")
     p.add_argument("--hyp", required=True, help="hypothesis transcript file or directory")
     p.add_argument("--units", default="phoneme", choices=["phoneme", "viseme"])
@@ -111,7 +115,7 @@ def build_parser() -> _Parser:
     p.add_argument("--confusion", default=None, help="confusion matrix CSV path")
 
     p = sub.add_parser("grid-heatmap", help="render one class of a grid file as PGM")
-    _add_common(p)
+    _add_common(p, config=False, threads=False)
     p.add_argument("--grid", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--out", required=True)
@@ -142,6 +146,19 @@ def cmd_segment(args) -> int:
     return 0
 
 
+def _input_roi(path: Path, cfg: PipelineConfig):
+    """The ROI of a .vsr1 file, or of a video directory segmented here; a
+    directory whose manifest fps differs from the config's is a data error,
+    since transcripts and decodes convert milliseconds at the config's fps."""
+    if not path.is_dir():
+        return read_roi(path)
+    video = read_video_dir(path)
+    if video.fps != cfg.fps:
+        raise VsrError(f"{path / 'manifest.txt'}: fps={video.fps} but the config has "
+                       f"fps={cfg.fps}; pass --set fps={video.fps} to match")
+    return segment_video(video, cfg).roi
+
+
 def cmd_featurize(args) -> int:
     from .features import enumerate_subsequences, extract_labeled_samples, featurize_many
 
@@ -159,10 +176,7 @@ def cmd_featurize(args) -> int:
     if multi:
         out.mkdir(parents=True, exist_ok=True)
     for name, source, transcript in inputs:
-        if source.is_dir():
-            roi = segment_video(read_video_dir(source), cfg).roi
-        else:
-            roi = read_roi(source)
+        roi = _input_roi(source, cfg)
         if args.all_subsequences:
             lo, hi = cfg.duration_bounds(args.kind)
             spans = enumerate_subsequences(roi.frame_count, range(lo, hi + 1))
@@ -205,12 +219,7 @@ def cmd_decode(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
     biphone_model = load_model(args.biphone_model) if args.biphone_model else None
-    path = Path(args.input)
-    if path.is_dir():
-        roi = segment_video(read_video_dir(path), cfg).roi
-    else:
-        roi = read_roi(path)
-    entries, grid = decode_roi(roi, model, cfg, biphone_model)
+    entries, grid = decode_roi(_input_roi(Path(args.input), cfg), model, cfg, biphone_model)
     if args.save_grid:
         write_grid(grid, args.save_grid)
     from .decoder import entries_to_transcript

@@ -4,16 +4,15 @@ The paper's duration-constrained HMM has one start state per (class,
 duration) pair, weighted by the calibrated window probability raised to the
 duration-th power, and countdown states that enforce the exact duration.
 Its most likely path is found here without building the machine, as the
-equivalent semi-Markov (segment-level) Viterbi over end frames e:
+equivalent semi-Markov (segment-level) Viterbi over end frames e.  Each
+window first takes its best class, so the DP runs over durations only:
 
-    best[e] = max over (d, c) of best[e - d] + log(p_c(e - d, d) ** d)
+    best[e] = max over d of best[e - d] + max over c of log(p_c(e - d, d) ** d)
 
-in O(frames x sum of per-class duration counts) time.  Ties go to the
-smallest duration, then the smallest class index: the path a state-level
-Viterbi over the machine picks when it breaks ties toward the lowest state
-index.  The segment weights p**d are taken one duration at a time, over
-the grid columns of every class that allows it.  Every class inventory (phonemes, biphones) reads one probability
-grid, built from one featurization of the union of their windows.
+Ties go to the smallest duration among the best scores, then to the class
+of largest weight, the lowest index among exactly equal weights.  Every
+class inventory (phonemes, biphones) reads one probability grid, built from
+one featurization of the union of their windows.
 """
 
 from __future__ import annotations
@@ -46,11 +45,6 @@ class ProbabilityGrid:
     dmax: np.ndarray
     frame_count: int
     probs: list[np.ndarray]
-
-    def prob(self, c: int, start: int, duration: int) -> float:
-        if not self.dmin[c] <= duration <= self.dmax[c]:
-            return -1.0
-        return float(self.probs[c][start, duration - self.dmin[c]])
 
 
 def _feature_echo(model: MultiClassModel) -> tuple:
@@ -102,14 +96,10 @@ def build_probability_grid(roi: RoiVolume, inventories, fps: float) -> Probabili
     )
 
 
-def segment_log_weights(grid: ProbabilityGrid):
-    """Every feasible (duration d, class c) pair in (d, c) order, and the
-    log-weight log(p_c(start, d) ** d) of each pair's segments.
-
-    Returns (durations, classes, logw): logw[i, start] weighs the segment
-    (start, durations[i]) of class classes[i], with -inf for cells holding
-    -1.  The power is taken once per duration, with the scalar exponent d,
-    over the columns of every class whose bounds hold d.
+def segment_log_weights(grid: ProbabilityGrid) -> np.ndarray:
+    """logw[d - 1, c, start] = log(p_c(start, d) ** d), of shape (max dmax,
+    classes, frames); -inf where c's bounds exclude d or its cell holds -1.
+    The power is taken once per duration, with the scalar exponent d.
     """
     lo = np.asarray(grid.dmin, dtype=int)
     hi = np.asarray(grid.dmax, dtype=int)
@@ -118,53 +108,47 @@ def segment_log_weights(grid: ProbabilityGrid):
     for lab, a, b in zip(grid.class_labels, lo, hi):
         if not 1 <= a <= b:
             raise VsrError(f"class {lab!r} has invalid duration bounds [{a}, {b}]")
-    # table[d - 1, c] is column d of class c where its bounds hold d
-    table = np.empty((int(hi.max()), len(lo), grid.frame_count))
+    # weights[d - 1, c] is column d of class c, 0 where its bounds exclude d
+    weights = np.zeros((int(hi.max()), len(lo), grid.frame_count))
     for c, cells in enumerate(grid.probs):
-        table[lo[c] - 1:hi[c], c] = cells.T
-    durations, classes, weights = [], [], []
-    for d in range(1, int(hi.max()) + 1):
-        members = np.flatnonzero((lo <= d) & (d <= hi))
-        cells = table[d - 1, members]
-        durations.append(np.full(len(members), d))
-        classes.append(members)
-        weights.append(np.where(cells >= 0, cells, 0.0) ** d)
+        weights[lo[c] - 1:hi[c], c] = np.where(cells >= 0, cells, 0.0).T
+    for d in range(1, len(weights) + 1):
+        weights[d - 1] = weights[d - 1] ** d
     with np.errstate(divide="ignore"):
         # log(p**d), not d*log(p): its rounding and its underflow to 0 decide
         # exact ties and which long segments are infeasible
-        logw = np.log(np.concatenate(weights))            # (pairs, frames)
-    return np.concatenate(durations), np.concatenate(classes), logw
+        return np.log(weights)
 
 
 def decode_sequence(grid: ProbabilityGrid):
     """Most likely exact tiling of [0, frame_count) into labeled segments.
 
-    Segment-level Viterbi: best[e] = max over (duration d, class c) of
-    best[e - d] + log(p_c(e - d, d) ** d), where a cell holding -1 weighs 0.
-    Ties go to the smallest duration, then the smallest class index: the
-    first maximum over the rows of `segment_log_weights`.
+    Each window (start, d) takes the class of largest `segment_log_weights`
+    weight, the lowest index among exactly equal weights; then best[e] = max
+    over d <= e of best[e - d] + that weight, ties to the smallest d.
+    Rounding is monotone, so the class reduction leaves every best[e] as a
+    max over all (d, c) pairs would give it.
     Returns (label, start, duration) entries in frame order.
     """
-    durations, classes, logw = segment_log_weights(grid)
+    logw = segment_log_weights(grid)
+    classes = logw.argmax(axis=1)                        # (durations, frames)
+    weights = logw.max(axis=1)
     n = grid.frame_count
     best = np.full(n + 1, -np.inf)
     best[0] = 0.0
     back = np.zeros(n + 1, dtype=np.intp)
     for e in range(1, n + 1):
-        k = np.searchsorted(durations, e, side="right")  # pairs with d <= e
-        if k == 0:
-            continue
-        starts = e - durations[:k]
-        scores = best[starts] + logw[np.arange(k), starts]
-        back[e] = np.argmax(scores)
-        best[e] = scores[back[e]]
+        d = np.arange(1, min(e, len(weights)) + 1)
+        scores = best[e - d] + weights[d - 1, e - d]
+        back[e] = np.argmax(scores) + 1
+        best[e] = scores[back[e] - 1]
     if n < 1 or not np.isfinite(best[n]):
         raise VsrError("no feasible tiling of the sequence (all weights vanish)")
     entries = []
     while n > 0:
-        d, c = int(durations[back[n]]), int(classes[back[n]])
+        d = int(back[n])
         n -= d
-        entries.append((grid.class_labels[c], n, d))
+        entries.append((grid.class_labels[classes[d - 1, n]], n, d))
     return entries[::-1]
 
 

@@ -10,8 +10,8 @@ canonical order (lum, u, ulum, pseudo_hue, red, green, blue).
 
 Probability grid (.grd1): magic "GRD1"; u32 classCount, frameCount,
 maxDuration; per class a u32-length-prefixed UTF-8 label and u32 dmin, dmax;
-then one contiguous f32 block of finite cells in [class][start][duration]
-order with invalid cells stored as -1.0.
+then one contiguous f32 block of cells in [class][start][duration] order:
+probabilities in [0, 1], with invalid cells stored as exactly -1.0.
 
 Transcript: one "LABEL START_MS END_MS" line per entry, integer milliseconds.
 
@@ -303,6 +303,9 @@ def read_grid(path):
             probs.append(np.frombuffer(raw, dtype="<f4").astype(float).reshape(frame_count, span))
             if not np.isfinite(probs[-1]).all():
                 raise VsrError(f"{path}: class {labels[c]!r} has a non-finite cell")
+            if ((probs[-1] != -1) & ((probs[-1] < 0) | (probs[-1] > 1))).any():
+                raise VsrError(f"{path}: class {labels[c]!r} has a cell outside [0, 1] "
+                               "that is not -1")
         if fh.read(1):
             raise VsrError(f"{path}: trailing bytes after the grid payload")
     return ProbabilityGrid(class_labels=labels, dmin=np.array(dmin), dmax=np.array(dmax),

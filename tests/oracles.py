@@ -7,9 +7,10 @@ objective, and the one-problem SMO loop that the lockstep solver in
 all seven colour planes over every cropped frame and resamples them all,
 which the footprint path of `vsr3d.segmentation` must reproduce bit for bit;
 the decoder's segment log-weights built one (duration, class) pair at a time,
-and the segment-level Viterbi over them, which `vsr3d.decoder` must
-reproduce bit for bit; and the inverse 3D-DCT and ground-truth CSV reader of
-the feature and fixture tests.
+and the segment-level Viterbi over every pair, whose scores `vsr3d.decoder`
+must reproduce bit for bit; the grid cell lookup of the brute-force decoding
+tests; and the inverse 3D-DCT and ground-truth CSV reader of the feature and
+fixture tests.
 """
 
 from __future__ import annotations
@@ -223,6 +224,14 @@ def segment_video(video, roi_width: int = 64, roi_height: int = 48):
     left, right = detect_mouth_corners(smooth, lum_lines)
     keypoints = MouthKeypoints(lip_rows=lip_rows, left=left, right=right, lum_lines=lum_lines)
     return keypoints, extract_roi(planes, keypoints, roi_width, roi_height)
+
+
+def prob(grid, c: int, start: int, duration: int) -> float:
+    """Cell (start, duration) of class c in a ProbabilityGrid; -1 outside
+    the class's duration bounds or where no window fits."""
+    if not grid.dmin[c] <= duration <= grid.dmax[c]:
+        return -1.0
+    return float(grid.probs[c][start, duration - grid.dmin[c]])
 
 
 def pair_log_weights(grid):

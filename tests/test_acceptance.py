@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import idct3
+from oracles import idct3, prob
 from vsr3d.config import PipelineConfig
 from vsr3d.decoder import ProbabilityGrid, decode_sequence
 from vsr3d.evaluation import (AlignmentCounts, accuracy, align_nw, t_tail_probability)
@@ -175,7 +175,7 @@ def _oracle_best_tiling(grid):
             for d in range(int(grid.dmin[c]), int(grid.dmax[c]) + 1):
                 if t + d > n:
                     continue
-                p = grid.prob(c, t, d)
+                p = prob(grid, c, t, d)
                 if p < 0:
                     continue
                 acc.append((grid.class_labels[c], t, d))
@@ -212,7 +212,7 @@ def _expanded_chain_score(grid):
         for t in range(n):
             t0 = t - (d - k)
             if 0 <= t0 and t0 + d <= n:
-                p = grid.prob(c, t0, d)
+                p = prob(grid, c, t0, d)
                 if p >= 0:
                     obs[t, i] = p
     _, log_score = viterbi_generic(priors, trans, obs)
@@ -225,7 +225,7 @@ def test_criterion_04_decoder_oracle():
     for _ in range(100):
         grid = _random_grid(rng, int(rng.integers(1, 4)), int(rng.integers(2, 9)), 1, 3)
         entries = decode_sequence(grid)
-        got = sum(d * math.log(grid.prob(grid.class_labels.index(lab), t, d))
+        got = sum(d * math.log(prob(grid, grid.class_labels.index(lab), t, d))
                   for lab, t, d in entries)
         oracle_entries, oracle_score = _oracle_best_tiling(grid)
         worst_bf = max(worst_bf, abs(got - oracle_score))

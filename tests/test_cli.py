@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 import tracemalloc
 import warnings
@@ -74,6 +75,17 @@ class TestUsageAndVersion:
                        "--out", str(tmp_path / "o")) == 2
         assert run_cli("segment", str(tmp_path), "--set", "nonsense",
                        "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--sentences", "1", "--out", "{tmp}/corpus", "--set", "fps=30"],
+        ["eval", "--ref", "{tmp}/r.txt", "--hyp", "{tmp}/h.txt", "--config", "{tmp}/x.json"],
+        ["grid-heatmap", "--grid", "{tmp}/g.grd1", "--label", "A", "--out", "{tmp}/x.pgm",
+         "--threads", "2"],
+    ], ids=["synth-set", "eval-config", "grid-heatmap-threads"])
+    def test_option_the_subcommand_would_ignore_is_usage_error(self, tmp_path, capsys, argv):
+        assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_help_available_everywhere(self, capsys):
         for cmd in ("synth", "segment", "featurize", "train", "decode", "eval",
@@ -368,6 +380,22 @@ class TestMalformedTextInput:
         # the directory name is derived from the test id, so it may hold the key
         assert names in err.replace(str(tmp_path), "<tmp>")
 
+    @pytest.mark.parametrize("command", ["featurize", "decode"])
+    def test_manifest_fps_other_than_the_config_fps(self, tiny_corpus, tmp_path, capsys,
+                                                    command):
+        video = tmp_path / "sent_000"
+        shutil.copytree(tiny_corpus / "corpus" / "sent_000", video)
+        manifest = video / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("fps=25\n", "fps=50\n"))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(_model_doc()))
+        extra = ["--model", str(model)] if command == "decode" else []
+        out = tmp_path / "out.txt"
+        code = run_cli(command, str(video), *extra, "--out", str(out))
+        err = assert_one_line_data_error(code, capsys, command)
+        assert str(manifest) in err and "fps=50.0" in err and "fps=25.0" in err
+        assert not out.exists()
+
     def test_bad_set_value_writes_no_model(self, tmp_path, capsys):
         args = _train_on(TRAINABLE_CSV)(tmp_path)
         err = assert_one_line_data_error(run_cli(*args, "--set", "gamma_grid=[0]"), capsys,
@@ -390,8 +418,12 @@ class TestMalformedBinaryFiles:
         _grid_blob() + b"\x00",
         _grid_blob(cells=5) + struct.pack("<f", float("nan")),
         _grid_blob(cells=5) + struct.pack("<f", float("inf")),
+        _grid_blob(cells=5) + struct.pack("<f", 2.0),
+        _grid_blob(cells=5) + struct.pack("<f", 1e30),
+        _grid_blob(cells=5) + struct.pack("<f", -0.5),
     ], ids=["short-header", "short-directory", "bad-utf8-label", "dmin-zero",
-            "dmin-above-dmax", "short-payload", "trailing-bytes", "nan-cell", "inf-cell"])
+            "dmin-above-dmax", "short-payload", "trailing-bytes", "nan-cell", "inf-cell",
+            "above-one", "huge", "negative"])
     def test_grid_heatmap(self, tmp_path, capsys, blob):
         path = tmp_path / "bad.grd1"
         path.write_bytes(blob)

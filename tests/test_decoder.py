@@ -56,7 +56,7 @@ def brute_force_segmentations(grid):
             for d in range(int(grid.dmin[c]), int(grid.dmax[c]) + 1):
                 if t + d > n:
                     continue
-                p = grid.prob(c, t, d)
+                p = oracles.prob(grid, c, t, d)
                 if p < 0:
                     continue
                 acc.append((grid.class_labels[c], t, d))
@@ -103,7 +103,7 @@ def decode_with_expanded_chains(grid):
             t0 = t - (d - k)
             if t0 < 0 or t0 + d > n:
                 continue
-            p = grid.prob(c, t0, d)
+            p = oracles.prob(grid, c, t0, d)
             if p >= 0:
                 obs[t, i] = p
     path, log_score = viterbi_generic(priors, trans, obs)
@@ -194,7 +194,7 @@ class TestDecodeSequence:
             grid = random_grid(rng, [f"k{i}" for i in range(n_classes)], frames, 1, 3)
             entries = decode_sequence(grid)
             oracle_entries, oracle_score = best_segmentation(grid)
-            got = sum(d * math.log(grid.prob(grid.class_labels.index(lab), t, d))
+            got = sum(d * math.log(oracles.prob(grid, grid.class_labels.index(lab), t, d))
                       for lab, t, d in entries)
             assert abs(got - oracle_score) < 1e-9
             assert entries == oracle_entries
@@ -222,7 +222,7 @@ class TestDecodeSequence:
             folded = decode_sequence(grid)
             expanded, _ = decode_with_expanded_chains(grid)
             def score(entries):
-                return sum(d * math.log(grid.prob(grid.class_labels.index(lab), t, d))
+                return sum(d * math.log(oracles.prob(grid, grid.class_labels.index(lab), t, d))
                            for lab, t, d in entries)
             assert abs(score(folded) - score(expanded)) < 1e-9
             assert folded == expanded
@@ -245,7 +245,7 @@ class TestDecodeSequence:
         entries = decode_sequence(grid)
         for i, (lab, start, dur) in enumerate(entries):
             assert (start, dur) == (3 * i, 3)
-            cell = [grid.prob(c, start, 3) for c in range(3)]
+            cell = [oracles.prob(grid, c, start, 3) for c in range(3)]
             assert lab == grid.class_labels[int(np.argmax(cell))]
 
 
@@ -276,17 +276,20 @@ def ragged_grids(draw):
 
 
 class TestSegmentLogWeights:
-    """One power per duration over the gathered columns of its classes gives
-    the bits of one power per (duration, class) pair, in the same row order."""
+    """One power per duration over every class gives the bits of one power
+    per in-bounds (duration, class) pair, and -inf outside the bounds."""
 
     @settings(max_examples=150, deadline=None)
     @given(ragged_grids())
     def test_equals_per_pair_oracle(self, grid):
-        durations, classes, logw = segment_log_weights(grid)
+        logw = segment_log_weights(grid)
         pairs, oracle_logw = oracles.pair_log_weights(grid)
-        assert list(zip(durations.tolist(), classes.tolist())) == pairs
-        assert logw.shape == oracle_logw.shape
-        assert logw.tobytes() == oracle_logw.tobytes()
+        assert logw.shape == (grid.dmax.max(), len(grid.class_labels), grid.frame_count)
+        in_bounds = np.zeros(logw.shape[:2], dtype=bool)
+        for (d, c), row in zip(pairs, oracle_logw):
+            assert logw[d - 1, c].tobytes() == row.tobytes()
+            in_bounds[d - 1, c] = True
+        assert (logw[~in_bounds] == -np.inf).all()
         expected = oracles.decode_sequence(grid)
         if expected is None:
             with pytest.raises(VsrError, match="no feasible tiling"):
@@ -315,11 +318,12 @@ def tie_grid(seed, bounds, frame_count):
 
 
 class TestDecodeTies:
-    """Equal-scoring tilings resolve to the smallest duration, then the
-    smallest class index, at every segment boundary.  The expected entries
-    are what a state-level Viterbi over the paper's duration machine returns
-    when it breaks ties toward the lowest state index; class-first or
-    longest-first rules decode each grid differently."""
+    """Equal-scoring tilings resolve to the smallest duration, then the class
+    of largest weight, the smallest class index among equal weights, at
+    every segment boundary.  On the recorded grids every weight is exact, and
+    the expected entries are what a state-level Viterbi over the paper's
+    duration machine returns when it breaks ties toward the lowest state
+    index; class-first or longest-first rules decode each grid differently."""
 
     @pytest.mark.parametrize("seed,bounds,frame_count,expected", [
         (0, [(2, 5), (2, 5)], 10,
@@ -335,6 +339,14 @@ class TestDecodeTies:
     ])
     def test_recorded_tie_breaks(self, seed, bounds, frame_count, expected):
         assert decode_sequence(tie_grid(seed, bounds, frame_count)) == expected
+
+    def test_larger_weight_wins_below_the_score_rounding(self):
+        # at frame 1 both sums round to the same score; k1's weight is larger
+        k0 = np.array([[PROB_FLOOR], [0.5]])
+        k1 = np.array([[PROB_FLOOR], [np.nextafter(0.5, 1.0)]])
+        grid = ProbabilityGrid(class_labels=["k0", "k1"], dmin=np.array([1, 1]),
+                               dmax=np.array([1, 1]), frame_count=2, probs=[k0, k1])
+        assert decode_sequence(grid) == [("k0", 0, 1), ("k1", 1, 1)]
 
     def test_underflowing_segment_weight_is_infeasible(self):
         # (1e-12)**27 underflows to 0, so the single 27-frame segment is never
@@ -408,7 +420,7 @@ class TestGridBuilding:
             corpus_config.fps)
         c = grid.class_labels.index("C1")
         cells = grid.probs[c][grid.probs[c] >= 0]
-        target = grid.prob(c, 10, 10)
+        target = oracles.prob(grid, c, 10, 10)
         assert target >= np.percentile(cells, 95)
 
     def test_all_cells_in_unit_interval_and_deterministic(self, fixture_model_and_roi,
