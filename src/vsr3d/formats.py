@@ -69,10 +69,10 @@ def read_ppm(path) -> np.ndarray:
             pos += 1
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
-    try:
-        w, h, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise VsrError(f"{path}: malformed PPM header") from None
+    # plain ASCII decimals: int() would also take a sign, "_" or other digits
+    if not all(f.isdigit() for f in fields):
+        raise VsrError(f"{path}: malformed PPM header")
+    w, h, maxval = (int(f) for f in fields)
     if maxval != 255:
         raise VsrError(f"{path}: only maxval 255 PPM supported")
     raw = data[pos:pos + w * h * 3]

@@ -27,6 +27,9 @@ class SegmentationResult:
 def segment_video(video: VideoSequence, cfg: PipelineConfig,
                   force_lip_row: int | None = None) -> SegmentationResult:
     """Full segmentation stage: symmetry lines, lip/corner tracking, ROI."""
+    if video.height < 2:
+        # the lip tracker takes a vertical gradient, which needs two rows
+        raise VsrError(f"frame height {video.height} is below the 2 rows segmentation needs")
     lines = find_symmetry_lines(video)
     rgb, lum, ulum = prepare_frames(video, lines)
     lip_rows = detect_inner_lower_lip(ulum, force_first_row=force_lip_row)

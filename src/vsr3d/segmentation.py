@@ -1,13 +1,20 @@
 """Mouth-region segmentation.
 
-Finds the facial symmetry line coarse-to-fine over an image pyramid, one
-array call per search window; tracks the inner-lower-lip row and the mouth
-corners of the whole video at once with Gaussian-transition HMMs, each
-decoded by the plain Viterbi `viterbi_generic`; and resamples a
-rotation/position/scale-normalized mouth window from every frame.  Tracking
-reads the crop's luminance and u*lum on the symmetry column; the window
-keeps the RGB and luminance of its footprint in the crop and makes each
-colour plane (`color_plane`, the one formula) when it is first asked for.
+Finds the facial symmetry line coarse-to-fine over an image pyramid; tracks
+the inner-lower-lip row and the mouth corners of the whole video at once
+with Gaussian-transition HMMs, each decoded by the plain Viterbi
+`viterbi_generic`; and resamples a rotation/position/scale-normalized mouth
+window from every frame.  Tracking reads the crop's luminance and u*lum on
+the symmetry column; the window keeps the RGB and luminance of its
+footprint in the crop and makes each colour plane (`color_plane`, the one
+formula) when it is first asked for.
+
+Bilinear sampling is split in two.  A plan depends only on the geometry:
+the pixel box the taps read, the corner indices relative to that box and
+the blend weights (`_box_taps`), and for a symmetry search window the
+candidates' valid terms (`_SymmetryPlan`).  Applying it takes, blends and
+sums the box's pixels of one image.  Per-frame searches and crops reuse one
+plan per distinct line, and convert only the pixels of its box.
 
 Coordinates: (row, col) with row increasing downward.  A symmetry line is
 anchored at the vertical image center; positive angles tilt it clockwise.
@@ -16,6 +23,7 @@ The line column at row r is column + (r - center_row) * tan(angle).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +43,7 @@ LIP_TRACK_SIGMA = 8.0
 CORNER_TRACK_SIGMA = 2.0
 LUM_LINE_LENGTH = 81
 LIP_SEED_RANGE = (-8, 4)       # rows searched around the lip row for the line seed
+PLAN_CACHE_SIZE = 4            # sampling plans one call keeps; the least recently used goes
 
 # sRGB -> XYZ (D65); rows sum to the D65 white point, so gray maps to u* = 0.
 _RGB_TO_XYZ = np.array(
@@ -155,39 +164,40 @@ def luminance(rgb: np.ndarray) -> np.ndarray:
     return (0.299 * r + 0.587 * g + 0.114 * b) / 255.0
 
 
-def _bilinear_taps(rows: np.ndarray, cols: np.ndarray, h: int, w: int):
-    """Corner indices (r0, r1, c0, c1) and weights (fr, fc) of bilinear
-    sampling in an h x w image, coordinates clamped to its rectangle."""
+def _box_taps(rows, cols, h: int, w: int):
+    """Bilinear taps of points in an h x w image, relative to the pixel box
+    they read: the box as a (row, column) slice pair, the flat index in the
+    box of the corners (r0, c0), (r0, c1), (r1, c0), (r1, c1) of each point,
+    and the `_blend` weight pairs.  Coordinates are clamped to the image
+    rectangle first (edge replication outside)."""
     rows = np.clip(rows, 0.0, h - 1.0)
     cols = np.clip(cols, 0.0, w - 1.0)
     r0 = np.floor(rows).astype(np.intp)
     c0 = np.floor(cols).astype(np.intp)
-    return r0, np.minimum(r0 + 1, h - 1), c0, np.minimum(c0 + 1, w - 1), rows - r0, cols - c0
+    r1, c1 = np.minimum(r0 + 1, h - 1), np.minimum(c0 + 1, w - 1)
+    top, left = int(r0.min()), int(c0.min())
+    bw = int(c1.max()) + 1 - left
+    box = slice(top, int(r1.max()) + 1), slice(left, left + bw)
+    corners = [(r - top) * bw + (c - left) for r in (r0, r1) for c in (c0, c1)]
+    fr, fc = rows - r0, cols - c0
+    return box, corners, ((1 - fr, fr), (1 - fc, fc))
 
 
 def _blend(v00, v01, v10, v11, fr, fc):
     """Bilinear blend of the values at (r0, c0), (r0, c1), (r1, c0), (r1, c1)
-    for weights (1 - fr, fr) and (1 - fc, fc), each pair a tuple."""
-    top = v00 * fc[0] + v01 * fc[1]
-    bot = v10 * fc[0] + v11 * fc[1]
-    return top * fr[0] + bot * fr[1]
-
-
-def bilinear_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sample the last two axes of `image` with bilinear interpolation;
-    coordinates are clamped to the image rectangle first (edge replication
-    outside).  A (k, H, W) image gives k planes of values, in a leading
-    axis.  Each corner of a plane is one flat `np.take`."""
-    h, w = image.shape[-2:]
-    r0, r1, c0, c1, fr, fc = _bilinear_taps(rows, cols, h, w)
-    corners = [r * w + c for r in (r0, r1) for c in (c0, c1)]
-    weights = (1 - fr, fr), (1 - fc, fc)
-    planes = image.reshape(-1, h * w)
-    shape = corners[0].shape
-    out = np.empty((len(planes),) + shape)
-    for k, plane in enumerate(planes):
-        out[k] = _blend(*(np.take(plane, i) for i in corners), *weights)
-    return out.reshape(image.shape[:-2] + shape)
+    for weights (1 - fr, fr) and (1 - fc, fc), each pair a tuple:
+    (v00 fc0 + v01 fc1) fr0 + (v10 fc0 + v11 fc1) fr1, computed in place in
+    the four value arrays (fresh gathers), and returned in v00's."""
+    v00 *= fc[0]
+    v01 *= fc[1]
+    v00 += v01
+    v10 *= fc[0]
+    v11 *= fc[1]
+    v10 += v11
+    v00 *= fr[0]
+    v10 *= fr[1]
+    v00 += v10
+    return v00
 
 
 def area_average_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -228,57 +238,101 @@ def build_image_pyramid(image: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
+class _SymmetryPlan:
+    """The geometry of one symmetry search window over h x w images, built
+    once and applied to any number of them: the pixel box that the
+    candidates' bilinear taps read, the taps relative to that box, and the
+    candidates grouped by valid-row count with their valid terms in order.
+
+    Candidate lines sit at every (column, angle) of the window.  Pairs sit at
+    perpendicular offsets k - 0.5 (k = 1..band) so exact mirror images about
+    pixel or half-pixel centers cost 0.  Rows whose band does not fit
+    entirely inside the image are dropped; fewer than 25% valid rows yields
+    +inf, and partial sums are rescaled to full-image weight.
+    """
+
+    def __init__(self, h: int, w: int, columns, angles, band: int = 5):
+        self.columns, self.angles, self.height, self.band = columns, angles, h, band
+        sin_t, cos_t, tan_t = (np.array([[[f(math.radians(a))]] for a in angles])
+                               for f in (math.sin, math.cos, math.tan))
+        c_row = (h - 1) / 2.0
+        rows = np.arange(h, dtype=float)[:, None]
+        line_cols = np.asarray(columns, dtype=float)[:, None, None, None] + (rows - c_row) * tan_t
+        offs = np.arange(1, band + 1) - 0.5
+        lr = rows + offs * sin_t
+        lc = line_cols - offs * cos_t
+        rr = rows - offs * sin_t
+        rc = line_cols + offs * cos_t
+        inside = (
+            (lr >= 0) & (lr <= h - 1) & (lc >= 0) & (lc <= w - 1)
+            & (rr >= 0) & (rr <= h - 1) & (rc >= 0) & (rc <= w - 1)
+        )
+        self.shape = inside.shape[:2]
+        valid = inside.all(axis=-1).reshape(-1, h)
+        n_valid = valid.sum(axis=1)
+        # a candidate's valid terms are summed as one compacted block in row
+        # order, so its cost does not depend on the other candidates of the
+        # window; candidates with as many valid rows share one reduction
+        self.groups = [(np.flatnonzero(n_valid == n), int(n))
+                       for n in np.unique(n_valid[n_valid >= 0.25 * h])]
+        self.box = slice(0, 0), slice(0, 0)
+        if self.groups:
+            # the (candidate, row) of every valid term row, group by group
+            cand, row = np.concatenate([np.nonzero((n_valid == n)[:, None] & valid)
+                                        for _, n in self.groups], axis=1)
+            angle = cand % len(angles)
+            self.box, self.corners, self.weights = _box_taps(
+                np.stack([lr[angle, row], rr[angle, row]]).reshape(2, -1),
+                np.stack([lc.reshape(-1, h, band)[cand, row],
+                          rc.reshape(-1, h, band)[cand, row]]).reshape(2, -1), h, w)
+
+    def costs(self, image: np.ndarray) -> np.ndarray:
+        """(len(columns), len(angles)) sums of squared differences between
+        the bands on either side of each candidate line, given the pixels of
+        the plan's box in one image as floats."""
+        costs = np.full(self.shape[0] * self.shape[1], np.inf)
+        if self.groups:
+            flat = image.ravel()
+            left, right = _blend(*(np.take(flat, i) for i in self.corners), *self.weights)
+            left -= right
+            sq = np.square(left, out=left)
+            start = 0
+            for candidates, n in self.groups:
+                block = sq[start:start + len(candidates) * n * self.band]
+                sums = block.reshape(len(candidates), -1).sum(axis=1)
+                costs[candidates] = sums * (self.height / n)
+                start += block.size
+        return costs.reshape(self.shape)
+
+
 def symmetry_costs(image: np.ndarray, columns, angles, band: int = 5) -> np.ndarray:
-    """(len(columns), len(angles)) sums of squared differences between the
-    bands on either side of each candidate line.  Pairs sit at perpendicular
-    offsets k - 0.5 (k = 1..band) so exact mirror images about pixel or
-    half-pixel centers cost 0.  Rows whose band does not fit entirely inside
-    the image are dropped; fewer than 25% valid rows yields +inf, and partial
-    sums are rescaled to full-image weight."""
+    """(len(columns), len(angles)) symmetry costs of the candidate lines at
+    every (column, angle) of one image (see `_SymmetryPlan`): the window's
+    plan built and applied once."""
     image = np.asarray(image, dtype=float)
-    h, w = image.shape
-    sin_t, cos_t, tan_t = (np.array([[[f(math.radians(a))]] for a in angles])
-                           for f in (math.sin, math.cos, math.tan))
-    c_row = (h - 1) / 2.0
-    rows = np.arange(h, dtype=float)[:, None]
-    line_cols = np.asarray(columns, dtype=float)[:, None, None, None] + (rows - c_row) * tan_t
-    offs = np.arange(1, band + 1) - 0.5
-    lr = rows + offs * sin_t
-    lc = line_cols - offs * cos_t
-    rr = rows - offs * sin_t
-    rc = line_cols + offs * cos_t
-    inside = (
-        (lr >= 0) & (lr <= h - 1) & (lc >= 0) & (lc <= w - 1)
-        & (rr >= 0) & (rr <= h - 1) & (rc >= 0) & (rc <= w - 1)
-    )
-    sq = ((bilinear_sample(image, lr, lc) - bilinear_sample(image, rr, rc)) ** 2
-          ).reshape(-1, h, band)
-    valid = inside.all(axis=-1).reshape(-1, h)
-    n_valid = valid.sum(axis=1)
-    costs = np.full(len(n_valid), np.inf)
-    # a candidate's valid terms are summed as one compacted block in row
-    # order, so its cost does not depend on the other candidates of the call;
-    # candidates with as many valid rows share one reduction
-    for n in np.unique(n_valid[n_valid >= 0.25 * h]):
-        same = n_valid == n
-        costs[same] = sq[same[:, None] & valid].reshape(same.sum(), -1).sum(axis=1) * (h / n)
-    return costs.reshape(line_cols.shape[:2])
+    plan = _SymmetryPlan(*image.shape, columns, angles, band)
+    return plan.costs(image[plan.box])
+
+
+def _least_cost(costs: np.ndarray, columns, angles) -> SymmetryLine:
+    """The least-cost candidate, the first in (column, angle) order on ties."""
+    i, j = np.unravel_index(np.argmin(costs), costs.shape)
+    if not math.isfinite(costs[i, j]):
+        raise VsrError("no usable symmetry line (all candidates degenerate)")
+    return SymmetryLine(float(columns[i]), float(angles[j]))
 
 
 def _best_line(image, columns, angles, band=5, polish=False) -> SymmetryLine:
-    """The least-cost candidate, the first in (column, angle) order on ties."""
+    """The least-cost candidate of one image, with a sub-pixel column if
+    `polish`."""
     costs = symmetry_costs(image, columns, angles, band)
-    i, j = np.unravel_index(np.argmin(costs), costs.shape)
-    best_cost = costs[i, j]
-    if not math.isfinite(best_cost):
-        raise VsrError("no usable symmetry line (all candidates degenerate)")
-    best = SymmetryLine(float(columns[i]), float(angles[j]))
+    best = _least_cost(costs, columns, angles)
     if polish:
         # sub-pixel column: parabolic interpolation of the cost through the
         # winner and its neighbours, clamped to the search window
         lo, hi = symmetry_costs(image, [best.column - 1.0, best.column + 1.0],
                                 [best.angle_deg], band)[:, 0]
-        denom = lo - 2.0 * best_cost + hi
+        denom = lo - 2.0 * costs.min() + hi
         if math.isfinite(lo) and math.isfinite(hi) and denom > 0:
             delta = 0.5 * (lo - hi) / denom
             col = best.column + min(max(delta, -0.5), 0.5)
@@ -294,6 +348,9 @@ def find_symmetry_lines(video: VideoSequence) -> list[SymmetryLine]:
     exhaustively (all columns, -10..10 degrees), each finer level refines
     within +-2 px / +-1 degree in its own pixel units.  Subsequent frames
     refine the previous line within the same window on the full-size image.
+    A refine window depends only on the previous line, and a video's lines
+    take few distinct values, so each window's plan is built once (up to
+    PLAN_CACHE_SIZE kept) and reads the luminance of its box alone.
     """
     gray0 = luminance(video.frames[0].astype(float))
     pyramid = build_image_pyramid(gray0)
@@ -310,16 +367,14 @@ def find_symmetry_lines(video: VideoSequence) -> list[SymmetryLine]:
             polish=(lvl == 0),
         )
     lines = [line]
+    refine_plan = functools.lru_cache(PLAN_CACHE_SIZE)(
+        lambda prev: _SymmetryPlan(video.height, video.width,
+                                   [prev.column + d for d in REFINE_COLS],
+                                   [prev.angle_deg + a for a in REFINE_ANGLES]))
     for t in range(1, video.frame_count):
-        gray = luminance(video.frames[t].astype(float))
-        prev = lines[-1]
-        lines.append(
-            _best_line(
-                gray,
-                [prev.column + d for d in REFINE_COLS],
-                [prev.angle_deg + a for a in REFINE_ANGLES],
-            )
-        )
+        plan = refine_plan(lines[-1])
+        gray = luminance(video.frames[t][plan.box].astype(float))
+        lines.append(_least_cost(plan.costs(gray), plan.columns, plan.angles))
     return lines
 
 
@@ -403,11 +458,17 @@ def prepare_frames(video: VideoSequence, lines: list[SymmetryLine]):
     """
     if len(lines) != video.frame_count:
         raise VsrError("need one symmetry line per frame")
-    rgb = np.empty((3, video.frame_count, video.height, 2 * CROP_HALF_WIDTH + 1))
+    h, w = video.height, video.width
+    # a video's lines take few distinct values: one plan per line, and only
+    # the pixels of its box are converted to float
+    crop_plan = functools.lru_cache(PLAN_CACHE_SIZE)(
+        lambda line: _box_taps(*crop_grid(line, h), h, w))
+    rgb = np.empty((3, video.frame_count, h, 2 * CROP_HALF_WIDTH + 1))
     for t, line in enumerate(lines):
-        rows, cols = crop_grid(line, video.height)
-        frame = np.moveaxis(video.frames[t], -1, 0).astype(float, order="C") / 255.0
-        rgb[:, t] = bilinear_sample(frame, rows, cols)
+        box, corners, weights = crop_plan(line)
+        frame = np.moveaxis(video.frames[t][box], -1, 0).astype(float, order="C") / 255.0
+        planes = frame.reshape(3, -1)
+        rgb[:, t] = _blend(*(np.take(planes, i, axis=1) for i in corners), *weights)
     lum = crop_lum(rgb)
     return rgb, lum, color_plane("ulum", rgb[..., CROP_HALF_WIDTH], lum[..., CROP_HALF_WIDTH])
 
@@ -588,20 +649,16 @@ def extract_roi(rgb: np.ndarray, lum: np.ndarray, keypoints: MouthKeypoints,
     rows = mid[:, 0, None, None] + (gx * uy + gy * ux) / scale
     cols = mid[:, 1, None, None] + (gx * ux - gy * uy) / scale
     n, h, w = lum.shape
-    # taps grow with the coordinates, so the extreme ones bound the footprint
-    r0, r1, c0, c1, _, _ = _bilinear_taps(np.array([rows.min(), rows.max()]),
-                                          np.array([cols.min(), cols.max()]), h, w)
-    top, left = int(r0[0]), int(c0[0])
-    box = (..., slice(top, int(r1[1]) + 1), slice(left, int(c1[1]) + 1))
-    rgb, lum = rgb[box].copy(), lum[box].copy()
-    fh, fw = lum.shape[1:]
+    # taps grow with the coordinates, so the extreme ones span the footprint
+    box, _, _ = _box_taps(np.array([rows.min(), rows.max()]),
+                          np.array([cols.min(), cols.max()]), h, w)
+    rgb, lum = rgb[(..., *box)].copy(), lum[(..., *box)].copy()
 
     def make_plane(name: str) -> np.ndarray:
-        r0, r1, c0, c1, fr, fc = _bilinear_taps(rows, cols, h, w)
-        base = np.arange(n)[:, None, None] * fh - top
+        _, corners, weights = _box_taps(rows, cols, h, w)
+        base = np.arange(n)[:, None, None] * lum[0].size
         flat = color_plane(name, rgb, lum).reshape(-1)
-        return _blend(*(np.take(flat, (base + r) * fw + c - left) for r in (r0, r1)
-                        for c in (c0, c1)), (1 - fr, fr), (1 - fc, fc))
+        return _blend(*(np.take(flat, base + i) for i in corners), *weights)
 
     return RoiVolume(channels=tuple(CHANNEL_NAMES), scale=scale,
                      shape=(n, roi_height, roi_width), make_plane=make_plane)

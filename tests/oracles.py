@@ -3,9 +3,13 @@
 Nothing in `src/`, `scripts/` or `perfbench/` calls these: the scalar RBF
 kernel and decision value, the per-class probability path, the dual
 objective, and the one-problem SMO loop that the lockstep solver in
-`vsr3d.svm` must reproduce bit for bit; the segmentation path that computes
-all seven colour planes over every cropped frame and resamples them all,
-which the footprint path of `vsr3d.segmentation` must reproduce bit for bit;
+`vsr3d.svm` must reproduce bit for bit; the symmetry search that samples
+every candidate term of a window from the whole image, and the per-frame
+line tracking that converts each whole frame to luminance for it, which the
+plans of `vsr3d.segmentation` must reproduce bit for bit; the segmentation
+path that computes all seven colour planes over every cropped frame and
+resamples them all, which the footprint path of `vsr3d.segmentation` must
+reproduce bit for bit;
 the decoder's segment log-weights built one (duration, class) pair at a time,
 and the segment-level Viterbi over every pair, whose scores `vsr3d.decoder`
 must reproduce bit for bit; the grid cell lookup of the brute-force decoding
@@ -22,12 +26,14 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 
+import vsr3d.segmentation
 from vsr3d import VsrError
 from vsr3d.config import CHANNEL_NAMES
-from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CROP_HALF_WIDTH, MouthKeypoints,
-                                RoiVolume, box3, build_min_luminance_line, crop_grid,
+from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CROP_HALF_WIDTH, REFINE_ANGLES,
+                                REFINE_COLS, MouthKeypoints, RoiVolume, SymmetryLine,
+                                VideoSequence, box3, build_min_luminance_line, crop_grid,
                                 detect_inner_lower_lip, detect_mouth_corners,
-                                find_symmetry_lines)
+                                luminance)
 from vsr3d.svm import (BinarySvmModel, MultiClassModel, _sigmoid_of_negative,
                        predict_probability_matrix, rbf_kernel_matrix)
 
@@ -129,6 +135,82 @@ def read_groundtruth_csv(path):
     return vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3:5], vals[:, 5:7]
 
 
+# ---- symmetry search over whole images, one frame at a time ----------------
+
+def stacked_bilinear_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sample the last two axes of `image` with bilinear interpolation;
+    coordinates are clamped to the image rectangle first (edge replication
+    outside).  A (k, H, W) image gives k planes of values, in a leading
+    axis.  Each corner of a plane is one flat `np.take` over the whole
+    image."""
+    h, w = image.shape[-2:]
+    rows = np.clip(rows, 0.0, h - 1.0)
+    cols = np.clip(cols, 0.0, w - 1.0)
+    r0 = np.floor(rows).astype(np.intp)
+    c0 = np.floor(cols).astype(np.intp)
+    r1, c1 = np.minimum(r0 + 1, h - 1), np.minimum(c0 + 1, w - 1)
+    fr, fc = rows - r0, cols - c0
+    corners = [r * w + c for r in (r0, r1) for c in (c0, c1)]
+    planes = image.reshape(-1, h * w)
+    shape = corners[0].shape
+    out = np.empty((len(planes),) + shape)
+    for k, plane in enumerate(planes):
+        v00, v01, v10, v11 = (np.take(plane, i) for i in corners)
+        top = v00 * (1 - fc) + v01 * fc
+        bot = v10 * (1 - fc) + v11 * fc
+        out[k] = top * (1 - fr) + bot * fr
+    return out.reshape(image.shape[:-2] + shape)
+
+
+def symmetry_costs(image: np.ndarray, columns, angles, band: int = 5) -> np.ndarray:
+    """`vsr3d.segmentation.symmetry_costs` computed in one pass: every term
+    of every candidate is sampled from the whole image, and each
+    candidate's valid terms are then compacted and summed."""
+    image = np.asarray(image, dtype=float)
+    h, w = image.shape
+    sin_t, cos_t, tan_t = (np.array([[[f(math.radians(a))]] for a in angles])
+                           for f in (math.sin, math.cos, math.tan))
+    c_row = (h - 1) / 2.0
+    rows = np.arange(h, dtype=float)[:, None]
+    line_cols = np.asarray(columns, dtype=float)[:, None, None, None] + (rows - c_row) * tan_t
+    offs = np.arange(1, band + 1) - 0.5
+    lr = rows + offs * sin_t
+    lc = line_cols - offs * cos_t
+    rr = rows - offs * sin_t
+    rc = line_cols + offs * cos_t
+    inside = (
+        (lr >= 0) & (lr <= h - 1) & (lc >= 0) & (lc <= w - 1)
+        & (rr >= 0) & (rr <= h - 1) & (rc >= 0) & (rc <= w - 1)
+    )
+    sq = ((stacked_bilinear_sample(image, lr, lc) - stacked_bilinear_sample(image, rr, rc)) ** 2
+          ).reshape(-1, h, band)
+    valid = inside.all(axis=-1).reshape(-1, h)
+    n_valid = valid.sum(axis=1)
+    costs = np.full(len(n_valid), np.inf)
+    for n in np.unique(n_valid[n_valid >= 0.25 * h]):
+        same = n_valid == n
+        costs[same] = sq[same[:, None] & valid].reshape(same.sum(), -1).sum(axis=1) * (h / n)
+    return costs.reshape(line_cols.shape[:2])
+
+
+def find_symmetry_lines(video):
+    """The symmetry lines of a video and the (5, 3) refine costs of frames
+    1.., each frame converted to luminance whole and searched with one
+    `symmetry_costs` call; frame 0 is the package's pyramid search."""
+    lines = vsr3d.segmentation.find_symmetry_lines(VideoSequence(video.frames[:1], video.fps))
+    costs = []
+    for t in range(1, video.frame_count):
+        gray = luminance(video.frames[t].astype(float))
+        columns = [lines[-1].column + d for d in REFINE_COLS]
+        angles = [lines[-1].angle_deg + a for a in REFINE_ANGLES]
+        costs.append(symmetry_costs(gray, columns, angles))
+        i, j = np.unravel_index(np.argmin(costs[-1]), costs[-1].shape)
+        if not math.isfinite(costs[-1][i, j]):
+            raise VsrError("no usable symmetry line (all candidates degenerate)")
+        lines.append(SymmetryLine(float(columns[i]), float(angles[j])))
+    return lines, costs
+
+
 # ---- segmentation with all seven planes over every cropped frame ----------
 
 def bilinear_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -215,7 +297,7 @@ def extract_roi(planes: np.ndarray, keypoints: MouthKeypoints,
 
 def segment_video(video, roi_width: int = 64, roi_height: int = 48):
     """Keypoints and ROI of the seven-plane path, as (keypoints, roi)."""
-    lines = find_symmetry_lines(video)
+    lines, _ = find_symmetry_lines(video)
     planes = prepare_frames(video, lines)
     ulum = planes[CHANNEL_NAMES.index("ulum")]
     lip_rows = detect_inner_lower_lip(ulum[:, :, ulum.shape[-1] // 2])

@@ -626,6 +626,104 @@ class TestCorruptRoiFiles:
                 assert_one_line_data_error(code, capsys, command)
 
 
+def _valid_ppm_frames():
+    """Three 32 x 24 noise frames as PPM files, which `segment` and `decode`
+    accept."""
+    rng = np.random.default_rng(6)
+    return [PPM_HEADER + rng.integers(0, 256, (24, 32, 3), dtype=np.uint8).tobytes()
+            for _ in range(3)]
+
+
+PPM_HEADER = b"P6\n32 24\n255\n"
+VALID_FRAMES = _valid_ppm_frames()
+_PPM_FIELD = st.one_of(st.integers(-2**66, 2**66).map(str).map(str.encode),
+                       st.sampled_from([b"0", b"1", b"2", b"-24", b"-32", b"24", b"32", b"255",
+                                        b"256", b"+24", b"2_4", b"0x20", b"", b"#"]),
+                       st.binary(max_size=4))
+
+
+@st.composite
+def corrupt_ppm_videos(draw):
+    """VALID_FRAMES with one frame cut short, with one to four bits flipped
+    (half of the flips in its header), or with a header rewritten from
+    three drawn fields."""
+    frames = list(VALID_FRAMES)
+    k = draw(st.integers(0, len(frames) - 1), label="frame")
+    kind = draw(st.sampled_from(["truncate", "flip", "header"]))
+    if kind == "truncate":
+        frames[k] = frames[k][:draw(st.integers(0, len(frames[k]) - 1))]
+    elif kind == "flip":
+        blob = bytearray(frames[k])
+        header = st.integers(0, 8 * len(PPM_HEADER) - 1)
+        anywhere = st.integers(0, 8 * len(blob) - 1)
+        for bit in draw(st.lists(st.one_of(header, anywhere), min_size=1, max_size=4)):
+            blob[bit // 8] ^= 1 << (bit % 8)
+        frames[k] = bytes(blob)
+    else:
+        w, h, maxval = (draw(_PPM_FIELD) for _ in range(3))
+        sep = draw(st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n"]))
+        frames[k] = b"P6\n" + w + sep + h + b"\n" + maxval + b"\n" + frames[k][len(PPM_HEADER):]
+    return frames
+
+
+class TestCorruptPpmVideos:
+    """A video directory with one truncated, bit-flipped or re-headed PPM
+    frame through `segment` and `decode` exits 0, or 2 with one line on
+    stderr: never a traceback, a warning, or an allocation the size of a
+    corrupt header."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(frames=corrupt_ppm_videos())
+    def test_segment_and_decode(self, tmp_path, capsys, frames):
+        self.run_commands(tmp_path, capsys, frames)
+
+    def test_valid_video_segments_and_decodes(self, tmp_path, capsys):
+        assert self.run_commands(tmp_path, capsys, VALID_FRAMES) == [(0, ""), (0, "")]
+
+    @pytest.mark.parametrize("frame, names", [
+        (b"P6\n32 0\n255\n", "frame height 0"),
+        (b"P6\n32 1\n255\n" + bytes(96), "frame height 1"),
+        (b"P6\n-32 -24\n255\n" + bytes(2304), "malformed PPM header"),
+        (b"P6\n3_2 +24\n255\n" + bytes(2304), "malformed PPM header"),
+    ], ids=["height-0", "height-1", "negative-size", "signed-and-underscored-size"])
+    def test_frames_that_cannot_be_segmented(self, tmp_path, capsys, frame, names):
+        for code, err in self.run_commands(tmp_path, capsys, [frame] * 3):
+            assert code == 2 and names in err
+
+    def run_commands(self, tmp_path, capsys, frames):
+        video, model = tmp_path / "video", tmp_path / "model.json"
+        shutil.rmtree(video, ignore_errors=True)
+        video.mkdir()
+        for t, blob in enumerate(frames):
+            (video / f"frame_{t:05d}.ppm").write_bytes(blob)
+        (video / "manifest.txt").write_text(f"fps=25\nframes={len(frames)}\n")
+        model.write_text(json.dumps(_model_doc()))
+        results = []
+        runs = {
+            "segment": ("--out", str(tmp_path / "seg")),
+            "decode": ("--model", str(model), "--out", str(tmp_path / "hyp.txt"),
+                       "--set", "min_duration=1", "--set", "max_duration=3"),
+        }
+        for command, args in runs.items():
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = run_cli(command, str(video), *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+            if code == 0:
+                assert capsys.readouterr().err == ""
+                results.append((code, ""))
+            else:
+                results.append((code, assert_one_line_data_error(code, capsys, command)))
+        return results
+
+
 def _valid_grid_blob():
     """A two-class .grd1 file with ragged duration bounds and some invalid
     (-1) cells, and the byte count of its header and class directory."""

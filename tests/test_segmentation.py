@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import oracles
 from vsr3d import VsrError
 from vsr3d.config import CHANNEL_NAMES, PipelineConfig
 from vsr3d.pipeline import segment_video
-from vsr3d.segmentation import (MouthKeypoints, SymmetryLine, VideoSequence, _best_line,
-                                area_average_resize, bilinear_sample, box3,
+import vsr3d.segmentation
+from vsr3d.segmentation import (PLAN_CACHE_SIZE, MouthKeypoints, SymmetryLine, VideoSequence,
+                                _blend, _box_taps, _best_line, area_average_resize, box3,
                                 build_image_pyramid, build_min_luminance_line, color_plane,
                                 crop_lum, cropped_to_original, detect_inner_lower_lip,
                                 detect_mouth_corners, extract_roi, find_symmetry_lines,
@@ -71,8 +73,8 @@ def reference_symmetry_cost(image, column, angle_deg, band=5):
     n_valid = int(valid.sum())
     if n_valid < 0.25 * h:
         return math.inf
-    left = bilinear_sample(image, lr[:, valid], lc[:, valid])
-    right = bilinear_sample(image, rr[:, valid], rc[:, valid])
+    left = oracles.stacked_bilinear_sample(image, lr[:, valid], lc[:, valid])
+    right = oracles.stacked_bilinear_sample(image, rr[:, valid], rc[:, valid])
     return float(np.sum((left - right) ** 2)) * (h / n_valid)
 
 
@@ -184,6 +186,8 @@ class TestSymmetryCost:
         assert np.array_equal(np.isinf(costs), np.isinf(ref))
         finite = np.isfinite(ref)
         np.testing.assert_allclose(costs[finite], ref[finite], rtol=1e-12, atol=0)
+        # the plan reads the terms that sampling the whole image reads
+        assert_same_bits(costs, oracles.symmetry_costs(img, columns, angles, band))
 
     def test_batch_covers_lost_rows(self):
         # a small tilted grid has candidates with every row, some rows lost,
@@ -236,6 +240,76 @@ class TestFindSymmetryLines:
         for t, line in enumerate(lines):
             assert abs(line.column - truth.frames[t].sym_col) <= 2.0
             assert abs(line.angle_deg - truth.frames[t].sym_angle) <= 1.0
+
+
+def alternating_video():
+    """Ten frames alternating between a random frame mirrored about column
+    79.5 and its copy shifted one column right: the lines take two values."""
+    half = np.random.default_rng(21).integers(0, 256, (120, 80, 3)).astype(np.uint8)
+    frame = np.concatenate([half, half[:, :0:-1], half[:, :1]], axis=1)
+    return VideoSequence(np.stack([frame, np.roll(frame, 1, axis=1)] * 5))
+
+
+def noise_video(frames=40):
+    """Uniform noise frames: the line moves on most frames."""
+    rng = np.random.default_rng(22)
+    return VideoSequence(rng.integers(0, 256, (frames, 120, 160, 3)).astype(np.uint8))
+
+
+class TestPlanOracle:
+    """Lines, refine costs and crops built from plans reused per distinct
+    line equal the per-frame path (`oracles`): whole frames converted to
+    luminance and one `symmetry_costs` call per frame, and crops sampled
+    from whole frames, bit for bit."""
+
+    def lines_and_costs(self, video, monkeypatch):
+        seen = []
+
+        def record(costs, columns, angles):
+            seen.append(costs)
+            return least_cost(costs, columns, angles)
+
+        least_cost = vsr3d.segmentation._least_cost
+        monkeypatch.setattr(vsr3d.segmentation, "_least_cost", record)
+        lines = find_symmetry_lines(video)
+        return lines, seen[len(seen) - video.frame_count + 1:]
+
+    @pytest.mark.parametrize("name, distinct", [
+        ("fixture-sentence", (1, 3)), ("alternating", (2, 2)), ("noise", (20, 40)),
+    ], ids=["fixture-sentence", "alternating", "noise"])
+    def test_matches_per_frame_path(self, short_sentence, monkeypatch, name, distinct):
+        video = {"fixture-sentence": lambda: short_sentence[0], "alternating": alternating_video,
+                 "noise": noise_video}[name]()
+        lines, costs = self.lines_and_costs(video, monkeypatch)
+        ref_lines, ref_costs = oracles.find_symmetry_lines(video)
+        assert lines == ref_lines
+        assert distinct[0] <= len(set(lines)) <= distinct[1]
+        assert len(costs) == len(ref_costs) == video.frame_count - 1
+        for got, ref in zip(costs, ref_costs):
+            assert_same_bits(got, ref)
+        rgb, lum, ulum = prepare_frames(video, lines)
+        planes = oracles.prepare_frames(video, lines)
+        assert_same_bits(rgb, planes[[CHANNEL_NAMES.index(c) for c in ("red", "green", "blue")]])
+        assert_same_bits(lum, plane(planes, "lum"))
+        assert_same_bits(ulum, np.ascontiguousarray(plane(planes, "ulum")[:, :, 50]))
+
+    def test_plan_cache_is_bounded(self):
+        # a 120 x 160 refine plan takes about 1.2 MB and a crop plan 0.8 MB;
+        # ~30 distinct lines would hold ~34 MB and ~23 MB of plans
+        video = noise_video()
+        tracemalloc.start()
+        try:
+            lines = find_symmetry_lines(video)
+            symmetry_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = prepare_frames(video, lines)
+            crop_peak = tracemalloc.get_traced_memory()[1] - before - sum(a.nbytes for a in out)
+        finally:
+            tracemalloc.stop()
+        assert len(set(lines)) > 5 * PLAN_CACHE_SIZE
+        assert symmetry_peak < 12 * 2**20
+        assert crop_peak < 16 * 2**20
 
 
 class TestPrepareFrames:
@@ -427,15 +501,32 @@ class TestBilinearSample:
            st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_stacked_planes_match_one_call_per_plane(self, seed, h, w, k, points):
+        sample = oracles.stacked_bilinear_sample
         image = np.random.default_rng(seed).normal(size=(k, h, w))
         rows, cols = (np.array(c) for c in zip(*points))
-        stacked = bilinear_sample(image, rows, cols)
+        stacked = sample(image, rows, cols)
         assert stacked.shape == (k, len(points))
         for i in range(k):
-            assert np.array_equal(stacked[i], bilinear_sample(image[i], rows, cols))
+            assert np.array_equal(stacked[i], sample(image[i], rows, cols))
         # the flat gathers read what 2-D fancy indexing reads
         fancy = oracles.bilinear_sample(np.moveaxis(image, 0, -1), rows, cols)
         assert_same_bits(stacked, np.ascontiguousarray(np.moveaxis(fancy, -1, 0)))
+
+    @given(st.integers(0, 10**6), st.integers(1, 9), st.integers(1, 9),
+           st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_box_taps_read_what_the_whole_image_reads(self, seed, h, w, points):
+        image = np.random.default_rng(seed).normal(size=(h, w))
+        rows, cols = (np.array(c) for c in zip(*points))
+        box, corners, weights = _box_taps(rows, cols, h, w)
+        # the box spans the taps exactly: floor of the least coordinate to
+        # the pixel after the greatest, clamped like the coordinates
+        assert box == tuple(slice(int(c.min()), min(int(c.max()) + 1, n - 1) + 1)
+                            for c, n in ((np.clip(rows, 0, h - 1), h),
+                                         (np.clip(cols, 0, w - 1), w)))
+        flat = image[box].ravel()
+        assert_same_bits(_blend(*(np.take(flat, i) for i in corners), *weights),
+                         oracles.stacked_bilinear_sample(image, rows, cols))
 
 
 class TestExtractRoi:
@@ -460,7 +551,7 @@ class TestExtractRoi:
         assert roi.scale == pytest.approx(s)
         assert roi.data.shape == (7, 1, 48, 64)
         gy, gx = np.meshgrid(np.arange(48.0) - 23.5, np.arange(64.0) - 31.5, indexing="ij")
-        expected = bilinear_sample(lum[0], 30.0 + gy / s, 50.0 + gx / s)
+        expected = oracles.stacked_bilinear_sample(lum[0], 30.0 + gy / s, 50.0 + gx / s)
         assert np.abs(roi.plane("lum")[0] - expected).max() < 1e-12
 
     def test_corner_rows_align_after_transform(self):
