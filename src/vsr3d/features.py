@@ -4,13 +4,12 @@ volume is resampled to a uniform length, transformed with an orthonormal
 original subsequence length.
 
 Windows travel as (m, 2) integer arrays of (start, duration) rows, such as
-`enumerate_subsequences` builds.  `featurize` and `featurize_prepared`
-compute one window exactly that way and serve as the reference.
-`featurize_many`, which both feature callers use, returns the same values
-computed separably: every step before the mask is linear, so each frame is
-projected once onto the first s rows of the y- and x-DCT bases, and a fixed
-(s x d) matrix per duration d does the resampling and the time DCT of every
-window of that duration.
+`enumerate_subsequences` builds.  `featurize_many` computes them separably:
+every step before the mask is linear, so each frame is projected once onto
+the first s rows of the y- and x-DCT bases, and a fixed (s x d) matrix per
+duration d does the resampling and the time DCT of every window of that
+duration.  The per-window path (resample, `dct3`, mask) that it must match
+lives in `tests/oracles.py` as the test reference.
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ class Transcript:
             if prev_end is not None and e.start_ms < prev_end:
                 raise VsrError(f"transcript entries overlap at {e.label}")
             prev_end = e.end_ms
-
-    def labels(self) -> list[str]:
-        return [e.label for e in self.entries]
 
 
 def time_shift(volume: np.ndarray, delta_t_ms: float, fps: float) -> np.ndarray:
@@ -131,20 +127,6 @@ def pyramid_mask_indices(s: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def pyramid_extract(coeffs: np.ndarray, s: int = 3) -> np.ndarray:
-    """Low-frequency amplitudes under the pyramid mask.
-
-    The index triple is (x-frequency, y-frequency, t-frequency); coefficient
-    volumes are laid out (t, y, x).
-    """
-    if s < 1:
-        raise VsrError("mask size must be >= 1")
-    t_dim, y_dim, x_dim = coeffs.shape
-    if s > min(t_dim, y_dim, x_dim):
-        raise VsrError(f"mask size {s} exceeds a coefficient dimension {coeffs.shape}")
-    return np.array([coeffs[k, j, i] for (i, j, k) in pyramid_mask_indices(s)])
-
-
 def feature_dimension(s: int) -> int:
     return s * (s + 1) * (s + 2) // 6 + 1
 
@@ -165,21 +147,6 @@ def _check_window(start, duration, frame_count: int):
         raise VsrError(f"subsequence ({start}, {duration}) exceeds volume")
 
 
-def featurize_prepared(prepared: np.ndarray, start: int, duration: int, length: int, s: int):
-    _check_window(start, duration, prepared.shape[0])
-    sub = prepared[start:start + duration]
-    coeffs = dct3(resample_to_length(sub, length))
-    return np.concatenate([pyramid_extract(coeffs, s), [float(duration)]])
-
-
-def featurize(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
-              start: int, duration: int, length: int = 10, s: int = 3) -> np.ndarray:
-    """Feature vector of one subsequence: pyramid-mask DCT amplitudes of the
-    length-normalized window plus the original duration in frames."""
-    return featurize_prepared(preprocess_volume(roi, channel, delta_t_ms, fps), start, duration,
-                              length, s)
-
-
 def _dct_matrix(n: int) -> np.ndarray:
     """Orthonormal type-II DCT as an (n, n) matrix: `_dct_matrix(n) @ x`
     equals `scipy.fft.dct(x, type=2, norm="ortho", axis=0)`."""
@@ -191,10 +158,10 @@ def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
     """Feature matrix of the windows in an (m, 2) array of (start, duration)
     rows, one feature row per window in the same order.
 
-    Equal to `featurize` row by row, computed separably: resampling and the
-    3D-DCT are linear, so each frame is projected once onto the first s
-    y- and x-DCT rows, and each window is finished along time by the
-    (s, d) matrix `DCT_L[:s] @ Resample(d -> L)` of its duration d.
+    Computed separably: resampling and the 3D-DCT are linear, so each frame
+    is projected once onto the first s y- and x-DCT rows, and each window is
+    finished along time by the (s, d) matrix `DCT_L[:s] @ Resample(d -> L)`
+    of its duration d.
     """
     prepared = preprocess_volume(roi, channel, delta_t_ms, fps)
     k = feature_dimension(s)
@@ -203,17 +170,13 @@ def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
         return np.zeros((0, k))
     n, h, w = prepared.shape
     starts, durations = spans.T
-    bad = np.flatnonzero((starts < 0) | (durations < 1) | (starts + durations > n))
-    # the per-window path checks each window before transforming it, so a bad
-    # first window wins over bad parameters, which win over later bad windows
-    if bad.size and bad[0] == 0:
-        _check_window(starts[0], durations[0], n)
     if length < 2:
         raise VsrError("target length must be >= 2")
     if s < 1:
         raise VsrError("mask size must be >= 1")
     if s > min(length, h, w):
         raise VsrError(f"mask size {s} exceeds a coefficient dimension {(length, h, w)}")
+    bad = np.flatnonzero((starts < 0) | (durations < 1) | (starts + durations > n))
     if bad.size:
         _check_window(starts[bad[0]], durations[bad[0]], n)
 

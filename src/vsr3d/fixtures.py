@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import VsrError
-from .segmentation import VideoSequence
+from .segmentation import VideoSequence, box_filter
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -174,12 +174,7 @@ def make_skin_noise(seed: int, height: int, width: int) -> np.ndarray:
     """Low-frequency multiplicative skin texture in [-amp, +amp]."""
     raw = uniform_array(seed, height * width).reshape(height, width) - 0.5
     for _ in range(2):
-        padded = np.pad(raw, 2, mode="edge")
-        acc = np.zeros_like(raw)
-        for dr in range(5):
-            for dc in range(5):
-                acc += padded[dr:dr + height, dc:dc + width]
-        raw = acc / 25.0
+        raw = box_filter(raw, 5)
     peak = np.abs(raw).max()
     if peak > 0:
         raw = raw / peak

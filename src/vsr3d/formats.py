@@ -139,11 +139,12 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
 
 
 def write_roi(roi: RoiVolume, path):
-    c, t, h, w = roi.data.shape
+    t, h, w = roi.shape
     with open(path, "wb") as fh:
         fh.write(b"VSR1")
-        fh.write(struct.pack("<4I", w, h, t, c))
-        fh.write(roi.data.astype("<f4").tobytes())
+        fh.write(struct.pack("<4I", w, h, t, len(roi.channels)))
+        for name in roi.channels:
+            fh.write(roi.plane(name).astype("<f4").tobytes())
 
 
 _ROI_HEADER_BYTES = 20

@@ -9,10 +9,10 @@ import numpy as np
 from . import VsrError
 from .config import PipelineConfig
 from .decoder import build_probability_grid, decode_sequence, expand_biphones
-from .segmentation import (MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence, box3,
-                           cropped_to_original, detect_inner_lower_lip, detect_mouth_corners,
-                           build_min_luminance_line, extract_roi, find_symmetry_lines,
-                           prepare_frames)
+from .segmentation import (MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence,
+                           box_filter, cropped_to_original, detect_inner_lower_lip,
+                           detect_mouth_corners, build_min_luminance_line, extract_roi,
+                           find_symmetry_lines, prepare_frames)
 from .svm import MultiClassModel, train_multiclass
 
 
@@ -33,7 +33,7 @@ def segment_video(video: VideoSequence, cfg: PipelineConfig,
     lines = find_symmetry_lines(video)
     rgb, lum, ulum = prepare_frames(video, lines)
     lip_rows = detect_inner_lower_lip(ulum, force_first_row=force_lip_row)
-    smooth = box3(lum)
+    smooth = box_filter(lum, 3)
     lum_lines = build_min_luminance_line(smooth, lip_rows)
     left, right = detect_mouth_corners(smooth, lum_lines)
     del smooth

@@ -378,27 +378,19 @@ def find_symmetry_lines(video: VideoSequence) -> list[SymmetryLine]:
     return lines
 
 
-def _line_frame_vectors(line: SymmetryLine):
+def crop_grid(line: SymmetryLine, height: int):
+    """Sampling grid (rows, cols) of the rotated, line-centered crop: every
+    pixel of the crop mapped into the original image."""
+    return cropped_to_original(line, height, np.arange(height)[:, None],
+                               np.arange(2 * CROP_HALF_WIDTH + 1)[None, :])
+
+
+def cropped_to_original(line: SymmetryLine, height: int, row, col):
+    """Map cropped-frame points (scalars or broadcastable arrays) back into
+    original-image coordinates."""
     theta = math.radians(line.angle_deg)
     along = np.array([math.cos(theta), math.sin(theta)])   # (drow, dcol) down the line
     perp = np.array([-math.sin(theta), math.cos(theta)])   # unit normal, to the right
-    return along, perp
-
-
-def crop_grid(line: SymmetryLine, height: int):
-    """Sampling grid (rows, cols) of the rotated, line-centered crop."""
-    along, perp = _line_frame_vectors(line)
-    c_row = (height - 1) / 2.0
-    t = np.arange(height, dtype=float) - c_row
-    k = np.arange(-CROP_HALF_WIDTH, CROP_HALF_WIDTH + 1, dtype=float)
-    rows = c_row + t[:, None] * along[0] + k[None, :] * perp[0]
-    cols = line.column + t[:, None] * along[1] + k[None, :] * perp[1]
-    return rows, cols
-
-
-def cropped_to_original(line: SymmetryLine, height: int, row: float, col: float):
-    """Map a cropped-frame point back into original-image coordinates."""
-    along, perp = _line_frame_vectors(line)
     c_row = (height - 1) / 2.0
     t = row - c_row
     k = col - CROP_HALF_WIDTH
@@ -473,16 +465,19 @@ def prepare_frames(video: VideoSequence, lines: list[SymmetryLine]):
     return rgb, lum, color_plane("ulum", rgb[..., CROP_HALF_WIDTH], lum[..., CROP_HALF_WIDTH])
 
 
-def box3(image: np.ndarray) -> np.ndarray:
-    """3x3 box filter over the last two axes, with edge replication."""
+def box_filter(image: np.ndarray, size: int) -> np.ndarray:
+    """size x size box filter (size odd) over the last two axes, with edge
+    replication: the window sums in row-major offset order, divided by
+    size * size."""
     h, w = image.shape[-2:]
-    padded = np.pad(image, [(0, 0)] * (image.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    r = size // 2
+    padded = np.pad(image, [(0, 0)] * (image.ndim - 2) + [(r, r), (r, r)], mode="edge")
     out = np.zeros_like(image, dtype=float)
-    for dr in range(3):
-        for dc in range(3):
+    for dr in range(size):
+        for dc in range(size):
             out += padded[..., dr:dr + h, dc:dc + w]
     del padded
-    out /= 9.0
+    out /= size * size
     return out
 
 
@@ -564,8 +559,8 @@ def detect_inner_lower_lip(ulum: np.ndarray, force_first_row: int | None = None)
 
 def build_min_luminance_line(smooth: np.ndarray, lip_rows: np.ndarray) -> np.ndarray:
     """81-point darkest polyline through the mouth slit of every frame, given
-    the smoothed luminance `box3(lum)`, (T, H, W), and the lip row of each
-    frame.  Returns (T, 81, 2) int (row, col).
+    the smoothed luminance `box_filter(lum, 3)`, (T, H, W), and the lip row
+    of each frame.  Returns (T, 81, 2) int (row, col).
 
     Seeded at the darkest smoothed-luminance pixel on the symmetry column
     within rows [lip_row-8, lip_row+4], then grown 40 columns to each side,
@@ -593,7 +588,7 @@ def build_min_luminance_line(smooth: np.ndarray, lip_rows: np.ndarray) -> np.nda
 
 def detect_mouth_corners(smooth: np.ndarray, lines: np.ndarray):
     """Track both mouth corners along the minimal-luminance lines, given the
-    smoothed luminance `box3(lum)` of every frame, (T, H, W).
+    smoothed luminance `box_filter(lum, 3)` of every frame, (T, H, W).
 
     The left corner lives on indices 0..40 of each polyline (weights from the
     negated smoothed-luminance gradient), the right corner on 40..80; each is

@@ -10,10 +10,14 @@ plans of `vsr3d.segmentation` must reproduce bit for bit; the segmentation
 path that computes all seven colour planes over every cropped frame and
 resamples them all, which the footprint path of `vsr3d.segmentation` must
 reproduce bit for bit;
+the crop grid written out row by row and column by column, which
+`vsr3d.segmentation.crop_grid` must reproduce bit for bit;
 the decoder's segment log-weights built one (duration, class) pair at a time,
 and the segment-level Viterbi over every pair, whose scores `vsr3d.decoder`
 must reproduce bit for bit; the grid cell lookup of the brute-force decoding
-tests; and the inverse 3D-DCT and ground-truth CSV reader of the feature and
+tests; the per-window 3D-DCT featurizer (resample, `dct3`, pyramid mask),
+which the separable `vsr3d.features.featurize_many` must match within
+1e-12; and the inverse 3D-DCT and ground-truth CSV reader of the feature and
 fixture tests.
 """
 
@@ -29,11 +33,12 @@ import scipy.fft
 import vsr3d.segmentation
 from vsr3d import VsrError
 from vsr3d.config import CHANNEL_NAMES
+from vsr3d.features import (_check_window, dct3, preprocess_volume, pyramid_mask_indices,
+                            resample_to_length)
 from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CROP_HALF_WIDTH, REFINE_ANGLES,
                                 REFINE_COLS, MouthKeypoints, RoiVolume, SymmetryLine,
-                                VideoSequence, box3, build_min_luminance_line, crop_grid,
-                                detect_inner_lower_lip, detect_mouth_corners,
-                                luminance)
+                                VideoSequence, box_filter, build_min_luminance_line,
+                                detect_inner_lower_lip, detect_mouth_corners, luminance)
 from vsr3d.svm import (BinarySvmModel, MultiClassModel, _sigmoid_of_negative,
                        predict_probability_matrix, rbf_kernel_matrix)
 
@@ -119,6 +124,38 @@ class OneProblemSmo:
                           RuntimeWarning, stacklevel=2)
         free = (alpha > 0.0) & (alpha < C)
         self.b = float(v[free].mean()) if free.any() else 0.5 * float(v_max + v_min)
+
+
+def pyramid_extract(coeffs: np.ndarray, s: int = 3) -> np.ndarray:
+    """Low-frequency amplitudes under the pyramid mask.
+
+    The index triple is (x-frequency, y-frequency, t-frequency); coefficient
+    volumes are laid out (t, y, x).
+    """
+    if s < 1:
+        raise VsrError("mask size must be >= 1")
+    t_dim, y_dim, x_dim = coeffs.shape
+    if s > min(t_dim, y_dim, x_dim):
+        raise VsrError(f"mask size {s} exceeds a coefficient dimension {coeffs.shape}")
+    return np.array([coeffs[k, j, i] for (i, j, k) in pyramid_mask_indices(s)])
+
+
+def featurize_prepared(prepared: np.ndarray, start: int, duration: int, length: int, s: int):
+    """One window of a `preprocess_volume` result: checked, resampled to
+    `length` frames, transformed whole by `dct3` and masked, plus its
+    duration."""
+    _check_window(start, duration, prepared.shape[0])
+    sub = prepared[start:start + duration]
+    coeffs = dct3(resample_to_length(sub, length))
+    return np.concatenate([pyramid_extract(coeffs, s), [float(duration)]])
+
+
+def featurize(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
+              start: int, duration: int, length: int = 10, s: int = 3) -> np.ndarray:
+    """Feature vector of one subsequence: pyramid-mask DCT amplitudes of the
+    length-normalized window plus the original duration in frames."""
+    return featurize_prepared(preprocess_volume(roi, channel, delta_t_ms, fps), start, duration,
+                              length, s)
 
 
 def idct3(coeffs: np.ndarray) -> np.ndarray:
@@ -233,6 +270,20 @@ def bilinear_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np
     return top * (1 - fr) + bot * fr
 
 
+def crop_grid(line: SymmetryLine, height: int):
+    """Sampling grid (rows, cols) of the rotated, line-centered crop, from
+    the row offsets t and column offsets k of the crop's pixels."""
+    theta = math.radians(line.angle_deg)
+    along = (math.cos(theta), math.sin(theta))     # (drow, dcol) down the line
+    perp = (-math.sin(theta), math.cos(theta))     # unit normal, to the right
+    c_row = (height - 1) / 2.0
+    t = np.arange(height, dtype=float) - c_row
+    k = np.arange(-CROP_HALF_WIDTH, CROP_HALF_WIDTH + 1, dtype=float)
+    rows = c_row + t[:, None] * along[0] + k[None, :] * perp[0]
+    cols = line.column + t[:, None] * along[1] + k[None, :] * perp[1]
+    return rows, cols
+
+
 def compute_channels(rgb01: np.ndarray) -> np.ndarray:
     """Colour planes of one frame, (7, H, W) in CHANNEL_NAMES order; rgb01 is
     (H, W, 3) scaled to [0, 1]."""
@@ -301,7 +352,7 @@ def segment_video(video, roi_width: int = 64, roi_height: int = 48):
     planes = prepare_frames(video, lines)
     ulum = planes[CHANNEL_NAMES.index("ulum")]
     lip_rows = detect_inner_lower_lip(ulum[:, :, ulum.shape[-1] // 2])
-    smooth = box3(planes[CHANNEL_NAMES.index("lum")])
+    smooth = box_filter(planes[CHANNEL_NAMES.index("lum")], 3)
     lum_lines = build_min_luminance_line(smooth, lip_rows)
     left, right = detect_mouth_corners(smooth, lum_lines)
     keypoints = MouthKeypoints(lip_rows=lip_rows, left=left, right=right, lum_lines=lum_lines)

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import reference_windows
-from oracles import idct3
+from oracles import featurize, featurize_prepared, idct3, pyramid_extract
 from vsr3d import VsrError
-from vsr3d.features import (dct3, enumerate_subsequences, featurize,
-                            featurize_many, featurize_prepared, feature_dimension,
-                            fit_standardization, preprocess_volume, pyramid_extract,
-                            pyramid_mask_indices, resample_to_length, standardize,
-                            subtract_sequence_mean, time_shift)
+from vsr3d.features import (dct3, enumerate_subsequences, featurize_many, feature_dimension,
+                            fit_standardization, preprocess_volume, pyramid_mask_indices,
+                            resample_to_length, standardize, subtract_sequence_mean,
+                            time_shift)
 from vsr3d.segmentation import RoiVolume
 
 
@@ -277,7 +276,7 @@ class TestFeaturize:
     def test_many_matches_per_window_oracle(self, length, extra, h, w, data):
         """The separable path equals the per-window 3D-DCT of `featurize_prepared`
         for unsorted, repeated windows of every duration class, and raises the
-        same errors."""
+        same error for a window or a parameter that alone is bad."""
         frames = length + 1 + extra
         seed = data.draw(st.integers(0, 10**6))
         delta_t = data.draw(st.sampled_from([0.0, 30.0]))
@@ -313,10 +312,11 @@ class TestFeaturize:
         assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, spans, length,
                                               too_big)) == \
             message(lambda: featurize_prepared(prepared, *pairs[0], length, too_big))
-        # a window past the end that comes first is reported before a bad mask size
+        # parameters are checked before windows: a bad mask size is reported
+        # even when a window past the end comes first
         assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, [past_end] + pairs,
                                               length, too_big)) == \
-            message(lambda: featurize_prepared(prepared, *past_end, length, too_big))
+            message(lambda: featurize_prepared(prepared, *pairs[0], length, too_big))
 
 
 class TestStandardization:

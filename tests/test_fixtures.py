@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,13 @@ class TestFrameRendering:
         frame, truth = synth_face_frame(cfg, 0, 2, 6, col, 0.0, skin, 0)
         assert np.array_equal(frame, frame[:, ::-1])
         assert truth.sym_col == col
+
+    def test_skin_noise_bytes_pinned(self):
+        """The skin texture uses only integer mixing and IEEE-exact
+        operations, so its bytes are fixed on every platform."""
+        skin = make_skin_noise(77, 120, 160)
+        assert hashlib.sha256(skin.tobytes()).hexdigest() == \
+            "74e610f206d936b07aa02c23acd9db71f1fe30241585930885d572ad4f3b54cf"
 
     def test_reproducible_bytes(self):
         cfg = SynthConfig(seed=2, noise_sigma=6 / 255)

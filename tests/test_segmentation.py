@@ -13,9 +13,9 @@ from vsr3d.config import CHANNEL_NAMES, PipelineConfig
 from vsr3d.pipeline import segment_video
 import vsr3d.segmentation
 from vsr3d.segmentation import (PLAN_CACHE_SIZE, MouthKeypoints, SymmetryLine, VideoSequence,
-                                _blend, _box_taps, _best_line, area_average_resize, box3,
+                                _blend, _box_taps, _best_line, area_average_resize, box_filter,
                                 build_image_pyramid, build_min_luminance_line, color_plane,
-                                crop_lum, cropped_to_original, detect_inner_lower_lip,
+                                crop_grid, crop_lum, cropped_to_original, detect_inner_lower_lip,
                                 detect_mouth_corners, extract_roi, find_symmetry_lines,
                                 gaussian_transition_matrix, luminance, prepare_frames,
                                 symmetry_costs, viterbi_generic)
@@ -405,17 +405,38 @@ class TestLipDetection:
         assert rows[0] == 7
 
 
+class TestBoxFilter:
+    @pytest.mark.parametrize("size, shape", [(3, (2, 7, 9)), (3, (1, 1)), (5, (6, 4)),
+                                             (5, (3, 2, 11))])
+    def test_matches_per_pixel_sum(self, size, shape):
+        """Each output pixel is the sum of its edge-clamped size x size
+        neighbourhood in row-major offset order, divided by size * size,
+        bit for bit."""
+        image = np.random.default_rng(size).random(shape) - 0.5
+        h, w = shape[-2:]
+        r = size // 2
+        expected = np.empty(shape)
+        for index in np.ndindex(shape):
+            *lead, y, x = index
+            acc = 0.0
+            for dr in range(-r, r + 1):
+                for dc in range(-r, r + 1):
+                    acc += image[(*lead, min(max(y + dr, 0), h - 1), min(max(x + dc, 0), w - 1))]
+            expected[index] = acc / (size * size)
+        assert box_filter(image, size).tobytes() == expected.tobytes()
+
+
 class TestMinLuminanceLine:
     def test_dark_strip_followed_exactly(self):
         lum = np.ones((60, 101))
         lum[32:35, :] = 0.0  # thicker than the smoothing kernel, center row darkest
-        line = one_line(box3(lum), 35.0)
+        line = one_line(box_filter(lum, 3), 35.0)
         assert line.shape == (81, 2)
         assert (line[:, 0] == 33).all()
 
     def test_shape_and_column_steps(self):
         rng = np.random.default_rng(13)
-        line = one_line(box3(rng.random((50, 101))), 25.0)
+        line = one_line(box_filter(rng.random((50, 101)), 3), 25.0)
         assert line.shape == (81, 2)
         assert np.array_equal(line[:, 1], np.arange(10, 91))
         assert np.abs(np.diff(line[:, 0])).max() <= 1
@@ -425,13 +446,13 @@ class TestMinLuminanceLine:
         for _ in range(5):
             lum = rng.random((64, 101))
             lip = float(rng.uniform(20, 40))
-            line = one_line(box3(lum), lip)
+            line = one_line(box_filter(lum, 3), lip)
             seed_row = line[40, 0]
             assert lip - 8 - 0.51 <= seed_row <= lip + 4 + 0.51
 
     def test_rows_clamped_at_boundary(self):
         lum = np.tile(np.linspace(1, 0, 30)[:, None], (1, 101))  # darkest at bottom row
-        line = one_line(box3(lum), 28.0)
+        line = one_line(box_filter(lum, 3), 28.0)
         assert line[:, 0].max() <= 29
 
     @given(st.integers(0, 10**6), st.integers(3, 20),
@@ -457,7 +478,7 @@ class TestCornerDetection:
         return lum
 
     def test_single_frame_corner_positions(self):
-        smooth = box3(self.mouth_like(25, 75))
+        smooth = box_filter(self.mouth_like(25, 75), 3)
         line = one_line(smooth, 30.0)
         left, right = detect_mouth_corners(smooth[None], np.stack([line]))
         assert abs(left[0][1] - 25) <= 2
@@ -470,8 +491,8 @@ class TestCornerDetection:
     def test_matches_brute_force_on_tiny_instance(self):
         rng = np.random.default_rng(15)
         lum = rng.random((3, 50, 101))
-        smooth = box3(lum)
-        assert np.array_equal(smooth, np.stack([box3(frame) for frame in lum]))
+        smooth = box_filter(lum, 3)
+        assert np.array_equal(smooth, np.stack([box_filter(frame, 3) for frame in lum]))
         lines = np.stack([one_line(frame, 25.0) for frame in smooth])
         left, right = detect_mouth_corners(smooth, lines)
 
@@ -716,6 +737,19 @@ class TestTranslationInvariance:
 
 
 class TestCoordinateMapping:
+    @given(st.floats(-50.0, 250.0), st.floats(-15.0, 15.0), st.integers(1, 160))
+    @settings(max_examples=100, deadline=None)
+    def test_crop_grid_matches_explicit_formula(self, column, angle, height):
+        """The crop grid, now `cropped_to_original` over the crop's pixels,
+        keeps the bits of the grid written out row by row and column by
+        column."""
+        line = SymmetryLine(column=column, angle_deg=angle)
+        rows, cols = crop_grid(line, height)
+        ref_rows, ref_cols = oracles.crop_grid(line, height)
+        assert rows.shape == ref_rows.shape == (height, 101)
+        assert rows.tobytes() == ref_rows.tobytes()
+        assert cols.tobytes() == ref_cols.tobytes()
+
     def test_cropped_to_original_roundtrip_center(self):
         line = SymmetryLine(column=77.0, angle_deg=2.0)
         r, c = cropped_to_original(line, 120, (120 - 1) / 2.0, 50.0)
