@@ -240,7 +240,7 @@ def _label_sequences(path) -> dict:
 
 
 def cmd_eval(args) -> int:
-    from .evaluation import evaluate_sequences
+    from .evaluation import evaluate_sequences, summary_accuracies
 
     refs = _label_sequences(args.ref)
     hyps = _label_sequences(args.hyp)
@@ -256,8 +256,7 @@ def cmd_eval(args) -> int:
         write_eval_report(rows, totals, args.out)
     if args.confusion:
         write_confusion_csv(confusion, args.confusion)
-    pooled = (totals.C - totals.I) / totals.T if totals.T else 0.0
-    mean = sum(r[2] for r in rows) / len(rows)
+    pooled, mean = summary_accuracies(rows, totals)
     print(f"sequences={len(rows)} T={totals.T} C={totals.C} S={totals.S} "
           f"D={totals.D} I={totals.I}")
     print(f"accuracy pooled={pooled:.4f} mean={mean:.4f}")

@@ -127,6 +127,15 @@ def accuracy(counts: AlignmentCounts) -> float:
     return (counts.C - counts.I) / counts.T
 
 
+def summary_accuracies(rows, totals: AlignmentCounts) -> tuple[float, float]:
+    """(pooled, mean) of `evaluate_sequences` output: the accuracy of the
+    pooled counts and the mean per-sequence accuracy, each 0.0 when there
+    is nothing to pool or average."""
+    pooled = accuracy(totals) if totals.T else 0.0
+    mean = sum(r[2] for r in rows) / len(rows) if rows else 0.0
+    return pooled, mean
+
+
 def confusion_matrix(alignments, labels) -> ConfusionMatrix:
     """Aggregate aligned pairs: (r, h) increments [r][h], a reference gap
     increments the insertion row, a hypothesis gap the deletion column."""

@@ -1,12 +1,14 @@
 """On-disk formats.
 
 Video directory: frame_00000.ppm, frame_00001.ppm, ... (binary P6) plus
-manifest.txt with the lines "fps=25" and "frames=N".
+manifest.txt with the lines "fps=25" and "frames=N" (fps finite and
+positive).
 
 RoiVolume (.vsr1): magic "VSR1"; little-endian u32 width, height, frames,
-channelCount (width, height and frames nonzero); f32 little-endian data
-ordered channel-major, frame-major, row-major.  Channels are stored in the
-canonical order (lum, u, ulum, pseudo_hue, red, green, blue).
+channelCount (width, height and frames nonzero, channelCount 7); f32
+little-endian data ordered channel-major, frame-major, row-major.  Channels
+are stored in the canonical order of CHANNEL_NAMES (lum, u, ulum,
+pseudo_hue, red, green, blue).
 
 Probability grid (.grd1): magic "GRD1"; u32 classCount, frameCount,
 maxDuration; per class a u32-length-prefixed UTF-8 label and u32 dmin, dmax;
@@ -30,6 +32,7 @@ final DEL column; a final INS row holds insertion counts.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import VsrError
 from .config import CHANNEL_NAMES
-from .evaluation import ConfusionMatrix
+from .evaluation import ConfusionMatrix, summary_accuracies
 from .features import Transcript, TranscriptEntry
 from .segmentation import RoiVolume, VideoSequence
 
@@ -111,6 +114,8 @@ def read_video_dir(path) -> VideoSequence:
         fps, frames = float(fields["fps"]), int(fields["frames"])
     except ValueError:
         raise VsrError(f"{manifest}: fps= and frames= need numbers") from None
+    if not (math.isfinite(fps) and fps > 0):
+        raise VsrError(f"{manifest}: fps= must be finite and positive, got {fields['fps']}")
     stack = []
     for t in range(frames):
         frame_path = path / f"frame_{t:05d}.ppm"
@@ -142,8 +147,8 @@ def write_roi(roi: RoiVolume, path):
     t, h, w = roi.shape
     with open(path, "wb") as fh:
         fh.write(b"VSR1")
-        fh.write(struct.pack("<4I", w, h, t, len(roi.channels)))
-        for name in roi.channels:
+        fh.write(struct.pack("<4I", w, h, t, len(CHANNEL_NAMES)))
+        for name in CHANNEL_NAMES:
             fh.write(roi.plane(name).astype("<f4").tobytes())
 
 
@@ -181,7 +186,7 @@ def read_roi(path) -> RoiVolume:
             raw = _read_exact(fh, plane_bytes, path, f"ROI plane {name!r}")
         return np.frombuffer(raw, dtype="<f4").reshape(t, h, w)
 
-    return RoiVolume(channels=CHANNEL_NAMES, scale=1.0, shape=(t, h, w), make_plane=make_plane)
+    return RoiVolume((t, h, w), make_plane)
 
 
 def write_keypoints_csv(rows, path):
@@ -334,8 +339,7 @@ def write_eval_report(rows, totals, path):
         fh.write("id,T,C,S,D,I,acc\n")
         for sid, c, acc in rows:
             fh.write(f"{sid},{c.T},{c.C},{c.S},{c.D},{c.I},{acc:.6f}\n")
-        pooled = (totals.C - totals.I) / totals.T if totals.T else 0.0
-        mean = sum(r[2] for r in rows) / len(rows) if rows else 0.0
+        pooled, mean = summary_accuracies(rows, totals)
         fh.write(f"TOTAL,{totals.T},{totals.C},{totals.S},{totals.D},{totals.I},{pooled:.6f}\n")
         fh.write(f"MEAN,,,,,,{mean:.6f}\n")
 

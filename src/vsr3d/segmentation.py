@@ -6,7 +6,8 @@ with Gaussian-transition HMMs, each decoded by the plain Viterbi
 `viterbi_generic`; and resamples a rotation/position/scale-normalized mouth
 window from every frame.  Tracking reads the crop's luminance and u*lum on
 the symmetry column; the window keeps the RGB and luminance of its
-footprint in the crop and makes each colour plane (`color_plane`, the one
+footprint in the crop.  Its volume (`RoiVolume`) always has the seven
+planes of `CHANNEL_NAMES` and makes each one (`color_plane`, the one
 formula) when it is first asked for.
 
 Bilinear sampling is split in two.  A plan depends only on the geometry:
@@ -107,32 +108,20 @@ class MouthKeypoints:
 
 
 class RoiVolume:
-    """Normalized mouth window: one (frames, H, W) plane per channel name.
+    """Normalized mouth window: one (frames, H, W) plane per name in
+    `CHANNEL_NAMES`.
 
     A volume keeps the planes it has made, and `make_plane(name)`, which
-    makes a missing one.  Built from a (channels, frames, H, W) `data`
-    array, it has every plane made up front.  `extract_roi` builds one with
-    no plane made: its `make_plane` computes the channel over the window's
-    footprint in the cropped frames and resamples it.  `read_roi` does too:
-    its `make_plane` reads the plane's bytes from the `.vsr1` file.  `plane`
-    makes a plane on first use; `data` stacks every plane in `channels`
-    order.
+    makes a missing one; `plane` makes a plane on first use.  `extract_roi`
+    builds one whose `make_plane` computes the channel over the window's
+    footprint in the cropped frames and resamples it; `read_roi` one whose
+    `make_plane` reads the plane's bytes from the `.vsr1` file.
     """
 
-    def __init__(self, data=None, channels=tuple(CHANNEL_NAMES), scale: float = 1.0, *,
-                 shape=None, make_plane=None):
-        self.channels = tuple(channels)
-        self.scale = scale
+    def __init__(self, shape, make_plane):
+        self.shape = tuple(shape)
         self._make_plane = make_plane
         self._planes = {}
-        if data is not None:
-            if data.ndim != 4:
-                raise VsrError("RoiVolume data must be (channels, frames, H, W)")
-            if len(self.channels) != data.shape[0]:
-                raise VsrError("channel name count does not match data")
-            self._planes = dict(zip(self.channels, data))
-            shape = data.shape[1:]
-        self.shape = tuple(shape)
 
     @property
     def frame_count(self) -> int:
@@ -146,12 +135,8 @@ class RoiVolume:
     def width(self) -> int:
         return self.shape[2]
 
-    @property
-    def data(self) -> np.ndarray:
-        return np.stack([self.plane(name) for name in self.channels])
-
     def plane(self, name: str) -> np.ndarray:
-        if name not in self.channels:
+        if name not in CHANNEL_NAMES:
             raise VsrError(f"channel {name!r} not present in ROI volume")
         if name not in self._planes:
             self._planes[name] = self._make_plane(name)
@@ -655,5 +640,4 @@ def extract_roi(rgb: np.ndarray, lum: np.ndarray, keypoints: MouthKeypoints,
         flat = color_plane(name, rgb, lum).reshape(-1)
         return _blend(*(np.take(flat, base + i) for i in corners), *weights)
 
-    return RoiVolume(channels=tuple(CHANNEL_NAMES), scale=scale,
-                     shape=(n, roi_height, roi_width), make_plane=make_plane)
+    return RoiVolume((n, roi_height, roi_width), make_plane)

@@ -13,13 +13,14 @@ on the rest of each of three folds, the held-out rows fixed at alpha = 0 and
 masked out of the working set.  A problem stops at its own KKT gap or budget,
 and follows bit for bit the path it would take solved alone.
 
-Prediction scores every class at once.  The one-vs-rest models of one
-training run share their gamma, and their support vectors are rows of the
-same training matrix, so each distinct row is stored once (as LIBSVM does)
-with the classes' dual coefficients summed into a (rows, classes) matrix:
-one kernel per gamma over the distinct support vectors and one matmul give
-every class's decision value.  The per-model `decision_values` is what
-training uses and what the tests compare against.
+Prediction scores every class at once.  A model has one gamma, shared by
+its one-vs-rest class models (a model file whose classes differ in gamma is
+rejected), and their support vectors are rows of the same training matrix,
+so each distinct row is stored once (as LIBSVM does) with the classes' dual
+coefficients summed into a (rows, classes) matrix: one kernel over the
+distinct support vectors and one matmul give every class's decision value.
+The per-model `decision_values` is what training uses and what the tests
+compare against.
 
 Training reads its grids, SMO stop and CV fraction from a PipelineConfig;
 the model records that config's feature echo.
@@ -52,30 +53,25 @@ class BinarySvmModel:
 
 @dataclass
 class KernelTable:
-    """The support vectors of the class models that share one gamma, each
-    distinct row once, and every model's dual coefficients summed into the
-    rows it uses (a row repeated within or across models counts each time)."""
-    gamma: float
-    columns: list[int]   # indices of the class models in this group
+    """The support vectors of a model's class models, each distinct row
+    once, and every class's dual coefficients summed into the rows it uses
+    (a row repeated within or across classes counts each time)."""
     rows: np.ndarray     # (U, k) distinct support vectors
-    coef: np.ndarray     # (U, len(columns)) summed dual coefficients
+    coef: np.ndarray     # (U, classes) summed dual coefficients
 
 
-def _kernel_tables(models: list[BinarySvmModel]) -> list[KernelTable]:
-    """One KernelTable per distinct gamma, in order of first appearance."""
-    groups: dict[float, list[int]] = {}
-    for i, m in enumerate(models):
-        groups.setdefault(m.gamma, []).append(i)
-    tables = []
-    for gamma, columns in groups.items():
-        members = [models[i] for i in columns]
-        rows, where = np.unique(np.vstack([m.support_vectors for m in members]), axis=0,
-                                return_inverse=True)
-        owner = np.repeat(np.arange(len(members)), [len(m.dual_coef) for m in members])
-        coef = np.zeros((len(rows), len(members)))
-        np.add.at(coef, (where.reshape(-1), owner), np.concatenate([m.dual_coef for m in members]))
-        tables.append(KernelTable(gamma=gamma, columns=columns, rows=rows, coef=coef))
-    return tables
+def _kernel_table(models: list[BinarySvmModel]) -> KernelTable:
+    """The KernelTable of class models that share one gamma."""
+    gammas = sorted({m.gamma for m in models})
+    if len(gammas) > 1:
+        raise VsrError(f"class models have gammas {gammas[0]!r} and {gammas[-1]!r}; "
+                       "a model has one gamma")
+    rows, where = np.unique(np.vstack([m.support_vectors for m in models]), axis=0,
+                            return_inverse=True)
+    owner = np.repeat(np.arange(len(models)), [len(m.dual_coef) for m in models])
+    coef = np.zeros((len(rows), len(models)))
+    np.add.at(coef, (where.reshape(-1), owner), np.concatenate([m.dual_coef for m in models]))
+    return KernelTable(rows=rows, coef=coef)
 
 
 @dataclass
@@ -86,10 +82,10 @@ class MultiClassModel:
     config: dict = field(default_factory=dict)
 
     @cached_property
-    def kernel_tables(self) -> list[KernelTable]:
-        """The shared support-vector tables prediction uses, built on first
+    def kernel_table(self) -> KernelTable:
+        """The shared support-vector table prediction uses, built on first
         use; the class models are not to be changed after that."""
-        return _kernel_tables(self.models)
+        return _kernel_table(self.models)
 
 
 def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -361,19 +357,17 @@ def fit_platt(scores, labels) -> tuple[float, float]:
 _KERNEL_BLOCK_CELLS = 1 << 16
 
 
-def _probability_matrix(models: list[BinarySvmModel], tables: list[KernelTable],
+def _probability_matrix(models: list[BinarySvmModel], table: KernelTable,
                         z: np.ndarray) -> np.ndarray:
     """(n, classes) calibrated probabilities of standardized rows z."""
+    gamma = models[0].gamma
     bias = np.array([m.bias for m in models])
     a = np.array([m.platt_a for m in models])
     b = np.array([m.platt_b for m in models])
     out = np.empty((z.shape[0], len(models)))
-    step = max(1, _KERNEL_BLOCK_CELLS // max((len(t.rows) for t in tables), default=1))
+    step = max(1, _KERNEL_BLOCK_CELLS // len(table.rows))
     for lo in range(0, z.shape[0], step):
-        rows = z[lo:lo + step]
-        scores = np.empty((len(rows), len(models)))
-        for t in tables:
-            scores[:, t.columns] = rbf_kernel_matrix(rows, t.rows, t.gamma) @ t.coef
+        scores = rbf_kernel_matrix(z[lo:lo + step], table.rows, gamma) @ table.coef
         out[lo:lo + step] = _sigmoid_of_negative(a * (scores + bias) + b)
     return out
 
@@ -460,7 +454,7 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     def cv_accuracy(models: list[BinarySvmModel]) -> float:
         if len(y_cv) == 0:
             return 0.0
-        pred = np.argmax(_probability_matrix(models, _kernel_tables(models), x_cv), axis=1)
+        pred = np.argmax(_probability_matrix(models, _kernel_table(models), x_cv), axis=1)
         truth = np.array([class_labels.index(l) for l in y_cv])
         return float(np.mean(pred == truth))
 
@@ -482,9 +476,9 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
 
 def predict_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
     """(n, classes) calibrated probabilities for a feature matrix, from one
-    kernel per gamma over the model's distinct support vectors."""
+    kernel over the model's distinct support vectors."""
     z = standardize(np.asarray(x, dtype=float), model.stats)
-    return _probability_matrix(model.models, model.kernel_tables, z)
+    return _probability_matrix(model.models, model.kernel_table, z)
 
 
 def save_model(model: MultiClassModel, path):
@@ -547,6 +541,8 @@ def _model_from_doc(doc) -> MultiClassModel:
     labels = list(doc["classLabels"])
     if len(labels) != len(doc["models"]):
         raise VsrError(f"{len(labels)} class labels for {len(doc['models'])} models")
+    if not labels:
+        raise VsrError("no class models")
     if len(set(labels)) != len(labels):
         raise VsrError("class labels must be distinct")
     models = []
@@ -560,6 +556,9 @@ def _model_from_doc(doc) -> MultiClassModel:
                                          for k in ("bias", "gamma", "plattA", "plattB"))
         if gamma <= 0:
             raise VsrError(f"models[{i}].gamma must be positive")
+        if models and gamma != models[0].gamma:
+            raise VsrError(f"models[{i}].gamma {gamma!r} differs from models[0].gamma "
+                           f"{models[0].gamma!r}; a model has one gamma")
         models.append(BinarySvmModel(support_vectors=sv, dual_coef=alphas, bias=bias,
                                      gamma=gamma, platt_a=platt_a, platt_b=platt_b))
     config = doc.get("config") or {}

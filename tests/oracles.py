@@ -18,7 +18,8 @@ must reproduce bit for bit; the grid cell lookup of the brute-force decoding
 tests; the per-window 3D-DCT featurizer (resample, `dct3`, pyramid mask),
 which the separable `vsr3d.features.featurize_many` must match within
 1e-12; and the inverse 3D-DCT and ground-truth CSV reader of the feature and
-fixture tests.
+fixture tests.  `roi_volume` and `roi_planes` build a RoiVolume from
+given planes and stack a volume's planes, for the tests that need either.
 """
 
 from __future__ import annotations
@@ -343,7 +344,22 @@ def extract_roi(planes: np.ndarray, keypoints: MouthKeypoints,
         cols = mid[1] + (gx * ux - gy * uy) / scale
         sampled = bilinear_sample(np.moveaxis(planes[:, t], 0, -1), rows, cols)
         data[:, t] = np.moveaxis(sampled, -1, 0)
-    return RoiVolume(data=data, channels=tuple(CHANNEL_NAMES), scale=scale)
+    return roi_volume(data)
+
+
+def roi_volume(planes) -> RoiVolume:
+    """A RoiVolume holding given planes: a (7, frames, H, W) stack in
+    `CHANNEL_NAMES` order, or one (frames, H, W) plane that serves as every
+    channel."""
+    planes = np.asarray(planes)
+    if planes.ndim == 3:
+        planes = np.broadcast_to(planes, (len(CHANNEL_NAMES),) + planes.shape)
+    return RoiVolume(planes.shape[1:], lambda name: planes[CHANNEL_NAMES.index(name)])
+
+
+def roi_planes(roi: RoiVolume) -> np.ndarray:
+    """Every plane of a volume, stacked in `CHANNEL_NAMES` order."""
+    return np.stack([roi.plane(name) for name in CHANNEL_NAMES])
 
 
 def segment_video(video, roi_width: int = 64, roi_height: int = 48):

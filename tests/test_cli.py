@@ -9,12 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import roi_planes, roi_volume
 from vsr3d.cli import main
 from vsr3d.config import CHANNEL_NAMES
 from vsr3d.decoder import decode_sequence
 from vsr3d.formats import (read_features_csv, read_grid, read_label_sequence, read_roi,
                            read_video_dir, write_ppm, write_roi)
-from vsr3d.segmentation import RoiVolume
 
 
 def run_cli(*args):
@@ -130,7 +130,7 @@ class TestPipelineCommands:
         assert len(rois) == 8
         assert sorted(seg.glob("*.keypoints.csv"))
         roi = read_roi(rois[0])
-        assert roi.data.shape[0] == 7 and roi.height == 48 and roi.width == 64
+        assert roi_planes(roi).shape == (7, roi.frame_count, 48, 64)
 
         feats = tiny_corpus / "feats"
         assert run_cli("featurize", str(corpus), "--kind", "phoneme",
@@ -346,6 +346,9 @@ class TestMalformedTextInput:
 
     @pytest.mark.parametrize("argv, names", [
         (_segment_video_dir(b"fps=abc\nframes=1\n"), "manifest.txt"),
+        (_segment_video_dir(b"fps=nan\nframes=1\n"), "manifest.txt"),
+        (_segment_video_dir(b"fps=inf\nframes=1\n"), "manifest.txt"),
+        (_segment_video_dir(b"fps=1e400\nframes=1\n"), "manifest.txt"),
         (_segment_video_dir(b"fps=25\nframes=x\n"), "manifest.txt"),
         (_segment_video_dir(b"fps=25\nframes=2\n", sizes=[(4, 6), (5, 6)]), "frame_00001.ppm"),
         (_train_on(b"start,duration,f0,label\n1.5,3,0.1,A\n"), "features.csv:2"),
@@ -367,7 +370,8 @@ class TestMalformedTextInput:
         (_config({"roi_width": -3}), "roi_width"),
         (_config({"svm_max_passes": 1.5}), "svm_max_passes"),
         (_config({"delta_t_ms": -1}), "delta_t_ms"),
-    ], ids=["manifest-fps", "manifest-frames", "frame-sizes-differ", "features-start",
+    ], ids=["manifest-fps", "manifest-fps-nan", "manifest-fps-inf", "manifest-fps-overflow",
+            "manifest-frames", "frame-sizes-differ", "features-start",
             "features-duration", "features-value", "features-nan", "features-inf",
             "features-negative-start", "features-zero-duration",
             "features-non-ascii", "transcript-non-ascii", "config-grid-number",
@@ -445,8 +449,7 @@ class TestMalformedBinaryFiles:
     ], ids=["short-header", "short-payload"])
     def test_decode_roi(self, tmp_path, capsys, blob):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps({"classLabels": [], "models": [],
-                                     "stats": {"mean": [], "std": []}}))
+        model.write_text(json.dumps(_model_doc()))
         path = tmp_path / "bad.vsr1"
         path.write_bytes(blob)
         code = run_cli("decode", str(path), "--model", str(model),
@@ -474,7 +477,7 @@ class TestMalformedBinaryFiles:
         data = np.random.default_rng(3).uniform(size=(len(CHANNEL_NAMES), 12, 8, 10))
         data[CHANNEL_NAMES.index("red"), 5, 3, 4] = value
         path = tmp_path / "bad.vsr1"
-        write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
+        write_roi(roi_volume(data), path)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(_model_doc()))
         with warnings.catch_warnings():
@@ -492,7 +495,7 @@ class TestMalformedBinaryFiles:
         data = np.full((len(CHANNEL_NAMES), 12, 8, 10), np.nan)
         data[CHANNEL_NAMES.index("red")] = np.random.default_rng(3).uniform(size=(12, 8, 10))
         path = tmp_path / "red_only.vsr1"
-        write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
+        write_roi(roi_volume(data), path)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(_model_doc()))
         with warnings.catch_warnings():
@@ -544,7 +547,7 @@ def _widen_support_vectors(doc):
 def roi_path(tmp_path):
     data = np.random.default_rng(3).uniform(size=(len(CHANNEL_NAMES), 12, 8, 10))
     path = tmp_path / "s.vsr1"
-    write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
+    write_roi(roi_volume(data), path)
     return path
 
 
@@ -827,6 +830,8 @@ class TestMalformedModelFiles:
         _set(["models", 0, "gamma"], lambda v: 0.0),
         _set(["models", 1, "gamma"], lambda v: -50.0),
         _set(["classLabels", 1], lambda v: "C0"),
+        _set(["models", 1, "gamma"], lambda v: 0.5),
+        lambda doc: doc.update(classLabels=[], models=[]),
         _set(["config", "channel"], lambda v: "purple"),
         _set(["config", "deltaTms"], lambda v: "x"),
         _set(["config", "deltaTms"], lambda v: -30.0),
@@ -841,7 +846,8 @@ class TestMalformedModelFiles:
             "nan-platt-b", "nan-mean", "inf-std", "zero-std", "negative-std", "short-std",
             "missing-class-label", "short-alphas", "ragged-support-vectors",
             "1d-support-vectors", "3d-support-vectors", "support-vector-columns",
-            "zero-gamma", "negative-gamma", "duplicate-class-label", "unknown-channel",
+            "zero-gamma", "negative-gamma", "duplicate-class-label", "mixed-gamma", "no-class-models",
+            "unknown-channel",
             "string-delta-t", "negative-delta-t", "inf-delta-t", "string-length",
             "fractional-length", "length-below-2", "null-mask-size", "zero-mask-size",
             "config-not-an-object"])

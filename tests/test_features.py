@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import reference_windows
-from oracles import featurize, featurize_prepared, idct3, pyramid_extract
+from oracles import featurize, featurize_prepared, idct3, pyramid_extract, roi_volume
 from vsr3d import VsrError
 from vsr3d.features import (dct3, enumerate_subsequences, featurize_many, feature_dimension,
                             fit_standardization, preprocess_volume, pyramid_mask_indices,
                             resample_to_length, standardize, subtract_sequence_mean,
                             time_shift)
-from vsr3d.segmentation import RoiVolume
 
 
 def naive_dct3(volume):
@@ -41,8 +40,7 @@ def naive_dct3(volume):
 
 
 def toy_roi(rng, frames=12, h=6, w=8):
-    data = rng.random((1, frames, h, w))
-    return RoiVolume(data=data, channels=("red",), scale=1.0)
+    return roi_volume(rng.random((frames, h, w)))
 
 
 class TestTimeShift:
@@ -219,8 +217,7 @@ class TestFeaturize:
         assert len(vec) == 11
 
     def test_constant_video_gives_zero_amplitudes(self):
-        data = np.full((1, 9, 4, 4), 0.3)
-        roi = RoiVolume(data=data, channels=("red",), scale=1.0)
+        roi = roi_volume(np.full((9, 4, 4), 0.3))
         vec = featurize(roi, "red", 30.0, 25.0, 1, 4, 10, 3)
         assert np.allclose(vec[:-1], 0.0, atol=1e-9)
         assert vec[-1] == 4.0
@@ -237,10 +234,10 @@ class TestFeaturize:
 
     def test_temporal_constant_offset_invariance(self):
         rng = np.random.default_rng(12)
-        data = rng.random((1, 10, 5, 5))
+        data = rng.random((10, 5, 5))
         offset = rng.random((5, 5))
-        roi_a = RoiVolume(data=data, channels=("red",), scale=1.0)
-        roi_b = RoiVolume(data=data + offset[None, None, :, :], channels=("red",), scale=1.0)
+        roi_a = roi_volume(data)
+        roi_b = roi_volume(data + offset[None, :, :])
         va = featurize(roi_a, "red", 20.0, 25.0, 2, 6, 8, 3)
         vb = featurize(roi_b, "red", 20.0, 25.0, 2, 6, 8, 3)
         assert np.abs(va - vb).max() < 1e-9
@@ -282,8 +279,7 @@ class TestFeaturize:
         delta_t = data.draw(st.sampled_from([0.0, 30.0]))
         s = data.draw(st.integers(1, min(length, h, w)))
         rng = np.random.default_rng(seed)
-        roi = RoiVolume(data=255.0 * rng.random((1, frames, h, w)), channels=("red",),
-                        scale=1.0)
+        roi = roi_volume(255.0 * rng.random((frames, h, w)))
         drawn = data.draw(st.lists(
             st.integers(0, frames - 1).flatmap(
                 lambda start: st.tuples(st.just(start), st.integers(1, frames - start))),

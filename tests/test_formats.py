@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from oracles import roi_planes, roi_volume
 from vsr3d import VsrError, formats
 from vsr3d.config import CHANNEL_NAMES
 from vsr3d.decoder import ProbabilityGrid
@@ -11,7 +14,7 @@ from vsr3d.formats import (find_video_dirs, read_features_csv, read_grid, read_p
                            write_eval_report, write_features_csv, write_grid,
                            write_keypoints_csv, write_pgm, write_ppm, write_roi,
                            write_transcript, write_video_dir)
-from vsr3d.segmentation import RoiVolume, VideoSequence
+from vsr3d.segmentation import VideoSequence
 
 
 class TestPpm:
@@ -79,13 +82,10 @@ class TestVideoDir:
 class TestRoiFile:
     def test_roundtrip(self, tmp_path):
         data = np.random.default_rng(2).random((7, 3, 5, 6))
-        roi = RoiVolume(data=data, channels=tuple(
-            ("lum", "u", "ulum", "pseudo_hue", "red", "green", "blue")), scale=1.3)
         path = tmp_path / "r.vsr1"
-        write_roi(roi, path)
+        write_roi(roi_volume(data), path)
         loaded = read_roi(path)
-        assert loaded.channels == roi.channels
-        assert np.abs(loaded.data - data).max() < 1e-6  # f32 storage
+        assert np.abs(roi_planes(loaded) - data).max() < 1e-6  # f32 storage
         header = path.read_bytes()[:20]
         assert header[:4] == b"VSR1"
         assert np.frombuffer(header[4:], dtype="<u4").tolist() == [6, 5, 3, 7]
@@ -93,20 +93,19 @@ class TestRoiFile:
     def test_float32_payload_featurizes_like_widened_data(self, tmp_path):
         data = np.random.default_rng(4).normal(size=(len(CHANNEL_NAMES), 12, 8, 10))
         path = tmp_path / "r.vsr1"
-        write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
+        write_roi(roi_volume(data), path)
         loaded = read_roi(path)
-        assert loaded.data.dtype == np.float32
-        widened = RoiVolume(data=data.astype(np.float32).astype(float), channels=CHANNEL_NAMES,
-                            scale=1.0)
+        assert roi_planes(loaded).dtype == np.float32
+        widened = roi_volume(data.astype(np.float32).astype(float))
         spans = enumerate_subsequences(12, range(2, 8))
         for channel in ("lum", "blue"):
             assert np.array_equal(featurize_many(loaded, channel, 60.0, 25.0, spans),
                                   featurize_many(widened, channel, 60.0, 25.0, spans))
 
     def test_nonstandard_channel_count_rejected(self, tmp_path):
-        roi = RoiVolume(data=np.zeros((2, 1, 2, 2)), channels=("red", "lum"), scale=1.0)
         path = tmp_path / "r2.vsr1"
-        write_roi(roi, path)
+        path.write_bytes(b"VSR1" + struct.pack("<4I", 2, 2, 1, 2)
+                         + np.zeros((2, 1, 2, 2), dtype="<f4").tobytes())
         with pytest.raises(VsrError, match="2 channels"):
             read_roi(path)
 
@@ -123,7 +122,7 @@ class TestLazyRoiPlanes:
     def stored(self, tmp_path):
         data = np.random.default_rng(6).normal(size=(len(CHANNEL_NAMES), 5, 4, 3))
         path = tmp_path / "r.vsr1"
-        write_roi(RoiVolume(data=data, channels=CHANNEL_NAMES, scale=1.0), path)
+        write_roi(roi_volume(data), path)
         return path
 
     @pytest.fixture
@@ -147,7 +146,7 @@ class TestLazyRoiPlanes:
             plane = roi.plane(name)
             assert plane.dtype == np.float32 and not plane.flags.writeable
             assert plane.tobytes() == eager[i].tobytes()
-        assert roi.data.tobytes() == eager.tobytes()
+        assert roi_planes(roi).tobytes() == eager.tobytes()
 
     def test_reads_only_the_requested_plane_once(self, stored, reads):
         roi = read_roi(stored)

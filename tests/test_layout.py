@@ -1,7 +1,9 @@
 """The test oracles stay out of the program: no module under `src/`,
-`scripts/` or `perfbench/` imports `tests/oracles.py`."""
+`scripts/` or `perfbench/` imports `tests/oracles.py`.  And the package
+keeps every name the benchmark's tracer (`perfbench/spans.py`) wraps."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,21 @@ def test_program_files_found():
 def test_program_does_not_import_oracles(path):
     offending = [m for m in imported_modules(path) if "oracles" in m.split(".")]
     assert not offending, f"{path.relative_to(ROOT)} imports {offending}"
+
+
+def test_perfbench_tracer_wraps_existing_names(monkeypatch):
+    """`Tracer.install` replaces program functions by module and name, so a
+    rename in the package fails here, not only in `perfbench/selftest.py`;
+    `uninstall` puts every original back."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("spans").Tracer()
+    try:
+        tracer.install()   # getattr raises AttributeError on a missing name
+        wrapped = list(tracer._saved)
+        assert wrapped
+        for module, attr, original in wrapped:
+            assert callable(original) and getattr(module, attr) is not original
+    finally:
+        tracer.uninstall()
+    for module, attr, original in wrapped:
+        assert getattr(module, attr) is original, f"{module.__name__}.{attr} not restored"

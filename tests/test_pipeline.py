@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import roi_planes
 from vsr3d.pipeline import grid_to_heatmap, keypoint_rows, segment_video
 
 
@@ -11,7 +12,8 @@ class TestSegmentVideo:
         assert len(result.lines) == n
         assert result.keypoints.lum_lines.shape == (n, 81, 2)
         assert result.keypoints_original.shape == (n, 5)
-        assert result.roi.data.shape == (7, n, corpus_config.roi_height, corpus_config.roi_width)
+        assert roi_planes(result.roi).shape == (7, n, corpus_config.roi_height,
+                                                corpus_config.roi_width)
 
     def test_keypoint_rows(self, segmented_sentence):
         _, _, result = segmented_sentence

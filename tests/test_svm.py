@@ -426,13 +426,13 @@ class TestPredictProbabilityMatrix:
     def test_shared_tables_match_per_class_oracle(self, data):
         """Random one-vs-rest models over a small pool of rows, so support
         vectors are shared across classes; class 0 has a single support
-        vector, class 1 repeats one, and the classes alternate between two
-        gammas.  Summing a repeated row's coefficients is what keeps the
+        vector, class 1 repeats one, and every class has the model's one
+        gamma.  Summing a repeated row's coefficients is what keeps the
         shared table equal to the per-class sums."""
         dim = data.draw(st.integers(1, 3))
         pool = np.array(data.draw(st.lists(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim),
                                            min_size=1, max_size=4)))
-        gammas = data.draw(st.lists(st.floats(0.05, 0.5), min_size=2, max_size=2, unique=True))
+        gamma = data.draw(st.floats(0.05, 0.5))
         models = []
         for c in range(data.draw(st.integers(2, 5))):
             idx = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
@@ -442,7 +442,7 @@ class TestPredictProbabilityMatrix:
             sign = st.sampled_from([-1, 1])
             coef = [data.draw(st.floats(0.1, 1)) * data.draw(sign) for _ in idx]
             models.append(BinarySvmModel(support_vectors=pool[idx], dual_coef=np.array(coef),
-                                         bias=data.draw(st.floats(-1, 1)), gamma=gammas[c % 2],
+                                         bias=data.draw(st.floats(-1, 1)), gamma=gamma,
                                          platt_a=data.draw(st.floats(-1, -0.1)),
                                          platt_b=data.draw(st.floats(-1, 1))))
         stats = StandardizationStats(mean=np.array(data.draw(st.lists(
@@ -458,9 +458,22 @@ class TestPredictProbabilityMatrix:
             got = predict_probability_matrix(model, rows)
             assert got.shape == (len(rows), len(models))
             assert np.abs(got - oracle).max(initial=0.0) <= 1e-12
-        assert len(model.kernel_tables) == 2
+        table = model.kernel_table
+        distinct = np.unique(np.vstack([m.support_vectors for m in models]), axis=0)
+        assert np.array_equal(table.rows, distinct)
+        assert table.coef.shape == (len(distinct), len(models))
         assert np.array_equal(predict_probabilities(model, x[0]),
                               predict_probability_matrix(model, x[:1])[0])
+
+    def test_mixed_gamma_rejected(self):
+        """A model has one gamma; class models that differ in it have no
+        shared table, and prediction says so instead of scoring."""
+        models = [BinarySvmModel(support_vectors=np.array([[0.0]]), dual_coef=np.array([1.0]),
+                                 bias=0.0, gamma=g) for g in (0.5, 0.25)]
+        model = MultiClassModel(class_labels=["a", "b"], models=models,
+                                stats=StandardizationStats(np.zeros(1), np.ones(1)))
+        with pytest.raises(VsrError, match="gammas 0.25 and 0.5"):
+            predict_probability_matrix(model, np.zeros((1, 1)))
 
 
 class TestModelIo:
