@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import VsrError
 from .segmentation import RoiVolume
@@ -113,7 +112,9 @@ def dct3(volume: np.ndarray) -> np.ndarray:
     volume = np.asarray(volume, dtype=float)
     if volume.ndim != 3 or min(volume.shape) < 1:
         raise VsrError("dct3 expects a non-empty 3D volume")
-    return scipy.fft.dctn(volume, type=2, norm="ortho")
+    n, h, w = volume.shape
+    planes = _dct_matrix(h) @ volume @ _dct_matrix(w).T
+    return (_dct_matrix(n) @ planes.reshape(n, h * w)).reshape(n, h, w)
 
 
 def pyramid_mask_indices(s: int) -> list[tuple[int, int, int]]:
@@ -148,9 +149,15 @@ def _check_window(start, duration, frame_count: int):
 
 
 def _dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal type-II DCT as an (n, n) matrix: `_dct_matrix(n) @ x`
-    equals `scipy.fft.dct(x, type=2, norm="ortho", axis=0)`."""
-    return scipy.fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
+    """Orthonormal type-II DCT as an (n, n) matrix, so `_dct_matrix(n) @ x`
+    transforms x along its first axis (Ahmed, Natarajan & Rao 1974): entry
+    (k, i) is sqrt(2/n) cos(pi k (2i + 1) / 2n), with row 0 scaled by
+    1/sqrt(2).  The phase k (2i + 1) is reduced mod 4n in integers first, so
+    every cosine is taken of an angle in [0, 2 pi)."""
+    phase = np.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)
+    out = np.cos(np.pi * phase / (2 * n)) * math.sqrt(2.0 / n)
+    out[0] *= math.sqrt(0.5)
+    return out
 
 
 def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,

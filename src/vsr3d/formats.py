@@ -148,8 +148,8 @@ def write_roi(roi: RoiVolume, path):
     with open(path, "wb") as fh:
         fh.write(b"VSR1")
         fh.write(struct.pack("<4I", w, h, t, len(CHANNEL_NAMES)))
-        for name in CHANNEL_NAMES:
-            fh.write(roi.plane(name).astype("<f4").tobytes())
+        for plane in roi.planes():
+            fh.write(plane.astype("<f4").tobytes())
 
 
 _ROI_HEADER_BYTES = 20
@@ -177,16 +177,19 @@ def read_roi(path) -> RoiVolume:
     if c != len(CHANNEL_NAMES):
         raise VsrError(f"{path}: {c} channels, expected {len(CHANNEL_NAMES)}")
 
-    def make_plane(name: str) -> np.ndarray:
+    def make_planes(names) -> list[np.ndarray]:
+        planes = []
         with open(path, "rb") as fh:
             now = os.fstat(fh.fileno()).st_size - _ROI_HEADER_BYTES
             if now != payload:
                 raise VsrError(f"{path}: ROI payload now has {now} bytes, expected {payload}")
-            fh.seek(_ROI_HEADER_BYTES + CHANNEL_NAMES.index(name) * plane_bytes)
-            raw = _read_exact(fh, plane_bytes, path, f"ROI plane {name!r}")
-        return np.frombuffer(raw, dtype="<f4").reshape(t, h, w)
+            for name in names:
+                fh.seek(_ROI_HEADER_BYTES + CHANNEL_NAMES.index(name) * plane_bytes)
+                raw = _read_exact(fh, plane_bytes, path, f"ROI plane {name!r}")
+                planes.append(np.frombuffer(raw, dtype="<f4").reshape(t, h, w))
+        return planes
 
-    return RoiVolume((t, h, w), make_plane)
+    return RoiVolume((t, h, w), make_planes)
 
 
 def write_keypoints_csv(rows, path):

@@ -111,16 +111,17 @@ class RoiVolume:
     """Normalized mouth window: one (frames, H, W) plane per name in
     `CHANNEL_NAMES`.
 
-    A volume keeps the planes it has made, and `make_plane(name)`, which
-    makes a missing one; `plane` makes a plane on first use.  `extract_roi`
-    builds one whose `make_plane` computes the channel over the window's
-    footprint in the cropped frames and resamples it; `read_roi` one whose
-    `make_plane` reads the plane's bytes from the `.vsr1` file.
+    A volume keeps the planes it has made, and `make_planes(names)`, which
+    returns the named missing planes in order; `plane` makes one plane on
+    first use, `planes` every missing one in a single call.  `extract_roi`
+    builds one whose `make_planes` computes the channels over the window's
+    footprint in the cropped frames and resamples them; `read_roi` one whose
+    `make_planes` reads the planes' bytes from the `.vsr1` file.
     """
 
-    def __init__(self, shape, make_plane):
+    def __init__(self, shape, make_planes):
         self.shape = tuple(shape)
-        self._make_plane = make_plane
+        self._make_planes = make_planes
         self._planes = {}
 
     @property
@@ -139,8 +140,15 @@ class RoiVolume:
         if name not in CHANNEL_NAMES:
             raise VsrError(f"channel {name!r} not present in ROI volume")
         if name not in self._planes:
-            self._planes[name] = self._make_plane(name)
+            self._planes[name], = self._make_planes([name])
         return self._planes[name]
+
+    def planes(self) -> list[np.ndarray]:
+        """Every plane in `CHANNEL_NAMES` order."""
+        missing = [name for name in CHANNEL_NAMES if name not in self._planes]
+        if missing:
+            self._planes.update(zip(missing, self._make_planes(missing)))
+        return [self._planes[name] for name in CHANNEL_NAMES]
 
 
 def luminance(rgb: np.ndarray) -> np.ndarray:
@@ -606,7 +614,9 @@ def extract_roi(rgb: np.ndarray, lum: np.ndarray, keypoints: MouthKeypoints,
     corner distance over the sequence) keeps real mouth-width changes in the
     output.  The volume keeps the RGB and lum of the footprint that the
     window's bilinear taps read, the union over frames, and makes each
-    colour plane from them on first use.
+    colour plane from them on first use.  The taps are computed once per
+    request for planes and dropped with it, so a volume that is asked for
+    one plane holds no taps afterwards.
     """
     if keypoints.frame_count != lum.shape[0]:
         raise VsrError("keypoints do not match frame count")
@@ -634,10 +644,15 @@ def extract_roi(rgb: np.ndarray, lum: np.ndarray, keypoints: MouthKeypoints,
                           np.array([cols.min(), cols.max()]), h, w)
     rgb, lum = rgb[(..., *box)].copy(), lum[(..., *box)].copy()
 
-    def make_plane(name: str) -> np.ndarray:
-        _, corners, weights = _box_taps(rows, cols, h, w)
+    def make_planes(names) -> list[np.ndarray]:
+        _, taps, weights = _box_taps(rows, cols, h, w)
         base = np.arange(n)[:, None, None] * lum[0].size
-        flat = color_plane(name, rgb, lum).reshape(-1)
-        return _blend(*(np.take(flat, base + i) for i in corners), *weights)
+        for i in taps:  # an index into one frame's box becomes one into the stack
+            i += base
+        planes = []
+        for name in names:
+            flat = color_plane(name, rgb, lum).reshape(-1)
+            planes.append(_blend(*(np.take(flat, i) for i in taps), *weights))
+        return planes
 
-    return RoiVolume((n, roi_height, roi_width), make_plane)
+    return RoiVolume((n, roi_height, roi_width), make_planes)

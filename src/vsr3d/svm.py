@@ -89,13 +89,21 @@ class MultiClassModel:
 
 
 def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a_i - b_j||^2) for all pairs."""
+    """exp(-gamma * ||a_i - b_j||^2) for all pairs, with the squared
+    distance expanded as ||a_i||^2 + ||b_j||^2 - 2 a_i . b_j.  Built in
+    place, so at most two (len(a), len(b)) arrays are alive at once."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[1] != b.shape[1]:
         raise VsrError("kernel dimension mismatch")
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    k = np.add.outer((a * a).sum(axis=1), (b * b).sum(axis=1))
+    ab = a @ b.T
+    ab *= 2.0
+    k -= ab
+    del ab
+    np.maximum(k, 0.0, out=k)
+    k *= -gamma
+    return np.exp(k, out=k)
 
 
 class _SmoState:
@@ -296,9 +304,18 @@ def _sigmoid_of_negative(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
 
 
-def fit_platt(scores, labels) -> tuple[float, float]:
+# Newton steps `fit_platt` takes before it stops at its cap
+_PLATT_MAX_STEPS = 100
+
+
+def fit_platt(scores, labels) -> tuple[float, float, str]:
     """Fit the sigmoid p(f) = 1 / (1 + exp(A f + B)) by penalized maximum
     likelihood with Platt's smoothed targets; Newton steps with backtracking.
+
+    Returns (A, B, stop), stop naming why the fit ended: "converged" (both
+    gradient components below 1e-7), "line_search" (backtracking found no
+    sufficient decrease down to a step of 1e-10) or "cap" (100 Newton steps
+    taken).  A, B are the last accepted point in every case.
     """
     f = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -322,7 +339,7 @@ def fit_platt(scores, labels) -> tuple[float, float]:
     a, b = 0.0, math.log((n_neg + 1.0) / (n_pos + 1.0))
     fval = nll(a, b)
     sigma = 1e-12
-    for _ in range(100):
+    for _ in range(_PLATT_MAX_STEPS):
         z = a * f + b
         p = _sigmoid_of_negative(z)
         d1 = t - p
@@ -330,7 +347,7 @@ def fit_platt(scores, labels) -> tuple[float, float]:
         g1 = float(np.sum(f * d1))
         g2 = float(np.sum(d1))
         if abs(g1) < 1e-7 and abs(g2) < 1e-7:
-            break
+            return a, b, "converged"
         h11 = float(np.sum(f * f * d2)) + sigma
         h22 = float(np.sum(d2)) + sigma
         h12 = float(np.sum(f * d2))
@@ -347,8 +364,8 @@ def fit_platt(scores, labels) -> tuple[float, float]:
                 break
             step /= 2.0
         else:
-            break
-    return a, b
+            return a, b, "line_search"
+    return a, b, "cap"
 
 
 # Rows are scored in blocks whose kernel has at most this many cells (512 KiB
@@ -389,7 +406,9 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     The model's config is cfg's feature echo plus the chosen C and gamma.
     Returns (MultiClassModel, report) where report lists every grid point
     with its CV accuracy and its solve's counters: `smo_problems`,
-    `smo_iterations` (summed), `smo_budget_hits` and `smo_max_gap`.
+    `smo_iterations` (summed), `smo_budget_hits`, `smo_max_gap`, and
+    `platt_early_stops` (sigmoid fits that ended before their gradient
+    converged).
     """
     x = np.asarray(x, dtype=float)
     labels = list(labels)
@@ -436,7 +455,7 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
                           c, cfg.svm_tolerance)
         state.run(cfg.svm_max_passes * problem_member.sum(axis=1))
         rows = iter(range(len(problem_y)))
-        models = []
+        models, early_stops = [], 0
         for y, used in plan:
             m = _binary_model(state, next(rows), x_train, gamma, stacklevel=1)
             scores = np.full(len(y), np.nan)
@@ -445,11 +464,12 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
                 scores[folds == f] = decision_values(sub, x_train[folds == f])
             have = ~np.isnan(scores)
             if have.any() and (y[have] > 0).any() and (y[have] < 0).any():
-                m.platt_a, m.platt_b = fit_platt(scores[have], y[have])
+                m.platt_a, m.platt_b, stop = fit_platt(scores[have], y[have])
             else:
-                m.platt_a, m.platt_b = fit_platt(decision_values(m, x_train), y)
+                m.platt_a, m.platt_b, stop = fit_platt(decision_values(m, x_train), y)
+            early_stops += stop != "converged"
             models.append(m)
-        return models, state.counters()
+        return models, {**state.counters(), "platt_early_stops": early_stops}
 
     def cv_accuracy(models: list[BinarySvmModel]) -> float:
         if len(y_cv) == 0:

@@ -1,7 +1,10 @@
 """Slow reference implementations the tests compare the package against.
 
 Nothing in `src/`, `scripts/` or `perfbench/` calls these: the scalar RBF
-kernel and decision value, the per-class probability path, the dual
+kernel and decision value, the kernel matrix written as one expression
+(three matrix-sized temporaries), which the in-place
+`vsr3d.svm.rbf_kernel_matrix` must reproduce bit for bit, the per-class
+probability path, the dual
 objective, and the one-problem SMO loop that the lockstep solver in
 `vsr3d.svm` must reproduce bit for bit; the symmetry search that samples
 every candidate term of a window from the whole image, and the per-frame
@@ -51,6 +54,14 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
         raise VsrError(f"kernel dimension mismatch: {x.shape} vs {y.shape}")
     d = x - y
     return math.exp(-gamma * float(d @ d))
+
+
+def rbf_kernel_expression(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * ||a_i - b_j||^2) for all pairs, as one expression."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
 def decision_value(model: BinarySvmModel, x: np.ndarray) -> float:
@@ -354,7 +365,8 @@ def roi_volume(planes) -> RoiVolume:
     planes = np.asarray(planes)
     if planes.ndim == 3:
         planes = np.broadcast_to(planes, (len(CHANNEL_NAMES),) + planes.shape)
-    return RoiVolume(planes.shape[1:], lambda name: planes[CHANNEL_NAMES.index(name)])
+    return RoiVolume(planes.shape[1:],
+                     lambda names: [planes[CHANNEL_NAMES.index(name)] for name in names])
 
 
 def roi_planes(roi: RoiVolume) -> np.ndarray:

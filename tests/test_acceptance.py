@@ -286,7 +286,7 @@ def test_criterion_06_platt_calibration():
     rng = np.random.default_rng(106)
     scores = rng.normal(0, 1.5, 80)
     labels = np.where(scores + rng.normal(0, 0.6, 80) > 0.1, 1.0, -1.0)
-    a, b = fit_platt(scores, labels)
+    a, b, _ = fit_platt(scores, labels)
     n_pos = int((labels > 0).sum())
     n_neg = int((labels < 0).sum())
     t = np.where(labels > 0, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,6 +182,37 @@ class TestTTest:
 
     def test_t_zero_gives_half(self):
         assert t_tail_probability(0.0, 79) == 0.5
+
+    def test_matches_scipy_stdtr(self):
+        """Both branches, |t| < 1 (through 1 - I_x) and |t| >= 1 (I_x
+        directly), within 1e-12 relative of scipy for df 1-200."""
+        ts = np.concatenate([np.linspace(-12.0, 12.0, 241),
+                             [-1.0, -np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0), 1.0]])
+        assert (np.abs(ts) < 1).any() and (np.abs(ts) >= 1).any()
+        worst = 0.0
+        for df in range(1, 201):
+            ref = scipy.special.stdtr(df, -ts)
+            got = np.array([t_tail_probability(float(t), df) for t in ts])
+            worst = max(worst, float((np.abs(got - ref) / ref).max()))
+        assert worst <= 1e-12
+
+    def test_sign_symmetry(self):
+        for df in (1, 2, 7, 79, 200):
+            for t in (1e-3, 0.5, 0.999, 1.0, 2.302, 11.5):
+                assert t_tail_probability(-t, df) == 1.0 - t_tail_probability(t, df)
+
+    def test_criterion_08_value(self):
+        """The df = 79 tail that criterion 08 compares with its anchor."""
+        p = t_tail_probability(2.302, 79)
+        assert abs(p - 0.011985) < 5e-7
+        assert abs(p - float(scipy.special.stdtr(79, -2.302))) < 1e-12
+
+    def test_extreme_t(self):
+        assert t_tail_probability(1e-200, 5) == 0.5
+        assert t_tail_probability(float("inf"), 5) == 0.0
+        assert t_tail_probability(float("-inf"), 5) == 1.0
+        # Cauchy (df = 1): the tail is 1 / (pi t) once t^2 overflows
+        assert t_tail_probability(1e200, 1) == pytest.approx(1.0 / (math.pi * 1e200), rel=1e-12)
 
     def test_strictly_decreasing_in_t(self):
         ps = [t_tail_probability(t, 20) for t in np.linspace(-3, 3, 25)]

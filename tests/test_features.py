@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -10,10 +11,10 @@ from hypothesis.extra.numpy import arrays
 from conftest import reference_windows
 from oracles import featurize, featurize_prepared, idct3, pyramid_extract, roi_volume
 from vsr3d import VsrError
-from vsr3d.features import (dct3, enumerate_subsequences, featurize_many, feature_dimension,
-                            fit_standardization, preprocess_volume, pyramid_mask_indices,
-                            resample_to_length, standardize, subtract_sequence_mean,
-                            time_shift)
+from vsr3d.features import (_dct_matrix, dct3, enumerate_subsequences, featurize_many,
+                            feature_dimension, fit_standardization, preprocess_volume,
+                            pyramid_mask_indices, resample_to_length, standardize,
+                            subtract_sequence_mean, time_shift)
 
 
 def naive_dct3(volume):
@@ -180,6 +181,18 @@ class TestDct3:
         rng = np.random.default_rng(7)
         v = rng.standard_normal((6, 5, 4))
         assert np.abs(dct3(v) - naive_dct3(v)).max() < 1e-9
+
+    def test_matrix_matches_scipy(self):
+        """The closed-form basis against scipy's transform of the identity."""
+        for n in range(1, 81):
+            ref = scipy.fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
+            assert np.abs(_dct_matrix(n) - ref).max() <= 1e-13, n
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (10, 48, 64), (7, 3, 2), (25, 5, 9)])
+    def test_matches_scipy_dctn(self, shape):
+        v = np.random.default_rng(sum(shape)).standard_normal(shape)
+        ref = scipy.fft.dctn(v, type=2, norm="ortho")
+        assert np.abs(dct3(v) - ref).max() <= 1e-12
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)

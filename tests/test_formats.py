@@ -89,6 +89,7 @@ class TestRoiFile:
         header = path.read_bytes()[:20]
         assert header[:4] == b"VSR1"
         assert np.frombuffer(header[4:], dtype="<u4").tolist() == [6, 5, 3, 7]
+        assert np.stack(read_roi(path).planes()).tobytes() == roi_planes(loaded).tobytes()
 
     def test_float32_payload_featurizes_like_widened_data(self, tmp_path):
         data = np.random.default_rng(4).normal(size=(len(CHANNEL_NAMES), 12, 8, 10))

@@ -626,6 +626,23 @@ class TestExtractRoi:
         with pytest.raises(VsrError, match="not present"):
             roi.plane("infrared")
 
+    def test_all_planes_at_once_match_one_at_a_time(self):
+        """`planes` makes the missing planes from one set of taps, bit for
+        bit as `plane` makes each alone, and keeps the planes already made."""
+        rgb, lum = self.make_crop(3, seed=6)
+        kp = self.keypoints([30.0, 29.0, 31.0], [30.0, 33.0, 26.0],
+                            [31.0, 32.0, 30.0], [70.0, 66.0, 74.0], 3)
+        one = extract_roi(rgb, lum, kp, 64, 48)
+        each = [one.plane(name) for name in CHANNEL_NAMES]
+        roi = extract_roi(rgb, lum, kp, 64, 48)
+        red = roi.plane("red")
+        every = roi.planes()
+        assert every[CHANNEL_NAMES.index("red")] is red
+        assert list(roi._planes) == ["red", *(n for n in CHANNEL_NAMES if n != "red")]
+        for a, b in zip(every, each):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert all(a is b for a, b in zip(roi.planes(), every))
+
 
 _KEYPOINT_ROW = st.floats(-12.0, 40.0, allow_nan=False)
 _KEYPOINT_COL = st.floats(-20.0, 125.0, allow_nan=False)
@@ -676,6 +693,8 @@ class TestSevenPlaneOracle:
             assert_same_bits(roi.plane(name), ref.plane(name))
         assert_same_bits(oracles.roi_planes(roi), oracles.roi_planes(ref))
         assert_same_bits(oracles.roi_planes(extract_roi(rgb, lum, kp, *size)),
+                         oracles.roi_planes(ref))
+        assert_same_bits(np.stack(extract_roi(rgb, lum, kp, *size).planes()),
                          oracles.roi_planes(ref))
 
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(3, 16), st.integers(20, 32))

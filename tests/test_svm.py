@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from vsr3d import VsrError
 from vsr3d.config import PipelineConfig
 from vsr3d.features import StandardizationStats
+from vsr3d import svm
 from vsr3d.svm import (BinarySvmModel, MultiClassModel, decision_values, fit_platt, load_model,
                        predict_probability_matrix, rbf_kernel_matrix, save_model,
                        train_binary_smo, train_multiclass, _SmoState)
 
 from oracles import (OneProblemSmo, decision_value, dual_objective, platt_probability,
-                     predict_probabilities, rbf_kernel)
+                     predict_probabilities, rbf_kernel, rbf_kernel_expression)
 
 
 def two_point_dual_brute_force(x1, x2, gamma, c):
@@ -83,6 +84,17 @@ class TestKernel:
         for i in range(4):
             for j in range(5):
                 assert k[i, j] == pytest.approx(rbf_kernel(a[i], b[j], 0.3), abs=1e-12)
+
+    @pytest.mark.parametrize("rows, cols, dim", [(1, 1, 1), (300, 300, 10), (120, 700, 21)])
+    def test_in_place_matches_expression_bytes(self, rows, cols, dim):
+        """The in-place build keeps the one-expression kernel's operations
+        and their order, so every entry has the same bits."""
+        rng = np.random.default_rng(rows + cols)
+        a = rng.standard_normal((rows, dim))
+        b = a if rows == cols else rng.standard_normal((cols, dim))
+        for gamma in (2.0**-5, 0.3, 2.0**-3):
+            k = rbf_kernel_matrix(a, b, gamma)
+            assert k.tobytes() == rbf_kernel_expression(a, b, gamma).tobytes()
 
 
 class TestBinarySmo:
@@ -311,7 +323,7 @@ class TestPlatt:
         rng = np.random.default_rng(8)
         scores = rng.normal(0, 2, 80)
         labels = np.where(scores + rng.normal(0, 0.5, 80) > 0, 1.0, -1.0)
-        a, b = fit_platt(scores, labels)
+        a, b, _ = fit_platt(scores, labels)
         assert a < 0
         grid = np.linspace(-4, 4, 50)
         model = BinarySvmModel(np.zeros((1, 1)), np.ones(1), 0.0, 1.0, a, b)
@@ -321,7 +333,7 @@ class TestPlatt:
     def test_symmetric_scores_give_zero_intercept(self):
         scores = np.array([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0])
         labels = np.sign(scores)
-        _, b = fit_platt(scores, labels)
+        _, b, _ = fit_platt(scores, labels)
         assert abs(b) < 1e-3
 
     def test_fitted_point_is_local_minimum(self):
@@ -330,7 +342,7 @@ class TestPlatt:
         labels = np.where(scores + rng.normal(0, 0.7, 60) > 0.2, 1.0, -1.0)
         if len(set(labels)) < 2:
             labels[0] = -labels[0]
-        a, b = fit_platt(scores, labels)
+        a, b, _ = fit_platt(scores, labels)
         n_pos = (labels > 0).sum()
         n_neg = (labels < 0).sum()
         hi, lo = (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0)
@@ -349,8 +361,47 @@ class TestPlatt:
         with pytest.raises(VsrError):
             fit_platt(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
 
+    @staticmethod
+    def noisy_scores(scale=1.0):
+        rng = np.random.default_rng(10)
+        labels = np.where(rng.random(200) < 0.5, 1.0, -1.0)
+        return scale * (labels + rng.normal(0, 1.0, 200)), labels
+
+    def test_stop_converged(self):
+        assert fit_platt(*self.noisy_scores())[2] == "converged"
+
+    def test_stop_line_search(self):
+        """Scores of size 1e8 put the gradient's 1e-7 target below what a
+        change of the likelihood can resolve, so backtracking runs out."""
+        a, b, stop = fit_platt(*self.noisy_scores(1e8))
+        assert stop == "line_search"
+        a1, b1, _ = fit_platt(*self.noisy_scores())
+        assert a * 1e8 == pytest.approx(a1, rel=1e-6) and b == pytest.approx(b1, rel=1e-6)
+
+    def test_stop_cap(self, monkeypatch):
+        monkeypatch.setattr(svm, "_PLATT_MAX_STEPS", 1)
+        a, b, stop = fit_platt(*self.noisy_scores())
+        assert stop == "cap" and a < 0
+
 
 class TestMulticlass:
+    def test_report_counts_platt_early_stops(self, monkeypatch):
+        """Each grid point counts its sigmoid fits that did not converge:
+        none on overlapping blobs, and every class when each fit stops at
+        its line search or at a cap of one Newton step."""
+        x, labels = blobs(np.random.default_rng(11), [(0, 0), (1, 0), (0, 1)], 20, spread=0.6)
+        cfg = PipelineConfig(c_grid=(4.0,), gamma_grid=(0.5, 2.0))
+
+        def early_stops():
+            return [g["platt_early_stops"] for g in train_multiclass(x, labels, cfg)[1]["grid"]]
+
+        assert early_stops() == [0, 0]
+        with monkeypatch.context() as m:
+            m.setattr(svm, "fit_platt", lambda f, y: (*fit_platt(f, y)[:2], "line_search"))
+            assert early_stops() == [3, 3]
+        monkeypatch.setattr(svm, "_PLATT_MAX_STEPS", 1)
+        assert early_stops() == [3, 3]
+
     def test_separable_blobs_reach_full_cv_accuracy(self):
         rng = np.random.default_rng(10)
         x, labels = blobs(rng, [(0, 0), (3, 0), (0, 3)], 20)
