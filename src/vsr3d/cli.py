@@ -28,17 +28,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_common(p: _Parser, config: bool = True, threads: bool = True):
+def _add_common(p: _Parser, config: bool = True):
     """--version everywhere; --config/--set on the subcommands that read the
-    pipeline config; --threads on synth and those subcommands."""
+    pipeline config."""
     p.add_argument("--version", action="version", version=f"vsr3d {__version__}")
     if config:
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config value (repeatable)")
-    if threads:
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for synth; other subcommands run single-threaded")
 
 
 def _load_config(args) -> PipelineConfig:
@@ -62,6 +59,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     _add_common(p, config=False)
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--sentences", type=int, required=True)
@@ -105,7 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output transcript path")
 
     p = sub.add_parser("eval", help="score hypothesis transcripts against references")
-    _add_common(p, config=False, threads=False)
+    _add_common(p, config=False)
     p.add_argument("--ref", required=True, help="reference transcript file or directory")
     p.add_argument("--hyp", required=True, help="hypothesis transcript file or directory")
     p.add_argument("--units", default="phoneme", choices=["phoneme", "viseme"])
@@ -115,7 +113,7 @@ def build_parser() -> _Parser:
     p.add_argument("--confusion", default=None, help="confusion matrix CSV path")
 
     p = sub.add_parser("grid-heatmap", help="render one class of a grid file as PGM")
-    _add_common(p, config=False, threads=False)
+    _add_common(p, config=False)
     p.add_argument("--grid", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--out", required=True)

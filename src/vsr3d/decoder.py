@@ -24,7 +24,7 @@ import numpy as np
 
 from . import VsrError
 from .config import PipelineConfig
-from .features import enumerate_subsequences, featurize_many
+from .features import COMPOSITE_SEPARATOR, enumerate_subsequences, featurize_many
 from .segmentation import RoiVolume
 from .svm import MultiClassModel, predict_probability_matrix
 
@@ -152,16 +152,16 @@ def decode_sequence(grid: ProbabilityGrid):
     return entries[::-1]
 
 
-def expand_biphones(entries, separator: str = "+"):
+def expand_biphones(entries):
     """Split composite "A+B" segments into two: the first part gets
     ceil(d/2) frames, the second the rest.  Single-unit entries pass
     through unchanged."""
     out = []
     for label, start, dur in entries:
-        if separator not in label:
+        if COMPOSITE_SEPARATOR not in label:
             out.append((label, start, dur))
             continue
-        parts = label.split(separator)
+        parts = label.split(COMPOSITE_SEPARATOR)
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise VsrError(f"malformed composite label {label!r}")
         if dur < 2:

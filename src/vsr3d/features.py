@@ -22,6 +22,9 @@ import numpy as np
 from . import VsrError
 from .segmentation import RoiVolume
 
+# joins the two labels of a biphone or bi-viseme sample, "A+B"
+COMPOSITE_SEPARATOR = "+"
+
 
 @dataclass
 class StandardizationStats:
@@ -262,7 +265,7 @@ def extract_labeled_samples(roi: RoiVolume, transcript: Transcript, kind: str, c
     else:  # from the start of one entry to the end of the next
         starts, ends = frames[:-1, 0], frames[1:].sum(axis=1)
         spans = np.stack([starts, ends - starts], axis=1)
-        labels = [f"{a.label}+{b.label}" for a, b in zip(entries, entries[1:])]
+        labels = [a.label + COMPOSITE_SEPARATOR + b.label for a, b in zip(entries, entries[1:])]
     if not spans.size:
         return np.zeros((0, feature_dimension(cfg.mask_size))), [], spans
     x = featurize_many(roi, cfg.channel, cfg.delta_t_ms, cfg.fps, spans,

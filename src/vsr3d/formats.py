@@ -15,7 +15,8 @@ maxDuration; per class a u32-length-prefixed UTF-8 label and u32 dmin, dmax;
 then one contiguous f32 block of cells in [class][start][duration] order:
 probabilities in [0, 1], with invalid cells stored as exactly -1.0.
 
-Transcript: one "LABEL START_MS END_MS" line per entry, integer milliseconds.
+Transcript: one "LABEL START_MS END_MS" line per entry, integer milliseconds;
+a label contains neither "," nor "+".
 
 Feature matrix CSV: header "start,duration,f0,...,f{k-1}[,label]"; every
 row's window has integer start >= 0 and duration >= 1, and every feature is
@@ -42,7 +43,7 @@ import numpy as np
 from . import VsrError
 from .config import CHANNEL_NAMES
 from .evaluation import ConfusionMatrix, summary_accuracies
-from .features import Transcript, TranscriptEntry
+from .features import COMPOSITE_SEPARATOR, Transcript, TranscriptEntry
 from .segmentation import RoiVolume, VideoSequence
 
 
@@ -216,6 +217,9 @@ def read_transcript(path) -> Transcript:
         parts = line.split()
         if len(parts) != 3:
             raise VsrError(f"{path}:{ln}: expected 'LABEL START_MS END_MS'")
+        if "," in parts[0] or COMPOSITE_SEPARATOR in parts[0]:
+            raise VsrError(f"{path}:{ln}: label {parts[0]!r} contains ',' (the feature CSV "
+                           f"delimiter) or {COMPOSITE_SEPARATOR!r} (the biphone separator)")
         try:
             entries.append(TranscriptEntry(parts[0], int(parts[1]), int(parts[2])))
         except ValueError:

@@ -315,16 +315,16 @@ def _least_cost(costs: np.ndarray, columns, angles) -> SymmetryLine:
     return SymmetryLine(float(columns[i]), float(angles[j]))
 
 
-def _best_line(image, columns, angles, band=5, polish=False) -> SymmetryLine:
+def _best_line(image, columns, angles, polish=False) -> SymmetryLine:
     """The least-cost candidate of one image, with a sub-pixel column if
     `polish`."""
-    costs = symmetry_costs(image, columns, angles, band)
+    costs = symmetry_costs(image, columns, angles)
     best = _least_cost(costs, columns, angles)
     if polish:
         # sub-pixel column: parabolic interpolation of the cost through the
         # winner and its neighbours, clamped to the search window
         lo, hi = symmetry_costs(image, [best.column - 1.0, best.column + 1.0],
-                                [best.angle_deg], band)[:, 0]
+                                [best.angle_deg])[:, 0]
         denom = lo - 2.0 * costs.min() + hi
         if math.isfinite(lo) and math.isfinite(hi) and denom > 0:
             delta = 0.5 * (lo - hi) / denom

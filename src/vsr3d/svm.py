@@ -8,10 +8,11 @@ and stops on the KKT gap.  Identical inputs give bit-identical models, and
 last-digit changes of the input move the model only by roundoff.
 
 All one-vs-rest problems of a (C, gamma) grid point are solved in lockstep
-on one kernel matrix: each class on every training row and, for its sigmoid,
-on the rest of each of three folds, the held-out rows fixed at alpha = 0 and
-masked out of the working set.  A problem stops at its own KKT gap or budget,
-and follows bit for bit the path it would take solved alone.
+on one exactly symmetric kernel matrix: each class on every training row
+and, for its sigmoid, on the rest of each of three folds, the held-out rows
+fixed at alpha = 0 and masked out of the working set.  A problem stops at
+its own KKT gap or budget, and follows bit for bit the path it would take
+solved alone, as `train_binary_smo` solves one problem.
 
 Prediction scores every class at once.  A model has one gamma, shared by
 its one-vs-rest class models (a model file whose classes differ in gamma is
@@ -109,7 +110,10 @@ def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 class _SmoState:
     """SMO for P problems on one precomputed kernel matrix, solved in
     lockstep with second-order working-set selection (WSS2; Fan, Chen & Lin
-    2005, JMLR 6:1889-1918).
+    2005, JMLR 6:1889-1918).  The kernel must be exactly symmetric, as
+    `rbf_kernel_matrix(x, x, gamma)` of a float array is (numpy computes
+    x @ x.T by a symmetric rank-k update), since the gradient update reads
+    K's rows as its columns.
 
     Problem p trains on the rows where `member[p]` holds, with labels `y[p]`
     (+-1).  Its other rows keep alpha = 0 and are never in I_up or I_low, so
@@ -142,14 +146,11 @@ class _SmoState:
         self.gap = np.full(len(self.y), math.inf)
         self.iterations = np.zeros(len(self.y), dtype=np.int64)
 
-    def run(self, budget, on_step=None):
-        """Solve every problem, problem p within budget[p] pair updates.
-        `on_step()`, if given, is called after every step, when `alpha` and
-        `gap` are current."""
+    def run(self, budget):
+        """Solve every problem, problem p within budget[p] pair updates; a
+        run with budget k takes exactly the first k updates of a longer one."""
         K, C, tol = self.K, self.C, self.tol
         diag = np.diag(K)
-        # rows of `cols` are the columns of K (K itself when symmetric)
-        cols = K if np.array_equal(K, K.T) else np.ascontiguousarray(K.T)
         tie = 1e-6 * tol
         # the running problems' rows, compacted in place as problems stop,
         # and three (P, n) scratch buffers, so a step allocates no (P, n) array
@@ -207,9 +208,9 @@ class _SmoState:
             new_i = np.where(t == lim_i, np.where(y_i > 0, C, 0.0), old_i + y_i * t)
             new_j = np.where(t == lim_j, np.where(y_j > 0, 0.0, C), old_j - y_j * t)
             # v -= y_i d_i K[:, i] + y_j d_j K[:, j], summed before subtracting
-            np.take(cols, i, axis=0, out=w, mode="clip")
+            np.take(K, i, axis=0, out=w, mode="clip")
             w *= (y_i * (new_i - old_i))[:, None]
-            np.take(cols, j, axis=0, out=a, mode="clip")
+            np.take(K, j, axis=0, out=a, mode="clip")
             a *= (y_j * (new_j - old_j))[:, None]
             w += a
             v -= w
@@ -218,9 +219,6 @@ class _SmoState:
                 up[r, k] = np.where(y_k > 0, new < C, new > 0.0)
                 low[r, k] = np.where(y_k > 0, new > 0.0, new < C)
             iterations += 1
-            if on_step is not None:
-                self.alpha[going] = alpha
-                on_step()
 
     def _finish(self, rows, alpha, v, iterations, v_max, v_min):
         """Store stopped problems' results; the bias is the mean v over the
@@ -244,18 +242,6 @@ class _SmoState:
                 "smo_max_gap": float(self.gap.max(initial=0.0))}
 
 
-class _Problem:
-    """One problem of a lockstep solve as `train_binary_smo`'s on_step
-    callback sees it: its own `y`, `alpha` and KKT `gap`."""
-
-    def __init__(self, state: _SmoState, p: int):
-        self._state, self._p = state, p
-
-    y = property(lambda self: self._state.y[self._p])
-    alpha = property(lambda self: self._state.alpha[self._p])
-    gap = property(lambda self: float(self._state.gap[self._p]))
-
-
 def _binary_model(state: _SmoState, p: int, x: np.ndarray, gamma: float,
                   stacklevel: int) -> BinarySvmModel:
     """Problem p of a finished solve as a model over its support vectors
@@ -270,26 +256,20 @@ def _binary_model(state: _SmoState, p: int, x: np.ndarray, gamma: float,
 
 
 def train_binary_smo(x: np.ndarray, y: np.ndarray, c: float, gamma: float,
-                     cfg: PipelineConfig | None = None, kernel: np.ndarray | None = None,
-                     on_step=None) -> BinarySvmModel:
+                     cfg: PipelineConfig | None = None) -> BinarySvmModel:
     """Train one soft-margin binary SVM; y must be +-1 with both labels
-    present.  `kernel` may pass a precomputed RBF Gram matrix.  `on_step`
-    (if given) is called after every pair update with one object whose `y`,
-    `alpha` and `gap` are the problem's, current then and when the solve
-    ends.  Warns (RuntimeWarning) when cfg.svm_max_passes * n updates do not
-    bring the KKT gap down to cfg.svm_tolerance (defaults when cfg is None);
-    the model is then returned as it stands.
+    present.  Warns (RuntimeWarning) when cfg.svm_max_passes * n updates do
+    not bring the KKT gap down to cfg.svm_tolerance (defaults when cfg is
+    None); the model is then returned as it stands.
     """
     cfg = cfg or PipelineConfig()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise VsrError("binary training needs at least one example of each label")
-    if kernel is None:
-        kernel = rbf_kernel_matrix(x, x, gamma)
-    state = _SmoState(kernel, y[None], np.ones((1, len(y)), dtype=bool), c, cfg.svm_tolerance)
-    view = _Problem(state, 0)
-    state.run([cfg.svm_max_passes * len(y)], on_step and (lambda: on_step(view)))
+    state = _SmoState(rbf_kernel_matrix(x, x, gamma), y[None], np.ones((1, len(y)), dtype=bool),
+                      c, cfg.svm_tolerance)
+    state.run([cfg.svm_max_passes * len(y)])
     return _binary_model(state, 0, x, gamma, stacklevel=2)
 
 
@@ -300,8 +280,9 @@ def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid_of_negative(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(z)) without overflow."""
-    return np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+    """1 / (1 + exp(z)) without overflow: both branches use exp(-|z|) <= 1."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
 # Newton steps `fit_platt` takes before it stops at its cap
@@ -332,9 +313,8 @@ def fit_platt(scores, labels) -> tuple[float, float, str]:
     def nll(a: float, b: float) -> float:
         z = a * f + b
         # stable: t*z + log(1 + exp(-z)) for z >= 0, (t-1)*z + log(1+exp(z)) else
-        return float(np.sum(np.where(z >= 0,
-                                     t * z + np.log1p(np.exp(-z)),
-                                     (t - 1.0) * z + np.log1p(np.exp(z)))))
+        return float(np.sum(np.where(z >= 0, t * z, (t - 1.0) * z)
+                            + np.log1p(np.exp(-np.abs(z)))))
 
     a, b = 0.0, math.log((n_neg + 1.0) / (n_pos + 1.0))
     fval = nll(a, b)

@@ -409,7 +409,7 @@ def test_criterion_12_thread_determinism(tmp_path):
         workdir.mkdir()
         cfg_path = workdir / "config.json"
         cfg_path.write_text(json.dumps(config))
-        env_args = ["--config", str(cfg_path), "--threads", threads]
+        env_args = ["--config", str(cfg_path)]
 
         def cli(*args):
             cmd = [sys.executable, "-m", "vsr3d", *args]

@@ -81,7 +81,13 @@ class TestUsageAndVersion:
         ["eval", "--ref", "{tmp}/r.txt", "--hyp", "{tmp}/h.txt", "--config", "{tmp}/x.json"],
         ["grid-heatmap", "--grid", "{tmp}/g.grd1", "--label", "A", "--out", "{tmp}/x.pgm",
          "--threads", "2"],
-    ], ids=["synth-set", "eval-config", "grid-heatmap-threads"])
+        ["segment", "{tmp}/corpus", "--out", "{tmp}/seg", "--threads", "2"],
+        ["featurize", "{tmp}/corpus", "--out", "{tmp}/feats", "--threads", "2"],
+        ["train", "--features", "{tmp}/f.csv", "--out", "{tmp}/m.json", "--threads", "2"],
+        ["decode", "{tmp}/r.vsr1", "--model", "{tmp}/m.json", "--out", "{tmp}/h.txt",
+         "--threads", "2"],
+    ], ids=["synth-set", "eval-config", "grid-heatmap-threads", "segment-threads",
+            "featurize-threads", "train-threads", "decode-threads"])
     def test_option_the_subcommand_would_ignore_is_usage_error(self, tmp_path, capsys, argv):
         assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -306,6 +312,18 @@ def _eval_on(transcript):
     return argv
 
 
+def _featurize_on(transcript):
+    """`featurize` of a small valid .vsr1 with the given transcript."""
+    def argv(tmp_path):
+        roi = tmp_path / "h000.vsr1"
+        write_roi(roi_volume(np.zeros((6, 48, 64), np.float32)), roi)
+        path = tmp_path / "transcript.txt"
+        path.write_bytes(transcript)
+        return ["featurize", str(roi), "--transcript", str(path),
+                "--out", str(tmp_path / "x.csv")]
+    return argv
+
+
 def _config(doc):
     def argv(tmp_path):
         path = tmp_path / "config.json"
@@ -360,6 +378,8 @@ class TestMalformedTextInput:
         (_train_on(TRAINABLE_CSV + b"0,0,0.1,A\n"), "features.csv:8"),
         (_train_on(b"start,duration,f0,label\n0,3,0.1,\xc3\x89\n"), "features.csv"),
         (_eval_on(b"A 0 40\n\xc3\x89 40 80\n"), "ref.txt"),
+        (_featurize_on(b"A 0 40\nC,2 40 80\n"), "transcript.txt:2"),
+        (_eval_on(b"A 0 40\nB 40 80\nA+B 80 120\n"), "ref.txt:3"),
         (_config({"c_grid": 5}), "c_grid"),
         (_config({"gamma_grid": ["a"]}), "gamma_grid"),
         (_config({"gamma_grid": [0]}), "gamma_grid"),
@@ -374,7 +394,8 @@ class TestMalformedTextInput:
             "manifest-frames", "frame-sizes-differ", "features-start",
             "features-duration", "features-value", "features-nan", "features-inf",
             "features-negative-start", "features-zero-duration",
-            "features-non-ascii", "transcript-non-ascii", "config-grid-number",
+            "features-non-ascii", "transcript-non-ascii", "transcript-label-comma",
+            "transcript-label-plus", "config-grid-number",
             "config-grid-strings", "config-gamma-zero", "config-c-negative", "config-fps-nan",
             "config-mask-fractional", "config-mask-bool", "config-roi-width-negative",
             "config-passes-fractional", "config-delta-t-negative"])
@@ -803,6 +824,13 @@ class TestMalformedModelFiles:
 
     def test_valid_model_decodes(self, tmp_path, roi_path):
         assert self.decode(tmp_path, roi_path, _model_doc()) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_steep_sigmoid_decodes_without_warnings(self, tmp_path, roi_path):
+        doc = _model_doc()
+        for m in doc["models"]:
+            m["plattA"] = -1000.0
+        assert self.decode(tmp_path, roi_path, doc) == 0
 
     def test_feature_config_keys_are_optional(self, tmp_path, roi_path):
         doc = _model_doc()

@@ -90,7 +90,8 @@ def test_runtime_dependencies_are_numpy_only():
 
 # Imports every module of the package but `__main__`, then segments,
 # featurizes, trains, decodes and scores three sentences of the fixture
-# corpus, and prints the scipy modules that ended up loaded.
+# corpus, and prints the scipy modules that ended up loaded.  It runs with
+# warnings as errors, so a warning anywhere on the program path fails too.
 _WHOLE_RUN = textwrap.dedent("""
     import importlib, pkgutil, sys, tempfile
     from pathlib import Path
@@ -132,7 +133,7 @@ _WHOLE_RUN = textwrap.dedent("""
 
 def test_whole_run_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", _WHOLE_RUN], env=env, capture_output=True,
-                          text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-W", "error", "-c", _WHOLE_RUN], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

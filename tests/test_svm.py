@@ -96,6 +96,15 @@ class TestKernel:
             k = rbf_kernel_matrix(a, b, gamma)
             assert k.tobytes() == rbf_kernel_expression(a, b, gamma).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 600), k=st.integers(1, 16),
+           gamma=st.sampled_from(PipelineConfig().gamma_grid), seed=st.integers(0, 2**32 - 1))
+    def test_gram_matrix_is_exactly_symmetric(self, n, k, gamma, seed):
+        """The SMO update reads the kernel's rows as its columns."""
+        x = np.random.default_rng(seed).standard_normal((n, k))
+        kernel = rbf_kernel_matrix(x, x, gamma)
+        assert np.array_equal(kernel, kernel.T)
+
 
 class TestBinarySmo:
     def test_two_point_problem_matches_dual_brute_force(self):
@@ -156,10 +165,17 @@ class TestBinarySmo:
         if len(set(y)) < 2:
             y[0] = -y[0]
         kernel = rbf_kernel_matrix(x, x, 1.0)
-        history = []
-        train_binary_smo(x, y, 8.0, 1.0, kernel=kernel,
-                         on_step=lambda s: history.append(dual_objective(kernel, s.y, s.alpha)))
-        assert len(history) > 0
+        tol = PipelineConfig().svm_tolerance
+
+        def solve(budget):
+            state = _SmoState(kernel, y[None], np.ones((1, len(y)), dtype=bool), 8.0, tol)
+            state.run([budget])
+            return state
+
+        # a run with budget k stops after exactly the first k updates of the full path
+        steps = int(solve(10**6).iterations[0])
+        assert steps > 0
+        history = [dual_objective(kernel, y, solve(k).alpha[0]) for k in range(steps + 1)]
         diffs = np.diff(np.array(history))
         assert (diffs >= -1e-9).all()
 
@@ -203,17 +219,19 @@ class TestSolverStop:
     def test_final_gap_within_tolerance(self, c):
         x, y, _ = overlapping_problem()
         kernel = rbf_kernel_matrix(x, x, 0.5)
-        states = []
         cfg = PipelineConfig(svm_tolerance=1e-3)
-        train_binary_smo(x, y, c, 0.5, cfg, kernel=kernel, on_step=states.append)
-        alpha = states[-1].alpha
+        state = _SmoState(kernel, y[None], np.ones((1, len(y)), dtype=bool), c,
+                          cfg.svm_tolerance)
+        state.run([cfg.svm_max_passes * len(y)])
+        state.warn_if_stopped_early(0)
+        alpha = state.alpha[0]
         assert alpha.min() >= 0.0 and alpha.max() <= c
         v = y - kernel @ (alpha * y)      # -y * gradient of the dual
         up = np.where(y > 0, alpha < c, alpha > 0)
         low = np.where(y > 0, alpha > 0, alpha < c)
         gap = v[up].max() - v[low].min()
         assert gap <= cfg.svm_tolerance
-        assert states[-1].gap == pytest.approx(gap, abs=1e-12)
+        assert state.gap[0] == pytest.approx(gap, abs=1e-12)
 
     @pytest.mark.parametrize("c", [4.0, 64.0])
     def test_bias_stable_under_last_digit_input_changes(self, c):
@@ -241,8 +259,6 @@ class TestLockstepSmo:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         x = rng.normal(size=(n, 3))
         kernel = rbf_kernel_matrix(x, x, 0.5)
-        if data.draw(st.booleans(), label="asymmetric kernel"):
-            kernel = kernel * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, size=kernel.shape))
         ys, members = [], []
         for _ in range(data.draw(st.integers(1, 6), label="P")):
             rows = data.draw(st.sampled_from(["all", 0, 1, 2, "subset"]), label="rows")
@@ -360,6 +376,19 @@ class TestPlatt:
     def test_single_label_rejected(self):
         with pytest.raises(VsrError):
             fit_platt(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=50))
+    def test_sigmoid_has_the_bits_of_the_two_exponent_form(self, z):
+        """One exp(-|z|) gives each branch the exponent it used before."""
+        z = np.array(z)
+        old = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+        assert svm._sigmoid_of_negative(z).tobytes() == old.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_sigmoid_of_steep_scores_is_quiet(self):
+        z = np.array([-1e6, -800.0, -0.0, 0.0, 800.0, 1e6])
+        assert svm._sigmoid_of_negative(z).tolist() == [1.0, 1.0, 0.5, 0.5, 0.0, 0.0]
 
     @staticmethod
     def noisy_scores(scale=1.0):
