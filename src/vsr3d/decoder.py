@@ -5,14 +5,17 @@ duration) pair, weighted by the calibrated window probability raised to the
 duration-th power, and countdown states that enforce the exact duration.
 Its most likely path is found here without building the machine, as the
 equivalent semi-Markov (segment-level) Viterbi over end frames e.  Each
-window first takes its best class, so the DP runs over durations only:
+window first takes its most probable class, so the DP runs over durations
+only:
 
-    best[e] = max over d of best[e - d] + max over c of log(p_c(e - d, d) ** d)
+    best[e] = max over d of best[e - d] + d * log(max over c of p_c(e - d, d))
 
-Ties go to the smallest duration among the best scores, then to the class
-of largest weight, the lowest index among exactly equal weights.  Every
-class inventory (phonemes, biphones) reads one probability grid, built from
-one featurization of the union of their windows.
+Sums within a few ulps per segment of the maximum count as tied, and the
+smallest such d wins, so tilings that tie in real arithmetic (a segment and
+the same segment split in two, at one probability) decode the same whatever
+their rounding.  Every class inventory (phonemes, biphones) reads one
+probability grid, built from one featurization of the union of their
+windows.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ from .svm import MultiClassModel, predict_probability_matrix
 
 PROB_FLOOR = 1e-12
 PROB_CEIL = 1.0 - 1e-12
+# A score at end frame e sums at most e segment weights, so sums that tie in
+# real arithmetic differ by a few ulps per segment; within TIE_ULPS * e ulps
+# of |score| they count as tied.
+TIE_ULPS = 4
 
 
 @dataclass
@@ -96,10 +103,15 @@ def build_probability_grid(roi: RoiVolume, inventories, fps: float) -> Probabili
     )
 
 
-def segment_log_weights(grid: ProbabilityGrid) -> np.ndarray:
-    """logw[d - 1, c, start] = log(p_c(start, d) ** d), of shape (max dmax,
-    classes, frames); -inf where c's bounds exclude d or its cell holds -1.
-    The power is taken once per duration, with the scalar exponent d.
+def decode_sequence(grid: ProbabilityGrid):
+    """Most likely exact tiling of [0, frame_count) into labeled segments.
+
+    Each window (start, d) takes the class of largest probability among the
+    classes whose bounds hold d, the lowest index among equal ones, and
+    weighs d * log p of it (-inf for a -1 or 0 cell).  Then best[e] is the
+    score of the smallest d <= e whose best[e - d] + weight is within
+    TIE_ULPS * e * eps * |max| of the largest such sum.
+    Returns (label, start, duration) entries in frame order.
     """
     lo = np.asarray(grid.dmin, dtype=int)
     hi = np.asarray(grid.dmax, dtype=int)
@@ -108,39 +120,24 @@ def segment_log_weights(grid: ProbabilityGrid) -> np.ndarray:
     for lab, a, b in zip(grid.class_labels, lo, hi):
         if not 1 <= a <= b:
             raise VsrError(f"class {lab!r} has invalid duration bounds [{a}, {b}]")
-    # weights[d - 1, c] is column d of class c, 0 where its bounds exclude d
-    weights = np.zeros((int(hi.max()), len(lo), grid.frame_count))
-    for c, cells in enumerate(grid.probs):
-        weights[lo[c] - 1:hi[c], c] = np.where(cells >= 0, cells, 0.0).T
-    for d in range(1, len(weights) + 1):
-        weights[d - 1] = weights[d - 1] ** d
+    # cells[d - 1, c] is column d of class c, -1 where its bounds exclude d
+    cells = np.full((int(hi.max()), len(lo), grid.frame_count), -1.0)
+    for c, probs in enumerate(grid.probs):
+        cells[lo[c] - 1:hi[c], c] = probs.T
+    classes = cells.argmax(axis=1)                       # (durations, frames)
     with np.errstate(divide="ignore"):
-        # log(p**d), not d*log(p): its rounding and its underflow to 0 decide
-        # exact ties and which long segments are infeasible
-        return np.log(weights)
-
-
-def decode_sequence(grid: ProbabilityGrid):
-    """Most likely exact tiling of [0, frame_count) into labeled segments.
-
-    Each window (start, d) takes the class of largest `segment_log_weights`
-    weight, the lowest index among exactly equal weights; then best[e] = max
-    over d <= e of best[e - d] + that weight, ties to the smallest d.
-    Rounding is monotone, so the class reduction leaves every best[e] as a
-    max over all (d, c) pairs would give it.
-    Returns (label, start, duration) entries in frame order.
-    """
-    logw = segment_log_weights(grid)
-    classes = logw.argmax(axis=1)                        # (durations, frames)
-    weights = logw.max(axis=1)
+        top = np.log(np.maximum(cells.max(axis=1), 0.0))
+    weights = np.arange(1, len(cells) + 1)[:, None] * top
     n = grid.frame_count
+    tie = TIE_ULPS * np.finfo(float).eps
     best = np.full(n + 1, -np.inf)
     best[0] = 0.0
     back = np.zeros(n + 1, dtype=np.intp)
     for e in range(1, n + 1):
         d = np.arange(1, min(e, len(weights)) + 1)
         scores = best[e - d] + weights[d - 1, e - d]
-        back[e] = np.argmax(scores) + 1
+        high = scores.max()
+        back[e] = np.argmax(scores >= high - tie * e * abs(high)) + 1
         best[e] = scores[back[e] - 1]
     if n < 1 or not np.isfinite(best[n]):
         raise VsrError("no feasible tiling of the sequence (all weights vanish)")

@@ -185,12 +185,54 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     raise VsrError(f"incomplete beta I_{x}({a}, {b}) did not converge")
 
 
+def _log_gamma_ratio(a: float) -> float:
+    """log Γ(a + 1/2) - log Γ(a).  The difference of two lgamma values loses
+    about log(a) ulps of the larger one, so above a = 100 the asymptotic
+    series is used instead; from a = 50 on it is within 2e-16 relative."""
+    if a <= 100.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    return (0.5 * math.log(a) - 1.0 / (8.0 * a) + 1.0 / (192.0 * a**3)
+            - 1.0 / (640.0 * a**5) + 17.0 / (14336.0 * a**7))
+
+
+def _normal_expansion_tail(u: float, a: float) -> float:
+    """I_x(a, 1/2) / 2 at x = 1 / (1 + u) for large a: the asymptotic
+    expansion in 1 / a of DiDonato and Morris (ACM TOMS 708, 1992, `bgrat`),
+    whose leading term is the normal tail erfc(sqrt(z)) / 2 at
+    z = -(a - 1/4) log x.  It is 0 once exp(-z) underflows."""
+    b = 0.5
+    nu = a - 0.25
+    log_x = -math.log1p(u)
+    z = -nu * log_x
+    decay = math.exp(-z)
+    if decay == 0.0:
+        return 0.0
+    r = decay * math.sqrt(z / math.pi)   # e^-z z^b / Γ(b)
+    v = 0.25 / (nu * nu)
+    t2 = 0.25 * log_x * log_x
+    j = math.erfc(math.sqrt(z)) / r
+    total, power, cn = j, 1.0, 1.0
+    c, d = [0.0], [0.0]
+    for n in range(1, 31):
+        j = ((b + 2 * n - 2) * (b + 2 * n - 1) * j + (z + b + 2 * n - 1) * power) * v
+        power *= t2
+        cn /= 2 * n * (2 * n + 1)
+        c.append(cn)
+        d.append((b - 1.0) * cn + sum((b * i - n) * c[i] * d[n - i] for i in range(1, n)) / n)
+        total += d[n] * j
+        if abs(d[n] * j) <= sys.float_info.epsilon * total:
+            break
+    return 0.5 * math.exp(_log_gamma_ratio(a) - b * math.log(nu)) * r * total
+
+
 def t_tail_probability(t: float, df: int) -> float:
     """Upper-tail probability P(T > t) of Student's t with df degrees of
     freedom: for t > 0 it is I_x(df/2, 1/2) / 2 at x = df / (df + t^2), and
     P(T > -t) = 1 - P(T > t).  For |t| >= 1 the continued fraction gives
     I_x directly; below it gives I_{1-x}(1/2, df/2) = 1 - I_x, which is at
-    most about 0.7 there, so the subtraction loses little."""
+    most about 0.7 there, so the subtraction loses little.  Above df = 200
+    x rounds so close to 1 that the direct fraction loses about log2(df)
+    bits, and `_normal_expansion_tail` takes its place."""
     if df < 1:
         raise VsrError("degrees of freedom must be >= 1")
     t = float(t)
@@ -201,11 +243,13 @@ def t_tail_probability(t: float, df: int) -> float:
     a, b = df / 2.0, 0.5
     r = abs(t) / math.sqrt(df)
     u = r * r  # x = 1 / (1 + u) and 1 - x = u / (1 + u), without cancellation
+    if abs(t) >= 1.0 and a > 100.0:
+        tail = _normal_expansion_tail(u, a)
+        return tail if t > 0 else 1.0 - tail
     log_u = 2.0 * math.log(r)
     log_1pu = math.log1p(u) if math.isfinite(u) else log_u  # 1 + u rounds to u
     # log of x^a (1 - x)^b / B(a, b)
-    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                 - (a + b) * log_1pu + b * log_u)
+    log_front = _log_gamma_ratio(a) - math.lgamma(b) - (a + b) * log_1pu + b * log_u
     if abs(t) >= 1.0:
         tail = 0.5 * math.exp(log_front) * _beta_fraction(a, b, 1.0 / (1.0 + u)) / a
     else:

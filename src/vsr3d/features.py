@@ -26,6 +26,19 @@ from .segmentation import RoiVolume
 COMPOSITE_SEPARATOR = "+"
 
 
+def check_label(label, where: str, unit: bool = False) -> str:
+    """Returns a class label that every transcript and feature CSV can carry:
+    a non-empty str of printable ASCII without spaces or "," (the CSV
+    delimiter).  A unit label, as transcripts hold, is also not composite:
+    it has no COMPOSITE_SEPARATOR.  Raises VsrError prefixed with `where`."""
+    banned = "," + COMPOSITE_SEPARATOR if unit else ","
+    if not (isinstance(label, str) and label and label.isascii() and label.isprintable()
+            and not any(ch in label for ch in " " + banned)):
+        raise VsrError(f"{where}: label {label!r} must be non-empty printable ASCII without "
+                       + " or ".join(["spaces", *map(repr, banned)]))
+    return label
+
+
 @dataclass
 class StandardizationStats:
     mean: np.ndarray

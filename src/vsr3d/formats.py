@@ -16,11 +16,11 @@ then one contiguous f32 block of cells in [class][start][duration] order:
 probabilities in [0, 1], with invalid cells stored as exactly -1.0.
 
 Transcript: one "LABEL START_MS END_MS" line per entry, integer milliseconds;
-a label contains neither "," nor "+".
+a label is printable ASCII without "," or "+" (`features.check_label`).
 
 Feature matrix CSV: header "start,duration,f0,...,f{k-1}[,label]"; every
-row's window has integer start >= 0 and duration >= 1, and every feature is
-a finite number.
+row's window has integer start >= 0 and duration >= 1, every feature is a
+finite number, and a label is non-empty printable ASCII without spaces.
 
 Keypoints CSV: header "frame,lipRow,leftRow,leftCol,rightRow,rightCol",
 coordinates in original-video pixels.
@@ -43,7 +43,7 @@ import numpy as np
 from . import VsrError
 from .config import CHANNEL_NAMES
 from .evaluation import ConfusionMatrix, summary_accuracies
-from .features import COMPOSITE_SEPARATOR, Transcript, TranscriptEntry
+from .features import Transcript, TranscriptEntry, check_label
 from .segmentation import RoiVolume, VideoSequence
 
 
@@ -217,11 +217,9 @@ def read_transcript(path) -> Transcript:
         parts = line.split()
         if len(parts) != 3:
             raise VsrError(f"{path}:{ln}: expected 'LABEL START_MS END_MS'")
-        if "," in parts[0] or COMPOSITE_SEPARATOR in parts[0]:
-            raise VsrError(f"{path}:{ln}: label {parts[0]!r} contains ',' (the feature CSV "
-                           f"delimiter) or {COMPOSITE_SEPARATOR!r} (the biphone separator)")
+        label = check_label(parts[0], f"{path}:{ln}", unit=True)
         try:
-            entries.append(TranscriptEntry(parts[0], int(parts[1]), int(parts[2])))
+            entries.append(TranscriptEntry(label, int(parts[1]), int(parts[2])))
         except ValueError:
             raise VsrError(f"{path}:{ln}: times must be integer milliseconds") from None
     return Transcript(entries=entries)
@@ -269,7 +267,7 @@ def read_features_csv(path):
         if not np.isfinite(x[-1]).all():
             raise VsrError(f"{path}:{ln}: features must be finite numbers")
         if has_label:
-            labels.append(parts[-1])
+            labels.append(check_label(parts[-1], f"{path}:{ln}"))
     return (np.array(x, dtype=float), (labels if has_label else None),
             np.array(spans, dtype=np.intp).reshape(-1, 2))
 

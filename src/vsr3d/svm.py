@@ -39,7 +39,7 @@ import numpy as np
 
 from . import VsrError
 from .config import FEATURE_ECHO, PipelineConfig
-from .features import StandardizationStats, fit_standardization, standardize
+from .features import StandardizationStats, check_label, fit_standardization, standardize
 
 
 @dataclass
@@ -538,7 +538,9 @@ def _model_from_doc(doc) -> MultiClassModel:
     std = _finite_array(doc["stats"]["std"], 1, "stats.std")
     if len(std) != len(mean) or (std <= 0).any():
         raise VsrError("stats.std must be positive and as long as stats.mean")
-    labels = list(doc["classLabels"])
+    if not isinstance(doc["classLabels"], list):
+        raise VsrError("classLabels must be a list of labels")
+    labels = [check_label(lab, f"classLabels[{i}]") for i, lab in enumerate(doc["classLabels"])]
     if len(labels) != len(doc["models"]):
         raise VsrError(f"{len(labels)} class labels for {len(doc['models'])} models")
     if not labels:

@@ -15,9 +15,9 @@ resamples them all, which the footprint path of `vsr3d.segmentation` must
 reproduce bit for bit;
 the crop grid written out row by row and column by column, which
 `vsr3d.segmentation.crop_grid` must reproduce bit for bit;
-the decoder's segment log-weights built one (duration, class) pair at a time,
-and the segment-level Viterbi over every pair, whose scores `vsr3d.decoder`
-must reproduce bit for bit; the grid cell lookup of the brute-force decoding
+the segment weights d * log p built one (duration, class) pair at a time,
+and the segment-level Viterbi over every pair with the decoder's tie rule,
+whose entries `vsr3d.decoder` must reproduce; the grid cell lookup of the brute-force decoding
 tests; the per-window 3D-DCT featurizer (resample, `dct3`, pyramid mask),
 which the separable `vsr3d.features.featurize_many` must match within
 1e-12; and the inverse 3D-DCT and ground-truth CSV reader of the feature and
@@ -37,6 +37,7 @@ import scipy.fft
 import vsr3d.segmentation
 from vsr3d import VsrError
 from vsr3d.config import CHANNEL_NAMES
+from vsr3d.decoder import TIE_ULPS
 from vsr3d.features import (_check_window, dct3, preprocess_volume, pyramid_mask_indices,
                             resample_to_length)
 from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CROP_HALF_WIDTH, REFINE_ANGLES,
@@ -397,21 +398,23 @@ def prob(grid, c: int, start: int, duration: int) -> float:
 
 def pair_log_weights(grid):
     """The (d, c) pairs of a grid in (d, c) order and their (pairs, frames)
-    log-weights log(p**d), one power per pair."""
+    log-weights d * log p, -inf for a -1 or 0 cell."""
     lo, hi = np.asarray(grid.dmin, dtype=int), np.asarray(grid.dmax, dtype=int)
     pairs = [(d, c) for d in range(1, int(hi.max()) + 1)
              for c in range(len(lo)) if lo[c] <= d <= hi[c]]
     weights = []
     for d, c in pairs:
         cells = grid.probs[c][:, d - lo[c]]
-        weights.append(np.where(cells >= 0, cells, 0.0) ** d)
-    with np.errstate(divide="ignore"):
-        return pairs, np.log(np.stack(weights))
+        with np.errstate(divide="ignore"):
+            weights.append(d * np.log(np.where(cells >= 0, cells, 0.0)))
+    return pairs, np.stack(weights)
 
 
 def decode_sequence(grid):
-    """Segment-level Viterbi over `pair_log_weights`; the first maximum over
-    its rows breaks ties.  None when no tiling is feasible."""
+    """Segment-level Viterbi over `pair_log_weights`.  At end frame e every
+    pair whose score is within TIE_ULPS * e ulps of |max| counts as tied; the
+    smallest tied duration wins, and among its pairs the largest score, the
+    first such pair.  None when no tiling is feasible."""
     pairs, logw = pair_log_weights(grid)
     durations = np.array([d for d, _ in pairs])
     n = grid.frame_count
@@ -424,7 +427,10 @@ def decode_sequence(grid):
             continue
         starts = e - durations[:k]
         scores = best[starts] + logw[np.arange(k), starts]
-        back[e] = np.argmax(scores)
+        high = scores.max()
+        tied = scores >= high - TIE_ULPS * e * np.finfo(float).eps * abs(high)
+        shortest = durations[:k] == durations[:k][tied].min()
+        back[e] = np.argmax(np.where(shortest, scores, -np.inf))
         best[e] = scores[back[e]]
     if n < 1 or not np.isfinite(best[n]):
         return None

@@ -377,6 +377,8 @@ class TestMalformedTextInput:
         (_train_on(TRAINABLE_CSV + b"-1,3,0.1,A\n"), "features.csv:8"),
         (_train_on(TRAINABLE_CSV + b"0,0,0.1,A\n"), "features.csv:8"),
         (_train_on(b"start,duration,f0,label\n0,3,0.1,\xc3\x89\n"), "features.csv"),
+        (_train_on(TRAINABLE_CSV + b"18,3,0.5,\n"), "features.csv:8"),
+        (_train_on(TRAINABLE_CSV + b"18,3,0.5,a b\n"), "features.csv:8"),
         (_eval_on(b"A 0 40\n\xc3\x89 40 80\n"), "ref.txt"),
         (_featurize_on(b"A 0 40\nC,2 40 80\n"), "transcript.txt:2"),
         (_eval_on(b"A 0 40\nB 40 80\nA+B 80 120\n"), "ref.txt:3"),
@@ -394,7 +396,8 @@ class TestMalformedTextInput:
             "manifest-frames", "frame-sizes-differ", "features-start",
             "features-duration", "features-value", "features-nan", "features-inf",
             "features-negative-start", "features-zero-duration",
-            "features-non-ascii", "transcript-non-ascii", "transcript-label-comma",
+            "features-non-ascii", "features-empty-label", "features-label-space",
+            "transcript-non-ascii", "transcript-label-comma",
             "transcript-label-plus", "config-grid-number",
             "config-grid-strings", "config-gamma-zero", "config-c-negative", "config-fps-nan",
             "config-mask-fractional", "config-mask-bool", "config-roi-width-negative",
@@ -870,6 +873,12 @@ class TestMalformedModelFiles:
         _set(["config", "s"], lambda v: None),
         _set(["config", "s"], lambda v: 0),
         _set(["config"], lambda v: "red"),
+        _set(["classLabels"], lambda v: [1, 2]),
+        _set(["classLabels"], lambda v: "xy"),
+        _set(["classLabels", 0], lambda v: "x,y"),
+        _set(["classLabels", 0], lambda v: "a b"),
+        _set(["classLabels", 0], lambda v: ""),
+        _set(["classLabels", 0], lambda v: "\u00c9"),
     ], ids=["nan-bias", "inf-support-vector", "inf-alpha", "nan-gamma", "inf-platt-a",
             "nan-platt-b", "nan-mean", "inf-std", "zero-std", "negative-std", "short-std",
             "missing-class-label", "short-alphas", "ragged-support-vectors",
@@ -878,7 +887,8 @@ class TestMalformedModelFiles:
             "unknown-channel",
             "string-delta-t", "negative-delta-t", "inf-delta-t", "string-length",
             "fractional-length", "length-below-2", "null-mask-size", "zero-mask-size",
-            "config-not-an-object"])
+            "config-not-an-object", "number-labels", "labels-not-a-list", "label-comma",
+            "label-space", "empty-label", "non-ascii-label"])
     def test_decode_rejects(self, tmp_path, capsys, roi_path, corrupt):
         doc = _model_doc()
         corrupt(doc)

@@ -184,13 +184,14 @@ class TestTTest:
         assert t_tail_probability(0.0, 79) == 0.5
 
     def test_matches_scipy_stdtr(self):
-        """Both branches, |t| < 1 (through 1 - I_x) and |t| >= 1 (I_x
-        directly), within 1e-12 relative of scipy for df 1-200."""
+        """Every branch, |t| < 1 (through 1 - I_x), |t| >= 1 (I_x directly)
+        and the large-df expansion, within 1e-12 relative of scipy for df
+        1-201 and at df 10^3, 10^4, 10^6 and 10^8."""
         ts = np.concatenate([np.linspace(-12.0, 12.0, 241),
                              [-1.0, -np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0), 1.0]])
         assert (np.abs(ts) < 1).any() and (np.abs(ts) >= 1).any()
         worst = 0.0
-        for df in range(1, 201):
+        for df in [*range(1, 202), 10**3, 10**4, 10**6, 10**8]:
             ref = scipy.special.stdtr(df, -ts)
             got = np.array([t_tail_probability(float(t), df) for t in ts])
             worst = max(worst, float((np.abs(got - ref) / ref).max()))
