@@ -34,8 +34,10 @@ from .svm import MultiClassModel, predict_probability_matrix
 PROB_FLOOR = 1e-12
 PROB_CEIL = 1.0 - 1e-12
 # A score at end frame e sums at most e segment weights, so sums that tie in
-# real arithmetic differ by a few ulps per segment; within TIE_ULPS * e ulps
-# of |score| they count as tied.
+# real arithmetic differ by a few ulps per segment: of |score| from rounding
+# the sums, and of 1 from the weights d * log p, since a few ulps of p move
+# log p by a few eps whatever p is.  Within TIE_ULPS * e * eps * (|score| + 1)
+# they count as tied.
 TIE_ULPS = 4
 
 
@@ -110,7 +112,7 @@ def decode_sequence(grid: ProbabilityGrid):
     classes whose bounds hold d, the lowest index among equal ones, and
     weighs d * log p of it (-inf for a -1 or 0 cell).  Then best[e] is the
     score of the smallest d <= e whose best[e - d] + weight is within
-    TIE_ULPS * e * eps * |max| of the largest such sum.
+    TIE_ULPS * e * eps * (|max| + 1) of the largest such sum.
     Returns (label, start, duration) entries in frame order.
     """
     lo = np.asarray(grid.dmin, dtype=int)
@@ -137,7 +139,7 @@ def decode_sequence(grid: ProbabilityGrid):
         d = np.arange(1, min(e, len(weights)) + 1)
         scores = best[e - d] + weights[d - 1, e - d]
         high = scores.max()
-        back[e] = np.argmax(scores >= high - tie * e * abs(high)) + 1
+        back[e] = np.argmax(scores >= high - tie * e * (abs(high) + 1.0)) + 1
         best[e] = scores[back[e] - 1]
     if n < 1 or not np.isfinite(best[n]):
         raise VsrError("no feasible tiling of the sequence (all weights vanish)")

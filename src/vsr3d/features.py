@@ -4,12 +4,14 @@ volume is resampled to a uniform length, transformed with an orthonormal
 original subsequence length.
 
 Windows travel as (m, 2) integer arrays of (start, duration) rows, such as
-`enumerate_subsequences` builds.  `featurize_many` computes them separably:
-every step before the mask is linear, so each frame is projected once onto
-the first s rows of the y- and x-DCT bases, and a fixed (s x d) matrix per
-duration d does the resampling and the time DCT of every window of that
-duration.  The per-window path (resample, `dct3`, mask) that it must match
-lives in `tests/oracles.py` as the test reference.
+`enumerate_subsequences` builds.  `featurize_many` computes them in
+coefficient space: every step before the mask is linear, so each raw frame
+is projected once onto the first s rows of the y- and x-DCT bases, the time
+shift and the sequence mean act on those projections, and one stack of
+(s x d) maps, one per duration d, does the resampling and the time DCT of
+every window.  The pixel-space path (shift, centre, resample, `dct3`, mask,
+one window at a time) that it must match lives in `tests/oracles.py` as the
+test reference.
 """
 
 from __future__ import annotations
@@ -67,10 +69,11 @@ class Transcript:
 
 
 def time_shift(volume: np.ndarray, delta_t_ms: float, fps: float) -> np.ndarray:
-    """Delay the volume by delta_t_ms: output frame t samples the input at
-    continuous time t - delta_t_ms*fps/1000, linearly interpolated and
-    clamped at the sequence boundaries.  A shift of whole frames (every
-    sample time an integer) is a frame gather."""
+    """Delay an array of frames (time on the first axis) by delta_t_ms:
+    output frame t samples the input at continuous time
+    t - delta_t_ms*fps/1000, linearly interpolated and clamped at the
+    sequence boundaries.  A shift of whole frames (every sample time an
+    integer) is a frame gather."""
     if delta_t_ms < 0:
         raise VsrError("delta_t_ms must be non-negative")
     volume = np.asarray(volume, dtype=float)
@@ -87,6 +90,7 @@ def time_shift(volume: np.ndarray, delta_t_ms: float, fps: float) -> np.ndarray:
 
 
 def subtract_sequence_mean(volume: np.ndarray) -> np.ndarray:
+    """Subtract from each value its mean over the frames (the first axis)."""
     volume = np.asarray(volume, dtype=float)
     if volume.shape[0] < 1:
         raise VsrError("empty volume")
@@ -102,25 +106,6 @@ def enumerate_subsequences(frame_count: int, durations) -> np.ndarray:
         raise VsrError("durations must be ascending and >= 1")
     starts, which = np.nonzero(np.arange(frame_count)[:, None] + durations <= frame_count)
     return np.stack([starts, durations[which]], axis=1)
-
-
-def resample_to_length(subvolume: np.ndarray, length: int = 10) -> np.ndarray:
-    """Per-pixel linear interpolation mapping [0, d-1] onto [0, length-1];
-    a single frame is replicated."""
-    subvolume = np.asarray(subvolume, dtype=float)
-    d = subvolume.shape[0]
-    if d < 1:
-        raise VsrError("empty subsequence")
-    if length < 2:
-        raise VsrError("target length must be >= 2")
-    if d == 1:
-        return np.repeat(subvolume, length, axis=0)
-    if d == length:
-        return subvolume.copy()
-    tau = np.arange(length, dtype=float) * (d - 1) / (length - 1)
-    lo = np.minimum(np.floor(tau).astype(np.intp), d - 2)
-    frac = (tau - lo).reshape((length,) + (1,) * (subvolume.ndim - 1))
-    return subvolume[lo] * (1.0 - frac) + subvolume[lo + 1] * frac
 
 
 def dct3(volume: np.ndarray) -> np.ndarray:
@@ -148,15 +133,6 @@ def feature_dimension(s: int) -> int:
     return s * (s + 1) * (s + 2) // 6 + 1
 
 
-def preprocess_volume(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float) -> np.ndarray:
-    """Shared sequence-level preparation: channel selection, time shift,
-    per-pixel sequence-mean subtraction."""
-    vol = roi.plane(channel)
-    if not np.isfinite(vol).all():
-        raise VsrError(f"ROI channel {channel!r} holds non-finite values")
-    return subtract_sequence_mean(time_shift(vol, delta_t_ms, fps))
-
-
 def _check_window(start, duration, frame_count: int):
     if start < 0 or duration < 1:
         raise VsrError(f"bad subsequence ({start}, {duration})")
@@ -169,11 +145,28 @@ def _dct_matrix(n: int) -> np.ndarray:
     transforms x along its first axis (Ahmed, Natarajan & Rao 1974): entry
     (k, i) is sqrt(2/n) cos(pi k (2i + 1) / 2n), with row 0 scaled by
     1/sqrt(2).  The phase k (2i + 1) is reduced mod 4n in integers first, so
-    every cosine is taken of an angle in [0, 2 pi)."""
+    every cosine is taken of an angle in [0, 2 pi).  n = 0 gives the empty
+    matrix, so a plane without rows or columns projects to nothing, and
+    `featurize_many` reports the mask size that does not fit it."""
     phase = np.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)
-    out = np.cos(np.pi * phase / (2 * n)) * math.sqrt(2.0 / n)
-    out[0] *= math.sqrt(0.5)
+    out = np.cos(np.pi * phase / (2 * n)) * math.sqrt(2.0 / max(n, 1))
+    out[:1] *= math.sqrt(0.5)
     return out
+
+
+def _time_maps(durations: np.ndarray, length: int, s: int) -> np.ndarray:
+    """The maps `DCT_L[:s] @ Resample(d -> L)` of the given durations d,
+    stacked as a (len(durations) * s, max duration) array: rows u * s to
+    u * s + s - 1 belong to durations[u], zero from column d on.
+
+    Resample(d -> L) interpolates linearly, mapping frames [0, d-1] onto
+    [0, L-1] (a single frame is replicated): output frame l takes each input
+    frame i with the hat weight max(0, 1 - |tau - i|), tau = l (d-1)/(L-1).
+    """
+    d = durations[:, None]
+    tau = np.arange(length) * (d - 1) / (length - 1)                  # (durations, L)
+    resample = np.maximum(0.0, 1.0 - np.abs(tau[..., None] - np.arange(d.max())))
+    return (_dct_matrix(length)[:s] @ resample).reshape(-1, d.max())
 
 
 def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
@@ -181,17 +174,27 @@ def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
     """Feature matrix of the windows in an (m, 2) array of (start, duration)
     rows, one feature row per window in the same order.
 
-    Computed separably: resampling and the 3D-DCT are linear, so each frame
-    is projected once onto the first s y- and x-DCT rows, and each window is
-    finished along time by the (s, d) matrix `DCT_L[:s] @ Resample(d -> L)`
-    of its duration d.
+    Computed in coefficient space.  The time shift, the per-pixel sequence
+    mean, resampling and the 3D-DCT are all linear, so each frame is first
+    projected onto the first s y- and x-DCT rows; the shift and the mean act
+    on those (T, s, s) projections.  One product with the `_time_maps` stack
+    then finishes a window at every start for every duration asked for, and
+    one gather takes the windows and the pyramid triples from it.
     """
-    prepared = preprocess_volume(roi, channel, delta_t_ms, fps)
+    plane = roi.plane(channel)
+    if not np.isfinite(plane).all():
+        raise VsrError(f"ROI channel {channel!r} holds non-finite values")
+    n, h, w = plane.shape
+    # coeffs[t, j, i]: y-frequency j, x-frequency i of frame t, from the plane
+    # widened to float64.  A per-pixel constant leaves with the sequence mean,
+    # so the first frame's coefficients go first: the mean is then taken of
+    # the frames' changes, and its roundoff has their size, not the image's.
+    coeffs = _dct_matrix(h)[:s] @ np.asarray(plane, dtype=float) @ _dct_matrix(w)[:s].T
+    coeffs = subtract_sequence_mean(time_shift(coeffs - coeffs[:1], delta_t_ms, fps))
     k = feature_dimension(s)
     spans = np.asarray(spans, dtype=np.intp)
     if not spans.size:
         return np.zeros((0, k))
-    n, h, w = prepared.shape
     starts, durations = spans.T
     if length < 2:
         raise VsrError("target length must be >= 2")
@@ -203,19 +206,20 @@ def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
     if bad.size:
         _check_window(starts[bad[0]], durations[bad[0]], n)
 
-    # projected[t, j * s + i]: y-frequency j, x-frequency i of frame t
-    projected = (_dct_matrix(h)[:s] @ prepared @ _dct_matrix(w)[:s].T).reshape(n, s * s)
-    # pyramid triple (i, j, k) = (x, y, t frequency) in a (j * s + i, k) block
-    picks = [(j * s + i) * s + kt for (i, j, kt) in pyramid_mask_indices(s)]
-    dct_t = _dct_matrix(length)[:s]
+    lengths, which = np.unique(durations, return_inverse=True)
+    dmax = int(lengths[-1])
+    # padded[j * s + i, t]: coefficient (j, i) of frame t, zero past the last frame
+    padded = np.zeros((s * s, n + dmax - 1))
+    padded[:, :n] = coeffs.reshape(n, s * s).T
+    windows = np.lib.stride_tricks.sliding_window_view(padded, dmax, axis=1)
+    # finished[j * s + i, t, u * s + kt]: x, y, t frequency (i, j, kt) of the
+    # window of duration lengths[u] that starts at frame t
+    finished = windows.reshape(s * s * n, dmax) @ _time_maps(lengths, length, s).T
+    cells = (starts * len(lengths) + which) * s
+    offsets = [(j * s + i) * n * finished.shape[1] + kt for i, j, kt in pyramid_mask_indices(s)]
     out = np.empty((len(spans), k))
+    out[:, :-1] = finished.take(cells[:, None] + offsets)
     out[:, -1] = durations
-    for d in np.unique(durations):
-        rows = np.flatnonzero(durations == d)
-        time_map = dct_t @ resample_to_length(np.eye(d), length)          # (s, d)
-        windows = np.lib.stride_tricks.sliding_window_view(projected, d, axis=0)
-        coeffs = windows[starts[rows]] @ time_map.T                       # (m, s*s, s)
-        out[rows, :-1] = coeffs.reshape(len(rows), s * s * s)[:, picks]
     return out
 
 

@@ -19,8 +19,9 @@ Transcript: one "LABEL START_MS END_MS" line per entry, integer milliseconds;
 a label is printable ASCII without "," or "+" (`features.check_label`).
 
 Feature matrix CSV: header "start,duration,f0,...,f{k-1}[,label]"; every
-row's window has integer start >= 0 and duration >= 1, every feature is a
-finite number, and a label is non-empty printable ASCII without spaces.
+row's window has integer start >= 0 and duration >= 1 and ends within
+MAX_FRAMES (the largest frame count a .vsr1 header holds), every feature is
+a finite number, and a label is non-empty printable ASCII without spaces.
 
 Keypoints CSV: header "frame,lipRow,leftRow,leftCol,rightRow,rightCol",
 coordinates in original-video pixels.
@@ -45,6 +46,9 @@ from .config import CHANNEL_NAMES
 from .evaluation import ConfusionMatrix, summary_accuracies
 from .features import Transcript, TranscriptEntry, check_label
 from .segmentation import RoiVolume, VideoSequence
+
+# the largest frame count a .vsr1 header's u32 field holds
+MAX_FRAMES = 2**32 - 1
 
 
 def write_ppm(frame: np.ndarray, path):
@@ -262,8 +266,10 @@ def read_features_csv(path):
             x.append([float(v) for v in parts[2:2 + n_feat]])
         except ValueError:
             raise VsrError(f"{path}:{ln}: need integer start/duration, numeric features") from None
-        if spans[-1][0] < 0 or spans[-1][1] < 1:
-            raise VsrError(f"{path}:{ln}: need start >= 0 and duration >= 1")
+        start, duration = spans[-1]
+        if start < 0 or duration < 1 or start + duration > MAX_FRAMES:
+            raise VsrError(f"{path}:{ln}: need start >= 0, duration >= 1 and "
+                           f"start + duration <= {MAX_FRAMES}")
         if not np.isfinite(x[-1]).all():
             raise VsrError(f"{path}:{ln}: features must be finite numbers")
         if has_label:
@@ -311,9 +317,11 @@ def read_grid(path):
         for c in range(n_classes):
             span = dmax[c] - dmin[c] + 1
             raw = _read_exact(fh, frame_count * span * 4, path, "grid payload")
-            probs.append(np.frombuffer(raw, dtype="<f4").astype(float).reshape(frame_count, span))
-            if not np.isfinite(probs[-1]).all():
+            cells = np.frombuffer(raw, dtype="<f4").reshape(frame_count, span)
+            # checked before widening: casting a signalling NaN warns
+            if not np.isfinite(cells).all():
                 raise VsrError(f"{path}: class {labels[c]!r} has a non-finite cell")
+            probs.append(cells.astype(float))
             if ((probs[-1] != -1) & ((probs[-1] < 0) | (probs[-1] > 1))).any():
                 raise VsrError(f"{path}: class {labels[c]!r} has a cell outside [0, 1] "
                                "that is not -1")

@@ -17,11 +17,13 @@ the crop grid written out row by row and column by column, which
 `vsr3d.segmentation.crop_grid` must reproduce bit for bit;
 the segment weights d * log p built one (duration, class) pair at a time,
 and the segment-level Viterbi over every pair with the decoder's tie rule,
-whose entries `vsr3d.decoder` must reproduce; the grid cell lookup of the brute-force decoding
-tests; the per-window 3D-DCT featurizer (resample, `dct3`, pyramid mask),
-which the separable `vsr3d.features.featurize_many` must match within
-1e-12; and the inverse 3D-DCT and ground-truth CSV reader of the feature and
-fixture tests.  `roi_volume` and `roi_planes` build a RoiVolume from
+whose entries `vsr3d.decoder` must reproduce; the grid cell lookup of the
+brute-force decoding tests; the per-window 3D-DCT featurizer in pixel space
+(`preprocess_volume`'s time shift and sequence mean over the whole plane,
+then per window `resample_to_length`, `dct3` and the pyramid mask), which
+`vsr3d.features.featurize_many`, working on the frames' DCT projections,
+must match within 1e-12; and the inverse 3D-DCT and ground-truth CSV reader
+of the feature and fixture tests.  `roi_volume` and `roi_planes` build a RoiVolume from
 given planes and stack a volume's planes, for the tests that need either.
 """
 
@@ -38,8 +40,8 @@ import vsr3d.segmentation
 from vsr3d import VsrError
 from vsr3d.config import CHANNEL_NAMES
 from vsr3d.decoder import TIE_ULPS
-from vsr3d.features import (_check_window, dct3, preprocess_volume, pyramid_mask_indices,
-                            resample_to_length)
+from vsr3d.features import (_check_window, dct3, pyramid_mask_indices, subtract_sequence_mean,
+                            time_shift)
 from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CROP_HALF_WIDTH, REFINE_ANGLES,
                                 REFINE_COLS, MouthKeypoints, RoiVolume, SymmetryLine,
                                 VideoSequence, box_filter, build_min_luminance_line,
@@ -151,6 +153,34 @@ def pyramid_extract(coeffs: np.ndarray, s: int = 3) -> np.ndarray:
     if s > min(t_dim, y_dim, x_dim):
         raise VsrError(f"mask size {s} exceeds a coefficient dimension {coeffs.shape}")
     return np.array([coeffs[k, j, i] for (i, j, k) in pyramid_mask_indices(s)])
+
+
+def preprocess_volume(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float) -> np.ndarray:
+    """Sequence-level preparation in pixel space: channel selection, time
+    shift, per-pixel sequence-mean subtraction."""
+    vol = roi.plane(channel)
+    if not np.isfinite(vol).all():
+        raise VsrError(f"ROI channel {channel!r} holds non-finite values")
+    return subtract_sequence_mean(time_shift(vol, delta_t_ms, fps))
+
+
+def resample_to_length(subvolume: np.ndarray, length: int = 10) -> np.ndarray:
+    """Per-pixel linear interpolation mapping [0, d-1] onto [0, length-1];
+    a single frame is replicated."""
+    subvolume = np.asarray(subvolume, dtype=float)
+    d = subvolume.shape[0]
+    if d < 1:
+        raise VsrError("empty subsequence")
+    if length < 2:
+        raise VsrError("target length must be >= 2")
+    if d == 1:
+        return np.repeat(subvolume, length, axis=0)
+    if d == length:
+        return subvolume.copy()
+    tau = np.arange(length, dtype=float) * (d - 1) / (length - 1)
+    lo = np.minimum(np.floor(tau).astype(np.intp), d - 2)
+    frac = (tau - lo).reshape((length,) + (1,) * (subvolume.ndim - 1))
+    return subvolume[lo] * (1.0 - frac) + subvolume[lo + 1] * frac
 
 
 def featurize_prepared(prepared: np.ndarray, start: int, duration: int, length: int, s: int):
@@ -412,7 +442,7 @@ def pair_log_weights(grid):
 
 def decode_sequence(grid):
     """Segment-level Viterbi over `pair_log_weights`.  At end frame e every
-    pair whose score is within TIE_ULPS * e ulps of |max| counts as tied; the
+    pair whose score is within TIE_ULPS * e * eps * (|max| + 1) counts as tied; the
     smallest tied duration wins, and among its pairs the largest score, the
     first such pair.  None when no tiling is feasible."""
     pairs, logw = pair_log_weights(grid)
@@ -428,7 +458,7 @@ def decode_sequence(grid):
         starts = e - durations[:k]
         scores = best[starts] + logw[np.arange(k), starts]
         high = scores.max()
-        tied = scores >= high - TIE_ULPS * e * np.finfo(float).eps * abs(high)
+        tied = scores >= high - TIE_ULPS * e * np.finfo(float).eps * (abs(high) + 1.0)
         shortest = durations[:k] == durations[:k][tied].min()
         back[e] = np.argmax(np.where(shortest, scores, -np.inf))
         best[e] = scores[back[e]]

@@ -449,9 +449,10 @@ class TestMalformedBinaryFiles:
         _grid_blob(cells=5) + struct.pack("<f", 2.0),
         _grid_blob(cells=5) + struct.pack("<f", 1e30),
         _grid_blob(cells=5) + struct.pack("<f", -0.5),
+        _grid_blob(cells=5) + struct.pack("<I", 0xFF800001),
     ], ids=["short-header", "short-directory", "bad-utf8-label", "dmin-zero",
             "dmin-above-dmax", "short-payload", "trailing-bytes", "nan-cell", "inf-cell",
-            "above-one", "huge", "negative"])
+            "above-one", "huge", "negative", "signalling-nan-cell"])
     def test_grid_heatmap(self, tmp_path, capsys, blob):
         path = tmp_path / "bad.grd1"
         path.write_bytes(blob)
@@ -810,6 +811,82 @@ class TestCorruptGridFiles:
             assert capsys.readouterr().err == ""
         else:
             assert_one_line_data_error(code, capsys, "grid-heatmap")
+
+
+def _valid_features_csv():
+    """A labeled feature CSV that `train` accepts: 16 rows of two classes
+    and 3 features, in the layout `featurize` writes."""
+    rng = np.random.default_rng(8)
+    rows = ["start,duration,f0,f1,f2,label"]
+    for i in range(16):
+        x = rng.normal(loc=2.0 * (i % 2), size=3)
+        rows.append(f"{2 * i},{3 + i % 4}," + ",".join(repr(float(v)) for v in x) + f",C{i % 2}")
+    return ("\n".join(rows) + "\n").encode("ascii")
+
+
+VALID_FEATURES = _valid_features_csv()
+FEATURES_HEADER_BYTES = VALID_FEATURES.index(b"\n") + 1
+
+
+@st.composite
+def corrupt_feature_csvs(draw):
+    """VALID_FEATURES cut short, or with one to four bits flipped; half of
+    the flips land in the header line."""
+    if draw(st.booleans()):
+        return VALID_FEATURES[:draw(st.integers(0, len(VALID_FEATURES) - 1))]
+    blob = bytearray(VALID_FEATURES)
+    header = st.integers(0, 8 * FEATURES_HEADER_BYTES - 1)
+    anywhere = st.integers(0, 8 * len(blob) - 1)
+    for bit in draw(st.lists(st.one_of(header, anywhere), min_size=1, max_size=4)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+    return bytes(blob)
+
+
+class TestCorruptFeatureCsvs:
+    """A truncated or bit-flipped labeled feature CSV through `train` exits
+    0, or 2 with one line on stderr: never a traceback, a warning, or a large
+    allocation."""
+
+    def test_valid_csv_trains(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_bytes(VALID_FEATURES)
+        assert self.train(tmp_path, path) == 0
+
+    def test_window_past_any_volume_exits_2(self, tmp_path, capsys):
+        """A start or duration too large for any .vsr1 frame count is a
+        data error, not an integer overflow."""
+        lines = VALID_FEATURES.decode("ascii").splitlines()
+        lines[1] = "99999999999999999999" + lines[1][lines[1].index(","):]
+        path = tmp_path / "features.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        err = assert_one_line_data_error(self.train(tmp_path, path), capsys, "train")
+        assert "start + duration <= 4294967295" in err
+
+    @staticmethod
+    def train(tmp_path, path):
+        return run_cli("train", "--features", str(path), "--out", str(tmp_path / "model.json"),
+                       "--set", "c_grid=[4.0]", "--set", "gamma_grid=[0.5]")
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=corrupt_feature_csvs())
+    def test_train(self, tmp_path, capsys, blob):
+        path = tmp_path / "corrupt.csv"
+        path.write_bytes(blob)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = self.train(tmp_path, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        if code == 0:
+            assert capsys.readouterr().err == ""
+        else:
+            assert_one_line_data_error(code, capsys, "train")
 
 
 class TestMalformedModelFiles:

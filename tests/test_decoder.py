@@ -361,10 +361,10 @@ def planted_tie_grids(draw):
     probability q in every cell (as a window far from every support vector
     of the class gets), so a segment of it and the same segment split in two
     score the same.  Up to two more classes hold random probabilities below
-    2q, so they win some windows.  q stays at most 0.5: nearer 1, log q is
-    so small that 4 ulps of q are more than the tie tolerance."""
+    2q (capped at 1), so they win some windows.  q reaches 0.999, where 4 ulps
+    of q move log q by about 4 eps, far more than 4 ulps of log q."""
     frames = draw(st.integers(2, 24))
-    q = draw(st.floats(1e-9, 0.5))
+    q = draw(st.floats(1e-9, 0.999))
     bounds = [(lo, lo + draw(st.integers(0, 4)))
               for lo in draw(st.lists(st.integers(1, 4), max_size=2))]
     planted = draw(st.integers(0, len(bounds)))
@@ -373,7 +373,7 @@ def planted_tie_grids(draw):
     probs = []
     for c, (lo, hi) in enumerate(bounds):
         shape = (frames, hi - lo + 1)
-        p = np.full(shape, q) if c == planted else rng.uniform(0.0, 2.0 * q, size=shape)
+        p = np.full(shape, q) if c == planted else rng.uniform(0.0, min(2.0 * q, 1.0), size=shape)
         for d in range(lo, hi + 1):
             p[max(frames - d + 1, 0):, d - lo] = -1.0
         probs.append(p)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import reference_windows
-from oracles import featurize, featurize_prepared, idct3, pyramid_extract, roi_volume
+from oracles import (featurize, featurize_prepared, idct3, preprocess_volume, pyramid_extract,
+                     resample_to_length, roi_volume)
 from vsr3d import VsrError
-from vsr3d.features import (_dct_matrix, dct3, enumerate_subsequences, featurize_many,
-                            feature_dimension, fit_standardization, preprocess_volume,
-                            pyramid_mask_indices, resample_to_length, standardize,
-                            subtract_sequence_mean, time_shift)
+from vsr3d.features import (_dct_matrix, _time_maps, dct3, enumerate_subsequences, featurize_many,
+                            feature_dimension, fit_standardization, pyramid_mask_indices,
+                            standardize, subtract_sequence_mean, time_shift)
 
 
 def naive_dct3(volume):
@@ -165,6 +166,24 @@ class TestResample:
         assert (out <= v.max(axis=0) + 1e-12).all()
 
 
+class TestTimeMaps:
+    @given(st.sets(st.integers(1, 40), min_size=1, max_size=8), st.integers(2, 12),
+           st.integers(1, 4))
+    def test_stack_of_per_duration_maps(self, durations, length, s):
+        """Block u of the stack is DCT_L[:s] @ Resample(d -> L) for the
+        u-th duration d, with zeros from column d on."""
+        durations = np.array(sorted(durations))
+        s = min(s, length)
+        stack = _time_maps(durations, length, s)
+        assert stack.shape == (len(durations) * s, durations[-1])
+        for u, d in enumerate(durations):
+            block = stack[u * s:(u + 1) * s]
+            want = _dct_matrix(length)[:s] @ resample_to_length(np.eye(d), length)
+            # each entry sums `length` products of magnitude at most 1
+            assert np.abs(block[:, :d] - want).max() <= length * np.finfo(float).eps
+            assert not block[:, d:].any()
+
+
 class TestDct3:
     def test_constant_volume_is_dc_only(self):
         v = np.full((4, 3, 5), 1.7)
@@ -262,6 +281,13 @@ class TestFeaturize:
         for row, (a, d) in zip(x, spans):
             assert np.allclose(row, featurize(roi, "red", 30.0, 25.0, a, d, 10, 3))
 
+    @pytest.mark.parametrize("shape, message", [
+        ((5, 0, 4), "mask size 3 exceeds"), ((5, 4, 0), "mask size 3 exceeds"),
+        ((0, 4, 4), "empty volume")])
+    def test_zero_size_volume_is_a_data_error(self, shape, message):
+        with pytest.raises(VsrError, match=message):
+            featurize_many(roi_volume(np.zeros(shape)), "red", 0.0, 25.0, [(0, 1)])
+
     def test_repeat_calls_give_identical_output(self):
         roi = toy_roi(np.random.default_rng(14))
         spans = enumerate_subsequences(roi.frame_count, range(1, 4))
@@ -284,12 +310,15 @@ class TestFeaturize:
            st.data())
     @settings(max_examples=80, deadline=None)
     def test_many_matches_per_window_oracle(self, length, extra, h, w, data):
-        """The separable path equals the per-window 3D-DCT of `featurize_prepared`
-        for unsorted, repeated windows of every duration class, and raises the
+        """The coefficient-space path equals the per-window 3D-DCT of
+        `featurize_prepared` after the pixel-space shift and centring, for
+        unsorted, repeated windows of every duration class, and raises the
         same error for a window or a parameter that alone is bad."""
         frames = length + 1 + extra
         seed = data.draw(st.integers(0, 10**6))
-        delta_t = data.draw(st.sampled_from([0.0, 30.0]))
+        # whole frames, fractions of a frame (0.25, 0.75, 1.125 at 25 fps)
+        # and a shift past the sequence end, which clamps every frame to the first
+        delta_t = data.draw(st.sampled_from([0.0, 10.0, 30.0, 40.0, 45.0, 10000.0]))
         s = data.draw(st.integers(1, min(length, h, w)))
         rng = np.random.default_rng(seed)
         roi = roi_volume(255.0 * rng.random((frames, h, w)))
@@ -326,6 +355,23 @@ class TestFeaturize:
         assert message(lambda: featurize_many(roi, "red", delta_t, 25.0, [past_end] + pairs,
                                               length, too_big)) == \
             message(lambda: featurize_prepared(prepared, *pairs[0], length, too_big))
+
+
+class TestFeaturizeMemory:
+    @pytest.mark.parametrize("delta_t_ms", [0.0, 30.0])
+    def test_peak_is_about_one_widened_plane(self, delta_t_ms):
+        """The float32 plane is widened once, and the shift, the centring and
+        the windows work on its projections: no second whole-volume array."""
+        plane = np.random.default_rng(20).random((100, 48, 64)).astype(np.float32)
+        roi = roi_volume(plane)
+        spans = enumerate_subsequences(100, range(1, 38))
+        tracemalloc.start()
+        try:
+            featurize_many(roi, "red", delta_t_ms, 25.0, spans)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * plane.size * np.dtype(float).itemsize
 
 
 class TestStandardization:
