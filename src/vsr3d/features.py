@@ -140,15 +140,17 @@ def _check_window(start, duration, frame_count: int):
         raise VsrError(f"subsequence ({start}, {duration}) exceeds volume")
 
 
-def _dct_matrix(n: int) -> np.ndarray:
+def _dct_matrix(n: int, rows: int | None = None) -> np.ndarray:
     """Orthonormal type-II DCT as an (n, n) matrix, so `_dct_matrix(n) @ x`
     transforms x along its first axis (Ahmed, Natarajan & Rao 1974): entry
     (k, i) is sqrt(2/n) cos(pi k (2i + 1) / 2n), with row 0 scaled by
     1/sqrt(2).  The phase k (2i + 1) is reduced mod 4n in integers first, so
     every cosine is taken of an angle in [0, 2 pi).  n = 0 gives the empty
     matrix, so a plane without rows or columns projects to nothing, and
-    `featurize_many` reports the mask size that does not fit it."""
-    phase = np.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)
+    `featurize_many` reports the mask size that does not fit it.  With
+    `rows`, only the rows `[:rows]` would keep are computed, each entry by
+    the same formula."""
+    phase = np.outer(np.arange(n)[:rows], 2 * np.arange(n) + 1) % (4 * n)
     out = np.cos(np.pi * phase / (2 * n)) * math.sqrt(2.0 / max(n, 1))
     out[:1] *= math.sqrt(0.5)
     return out
@@ -166,7 +168,7 @@ def _time_maps(durations: np.ndarray, length: int, s: int) -> np.ndarray:
     d = durations[:, None]
     tau = np.arange(length) * (d - 1) / (length - 1)                  # (durations, L)
     resample = np.maximum(0.0, 1.0 - np.abs(tau[..., None] - np.arange(d.max())))
-    return (_dct_matrix(length)[:s] @ resample).reshape(-1, d.max())
+    return (_dct_matrix(length, s) @ resample).reshape(-1, d.max())
 
 
 def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
@@ -189,7 +191,7 @@ def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
     # widened to float64.  A per-pixel constant leaves with the sequence mean,
     # so the first frame's coefficients go first: the mean is then taken of
     # the frames' changes, and its roundoff has their size, not the image's.
-    coeffs = _dct_matrix(h)[:s] @ np.asarray(plane, dtype=float) @ _dct_matrix(w)[:s].T
+    coeffs = _dct_matrix(h, s) @ np.asarray(plane, dtype=float) @ _dct_matrix(w, s).T
     coeffs = subtract_sequence_mean(time_shift(coeffs - coeffs[:1], delta_t_ms, fps))
     k = feature_dimension(s)
     spans = np.asarray(spans, dtype=np.intp)

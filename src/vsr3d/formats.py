@@ -244,8 +244,13 @@ def write_features_csv(x: np.ndarray, spans, path, labels=None):
 
 
 def read_features_csv(path):
-    """Returns (x, labels_or_None, spans as (m, 2) (start, duration) rows)."""
-    lines = _read_ascii(path).splitlines()
+    """Returns (x, labels_or_None, spans as (m, 2) (start, duration) rows).
+    Every line ends in a newline, as `write_features_csv` writes them, so a
+    file cut inside its last row is a data error."""
+    text = _read_ascii(path)
+    if text and not text.endswith("\n"):
+        raise VsrError(f"{path}: the last line has no newline; the file is cut short")
+    lines = text.splitlines()
     if not lines:
         raise VsrError(f"{path}: empty features file")
     header = lines[0].split(",")

@@ -107,6 +107,12 @@ def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(k, out=k)
 
 
+def _sides(y: np.ndarray, alpha: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which variables (labels y, values alpha) are in I_up and in I_low."""
+    pos, below, above = y > 0, alpha < c, alpha > 0.0
+    return np.where(pos, below, above), np.where(pos, above, below)
+
+
 class _SmoState:
     """SMO for P problems on one precomputed kernel matrix, solved in
     lockstep with second-order working-set selection (WSS2; Fan, Chen & Lin
@@ -118,13 +124,21 @@ class _SmoState:
     Problem p trains on the rows where `member[p]` holds, with labels `y[p]`
     (+-1).  Its other rows keep alpha = 0 and are never in I_up or I_low, so
     a problem on a subset of the rows (a cross-validation fold) runs on the
-    full kernel.  Each problem's v holds -y * G for the gradient G of its
-    dual (to be minimized), that is y_t - sum_s alpha_s y_s K_ts.  Each step
+    full kernel.  Each problem's v is -y * G for the gradient G of its dual
+    (to be minimized), that is y_t - sum_s alpha_s y_s K_ts.  Each step
     takes, for every running problem at once, the maximal violator
     i = argmax v over I_up and the partner j in I_low of largest second-order
     gain b^2 / a, moves the pair analytically and clips it into the box
     [0, C].  A problem stops once its KKT gap max_up(v) - min_low(v) is at
     most `tol`, or at its own budget of pair updates; the others run on.
+
+    v is kept twice, as v on I_up and -inf elsewhere, and as v on I_low and
+    +inf elsewhere, so the sets need no masks: max and min read them
+    directly, the update subtracts the same finite column sum from both
+    (which keeps the infinities), b = v_i - v is -inf off I_low, and a gain
+    written b |b| / a is b^2 / a on the candidates (I_low with b > 0) and at
+    most 0 off them.  Only the pair's two entries change sides in a step.
+    A kernel must be finite, or a NaN would pass for a value.
 
     An unclipped step leaves its pair with equal v, so later maxima tie up
     to roundoff; values within 1e-6 * tol of the maximum count as ties and
@@ -153,80 +167,102 @@ class _SmoState:
         diag = np.diag(K)
         tie = 1e-6 * tol
         # the running problems' rows, compacted in place as problems stop,
-        # and three (P, n) scratch buffers, so a step allocates no (P, n) array
+        # three (P, n) scratch buffers and a boolean one, so a step allocates
+        # no (P, n) array
         going = np.arange(len(self.y))
         budget = np.asarray(budget)
         iterations = np.zeros(len(going), dtype=np.int64)
-        alpha, v = np.zeros(self.y.shape), self.y.copy()  # v = -y * G at alpha = 0
-        pos = self.y > 0
-        up = np.where(pos, alpha < C, alpha > 0.0) & self.member
-        low = np.where(pos, alpha > 0.0, alpha < C) & self.member
+        alpha = np.zeros(self.y.shape)
+        # v = -y * G, y at alpha = 0, kept twice: vv[0] holds it on I_up and
+        # -inf elsewhere, vv[1] on I_low and +inf elsewhere
+        vv = np.where(np.stack(_sides(self.y, alpha, C)) & self.member, self.y,
+                      np.array([-np.inf, np.inf])[:, None, None])
         work = np.empty((3,) + self.y.shape)
+        near = np.empty(self.y.shape, dtype=bool)
+        pair = np.empty((2, len(going)), dtype=np.intp)   # rows i and j of the pair
+        side = np.array([[0], [1]])     # i from vv[0], j from vv[1]
+        sign = np.array([[1.0], [-1.0]])
+        r = np.arange(len(going))
         while going.size:
-            w, b, a = work[:, :len(going)]
-            np.copyto(w, -np.inf)
-            np.copyto(w, v, where=up)
-            v_max = w.max(axis=1)
-            i = np.argmax(w >= (v_max - tie)[:, None], axis=1)
-            np.copyto(w, np.inf)
-            np.copyto(w, v, where=low)
-            v_min = w.min(axis=1)
-            gap = v_max - v_min
-            self.gap[going] = gap
-            stop = (gap <= tol) | (iterations >= budget)
+            m = len(going)
+            vu, vl, k = vv[0, :m], vv[1, :m], pair[:, :m]
+            i, j = k
+            w, b, a = work[:, :m]
+            v_max = vu.max(axis=1)
+            np.greater_equal(vu, (v_max - tie)[:, None], out=near[:m])
+            near[:m].argmax(axis=1, out=i)
+            v_min = vl.min(axis=1)
+            stop = (v_max - v_min <= tol) | (iterations >= budget)
             if stop.any():
-                self._finish(going[stop], alpha[stop], v[stop], iterations[stop],
-                             v_max[stop], v_min[stop])
+                for q in np.flatnonzero(stop):
+                    self._finish(going[q], alpha[q], vu[q], iterations[q], v_max[q], v_min[q])
                 keep = ~stop
-                going, budget, iterations, i = going[keep], budget[keep], iterations[keep], i[keep]
+                going, budget, iterations = going[keep], budget[keep], iterations[keep]
                 if not going.size:
                     break
-                for arr in (alpha, v, up, low):
-                    arr[:len(going)] = arr[keep]
-                alpha, v, up, low = (arr[:len(going)] for arr in (alpha, v, up, low))
-                w, b, a = work[:, :len(going)]
+                kept, m = np.flatnonzero(keep), len(going)
+                for arr in (alpha, vu, vl):
+                    arr.take(kept, axis=0, out=w[:m], mode="clip")
+                    arr[:m] = w[:m]
+                i[:m] = i[kept]
+                alpha, r = alpha[:m], r[:m]
+                vu, vl, k = vv[0, :m], vv[1, :m], pair[:, :m]
+                i, j = k
+                w, b, a = work[:, :m]
             # take(mode="clip") writes straight into `out` (the indices are
             # in range); its default mode would gather into a temporary first
-            r = np.arange(len(going))
-            np.subtract(v[r, i][:, None], v, out=b)
+            v_i = vu[r, i]
+            np.subtract(v_i[:, None], vl, out=b)   # -inf off I_low
             np.add(diag[i][:, None], diag, out=a)
-            np.take(K, i, axis=0, out=w, mode="clip")
+            K.take(i, axis=0, out=w, mode="clip")
             w *= 2.0
             a -= w
             np.maximum(a, 1e-12, out=a)
-            np.multiply(b, b, out=w)
+            # the gain b^2 / a on the candidates (I_low, b > 0), at most 0 off them
+            np.abs(b, out=w)
+            w *= b
             w /= a
-            np.copyto(w, -np.inf, where=~(low & (b > 0.0)))
-            j = np.argmax(w, axis=1)
-            # step t along alpha_i += y_i t, alpha_j -= y_j t; a clipped
-            # variable is set exactly to its bound so it leaves I_up / I_low
-            y_i, y_j = self.y[going, i], self.y[going, j]
-            old_i, old_j = alpha[r, i], alpha[r, j]
-            lim_i = np.where(y_i > 0, C - old_i, old_i)
-            lim_j = np.where(y_j > 0, old_j, C - old_j)
-            t = np.minimum(np.minimum(b[r, j] / a[r, j], lim_i), lim_j)
-            new_i = np.where(t == lim_i, np.where(y_i > 0, C, 0.0), old_i + y_i * t)
-            new_j = np.where(t == lim_j, np.where(y_j > 0, 0.0, C), old_j - y_j * t)
+            w.argmax(axis=1, out=j)
+            # a best gain of 0 has underflowed: every candidate ties at it, and
+            # so may rows off them, so the first candidate takes it
+            flat = w[r, j] <= 0.0
+            if flat.any():
+                j[flat] = (b[flat] > 0.0).argmax(axis=1)
+            # step t along alpha_k += s_k t (s_i = y_i, s_j = -y_j) for the
+            # pair k = (i, j); a clipped variable is set exactly to its bound
+            # so it leaves I_up / I_low
+            y_k = self.y[going, k]
+            s = y_k * sign
+            rise = s > 0
+            old = alpha[r, k]
+            lim = np.where(rise, C - old, old)
+            t = np.minimum(np.minimum(b[r, j] / a[r, j], lim[0]), lim[1])
+            new = np.where(t == lim, np.where(rise, C, 0.0), old + s * t)
+            step = y_k * (new - old)
             # v -= y_i d_i K[:, i] + y_j d_j K[:, j], summed before subtracting
-            np.take(K, i, axis=0, out=w, mode="clip")
-            w *= (y_i * (new_i - old_i))[:, None]
-            np.take(K, j, axis=0, out=a, mode="clip")
-            a *= (y_j * (new_j - old_j))[:, None]
+            K.take(i, axis=0, out=w, mode="clip")
+            w *= step[0][:, None]
+            K.take(j, axis=0, out=a, mode="clip")
+            a *= step[1][:, None]
             w += a
-            v -= w
-            for k, new, y_k in ((i, new_i, y_i), (j, new_j, y_j)):
-                alpha[r, k] = new
-                up[r, k] = np.where(y_k > 0, new < C, new > 0.0)
-                low[r, k] = np.where(y_k > 0, new > 0.0, new < C)
+            vu -= w
+            vl -= w
+            # i was on I_up and j on I_low, so their new v is there; then each
+            # goes to the sides its new alpha puts it on
+            v_k = vv[side, r, k]
+            up_k, low_k = _sides(y_k, new, C)
+            vv[0, r, k] = np.where(up_k, v_k, -np.inf)
+            vv[1, r, k] = np.where(low_k, v_k, np.inf)
+            alpha[r, k] = new
             iterations += 1
 
-    def _finish(self, rows, alpha, v, iterations, v_max, v_min):
-        """Store stopped problems' results; the bias is the mean v over the
-        free support vectors, or the gap midpoint when none is free."""
-        self.alpha[rows], self.iterations[rows] = alpha, iterations
-        for p, al, vp, hi, lo in zip(rows, alpha, v, v_max, v_min):
-            free = (al > 0.0) & (al < self.C)
-            self.b[p] = float(vp[free].mean()) if free.any() else 0.5 * float(hi + lo)
+    def _finish(self, p, alpha, v_up, iterations, v_max, v_min):
+        """Store stopped problem p's results; the bias is the mean v over its
+        free support vectors (which are on I_up), or the gap midpoint when
+        none is free."""
+        self.alpha[p], self.iterations[p], self.gap[p] = alpha, iterations, v_max - v_min
+        free = (alpha > 0.0) & (alpha < self.C)
+        self.b[p] = float(v_up[free].mean()) if free.any() else 0.5 * float(v_max + v_min)
 
     def warn_if_stopped_early(self, p: int, stacklevel: int = 1):
         """RuntimeWarning when problem p stopped at its budget, not its tolerance."""
@@ -376,6 +412,13 @@ def _class_order(labels) -> list[str]:
     return list(seen)
 
 
+# The largest feature magnitude training takes, both as read and after
+# standardization (in training standard deviations from the mean): far past
+# any featurized value, and small enough that the standardization and every
+# kernel's squared distances stay finite.
+_MAX_FEATURE = 1e100
+
+
 def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     """One-vs-rest training with (C, gamma) grid-searched over cfg's grids.
 
@@ -407,7 +450,12 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
         train_idx.extend(idx[n_cv:])
     cv_idx.sort()
     train_idx.sort()
+    if not (np.abs(x) <= _MAX_FEATURE).all():
+        raise VsrError(f"feature values must be finite and at most {_MAX_FEATURE:g} in magnitude")
     stats = fit_standardization(x[train_idx])
+    if not (np.abs(x - stats.mean) <= _MAX_FEATURE * stats.std).all():
+        raise VsrError(f"a feature value lies more than {_MAX_FEATURE:g} training standard "
+                       "deviations from the mean")
     x_train = standardize(x[train_idx], stats)
     x_cv = standardize(x[cv_idx], stats) if cv_idx else np.zeros((0, x.shape[1]))
     y_train = [labels[i] for i in train_idx]

@@ -862,6 +862,49 @@ class TestCorruptFeatureCsvs:
         err = assert_one_line_data_error(self.train(tmp_path, path), capsys, "train")
         assert "start + duration <= 4294967295" in err
 
+    @pytest.mark.parametrize("cut", [1, 5])
+    def test_last_line_cut_short_exits_2(self, tmp_path, capsys, cut):
+        """Every line `featurize` writes ends in a newline, so a file that
+        ends inside a row (even one whose number still parses) was cut."""
+        path = tmp_path / "features.csv"
+        path.write_bytes(VALID_FEATURES[:-cut])
+        err = assert_one_line_data_error(self.train(tmp_path, path), capsys, "train")
+        assert "features.csv" in err and "cut short" in err
+
+    @pytest.mark.parametrize("line", [1, 6], ids=["cv-row", "training-row"])
+    @pytest.mark.parametrize("value", ["1e160", "1e308"])
+    def test_huge_feature_exits_2(self, tmp_path, capsys, line, value):
+        """A huge but finite feature would overflow the standardization or
+        the kernels: a data error, found without a warning of its own."""
+        lines = VALID_FEATURES.decode("ascii").splitlines()
+        parts = lines[line].split(",")
+        parts[3] = value
+        lines[line] = ",".join(parts)
+        path = tmp_path / "features.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self.train(tmp_path, path)
+        err = assert_one_line_data_error(code, capsys, "train")
+        assert "at most 1e+100 in magnitude" in err
+
+    def test_feature_far_outside_training_spread_exits_2(self, tmp_path, capsys):
+        """A cross-validation row about 4e160 training standard deviations
+        out would overflow its kernel, though every value is moderate."""
+        lines = VALID_FEATURES.decode("ascii").splitlines()
+        for line in range(1, len(lines)):
+            parts = lines[line].split(",")
+            # lines 1 and 2 are the classes' cross-validation rows
+            parts[2] = "1.0" if line <= 2 else "1e-160" if line == 3 else "0.0"
+            lines[line] = ",".join(parts)
+        path = tmp_path / "features.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self.train(tmp_path, path)
+        err = assert_one_line_data_error(code, capsys, "train")
+        assert "training standard deviations" in err
+
     @staticmethod
     def train(tmp_path, path):
         return run_cli("train", "--features", str(path), "--out", str(tmp_path / "model.json"),

@@ -207,6 +207,13 @@ class TestDct3:
             ref = scipy.fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
             assert np.abs(_dct_matrix(n) - ref).max() <= 1e-13, n
 
+    def test_leading_rows_are_the_full_matrix_rows(self):
+        """The first rows alone, as `featurize_many` builds them, are the
+        full basis's rows bit for bit, for any count a slice takes."""
+        for n in (0, 1, 2, 10, 48, 64):
+            for rows in (0, 1, 3, n, n + 2):
+                assert np.array_equal(_dct_matrix(n, rows), _dct_matrix(n)[:rows]), (n, rows)
+
     @pytest.mark.parametrize("shape", [(1, 1, 1), (10, 48, 64), (7, 3, 2), (25, 5, 9)])
     def test_matches_scipy_dctn(self, shape):
         v = np.random.default_rng(sum(shape)).standard_normal(shape)

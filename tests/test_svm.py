@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -252,10 +253,13 @@ class TestLockstepSmo:
         then one at a time on their sliced kernels: member alphas, bias,
         gap, update count and budget warnings must be equal, and rows
         outside a problem keep alpha 0.  Budgets of 1 and 2 passes make most
-        small problems stop at their own budget."""
+        small problems stop at their own budget; the tiny tolerances, which
+        no problem meets, run only those."""
         n = data.draw(st.integers(4, 40), label="n")
         c = data.draw(st.sampled_from([1.0, 64.0, 1e4]), label="C")
-        passes = data.draw(st.sampled_from([1, 2, 200]), label="svm_max_passes")
+        tol = data.draw(st.sampled_from([1e-3, 1e-12, 1e-300]), label="svm_tolerance")
+        passes = data.draw(st.sampled_from([1, 2, 200] if tol == 1e-3 else [1, 2]),
+                           label="svm_max_passes")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         x = rng.normal(size=(n, 3))
         kernel = rbf_kernel_matrix(x, x, 0.5)
@@ -276,7 +280,6 @@ class TestLockstepSmo:
             ys.append(y)
             members.append(member)
         y, member = np.array(ys), np.array(members)
-        tol = PipelineConfig().svm_tolerance
 
         state = _SmoState(kernel, y, member, c, tol)
         state.run(passes * member.sum(axis=1))
@@ -300,6 +303,54 @@ class TestLockstepSmo:
             assert state.iterations[p] == solo.iterations
         assert ([str(w.message) for w in lockstep_warnings]
                 == [str(w.message) for w in solo_warnings])
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_underflowed_gains_go_to_the_first_candidate(self, seed):
+        """On a kernel scaled by 1e300, with C = 1e-300 to match, the gains
+        b^2 / a of a nearly solved problem underflow to 0, where rows outside the candidates (I_low
+        with b > 0) would tie them: every update must still match the
+        one-problem loop's, which masks them out."""
+        rng = np.random.default_rng(seed)
+        n = 24
+        x = rng.normal(size=(n, 3))
+        kernel = rbf_kernel_matrix(x, x, 0.5) * 1e300
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[:2] = 1.0, -1.0
+        state = _SmoState(kernel, y[None], np.ones((1, n), dtype=bool), 1e-300, 1e-300)
+        state.run([5 * n])
+        solo = OneProblemSmo(kernel, y, 1e-300, 1e-300)
+        with pytest.warns(RuntimeWarning, match="stopped at its budget"):
+            solo.run(5 * n)
+        assert np.array_equal(state.alpha[0], solo.alpha)
+        assert state.b[0] == solo.b and state.gap[0] == solo.gap
+        assert state.iterations[0] == solo.iterations
+
+
+class TestSmoMemory:
+    @pytest.mark.parametrize("problems, n", [(4, 400), (231, 250)])
+    def test_peak_is_six_working_arrays(self, problems, n):
+        """A solve holds alpha, v on I_up and on I_low, three scratch
+        buffers and a boolean one, each (P, n), besides the kernel it is
+        given: no second n x n array and no (P, n) temporary per step or
+        per stopping problem.  Broadcasting ufuncs add up to two buffers of
+        numpy's own, 64 KiB each.  Problems stop at different steps."""
+        rng = np.random.default_rng(problems)
+        x = rng.normal(size=(n, 3))
+        kernel = rbf_kernel_matrix(x, x, 0.5)
+        y = np.where(rng.random((problems, n)) < 0.5, 1.0, -1.0)
+        y[:, :2] = 1.0, -1.0
+        member = np.arange(n) % 3 != np.arange(problems)[:, None] % 4
+        state = _SmoState(kernel, y, member, 64.0, 1e-3)
+        budget = (1 + np.arange(problems) % 3) * member.sum(axis=1) // 2
+        tracemalloc.start()
+        try:
+            state.run(budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(state.iterations.tolist())) > 1
+        assert peak < 6.5 * y.nbytes + 2 * 2**16 + 2**14
 
 
 class TestDecisionValue:
