@@ -19,6 +19,7 @@ from .formats import (find_video_dirs, read_grid, read_features_csv, read_label_
                       write_pgm, write_roi, write_transcript)
 from .pipeline import (decode_roi, grid_to_heatmap, keypoint_rows, segment_video,
                        train_from_features)
+from .util import parse_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,9 +47,11 @@ def _load_config(args) -> PipelineConfig:
         if not sep:
             raise VsrError(f"--set expects KEY=VALUE, got {pair!r}")
         try:
-            overrides[key] = json.loads(value)
-        except json.JSONDecodeError:
-            overrides[key] = value
+            overrides[key] = parse_json(value, f"--set {key}")
+        except VsrError as e:
+            if not isinstance(e.__cause__, json.JSONDecodeError):
+                raise
+            overrides[key] = value   # not JSON: the text itself
     return PipelineConfig.from_dict({**dataclasses.asdict(cfg), **overrides})
 
 

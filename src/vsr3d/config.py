@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from . import VsrError
+from .util import read_json
 
 CHANNEL_NAMES = ("lum", "u", "ulum", "pseudo_hue", "red", "green", "blue")
 
@@ -128,11 +129,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise VsrError(f"malformed config file {path}: {e}") from e
+        d = read_json(path, "config")
         if not isinstance(d, dict):
             raise VsrError(f"config file {path} must hold a JSON object")
         return cls.from_dict(d)

@@ -212,6 +212,8 @@ def write_transcript(rows, path):
 
 
 def read_transcript(path) -> Transcript:
+    """A transcript file: one 'LABEL START_MS END_MS' line per entry, times
+    in plain decimal digits.  Every error names the file and line."""
     entries = []
     text = _read_ascii(path)
     for ln, line in enumerate(text.splitlines(), 1):
@@ -222,10 +224,19 @@ def read_transcript(path) -> Transcript:
         if len(parts) != 3:
             raise VsrError(f"{path}:{ln}: expected 'LABEL START_MS END_MS'")
         label = check_label(parts[0], f"{path}:{ln}", unit=True)
+        # plain ASCII decimals (the text is ASCII): int() would also take a
+        # sign or "_"
         try:
+            if not (parts[1].isdigit() and parts[2].isdigit()):
+                raise ValueError
             entries.append(TranscriptEntry(label, int(parts[1]), int(parts[2])))
         except ValueError:
-            raise VsrError(f"{path}:{ln}: times must be integer milliseconds") from None
+            raise VsrError(f"{path}:{ln}: times must be non-negative integer milliseconds, "
+                           "in decimal digits") from None
+        try:
+            Transcript(entries[-2:])   # the entry, and its order after the one before
+        except VsrError as e:
+            raise VsrError(f"{path}:{ln}: {e}") from None
     return Transcript(entries=entries)
 
 

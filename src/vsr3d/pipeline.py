@@ -31,14 +31,14 @@ def segment_video(video: VideoSequence, cfg: PipelineConfig,
         # the lip tracker takes a vertical gradient, which needs two rows
         raise VsrError(f"frame height {video.height} is below the 2 rows segmentation needs")
     lines = find_symmetry_lines(video)
-    rgb, lum, ulum = prepare_frames(video, lines)
+    rgb_over, lum, ulum = prepare_frames(video, lines)
     lip_rows = detect_inner_lower_lip(ulum, force_first_row=force_lip_row)
     smooth = box_filter(lum, 3)
     lum_lines = build_min_luminance_line(smooth, lip_rows)
     left, right = detect_mouth_corners(smooth, lum_lines)
     del smooth
     keypoints = MouthKeypoints(lip_rows=lip_rows, left=left, right=right, lum_lines=lum_lines)
-    roi = extract_roi(rgb, lum, keypoints, cfg.roi_width, cfg.roi_height)
+    roi = extract_roi(rgb_over, lum, keypoints, cfg.roi_width, cfg.roi_height)
 
     center_col = lum.shape[-1] // 2
     orig = np.empty((video.frame_count, 5))

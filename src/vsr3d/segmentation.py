@@ -4,11 +4,13 @@ Finds the facial symmetry line coarse-to-fine over an image pyramid; tracks
 the inner-lower-lip row and the mouth corners of the whole video at once
 with Gaussian-transition HMMs, each decoded by the plain Viterbi
 `viterbi_generic`; and resamples a rotation/position/scale-normalized mouth
-window from every frame.  Tracking reads the crop's luminance and u*lum on
-the symmetry column; the window keeps the RGB and luminance of its
-footprint in the crop.  Its volume (`RoiVolume`) always has the seven
-planes of `CHANNEL_NAMES` and makes each one (`color_plane`, the one
-formula) when it is first asked for.
+window from every frame.  Tracking reads one plane of the crop, its
+luminance (each frame's raw BT.601 luma sampled and rescaled to [0, 1]),
+and u*lum on the symmetry column, whose RGB alone is sampled for it; the
+window samples RGB over its footprint in the crop only once the corners
+are known, and keeps that RGB and the footprint's luminance.  Its volume
+(`RoiVolume`) always has the seven planes of `CHANNEL_NAMES` and makes each
+one (`color_plane`, the one formula) when it is first asked for.
 
 Bilinear sampling is split in two.  A plan depends only on the geometry:
 the pixel box the taps read, the corner indices relative to that box and
@@ -35,6 +37,7 @@ from .config import CHANNEL_NAMES
 from .util import round_half_up
 
 CROP_HALF_WIDTH = 50           # columns kept on either side of the symmetry line
+CROP_WIDTH = 2 * CROP_HALF_WIDTH + 1
 MIN_PYRAMID_WIDTH = 20
 PYRAMID_RATIO = 0.75
 COARSE_ANGLES = range(-10, 11)  # degrees searched exhaustively at the top level
@@ -151,10 +154,16 @@ class RoiVolume:
         return [self._planes[name] for name in CHANNEL_NAMES]
 
 
+def raw_luma(rgb: np.ndarray) -> np.ndarray:
+    """BT.601 luma, as float64, of an (..., 3) RGB array in the units of
+    its values (0..255 for uint8 pixels)."""
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    return 0.299 * r + 0.587 * g + 0.114 * b
+
+
 def luminance(rgb: np.ndarray) -> np.ndarray:
     """BT.601 luma of an RGB array scaled to [0, 1]."""
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    return (0.299 * r + 0.587 * g + 0.114 * b) / 255.0
+    return raw_luma(rgb) / 255.0
 
 
 def _box_taps(rows, cols, h: int, w: int):
@@ -371,11 +380,12 @@ def find_symmetry_lines(video: VideoSequence) -> list[SymmetryLine]:
     return lines
 
 
-def crop_grid(line: SymmetryLine, height: int):
-    """Sampling grid (rows, cols) of the rotated, line-centered crop: every
-    pixel of the crop mapped into the original image."""
-    return cropped_to_original(line, height, np.arange(height)[:, None],
-                               np.arange(2 * CROP_HALF_WIDTH + 1)[None, :])
+def crop_grid(line: SymmetryLine, height: int, box):
+    """Sampling grid (rows, cols) of the rotated, line-centered crop over
+    `box`, a (row, column) slice pair of crop pixels: each pixel of the box
+    mapped into the original image."""
+    return cropped_to_original(line, height, np.arange(height)[box[0]][:, None],
+                               np.arange(CROP_WIDTH)[box[1]][None, :])
 
 
 def cropped_to_original(line: SymmetryLine, height: int, row, col):
@@ -393,19 +403,10 @@ def cropped_to_original(line: SymmetryLine, height: int, row, col):
     )
 
 
-def crop_lum(rgb01: np.ndarray) -> np.ndarray:
-    """BT.601 luma of (3, T, H, W) cropped RGB frames scaled to [0, 1], each
-    frame rescaled so its crop spans [0, 1] (all 0 in a flat frame)."""
-    r, g, b = rgb01
-    lum_raw = 0.299 * r + 0.587 * g + 0.114 * b
-    lo = lum_raw.min(axis=(1, 2), keepdims=True)
-    hi = lum_raw.max(axis=(1, 2), keepdims=True)
-    return np.where(hi > lo, (lum_raw - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
-
-
 def color_plane(name: str, rgb01: np.ndarray, lum: np.ndarray) -> np.ndarray:
     """One plane of CHANNEL_NAMES at every pixel of `rgb01`, (3, ...) RGB
-    planes scaled to [0, 1], given the `crop_lum` values of the same pixels."""
+    planes scaled to [0, 1], given the crop's luminance at the same pixels
+    (`prepare_frames`)."""
     if name == "lum":
         return lum
     if name in ("red", "green", "blue"):
@@ -433,29 +434,59 @@ def color_plane(name: str, rgb01: np.ndarray, lum: np.ndarray) -> np.ndarray:
     return u if name == "u" else u * lum
 
 
+def _sample_rgb(frame: np.ndarray, taps) -> np.ndarray:
+    """(3, ...) RGB of one (H, W, 3) frame scaled to [0, 1] at the points of
+    `_box_taps`: only the pixels of its box are converted to float."""
+    box, corners, weights = taps
+    planes = np.moveaxis(frame[box], -1, 0).astype(float, order="C").reshape(3, -1) / 255.0
+    return _blend(*(np.take(planes, i, axis=1) for i in corners), *weights)
+
+
 def prepare_frames(video: VideoSequence, lines: list[SymmetryLine]):
     """Rotate each frame so its symmetry line is vertical and central, and
     crop it to +-50 columns.
 
-    Returns (rgb, lum, ulum): the (3, T, H, 101) RGB planes of the crop
-    scaled to [0, 1], its (T, H, 101) `crop_lum`, and u*lum on the symmetry
-    column, (T, H), which is all of that plane the lip tracker reads.
+    Returns (rgb_over, lum, ulum).  lum, (T, H, 101), is the crop's
+    luminance: the bilinear sample of each frame's `raw_luma`, rescaled so
+    the frame's crop spans [0, 1] (all 0 in a flat frame).  ulum is u*lum on
+    the symmetry column, (T, H), which is all of that plane the lip tracker
+    reads; only that column's RGB is sampled for it.  `rgb_over(box)` is the
+    (3, T, bh, bw) RGB of the crop scaled to [0, 1] over `box`, a (row,
+    column) slice pair of crop pixels; each call samples it afresh.
     """
     if len(lines) != video.frame_count:
         raise VsrError("need one symmetry line per frame")
-    h, w = video.height, video.width
-    # a video's lines take few distinct values: one plan per line, and only
-    # the pixels of its box are converted to float
-    crop_plan = functools.lru_cache(PLAN_CACHE_SIZE)(
-        lambda line: _box_taps(*crop_grid(line, h), h, w))
-    rgb = np.empty((3, video.frame_count, h, 2 * CROP_HALF_WIDTH + 1))
+    n, h, w = video.frame_count, video.height, video.width
+
+    def plans(box):
+        # a video's lines take few distinct values: one plan per line, and
+        # only the pixels of its box are converted to float
+        return functools.lru_cache(PLAN_CACHE_SIZE)(
+            lambda line: _box_taps(*crop_grid(line, h, box), h, w))
+
+    crop_plan = plans((slice(0, h), slice(0, CROP_WIDTH)))
+    center_plan = plans((slice(0, h), slice(CROP_HALF_WIDTH, CROP_HALF_WIDTH + 1)))
+    lum = np.empty((n, h, CROP_WIDTH))
+    center_rgb = np.empty((3, n, h))
     for t, line in enumerate(lines):
         box, corners, weights = crop_plan(line)
-        frame = np.moveaxis(video.frames[t][box], -1, 0).astype(float, order="C") / 255.0
-        planes = frame.reshape(3, -1)
-        rgb[:, t] = _blend(*(np.take(planes, i, axis=1) for i in corners), *weights)
-    lum = crop_lum(rgb)
-    return rgb, lum, color_plane("ulum", rgb[..., CROP_HALF_WIDTH], lum[..., CROP_HALF_WIDTH])
+        luma = raw_luma(video.frames[t][box]).reshape(-1)
+        lum[t] = _blend(*(np.take(luma, i) for i in corners), *weights)
+        center_rgb[:, t] = _sample_rgb(video.frames[t], center_plan(line))[..., 0]
+    lo = lum.min(axis=(1, 2), keepdims=True)
+    hi = lum.max(axis=(1, 2), keepdims=True)
+    lum -= lo
+    lum /= np.where(hi > lo, hi - lo, 1.0)
+
+    def rgb_over(box) -> np.ndarray:
+        plan = plans(box)
+        rows, cols = np.arange(h)[box[0]], np.arange(CROP_WIDTH)[box[1]]
+        rgb = np.empty((3, n, len(rows), len(cols)))
+        for t, line in enumerate(lines):
+            rgb[:, t] = _sample_rgb(video.frames[t], plan(line))
+        return rgb
+
+    return rgb_over, lum, color_plane("ulum", center_rgb, lum[..., CROP_HALF_WIDTH])
 
 
 def box_filter(image: np.ndarray, size: int) -> np.ndarray:
@@ -604,19 +635,20 @@ def detect_mouth_corners(smooth: np.ndarray, lines: np.ndarray):
     return left, right
 
 
-def extract_roi(rgb: np.ndarray, lum: np.ndarray, keypoints: MouthKeypoints,
+def extract_roi(rgb_over, lum: np.ndarray, keypoints: MouthKeypoints,
                 roi_width: int = 64, roi_height: int = 48) -> RoiVolume:
-    """The mouth window of every cropped frame, given the (3, T, H, W) RGB
-    planes of the crop and its (T, H, W) `crop_lum`.
+    """The mouth window of every cropped frame, given the crop's (T, H, W)
+    luminance and `rgb_over(box)`, its (3, T, bh, bw) RGB scaled to [0, 1]
+    over a (row, column) slice pair of crop pixels (`prepare_frames`).
 
     Each frame is rotated about the corner-line midpoint so the corner line
     is horizontal; one constant scale factor (0.75 * roi_width / the maximum
     corner distance over the sequence) keeps real mouth-width changes in the
     output.  The volume keeps the RGB and lum of the footprint that the
-    window's bilinear taps read, the union over frames, and makes each
-    colour plane from them on first use.  The taps are computed once per
-    request for planes and dropped with it, so a volume that is asked for
-    one plane holds no taps afterwards.
+    window's bilinear taps read, the union over frames (`rgb_over` is asked
+    for that box once), and makes each colour plane from them on first use.
+    The taps are computed once per request for planes and dropped with it,
+    so a volume that is asked for one plane holds no taps afterwards.
     """
     if keypoints.frame_count != lum.shape[0]:
         raise VsrError("keypoints do not match frame count")
@@ -642,7 +674,7 @@ def extract_roi(rgb: np.ndarray, lum: np.ndarray, keypoints: MouthKeypoints,
     # taps grow with the coordinates, so the extreme ones span the footprint
     box, _, _ = _box_taps(np.array([rows.min(), rows.max()]),
                           np.array([cols.min(), cols.max()]), h, w)
-    rgb, lum = rgb[(..., *box)].copy(), lum[(..., *box)].copy()
+    rgb, lum = rgb_over(box), lum[(..., *box)].copy()
 
     def make_planes(names) -> list[np.ndarray]:
         _, taps, weights = _box_taps(rows, cols, h, w)

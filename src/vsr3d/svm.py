@@ -40,6 +40,7 @@ import numpy as np
 from . import VsrError
 from .config import FEATURE_ECHO, PipelineConfig
 from .features import StandardizationStats, check_label, fit_standardization, standardize
+from .util import read_json
 
 
 @dataclass
@@ -554,11 +555,7 @@ def save_model(model: MultiClassModel, path):
 
 
 def load_model(path) -> MultiClassModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise VsrError(f"malformed model file {path}: {e}") from e
+    doc = read_json(path, "model")
     try:
         return _model_from_doc(doc)
     except KeyError as e:

@@ -12,7 +12,9 @@ line tracking that converts each whole frame to luminance for it, which the
 plans of `vsr3d.segmentation` must reproduce bit for bit; the segmentation
 path that computes all seven colour planes over every cropped frame and
 resamples them all, which the footprint path of `vsr3d.segmentation` must
-reproduce bit for bit;
+reproduce bit for bit, its luminance the bilinear sample of each frame's
+raw luma rescaled per frame, and `crop_lum`, the luminance of the sampled
+RGB that it replaced, which stays within 1e-12 of it;
 the crop grid written out row by row and column by column, which
 `vsr3d.segmentation.crop_grid` must reproduce bit for bit;
 the segment weights d * log p built one (duration, class) pair at a time,
@@ -327,14 +329,26 @@ def crop_grid(line: SymmetryLine, height: int):
     return rows, cols
 
 
-def compute_channels(rgb01: np.ndarray) -> np.ndarray:
-    """Colour planes of one frame, (7, H, W) in CHANNEL_NAMES order; rgb01 is
-    (H, W, 3) scaled to [0, 1]."""
-    r, g, b = rgb01[..., 0], rgb01[..., 1], rgb01[..., 2]
-    lum_raw = 0.299 * r + 0.587 * g + 0.114 * b
-    lo, hi = lum_raw.min(), lum_raw.max()
-    lum = (lum_raw - lo) / (hi - lo) if hi > lo else np.zeros_like(lum_raw)
+def rescale_frames(lum_raw: np.ndarray) -> np.ndarray:
+    """Each (H, W) frame of a (T, H, W) array rescaled to span [0, 1], all 0
+    in a flat frame."""
+    lo = lum_raw.min(axis=(1, 2), keepdims=True)
+    hi = lum_raw.max(axis=(1, 2), keepdims=True)
+    return np.where(hi > lo, (lum_raw - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
 
+
+def crop_lum(rgb01: np.ndarray) -> np.ndarray:
+    """BT.601 luma of (3, T, H, W) cropped RGB frames scaled to [0, 1], each
+    frame rescaled so its crop spans [0, 1]: the luminance of the sampled
+    RGB, which the sample of the frames' raw luma replaced."""
+    r, g, b = rgb01
+    return rescale_frames(0.299 * r + 0.587 * g + 0.114 * b)
+
+
+def compute_channels(rgb01: np.ndarray, lum: np.ndarray) -> np.ndarray:
+    """Colour planes of one frame, (7, H, W) in CHANNEL_NAMES order; rgb01 is
+    (H, W, 3) scaled to [0, 1] and lum the frame's (H, W) luminance."""
+    r, g, b = rgb01[..., 0], rgb01[..., 1], rgb01[..., 2]
     xyz = rgb01 @ _RGB_TO_XYZ.T
     x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
     denom = x + 15.0 * y + 3.0 * z
@@ -350,13 +364,21 @@ def compute_channels(rgb01: np.ndarray) -> np.ndarray:
 
 
 def prepare_frames(video, lines) -> np.ndarray:
-    """The (7, T, H, 101) colour planes of every rotated, cropped frame."""
-    planes = np.empty((len(CHANNEL_NAMES), video.frame_count, video.height,
-                       2 * CROP_HALF_WIDTH + 1))
+    """The (7, T, H, 101) colour planes of every rotated, cropped frame: RGB
+    sampled from the frame scaled to [0, 1], and lum the sample of the
+    frame's raw luma 0.299 r + 0.587 g + 0.114 b, rescaled per frame."""
+    shape = (video.frame_count, video.height, 2 * CROP_HALF_WIDTH + 1)
+    rgb01, lum_raw = np.empty(shape + (3,)), np.empty(shape)
     for t, line in enumerate(lines):
         rows, cols = crop_grid(line, video.height)
-        planes[:, t] = compute_channels(
-            bilinear_sample(video.frames[t].astype(float) / 255.0, rows, cols))
+        frame = video.frames[t].astype(float)
+        rgb01[t] = bilinear_sample(frame / 255.0, rows, cols)
+        luma = 0.299 * frame[..., 0] + 0.587 * frame[..., 1] + 0.114 * frame[..., 2]
+        lum_raw[t] = bilinear_sample(luma, rows, cols)
+    lum = rescale_frames(lum_raw)
+    planes = np.empty((len(CHANNEL_NAMES),) + shape)
+    for t in range(video.frame_count):
+        planes[:, t] = compute_channels(rgb01[t], lum[t])
     return planes
 
 

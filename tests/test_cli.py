@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import struct
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import roi_planes, roi_volume
 from vsr3d.cli import main
-from vsr3d.config import CHANNEL_NAMES
+from vsr3d.config import CHANNEL_NAMES, PipelineConfig
 from vsr3d.decoder import decode_sequence
 from vsr3d.formats import (read_features_csv, read_grid, read_label_sequence, read_roi,
                            read_video_dir, write_ppm, write_roi)
@@ -325,10 +326,20 @@ def _featurize_on(transcript):
 
 
 def _config(doc):
+    return _config_bytes(json.dumps(doc).encode("ascii"))
+
+
+def _config_bytes(blob):
     def argv(tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(blob)
         return ["segment", str(tmp_path), "--config", str(path), "--out", str(tmp_path / "seg")]
+    return argv
+
+
+def _set_value(key, value):
+    def argv(tmp_path):
+        return ["segment", str(tmp_path), "--set", f"{key}={value}", "--out", str(tmp_path / "seg")]
     return argv
 
 
@@ -382,6 +393,13 @@ class TestMalformedTextInput:
         (_eval_on(b"A 0 40\n\xc3\x89 40 80\n"), "ref.txt"),
         (_featurize_on(b"A 0 40\nC,2 40 80\n"), "transcript.txt:2"),
         (_eval_on(b"A 0 40\nB 40 80\nA+B 80 120\n"), "ref.txt:3"),
+        (_eval_on(b"A -5 -1\n"), "ref.txt:1"),
+        (_eval_on(b"A 0 1_000\n"), "ref.txt:1"),
+        (_featurize_on(b"A +5 40\n"), "transcript.txt:1"),
+        (_featurize_on(b"A 0 40\nB -5 80\n"), "transcript.txt:2"),
+        (_eval_on(b"A 0 40\nB 30 80\n"), "ref.txt:2"),
+        (_eval_on(b"A 0 40\nB 80 80\n"), "ref.txt:2"),
+        (_featurize_on(b"A 0 40\nB 60 50\n"), "transcript.txt:2"),
         (_config({"c_grid": 5}), "c_grid"),
         (_config({"gamma_grid": ["a"]}), "gamma_grid"),
         (_config({"gamma_grid": [0]}), "gamma_grid"),
@@ -392,16 +410,25 @@ class TestMalformedTextInput:
         (_config({"roi_width": -3}), "roi_width"),
         (_config({"svm_max_passes": 1.5}), "svm_max_passes"),
         (_config({"delta_t_ms": -1}), "delta_t_ms"),
+        (_config_bytes(b'{"channel": "\xff"}'), "config.json"),
+        (_config_bytes(b"[" * 200_000), "config.json"),
+        (_config_bytes(b'{"fps": ' + b"1" * 5000 + b"}"), "config.json"),
+        (_set_value("c_grid", "[" * 200_000), "--set c_grid"),
+        (_set_value("fps", "1" * 5000), "--set fps"),
     ], ids=["manifest-fps", "manifest-fps-nan", "manifest-fps-inf", "manifest-fps-overflow",
             "manifest-frames", "frame-sizes-differ", "features-start",
             "features-duration", "features-value", "features-nan", "features-inf",
             "features-negative-start", "features-zero-duration",
             "features-non-ascii", "features-empty-label", "features-label-space",
             "transcript-non-ascii", "transcript-label-comma",
-            "transcript-label-plus", "config-grid-number",
+            "transcript-label-plus", "transcript-negative-times", "transcript-underscore-time",
+            "transcript-plus-sign", "transcript-negative-start", "transcript-overlap",
+            "transcript-start-is-end", "transcript-end-before-start", "config-grid-number",
             "config-grid-strings", "config-gamma-zero", "config-c-negative", "config-fps-nan",
             "config-mask-fractional", "config-mask-bool", "config-roi-width-negative",
-            "config-passes-fractional", "config-delta-t-negative"])
+            "config-passes-fractional", "config-delta-t-negative", "config-not-utf8",
+            "config-deep-nesting", "config-long-integer", "set-deep-nesting",
+            "set-long-integer"])
     def test_one_line_error(self, tmp_path, capsys, argv, names):
         args = argv(tmp_path)
         err = assert_one_line_data_error(run_cli(*args), capsys, args[0])
@@ -1014,3 +1041,106 @@ class TestMalformedModelFiles:
         corrupt(doc)
         code = self.decode(tmp_path, roi_path, doc)
         assert_one_line_data_error(code, capsys, "decode")
+
+    @pytest.mark.parametrize("blob", [
+        json.dumps(_model_doc()).replace('"C1"', '"C\\u00ff"').encode("ascii").replace(
+            b"\\u00ff", b"\xff"),
+        b"[" * 200_000,
+        json.dumps(_model_doc()).replace('"bias": 0.0', '"bias": ' + "[" * 100_000).encode(),
+    ], ids=["not-utf8", "deep-nesting", "deep-nesting-inside"])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, roi_path, blob):
+        model = tmp_path / "model.json"
+        model.write_bytes(blob)
+        code = run_cli("decode", str(roi_path), "--model", str(model),
+                       "--out", str(tmp_path / "hyp.txt"))
+        err = assert_one_line_data_error(code, capsys, "decode")
+        assert str(model) in err
+        assert not (tmp_path / "hyp.txt").exists()
+
+
+MODEL_JSON = json.dumps(_model_doc()).encode("ascii")
+CONFIG_JSON = json.dumps(dataclasses.asdict(PipelineConfig()), indent=2).encode("ascii")
+
+
+@st.composite
+def corrupt_json(draw, blob):
+    """A JSON file cut short, or with one to three bits flipped."""
+    if draw(st.booleans()):
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    blob = bytearray(blob)
+    for bit in draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=3)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+    return bytes(blob)
+
+
+def run_corrupt(capsys, command, *args):
+    """`command` exits 0 with nothing on stderr, or 2 with one line: no
+    traceback, no warning, and under 8 MiB allocated at its peak."""
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(command, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    if code == 0:
+        assert capsys.readouterr().err == ""
+    else:
+        assert_one_line_data_error(code, capsys, command)
+
+
+class TestCorruptModelFiles:
+    """A truncated or bit-flipped model file through `decode`."""
+
+    def test_valid_model_decodes(self, tmp_path, roi_path):
+        model = tmp_path / "model.json"
+        model.write_bytes(MODEL_JSON)
+        assert run_cli("decode", str(roi_path), "--model", str(model),
+                       "--out", str(tmp_path / "hyp.txt")) == 0
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=corrupt_json(MODEL_JSON))
+    def test_decode(self, tmp_path, capsys, roi_path, blob):
+        model = tmp_path / "corrupt.json"
+        model.write_bytes(blob)
+        run_corrupt(capsys, "decode", str(roi_path), "--model", str(model),
+                    "--out", str(tmp_path / "hyp.txt"))
+
+
+class TestCorruptConfigFiles:
+    """A truncated or bit-flipped config file (every field, at its default)
+    through `--config` of `featurize` and `train`."""
+
+    @staticmethod
+    def argv(tmp_path, command, config):
+        if command == "train":
+            features = tmp_path / "features.csv"
+            features.write_bytes(TRAINABLE_CSV)
+            return ["train", "--features", str(features), "--out", str(tmp_path / "model.json"),
+                    "--config", str(config)]
+        roi = tmp_path / "s.vsr1"
+        write_roi(roi_volume(np.random.default_rng(4).uniform(size=(7, 8, 12, 16))), roi)
+        transcript = tmp_path / "transcript.txt"
+        transcript.write_bytes(b"A 0 120\nB 120 280\n")
+        return ["featurize", str(roi), "--transcript", str(transcript),
+                "--out", str(tmp_path / "x.csv"), "--config", str(config)]
+
+    @pytest.mark.parametrize("command", ["featurize", "train"])
+    def test_valid_config_runs(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_bytes(CONFIG_JSON)
+        assert run_cli(*self.argv(tmp_path, command, config)) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["featurize", "train"])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=corrupt_json(CONFIG_JSON))
+    def test_config(self, tmp_path, capsys, command, blob):
+        config = tmp_path / "corrupt.json"
+        config.write_bytes(blob)
+        run_corrupt(capsys, *self.argv(tmp_path, command, config))

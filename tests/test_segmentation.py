@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 import oracles
 from vsr3d import VsrError
 from vsr3d.config import CHANNEL_NAMES, PipelineConfig
+from vsr3d.fixtures import synth_sentence
 from vsr3d.pipeline import segment_video
 import vsr3d.segmentation
-from vsr3d.segmentation import (PLAN_CACHE_SIZE, MouthKeypoints, SymmetryLine, VideoSequence,
-                                _blend, _box_taps, _best_line, area_average_resize, box_filter,
-                                build_image_pyramid, build_min_luminance_line, color_plane,
-                                crop_grid, crop_lum, cropped_to_original, detect_inner_lower_lip,
+from vsr3d.segmentation import (CROP_WIDTH, PLAN_CACHE_SIZE, MouthKeypoints, SymmetryLine,
+                                VideoSequence, _blend, _box_taps, _best_line,
+                                area_average_resize, box_filter, build_image_pyramid,
+                                build_min_luminance_line, color_plane, crop_grid,
+                                cropped_to_original, detect_inner_lower_lip,
                                 detect_mouth_corners, extract_roi, find_symmetry_lines,
                                 gaussian_transition_matrix, luminance, prepare_frames,
                                 symmetry_costs, viterbi_generic)
@@ -40,7 +42,7 @@ def plane(planes, name):
 def frame_planes(rgb):
     """The CHANNEL_NAMES planes of one (H, W, 3) frame scaled to [0, 1]."""
     planar = np.moveaxis(rgb, -1, 0)
-    lum = crop_lum(planar[:, None])[0]
+    lum = oracles.crop_lum(planar[:, None])[0]
     return np.stack([color_plane(name, planar, lum) for name in CHANNEL_NAMES])
 
 
@@ -287,9 +289,10 @@ class TestPlanOracle:
         assert len(costs) == len(ref_costs) == video.frame_count - 1
         for got, ref in zip(costs, ref_costs):
             assert_same_bits(got, ref)
-        rgb, lum, ulum = prepare_frames(video, lines)
+        rgb_over, lum, ulum = prepare_frames(video, lines)
         planes = oracles.prepare_frames(video, lines)
-        assert_same_bits(rgb, planes[[CHANNEL_NAMES.index(c) for c in ("red", "green", "blue")]])
+        assert_same_bits(rgb_over((slice(0, video.height), slice(0, CROP_WIDTH))),
+                         planes[[CHANNEL_NAMES.index(c) for c in ("red", "green", "blue")]])
         assert_same_bits(lum, plane(planes, "lum"))
         assert_same_bits(ulum, np.ascontiguousarray(plane(planes, "ulum")[:, :, 50]))
 
@@ -303,21 +306,27 @@ class TestPlanOracle:
             symmetry_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            out = prepare_frames(video, lines)
-            crop_peak = tracemalloc.get_traced_memory()[1] - before - sum(a.nbytes for a in out)
+            rgb_over, lum, ulum = prepare_frames(video, lines)
+            crop_peak = tracemalloc.get_traced_memory()[1] - before - lum.nbytes - ulum.nbytes
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            rgb = rgb_over((slice(0, video.height), slice(0, CROP_WIDTH)))
+            rgb_peak = tracemalloc.get_traced_memory()[1] - before - rgb.nbytes
         finally:
             tracemalloc.stop()
         assert len(set(lines)) > 5 * PLAN_CACHE_SIZE
         assert symmetry_peak < 12 * 2**20
         assert crop_peak < 16 * 2**20
+        assert rgb_peak < 16 * 2**20
 
 
 class TestPrepareFrames:
     def test_crop_width_fixed(self, short_sentence):
         video, _ = short_sentence
         lines = find_symmetry_lines(video)
-        rgb, lum, ulum = prepare_frames(video, lines)
-        assert rgb.shape == (3, video.frame_count, video.height, 101)
+        rgb_over, lum, ulum = prepare_frames(video, lines)
+        assert rgb_over((slice(0, video.height), slice(0, 101))).shape == (
+            3, video.frame_count, video.height, 101)
         assert lum.shape == (video.frame_count, video.height, 101)
         assert ulum.shape == (video.frame_count, video.height)
 
@@ -345,7 +354,7 @@ class TestPrepareFrames:
     def test_one_pixel_u_matches_a_larger_block(self):
         rng = np.random.default_rng(13)
         rgb = rng.random((3, 1, 4, 5))
-        lum = crop_lum(rgb)
+        lum = oracles.crop_lum(rgb)
         block = color_plane("u", rgb, lum)
         for i, j in itertools.product(range(4), range(5)):
             pixel = (slice(None), slice(i, i + 1), slice(j, j + 1))
@@ -552,9 +561,11 @@ class TestBilinearSample:
 
 class TestExtractRoi:
     def make_crop(self, frames, h=60, w=101, seed=0):
-        """(3, T, H, W) RGB planes and a (T, H, W) lum plane of a crop."""
+        """The `rgb_over` of random (3, T, H, W) RGB planes and a random
+        (T, H, W) lum plane of a crop."""
         rng = np.random.default_rng(seed)
-        return rng.random((3, frames, h, w)), rng.random((frames, h, w))
+        rgb = rng.random((3, frames, h, w))
+        return lambda box: rgb[(..., *box)], rng.random((frames, h, w))
 
     def keypoints(self, rows_left, cols_left, rows_right, cols_right, frames):
         return MouthKeypoints(
@@ -565,9 +576,9 @@ class TestExtractRoi:
         )
 
     def test_horizontal_max_width_frame_is_pure_scale(self):
-        rgb, lum = self.make_crop(1)
+        rgb_over, lum = self.make_crop(1)
         kp = self.keypoints([30.0], [30.0], [30.0], [70.0], 1)
-        roi = extract_roi(rgb, lum, kp, 64, 48)
+        roi = extract_roi(rgb_over, lum, kp, 64, 48)
         s = 0.75 * 64 / 40.0
         assert roi.shape == (1, 48, 64)
         gy, gx = np.meshgrid(np.arange(48.0) - 23.5, np.arange(64.0) - 31.5, indexing="ij")
@@ -578,48 +589,48 @@ class TestExtractRoi:
         """With lum the signed distance from each frame's corner line, the
         window's two middle rows straddle that line: bilinear sampling keeps
         an affine plane exact, so their mean is 0 in every frame."""
-        rgb, _ = self.make_crop(3, seed=1)
+        rgb_over, _ = self.make_crop(3, seed=1)
         kp = self.keypoints([30.0, 28.0, 31.0], [28.0, 30.0, 27.0],
                             [34.0, 36.0, 29.0], [72.0, 69.0, 71.0], 3)
         r, c = np.mgrid[0:60, 0:101].astype(float)
         lum = np.stack([((r - p[0]) * d[1] - (c - p[1]) * d[0]) / np.hypot(d[0], d[1])
                         for p, d in zip(kp.left, kp.right - kp.left)])
-        roi = extract_roi(rgb, lum, kp, 64, 48)
+        roi = extract_roi(rgb_over, lum, kp, 64, 48)
         assert np.abs(roi.plane("lum")[:, 23:25].mean(axis=1)).max() < 1e-9
 
     def test_deterministic(self):
-        rgb, lum = self.make_crop(2, seed=2)
+        rgb_over, lum = self.make_crop(2, seed=2)
         kp = self.keypoints([30.0, 30.0], [30.0, 31.0], [30.0, 29.0], [70.0, 69.0], 2)
-        a = extract_roi(rgb, lum, kp, 64, 48)
-        b = extract_roi(rgb, lum, kp, 64, 48)
+        a = extract_roi(rgb_over, lum, kp, 64, 48)
+        b = extract_roi(rgb_over, lum, kp, 64, 48)
         assert np.array_equal(oracles.roi_planes(a), oracles.roi_planes(b))
 
     def test_zero_width_everywhere_rejected(self):
-        rgb, lum = self.make_crop(1, seed=3)
+        rgb_over, lum = self.make_crop(1, seed=3)
         kp = self.keypoints([30.0], [50.0], [30.0], [50.0], 1)
         with pytest.raises(VsrError):
-            extract_roi(rgb, lum, kp, 64, 48)
+            extract_roi(rgb_over, lum, kp, 64, 48)
 
     def test_scale_constant_across_frames(self):
         """With lum the coordinate along each frame's corner line, every
         frame's window steps it by the same 1 / scale per pixel, the scale
         set by the widest frame (0.75 * roi_width / its corner distance)."""
-        rgb, _ = self.make_crop(3, seed=5)
+        rgb_over, _ = self.make_crop(3, seed=5)
         kp = self.keypoints([30.0, 29.0, 31.0], [30.0, 36.0, 26.0],
                             [30.0, 32.0, 30.0], [70.0, 64.0, 74.0], 3)
         d = kp.right - kp.left
         r, c = np.mgrid[0:60, 0:101].astype(float)
         lum = np.stack([((r - p[0]) * dt[0] + (c - p[1]) * dt[1]) / np.hypot(dt[0], dt[1])
                         for p, dt in zip(kp.left, d)])
-        roi = extract_roi(rgb, lum, kp, 64, 48)
+        roi = extract_roi(rgb_over, lum, kp, 64, 48)
         assert roi.shape == (3, 48, 64)
         scale = 0.75 * 64 / np.hypot(d[:, 0], d[:, 1]).max()
         assert np.abs(np.diff(roi.plane("lum"), axis=2) - 1.0 / scale).max() < 1e-9
 
     def test_planes_are_made_on_first_use(self):
-        rgb, lum = self.make_crop(2, seed=4)
+        rgb_over, lum = self.make_crop(2, seed=4)
         kp = self.keypoints([30.0, 30.0], [30.0, 31.0], [30.0, 29.0], [70.0, 69.0], 2)
-        roi = extract_roi(rgb, lum, kp, 64, 48)
+        roi = extract_roi(rgb_over, lum, kp, 64, 48)
         assert roi._planes == {}
         red = roi.plane("red")
         assert list(roi._planes) == ["red"] and roi.plane("red") is red
@@ -629,12 +640,12 @@ class TestExtractRoi:
     def test_all_planes_at_once_match_one_at_a_time(self):
         """`planes` makes the missing planes from one set of taps, bit for
         bit as `plane` makes each alone, and keeps the planes already made."""
-        rgb, lum = self.make_crop(3, seed=6)
+        rgb_over, lum = self.make_crop(3, seed=6)
         kp = self.keypoints([30.0, 29.0, 31.0], [30.0, 33.0, 26.0],
                             [31.0, 32.0, 30.0], [70.0, 66.0, 74.0], 3)
-        one = extract_roi(rgb, lum, kp, 64, 48)
+        one = extract_roi(rgb_over, lum, kp, 64, 48)
         each = [one.plane(name) for name in CHANNEL_NAMES]
-        roi = extract_roi(rgb, lum, kp, 64, 48)
+        roi = extract_roi(rgb_over, lum, kp, 64, 48)
         red = roi.plane("red")
         every = roi.planes()
         assert every[CHANNEL_NAMES.index("red")] is red
@@ -665,10 +676,17 @@ class TestSevenPlaneOracle:
         video = VideoSequence(frames=video)
         lines = [SymmetryLine(data.draw(st.floats(-5.0, width + 5.0)),
                               data.draw(st.floats(-10.0, 10.0))) for _ in range(frames)]
-        rgb, lum, ulum = prepare_frames(video, lines)
+        rgb_over, lum, ulum = prepare_frames(video, lines)
         planes = oracles.prepare_frames(video, lines)
         assert_same_bits(lum, plane(planes, "lum"))
         assert_same_bits(ulum, np.ascontiguousarray(plane(planes, "ulum")[:, :, 50]))
+        rows = sorted(data.draw(st.lists(st.integers(0, height), min_size=2, max_size=2,
+                                         unique=True), label="box rows"))
+        cols = sorted(data.draw(st.lists(st.integers(0, CROP_WIDTH), min_size=2, max_size=2,
+                                         unique=True), label="box cols"))
+        box = slice(*rows), slice(*cols)
+        rgb_planes = planes[[CHANNEL_NAMES.index(c) for c in ("red", "green", "blue")]]
+        assert_same_bits(rgb_over(box), np.ascontiguousarray(rgb_planes[(..., *box)]))
 
         left = np.array([[data.draw(_KEYPOINT_ROW), data.draw(_KEYPOINT_COL)]
                          for _ in range(frames)])
@@ -681,20 +699,20 @@ class TestSevenPlaneOracle:
                             lum_lines=np.zeros((frames, 81, 2), dtype=int))
         size = (data.draw(st.integers(1, 16)), data.draw(st.integers(1, 12)))
         if (left == right).all():
-            for fn, args in ((extract_roi, (rgb, lum)), (oracles.extract_roi, (planes,))):
+            for fn, args in ((extract_roi, (rgb_over, lum)), (oracles.extract_roi, (planes,))):
                 with pytest.raises(VsrError, match="zero mouth width"):
                     fn(*args, kp, *size)
             return
         ref = oracles.extract_roi(planes, kp, *size)
         for name in CHANNEL_NAMES:  # each plane asked alone
-            assert_same_bits(extract_roi(rgb, lum, kp, *size).plane(name), ref.plane(name))
-        roi = extract_roi(rgb, lum, kp, *size)
+            assert_same_bits(extract_roi(rgb_over, lum, kp, *size).plane(name), ref.plane(name))
+        roi = extract_roi(rgb_over, lum, kp, *size)
         for name in data.draw(st.permutations(CHANNEL_NAMES), label="order"):
             assert_same_bits(roi.plane(name), ref.plane(name))
         assert_same_bits(oracles.roi_planes(roi), oracles.roi_planes(ref))
-        assert_same_bits(oracles.roi_planes(extract_roi(rgb, lum, kp, *size)),
+        assert_same_bits(oracles.roi_planes(extract_roi(rgb_over, lum, kp, *size)),
                          oracles.roi_planes(ref))
-        assert_same_bits(np.stack(extract_roi(rgb, lum, kp, *size).planes()),
+        assert_same_bits(np.stack(extract_roi(rgb_over, lum, kp, *size).planes()),
                          oracles.roi_planes(ref))
 
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(3, 16), st.integers(20, 32))
@@ -721,6 +739,51 @@ class TestSevenPlaneOracle:
         for name in CHANNEL_NAMES:
             assert_same_bits(result.roi.plane(name), ref.plane(name))
         assert_same_bits(oracles.roi_planes(result.roi), oracles.roi_planes(ref))
+
+
+class TestCropLuminance:
+    """The crop's luminance is sampled from each frame's raw luma; the
+    luminance of the sampled RGB (`oracles.crop_lum`), which it replaced,
+    stays within 1e-12 of it."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 24), st.integers(8, 40),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_frames(self, seed, frames, height, width, data):
+        rng = np.random.default_rng(seed)
+        video = VideoSequence(rng.integers(0, 256, (frames, height, width, 3)).astype(np.uint8))
+        lines = [SymmetryLine(data.draw(st.floats(-5.0, width + 5.0)),
+                              data.draw(st.floats(-10.0, 10.0))) for _ in range(frames)]
+        self.assert_close(video, lines)
+
+    def test_fixture_sentence(self, short_sentence):
+        video = short_sentence[0]
+        self.assert_close(video, find_symmetry_lines(video))
+
+    def assert_close(self, video, lines):
+        rgb_over, lum, _ = prepare_frames(video, lines)
+        rgb = rgb_over((slice(0, video.height), slice(0, CROP_WIDTH)))
+        assert np.abs(lum - oracles.crop_lum(rgb)).max() <= 1e-12
+
+
+def test_segment_video_peak_is_bounded(synth_cfg):
+    """Segmenting a 100-frame 120 x 160 video holds at most four float64
+    crop planes (T, 120, 101) at once: the luminance, and the padded copy
+    and output of its box filter.  Blending all three RGB planes over the
+    whole crop, and the crop's luminance from them, took 6.3."""
+    units = [(k % synth_cfg.class_count, 10) for k in range(10)]
+    video, _ = synth_sentence(synth_cfg, units, 80.0, 2.0, 5)
+    assert (video.frame_count, video.height, video.width) == (100, 120, 160)
+    cfg = PipelineConfig()
+    tracemalloc.start()
+    try:
+        result = segment_video(video, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.roi.frame_count == 100
+    plane_bytes = 100 * 120 * CROP_WIDTH * 8
+    assert peak <= 4 * plane_bytes, peak / plane_bytes
 
 
 class TestTrackingHmmOracle:
@@ -768,11 +831,17 @@ class TestCoordinateMapping:
         keeps the bits of the grid written out row by row and column by
         column."""
         line = SymmetryLine(column=column, angle_deg=angle)
-        rows, cols = crop_grid(line, height)
+        rows, cols = crop_grid(line, height, (slice(0, height), slice(0, CROP_WIDTH)))
         ref_rows, ref_cols = oracles.crop_grid(line, height)
         assert rows.shape == ref_rows.shape == (height, 101)
         assert rows.tobytes() == ref_rows.tobytes()
         assert cols.tobytes() == ref_cols.tobytes()
+        # a sub-box is the same slice of the grid, as the column is
+        for box in ((slice(height // 3, height), slice(17, 60)),
+                    (slice(0, height), slice(50, 51))):
+            sub_rows, sub_cols = crop_grid(line, height, box)
+            assert sub_rows.tobytes() == np.ascontiguousarray(ref_rows[box]).tobytes()
+            assert sub_cols.tobytes() == np.ascontiguousarray(ref_cols[box]).tobytes()
 
     def test_cropped_to_original_roundtrip_center(self):
         line = SymmetryLine(column=77.0, angle_deg=2.0)
