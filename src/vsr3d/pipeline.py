@@ -10,9 +10,9 @@ from . import VsrError
 from .config import PipelineConfig
 from .decoder import build_probability_grid, decode_sequence, expand_biphones
 from .segmentation import (MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence,
-                           box_filter, cropped_to_original, detect_inner_lower_lip,
-                           detect_mouth_corners, build_min_luminance_line, extract_roi,
-                           find_symmetry_lines, prepare_frames)
+                           cropped_to_original, detect_inner_lower_lip, detect_mouth_corners,
+                           build_min_luminance_line, extract_roi, find_symmetry_lines,
+                           prepare_frames)
 from .svm import MultiClassModel, train_multiclass
 
 
@@ -33,10 +33,8 @@ def segment_video(video: VideoSequence, cfg: PipelineConfig,
     lines = find_symmetry_lines(video)
     rgb_over, lum, ulum = prepare_frames(video, lines)
     lip_rows = detect_inner_lower_lip(ulum, force_first_row=force_lip_row)
-    smooth = box_filter(lum, 3)
-    lum_lines = build_min_luminance_line(smooth, lip_rows)
-    left, right = detect_mouth_corners(smooth, lum_lines)
-    del smooth
+    lum_lines = build_min_luminance_line(lum, lip_rows)
+    left, right = detect_mouth_corners(lum, lum_lines)
     keypoints = MouthKeypoints(lip_rows=lip_rows, left=left, right=right, lum_lines=lum_lines)
     roi = extract_roi(rgb_over, lum, keypoints, cfg.roi_width, cfg.roi_height)
 

@@ -6,11 +6,14 @@ with Gaussian-transition HMMs, each decoded by the plain Viterbi
 `viterbi_generic`; and resamples a rotation/position/scale-normalized mouth
 window from every frame.  Tracking reads one plane of the crop, its
 luminance (each frame's raw BT.601 luma sampled and rescaled to [0, 1]),
-and u*lum on the symmetry column, whose RGB alone is sampled for it; the
-window samples RGB over its footprint in the crop only once the corners
-are known, and keeps that RGB and the footprint's luminance.  Its volume
-(`RoiVolume`) always has the seven planes of `CHANNEL_NAMES` and makes each
-one (`color_plane`, the one formula) when it is first asked for.
+and u*lum on the symmetry column, whose RGB alone is sampled for it.  The
+lum-line and corner trackers smooth that luminance (`box_filter(lum, 3)`)
+only at the points they compare.  Once the corners are known, the window
+keeps its geometry and the luminance of its footprint in the crop.  Its
+volume (`RoiVolume`) always has the seven planes of `CHANNEL_NAMES` and
+makes each one (`color_plane`, the one formula) when it is first asked for,
+frame by frame: the frame's footprint RGB is sampled for only the channels
+the planes read, and resampled with the frame's own taps.
 
 Bilinear sampling is split in two.  A plan depends only on the geometry:
 the pixel box the taps read, the corner indices relative to that box and
@@ -166,23 +169,37 @@ def luminance(rgb: np.ndarray) -> np.ndarray:
     return raw_luma(rgb) / 255.0
 
 
-def _box_taps(rows, cols, h: int, w: int):
-    """Bilinear taps of points in an h x w image, relative to the pixel box
-    they read: the box as a (row, column) slice pair, the flat index in the
-    box of the corners (r0, c0), (r0, c1), (r1, c0), (r1, c1) of each point,
-    and the `_blend` weight pairs.  Coordinates are clamped to the image
-    rectangle first (edge replication outside)."""
+def _taps(rows, cols, h: int, w: int):
+    """Bilinear taps of points in an h x w image: the corner rows (r0, r1)
+    and columns (c0, c1) of each point, and the `_blend` weight pairs.
+    Coordinates are clamped to the image rectangle first (edge replication
+    outside)."""
     rows = np.clip(rows, 0.0, h - 1.0)
     cols = np.clip(cols, 0.0, w - 1.0)
     r0 = np.floor(rows).astype(np.intp)
     c0 = np.floor(cols).astype(np.intp)
     r1, c1 = np.minimum(r0 + 1, h - 1), np.minimum(c0 + 1, w - 1)
-    top, left = int(r0.min()), int(c0.min())
-    bw = int(c1.max()) + 1 - left
-    box = slice(top, int(r1.max()) + 1), slice(left, left + bw)
-    corners = [(r - top) * bw + (c - left) for r in (r0, r1) for c in (c0, c1)]
     fr, fc = rows - r0, cols - c0
-    return box, corners, ((1 - fr, fr), (1 - fc, fc))
+    return (r0, r1), (c0, c1), ((1 - fr, fr), (1 - fc, fc))
+
+
+def _box_index(box, rs, cs):
+    """The flat index in `box`, a (row, column) slice pair, of the corners
+    (r0, c0), (r0, c1), (r1, c0), (r1, c1) of each tap of `_taps`."""
+    top, left = box[0].start, box[1].start
+    bw = box[1].stop - left
+    starts, offsets = [(r - top) * bw for r in rs], [c - left for c in cs]
+    return [start + offset for start in starts for offset in offsets]
+
+
+def _box_taps(rows, cols, h: int, w: int):
+    """`_taps` relative to the pixel box they read: the box as a (row,
+    column) slice pair, the corner indices in it (`_box_index`) and the
+    weight pairs."""
+    rs, cs, weights = _taps(rows, cols, h, w)
+    box = (slice(int(rs[0].min()), int(rs[1].max()) + 1),
+           slice(int(cs[0].min()), int(cs[1].max()) + 1))
+    return box, _box_index(box, rs, cs), weights
 
 
 def _blend(v00, v01, v10, v11, fr, fc):
@@ -403,10 +420,11 @@ def cropped_to_original(line: SymmetryLine, height: int, row, col):
     )
 
 
-def color_plane(name: str, rgb01: np.ndarray, lum: np.ndarray) -> np.ndarray:
-    """One plane of CHANNEL_NAMES at every pixel of `rgb01`, (3, ...) RGB
-    planes scaled to [0, 1], given the crop's luminance at the same pixels
-    (`prepare_frames`)."""
+def color_plane(name: str, rgb01, lum: np.ndarray) -> np.ndarray:
+    """One plane of CHANNEL_NAMES at every pixel of `lum`, given the RGB
+    planes at the same pixels scaled to [0, 1], indexed 0 (red), 1 (green)
+    and 2 (blue) in an array or a mapping, of which only the channels
+    `_RGB_READ[name]` are read, and the crop's luminance (`prepare_frames`)."""
     if name == "lum":
         return lum
     if name in ("red", "green", "blue"):
@@ -421,7 +439,8 @@ def color_plane(name: str, rgb01: np.ndarray, lum: np.ndarray) -> np.ndarray:
     # from the rows of a larger one
     n = lum.size
     pixels = np.zeros((max(n, 2), 3))
-    pixels[:n] = rgb01.reshape(3, n).T
+    for i in range(3):
+        pixels[:n, i] = np.reshape(rgb01[i], -1)
     xyz = (pixels @ _RGB_TO_XYZ.T)[:n]
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     denom = x + 15.0 * y + 3.0 * z
@@ -434,11 +453,18 @@ def color_plane(name: str, rgb01: np.ndarray, lum: np.ndarray) -> np.ndarray:
     return u if name == "u" else u * lum
 
 
-def _sample_rgb(frame: np.ndarray, taps) -> np.ndarray:
-    """(3, ...) RGB of one (H, W, 3) frame scaled to [0, 1] at the points of
-    `_box_taps`: only the pixels of its box are converted to float."""
+# the RGB channels (0 red, 1 green, 2 blue) that `color_plane` reads per plane
+_RGB_READ = {"lum": (), "red": (0,), "green": (1,), "blue": (2,), "pseudo_hue": (0, 1),
+            "u": (0, 1, 2), "ulum": (0, 1, 2)}
+
+
+def _sample_rgb(frame: np.ndarray, taps, channels) -> np.ndarray:
+    """(len(channels), ...) RGB channels (0 red, 1 green, 2 blue) of one
+    (H, W, 3) frame scaled to [0, 1] at the points of `_box_taps`: only
+    those channels of its box are converted to float."""
     box, corners, weights = taps
-    planes = np.moveaxis(frame[box], -1, 0).astype(float, order="C").reshape(3, -1) / 255.0
+    planes = frame[box].transpose(2, 0, 1)[list(channels)].astype(float)
+    planes = planes.reshape(len(channels), -1) / 255.0
     return _blend(*(np.take(planes, i, axis=1) for i in corners), *weights)
 
 
@@ -450,9 +476,12 @@ def prepare_frames(video: VideoSequence, lines: list[SymmetryLine]):
     luminance: the bilinear sample of each frame's `raw_luma`, rescaled so
     the frame's crop spans [0, 1] (all 0 in a flat frame).  ulum is u*lum on
     the symmetry column, (T, H), which is all of that plane the lip tracker
-    reads; only that column's RGB is sampled for it.  `rgb_over(box)` is the
-    (3, T, bh, bw) RGB of the crop scaled to [0, 1] over `box`, a (row,
-    column) slice pair of crop pixels; each call samples it afresh.
+    reads; only that column's RGB is sampled for it.  `rgb_over(box)`, for
+    `box` a (row, column) slice pair of crop pixels, is a per-frame sampler:
+    `sample(t, channels)` is a mapping from each of the RGB channels asked
+    for (0 red, 1 green, 2 blue) to its (bh, bw) plane of frame t over the
+    box, scaled to [0, 1] and sampled afresh on each call; the sampler keeps
+    one plan per distinct line.
     """
     if len(lines) != video.frame_count:
         raise VsrError("need one symmetry line per frame")
@@ -472,19 +501,19 @@ def prepare_frames(video: VideoSequence, lines: list[SymmetryLine]):
         box, corners, weights = crop_plan(line)
         luma = raw_luma(video.frames[t][box]).reshape(-1)
         lum[t] = _blend(*(np.take(luma, i) for i in corners), *weights)
-        center_rgb[:, t] = _sample_rgb(video.frames[t], center_plan(line))[..., 0]
+        center_rgb[:, t] = _sample_rgb(video.frames[t], center_plan(line), (0, 1, 2))[..., 0]
     lo = lum.min(axis=(1, 2), keepdims=True)
     hi = lum.max(axis=(1, 2), keepdims=True)
     lum -= lo
     lum /= np.where(hi > lo, hi - lo, 1.0)
 
-    def rgb_over(box) -> np.ndarray:
+    def rgb_over(box):
         plan = plans(box)
-        rows, cols = np.arange(h)[box[0]], np.arange(CROP_WIDTH)[box[1]]
-        rgb = np.empty((3, n, len(rows), len(cols)))
-        for t, line in enumerate(lines):
-            rgb[:, t] = _sample_rgb(video.frames[t], plan(line))
-        return rgb
+
+        def sample(t: int, channels) -> dict:
+            return dict(zip(channels, _sample_rgb(video.frames[t], plan(lines[t]), channels)))
+
+        return sample
 
     return rgb_over, lum, color_plane("ulum", center_rgb, lum[..., CROP_HALF_WIDTH])
 
@@ -502,6 +531,26 @@ def box_filter(image: np.ndarray, size: int) -> np.ndarray:
             out += padded[..., dr:dr + h, dc:dc + w]
     del padded
     out /= size * size
+    return out
+
+
+def _smoothed_at(lum: np.ndarray, frames, rows, cols) -> np.ndarray:
+    """`box_filter(lum, 3)` of a (T, H, W) plane at the points (frames, rows,
+    cols), broadcastable int arrays inside the plane, and nowhere else: each
+    point's nine edge-clamped neighbours summed in the filter's row-major
+    offset order and divided by 9, so every value keeps the filter's bits."""
+    _, h, w = lum.shape
+    frames, rows, cols = np.broadcast_arrays(frames, rows, cols)
+    offsets = np.arange(-1, 2).reshape((3,) + (1,) * frames.ndim)
+    rows = np.clip(rows + offsets, 0, h - 1)
+    cols = np.clip(cols + offsets, 0, w - 1)
+    # (3, 3, ...) neighbour values, row offset first
+    values = np.take(lum, (frames * h + rows[:, None]) * w + cols)
+    out = np.zeros(frames.shape)
+    for row in values:
+        for value in row:
+            out += value
+    out /= 9
     return out
 
 
@@ -581,17 +630,19 @@ def detect_inner_lower_lip(ulum: np.ndarray, force_first_row: int | None = None)
     return np.asarray(path, dtype=float)
 
 
-def build_min_luminance_line(smooth: np.ndarray, lip_rows: np.ndarray) -> np.ndarray:
+def build_min_luminance_line(lum: np.ndarray, lip_rows: np.ndarray) -> np.ndarray:
     """81-point darkest polyline through the mouth slit of every frame, given
-    the smoothed luminance `box_filter(lum, 3)`, (T, H, W), and the lip row
-    of each frame.  Returns (T, 81, 2) int (row, col).
+    the crop's luminance, (T, H, W), and the lip row of each frame.  Returns
+    (T, 81, 2) int (row, col).
 
-    Seeded at the darkest smoothed-luminance pixel on the symmetry column
-    within rows [lip_row-8, lip_row+4], then grown 40 columns to each side,
-    stepping to the darkest of {row-1, row, row+1}; ties prefer staying, then
-    the smaller row.  Rows are clamped at the frame boundary.
+    Darkness is the smoothed luminance `box_filter(lum, 3)`, computed only at
+    the points compared (`_smoothed_at`).  The line is seeded at the darkest
+    pixel on the symmetry column within rows [lip_row-8, lip_row+4], then
+    grown 40 columns to each side, stepping to the darkest of {row-1, row,
+    row+1}; ties prefer staying, then the smaller row.  Rows are clamped at
+    the frame boundary.
     """
-    n_frames, h, w = smooth.shape
+    n_frames, h, w = lum.shape
     center = w // 2
     half = (LUM_LINE_LENGTH - 1) // 2
     lo, hi = (np.clip(np.round(lip_rows + off), 0, h - 1).astype(int) for off in LIP_SEED_RANGE)
@@ -600,30 +651,33 @@ def build_min_luminance_line(smooth: np.ndarray, lip_rows: np.ndarray) -> np.nda
                         hi[:, None])
     frames = np.arange(n_frames)[:, None]
     rows = np.empty((n_frames, LUM_LINE_LENGTH), dtype=int)
-    rows[:, half] = window[frames[:, 0], np.argmin(smooth[frames, window, center], axis=1)]
+    rows[:, half] = window[frames[:, 0],
+                           np.argmin(_smoothed_at(lum, frames, window, center), axis=1)]
     cols = np.arange(center - half, center + half + 1)
     for k in range(1, half + 1):
         step = half + np.array([-k, k])  # one column further out on each side
         cand = np.clip(rows[:, step + (1, -1), None] + (0, -1, 1), 0, h - 1)  # stay, up, down
-        best = np.argmin(smooth[frames[:, :, None], cand, cols[step, None]], axis=2)
+        best = np.argmin(_smoothed_at(lum, frames[:, :, None], cand, cols[step, None]), axis=2)
         rows[:, step] = np.take_along_axis(cand, best[..., None], axis=2)[..., 0]
     return np.stack([rows, np.broadcast_to(cols, rows.shape)], axis=-1)
 
 
-def detect_mouth_corners(smooth: np.ndarray, lines: np.ndarray):
+def detect_mouth_corners(lum: np.ndarray, lines: np.ndarray):
     """Track both mouth corners along the minimal-luminance lines, given the
-    smoothed luminance `box_filter(lum, 3)` of every frame, (T, H, W).
+    crop's luminance of every frame, (T, H, W).
 
-    The left corner lives on indices 0..40 of each polyline (weights from the
-    negated smoothed-luminance gradient), the right corner on 40..80; each is
-    tracked by its own Gaussian-transition HMM.  Returns (left, right) arrays
-    of (row, col) per frame.
+    The observations are the gradient of the smoothed luminance
+    `box_filter(lum, 3)` along each polyline, computed only at its points
+    (`_smoothed_at`).  The left corner lives on indices 0..40 of each
+    polyline (weights from the negated gradient), the right corner on
+    40..80; each is tracked by its own Gaussian-transition HMM.  Returns
+    (left, right) arrays of (row, col) per frame.
     """
-    if len(lines) != len(smooth):
+    if len(lines) != len(lum):
         raise VsrError("need one polyline per frame")
-    frames = np.arange(len(smooth))
+    frames = np.arange(len(lum))
     half = (LUM_LINE_LENGTH - 1) // 2
-    grad = np.gradient(smooth[frames[:, None], lines[..., 0], lines[..., 1]], axis=1)
+    grad = np.gradient(_smoothed_at(lum, frames[:, None], lines[..., 0], lines[..., 1]), axis=1)
     obs_left = _minmax01(-grad[:, : half + 1], "the left mouth corner")
     obs_right = _minmax01(grad[:, half:], "the right mouth corner")
     trans = gaussian_transition_matrix(half + 1, CORNER_TRACK_SIGMA)
@@ -638,17 +692,18 @@ def detect_mouth_corners(smooth: np.ndarray, lines: np.ndarray):
 def extract_roi(rgb_over, lum: np.ndarray, keypoints: MouthKeypoints,
                 roi_width: int = 64, roi_height: int = 48) -> RoiVolume:
     """The mouth window of every cropped frame, given the crop's (T, H, W)
-    luminance and `rgb_over(box)`, its (3, T, bh, bw) RGB scaled to [0, 1]
-    over a (row, column) slice pair of crop pixels (`prepare_frames`).
+    luminance and `rgb_over(box)`, the per-frame sampler of its RGB scaled
+    to [0, 1] over a (row, column) slice pair of crop pixels
+    (`prepare_frames`).
 
     Each frame is rotated about the corner-line midpoint so the corner line
     is horizontal; one constant scale factor (0.75 * roi_width / the maximum
     corner distance over the sequence) keeps real mouth-width changes in the
-    output.  The volume keeps the RGB and lum of the footprint that the
-    window's bilinear taps read, the union over frames (`rgb_over` is asked
-    for that box once), and makes each colour plane from them on first use.
-    The taps are computed once per request for planes and dropped with it,
-    so a volume that is asked for one plane holds no taps afterwards.
+    output.  The volume keeps this geometry and the luminance of the
+    footprint that the window's bilinear taps read, the union over frames.
+    It makes the planes asked for frame by frame: the frame's footprint RGB
+    is sampled for only the channels those planes read (none for lum, one
+    for red), and resampled into the window with the frame's own taps.
     """
     if keypoints.frame_count != lum.shape[0]:
         raise VsrError("keypoints do not match frame count")
@@ -667,24 +722,33 @@ def extract_roi(rgb_over, lum: np.ndarray, keypoints: MouthKeypoints,
     with np.errstate(divide="ignore", invalid="ignore"):
         ux = np.where(moving, d[:, 1] / dists, 1.0)[:, None, None]
         uy = np.where(moving, d[:, 0] / dists, 0.0)[:, None, None]
-    # output x axis follows the corner line; y axis its downward normal
-    rows = mid[:, 0, None, None] + (gx * uy + gy * ux) / scale
-    cols = mid[:, 1, None, None] + (gx * ux - gy * uy) / scale
+
+    def window(frames, y, x):
+        # crop (rows, cols) of the window points (y, x) in `frames`: the
+        # output x axis follows the corner line, the y axis its downward normal
+        return (mid[frames, 0, None, None] + (x * uy[frames] + y * ux[frames]) / scale,
+                mid[frames, 1, None, None] + (x * ux[frames] - y * uy[frames]) / scale)
+
     n, h, w = lum.shape
-    # taps grow with the coordinates, so the extreme ones span the footprint
+    # a coordinate is a column term plus a row term, each monotone along the
+    # window, and rounding keeps order, so each frame's extreme coordinates
+    # are at the window's corners; taps grow with the coordinates, so the
+    # extreme ones span the footprint
+    rows, cols = window(slice(None), *(g[np.ix_([0, -1], [0, -1])] for g in (gy, gx)))
     box, _, _ = _box_taps(np.array([rows.min(), rows.max()]),
                           np.array([cols.min(), cols.max()]), h, w)
-    rgb, lum = rgb_over(box), lum[(..., *box)].copy()
+    sample, lum = rgb_over(box), lum[(..., *box)].copy()
 
     def make_planes(names) -> list[np.ndarray]:
-        _, taps, weights = _box_taps(rows, cols, h, w)
-        base = np.arange(n)[:, None, None] * lum[0].size
-        for i in taps:  # an index into one frame's box becomes one into the stack
-            i += base
-        planes = []
-        for name in names:
-            flat = color_plane(name, rgb, lum).reshape(-1)
-            planes.append(_blend(*(np.take(flat, i) for i in taps), *weights))
+        channels = sorted({c for name in names for c in _RGB_READ[name]})
+        planes = [np.empty((n, roi_height, roi_width)) for _ in names]
+        for t in range(n):
+            rgb = sample(t, channels) if channels else {}
+            rs, cs, weights = _taps(*window(t, gy, gx), h, w)
+            corners = _box_index(box, rs, cs)
+            for plane, name in zip(planes, names):
+                flat = color_plane(name, rgb, lum[t]).reshape(-1)
+                plane[t] = _blend(*(np.take(flat, i) for i in corners), *weights)
         return planes
 
     return RoiVolume((n, roi_height, roi_width), make_planes)

@@ -530,12 +530,18 @@ def predict_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndar
     return _probability_matrix(model.models, model.kernel_table, z)
 
 
+# the keys `save_model` writes, which are all a model file may hold
+_MODEL_KEYS = ("version", "classLabels", "config", "stats", "models")
+_CONFIG_KEYS = (*FEATURE_ECHO, "C", "gamma")
+_STATS_KEYS = ("mean", "std")
+_CLASS_KEYS = ("label", "gamma", "bias", "plattA", "plattB", "alphas", "supportVectors")
+
+
 def save_model(model: MultiClassModel, path):
     doc = {
         "version": 1,
         "classLabels": model.class_labels,
-        "config": {k: model.config[k] for k in (*FEATURE_ECHO, "C", "gamma")
-                   if model.config.get(k) is not None},
+        "config": {k: model.config[k] for k in _CONFIG_KEYS if model.config.get(k) is not None},
         "stats": {"mean": model.stats.mean.tolist(), "std": model.stats.std.tolist()},
         "models": [
             {
@@ -576,11 +582,27 @@ def _finite_array(value, ndim: int, what: str) -> np.ndarray:
     return a
 
 
+def _known_keys(node, keys, what: str):
+    """`node` as a JSON object holding none but `keys`."""
+    if not isinstance(node, dict):
+        raise VsrError(f"{what} must be a JSON object")
+    unknown = [key for key in node if key not in keys]
+    if unknown:
+        raise VsrError(f"{what} has unknown key {unknown[0]!r}")
+    return node
+
+
 def _model_from_doc(doc) -> MultiClassModel:
-    """A model checked for finite numbers and consistent shapes, so that a
-    corrupt file fails here rather than deep inside prediction."""
-    mean = _finite_array(doc["stats"]["mean"], 1, "stats.mean")
-    std = _finite_array(doc["stats"]["std"], 1, "stats.std")
+    """A model checked for known keys, finite numbers and consistent shapes,
+    so that a corrupt file fails here rather than deep inside prediction or
+    with a default in place of a misspelt setting."""
+    _known_keys(doc, _MODEL_KEYS, "the model")
+    version = doc["version"]
+    if type(version) is not int or version != 1:
+        raise VsrError(f"version {version!r} is not 1")
+    stats = _known_keys(doc["stats"], _STATS_KEYS, "stats")
+    mean = _finite_array(stats["mean"], 1, "stats.mean")
+    std = _finite_array(stats["std"], 1, "stats.std")
     if len(std) != len(mean) or (std <= 0).any():
         raise VsrError("stats.std must be positive and as long as stats.mean")
     if not isinstance(doc["classLabels"], list):
@@ -594,6 +616,10 @@ def _model_from_doc(doc) -> MultiClassModel:
         raise VsrError("class labels must be distinct")
     models = []
     for i, m in enumerate(doc["models"]):
+        _known_keys(m, _CLASS_KEYS, f"models[{i}]")
+        if m["label"] != labels[i]:
+            raise VsrError(f"models[{i}].label {m['label']!r} is not classLabels[{i}] "
+                           f"{labels[i]!r}")
         sv = _finite_array(m["supportVectors"], 2, f"models[{i}].supportVectors")
         alphas = _finite_array(m["alphas"], 1, f"models[{i}].alphas")
         if sv.shape[1] != len(mean) or len(alphas) != sv.shape[0]:
@@ -608,7 +634,7 @@ def _model_from_doc(doc) -> MultiClassModel:
                            f"{models[0].gamma!r}; a model has one gamma")
         models.append(BinarySvmModel(support_vectors=sv, dual_coef=alphas, bias=bias,
                                      gamma=gamma, platt_a=platt_a, platt_b=platt_b))
-    config = doc.get("config") or {}
+    config = _known_keys(doc.get("config") or {}, _CONFIG_KEYS, "config")
     PipelineConfig.from_feature_echo(config)   # the decoder featurizes with it
     return MultiClassModel(class_labels=labels, models=models,
                            stats=StandardizationStats(mean=mean, std=std), config=dict(config))

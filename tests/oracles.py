@@ -14,7 +14,11 @@ path that computes all seven colour planes over every cropped frame and
 resamples them all, which the footprint path of `vsr3d.segmentation` must
 reproduce bit for bit, its luminance the bilinear sample of each frame's
 raw luma rescaled per frame, and `crop_lum`, the luminance of the sampled
-RGB that it replaced, which stays within 1e-12 of it;
+RGB that it replaced, which stays within 1e-12 of it; the mouth window made
+from footprints taken eagerly for all frames (`footprint_extract_roi`), and
+the lum-line and corner trackers reading the whole smoothed plane
+`box_filter(lum, 3)`, which the per-frame window and the trackers that
+smooth only the points they read must reproduce bit for bit;
 the crop grid written out row by row and column by column, which
 `vsr3d.segmentation.crop_grid` must reproduce bit for bit;
 the segment weights d * log p built one (duration, class) pair at a time,
@@ -44,10 +48,12 @@ from vsr3d.config import CHANNEL_NAMES
 from vsr3d.decoder import TIE_ULPS
 from vsr3d.features import (_check_window, dct3, pyramid_mask_indices, subtract_sequence_mean,
                             time_shift)
-from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CROP_HALF_WIDTH, REFINE_ANGLES,
-                                REFINE_COLS, MouthKeypoints, RoiVolume, SymmetryLine,
-                                VideoSequence, box_filter, build_min_luminance_line,
-                                detect_inner_lower_lip, detect_mouth_corners, luminance)
+from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CORNER_TRACK_SIGMA, CROP_HALF_WIDTH,
+                                LIP_SEED_RANGE, LUM_LINE_LENGTH, REFINE_ANGLES, REFINE_COLS,
+                                MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence, _blend,
+                                _box_taps, _minmax01, box_filter, color_plane,
+                                detect_inner_lower_lip, gaussian_transition_matrix, luminance,
+                                viterbi_generic)
 from vsr3d.svm import (BinarySvmModel, MultiClassModel, _sigmoid_of_negative,
                        predict_probability_matrix, rbf_kernel_matrix)
 
@@ -409,6 +415,90 @@ def extract_roi(planes: np.ndarray, keypoints: MouthKeypoints,
         sampled = bilinear_sample(np.moveaxis(planes[:, t], 0, -1), rows, cols)
         data[:, t] = np.moveaxis(sampled, -1, 0)
     return roi_volume(data)
+
+
+def footprint_extract_roi(rgb: np.ndarray, lum: np.ndarray, keypoints: MouthKeypoints,
+                          roi_width: int = 64, roi_height: int = 48) -> RoiVolume:
+    """The mouth window made from footprints taken eagerly, given the crop's
+    (3, T, H, W) RGB scaled to [0, 1] and its (T, H, W) luminance: the
+    window coordinates of every frame at once, the RGB and lum of the union
+    footprint over frames, and per request of planes the (T, h, w) taps of
+    all frames, over which each plane is computed and resampled."""
+    if keypoints.frame_count != lum.shape[0]:
+        raise VsrError("keypoints do not match frame count")
+    d = keypoints.right - keypoints.left
+    dists = np.hypot(d[:, 0], d[:, 1])
+    max_dist = float(dists.max())
+    if max_dist <= 0:
+        raise VsrError("zero mouth width in every frame; cannot normalize ROI")
+    scale = 0.75 * roi_width / max_dist
+    cy, cx = (roi_height - 1) / 2.0, (roi_width - 1) / 2.0
+    gy, gx = np.meshgrid(np.arange(roi_height, dtype=float) - cy,
+                         np.arange(roi_width, dtype=float) - cx, indexing="ij")
+    mid = (keypoints.left + keypoints.right) / 2.0
+    moving = dists > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = np.where(moving, d[:, 1] / dists, 1.0)[:, None, None]
+        uy = np.where(moving, d[:, 0] / dists, 0.0)[:, None, None]
+    rows = mid[:, 0, None, None] + (gx * uy + gy * ux) / scale
+    cols = mid[:, 1, None, None] + (gx * ux - gy * uy) / scale
+    n, h, w = lum.shape
+    box, _, _ = _box_taps(np.array([rows.min(), rows.max()]),
+                          np.array([cols.min(), cols.max()]), h, w)
+    rgb, lum = rgb[(..., *box)].copy(), lum[(..., *box)].copy()
+
+    def make_planes(names) -> list[np.ndarray]:
+        _, taps, weights = _box_taps(rows, cols, h, w)
+        base = np.arange(n)[:, None, None] * lum[0].size
+        for i in taps:
+            i += base
+        planes = []
+        for name in names:
+            flat = color_plane(name, rgb, lum).reshape(-1)
+            planes.append(_blend(*(np.take(flat, i) for i in taps), *weights))
+        return planes
+
+    return RoiVolume((n, roi_height, roi_width), make_planes)
+
+
+def build_min_luminance_line(smooth: np.ndarray, lip_rows: np.ndarray) -> np.ndarray:
+    """The darkest polylines of `vsr3d.segmentation.build_min_luminance_line`
+    read from the whole smoothed plane `box_filter(lum, 3)`, (T, H, W)."""
+    n_frames, h, w = smooth.shape
+    center = w // 2
+    half = (LUM_LINE_LENGTH - 1) // 2
+    lo, hi = (np.clip(np.round(lip_rows + off), 0, h - 1).astype(int) for off in LIP_SEED_RANGE)
+    window = np.minimum(lo[:, None] + np.arange(LIP_SEED_RANGE[1] - LIP_SEED_RANGE[0] + 1),
+                        hi[:, None])
+    frames = np.arange(n_frames)[:, None]
+    rows = np.empty((n_frames, LUM_LINE_LENGTH), dtype=int)
+    rows[:, half] = window[frames[:, 0], np.argmin(smooth[frames, window, center], axis=1)]
+    cols = np.arange(center - half, center + half + 1)
+    for k in range(1, half + 1):
+        step = half + np.array([-k, k])
+        cand = np.clip(rows[:, step + (1, -1), None] + (0, -1, 1), 0, h - 1)
+        best = np.argmin(smooth[frames[:, :, None], cand, cols[step, None]], axis=2)
+        rows[:, step] = np.take_along_axis(cand, best[..., None], axis=2)[..., 0]
+    return np.stack([rows, np.broadcast_to(cols, rows.shape)], axis=-1)
+
+
+def detect_mouth_corners(smooth: np.ndarray, lines: np.ndarray):
+    """The corners of `vsr3d.segmentation.detect_mouth_corners` read from
+    the whole smoothed plane `box_filter(lum, 3)`, (T, H, W)."""
+    if len(lines) != len(smooth):
+        raise VsrError("need one polyline per frame")
+    frames = np.arange(len(smooth))
+    half = (LUM_LINE_LENGTH - 1) // 2
+    grad = np.gradient(smooth[frames[:, None], lines[..., 0], lines[..., 1]], axis=1)
+    obs_left = _minmax01(-grad[:, : half + 1], "the left mouth corner")
+    obs_right = _minmax01(grad[:, half:], "the right mouth corner")
+    trans = gaussian_transition_matrix(half + 1, CORNER_TRACK_SIGMA)
+    priors = np.ones(half + 1)
+    path_l, _ = viterbi_generic(priors, trans, obs_left)
+    path_r, _ = viterbi_generic(priors, trans, obs_right)
+    left = lines[frames, np.asarray(path_l)].astype(float)
+    right = lines[frames, half + np.asarray(path_r)].astype(float)
+    return left, right
 
 
 def roi_volume(planes) -> RoiVolume:

@@ -590,6 +590,19 @@ def _set(path, value):
     return corrupt
 
 
+def _rename(path, new_key):
+    """Corruption that renames the key at doc[path[0]][path[1]]..., keeping
+    its value and place."""
+    def corrupt(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        items = [(new_key if key == path[-1] else key, value) for key, value in node.items()]
+        node.clear()
+        node.update(items)
+    return corrupt
+
+
 def _widen_support_vectors(doc):
     for m in doc["models"]:
         m["supportVectors"] = [row + [0.0] for row in m["supportVectors"]]
@@ -961,9 +974,11 @@ class TestCorruptFeatureCsvs:
 
 class TestMalformedModelFiles:
     """A model file with non-finite numbers, inconsistent shapes, a gamma
-    that is not positive, a repeated class label or an unusable feature
-    config (channel, deltaTms, l, s) ends in exit code 2 with one line on
-    stderr, never a traceback or a decode."""
+    that is not positive, a repeated class label, an unusable feature
+    config (channel, deltaTms, l, s), a key that `save_model` does not
+    write, a version other than 1 or a class model whose label is not its
+    class's ends in exit code 2 with one line on stderr, never a traceback
+    or a decode."""
 
     def decode(self, tmp_path, roi_path, doc):
         model = tmp_path / "model.json"
@@ -1026,6 +1041,22 @@ class TestMalformedModelFiles:
         _set(["classLabels", 0], lambda v: "a b"),
         _set(["classLabels", 0], lambda v: ""),
         _set(["classLabels", 0], lambda v: "\u00c9"),
+        _rename(["config", "channel"], "channen"),
+        _rename(["config", "l"], "L"),
+        lambda doc: doc["config"].update(note="x"),
+        _rename(["models", 1, "label"], "lajel"),
+        lambda doc: doc["models"][0].update(weight=1.0),
+        _rename(["stats", "std"], "sdt"),
+        lambda doc: doc["stats"].update(median=[0.0]),
+        _rename(["version"], "~ersion"),
+        lambda doc: doc.update(extra=1),
+        _set(["version"], lambda v: 2),
+        _set(["version"], lambda v: 1.0),
+        _set(["version"], lambda v: True),
+        _set(["version"], lambda v: "1"),
+        _set(["models", 0, "label"], lambda v: "C1"),
+        _set(["models", 1, "label"], lambda v: None),
+        _set(["models", 0], lambda v: [v]),
     ], ids=["nan-bias", "inf-support-vector", "inf-alpha", "nan-gamma", "inf-platt-a",
             "nan-platt-b", "nan-mean", "inf-std", "zero-std", "negative-std", "short-std",
             "missing-class-label", "short-alphas", "ragged-support-vectors",
@@ -1035,7 +1066,12 @@ class TestMalformedModelFiles:
             "string-delta-t", "negative-delta-t", "inf-delta-t", "string-length",
             "fractional-length", "length-below-2", "null-mask-size", "zero-mask-size",
             "config-not-an-object", "number-labels", "labels-not-a-list", "label-comma",
-            "label-space", "empty-label", "non-ascii-label"])
+            "label-space", "empty-label", "non-ascii-label", "misspelt-channel-key",
+            "misspelt-length-key", "unknown-config-key", "misspelt-label-key",
+            "unknown-class-model-key", "misspelt-std-key", "unknown-stats-key",
+            "misspelt-version-key", "unknown-top-level-key", "version-2", "version-float",
+            "version-true", "version-string", "label-not-its-class", "null-label",
+            "class-model-not-an-object"])
     def test_decode_rejects(self, tmp_path, capsys, roi_path, corrupt):
         doc = _model_doc()
         corrupt(doc)
@@ -1063,8 +1099,8 @@ CONFIG_JSON = json.dumps(dataclasses.asdict(PipelineConfig()), indent=2).encode(
 
 
 @st.composite
-def corrupt_json(draw, blob):
-    """A JSON file cut short, or with one to three bits flipped."""
+def corrupt_bytes(draw, blob):
+    """A file cut short, or with one to three bits flipped."""
     if draw(st.booleans()):
         return blob[:draw(st.integers(0, len(blob) - 1))]
     blob = bytearray(blob)
@@ -1103,7 +1139,7 @@ class TestCorruptModelFiles:
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(blob=corrupt_json(MODEL_JSON))
+    @given(blob=corrupt_bytes(MODEL_JSON))
     def test_decode(self, tmp_path, capsys, roi_path, blob):
         model = tmp_path / "corrupt.json"
         model.write_bytes(blob)
@@ -1139,8 +1175,45 @@ class TestCorruptConfigFiles:
     @pytest.mark.parametrize("command", ["featurize", "train"])
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(blob=corrupt_json(CONFIG_JSON))
+    @given(blob=corrupt_bytes(CONFIG_JSON))
     def test_config(self, tmp_path, capsys, command, blob):
         config = tmp_path / "corrupt.json"
         config.write_bytes(blob)
         run_corrupt(capsys, *self.argv(tmp_path, command, config))
+
+
+TRANSCRIPT = b"sil 0 40\naa 40 160\nb 160 280\niy 280 400\nsil 400 480\n"
+
+
+class TestCorruptTranscripts:
+    """A truncated or bit-flipped transcript through `featurize` (of a
+    12-frame .vsr1) and `eval` (as the reference, and as the hypothesis)."""
+
+    @staticmethod
+    def argvs(tmp_path, roi_path, transcript):
+        valid = tmp_path / "valid.txt"
+        valid.write_bytes(TRANSCRIPT)
+        return {
+            "featurize": ("featurize", str(roi_path), "--transcript", str(transcript),
+                          "--out", str(tmp_path / "x.csv"),
+                          "--set", "min_duration=2", "--set", "max_duration=6"),
+            "eval-ref": ("eval", "--ref", str(transcript), "--hyp", str(valid)),
+            "eval-hyp": ("eval", "--ref", str(valid), "--hyp", str(transcript)),
+        }
+
+    def test_valid_transcript_runs(self, tmp_path, capsys, roi_path):
+        transcript = tmp_path / "transcript.txt"
+        transcript.write_bytes(TRANSCRIPT)
+        for argv in self.argvs(tmp_path, roi_path, transcript).values():
+            assert run_cli(*argv) == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_features_csv(tmp_path / "x.csv")[0]) == 5
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=corrupt_bytes(TRANSCRIPT))
+    def test_featurize_and_eval(self, tmp_path, capsys, roi_path, blob):
+        transcript = tmp_path / "corrupt.txt"
+        transcript.write_bytes(blob)
+        for argv in self.argvs(tmp_path, roi_path, transcript).values():
+            run_corrupt(capsys, *argv)

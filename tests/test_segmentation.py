@@ -13,10 +13,11 @@ from vsr3d.config import CHANNEL_NAMES, PipelineConfig
 from vsr3d.fixtures import synth_sentence
 from vsr3d.pipeline import segment_video
 import vsr3d.segmentation
-from vsr3d.segmentation import (CROP_WIDTH, PLAN_CACHE_SIZE, MouthKeypoints, SymmetryLine,
-                                VideoSequence, _blend, _box_taps, _best_line,
-                                area_average_resize, box_filter, build_image_pyramid,
-                                build_min_luminance_line, color_plane, crop_grid,
+from vsr3d.segmentation import (_RGB_READ, CROP_WIDTH, PLAN_CACHE_SIZE, MouthKeypoints,
+                                SymmetryLine, VideoSequence, _blend, _box_taps, _best_line,
+                                _smoothed_at, area_average_resize, box_filter,
+                                build_image_pyramid, build_min_luminance_line, color_plane,
+                                crop_grid,
                                 cropped_to_original, detect_inner_lower_lip,
                                 detect_mouth_corners, extract_roi, find_symmetry_lines,
                                 gaussian_transition_matrix, luminance, prepare_frames,
@@ -44,6 +45,14 @@ def frame_planes(rgb):
     planar = np.moveaxis(rgb, -1, 0)
     lum = oracles.crop_lum(planar[:, None])[0]
     return np.stack([color_plane(name, planar, lum) for name in CHANNEL_NAMES])
+
+
+def sampled_rgb(rgb_over, box, frames):
+    """The (3, T, bh, bw) RGB of a crop over `box`, every frame sampled by
+    `rgb_over(box)` for all three channels."""
+    sample = rgb_over(box)
+    per_frame = [sample(t, (0, 1, 2)) for t in range(frames)]
+    return np.stack([np.stack([rgb[c] for rgb in per_frame]) for c in range(3)])
 
 
 def assert_same_bits(a, b):
@@ -80,9 +89,9 @@ def reference_symmetry_cost(image, column, angle_deg, band=5):
     return float(np.sum((left - right) ** 2)) * (h / n_valid)
 
 
-def one_line(smooth, lip_row):
+def one_line(lum, lip_row):
     """The min-luminance line of one (H, W) frame."""
-    return build_min_luminance_line(smooth[None], np.array([lip_row]))[0]
+    return build_min_luminance_line(lum[None], np.array([lip_row]))[0]
 
 
 def reference_min_luminance_line(smooth, lip_row):
@@ -291,7 +300,8 @@ class TestPlanOracle:
             assert_same_bits(got, ref)
         rgb_over, lum, ulum = prepare_frames(video, lines)
         planes = oracles.prepare_frames(video, lines)
-        assert_same_bits(rgb_over((slice(0, video.height), slice(0, CROP_WIDTH))),
+        assert_same_bits(sampled_rgb(rgb_over, (slice(0, video.height), slice(0, CROP_WIDTH)),
+                                     video.frame_count),
                          planes[[CHANNEL_NAMES.index(c) for c in ("red", "green", "blue")]])
         assert_same_bits(lum, plane(planes, "lum"))
         assert_same_bits(ulum, np.ascontiguousarray(plane(planes, "ulum")[:, :, 50]))
@@ -310,8 +320,10 @@ class TestPlanOracle:
             crop_peak = tracemalloc.get_traced_memory()[1] - before - lum.nbytes - ulum.nbytes
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            rgb = rgb_over((slice(0, video.height), slice(0, CROP_WIDTH)))
-            rgb_peak = tracemalloc.get_traced_memory()[1] - before - rgb.nbytes
+            sample = rgb_over((slice(0, video.height), slice(0, CROP_WIDTH)))
+            for t in range(video.frame_count):
+                sample(t, (0, 1, 2))
+            rgb_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert len(set(lines)) > 5 * PLAN_CACHE_SIZE
@@ -325,8 +337,11 @@ class TestPrepareFrames:
         video, _ = short_sentence
         lines = find_symmetry_lines(video)
         rgb_over, lum, ulum = prepare_frames(video, lines)
-        assert rgb_over((slice(0, video.height), slice(0, 101))).shape == (
-            3, video.frame_count, video.height, 101)
+        sample = rgb_over((slice(0, video.height), slice(0, 101)))
+        for channels in ((0, 1, 2), (0,), (1, 2)):
+            rgb = sample(video.frame_count - 1, channels)
+            assert list(rgb) == list(channels)
+            assert all(p.shape == (video.height, 101) for p in rgb.values())
         assert lum.shape == (video.frame_count, video.height, 101)
         assert ulum.shape == (video.frame_count, video.height)
 
@@ -439,13 +454,13 @@ class TestMinLuminanceLine:
     def test_dark_strip_followed_exactly(self):
         lum = np.ones((60, 101))
         lum[32:35, :] = 0.0  # thicker than the smoothing kernel, center row darkest
-        line = one_line(box_filter(lum, 3), 35.0)
+        line = one_line(lum, 35.0)
         assert line.shape == (81, 2)
         assert (line[:, 0] == 33).all()
 
     def test_shape_and_column_steps(self):
         rng = np.random.default_rng(13)
-        line = one_line(box_filter(rng.random((50, 101)), 3), 25.0)
+        line = one_line(rng.random((50, 101)), 25.0)
         assert line.shape == (81, 2)
         assert np.array_equal(line[:, 1], np.arange(10, 91))
         assert np.abs(np.diff(line[:, 0])).max() <= 1
@@ -455,13 +470,13 @@ class TestMinLuminanceLine:
         for _ in range(5):
             lum = rng.random((64, 101))
             lip = float(rng.uniform(20, 40))
-            line = one_line(box_filter(lum, 3), lip)
+            line = one_line(lum, lip)
             seed_row = line[40, 0]
             assert lip - 8 - 0.51 <= seed_row <= lip + 4 + 0.51
 
     def test_rows_clamped_at_boundary(self):
         lum = np.tile(np.linspace(1, 0, 30)[:, None], (1, 101))  # darkest at bottom row
-        line = one_line(box_filter(lum, 3), 28.0)
+        line = one_line(lum, 28.0)
         assert line[:, 0].max() <= 29
 
     @given(st.integers(0, 10**6), st.integers(3, 20),
@@ -471,12 +486,12 @@ class TestMinLuminanceLine:
     def test_whole_video_matches_per_frame_reference(self, seed, h, offsets, from_bottom):
         # values in {0, 1, 2} make ties at almost every step; lip rows sit
         # near the top and bottom borders, half-rows included
-        smooth = np.random.default_rng(seed).integers(0, 3, (len(offsets), h, 101)).astype(float)
+        lum = np.random.default_rng(seed).integers(0, 3, (len(offsets), h, 101)).astype(float)
         lip_rows = np.array([h - 1 - off if flip else off
                              for off, flip in zip(offsets, from_bottom)])
-        lines = build_min_luminance_line(smooth, lip_rows)
-        expected = np.stack([reference_min_luminance_line(frame, lip)
-                             for frame, lip in zip(smooth, lip_rows)])
+        lines = build_min_luminance_line(lum, lip_rows)
+        expected = np.stack([reference_min_luminance_line(box_filter(frame, 3), lip)
+                             for frame, lip in zip(lum, lip_rows)])
         assert np.array_equal(lines, expected)
 
 
@@ -487,9 +502,9 @@ class TestCornerDetection:
         return lum
 
     def test_single_frame_corner_positions(self):
-        smooth = box_filter(self.mouth_like(25, 75), 3)
-        line = one_line(smooth, 30.0)
-        left, right = detect_mouth_corners(smooth[None], np.stack([line]))
+        lum = self.mouth_like(25, 75)
+        line = one_line(lum, 30.0)
+        left, right = detect_mouth_corners(lum[None], np.stack([line]))
         assert abs(left[0][1] - 25) <= 2
         assert abs(right[0][1] - 75) <= 2
 
@@ -502,8 +517,8 @@ class TestCornerDetection:
         lum = rng.random((3, 50, 101))
         smooth = box_filter(lum, 3)
         assert np.array_equal(smooth, np.stack([box_filter(frame, 3) for frame in lum]))
-        lines = np.stack([one_line(frame, 25.0) for frame in smooth])
-        left, right = detect_mouth_corners(smooth, lines)
+        lines = np.stack([one_line(frame, 25.0) for frame in lum])
+        left, right = detect_mouth_corners(lum, lines)
 
         obs_l = np.empty((3, 41))
         obs_r = np.empty((3, 41))
@@ -520,6 +535,38 @@ class TestCornerDetection:
         for t in range(3):
             assert tuple(left[t]) == tuple(lines[t][pl[t]])
             assert tuple(right[t]) == tuple(lines[t][40 + pr[t]])
+
+
+class TestSmoothingOracle:
+    """The lum-line and corner trackers smooth only the points they read,
+    bit for bit as the trackers that read the whole smoothed plane
+    `box_filter(lum, 3)` (`oracles`)."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 4),
+           st.one_of(st.integers(2, 5), st.integers(6, 30)), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_trackers_match_whole_plane_smoothing(self, seed, frames, height, ties, data):
+        rng = np.random.default_rng(seed)
+        # values in {0, 1, 2} tie at almost every step; signed values make
+        # signed zeros and every rounding of the nine-term sums
+        shape = (frames, height, 101)
+        lum = rng.integers(0, 3, shape).astype(float) if ties else rng.normal(size=shape)
+        lip = st.one_of(st.sampled_from([0.0, float(height - 1)]),
+                        st.floats(-10.0, height + 10.0, allow_nan=False))
+        lip_rows = np.array([data.draw(lip, label="lip row") for _ in range(frames)])
+        smooth = box_filter(lum, 3)
+        points = tuple(rng.integers(0, n, 64) for n in shape)
+        assert_same_bits(_smoothed_at(lum, *points), smooth[points])
+        lines = build_min_luminance_line(lum, lip_rows)
+        assert np.array_equal(lines, oracles.build_min_luminance_line(smooth, lip_rows))
+        try:
+            expected = oracles.detect_mouth_corners(smooth, lines)
+        except VsrError as e:
+            with pytest.raises(VsrError, match=str(e)):
+                detect_mouth_corners(lum, lines)
+            return
+        for got, ref in zip(detect_mouth_corners(lum, lines), expected):
+            assert_same_bits(got, ref)
 
 
 _COORD = st.one_of(st.integers(-3, 12).map(float),
@@ -560,12 +607,21 @@ class TestBilinearSample:
 
 
 class TestExtractRoi:
-    def make_crop(self, frames, h=60, w=101, seed=0):
+    def make_crop(self, frames, h=60, w=101, seed=0, asked=None):
         """The `rgb_over` of random (3, T, H, W) RGB planes and a random
-        (T, H, W) lum plane of a crop."""
+        (T, H, W) lum plane of a crop; each (frame, channels) its samplers
+        are asked for is appended to `asked`."""
         rng = np.random.default_rng(seed)
         rgb = rng.random((3, frames, h, w))
-        return lambda box: rgb[(..., *box)], rng.random((frames, h, w))
+
+        def rgb_over(box):
+            def sample(t, channels):
+                if asked is not None:
+                    asked.append((t, tuple(channels)))
+                return {c: rgb[c, t][box] for c in channels}
+            return sample
+
+        return rgb_over, rng.random((frames, h, w))
 
     def keypoints(self, rows_left, cols_left, rows_right, cols_right, frames):
         return MouthKeypoints(
@@ -654,6 +710,24 @@ class TestExtractRoi:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert all(a is b for a, b in zip(roi.planes(), every))
 
+    @pytest.mark.parametrize("names", [[name] for name in CHANNEL_NAMES]
+                             + [["lum", "red"], ["green", "pseudo_hue"]])
+    def test_planes_sample_only_the_channels_they_read(self, names):
+        """Each frame's footprint RGB is sampled once per request, for only
+        the channels the planes asked for read: none for lum, one for red."""
+        asked = []
+        rgb_over, lum = self.make_crop(3, seed=7, asked=asked)
+        kp = self.keypoints([30.0, 29.0, 31.0], [30.0, 33.0, 26.0],
+                            [31.0, 32.0, 30.0], [70.0, 66.0, 74.0], 3)
+        roi = extract_roi(rgb_over, lum, kp, 64, 48)
+        for name in names:
+            roi.plane(name)
+        channels = [tuple(sorted(_RGB_READ[name])) for name in names]
+        assert asked == [(t, c) for c in channels if c for t in range(3)]
+        asked.clear()
+        extract_roi(rgb_over, lum, kp, 64, 48).planes()
+        assert asked == [(t, (0, 1, 2)) for t in range(3)]
+
 
 _KEYPOINT_ROW = st.floats(-12.0, 40.0, allow_nan=False)
 _KEYPOINT_COL = st.floats(-20.0, 125.0, allow_nan=False)
@@ -686,7 +760,8 @@ class TestSevenPlaneOracle:
                                          unique=True), label="box cols"))
         box = slice(*rows), slice(*cols)
         rgb_planes = planes[[CHANNEL_NAMES.index(c) for c in ("red", "green", "blue")]]
-        assert_same_bits(rgb_over(box), np.ascontiguousarray(rgb_planes[(..., *box)]))
+        assert_same_bits(sampled_rgb(rgb_over, box, frames),
+                         np.ascontiguousarray(rgb_planes[(..., *box)]))
 
         left = np.array([[data.draw(_KEYPOINT_ROW), data.draw(_KEYPOINT_COL)]
                          for _ in range(frames)])
@@ -698,12 +773,16 @@ class TestSevenPlaneOracle:
         kp = MouthKeypoints(lip_rows=np.zeros(frames), left=left, right=right,
                             lum_lines=np.zeros((frames, 81, 2), dtype=int))
         size = (data.draw(st.integers(1, 16)), data.draw(st.integers(1, 12)))
+        eager = (sampled_rgb(rgb_over, (slice(0, height), slice(0, CROP_WIDTH)), frames), lum)
         if (left == right).all():
-            for fn, args in ((extract_roi, (rgb_over, lum)), (oracles.extract_roi, (planes,))):
+            for fn, args in ((extract_roi, (rgb_over, lum)), (oracles.extract_roi, (planes,)),
+                             (oracles.footprint_extract_roi, eager)):
                 with pytest.raises(VsrError, match="zero mouth width"):
                     fn(*args, kp, *size)
             return
         ref = oracles.extract_roi(planes, kp, *size)
+        assert_same_bits(oracles.roi_planes(oracles.footprint_extract_roi(*eager, kp, *size)),
+                         oracles.roi_planes(ref))
         for name in CHANNEL_NAMES:  # each plane asked alone
             assert_same_bits(extract_roi(rgb_over, lum, kp, *size).plane(name), ref.plane(name))
         roi = extract_roi(rgb_over, lum, kp, *size)
@@ -762,28 +841,51 @@ class TestCropLuminance:
 
     def assert_close(self, video, lines):
         rgb_over, lum, _ = prepare_frames(video, lines)
-        rgb = rgb_over((slice(0, video.height), slice(0, CROP_WIDTH)))
+        rgb = sampled_rgb(rgb_over, (slice(0, video.height), slice(0, CROP_WIDTH)),
+                          video.frame_count)
         assert np.abs(lum - oracles.crop_lum(rgb)).max() <= 1e-12
 
 
-def test_segment_video_peak_is_bounded(synth_cfg):
-    """Segmenting a 100-frame 120 x 160 video holds at most four float64
-    crop planes (T, 120, 101) at once: the luminance, and the padded copy
-    and output of its box filter.  Blending all three RGB planes over the
-    whole crop, and the crop's luminance from them, took 6.3."""
+@pytest.fixture(scope="module")
+def hundred_frames(synth_cfg):
+    """A 100-frame 120 x 160 fixture video."""
     units = [(k % synth_cfg.class_count, 10) for k in range(10)]
     video, _ = synth_sentence(synth_cfg, units, 80.0, 2.0, 5)
     assert (video.frame_count, video.height, video.width) == (100, 120, 160)
-    cfg = PipelineConfig()
+    return video
+
+
+def test_segment_video_peak_is_bounded(hundred_frames):
+    """Segmenting a 100-frame 120 x 160 video holds at most 2.5 float64
+    crop planes (T, 120, 101) at once: the luminance, and what its sampling
+    and the symmetry search take beside it.  Smoothing the whole luminance
+    plane (a padded copy and an output) took 3.2, and blending all three RGB
+    planes over the whole crop, and the crop's luminance from them, 6.3."""
     tracemalloc.start()
     try:
-        result = segment_video(video, cfg)
+        result = segment_video(hundred_frames, PipelineConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.roi.frame_count == 100
     plane_bytes = 100 * 120 * CROP_WIDTH * 8
-    assert peak <= 4 * plane_bytes, peak / plane_bytes
+    assert peak <= 2.5 * plane_bytes, peak / plane_bytes
+
+
+def test_one_roi_plane_peak_is_bounded(hundred_frames):
+    """Making one 100-frame 48 x 64 ROI plane allocates at most two output
+    planes beyond what the volume holds: the plane, and each frame's
+    footprint sample, taps and gathers.  Taking every frame's taps at once
+    allocated about 13 planes."""
+    roi = segment_video(hundred_frames, PipelineConfig()).roi
+    tracemalloc.start()
+    try:
+        red = roi.plane("red")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert red.shape == (100, 48, 64)
+    assert peak <= 2 * red.nbytes, peak / red.nbytes
 
 
 class TestTrackingHmmOracle:
