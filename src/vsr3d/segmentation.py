@@ -455,7 +455,7 @@ def color_plane(name: str, rgb01, lum: np.ndarray) -> np.ndarray:
 
 # the RGB channels (0 red, 1 green, 2 blue) that `color_plane` reads per plane
 _RGB_READ = {"lum": (), "red": (0,), "green": (1,), "blue": (2,), "pseudo_hue": (0, 1),
-            "u": (0, 1, 2), "ulum": (0, 1, 2)}
+             "u": (0, 1, 2), "ulum": (0, 1, 2)}
 
 
 def _sample_rgb(frame: np.ndarray, taps, channels) -> np.ndarray:
