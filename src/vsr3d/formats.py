@@ -213,10 +213,16 @@ def write_transcript(rows, path):
 
 def read_transcript(path) -> Transcript:
     """A transcript file: one 'LABEL START_MS END_MS' line per entry, times
-    in plain decimal digits.  Every error names the file and line."""
+    in plain decimal digits.  Every line ends in a newline, as
+    `write_transcript` writes them, so a file cut inside its last entry is a
+    data error.  Every error names the file and line."""
     entries = []
     text = _read_ascii(path)
-    for ln, line in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    if text and not text.endswith("\n"):
+        raise VsrError(f"{path}:{len(lines)}: the last line has no newline; "
+                       "the file is cut short")
+    for ln, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue

@@ -141,6 +141,11 @@ class _SmoState:
     most 0 off them.  Only the pair's two entries change sides in a step.
     A kernel must be finite, or a NaN would pass for a value.
 
+    The denominators a = max(K_ii + K_jj - 2 K_ij, 1e-12) of every problem
+    are rows of one symmetric n x n matrix, built once per solve beside the
+    kernel, so a step gathers row i of it where it would rebuild that row
+    for each running problem.
+
     An unclipped step leaves its pair with equal v, so later maxima tie up
     to roundoff; values within 1e-6 * tol of the maximum count as ties and
     go to the smallest index, which keeps the path (and the model) stable
@@ -165,7 +170,6 @@ class _SmoState:
         """Solve every problem, problem p within budget[p] pair updates; a
         run with budget k takes exactly the first k updates of a longer one."""
         K, C, tol = self.K, self.C, self.tol
-        diag = np.diag(K)
         tie = 1e-6 * tol
         # the running problems' rows, compacted in place as problems stop,
         # three (P, n) scratch buffers and a boolean one, so a step allocates
@@ -180,6 +184,7 @@ class _SmoState:
                       np.array([-np.inf, np.inf])[:, None, None])
         work = np.empty((3,) + self.y.shape)
         near = np.empty(self.y.shape, dtype=bool)
+        quad = self._denominators(work.reshape(-1, self.y.shape[1]))
         pair = np.empty((2, len(going)), dtype=np.intp)   # rows i and j of the pair
         side = np.array([[0], [1]])     # i from vv[0], j from vv[1]
         sign = np.array([[1.0], [-1.0]])
@@ -214,11 +219,7 @@ class _SmoState:
             # in range); its default mode would gather into a temporary first
             v_i = vu[r, i]
             np.subtract(v_i[:, None], vl, out=b)   # -inf off I_low
-            np.add(diag[i][:, None], diag, out=a)
-            K.take(i, axis=0, out=w, mode="clip")
-            w *= 2.0
-            a -= w
-            np.maximum(a, 1e-12, out=a)
+            quad.take(i, axis=0, out=a, mode="clip")
             # the gain b^2 / a on the candidates (I_low, b > 0), at most 0 off them
             np.abs(b, out=w)
             w *= b
@@ -256,6 +257,20 @@ class _SmoState:
             vv[1, r, k] = np.where(low_k, v_k, np.inf)
             alpha[r, k] = new
             iterations += 1
+
+    def _denominators(self, scratch: np.ndarray) -> np.ndarray:
+        """a_ij = max(K_ii + K_jj - 2 K_ij, 1e-12), the second-order
+        denominators of every pair, each entry by the same operations in the
+        same order as WSS2 would compute it per step.  Built a block of rows
+        at a time, doubling K's rows in `scratch` (rows, n), so no n x n
+        temporary is made."""
+        K = self.K
+        diag = np.diag(K)
+        quad = np.add.outer(diag, diag)
+        for lo in range(0, len(K), len(scratch)):
+            twice = np.multiply(K[lo:lo + len(scratch)], 2.0, out=scratch[:len(K) - lo])
+            quad[lo:lo + len(twice)] -= twice
+        return np.maximum(quad, 1e-12, out=quad)
 
     def _finish(self, p, alpha, v_up, iterations, v_max, v_min):
         """Store stopped problem p's results; the bias is the mean v over its

@@ -400,6 +400,8 @@ class TestMalformedTextInput:
         (_eval_on(b"A 0 40\nB 30 80\n"), "ref.txt:2"),
         (_eval_on(b"A 0 40\nB 80 80\n"), "ref.txt:2"),
         (_featurize_on(b"A 0 40\nB 60 50\n"), "transcript.txt:2"),
+        (_featurize_on(b"A 0 40\nB 40 8"), "transcript.txt:2: the last line has no newline"),
+        (_eval_on(b"sil 0 4"), "ref.txt:1: the last line has no newline"),
         (_config({"c_grid": 5}), "c_grid"),
         (_config({"gamma_grid": ["a"]}), "gamma_grid"),
         (_config({"gamma_grid": [0]}), "gamma_grid"),
@@ -423,7 +425,8 @@ class TestMalformedTextInput:
             "transcript-non-ascii", "transcript-label-comma",
             "transcript-label-plus", "transcript-negative-times", "transcript-underscore-time",
             "transcript-plus-sign", "transcript-negative-start", "transcript-overlap",
-            "transcript-start-is-end", "transcript-end-before-start", "config-grid-number",
+            "transcript-start-is-end", "transcript-end-before-start",
+            "transcript-cut-in-last-time", "transcript-cut-in-only-time", "config-grid-number",
             "config-grid-strings", "config-gamma-zero", "config-c-negative", "config-fps-nan",
             "config-mask-fractional", "config-mask-bool", "config-roi-width-negative",
             "config-passes-fractional", "config-delta-t-negative", "config-not-utf8",

@@ -180,6 +180,20 @@ class TestTranscriptFile:
         with pytest.raises(VsrError):
             read_transcript(tmp_path / "bad.txt")
 
+    @pytest.mark.parametrize("text, line", [("AE 0 200\nT 200 36", 2), ("AE 0 200", 1),
+                                            ("AE 0 200\n  ", 2), ("AE 0 200\vT 200 360", 2)])
+    def test_last_line_without_newline_rejected(self, tmp_path, text, line):
+        (tmp_path / "cut.txt").write_text(text, newline="")
+        with pytest.raises(VsrError, match=rf"cut\.txt:{line}: .*cut short"):
+            read_transcript(tmp_path / "cut.txt")
+
+    @pytest.mark.parametrize("text, entries", [("", 0), ("AE 0 200\r\nT 200 360\r\n", 2),
+                                               ("AE 0 200\rT 200 360\r", 2)])
+    def test_empty_file_and_other_line_ends_read(self, tmp_path, text, entries):
+        """Reading translates \r\n and \r to \n."""
+        (tmp_path / "t.txt").write_text(text, newline="")
+        assert len(read_transcript(tmp_path / "t.txt").entries) == entries
+
     def test_overlap_rejected(self, tmp_path):
         (tmp_path / "o.txt").write_text("A 0 100\nB 50 150\n")
         with pytest.raises(VsrError):

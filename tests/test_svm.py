@@ -254,15 +254,24 @@ class TestLockstepSmo:
         gap, update count and budget warnings must be equal, and rows
         outside a problem keep alpha 0.  Budgets of 1 and 2 passes make most
         small problems stop at their own budget; the tiny tolerances, which
-        no problem meets, run only those."""
+        no problem meets, run only those.  Repeated training rows give pairs
+        with K_ii + K_jj - 2 K_ij at most 1e-12, where the denominator's
+        clamp decides the step."""
         n = data.draw(st.integers(4, 40), label="n")
         c = data.draw(st.sampled_from([1.0, 64.0, 1e4]), label="C")
         tol = data.draw(st.sampled_from([1e-3, 1e-12, 1e-300]), label="svm_tolerance")
         passes = data.draw(st.sampled_from([1, 2, 200] if tol == 1e-3 else [1, 2]),
                            label="svm_max_passes")
+        repeated = data.draw(st.booleans(), label="repeated rows")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         x = rng.normal(size=(n, 3))
+        if repeated:   # n rows drawn from the first n // 2
+            x = x[rng.integers(0, n // 2, size=n)]
         kernel = rbf_kernel_matrix(x, x, 0.5)
+        if repeated:
+            diag = np.diag(kernel)
+            denominators = diag[:, None] + diag - 2.0 * kernel
+            assert (denominators[~np.eye(n, dtype=bool)] <= 1e-12).any()
         ys, members = [], []
         for _ in range(data.draw(st.integers(1, 6), label="P")):
             rows = data.draw(st.sampled_from(["all", 0, 1, 2, "subset"]), label="rows")
@@ -332,7 +341,8 @@ class TestSmoMemory:
     def test_peak_is_six_working_arrays(self, problems, n):
         """A solve holds alpha, v on I_up and on I_low, three scratch
         buffers and a boolean one, each (P, n), besides the kernel it is
-        given: no second n x n array and no (P, n) temporary per step or
+        given, and exactly one n x n array, the second-order denominators
+        (built without an n x n temporary): no (P, n) temporary per step or
         per stopping problem.  Broadcasting ufuncs add up to two buffers of
         numpy's own, 64 KiB each.  Problems stop at different steps."""
         rng = np.random.default_rng(problems)
@@ -350,7 +360,7 @@ class TestSmoMemory:
         finally:
             tracemalloc.stop()
         assert len(set(state.iterations.tolist())) > 1
-        assert peak < 6.5 * y.nbytes + 2 * 2**16 + 2**14
+        assert peak < 6.5 * y.nbytes + 2 * 2**16 + 2**14 + n * n * 8
 
 
 class TestDecisionValue:
