@@ -343,12 +343,17 @@ _PLATT_MAX_STEPS = 100
 
 def fit_platt(scores, labels) -> tuple[float, float, str]:
     """Fit the sigmoid p(f) = 1 / (1 + exp(A f + B)) by penalized maximum
-    likelihood with Platt's smoothed targets; Newton steps with backtracking.
+    likelihood with Platt's smoothed targets (Platt 1999; Lin, Lin & Weng
+    2007): Newton steps with backtracking until both gradient components are
+    below 1e-7 or backtracking stalls, then plain Newton steps for as long as
+    they lower the gradient's max-norm.  The fit so ends at the roundoff
+    floor of its optimum, not at an iterate that roundoff picks.
 
     Returns (A, B, stop), stop naming why the fit ended: "converged" (both
-    gradient components below 1e-7), "line_search" (backtracking found no
-    sufficient decrease down to a step of 1e-10) or "cap" (100 Newton steps
-    taken).  A, B are the last accepted point in every case.
+    gradient components below 1e-7 at the end), "line_search" (backtracking
+    found no sufficient decrease down to a step of 1e-10, and the gradient's
+    floor is above 1e-7) or "cap" (100 Newton steps taken, the finishing
+    ones included).  A, B are the last accepted point in every case.
     """
     f = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -361,6 +366,7 @@ def fit_platt(scores, labels) -> tuple[float, float, str]:
     hi = (n_pos + 1.0) / (n_pos + 2.0)
     lo = 1.0 / (n_neg + 2.0)
     t = np.where(y > 0, hi, lo)
+    sigma = 1e-12
 
     def nll(a: float, b: float) -> float:
         z = a * f + b
@@ -368,24 +374,27 @@ def fit_platt(scores, labels) -> tuple[float, float, str]:
         return float(np.sum(np.where(z >= 0, t * z, (t - 1.0) * z)
                             + np.log1p(np.exp(-np.abs(z)))))
 
-    a, b = 0.0, math.log((n_neg + 1.0) / (n_pos + 1.0))
-    fval = nll(a, b)
-    sigma = 1e-12
-    for _ in range(_PLATT_MAX_STEPS):
+    def newton(a: float, b: float) -> tuple[float, float, float, float]:
+        """The gradient (g1, g2) at (a, b) and the Newton step (da, db)."""
         z = a * f + b
         p = _sigmoid_of_negative(z)
         d1 = t - p
         d2 = p * (1.0 - p)
         g1 = float(np.sum(f * d1))
         g2 = float(np.sum(d1))
-        if abs(g1) < 1e-7 and abs(g2) < 1e-7:
-            return a, b, "converged"
         h11 = float(np.sum(f * f * d2)) + sigma
         h22 = float(np.sum(d2)) + sigma
         h12 = float(np.sum(f * d2))
         det = h11 * h22 - h12 * h12
-        da = -(h22 * g1 - h12 * g2) / det
-        db = -(-h12 * g1 + h11 * g2) / det
+        return g1, g2, -(h22 * g1 - h12 * g2) / det, -(-h12 * g1 + h11 * g2) / det
+
+    a, b = 0.0, math.log((n_neg + 1.0) / (n_pos + 1.0))
+    fval = nll(a, b)
+    for steps in range(_PLATT_MAX_STEPS):
+        g1, g2, da, db = newton(a, b)
+        if abs(g1) < 1e-7 and abs(g2) < 1e-7:
+            stop = "converged"
+            break
         gd = g1 * da + g2 * db
         step = 1.0
         while step >= 1e-10:
@@ -396,8 +405,20 @@ def fit_platt(scores, labels) -> tuple[float, float, str]:
                 break
             step /= 2.0
         else:
-            return a, b, "line_search"
-    return a, b, "cap"
+            stop = "line_search"
+            break
+    else:
+        return a, b, "cap"
+    # near the optimum the likelihood no longer resolves a step, but the
+    # gradient does: finish with full Newton steps while its max-norm falls
+    norm = max(abs(g1), abs(g2))
+    while steps < _PLATT_MAX_STEPS:
+        steps += 1
+        g1, g2, da_next, db_next = newton(a + da, b + db)
+        if max(abs(g1), abs(g2)) >= norm:
+            break
+        a, b, da, db, norm = a + da, b + db, da_next, db_next, max(abs(g1), abs(g2))
+    return a, b, "converged" if norm < 1e-7 else stop
 
 
 # Rows are scored in blocks whose kernel has at most this many cells (512 KiB
@@ -446,8 +467,7 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     Returns (MultiClassModel, report) where report lists every grid point
     with its CV accuracy and its solve's counters: `smo_problems`,
     `smo_iterations` (summed), `smo_budget_hits`, `smo_max_gap`, and
-    `platt_early_stops` (sigmoid fits that ended before their gradient
-    converged).
+    `platt_early_stops` (sigmoid fits whose gradient did not reach 1e-7).
     """
     x = np.asarray(x, dtype=float)
     labels = list(labels)

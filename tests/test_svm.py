@@ -461,12 +461,31 @@ class TestPlatt:
         assert fit_platt(*self.noisy_scores())[2] == "converged"
 
     def test_stop_line_search(self):
-        """Scores of size 1e8 put the gradient's 1e-7 target below what a
-        change of the likelihood can resolve, so backtracking runs out."""
-        a, b, stop = fit_platt(*self.noisy_scores(1e8))
+        """Scores of size 1e10 put the gradient's 1e-7 target below what a
+        change of the likelihood can resolve, so backtracking runs out, and
+        below the gradient's own roundoff floor, so the finishing Newton
+        steps do not reach it either."""
+        a, b, stop = fit_platt(*self.noisy_scores(1e10))
         assert stop == "line_search"
         a1, b1, _ = fit_platt(*self.noisy_scores())
-        assert a * 1e8 == pytest.approx(a1, rel=1e-6) and b == pytest.approx(b1, rel=1e-6)
+        assert a * 1e10 == pytest.approx(a1, rel=1e-6) and b == pytest.approx(b1, rel=1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 200),
+           exponent=st.integers(-2, 10))
+    def test_fit_is_stable_under_last_digit_score_changes(self, seed, n, exponent):
+        """A fit ends at the roundoff floor of its optimum, not at an iterate
+        that roundoff picks: moving every score by at most 4 ulps moves A and
+        B by at most 1e-11 relative (B absolute where |B| < 1)."""
+        rng = np.random.default_rng(seed)
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        labels[:2] = 1.0, -1.0
+        scores = 10.0**exponent * (labels + rng.normal(0.0, rng.uniform(0.3, 2.0), n))
+        nudged = scores + rng.integers(-4, 5, n) * np.spacing(scores)
+        a, b, _ = fit_platt(scores, labels)
+        a2, b2, _ = fit_platt(nudged, labels)
+        assert a2 == pytest.approx(a, rel=1e-11, abs=0.0)
+        assert b2 == pytest.approx(b, rel=1e-11, abs=1e-11)
 
     def test_stop_cap(self, monkeypatch):
         monkeypatch.setattr(svm, "_PLATT_MAX_STEPS", 1)
