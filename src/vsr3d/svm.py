@@ -498,8 +498,8 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     y_cv = [labels[i] for i in cv_idx]
 
     # deterministic 3-fold split by index, the same for every class: a fold
-    # model trains on the rest and scores the held-out rows, so the sigmoid
-    # is fitted on decision values the SVM did not train on
+    # problem trains on the rest, and its decision values on the held-out
+    # rows are the sigmoid's scores, values the SVM did not train on
     folds = np.arange(len(y_train)) % 3
     rests = [folds != f for f in range(3)]
     # class-major: each class on every row, then on each rest holding both labels
@@ -515,22 +515,33 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     def train_point(c: float, gamma: float) -> tuple[list[BinarySvmModel], dict]:
         """The class models of one grid point, every problem solved in one
         lockstep SMO on one kernel, and the solver's counters."""
-        state = _SmoState(rbf_kernel_matrix(x_train, x_train, gamma), problem_y, problem_member,
-                          c, cfg.svm_tolerance)
+        kernel = rbf_kernel_matrix(x_train, x_train, gamma)
+        state = _SmoState(kernel, problem_y, problem_member, c, cfg.svm_tolerance)
         state.run(cfg.svm_max_passes * problem_member.sum(axis=1))
+        # every problem's decision values on every training row, from the
+        # support vectors its model would keep (K is symmetric)
+        coef = state.alpha * state.y
+        coef[state.alpha <= 1e-12] = 0.0
+        if not coef.any(axis=1).all():
+            raise VsrError("SMO produced no support vectors")
+        values = coef @ kernel
+        del coef
+        values += state.b[:, None]
         rows = iter(range(len(problem_y)))
         models, early_stops = [], 0
         for y, used in plan:
-            m = _binary_model(state, next(rows), x_train, gamma, stacklevel=1)
+            p = next(rows)
+            m = _binary_model(state, p, x_train, gamma, stacklevel=1)
             scores = np.full(len(y), np.nan)
             for f in used:
-                sub = _binary_model(state, next(rows), x_train, gamma, stacklevel=1)
-                scores[folds == f] = decision_values(sub, x_train[folds == f])
+                q = next(rows)
+                state.warn_if_stopped_early(q)
+                scores[folds == f] = values[q, folds == f]
             have = ~np.isnan(scores)
             if have.any() and (y[have] > 0).any() and (y[have] < 0).any():
                 m.platt_a, m.platt_b, stop = fit_platt(scores[have], y[have])
             else:
-                m.platt_a, m.platt_b, stop = fit_platt(decision_values(m, x_train), y)
+                m.platt_a, m.platt_b, stop = fit_platt(values[p], y)
             early_stops += stop != "converged"
             models.append(m)
         return models, {**state.counters(), "platt_early_stops": early_stops}
