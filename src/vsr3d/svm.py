@@ -12,7 +12,10 @@ on one exactly symmetric kernel matrix: each class on every training row
 and, for its sigmoid, on the rest of each of three folds, the held-out rows
 fixed at alpha = 0 and masked out of the working set.  A problem stops at
 its own KKT gap or budget, and follows bit for bit the path it would take
-solved alone, as `train_binary_smo` solves one problem.
+solved alone, as `train_binary_smo` solves one problem.  One product of
+the problems' dual coefficients with the same kernel then gives every
+problem's decision values on every row; a fold problem's values on its
+held-out rows are the scores its class's sigmoid is fitted on.
 
 Prediction scores every class at once.  A model has one gamma, shared by
 its one-vs-rest class models (a model file whose classes differ in gamma is
@@ -20,8 +23,6 @@ rejected), and their support vectors are rows of the same training matrix,
 so each distinct row is stored once (as LIBSVM does) with the classes' dual
 coefficients summed into a (rows, classes) matrix: one kernel over the
 distinct support vectors and one matmul give every class's decision value.
-The per-model `decision_values` is what training uses and what the tests
-compare against.
 
 Training reads its grids, SMO stop and CV fraction from a PipelineConfig;
 the model records that config's feature echo.
@@ -323,12 +324,6 @@ def train_binary_smo(x: np.ndarray, y: np.ndarray, c: float, gamma: float,
                       c, cfg.svm_tolerance)
     state.run([cfg.svm_max_passes * len(y)])
     return _binary_model(state, 0, x, gamma, stacklevel=2)
-
-
-def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
-    """Decision function over the rows of x."""
-    k = rbf_kernel_matrix(np.asarray(x, dtype=float), model.support_vectors, model.gamma)
-    return k @ model.dual_coef + model.bias
 
 
 def _sigmoid_of_negative(z: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Slow reference implementations the tests compare the package against.
 
 Nothing in `src/`, `scripts/` or `perfbench/` calls these: the scalar RBF
-kernel and decision value, the kernel matrix written as one expression
-(three matrix-sized temporaries), which the in-place
+kernel, the decision values of one class model a row at a time, the kernel
+matrix written as one expression (three matrix-sized temporaries), which
+the in-place
 `vsr3d.svm.rbf_kernel_matrix` must reproduce bit for bit, the per-class
 probability path, the dual
 objective, and the one-problem SMO loop that the lockstep solver in
@@ -75,12 +76,15 @@ def rbf_kernel_expression(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndar
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
-def decision_value(model: BinarySvmModel, x: np.ndarray) -> float:
+def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
+    """The decision function of one class model over the rows of x, one row
+    at a time."""
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != model.support_vectors.shape[1]:
+    if x.shape[1] != model.support_vectors.shape[1]:
         raise VsrError("feature dimension does not match the model")
-    k = rbf_kernel_matrix(model.support_vectors, x[None, :], model.gamma)[:, 0]
-    return float(model.dual_coef @ k + model.bias)
+    return np.array([model.dual_coef @ rbf_kernel_matrix(model.support_vectors, row[None, :],
+                                                         model.gamma)[:, 0] + model.bias
+                     for row in x])
 
 
 def platt_probability(model: BinarySvmModel, score) -> np.ndarray:

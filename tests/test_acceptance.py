@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import idct3, prob
+from oracles import decision_values, idct3, prob
 from vsr3d.config import PipelineConfig
 from vsr3d.decoder import ProbabilityGrid, decode_sequence
 from vsr3d.evaluation import (AlignmentCounts, accuracy, align_nw, t_tail_probability)
@@ -28,7 +28,7 @@ from vsr3d.features import Transcript, TranscriptEntry
 from vsr3d.fixtures import Rng, SynthConfig, corpus_sentence, derive_seed, synth_sentence
 from vsr3d.pipeline import decode_roi, segment_video, train_from_features
 from vsr3d.segmentation import viterbi_generic
-from vsr3d.svm import decision_values, train_binary_smo
+from vsr3d.svm import train_binary_smo
 
 SEED = 42
 

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from vsr3d import VsrError
 from vsr3d.config import PipelineConfig
-from vsr3d.features import StandardizationStats
+from vsr3d.features import StandardizationStats, fit_standardization, standardize
 from vsr3d import svm
-from vsr3d.svm import (BinarySvmModel, MultiClassModel, decision_values, fit_platt, load_model,
+from vsr3d.svm import (BinarySvmModel, MultiClassModel, fit_platt, load_model,
                        predict_probability_matrix, rbf_kernel_matrix, save_model,
                        train_binary_smo, train_multiclass, _SmoState)
 
-from oracles import (OneProblemSmo, decision_value, dual_objective, platt_probability,
+from oracles import (OneProblemSmo, decision_values, dual_objective, platt_probability,
                      predict_probabilities, rbf_kernel, rbf_kernel_expression)
 
 
@@ -116,9 +116,10 @@ class TestBinarySmo:
         alpha_star, _ = two_point_dual_brute_force(x[0], x[1], gamma, c)
         assert len(model.dual_coef) == 2
         assert np.abs(np.abs(model.dual_coef) - alpha_star).max() < 1e-3
-        assert decision_value(model, x[0]) < 0 < decision_value(model, x[1])
-        assert decision_value(model, x[0]) == pytest.approx(-1.0, abs=1e-6)
-        assert decision_value(model, x[1]) == pytest.approx(1.0, abs=1e-6)
+        f = decision_values(model, x)
+        assert f[0] < 0 < f[1]
+        assert f[0] == pytest.approx(-1.0, abs=1e-6)
+        assert f[1] == pytest.approx(1.0, abs=1e-6)
 
     def test_xor_with_rbf(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -379,20 +380,19 @@ class TestDecisionValue:
     def test_single_sv_identity(self):
         model = BinarySvmModel(support_vectors=np.array([[1.0, 2.0]]),
                                dual_coef=np.array([1.0]), bias=0.0, gamma=0.5)
-        assert decision_value(model, np.array([1.0, 2.0])) == pytest.approx(1.0)
+        assert decision_values(model, np.array([[1.0, 2.0]]))[0] == pytest.approx(1.0)
 
     def test_continuity(self):
         model = BinarySvmModel(support_vectors=np.array([[0.0], [1.0]]),
                                dual_coef=np.array([0.7, -0.4]), bias=0.1, gamma=2.0)
-        a = decision_value(model, np.array([0.3]))
-        b = decision_value(model, np.array([0.3 + 1e-9]))
+        a, b = decision_values(model, np.array([[0.3], [0.3 + 1e-9]]))
         assert abs(a - b) < 1e-6
 
     def test_dimension_mismatch(self):
         model = BinarySvmModel(support_vectors=np.array([[0.0, 1.0]]),
                                dual_coef=np.array([1.0]), bias=0.0, gamma=1.0)
         with pytest.raises(VsrError):
-            decision_value(model, np.array([1.0]))
+            decision_values(model, np.array([[1.0]]))
 
 
 class TestPlatt:
@@ -510,6 +510,37 @@ class TestMulticlass:
             assert early_stops() == [3, 3]
         monkeypatch.setattr(svm, "_PLATT_MAX_STEPS", 1)
         assert early_stops() == [3, 3]
+
+    def test_out_of_fold_scores_match_each_fold_solved_alone(self, monkeypatch):
+        """Each class's sigmoid is fitted on its fold problems' decision
+        values on their held-out rows, read from the grid point's kernel:
+        within 1e-12 of each fold problem trained alone on its rest rows and
+        scored on the held-out rows by its own model."""
+        x, labels = blobs(np.random.default_rng(11), [(0, 0), (1, 0), (0, 1)], 20, spread=0.6)
+        cfg = PipelineConfig(c_grid=(4.0,), gamma_grid=(0.5, 2.0))
+        fits = []
+        monkeypatch.setattr(svm, "fit_platt",
+                            lambda f, y: fits.append((f.copy(), y.copy())) or fit_platt(f, y))
+        train_multiclass(x, labels, cfg)
+        # the training portion: all but the first 20% of each class, in order
+        keep = np.concatenate([np.arange(k * 20 + 4, k * 20 + 20) for k in range(3)])
+        z = standardize(x[keep], fit_standardization(x[keep]))
+        names = np.array(labels)[keep]
+        folds = np.arange(len(z)) % 3
+        expected = []
+        for gamma in cfg.gamma_grid:
+            for lab in ("class0", "class1", "class2"):
+                y = np.where(names == lab, 1.0, -1.0)
+                scores = np.full(len(y), np.nan)
+                for f in range(3):
+                    rest, held = folds != f, folds == f
+                    model = train_binary_smo(z[rest], y[rest], 4.0, gamma, cfg)
+                    scores[held] = decision_values(model, z[held])
+                expected.append((scores, y))
+        assert len(fits) == len(expected) == 6
+        for (got, got_y), (scores, y) in zip(fits, expected):
+            assert np.array_equal(got_y, y)
+            np.testing.assert_allclose(got, scores, rtol=0.0, atol=1e-12)
 
     def test_separable_blobs_reach_full_cv_accuracy(self):
         rng = np.random.default_rng(10)
