@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
+from operator import add
 
 import numpy as np
 
@@ -122,30 +123,52 @@ def decode_sequence(grid: ProbabilityGrid):
     for lab, a, b in zip(grid.class_labels, lo, hi):
         if not 1 <= a <= b:
             raise VsrError(f"class {lab!r} has invalid duration bounds [{a}, {b}]")
-    # cells[d - 1, c] is column d of class c, -1 where its bounds exclude d
-    cells = np.full((int(hi.max()), len(lo), grid.frame_count), -1.0)
-    for c, probs in enumerate(grid.probs):
-        cells[lo[c] - 1:hi[c], c] = probs.T
-    classes = cells.argmax(axis=1)                       # (durations, frames)
-    with np.errstate(divide="ignore"):
-        top = np.log(np.maximum(cells.max(axis=1), 0.0))
-    weights = np.arange(1, len(cells) + 1)[:, None] * top
     n = grid.frame_count
-    tie = TIE_ULPS * np.finfo(float).eps
-    best = np.full(n + 1, -np.inf)
-    best[0] = 0.0
-    back = np.zeros(n + 1, dtype=np.intp)
+    width = int(hi.max())
+    # top[d - 1, start] is the best probability of window (start, d) and
+    # classes[d - 1, start] its class; each run of classes with equal bounds
+    # is reduced at once, and a later run takes a window only where it is
+    # strictly larger, so the lowest index keeps ties
+    top = np.full((width, n), -1.0)
+    classes = np.zeros((width, n), dtype=np.intp)
+    c = 0
+    while c < len(lo):
+        run = c + 1
+        while run < len(lo) and lo[run] == lo[c] and hi[run] == hi[c]:
+            run += 1
+        planes = np.stack(grid.probs[c:run], axis=-1)   # (frames, durations, classes)
+        first = planes.argmax(axis=-1)
+        run_top = np.take_along_axis(planes, first[..., None], axis=-1)[..., 0].T
+        rows = slice(lo[c] - 1, hi[c])
+        larger = run_top > top[rows]
+        top[rows] = np.where(larger, run_top, top[rows])
+        classes[rows] = np.where(larger, first.T + c, classes[rows])
+        c = run
+    with np.errstate(divide="ignore"):
+        weights = np.arange(1, width + 1)[:, None] * np.log(np.maximum(top, 0.0))
+    # ending[e - 1][d - 1] is the weight of the segment of d frames ending
+    # at frame e (start e - d >= 0; the rest are never read)
+    ends = np.arange(1, n + 1)[:, None]
+    durations = np.arange(1, width + 1)
+    ending = weights[durations - 1, np.maximum(ends - durations, 0)].tolist()
+    tie = TIE_ULPS * float(np.finfo(float).eps)
+    best = [0.0]
+    back = [0]
     for e in range(1, n + 1):
-        d = np.arange(1, min(e, len(weights)) + 1)
-        scores = best[e - d] + weights[d - 1, e - d]
-        high = scores.max()
-        back[e] = np.argmax(scores >= high - tie * e * (abs(high) + 1.0)) + 1
-        best[e] = scores[back[e] - 1]
+        # best[e - d] + weight for d = 1, 2, ... up to min(e, width)
+        scores = list(map(add, best[:-width - 1:-1], ending[e - 1]))
+        high = max(scores)
+        cut = high - tie * e * (abs(high) + 1.0)
+        for d, score in enumerate(scores, 1):
+            if score >= cut:
+                break
+        back.append(d)
+        best.append(score)
     if n < 1 or not np.isfinite(best[n]):
         raise VsrError("no feasible tiling of the sequence (all weights vanish)")
     entries = []
     while n > 0:
-        d = int(back[n])
+        d = back[n]
         n -= d
         entries.append((grid.class_labels[classes[d - 1, n]], n, d))
     return entries[::-1]

@@ -23,6 +23,10 @@ rejected), and their support vectors are rows of the same training matrix,
 so each distinct row is stored once (as LIBSVM does) with the classes' dual
 coefficients summed into a (rows, classes) matrix: one kernel over the
 distinct support vectors and one matmul give every class's decision value.
+A row whose distance to the support vectors' bounding box proves its whole
+kernel row underflows to +0.0 is not computed but left at +0.0 (Gray &
+Moore 2000 prune with the same bound), which skips numpy's slow exp of
+underflowing arguments and keeps every probability's bits.
 
 Training reads its grids, SMO stop and CV fraction from a PipelineConfig;
 the model records that config's feature echo.
@@ -58,9 +62,14 @@ class BinarySvmModel:
 class KernelTable:
     """The support vectors of a model's class models, each distinct row
     once, and every class's dual coefficients summed into the rows it uses
-    (a row repeated within or across classes counts each time)."""
+    (a row repeated within or across classes counts each time); with the
+    rows' squared norms and bounding box, from which `_far_rows` bounds a
+    row's distance to all of them."""
     rows: np.ndarray     # (U, k) distinct support vectors
     coef: np.ndarray     # (U, classes) summed dual coefficients
+    sq: np.ndarray       # (U,) squared norms of the rows
+    low: np.ndarray      # (k,) per-dimension minimum of the rows
+    high: np.ndarray     # (k,) per-dimension maximum of the rows
 
 
 def _kernel_table(models: list[BinarySvmModel]) -> KernelTable:
@@ -74,7 +83,8 @@ def _kernel_table(models: list[BinarySvmModel]) -> KernelTable:
     owner = np.repeat(np.arange(len(models)), [len(m.dual_coef) for m in models])
     coef = np.zeros((len(rows), len(models)))
     np.add.at(coef, (where.reshape(-1), owner), np.concatenate([m.dual_coef for m in models]))
-    return KernelTable(rows=rows, coef=coef)
+    return KernelTable(rows=rows, coef=coef, sq=(rows * rows).sum(axis=1),
+                       low=rows.min(axis=0), high=rows.max(axis=0))
 
 
 @dataclass
@@ -421,19 +431,80 @@ def fit_platt(scores, labels) -> tuple[float, float, str]:
 # support vectors needs no larger temporaries than one class model's kernel.
 _KERNEL_BLOCK_CELLS = 1 << 16
 
+# exp(-x) is exactly +0.0 for every x >= _EXP_ZERO: e^-746 is below half the
+# smallest subnormal, 2^-1075 = e^-745.13, so it rounds to zero.
+_EXP_ZERO = 746.0
+
+
+def _far_rows(table: KernelTable, z: np.ndarray, gamma: float) -> np.ndarray:
+    """Which standardized rows z provably have an all-zero kernel row
+    against the table's support vectors (as `rbf_kernel_matrix` computes it).
+
+    In dimension k a row lies at least g_k = max(z_k - high_k, low_k - z_k, 0)
+    from every support vector s, so its squared distance D to each is at
+    least LB = sum g_k^2.  In n dimensions, with eps the machine epsilon,
+    the kernel's expanded |z|^2 + |s|^2 - 2 z.s misses D by at most about
+    (n + 2) eps (|z|^2 + |s|^2) (the norms' and the dot product's summation
+    bounds plus two roundings), and the computed LB exceeds its real value
+    by at most (n + 3) eps LB <= 2 (n + 3) eps (|z|^2 + |s|^2), as
+    LB <= D <= 2 (|z|^2 + |s|^2).  E = 8 (n + 2) eps (|z|^2 + max |s|^2)
+    is several times the two together, which also covers rounding the test
+    itself, so every computed squared distance of a row with
+    gamma (LB - E) >= _EXP_ZERO is at least _EXP_ZERO / gamma and each of
+    its kernel entries is exp of at most -_EXP_ZERO: +0.0.  A row too large
+    for its squares to be finite gives inf - inf here and is never far.
+    """
+    gap = np.maximum(z - table.high, table.low - z)
+    np.maximum(gap, 0.0, out=gap)
+    bound = np.einsum("ij,ij->i", gap, gap)
+    bound -= (8 * (z.shape[1] + 2) * np.finfo(float).eps
+              * (np.einsum("ij,ij->i", z, z) + table.sq.max()))
+    bound *= gamma
+    return bound >= _EXP_ZERO
+
+
+def _kernel_without(block: np.ndarray, far: np.ndarray, table: KernelTable,
+                    gamma: float) -> np.ndarray:
+    """rbf_kernel_matrix(block, table.rows, gamma) when its rows `far` are
+    all +0.0: those are set, not computed, so the elementwise passes and
+    the exp (slow where it underflows) run on the other rows only.  The
+    product block @ rows.T still covers the whole block, as OpenBLAS rounds
+    a row's dot products differently with the shape of the product."""
+    kernel = block @ table.rows.T
+    near = ~far
+    twice = kernel[near]
+    twice *= 2.0
+    rows = block[near]
+    k = np.add.outer((rows * rows).sum(axis=1), table.sq)
+    k -= twice
+    del twice
+    np.maximum(k, 0.0, out=k)
+    k *= -gamma
+    kernel[far] = 0.0
+    kernel[near] = np.exp(k, out=k)
+    return kernel
+
 
 def _probability_matrix(models: list[BinarySvmModel], table: KernelTable,
                         z: np.ndarray) -> np.ndarray:
-    """(n, classes) calibrated probabilities of standardized rows z."""
+    """(n, classes) calibrated probabilities of standardized rows z.  A
+    block's far rows (`_far_rows`) get +0.0 kernel rows without computing
+    them, which is what computing them gives, and every product runs on the
+    same block as without the skip, so the probabilities keep their bits."""
     gamma = models[0].gamma
     bias = np.array([m.bias for m in models])
     a = np.array([m.platt_a for m in models])
     b = np.array([m.platt_b for m in models])
     out = np.empty((z.shape[0], len(models)))
+    far = _far_rows(table, z, gamma)
     step = max(1, _KERNEL_BLOCK_CELLS // len(table.rows))
     for lo in range(0, z.shape[0], step):
-        scores = rbf_kernel_matrix(z[lo:lo + step], table.rows, gamma) @ table.coef
-        out[lo:lo + step] = _sigmoid_of_negative(a * (scores + bias) + b)
+        block, skip = z[lo:lo + step], far[lo:lo + step]
+        if skip.any():
+            kernel = _kernel_without(block, skip, table, gamma)
+        else:
+            kernel = rbf_kernel_matrix(block, table.rows, gamma)
+        out[lo:lo + step] = _sigmoid_of_negative(a * (kernel @ table.coef + bias) + b)
     return out
 
 
@@ -566,8 +637,13 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
 
 def predict_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
     """(n, classes) calibrated probabilities for a feature matrix, from one
-    kernel over the model's distinct support vectors."""
-    z = standardize(np.asarray(x, dtype=float), model.stats)
+    kernel over the model's distinct support vectors.  A row that is not
+    finite once standardized is an error: it has no probability."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = standardize(np.asarray(x, dtype=float), model.stats)
+    bad = ~np.isfinite(z).all(axis=1)
+    if bad.any():
+        raise VsrError(f"feature row {int(np.argmax(bad))} is not finite once standardized")
     return _probability_matrix(model.models, model.kernel_table, z)
 
 

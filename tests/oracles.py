@@ -47,14 +47,15 @@ import vsr3d.segmentation
 from vsr3d import VsrError
 from vsr3d.config import CHANNEL_NAMES
 from vsr3d.decoder import TIE_ULPS
-from vsr3d.features import (_check_window, dct3, pyramid_mask_indices, subtract_sequence_mean,
-                            time_shift)
+from vsr3d.features import (_check_window, dct3, pyramid_mask_indices, standardize,
+                            subtract_sequence_mean, time_shift)
 from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CORNER_TRACK_SIGMA, CROP_HALF_WIDTH,
                                 LIP_SEED_RANGE, LUM_LINE_LENGTH, REFINE_ANGLES, REFINE_COLS,
                                 MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence, _blend,
                                 _box_taps, _minmax01, box_filter, color_plane,
                                 detect_inner_lower_lip, gaussian_transition_matrix, luminance,
                                 viterbi_generic)
+from vsr3d import svm
 from vsr3d.svm import (BinarySvmModel, MultiClassModel, _sigmoid_of_negative,
                        predict_probability_matrix, rbf_kernel_matrix)
 
@@ -95,6 +96,25 @@ def predict_probabilities(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
     """Independent one-vs-rest calibrated probability per class for one
     vector (deliberately not normalized to sum 1)."""
     return predict_probability_matrix(model, np.asarray(x, dtype=float)[None])[0]
+
+
+def blocked_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
+    """`predict_probability_matrix` with every kernel row computed: the
+    rows in blocks of svm._KERNEL_BLOCK_CELLS kernel cells, each block's
+    kernel over the distinct support vectors and one product with the
+    summed dual coefficients."""
+    z = standardize(np.asarray(x, dtype=float), model.stats)
+    table = model.kernel_table
+    gamma = model.models[0].gamma
+    bias = np.array([m.bias for m in model.models])
+    a = np.array([m.platt_a for m in model.models])
+    b = np.array([m.platt_b for m in model.models])
+    out = np.empty((z.shape[0], len(model.models)))
+    step = max(1, svm._KERNEL_BLOCK_CELLS // len(table.rows))
+    for lo in range(0, z.shape[0], step):
+        scores = rbf_kernel_matrix(z[lo:lo + step], table.rows, gamma) @ table.coef
+        out[lo:lo + step] = _sigmoid_of_negative(a * (scores + bias) + b)
+    return out
 
 
 def dual_objective(kernel: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:

@@ -1000,6 +1000,16 @@ class TestMalformedModelFiles:
             m["plattA"] = -1000.0
         assert self.decode(tmp_path, roi_path, doc) == 0
 
+    def test_overflowing_standardization_exits_2(self, tmp_path, capsys, roi_path):
+        """A spread so small that standardized features overflow leaves
+        windows with no probability, which is an error, not a decode."""
+        doc = _model_doc()
+        doc["stats"]["std"][0] = 5e-324
+        code = self.decode(tmp_path, roi_path, doc)
+        assert "is not finite once standardized" in assert_one_line_data_error(code, capsys,
+                                                                              "decode")
+        assert not (tmp_path / "hyp.txt").exists()
+
     def test_feature_config_keys_are_optional(self, tmp_path, roi_path):
         doc = _model_doc()
         doc["config"] = {"l": 10.0}

@@ -506,6 +506,34 @@ class TestGridBuilding:
         with pytest.raises(VsrError, match="at least one class inventory"):
             build_probability_grid(roi, [], 25.0)
 
+    def test_far_windows_decode_as_the_oracle(self, fixture_model_and_roi, corpus_config):
+        """With its temporal coefficient's spread cut tenfold, the model puts
+        most windows far from every support vector, so prediction skips
+        their kernel rows: the probabilities keep the dense oracle's bits,
+        and the two-inventory grid decodes as the oracle decoder does."""
+        from vsr3d import svm
+        from vsr3d.decoder import build_probability_grid
+        from vsr3d.features import (StandardizationStats, enumerate_subsequences,
+                                    featurize_many, standardize)
+        from vsr3d.svm import predict_probability_matrix
+
+        model, roi = fixture_model_and_roi
+        std = model.stats.std.copy()
+        std[1] /= 10.0
+        narrow = dataclasses.replace(model, stats=StandardizationStats(model.stats.mean, std))
+        cfgd, fps = narrow.config, corpus_config.fps
+        spans = enumerate_subsequences(roi.frame_count, np.arange(3, 13))
+        x = featurize_many(roi, cfgd["channel"], cfgd["deltaTms"], fps, spans, cfgd["l"],
+                           cfgd["s"])
+        far = svm._far_rows(narrow.kernel_table, standardize(x, narrow.stats),
+                            narrow.models[0].gamma)
+        assert far.mean() > 0.75
+        assert (predict_probability_matrix(narrow, x).tobytes()
+                == oracles.blocked_probability_matrix(narrow, x).tobytes())
+        grid = build_probability_grid(roi, [(narrow, 3, 12), (relabeled(narrow, "B+"), 6, 24)],
+                                      fps)
+        assert decode_sequence(grid) == oracles.decode_sequence(grid)
+
     def test_biphone_decode_featurizes_once(self, fixture_model_and_roi, corpus_config,
                                             monkeypatch):
         import vsr3d.decoder

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -15,8 +16,9 @@ from vsr3d.svm import (BinarySvmModel, MultiClassModel, fit_platt, load_model,
                        predict_probability_matrix, rbf_kernel_matrix, save_model,
                        train_binary_smo, train_multiclass, _SmoState)
 
-from oracles import (OneProblemSmo, decision_values, dual_objective, platt_probability,
-                     predict_probabilities, rbf_kernel, rbf_kernel_expression)
+from oracles import (OneProblemSmo, blocked_probability_matrix, decision_values,
+                     dual_objective, platt_probability, predict_probabilities, rbf_kernel,
+                     rbf_kernel_expression)
 
 
 def two_point_dual_brute_force(x1, x2, gamma, c):
@@ -665,6 +667,109 @@ class TestPredictProbabilityMatrix:
                                 stats=StandardizationStats(np.zeros(1), np.ones(1)))
         with pytest.raises(VsrError, match="gammas 0.25 and 0.5"):
             predict_probability_matrix(model, np.zeros((1, 1)))
+
+
+class TestFarRowSkip:
+    def test_exp_underflows_to_zero_at_the_cutoff(self):
+        """The platform property the skip rests on: exp is exactly +0.0 at
+        and beyond -_EXP_ZERO, in the vector loop and its scalar tail alike,
+        and not yet at -745 (the cutoff is within one of the real one)."""
+        for size in range(1, 40):
+            for x in (-svm._EXP_ZERO, -svm._EXP_ZERO - 0.5, -1000.0, -1e300, -np.inf):
+                e = np.exp(np.full(size, x))
+                assert (e == 0.0).all() and not np.signbit(e).any()
+        assert np.exp(-745.0) > 0.0
+
+    def test_matches_dense_oracle_bit_for_bit(self, monkeypatch):
+        """Random models and rows with some coordinates pushed 10 to 1e6
+        beyond the support vectors' box, scored in blocks of a few rows or
+        all at once: the probabilities have the dense oracle's bits, every
+        row the bound skips has an all-zero kernel row, and some draws skip
+        rows while others skip none."""
+        skipped = []
+
+        @settings(max_examples=150, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            dim = data.draw(st.integers(1, 4))
+            unit = st.floats(-1, 1)
+            pool = np.array(data.draw(st.lists(st.lists(unit, min_size=dim, max_size=dim),
+                                               min_size=1, max_size=6)))
+            gamma = data.draw(st.floats(1e-3, 4))
+            models = []
+            for c in range(data.draw(st.integers(2, 4))):
+                idx = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+                coef = [data.draw(st.floats(0.1, 1)) * data.draw(st.sampled_from([-1, 1]))
+                        for _ in idx]
+                models.append(BinarySvmModel(support_vectors=pool[idx], dual_coef=np.array(coef),
+                                             bias=data.draw(st.floats(-1, 1)), gamma=gamma,
+                                             platt_a=data.draw(st.floats(-2, -0.1)),
+                                             platt_b=data.draw(st.floats(-1, 1))))
+            model = MultiClassModel(class_labels=[f"c{i}" for i in range(len(models))],
+                                    models=models,
+                                    stats=StandardizationStats(np.zeros(dim), np.ones(dim)))
+            x = np.array(data.draw(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=dim,
+                                                     max_size=dim), min_size=1, max_size=12)))
+            for row in x:
+                for k in range(dim):
+                    if data.draw(st.booleans()):
+                        row[k] += (data.draw(st.sampled_from([-1, 1]))
+                                   * 10.0 ** data.draw(st.floats(1, 6)))
+            monkeypatch.setattr(svm, "_KERNEL_BLOCK_CELLS",
+                                data.draw(st.sampled_from([1, 3 * len(model.kernel_table.rows),
+                                                           1 << 16])))
+            got = predict_probability_matrix(model, x)
+            assert got.tobytes() == blocked_probability_matrix(model, x).tobytes()
+            far = svm._far_rows(model.kernel_table, x, gamma)
+            assert (rbf_kernel_matrix(x[far], model.kernel_table.rows, gamma) == 0.0).all()
+            skipped.append(int(far.sum()))
+
+        check()
+        assert any(skipped) and not all(skipped)
+
+    def test_products_keep_the_blocks_of_the_dense_path(self):
+        """At the pool's sizes (11 features, about 240 distinct support
+        vectors, 8 or 59 classes) with half the rows far: OpenBLAS rounds a
+        row's dot products differently with the shape of the product it is
+        in, so only products over the dense path's whole blocks keep every
+        probability's bits (scoring the near rows alone moves some)."""
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            dim, distinct, n = 11, 240, 700
+            pool = rng.normal(size=(distinct, dim))
+            models = []
+            for c in range(59 if seed % 2 else 8):
+                sv = pool[rng.random(distinct) < 0.5]
+                models.append(BinarySvmModel(support_vectors=sv, dual_coef=rng.normal(size=len(sv)),
+                                             bias=rng.normal(), gamma=0.125, platt_a=-1.5,
+                                             platt_b=0.1))
+            model = MultiClassModel(class_labels=[f"c{i}" for i in range(len(models))],
+                                    models=models,
+                                    stats=StandardizationStats(np.zeros(dim), np.ones(dim)))
+            x = rng.normal(size=(n, dim)) * 1.5
+            x[rng.random(n) < 0.5, 1] += 300.0
+            far = svm._far_rows(model.kernel_table, x, 0.125)
+            assert 0 < far.sum() < n
+            assert (predict_probability_matrix(model, x).tobytes()
+                    == blocked_probability_matrix(model, x).tobytes())
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_is_an_error(self, value):
+        """A row with no standardized value has no probability: without the
+        check it would be NaN, and with the skip an inf could pass as far."""
+        models = [BinarySvmModel(support_vectors=np.array([[0.0, 0.0]]),
+                                 dual_coef=np.array([s]), bias=0.0, gamma=0.5)
+                  for s in (1.0, -1.0)]
+        model = MultiClassModel(class_labels=["a", "b"], models=models,
+                                stats=StandardizationStats(np.zeros(2), np.ones(2)))
+        x = np.zeros((3, 2))
+        x[2, 1] = value
+        with pytest.raises(VsrError, match="feature row 2 is not finite"):
+            predict_probability_matrix(model, x)
+        tiny = dataclasses.replace(model, stats=StandardizationStats(np.zeros(2),
+                                                                     np.full(2, 5e-324)))
+        with pytest.raises(VsrError, match="feature row 1 is not finite"):
+            predict_probability_matrix(tiny, np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
 class TestModelIo:
