@@ -500,11 +500,13 @@ def _probability_matrix(models: list[BinarySvmModel], table: KernelTable,
     step = max(1, _KERNEL_BLOCK_CELLS // len(table.rows))
     for lo in range(0, z.shape[0], step):
         block, skip = z[lo:lo + step], far[lo:lo + step]
-        if skip.any():
-            kernel = _kernel_without(block, skip, table, gamma)
-        else:
-            kernel = rbf_kernel_matrix(block, table.rows, gamma)
-        out[lo:lo + step] = _sigmoid_of_negative(a * (kernel @ table.coef + bias) + b)
+        kernel = (_kernel_without(block, skip, table, gamma) if skip.any()
+                  else rbf_kernel_matrix(block, table.rows, gamma))
+        scores = kernel @ table.coef
+        # one block's kernel alive at a time: kept through the sigmoid and
+        # the next block's kernel, it would raise the heap's high-water mark
+        del kernel
+        out[lo:lo + step] = _sigmoid_of_negative(a * (scores + bias) + b)
     return out
 
 
