@@ -21,6 +21,7 @@ windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import ceil
 from operator import add
 
@@ -132,18 +133,16 @@ def decode_sequence(grid: ProbabilityGrid):
     top = np.full((width, n), -1.0)
     classes = np.zeros((width, n), dtype=np.intp)
     c = 0
-    while c < len(lo):
-        run = c + 1
-        while run < len(lo) and lo[run] == lo[c] and hi[run] == hi[c]:
-            run += 1
-        planes = np.stack(grid.probs[c:run], axis=-1)   # (frames, durations, classes)
+    for (a, b), run in groupby(zip(lo, hi)):
+        size = len(list(run))
+        planes = np.stack(grid.probs[c:c + size], axis=-1)   # (frames, durations, classes)
         first = planes.argmax(axis=-1)
         run_top = np.take_along_axis(planes, first[..., None], axis=-1)[..., 0].T
-        rows = slice(lo[c] - 1, hi[c])
+        rows = slice(a - 1, b)
         larger = run_top > top[rows]
         top[rows] = np.where(larger, run_top, top[rows])
         classes[rows] = np.where(larger, first.T + c, classes[rows])
-        c = run
+        c += size
     with np.errstate(divide="ignore"):
         weights = np.arange(1, width + 1)[:, None] * np.log(np.maximum(top, 0.0))
     # ending[e - 1][d - 1] is the weight of the segment of d frames ending
