@@ -9,9 +9,9 @@ coefficient space: every step before the mask is linear, so each raw frame
 is projected once onto the first s rows of the y- and x-DCT bases, the time
 shift and the sequence mean act on those projections, and one stack of
 (s x d) maps, one per duration d, does the resampling and the time DCT of
-every window.  The pixel-space path (shift, centre, resample, `dct3`, mask,
-one window at a time) that it must match lives in `tests/oracles.py` as the
-test reference.
+every window.  The pixel-space path (shift, centre, resample, a whole 3D-DCT,
+mask, one window at a time) that it must match lives in `tests/oracles.py`
+as the test reference.
 """
 
 from __future__ import annotations
@@ -106,16 +106,6 @@ def enumerate_subsequences(frame_count: int, durations) -> np.ndarray:
         raise VsrError("durations must be ascending and >= 1")
     starts, which = np.nonzero(np.arange(frame_count)[:, None] + durations <= frame_count)
     return np.stack([starts, durations[which]], axis=1)
-
-
-def dct3(volume: np.ndarray) -> np.ndarray:
-    """Orthonormal type-II DCT along every axis (energy preserving)."""
-    volume = np.asarray(volume, dtype=float)
-    if volume.ndim != 3 or min(volume.shape) < 1:
-        raise VsrError("dct3 expects a non-empty 3D volume")
-    n, h, w = volume.shape
-    planes = _dct_matrix(h) @ volume @ _dct_matrix(w).T
-    return (_dct_matrix(n) @ planes.reshape(n, h * w)).reshape(n, h, w)
 
 
 def pyramid_mask_indices(s: int) -> list[tuple[int, int, int]]:

@@ -118,6 +118,16 @@ class SynthConfig:
     def __post_init__(self):
         if not 2 <= self.class_count <= 8:
             raise VsrError("class_count must be between 2 and 8")
+        for name in ("sentence_length", "frame_width", "frame_height"):
+            if getattr(self, name) < 1:
+                raise VsrError(f"{name} must be at least 1")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise VsrError("noise_sigma must be finite and at least 0")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise VsrError("fps must be finite and positive")
+        if not 1 <= self.min_unit_frames <= self.max_unit_frames:
+            raise VsrError("min_unit_frames and max_unit_frames must satisfy "
+                           "1 <= min_unit_frames <= max_unit_frames")
         if not self.motions:
             self.motions = default_motions(self.class_count)
         if len(self.motions) != self.class_count:

@@ -24,9 +24,11 @@ so each distinct row is stored once (as LIBSVM does) with the classes' dual
 coefficients summed into a (rows, classes) matrix: one kernel over the
 distinct support vectors and one matmul give every class's decision value.
 A row whose distance to the support vectors' bounding box proves its whole
-kernel row underflows to +0.0 is not computed but left at +0.0 (Gray &
-Moore 2000 prune with the same bound), which skips numpy's slow exp of
-underflowing arguments and keeps every probability's bits.
+kernel row underflows to +0.0 (Gray & Moore 2000 prune with the same bound)
+takes, without a kernel, the bias-only probability that such a row gives:
+numpy's exp is slow where it underflows.
+`rbf_kernel_matrix` is the one RBF kernel, for training, CV scoring and
+prediction alike.
 
 Training reads its grids, SMO stop and CV fraction from a PipelineConfig;
 the model records that config's feature echo.
@@ -63,11 +65,10 @@ class KernelTable:
     """The support vectors of a model's class models, each distinct row
     once, and every class's dual coefficients summed into the rows it uses
     (a row repeated within or across classes counts each time); with the
-    rows' squared norms and bounding box, from which `_far_rows` bounds a
-    row's distance to all of them."""
+    rows' bounding box, from which `_far_rows` bounds a row's distance to
+    all of them."""
     rows: np.ndarray     # (U, k) distinct support vectors
     coef: np.ndarray     # (U, classes) summed dual coefficients
-    sq: np.ndarray       # (U,) squared norms of the rows
     low: np.ndarray      # (k,) per-dimension minimum of the rows
     high: np.ndarray     # (k,) per-dimension maximum of the rows
 
@@ -83,8 +84,7 @@ def _kernel_table(models: list[BinarySvmModel]) -> KernelTable:
     owner = np.repeat(np.arange(len(models)), [len(m.dual_coef) for m in models])
     coef = np.zeros((len(rows), len(models)))
     np.add.at(coef, (where.reshape(-1), owner), np.concatenate([m.dual_coef for m in models]))
-    return KernelTable(rows=rows, coef=coef, sq=(rows * rows).sum(axis=1),
-                       low=rows.min(axis=0), high=rows.max(axis=0))
+    return KernelTable(rows=rows, coef=coef, low=rows.min(axis=0), high=rows.max(axis=0))
 
 
 @dataclass
@@ -457,56 +457,37 @@ def _far_rows(table: KernelTable, z: np.ndarray, gamma: float) -> np.ndarray:
     gap = np.maximum(z - table.high, table.low - z)
     np.maximum(gap, 0.0, out=gap)
     bound = np.einsum("ij,ij->i", gap, gap)
-    bound -= (8 * (z.shape[1] + 2) * np.finfo(float).eps
-              * (np.einsum("ij,ij->i", z, z) + table.sq.max()))
+    s_max = (table.rows * table.rows).sum(axis=1).max()
+    bound -= 8 * (z.shape[1] + 2) * np.finfo(float).eps * (np.einsum("ij,ij->i", z, z) + s_max)
     bound *= gamma
     return bound >= _EXP_ZERO
 
 
-def _kernel_without(block: np.ndarray, far: np.ndarray, table: KernelTable,
-                    gamma: float) -> np.ndarray:
-    """rbf_kernel_matrix(block, table.rows, gamma) when its rows `far` are
-    all +0.0: those are set, not computed, so the elementwise passes and
-    the exp (slow where it underflows) run on the other rows only.  The
-    product block @ rows.T still covers the whole block, as OpenBLAS rounds
-    a row's dot products differently with the shape of the product."""
-    kernel = block @ table.rows.T
-    near = ~far
-    twice = kernel[near]
-    twice *= 2.0
-    rows = block[near]
-    k = np.add.outer((rows * rows).sum(axis=1), table.sq)
-    k -= twice
-    del twice
-    np.maximum(k, 0.0, out=k)
-    k *= -gamma
-    kernel[far] = 0.0
-    kernel[near] = np.exp(k, out=k)
-    return kernel
-
-
 def _probability_matrix(models: list[BinarySvmModel], table: KernelTable,
                         z: np.ndarray) -> np.ndarray:
-    """(n, classes) calibrated probabilities of standardized rows z.  A
-    block's far rows (`_far_rows`) get +0.0 kernel rows without computing
-    them, which is what computing them gives, and every product runs on the
-    same block as without the skip, so the probabilities keep their bits."""
+    """(n, classes) calibrated probabilities of standardized rows z.  A far
+    row (`_far_rows`) has an all-+0.0 kernel row, so it takes the bias-only
+    probability without a kernel; the near rows are scored in blocks, each
+    one kernel over the distinct support vectors and one product.  OpenBLAS
+    rounds a row's dot products with the shape of the product it is in, so
+    a near row's probability depends, within roundoff, on the near rows it
+    shares a block with."""
     gamma = models[0].gamma
     bias = np.array([m.bias for m in models])
     a = np.array([m.platt_a for m in models])
     b = np.array([m.platt_b for m in models])
     out = np.empty((z.shape[0], len(models)))
     far = _far_rows(table, z, gamma)
+    out[far] = _sigmoid_of_negative(a * (0.0 + bias) + b)
+    near = np.flatnonzero(~far)
     step = max(1, _KERNEL_BLOCK_CELLS // len(table.rows))
-    for lo in range(0, z.shape[0], step):
-        block, skip = z[lo:lo + step], far[lo:lo + step]
-        kernel = (_kernel_without(block, skip, table, gamma) if skip.any()
-                  else rbf_kernel_matrix(block, table.rows, gamma))
-        scores = kernel @ table.coef
-        # one block's kernel alive at a time: kept through the sigmoid and
-        # the next block's kernel, it would raise the heap's high-water mark
-        del kernel
-        out[lo:lo + step] = _sigmoid_of_negative(a * (scores + bias) + b)
+    for lo in range(0, len(near), step):
+        rows = near[lo:lo + step]
+        # one block's kernel alive at a time (it dies with the product, and
+        # the sigmoid is taken before the next one): a higher heap peak can
+        # make the allocator trim the heap after every call and fault it back
+        scores = rbf_kernel_matrix(z[rows], table.rows, gamma) @ table.coef
+        out[rows] = _sigmoid_of_negative(a * (scores + bias) + b)
     return out
 
 

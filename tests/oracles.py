@@ -29,9 +29,10 @@ brute-force decoding tests; the per-window 3D-DCT featurizer in pixel space
 (`preprocess_volume`'s time shift and sequence mean over the whole plane,
 then per window `resample_to_length`, `dct3` and the pyramid mask), which
 `vsr3d.features.featurize_many`, working on the frames' DCT projections,
-must match within 1e-12; and the inverse 3D-DCT and ground-truth CSV reader
-of the feature and fixture tests.  `roi_volume` and `roi_planes` build a RoiVolume from
-given planes and stack a volume's planes, for the tests that need either.
+must match within 1e-12; and the whole 3D-DCT (`dct3`), its inverse and the
+ground-truth CSV reader of the feature and fixture tests.  `roi_volume` and
+`roi_planes` build a RoiVolume from given planes and stack a volume's planes,
+for the tests that need either.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import vsr3d.segmentation
 from vsr3d import VsrError
 from vsr3d.config import CHANNEL_NAMES
 from vsr3d.decoder import TIE_ULPS
-from vsr3d.features import (_check_window, dct3, pyramid_mask_indices, standardize,
+from vsr3d.features import (_check_window, _dct_matrix, pyramid_mask_indices, standardize,
                             subtract_sequence_mean, time_shift)
 from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CORNER_TRACK_SIGMA, CROP_HALF_WIDTH,
                                 LIP_SEED_RANGE, LUM_LINE_LENGTH, REFINE_ANGLES, REFINE_COLS,
@@ -99,10 +100,10 @@ def predict_probabilities(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
 
 
 def blocked_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
-    """`predict_probability_matrix` with every kernel row computed: the
-    rows in blocks of svm._KERNEL_BLOCK_CELLS kernel cells, each block's
-    kernel over the distinct support vectors and one product with the
-    summed dual coefficients."""
+    """`predict_probability_matrix` with every kernel row computed, far or
+    near: all the rows in blocks of svm._KERNEL_BLOCK_CELLS kernel cells,
+    each block's kernel over the distinct support vectors and one product
+    with the summed dual coefficients."""
     z = standardize(np.asarray(x, dtype=float), model.stats)
     table = model.kernel_table
     gamma = model.models[0].gamma
@@ -233,8 +234,18 @@ def featurize(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
                               length, s)
 
 
+def dct3(volume: np.ndarray) -> np.ndarray:
+    """Orthonormal type-II DCT along every axis (energy preserving)."""
+    volume = np.asarray(volume, dtype=float)
+    if volume.ndim != 3 or min(volume.shape) < 1:
+        raise VsrError("dct3 expects a non-empty 3D volume")
+    n, h, w = volume.shape
+    planes = _dct_matrix(h) @ volume @ _dct_matrix(w).T
+    return (_dct_matrix(n) @ planes.reshape(n, h * w)).reshape(n, h, w)
+
+
 def idct3(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of `vsr3d.features.dct3`."""
+    """Inverse of `dct3`."""
     return scipy.fft.idctn(np.asarray(coeffs, dtype=float), type=2, norm="ortho")
 
 

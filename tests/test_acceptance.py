@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import decision_values, idct3, prob
+from oracles import dct3, decision_values, idct3, prob
 from vsr3d.config import PipelineConfig
 from vsr3d.decoder import ProbabilityGrid, decode_sequence
 from vsr3d.evaluation import (AlignmentCounts, accuracy, align_nw, t_tail_probability)
-from vsr3d.features import dct3, pyramid_mask_indices, extract_labeled_samples
+from vsr3d.features import pyramid_mask_indices, extract_labeled_samples
 from vsr3d.features import Transcript, TranscriptEntry
 from vsr3d.fixtures import Rng, SynthConfig, corpus_sentence, derive_seed, synth_sentence
 from vsr3d.pipeline import decode_roi, segment_video, train_from_features

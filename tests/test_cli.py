@@ -119,6 +119,24 @@ class TestSynth:
             for f in sorted(p.name for p in da.iterdir()):
                 assert (da / f).read_bytes() == (db / f).read_bytes()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--sentence-length", "0", "sentence_length"),
+        ("--sentence-length", "-3", "sentence_length"),
+        ("--width", "0", "frame_width"),
+        ("--height", "0", "frame_height"),
+        ("--noise-sigma", "nan", "noise_sigma"),
+        ("--noise-sigma", "inf", "noise_sigma"),
+        ("--noise-sigma", "-0.01", "noise_sigma"),
+    ])
+    def test_malformed_argument_is_data_error(self, tmp_path, capsys, flag, value, field):
+        """A value no corpus can be made from ends in exit 2 and one line
+        naming the field, before anything is written."""
+        assert run_cli("synth", "--sentences", "1", "--out", str(tmp_path / "corpus"),
+                       flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_layout(self, tiny_corpus):
         sent = tiny_corpus / "corpus" / "sent_000"
         assert (sent / "manifest.txt").is_file()

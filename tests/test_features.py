@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import reference_windows
-from oracles import (featurize, featurize_prepared, idct3, preprocess_volume, pyramid_extract,
-                     resample_to_length, roi_volume)
+from oracles import (dct3, featurize, featurize_prepared, idct3, preprocess_volume,
+                     pyramid_extract, resample_to_length, roi_volume)
 from vsr3d import VsrError
-from vsr3d.features import (_dct_matrix, _time_maps, dct3, enumerate_subsequences, featurize_many,
+from vsr3d.features import (_dct_matrix, _time_maps, enumerate_subsequences, featurize_many,
                             feature_dimension, fit_standardization, pyramid_mask_indices,
                             standardize, subtract_sequence_mean, time_shift)
 

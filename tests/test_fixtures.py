@@ -54,6 +54,16 @@ class TestConfig:
         with pytest.raises(VsrError):
             SynthConfig(class_count=9)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sentence_length", 0), ("frame_width", 0), ("frame_height", -1),
+        ("noise_sigma", float("nan")), ("noise_sigma", float("inf")), ("noise_sigma", -1e-3),
+        ("fps", 0.0), ("fps", float("nan")), ("fps", float("inf")),
+        ("min_unit_frames", 0), ("max_unit_frames", 2),
+    ])
+    def test_malformed_field_rejected(self, field, value):
+        with pytest.raises(VsrError, match=field):
+            SynthConfig(**{field: value})
+
     def test_duplicate_motions_rejected(self):
         with pytest.raises(VsrError):
             SynthConfig(class_count=2, motions=[(1.0, 2.0, 3.0), (1.0, 2.0, 3.0)])

@@ -669,6 +669,38 @@ class TestPredictProbabilityMatrix:
             predict_probability_matrix(model, np.zeros((1, 1)))
 
 
+def pool_sized_case(seed: int):
+    """A model at the pool's sizes (11 features, 240 candidate support
+    vectors, 8 classes for even seeds and 59 for odd) and 700 rows, about
+    half of them pushed far from every support vector."""
+    rng = np.random.default_rng(seed)
+    dim, distinct, n = 11, 240, 700
+    pool = rng.normal(size=(distinct, dim))
+    models = []
+    for _ in range(59 if seed % 2 else 8):
+        sv = pool[rng.random(distinct) < 0.5]
+        models.append(BinarySvmModel(support_vectors=sv, dual_coef=rng.normal(size=len(sv)),
+                                     bias=rng.normal(), gamma=0.125, platt_a=-1.5,
+                                     platt_b=0.1))
+    model = MultiClassModel(class_labels=[f"c{i}" for i in range(len(models))], models=models,
+                            stats=StandardizationStats(np.zeros(dim), np.ones(dim)))
+    x = rng.normal(size=(n, dim)) * 1.5
+    x[rng.random(n) < 0.5, 1] += 300.0
+    return model, x
+
+
+def assert_near_rows_scored_alone(model, x, far):
+    """The layout prediction scores in, for rows x standardized by the
+    identity: the far rows have the whole-block oracle's bits (the bias-only
+    probability), the near rows the bits of the oracle run on the near rows
+    alone, and every row is within 1e-12 of the whole-block oracle."""
+    got = predict_probability_matrix(model, x)
+    dense = blocked_probability_matrix(model, x)
+    assert got[far].tobytes() == dense[far].tobytes()
+    assert got[~far].tobytes() == blocked_probability_matrix(model, x[~far]).tobytes()
+    assert np.abs(got - dense).max() <= 1e-12
+
+
 class TestFarRowSkip:
     def test_exp_underflows_to_zero_at_the_cutoff(self):
         """The platform property the skip rests on: exp is exactly +0.0 at
@@ -683,9 +715,10 @@ class TestFarRowSkip:
     def test_matches_dense_oracle_bit_for_bit(self, monkeypatch):
         """Random models and rows with some coordinates pushed 10 to 1e6
         beyond the support vectors' box, scored in blocks of a few rows or
-        all at once: the probabilities have the dense oracle's bits, every
-        row the bound skips has an all-zero kernel row, and some draws skip
-        rows while others skip none."""
+        all at once: the probabilities have the bits of the oracle's layout
+        (`assert_near_rows_scored_alone`), every row the bound skips has an
+        all-zero kernel row, and some draws skip rows while others skip
+        none."""
         skipped = []
 
         @settings(max_examples=150, deadline=None)
@@ -718,40 +751,46 @@ class TestFarRowSkip:
             monkeypatch.setattr(svm, "_KERNEL_BLOCK_CELLS",
                                 data.draw(st.sampled_from([1, 3 * len(model.kernel_table.rows),
                                                            1 << 16])))
-            got = predict_probability_matrix(model, x)
-            assert got.tobytes() == blocked_probability_matrix(model, x).tobytes()
             far = svm._far_rows(model.kernel_table, x, gamma)
+            assert_near_rows_scored_alone(model, x, far)
             assert (rbf_kernel_matrix(x[far], model.kernel_table.rows, gamma) == 0.0).all()
             skipped.append(int(far.sum()))
 
         check()
         assert any(skipped) and not all(skipped)
 
-    def test_products_keep_the_blocks_of_the_dense_path(self):
+    def test_near_rows_are_scored_as_their_own_blocks(self):
         """At the pool's sizes (11 features, about 240 distinct support
-        vectors, 8 or 59 classes) with half the rows far: OpenBLAS rounds a
-        row's dot products differently with the shape of the product it is
-        in, so only products over the dense path's whole blocks keep every
-        probability's bits (scoring the near rows alone moves some)."""
+        vectors, 8 or 59 classes) with half the rows far: the far rows take
+        the bias-only probability an all-zero kernel row gives, and the near
+        rows are blocked among themselves, so they have the bits of the
+        oracle run on the near rows alone; OpenBLAS rounds a row's dot
+        products with the shape of the product, so a near row may differ
+        from the whole-block oracle, by roundoff only."""
         for seed in range(10):
-            rng = np.random.default_rng(seed)
-            dim, distinct, n = 11, 240, 700
-            pool = rng.normal(size=(distinct, dim))
-            models = []
-            for c in range(59 if seed % 2 else 8):
-                sv = pool[rng.random(distinct) < 0.5]
-                models.append(BinarySvmModel(support_vectors=sv, dual_coef=rng.normal(size=len(sv)),
-                                             bias=rng.normal(), gamma=0.125, platt_a=-1.5,
-                                             platt_b=0.1))
-            model = MultiClassModel(class_labels=[f"c{i}" for i in range(len(models))],
-                                    models=models,
-                                    stats=StandardizationStats(np.zeros(dim), np.ones(dim)))
-            x = rng.normal(size=(n, dim)) * 1.5
-            x[rng.random(n) < 0.5, 1] += 300.0
-            far = svm._far_rows(model.kernel_table, x, 0.125)
-            assert 0 < far.sum() < n
-            assert (predict_probability_matrix(model, x).tobytes()
-                    == blocked_probability_matrix(model, x).tobytes())
+            model, x = pool_sized_case(seed)
+            far = svm._far_rows(model.kernel_table, x, model.models[0].gamma)
+            assert 0 < far.sum() < len(x)
+            assert_near_rows_scored_alone(model, x, far)
+
+    def test_kernel_runs_on_the_near_rows_only(self, monkeypatch):
+        """Prediction computes a kernel row for every near row and for no
+        far row: the rows `rbf_kernel_matrix` receives number the near rows."""
+        kernel = svm.rbf_kernel_matrix
+        received = []
+
+        def counting(a, b, gamma):
+            received.append(len(a))
+            return kernel(a, b, gamma)
+
+        monkeypatch.setattr(svm, "rbf_kernel_matrix", counting)
+        for seed in range(2):
+            model, x = pool_sized_case(seed)
+            far = svm._far_rows(model.kernel_table, x, model.models[0].gamma)
+            received.clear()
+            predict_probability_matrix(model, x)
+            assert 0 < far.sum() < len(x)
+            assert sum(received) == (~far).sum()
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_row_is_an_error(self, value):
