@@ -27,8 +27,14 @@ A row whose distance to the support vectors' bounding box proves its whole
 kernel row underflows to +0.0 (Gray & Moore 2000 prune with the same bound)
 takes, without a kernel, the bias-only probability that such a row gives:
 numpy's exp is slow where it underflows.
-`rbf_kernel_matrix` is the one RBF kernel, for training, CV scoring and
-prediction alike.
+
+The RBF kernel has two forms.  Training builds its Gram matrix with
+`rbf_kernel_matrix`, |a|^2 + |b|^2 - 2 a.b from a symmetric product, which
+SMO needs exactly symmetric.  Prediction and CV scoring take the exponent
+-gamma ||z - s||^2 from one product of augmented rows, (2 gamma z,
+-gamma |z|^2, -1) against (s, 1, gamma |s|^2), the norms folded into the
+product (the GEMM-plus-norms form of SVM libraries such as ThunderSVM;
+Wen et al., JMLR 2018), and clamp and exponentiate it in place.
 
 Training reads its grids, SMO stop and CV fraction from a PipelineConfig;
 the model records that config's feature echo.
@@ -66,11 +72,14 @@ class KernelTable:
     once, and every class's dual coefficients summed into the rows it uses
     (a row repeated within or across classes counts each time); with the
     rows' bounding box, from which `_far_rows` bounds a row's distance to
-    all of them."""
+    all of them, the model's one gamma, and the rows augmented for the
+    prediction product (`_augmented_rows`)."""
     rows: np.ndarray     # (U, k) distinct support vectors
     coef: np.ndarray     # (U, classes) summed dual coefficients
     low: np.ndarray      # (k,) per-dimension minimum of the rows
     high: np.ndarray     # (k,) per-dimension maximum of the rows
+    gamma: float
+    aug: np.ndarray      # (U, k + 2) rows (s, 1, gamma |s|^2)
 
 
 def _kernel_table(models: list[BinarySvmModel]) -> KernelTable:
@@ -84,7 +93,14 @@ def _kernel_table(models: list[BinarySvmModel]) -> KernelTable:
     owner = np.repeat(np.arange(len(models)), [len(m.dual_coef) for m in models])
     coef = np.zeros((len(rows), len(models)))
     np.add.at(coef, (where.reshape(-1), owner), np.concatenate([m.dual_coef for m in models]))
-    return KernelTable(rows=rows, coef=coef, low=rows.min(axis=0), high=rows.max(axis=0))
+    gamma = gammas[0]
+    aug = np.empty((len(rows), rows.shape[1] + 2))
+    aug[:, :-2] = rows
+    aug[:, -2] = 1.0
+    with np.errstate(over="ignore"):
+        aug[:, -1] = gamma * (rows * rows).sum(axis=1)
+    return KernelTable(rows=rows, coef=coef, low=rows.min(axis=0), high=rows.max(axis=0),
+                       gamma=gamma, aug=aug)
 
 
 @dataclass
@@ -337,9 +353,14 @@ def train_binary_smo(x: np.ndarray, y: np.ndarray, c: float, gamma: float,
 
 
 def _sigmoid_of_negative(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(z)) without overflow: both branches use exp(-|z|) <= 1."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+    """1 / (1 + exp(z)) without overflow, for a float array z that it
+    overwrites: with e = exp(-|z|) <= 1, taken in place in z, it is
+    e / (1 + e) where z >= 0 and 1 / (1 + e) elsewhere (z < 0 or NaN)."""
+    neg = z < 0
+    e = np.exp(np.copysign(z, -1.0, out=z), out=z)   # copysign(z, -1) is -|z|
+    d = 1.0 + e
+    # a masked copy into e would branch on the signs; np.where does not
+    return np.divide(np.where(neg, 1.0, e), d, out=d)
 
 
 # Newton steps `fit_platt` takes before it stops at its cap
@@ -355,10 +376,12 @@ def fit_platt(scores, labels) -> tuple[float, float, str]:
     floor of its optimum, not at an iterate that roundoff picks.
 
     Returns (A, B, stop), stop naming why the fit ended: "converged" (both
-    gradient components below 1e-7 at the end), "line_search" (backtracking
-    found no sufficient decrease down to a step of 1e-10, and the gradient's
-    floor is above 1e-7) or "cap" (100 Newton steps taken, the finishing
-    ones included).  A, B are the last accepted point in every case.
+    gradient components at the end below 1e-7 or below their roundoff floor,
+    n eps sum |f| for the A component and n eps n for the B one, whichever is
+    larger), "line_search" (backtracking found no sufficient decrease down
+    to a step of 1e-10, and the gradient ended above both) or "cap" (100
+    Newton steps taken, the finishing ones included).  A, B are the last
+    accepted point in every case.
     """
     f = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -416,14 +439,20 @@ def fit_platt(scores, labels) -> tuple[float, float, str]:
         return a, b, "cap"
     # near the optimum the likelihood no longer resolves a step, but the
     # gradient does: finish with full Newton steps while its max-norm falls
-    norm = max(abs(g1), abs(g2))
+    grad = (abs(g1), abs(g2))
     while steps < _PLATT_MAX_STEPS:
         steps += 1
         g1, g2, da_next, db_next = newton(a + da, b + db)
-        if max(abs(g1), abs(g2)) >= norm:
+        if max(abs(g1), abs(g2)) >= max(grad):
             break
-        a, b, da, db, norm = a + da, b + db, da_next, db_next, max(abs(g1), abs(g2))
-    return a, b, "converged" if norm < 1e-7 else stop
+        a, b, da, db, grad = a + da, b + db, da_next, db_next, (abs(g1), abs(g2))
+    # g1 = sum f (t - p) and g2 = sum (t - p) are computed within about
+    # n eps sum |f| and n eps n (|t - p| <= 1): a gradient below that is at
+    # its roundoff floor, however large the scores
+    floor = len(f) * np.finfo(float).eps
+    converged = (grad[0] < max(1e-7, floor * float(np.abs(f).sum()))
+                 and grad[1] < max(1e-7, floor * len(f)))
+    return a, b, "converged" if converged else stop
 
 
 # Rows are scored in blocks whose kernel has at most this many cells (512 KiB
@@ -436,31 +465,70 @@ _KERNEL_BLOCK_CELLS = 1 << 16
 _EXP_ZERO = 746.0
 
 
-def _far_rows(table: KernelTable, z: np.ndarray, gamma: float) -> np.ndarray:
+def _augmented_rows(table: KernelTable, z: np.ndarray) -> np.ndarray:
+    """(2 gamma z, -gamma |z|^2, -1) for standardized rows z: their product
+    with the table's augmented rows (s, 1, gamma |s|^2) is the kernel
+    exponent -gamma ||z - s||^2, up to roundoff.  2 gamma z is computed as
+    (z + z) gamma: the same bits, without forming 2 gamma, which overflows
+    for gamma past half the largest double."""
+    za = np.empty((len(z), z.shape[1] + 2))
+    np.add(z, z, out=za[:, :-2])
+    za[:, :-2] *= table.gamma
+    za[:, -2] = np.einsum("ij,ij->i", z, z)
+    za[:, -2] *= -table.gamma
+    za[:, -1] = -1.0
+    return za
+
+
+def _far_rows(table: KernelTable, z: np.ndarray) -> np.ndarray:
     """Which standardized rows z provably have an all-zero kernel row
-    against the table's support vectors (as `rbf_kernel_matrix` computes it).
+    against the table's support vectors: the exponent
+    `_augmented_rows(table, z) @ table.aug.T` is at most -_EXP_ZERO in every
+    entry, which exp maps to +0.0.
 
     In dimension k a row lies at least g_k = max(z_k - high_k, low_k - z_k, 0)
     from every support vector s, so its squared distance D to each is at
-    least LB = sum g_k^2.  In n dimensions, with eps the machine epsilon,
-    the kernel's expanded |z|^2 + |s|^2 - 2 z.s misses D by at most about
-    (n + 2) eps (|z|^2 + |s|^2) (the norms' and the dot product's summation
-    bounds plus two roundings), and the computed LB exceeds its real value
-    by at most (n + 3) eps LB <= 2 (n + 3) eps (|z|^2 + |s|^2), as
-    LB <= D <= 2 (|z|^2 + |s|^2).  E = 8 (n + 2) eps (|z|^2 + max |s|^2)
-    is several times the two together, which also covers rounding the test
-    itself, so every computed squared distance of a row with
-    gamma (LB - E) >= _EXP_ZERO is at least _EXP_ZERO / gamma and each of
-    its kernel entries is exp of at most -_EXP_ZERO: +0.0.  A row too large
-    for its squares to be finite gives inf - inf here and is never far.
+    least LB = sum g_k^2.  Let eps be the machine epsilon, u = eps / 2 and
+    r_m = m u / (1 - m u), in n dimensions.  The product's operands carry
+    the roundoff of their own making: each 2 gamma z_k one rounding, and
+    gamma |z|^2 and gamma |s|^2 are within r_(n+1) of their real values (a
+    sum of n squares, then a product), so the real dot product of the
+    rounded operands misses -gamma D by at most
+    u gamma 2 sum |z_k s_k| + r_(n+1) gamma (|z|^2 + |s|^2)
+    <= (u + r_(n+1)) gamma (|z|^2 + |s|^2), as 2 |z_k s_k| <= z_k^2 + s_k^2.
+    BLAS sums its n + 2 terms in some order, fused or not, within r_(n+2)
+    times the sum of their magnitudes, which is at most
+    2 gamma (|z|^2 + |s|^2) (1 + r_(n+1)).  So the computed exponent is within
+    about (3 n + 6) u = 1.5 (n + 2) eps times gamma (|z|^2 + |s|^2) of
+    -gamma D.  The computed LB exceeds its real value by at most
+    (n + 3) eps LB <= 2 (n + 3) eps (|z|^2 + |s|^2), as
+    LB <= D <= 2 (|z|^2 + |s|^2).  The two together are at most
+    (3.5 n + 9) eps (|z|^2 + |s|^2), and E = 8 (n + 2) eps (|z|^2 + max |s|^2)
+    exceeds that by (4.5 n + 7) eps (|z|^2 + |s|^2) >= 11.5 eps * 373 / gamma
+    (the test below implies gamma (|z|^2 + |s|^2) >= gamma LB / 2 >= 373),
+    far more than rounding |z|^2, max |s|^2, E and the test itself costs
+    (a few eps times 746 / gamma).  So a row with gamma (LB - E) >= _EXP_ZERO
+    has every computed exponent at most -_EXP_ZERO.  Underflow adds at most
+    (n + 2) 2^-1074 to a product, which this slack also covers.
+
+    A row whose LB overflows (the squares of its gaps sum past the largest
+    double M) lies at D >= LB >= M / (1 + (n + 3) eps) > M / 2 from every
+    support vector, so gamma D >= _EXP_ZERO whenever gamma >= 2 _EXP_ZERO / M:
+    its exact kernel row underflows to +0.0 and it is far, though no finite
+    exponent of it is computed.  Such rows give inf (or inf - inf) here,
+    which stays quiet.
     """
-    gap = np.maximum(z - table.high, table.low - z)
-    np.maximum(gap, 0.0, out=gap)
-    bound = np.einsum("ij,ij->i", gap, gap)
-    s_max = (table.rows * table.rows).sum(axis=1).max()
-    bound -= 8 * (z.shape[1] + 2) * np.finfo(float).eps * (np.einsum("ij,ij->i", z, z) + s_max)
-    bound *= gamma
-    return bound >= _EXP_ZERO
+    gamma = table.gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.maximum(z - table.high, table.low - z)
+        np.maximum(gap, 0.0, out=gap)
+        lb = np.einsum("ij,ij->i", gap, gap)
+        s_max = (table.rows * table.rows).sum(axis=1).max()
+        bound = lb - 8 * (z.shape[1] + 2) * np.finfo(float).eps * (np.einsum("ij,ij->i", z, z)
+                                                                   + s_max)
+        bound *= gamma
+    huge = np.isinf(lb) & (gamma >= 2 * _EXP_ZERO / np.finfo(float).max)
+    return (bound >= _EXP_ZERO) | huge
 
 
 def _probability_matrix(models: list[BinarySvmModel], table: KernelTable,
@@ -468,26 +536,43 @@ def _probability_matrix(models: list[BinarySvmModel], table: KernelTable,
     """(n, classes) calibrated probabilities of standardized rows z.  A far
     row (`_far_rows`) has an all-+0.0 kernel row, so it takes the bias-only
     probability without a kernel; the near rows are scored in blocks, each
-    one kernel over the distinct support vectors and one product.  OpenBLAS
-    rounds a row's dot products with the shape of the product it is in, so
-    a near row's probability depends, within roundoff, on the near rows it
-    shares a block with."""
-    gamma = models[0].gamma
+    one product of their augmented rows with the table's for the kernel
+    exponent, clamped at <= 0 and exponentiated in place, and one product
+    with the dual coefficients.  OpenBLAS rounds a row's dot products with
+    the shape of the product it is in, so a near row's probability depends,
+    within roundoff, on the near rows it shares a block with.
+
+    The exponent's n + 2 terms sum in magnitude to at most
+    2 gamma (|z|^2 + |s|^2) (1 + roundoff), so no partial sum overflows while
+    gamma (|z|^2 + max |s|^2) is below an eighth of the largest double; a
+    near row beyond that (only support vectors as large as it can keep it
+    near) is an error rather than a NaN."""
     bias = np.array([m.bias for m in models])
     a = np.array([m.platt_a for m in models])
     b = np.array([m.platt_b for m in models])
     out = np.empty((z.shape[0], len(models)))
-    far = _far_rows(table, z, gamma)
+    far = _far_rows(table, z)
     out[far] = _sigmoid_of_negative(a * (0.0 + bias) + b)
     near = np.flatnonzero(~far)
+    with np.errstate(over="ignore", invalid="ignore"):
+        za = _augmented_rows(table, z[near])
+        big = ~np.isfinite(8.0 * (table.aug[:, -1].max() - za[:, -2]))
+    if big.any():
+        raise VsrError(f"feature row {int(near[np.argmax(big)])} is too large to score against "
+                       "the model's support vectors")
+    aug_t = table.aug.T
     step = max(1, _KERNEL_BLOCK_CELLS // len(table.rows))
     for lo in range(0, len(near), step):
-        rows = near[lo:lo + step]
-        # one block's kernel alive at a time (it dies with the product, and
-        # the sigmoid is taken before the next one): a higher heap peak can
-        # make the allocator trim the heap after every call and fault it back
-        scores = rbf_kernel_matrix(z[rows], table.rows, gamma) @ table.coef
-        out[rows] = _sigmoid_of_negative(a * (scores + bias) + b)
+        # one (rows, U) array per block: the exponent becomes the kernel in
+        # place and dies with the product, so the heap peak stays one block
+        u = za[lo:lo + step] @ aug_t
+        np.minimum(u, 0.0, out=u)
+        scores = np.exp(u, out=u) @ table.coef
+        del u
+        scores += bias
+        scores *= a
+        scores += b
+        out[near[lo:lo + step]] = _sigmoid_of_negative(scores)
     return out
 
 
@@ -529,7 +614,8 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     for lab in class_labels:
         idx = [i for i, l in enumerate(labels) if l == lab]
         if len(idx) < 2:
-            raise VsrError(f"class {lab!r} has fewer than 2 samples")
+            raise VsrError(f"class {lab!r} has {len(idx)} sample; every class needs at least 2 "
+                           "(drop its rows from the feature CSV, or featurize more data)")
         n_cv = int(cfg.cv_fraction * len(idx))
         cv_idx.extend(idx[:n_cv])
         train_idx.extend(idx[n_cv:])

@@ -4,8 +4,11 @@ Nothing in `src/`, `scripts/` or `perfbench/` calls these: the scalar RBF
 kernel, the decision values of one class model a row at a time, the kernel
 matrix written as one expression (three matrix-sized temporaries), which
 the in-place
-`vsr3d.svm.rbf_kernel_matrix` must reproduce bit for bit, the per-class
-probability path, the dual
+`vsr3d.svm.rbf_kernel_matrix` must reproduce bit for bit, the sigmoid as one
+expression, which the in-place `vsr3d.svm._sigmoid_of_negative` must
+reproduce bit for bit, the per-class probability path and the whole-block
+probabilities in the training kernel's form, which prediction's augmented
+product must match within 1e-12, the dual
 objective, and the one-problem SMO loop that the lockstep solver in
 `vsr3d.svm` must reproduce bit for bit; the symmetry search that samples
 every candidate term of a window from the whole image, and the per-frame
@@ -57,8 +60,8 @@ from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CORNER_TRACK_SIGMA, CROP_H
                                 detect_inner_lower_lip, gaussian_transition_matrix, luminance,
                                 viterbi_generic)
 from vsr3d import svm
-from vsr3d.svm import (BinarySvmModel, MultiClassModel, _sigmoid_of_negative,
-                       predict_probability_matrix, rbf_kernel_matrix)
+from vsr3d.svm import (BinarySvmModel, MultiClassModel, predict_probability_matrix,
+                       rbf_kernel_matrix)
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
@@ -89,8 +92,15 @@ def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
                      for row in x])
 
 
+def sigmoid_of_negative(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(z)) as one expression over exp(-|z|), which
+    `vsr3d.svm._sigmoid_of_negative` computes in place bit for bit."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+
+
 def platt_probability(model: BinarySvmModel, score) -> np.ndarray:
-    return _sigmoid_of_negative(model.platt_a * np.asarray(score, dtype=float) + model.platt_b)
+    return sigmoid_of_negative(model.platt_a * np.asarray(score, dtype=float) + model.platt_b)
 
 
 def predict_probabilities(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
@@ -101,9 +111,10 @@ def predict_probabilities(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
 
 def blocked_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
     """`predict_probability_matrix` with every kernel row computed, far or
-    near: all the rows in blocks of svm._KERNEL_BLOCK_CELLS kernel cells,
-    each block's kernel over the distinct support vectors and one product
-    with the summed dual coefficients."""
+    near, in the training kernel's form: all the rows in blocks of
+    svm._KERNEL_BLOCK_CELLS kernel cells, each block's `rbf_kernel_matrix`
+    over the distinct support vectors and one product with the summed dual
+    coefficients."""
     z = standardize(np.asarray(x, dtype=float), model.stats)
     table = model.kernel_table
     gamma = model.models[0].gamma
@@ -114,7 +125,7 @@ def blocked_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndar
     step = max(1, svm._KERNEL_BLOCK_CELLS // len(table.rows))
     for lo in range(0, z.shape[0], step):
         scores = rbf_kernel_matrix(z[lo:lo + step], table.rows, gamma) @ table.coef
-        out[lo:lo + step] = _sigmoid_of_negative(a * (scores + bias) + b)
+        out[lo:lo + step] = sigmoid_of_negative(a * (scores + bias) + b)
     return out
 
 

@@ -913,6 +913,17 @@ class TestCorruptFeatureCsvs:
         path.write_bytes(VALID_FEATURES)
         assert self.train(tmp_path, path) == 0
 
+    def test_class_with_one_sample_exits_2(self, tmp_path, capsys):
+        """A class seen once cannot be both trained and cross-validated:
+        the error names the class and its count, and says what every class
+        needs."""
+        lines = VALID_FEATURES.decode("ascii").splitlines()
+        lines[5] = lines[5][:lines[5].rindex(",")] + ",C0+C0"
+        path = tmp_path / "features.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        err = assert_one_line_data_error(self.train(tmp_path, path), capsys, "train")
+        assert "class 'C0+C0' has 1 sample; every class needs at least 2" in err
+
     def test_window_past_any_volume_exits_2(self, tmp_path, capsys):
         """A start or duration too large for any .vsr1 frame count is a
         data error, not an integer overflow."""

@@ -509,8 +509,10 @@ class TestGridBuilding:
     def test_far_windows_decode_as_the_oracle(self, fixture_model_and_roi, corpus_config):
         """With its temporal coefficient's spread cut tenfold, the model puts
         most windows far from every support vector, so prediction skips
-        their kernel rows: the probabilities keep the dense oracle's bits,
-        and the two-inventory grid decodes as the oracle decoder does."""
+        their kernel rows: the far windows keep the dense oracle's bits, the
+        near ones the bits they get predicted alone (no far window enters a
+        product), every window is within 1e-12 of the oracle, and the
+        two-inventory grid decodes as the oracle decoder does."""
         from vsr3d import svm
         from vsr3d.decoder import build_probability_grid
         from vsr3d.features import (StandardizationStats, enumerate_subsequences,
@@ -525,11 +527,13 @@ class TestGridBuilding:
         spans = enumerate_subsequences(roi.frame_count, np.arange(3, 13))
         x = featurize_many(roi, cfgd["channel"], cfgd["deltaTms"], fps, spans, cfgd["l"],
                            cfgd["s"])
-        far = svm._far_rows(narrow.kernel_table, standardize(x, narrow.stats),
-                            narrow.models[0].gamma)
+        far = svm._far_rows(narrow.kernel_table, standardize(x, narrow.stats))
         assert far.mean() > 0.75
-        assert (predict_probability_matrix(narrow, x).tobytes()
-                == oracles.blocked_probability_matrix(narrow, x).tobytes())
+        got = predict_probability_matrix(narrow, x)
+        dense = oracles.blocked_probability_matrix(narrow, x)
+        assert got[far].tobytes() == dense[far].tobytes()
+        assert got[~far].tobytes() == predict_probability_matrix(narrow, x[~far]).tobytes()
+        assert np.abs(got - dense).max() <= 1e-12
         grid = build_probability_grid(roi, [(narrow, 3, 12), (relabeled(narrow, "B+"), 6, 24)],
                                       fps)
         assert decode_sequence(grid) == oracles.decode_sequence(grid)

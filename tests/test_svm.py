@@ -18,7 +18,7 @@ from vsr3d.svm import (BinarySvmModel, MultiClassModel, fit_platt, load_model,
 
 from oracles import (OneProblemSmo, blocked_probability_matrix, decision_values,
                      dual_objective, platt_probability, predict_probabilities, rbf_kernel,
-                     rbf_kernel_expression)
+                     rbf_kernel_expression, sigmoid_of_negative)
 
 
 def two_point_dual_brute_force(x1, x2, gamma, c):
@@ -448,6 +448,18 @@ class TestPlatt:
         old = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
         assert svm._sigmoid_of_negative(z).tobytes() == old.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 30.0, 800.0, 1e300]))
+    def test_sigmoid_in_place_has_the_bits_of_the_oracle(self, seed, scale):
+        """The sigmoid taken in place in its argument has the bits of the
+        one-expression form, the z >= 0 branch included, at signed zeros,
+        subnormal-sized and steep scores, infinities, NaN and random scores."""
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e300, -1e300,
+                            np.inf, -np.inf, np.nan])
+        z = np.concatenate([special, scale * np.random.default_rng(seed).normal(size=64)])
+        want = sigmoid_of_negative(z)
+        assert svm._sigmoid_of_negative(z.copy()).tobytes() == want.tobytes()
+
     @pytest.mark.filterwarnings("error")
     def test_sigmoid_of_steep_scores_is_quiet(self):
         z = np.array([-1e6, -800.0, -0.0, 0.0, 800.0, 1e6])
@@ -462,15 +474,33 @@ class TestPlatt:
     def test_stop_converged(self):
         assert fit_platt(*self.noisy_scores())[2] == "converged"
 
-    def test_stop_line_search(self):
-        """Scores of size 1e10 put the gradient's 1e-7 target below what a
-        change of the likelihood can resolve, so backtracking runs out, and
-        below the gradient's own roundoff floor, so the finishing Newton
-        steps do not reach it either."""
-        a, b, stop = fit_platt(*self.noisy_scores(1e10))
+    def test_stop_line_search(self, monkeypatch):
+        """A gradient that carries an error of 1e-6, far above both 1e-7 and
+        its roundoff floor, points the Newton steps past what the likelihood
+        can confirm, so backtracking runs out near the optimum and the
+        finishing steps cannot bring the gradient down either."""
+        sigmoid = svm._sigmoid_of_negative
+
+        def noisy(z):
+            noise = 1e-6 * np.sin(1e9 * z)
+            return sigmoid(z) + noise
+
+        monkeypatch.setattr(svm, "_sigmoid_of_negative", noisy)
+        a, b, stop = fit_platt(*self.noisy_scores())
         assert stop == "line_search"
+        monkeypatch.undo()
         a1, b1, _ = fit_platt(*self.noisy_scores())
-        assert a * 1e10 == pytest.approx(a1, rel=1e-6) and b == pytest.approx(b1, rel=1e-6)
+        assert a == pytest.approx(a1, rel=1e-5) and b == pytest.approx(b1, rel=1e-5)
+
+    @pytest.mark.parametrize("scale", [1e10, 1e12, 1e14])
+    def test_large_scores_converge_at_their_roundoff_floor(self, scale):
+        """Scores of size 1e10 and more put a 1e-7 gradient below the sums'
+        roundoff floor, which grows with sum |f|; a fit that reaches that
+        floor has converged, at the unit-scale fit scaled."""
+        a, b, stop = fit_platt(*self.noisy_scores(scale))
+        assert stop == "converged"
+        a1, b1, _ = fit_platt(*self.noisy_scores())
+        assert a * scale == pytest.approx(a1, rel=1e-14) and b == pytest.approx(b1, rel=1e-14)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 200),
@@ -692,12 +722,13 @@ def pool_sized_case(seed: int):
 def assert_near_rows_scored_alone(model, x, far):
     """The layout prediction scores in, for rows x standardized by the
     identity: the far rows have the whole-block oracle's bits (the bias-only
-    probability), the near rows the bits of the oracle run on the near rows
-    alone, and every row is within 1e-12 of the whole-block oracle."""
+    probability), the near rows the bits prediction gives them scored on
+    their own (so the far rows enter no product), and every row is within
+    1e-12 of the whole-block oracle, whose kernel has the training form."""
     got = predict_probability_matrix(model, x)
     dense = blocked_probability_matrix(model, x)
     assert got[far].tobytes() == dense[far].tobytes()
-    assert got[~far].tobytes() == blocked_probability_matrix(model, x[~far]).tobytes()
+    assert got[~far].tobytes() == predict_probability_matrix(model, x[~far]).tobytes()
     assert np.abs(got - dense).max() <= 1e-12
 
 
@@ -717,8 +748,9 @@ class TestFarRowSkip:
         beyond the support vectors' box, scored in blocks of a few rows or
         all at once: the probabilities have the bits of the oracle's layout
         (`assert_near_rows_scored_alone`), every row the bound skips has an
-        all-zero kernel row, and some draws skip rows while others skip
-        none."""
+        all-zero kernel row (in the training kernel's form, and as the
+        augmented product's exponent, at most -_EXP_ZERO against every
+        support vector), and some draws skip rows while others skip none."""
         skipped = []
 
         @settings(max_examples=150, deadline=None)
@@ -751,9 +783,11 @@ class TestFarRowSkip:
             monkeypatch.setattr(svm, "_KERNEL_BLOCK_CELLS",
                                 data.draw(st.sampled_from([1, 3 * len(model.kernel_table.rows),
                                                            1 << 16])))
-            far = svm._far_rows(model.kernel_table, x, gamma)
+            table = model.kernel_table
+            far = svm._far_rows(table, x)
             assert_near_rows_scored_alone(model, x, far)
-            assert (rbf_kernel_matrix(x[far], model.kernel_table.rows, gamma) == 0.0).all()
+            assert (rbf_kernel_matrix(x[far], table.rows, gamma) == 0.0).all()
+            assert (svm._augmented_rows(table, x[far]) @ table.aug.T <= -svm._EXP_ZERO).all()
             skipped.append(int(far.sum()))
 
         check()
@@ -763,34 +797,66 @@ class TestFarRowSkip:
         """At the pool's sizes (11 features, about 240 distinct support
         vectors, 8 or 59 classes) with half the rows far: the far rows take
         the bias-only probability an all-zero kernel row gives, and the near
-        rows are blocked among themselves, so they have the bits of the
-        oracle run on the near rows alone; OpenBLAS rounds a row's dot
-        products with the shape of the product, so a near row may differ
-        from the whole-block oracle, by roundoff only."""
+        rows are blocked among themselves, so they have the bits of the near
+        rows predicted alone; the augmented product rounds differently from
+        the training kernel's form, and OpenBLAS rounds a row's dot products
+        with the shape of the product, so a near row may differ from the
+        whole-block oracle, by roundoff only."""
         for seed in range(10):
             model, x = pool_sized_case(seed)
-            far = svm._far_rows(model.kernel_table, x, model.models[0].gamma)
+            far = svm._far_rows(model.kernel_table, x)
             assert 0 < far.sum() < len(x)
             assert_near_rows_scored_alone(model, x, far)
 
     def test_kernel_runs_on_the_near_rows_only(self, monkeypatch):
         """Prediction computes a kernel row for every near row and for no
-        far row: the rows `rbf_kernel_matrix` receives number the near rows."""
-        kernel = svm.rbf_kernel_matrix
+        far row: the rows augmented for the kernel product number the near
+        rows."""
+        augment = svm._augmented_rows
         received = []
 
-        def counting(a, b, gamma):
-            received.append(len(a))
-            return kernel(a, b, gamma)
+        def counting(table, z):
+            received.append(len(z))
+            return augment(table, z)
 
-        monkeypatch.setattr(svm, "rbf_kernel_matrix", counting)
+        monkeypatch.setattr(svm, "_augmented_rows", counting)
         for seed in range(2):
             model, x = pool_sized_case(seed)
-            far = svm._far_rows(model.kernel_table, x, model.models[0].gamma)
+            far = svm._far_rows(model.kernel_table, x)
             received.clear()
             predict_probability_matrix(model, x)
             assert 0 < far.sum() < len(x)
             assert sum(received) == (~far).sum()
+
+    @pytest.mark.parametrize("v", [1e150, 1e200, 1e307, 1.7e308, -1.7e308])
+    def test_huge_finite_rows_are_far(self, v):
+        """Rows so far out that their squared distances overflow are far
+        from every support vector: each takes the bias-only probability,
+        with no NaN and no RuntimeWarning (an error in this suite)."""
+        models = [BinarySvmModel(support_vectors=np.array([[0.5, -1.0], [1.0, 1.0]]),
+                                 dual_coef=np.array([s, -0.5 * s]), bias=0.3 * s, gamma=4.0,
+                                 platt_a=-1.2, platt_b=0.1)
+                  for s in (1.0, -1.0)]
+        model = MultiClassModel(class_labels=["a", "b"], models=models,
+                                stats=StandardizationStats(np.zeros(2), np.ones(2)))
+        x = np.array([[v, 0.0], [v, v], [v, -v]])
+        assert svm._far_rows(model.kernel_table, x).all()
+        bias_only = blocked_probability_matrix(model, np.array([[100.0, 0.0]]))
+        got = predict_probability_matrix(model, x)
+        assert got.tobytes() == np.repeat(bias_only, 3, axis=0).tobytes()
+
+    def test_near_row_too_large_to_score_is_an_error(self):
+        """A support vector as huge as a row keeps the row near, and their
+        kernel product could overflow: the near row is an error, not a NaN,
+        while a row whose gap to the support vectors overflows is far."""
+        models = [BinarySvmModel(support_vectors=np.array([[1e200, 0.0], [0.0, 0.0]]),
+                                 dual_coef=np.array([s, -s]), bias=0.0, gamma=0.5)
+                  for s in (1.0, -1.0)]
+        model = MultiClassModel(class_labels=["a", "b"], models=models,
+                                stats=StandardizationStats(np.zeros(2), np.ones(2)))
+        with pytest.raises(VsrError, match="feature row 1 is too large to score"):
+            predict_probability_matrix(model, np.array([[1e300, 1e300], [1e200, 0.0]]))
+        assert svm._far_rows(model.kernel_table, np.array([[1e300, 1e300]])).all()
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_row_is_an_error(self, value):
