@@ -93,14 +93,10 @@ def _kernel_table(models: list[BinarySvmModel]) -> KernelTable:
     owner = np.repeat(np.arange(len(models)), [len(m.dual_coef) for m in models])
     coef = np.zeros((len(rows), len(models)))
     np.add.at(coef, (where.reshape(-1), owner), np.concatenate([m.dual_coef for m in models]))
-    gamma = gammas[0]
-    aug = np.empty((len(rows), rows.shape[1] + 2))
-    aug[:, :-2] = rows
-    aug[:, -2] = 1.0
     with np.errstate(over="ignore"):
-        aug[:, -1] = gamma * (rows * rows).sum(axis=1)
+        sq = gammas[0] * (rows * rows).sum(axis=1)
     return KernelTable(rows=rows, coef=coef, low=rows.min(axis=0), high=rows.max(axis=0),
-                       gamma=gamma, aug=aug)
+                       gamma=gammas[0], aug=np.column_stack([rows, np.ones(len(rows)), sq]))
 
 
 @dataclass
@@ -560,12 +556,11 @@ def _probability_matrix(models: list[BinarySvmModel], table: KernelTable,
     if big.any():
         raise VsrError(f"feature row {int(near[np.argmax(big)])} is too large to score against "
                        "the model's support vectors")
-    aug_t = table.aug.T
     step = max(1, _KERNEL_BLOCK_CELLS // len(table.rows))
     for lo in range(0, len(near), step):
         # one (rows, U) array per block: the exponent becomes the kernel in
         # place and dies with the product, so the heap peak stays one block
-        u = za[lo:lo + step] @ aug_t
+        u = za[lo:lo + step] @ table.aug.T
         np.minimum(u, 0.0, out=u)
         scores = np.exp(u, out=u) @ table.coef
         del u
@@ -707,7 +702,8 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
 def predict_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
     """(n, classes) calibrated probabilities for a feature matrix, from one
     kernel over the model's distinct support vectors.  A row that is not
-    finite once standardized is an error: it has no probability."""
+    finite once standardized is an error: it has no probability; so is a
+    near row too large to score (`_probability_matrix`)."""
     with np.errstate(over="ignore", invalid="ignore"):
         z = standardize(np.asarray(x, dtype=float), model.stats)
     bad = ~np.isfinite(z).all(axis=1)
