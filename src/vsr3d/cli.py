@@ -286,10 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except VsrError as e:
-        print(f"vsr3d {args.command}: error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (VsrError, OSError) as e:
         print(f"vsr3d {args.command}: error: {e}", file=sys.stderr)
         return 2
 

@@ -89,8 +89,9 @@ class PipelineConfig:
                 raise VsrError(f"{name} must be >= {lo}, got {getattr(self, name)}")
         if not (1 <= self.min_duration <= self.max_duration):
             raise VsrError("need 1 <= min_duration <= max_duration")
-        if not (1 <= self.biphone_min_duration <= self.biphone_max_duration):
-            raise VsrError("need 1 <= biphone_min_duration <= biphone_max_duration")
+        # a biphone segment splits into two non-empty halves
+        if not (2 <= self.biphone_min_duration <= self.biphone_max_duration):
+            raise VsrError("need 2 <= biphone_min_duration <= biphone_max_duration")
         if not 0.0 < self.cv_fraction < 1.0:
             raise VsrError("cv_fraction must be in (0, 1)")
 

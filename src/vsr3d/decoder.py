@@ -4,13 +4,14 @@ The paper's duration-constrained HMM has one start state per (class,
 duration) pair, weighted by the calibrated window probability raised to the
 duration-th power, and countdown states that enforce the exact duration.
 Its most likely path is found here without building the machine, as the
-equivalent semi-Markov (segment-level) Viterbi over end frames e.  Each
-window first takes its most probable class, so the DP runs over durations
-only:
+equivalent semi-Markov (segment-level) Viterbi over end frames e.  Only a
+window's best probability over the classes enters the DP, so it runs over
+durations only:
 
     best[e] = max over d of best[e - d] + d * log(max over c of p_c(e - d, d))
 
-Sums within a few ulps per segment of the maximum count as tied, and the
+and only the segments of the returned path are given a class, the lowest
+index among those that reach the window's best.  Sums within a few ulps per segment of the maximum count as tied, and the
 smallest such d wins, so tilings that tie in real arithmetic (a segment and
 the same segment split in two, at one probability) decode the same whatever
 their rounding.  Every class inventory (phonemes, biphones) reads one
@@ -21,7 +22,6 @@ windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from math import ceil
 from operator import add
 
@@ -110,11 +110,11 @@ def build_probability_grid(roi: RoiVolume, inventories, fps: float) -> Probabili
 def decode_sequence(grid: ProbabilityGrid):
     """Most likely exact tiling of [0, frame_count) into labeled segments.
 
-    Each window (start, d) takes the class of largest probability among the
-    classes whose bounds hold d, the lowest index among equal ones, and
-    weighs d * log p of it (-inf for a -1 or 0 cell).  Then best[e] is the
-    score of the smallest d <= e whose best[e - d] + weight is within
-    TIE_ULPS * e * eps * (|max| + 1) of the largest such sum.
+    Each window (start, d) weighs d * log p of its largest probability p
+    among the classes whose bounds hold d (-inf for a -1 or 0 cell).  Then
+    best[e] is the score of the smallest d <= e whose best[e - d] + weight
+    is within TIE_ULPS * e * eps * (|max| + 1) of the largest such sum.
+    Each returned segment takes the lowest class index whose cell holds p.
     Returns (label, start, duration) entries in frame order.
     """
     lo = np.asarray(grid.dmin, dtype=int)
@@ -126,25 +126,13 @@ def decode_sequence(grid: ProbabilityGrid):
             raise VsrError(f"class {lab!r} has invalid duration bounds [{a}, {b}]")
     n = grid.frame_count
     width = int(hi.max())
-    # top[d - 1, start] is the best probability of window (start, d) and
-    # classes[d - 1, start] its class; each run of classes with equal bounds
-    # is reduced at once, and a later run takes a window only where it is
-    # strictly larger, so the lowest index keeps ties
-    top = np.full((width, n), -1.0)
-    classes = np.zeros((width, n), dtype=np.intp)
-    c = 0
-    for (a, b), run in groupby(zip(lo, hi)):
-        size = len(list(run))
-        planes = np.stack(grid.probs[c:c + size], axis=-1)   # (frames, durations, classes)
-        first = planes.argmax(axis=-1)
-        run_top = np.take_along_axis(planes, first[..., None], axis=-1)[..., 0].T
-        rows = slice(a - 1, b)
-        larger = run_top > top[rows]
-        top[rows] = np.where(larger, run_top, top[rows])
-        classes[rows] = np.where(larger, first.T + c, classes[rows])
-        c += size
+    # top[d - 1, start] is the best probability of window (start, d); a -1
+    # cell leaves it at 0, whose weight is -inf
+    top = np.zeros((width, n))
+    for p, a, b in zip(grid.probs, lo, hi):
+        np.maximum(top[a - 1:b], p.T, out=top[a - 1:b])
     with np.errstate(divide="ignore"):
-        weights = np.arange(1, width + 1)[:, None] * np.log(np.maximum(top, 0.0))
+        weights = np.arange(1, width + 1)[:, None] * np.log(top)
     # ending[e - 1][d - 1] is the weight of the segment of d frames ending
     # at frame e (start e - d >= 0; the rest are never read)
     ends = np.arange(1, n + 1)[:, None]
@@ -169,7 +157,10 @@ def decode_sequence(grid: ProbabilityGrid):
     while n > 0:
         d = back[n]
         n -= d
-        entries.append((grid.class_labels[classes[d - 1, n]], n, d))
+        p = top[d - 1, n]
+        c = next(c for c, (cells, a, b) in enumerate(zip(grid.probs, lo, hi))
+                 if a <= d <= b and cells[n, d - a] == p)
+        entries.append((grid.class_labels[c], n, d))
     return entries[::-1]
 
 

@@ -287,7 +287,7 @@ def evaluate_sequences(refs: dict, hyps: dict, strip_ref_silence: bool = True,
         raise VsrError(f"missing hypotheses for: {', '.join(missing)}")
     rows = []
     alignments = []
-    label_set = []
+    label_set = {}   # first-seen order
     for sid in sorted(refs):
         ref = list(refs[sid])
         hyp = list(hyps[sid])
@@ -298,10 +298,8 @@ def evaluate_sequences(refs: dict, hyps: dict, strip_ref_silence: bool = True,
         counts, pairs = align_nw(ref, hyp)
         rows.append((sid, counts, accuracy(counts) if counts.T else 0.0))
         alignments.append(pairs)
-        for tok in ref + hyp:
-            if tok not in label_set:
-                label_set.append(tok)
-    confusion = confusion_matrix(alignments, label_set)
+        label_set.update(dict.fromkeys(ref + hyp))
+    confusion = confusion_matrix(alignments, list(label_set))
     totals = AlignmentCounts(
         T=sum(r[1].T for r in rows),
         C=sum(r[1].C for r in rows),

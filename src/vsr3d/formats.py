@@ -247,8 +247,7 @@ def read_transcript(path) -> Transcript:
 
 
 def write_features_csv(x: np.ndarray, spans, path, labels=None):
-    k = x.shape[1] if len(x) else 0
-    header = "start,duration," + ",".join(f"f{i}" for i in range(k))
+    header = "start,duration," + ",".join(f"f{i}" for i in range(x.shape[1]))
     if labels is not None:
         header += ",label"
     with open(path, "w", encoding="ascii") as fh:
@@ -296,7 +295,7 @@ def read_features_csv(path):
             raise VsrError(f"{path}:{ln}: features must be finite numbers")
         if has_label:
             labels.append(check_label(parts[-1], f"{path}:{ln}"))
-    return (np.array(x, dtype=float), (labels if has_label else None),
+    return (np.array(x, dtype=float).reshape(-1, n_feat), (labels if has_label else None),
             np.array(spans, dtype=np.intp).reshape(-1, 2))
 
 
@@ -320,7 +319,7 @@ def read_grid(path):
     with open(path, "rb") as fh:
         if fh.read(4) != b"GRD1":
             raise VsrError(f"{path}: bad grid magic")
-        n_classes, frame_count, _max_d = struct.unpack(
+        n_classes, frame_count, max_d = struct.unpack(
             "<3I", _read_exact(fh, 12, path, "grid header"))
         labels, dmin, dmax = [], [], []
         for c in range(n_classes):
@@ -335,6 +334,9 @@ def read_grid(path):
                                "need 1 <= dmin <= dmax")
             dmin.append(lo)
             dmax.append(hi)
+        if max_d != max(dmax, default=0):
+            raise VsrError(f"{path}: header maxDuration {max_d} is not the classes' largest "
+                           f"dmax {max(dmax, default=0)}")
         probs = []
         for c in range(n_classes):
             span = dmax[c] - dmin[c] + 1

@@ -572,10 +572,7 @@ def _probability_matrix(models: list[BinarySvmModel], table: KernelTable,
 
 
 def _class_order(labels) -> list[str]:
-    seen = {}
-    for lab in labels:
-        seen.setdefault(lab, None)
-    return list(seen)
+    return list(dict.fromkeys(labels))
 
 
 # The largest feature magnitude training takes, both as read and after

@@ -281,11 +281,13 @@ class TestPipelineCommands:
                            "--out", str(tiny_corpus / "x.pgm")) == 2
 
 
-def _grid_blob(label=b"A", dmin=1, dmax=2, frames=3, cells=None):
-    """A one-class .grd1 file; cells defaults to a complete payload."""
+def _grid_blob(label=b"A", dmin=1, dmax=2, frames=3, cells=None, max_d=None):
+    """A one-class .grd1 file; cells defaults to a complete payload and the
+    header's maxDuration to dmax."""
     if cells is None:
         cells = frames * (dmax - dmin + 1) if dmax >= dmin else 0
-    return (b"GRD1" + struct.pack("<3I", 1, frames, dmax) + struct.pack("<I", len(label))
+    max_d = dmax if max_d is None else max_d
+    return (b"GRD1" + struct.pack("<3I", 1, frames, max_d) + struct.pack("<I", len(label))
             + label + struct.pack("<2I", dmin, dmax) + b"\x00\x00\x80\x3f" * cells)
 
 
@@ -498,9 +500,10 @@ class TestMalformedBinaryFiles:
         _grid_blob(cells=5) + struct.pack("<f", 1e30),
         _grid_blob(cells=5) + struct.pack("<f", -0.5),
         _grid_blob(cells=5) + struct.pack("<I", 0xFF800001),
+        _grid_blob(max_d=7),
     ], ids=["short-header", "short-directory", "bad-utf8-label", "dmin-zero",
             "dmin-above-dmax", "short-payload", "trailing-bytes", "nan-cell", "inf-cell",
-            "above-one", "huge", "negative", "signalling-nan-cell"])
+            "above-one", "huge", "negative", "signalling-nan-cell", "maxDuration-mismatch"])
     def test_grid_heatmap(self, tmp_path, capsys, blob):
         path = tmp_path / "bad.grd1"
         path.write_bytes(blob)
@@ -657,6 +660,43 @@ class TestDecodeBiphones:
         assert any("+" in label for label, _, _ in decode_sequence(grid))
         labels = read_label_sequence(hyp)
         assert labels and set(labels) <= {"C0", "C1"}
+
+    def test_biphone_min_duration_below_two_is_a_config_error(self, tmp_path, capsys,
+                                                              roi_path):
+        """A composite segment splits into two non-empty halves; the missing
+        model files show that the config is checked before any model is read."""
+        code = run_cli("decode", str(roi_path), "--model", str(tmp_path / "none.json"),
+                       "--biphone-model", str(tmp_path / "none.json"),
+                       "--set", "biphone_min_duration=1", "--out", str(tmp_path / "hyp.txt"))
+        err = assert_one_line_data_error(code, capsys, "decode")
+        assert "need 2 <= biphone_min_duration" in err
+        assert not (tmp_path / "hyp.txt").exists()
+
+
+class TestEmptyFeatureCsv:
+    """A featurize run with no samples still writes every feature column,
+    and reads back as a (0, features) array."""
+
+    @pytest.mark.parametrize("case", ["one-entry-biphone", "no-window-fits"])
+    def test_header_keeps_feature_columns(self, tmp_path, roi_path, case):
+        from vsr3d.features import feature_dimension
+
+        out = tmp_path / "x.csv"
+        if case == "one-entry-biphone":
+            transcript = tmp_path / "one.txt"
+            transcript.write_text("aa 0 480\n")
+            args = ("--transcript", str(transcript), "--kind", "biphone")
+        else:   # the .vsr1 holds 12 frames
+            args = ("--all-subsequences", "--set", "min_duration=13",
+                    "--set", "max_duration=14")
+        assert run_cli("featurize", str(roi_path), "--out", str(out), *args) == 0
+        k = feature_dimension(PipelineConfig().mask_size)
+        header = "start,duration," + ",".join(f"f{i}" for i in range(k))
+        if case == "one-entry-biphone":
+            header += ",label"
+        assert out.read_text() == header + "\n"
+        x, _, spans = read_features_csv(out)
+        assert x.shape == (0, k) and spans.shape == (0, 2)
 
 
 def _valid_roi_blob():
