@@ -11,12 +11,12 @@ durations only:
     best[e] = max over d of best[e - d] + d * log(max over c of p_c(e - d, d))
 
 and only the segments of the returned path are given a class, the lowest
-index among those that reach the window's best.  Sums within a few ulps per segment of the maximum count as tied, and the
-smallest such d wins, so tilings that tie in real arithmetic (a segment and
-the same segment split in two, at one probability) decode the same whatever
-their rounding.  Every class inventory (phonemes, biphones) reads one
-probability grid, built from one featurization of the union of their
-windows.
+index among those that reach the window's best.  Sums within a few ulps per
+segment of the maximum count as tied, and the smallest such d wins, so
+tilings that tie in real arithmetic (a segment and the same segment split in
+two, at one probability) decode the same whatever their rounding.  Every
+class inventory (phonemes, biphones) reads one probability grid, built from
+one featurization of the union of their windows.
 """
 
 from __future__ import annotations
@@ -157,6 +157,7 @@ def decode_sequence(grid: ProbabilityGrid):
     while n > 0:
         d = back[n]
         n -= d
+        # a segment of a finite path has p > 0, so some class holds it
         p = top[d - 1, n]
         c = next(c for c, (cells, a, b) in enumerate(zip(grid.probs, lo, hi))
                  if a <= d <= b and cells[n, d - a] == p)

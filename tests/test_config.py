@@ -89,12 +89,9 @@ class TestRoundTrip:
             PipelineConfig(fps=0.0)
         with pytest.raises(VsrError):
             PipelineConfig(cv_fraction=1.5)
-
-    def test_biphone_min_duration_below_two_rejected(self):
         # a biphone segment splits into two non-empty halves
-        with pytest.raises(VsrError, match="biphone_min_duration"):
+        with pytest.raises(VsrError, match="2 <= biphone_min_duration"):
             PipelineConfig(biphone_min_duration=1)
-        assert PipelineConfig(biphone_min_duration=2, biphone_max_duration=2)
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.json"
