@@ -14,9 +14,15 @@ and only the segments of the returned path are given a class, the lowest
 index among those that reach the window's best.  Sums within a few ulps per
 segment of the maximum count as tied, and the smallest such d wins, so
 tilings that tie in real arithmetic (a segment and the same segment split in
-two, at one probability) decode the same whatever their rounding.  Every
-class inventory (phonemes, biphones) reads one probability grid, built from
-one featurization of the union of their windows.
+two, at one probability) decode the same whatever their rounding.
+
+So the decoder reads a WindowTable: each window's best probability and its
+lowest class.  `best_window_table` fills it straight from the class models,
+mostly with one sigmoid per window (`svm.predict_best_probability`), and
+`decode_sequence` derives it from a full per-class ProbabilityGrid (as
+`.grd1` files hold it); both give the same table bit for bit, and
+`decode_windows` decodes it.  Every class inventory (phonemes, biphones) is
+scored from one featurization of the union of their windows.
 """
 
 from __future__ import annotations
@@ -28,13 +34,11 @@ from operator import add
 import numpy as np
 
 from . import VsrError
-from .config import PipelineConfig
 from .features import COMPOSITE_SEPARATOR, enumerate_subsequences, featurize_many
 from .segmentation import RoiVolume
-from .svm import MultiClassModel, predict_probability_matrix
+from .svm import (PROB_CEIL, PROB_FLOOR, MultiClassModel, predict_best_probability,
+                  predict_probability_matrix)
 
-PROB_FLOOR = 1e-12
-PROB_CEIL = 1.0 - 1e-12
 # A score at end frame e sums at most e segment weights, so sums that tie in
 # real arithmetic differ by a few ulps per segment: of |score| from rounding
 # the sums, and of 1 from the weights d * log p, since a few ulps of p move
@@ -58,21 +62,25 @@ class ProbabilityGrid:
     probs: list[np.ndarray]
 
 
-def _feature_echo(model: MultiClassModel) -> tuple:
-    """(channel, delta_t_ms, uniform_length, mask_size) a model was trained on."""
-    cfg = PipelineConfig.from_feature_echo(model.config)
-    return cfg.channel, cfg.delta_t_ms, cfg.uniform_length, cfg.mask_size
+@dataclass
+class WindowTable:
+    """Each window's best probability over the classes whose duration
+    bounds hold it, and the lowest class index that reaches it.
 
-
-def build_probability_grid(roi: RoiVolume, inventories, fps: float) -> ProbabilityGrid:
-    """Classify every feasible subsequence window with every class model.
-
-    inventories: (model, min_duration, max_duration) per class inventory, in
-    class order.  Windows are featurized once per distinct feature config
-    echo of the models, over the union of their duration ranges; each model
-    predicts only the rows inside its own range, ordered by start then
-    duration.  Probabilities are clamped to [1e-12, 1 - 1e-12].
+    prob[d - 1, start] and best[d - 1, start] describe window (start, d),
+    for d up to the largest bound; a window no class scores (it does not
+    fit, or no bounds hold d) has probability 0.
     """
+
+    class_labels: list[str]
+    frame_count: int
+    prob: np.ndarray    # (width, frame_count) float
+    best: np.ndarray    # (width, frame_count) class index
+
+
+def _checked_inventories(inventories):
+    """(models, lows, highs, labels) of (model, min_duration, max_duration)
+    class inventories whose labels are distinct and bounds valid."""
     if not inventories:
         raise VsrError("need at least one class inventory")
     models, lows, highs = zip(*inventories)
@@ -81,23 +89,45 @@ def build_probability_grid(roi: RoiVolume, inventories, fps: float) -> Probabili
         raise VsrError("duplicate class labels across inventories")
     if not all(1 <= lo <= hi for lo, hi in zip(lows, highs)):
         raise VsrError("need 1 <= min_dur <= max_dur")
-    n = roi.frame_count
-    sizes = [len(model.class_labels) for model in models]
-    blocks = [np.full((k, n, hi - lo + 1), -1.0) for k, lo, hi in zip(sizes, lows, highs)]
-    by_echo = {}
+    return models, lows, highs, labels
+
+
+def _featurized(roi: RoiVolume, models, lows, highs, fps: float):
+    """Yields (i, starts, durations, x) for each model i that has windows:
+    the windows in its duration range and their feature rows.  Windows are
+    featurized once per distinct feature settings of the models, over the
+    union of their duration ranges, ordered by start then duration."""
+    by_settings = {}
     for i, model in enumerate(models):
-        by_echo.setdefault(_feature_echo(model), []).append(i)
-    for (channel, delta_t, length, s), members in by_echo.items():
+        by_settings.setdefault(model.feature_settings, []).append(i)
+    for (channel, delta_t, length, s), members in by_settings.items():
         durations = np.unique(np.concatenate([np.arange(lows[i], highs[i] + 1) for i in members]))
-        spans = enumerate_subsequences(n, durations)
+        spans = enumerate_subsequences(roi.frame_count, durations)
         if not spans.size:
             continue
         x = featurize_many(roi, channel, delta_t, fps, spans, length, s)
         starts, durs = spans.T
         for i in members:
             rows = np.flatnonzero((durs >= lows[i]) & (durs <= highs[i]))
-            p = np.clip(predict_probability_matrix(models[i], x[rows]), PROB_FLOOR, PROB_CEIL)
-            blocks[i][:, starts[rows], durs[rows] - lows[i]] = p.T
+            yield i, starts[rows], durs[rows], x[rows]
+
+
+def build_probability_grid(roi: RoiVolume, inventories, fps: float) -> ProbabilityGrid:
+    """Classify every feasible subsequence window with every class model.
+
+    inventories: (model, min_duration, max_duration) per class inventory, in
+    class order.  Windows are featurized once per distinct feature settings
+    of the models, over the union of their duration ranges; each model
+    predicts only the rows inside its own range, ordered by start then
+    duration.  Probabilities are clamped to [1e-12, 1 - 1e-12].
+    """
+    models, lows, highs, labels = _checked_inventories(inventories)
+    n = roi.frame_count
+    sizes = [len(model.class_labels) for model in models]
+    blocks = [np.full((k, n, hi - lo + 1), -1.0) for k, lo, hi in zip(sizes, lows, highs)]
+    for i, starts, durs, x in _featurized(roi, models, lows, highs, fps):
+        p = np.clip(predict_probability_matrix(models[i], x), PROB_FLOOR, PROB_CEIL)
+        blocks[i][:, starts, durs - lows[i]] = p.T
     return ProbabilityGrid(
         class_labels=labels,
         dmin=np.repeat(lows, sizes),
@@ -107,14 +137,35 @@ def build_probability_grid(roi: RoiVolume, inventories, fps: float) -> Probabili
     )
 
 
-def decode_sequence(grid: ProbabilityGrid):
-    """Most likely exact tiling of [0, frame_count) into labeled segments.
+def best_window_table(roi: RoiVolume, inventories, fps: float) -> WindowTable:
+    """The WindowTable of the grid `build_probability_grid` would build from
+    the same arguments, bit for bit, without the grid: each model gives each
+    of its windows only its best clipped probability and class
+    (`predict_best_probability`), and a window two inventories score keeps
+    the earlier one's class on a tie."""
+    models, lows, highs, labels = _checked_inventories(inventories)
+    n = roi.frame_count
+    table = WindowTable(class_labels=labels, frame_count=n, prob=np.zeros((max(highs), n)),
+                        best=np.zeros((max(highs), n), dtype=np.intp))
+    offsets = np.cumsum([0] + [len(model.class_labels) for model in models])
+    scored = {i: (starts, durs, x)
+              for i, starts, durs, x in _featurized(roi, models, lows, highs, fps)}
+    for i in sorted(scored):   # inventory order, which the tie rule needs
+        starts, durs, x = scored[i]
+        p, c = predict_best_probability(models[i], x)
+        cell = (durs - 1, starts)
+        old = table.prob[cell]
+        won = p > old
+        table.best[cell] = np.where(won, offsets[i] + c, table.best[cell])
+        table.prob[cell] = np.maximum(old, p)
+    return table
 
-    Each window (start, d) weighs d * log p of its largest probability p
-    among the classes whose bounds hold d (-inf for a -1 or 0 cell).  Then
-    best[e] is the score of the smallest d <= e whose best[e - d] + weight
-    is within TIE_ULPS * e * eps * (|max| + 1) of the largest such sum.
-    Each returned segment takes the lowest class index whose cell holds p.
+
+def decode_sequence(grid: ProbabilityGrid):
+    """Most likely exact tiling of [0, frame_count) into labeled segments
+    (`decode_windows` of the grid's WindowTable: each window's largest
+    probability among the classes whose bounds hold its duration, the
+    running maximum over the class planes, with -1 cells as 0).
     Returns (label, start, duration) entries in frame order.
     """
     lo = np.asarray(grid.dmin, dtype=int)
@@ -125,14 +176,29 @@ def decode_sequence(grid: ProbabilityGrid):
         if not 1 <= a <= b:
             raise VsrError(f"class {lab!r} has invalid duration bounds [{a}, {b}]")
     n = grid.frame_count
-    width = int(hi.max())
-    # top[d - 1, start] is the best probability of window (start, d); a -1
-    # cell leaves it at 0, whose weight is -inf
-    top = np.zeros((width, n))
-    for p, a, b in zip(grid.probs, lo, hi):
+    top = np.zeros((int(hi.max()), n))
+    best = np.zeros(top.shape, dtype=np.intp)
+    for c, (p, a, b) in enumerate(zip(grid.probs, lo, hi)):
+        # a class takes the windows it beats every earlier class on
+        best[a - 1:b][p.T > top[a - 1:b]] = c
         np.maximum(top[a - 1:b], p.T, out=top[a - 1:b])
+    return decode_windows(WindowTable(class_labels=list(grid.class_labels), frame_count=n,
+                                      prob=top, best=best))
+
+
+def decode_windows(table: WindowTable):
+    """Most likely exact tiling of [0, frame_count) into labeled segments.
+
+    Each window (start, d) weighs d * log p of its best probability p (-inf
+    for 0).  Then best[e] is the score of the smallest d <= e whose
+    best[e - d] + weight is within TIE_ULPS * e * eps * (|max| + 1) of the
+    largest such sum.  Each returned segment takes its window's class.
+    Returns (label, start, duration) entries in frame order.
+    """
+    n = table.frame_count
+    width = len(table.prob)
     with np.errstate(divide="ignore"):
-        weights = np.arange(1, width + 1)[:, None] * np.log(top)
+        weights = np.arange(1, width + 1)[:, None] * np.log(table.prob)
     # ending[e - 1][d - 1] is the weight of the segment of d frames ending
     # at frame e (start e - d >= 0; the rest are never read)
     ends = np.arange(1, n + 1)[:, None]
@@ -157,11 +223,7 @@ def decode_sequence(grid: ProbabilityGrid):
     while n > 0:
         d = back[n]
         n -= d
-        # a segment of a finite path has p > 0, so some class holds it
-        p = top[d - 1, n]
-        c = next(c for c, (cells, a, b) in enumerate(zip(grid.probs, lo, hi))
-                 if a <= d <= b and cells[n, d - a] == p)
-        entries.append((grid.class_labels[c], n, d))
+        entries.append((table.class_labels[table.best[d - 1, n]], n, d))
     return entries[::-1]
 
 

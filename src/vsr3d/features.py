@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,6 +131,7 @@ def _check_window(start, duration, frame_count: int):
         raise VsrError(f"subsequence ({start}, {duration}) exceeds volume")
 
 
+@lru_cache(maxsize=64)
 def _dct_matrix(n: int, rows: int | None = None) -> np.ndarray:
     """Orthonormal type-II DCT as an (n, n) matrix, so `_dct_matrix(n) @ x`
     transforms x along its first axis (Ahmed, Natarajan & Rao 1974): entry
@@ -139,26 +141,31 @@ def _dct_matrix(n: int, rows: int | None = None) -> np.ndarray:
     matrix, so a plane without rows or columns projects to nothing, and
     `featurize_many` reports the mask size that does not fit it.  With
     `rows`, only the rows `[:rows]` would keep are computed, each entry by
-    the same formula."""
+    the same formula.  Cached by its arguments, as a read-only array."""
     phase = np.outer(np.arange(n)[:rows], 2 * np.arange(n) + 1) % (4 * n)
     out = np.cos(np.pi * phase / (2 * n)) * math.sqrt(2.0 / max(n, 1))
     out[:1] *= math.sqrt(0.5)
+    out.flags.writeable = False
     return out
 
 
-def _time_maps(durations: np.ndarray, length: int, s: int) -> np.ndarray:
-    """The maps `DCT_L[:s] @ Resample(d -> L)` of the given durations d,
-    stacked as a (len(durations) * s, max duration) array: rows u * s to
-    u * s + s - 1 belong to durations[u], zero from column d on.
+@lru_cache(maxsize=64)
+def _time_maps(durations: tuple[int, ...], length: int, s: int) -> np.ndarray:
+    """The maps `DCT_L[:s] @ Resample(d -> L)` of the given ascending
+    durations d, stacked as a (len(durations) * s, max duration) array: rows
+    u * s to u * s + s - 1 belong to durations[u], zero from column d on.
+    Cached by its arguments, as a read-only array.
 
     Resample(d -> L) interpolates linearly, mapping frames [0, d-1] onto
     [0, L-1] (a single frame is replicated): output frame l takes each input
     frame i with the hat weight max(0, 1 - |tau - i|), tau = l (d-1)/(L-1).
     """
-    d = durations[:, None]
+    d = np.array(durations)[:, None]
     tau = np.arange(length) * (d - 1) / (length - 1)                  # (durations, L)
     resample = np.maximum(0.0, 1.0 - np.abs(tau[..., None] - np.arange(d.max())))
-    return (_dct_matrix(length, s) @ resample).reshape(-1, d.max())
+    out = (_dct_matrix(length, s) @ resample).reshape(-1, d.max())
+    out.flags.writeable = False
+    return out
 
 
 def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
@@ -206,7 +213,7 @@ def featurize_many(roi: RoiVolume, channel: str, delta_t_ms: float, fps: float,
     windows = np.lib.stride_tricks.sliding_window_view(padded, dmax, axis=1)
     # finished[j * s + i, t, u * s + kt]: x, y, t frequency (i, j, kt) of the
     # window of duration lengths[u] that starts at frame t
-    finished = windows.reshape(s * s * n, dmax) @ _time_maps(lengths, length, s).T
+    finished = windows.reshape(s * s * n, dmax) @ _time_maps(tuple(lengths.tolist()), length, s).T
     cells = (starts * len(lengths) + which) * s
     offsets = [(j * s + i) * n * finished.shape[1] + kt for i, j, kt in pyramid_mask_indices(s)]
     out = np.empty((len(spans), k))

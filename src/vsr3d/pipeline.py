@@ -8,7 +8,10 @@ import numpy as np
 
 from . import VsrError
 from .config import PipelineConfig
-from .decoder import build_probability_grid, decode_sequence, expand_biphones
+# the grid path (build_probability_grid, decode_sequence) is exported here for
+# `decode --save-grid`, tests and tracing
+from .decoder import (best_window_table, build_probability_grid, decode_sequence, decode_windows,
+                      expand_biphones)
 from .segmentation import (MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence,
                            cropped_to_original, detect_inner_lower_lip, detect_mouth_corners,
                            build_min_luminance_line, extract_roi, find_symmetry_lines,
@@ -60,18 +63,27 @@ def train_from_features(x: np.ndarray, labels, cfg: PipelineConfig):
     return train_multiclass(x, labels, cfg)
 
 
-def decode_roi(roi: RoiVolume, model: MultiClassModel, cfg: PipelineConfig,
-               biphone_model: MultiClassModel | None = None):
-    """Probability grid + duration-constrained decode.
-
-    With a biphone model both inventories share one grid, decoded in one
-    pass; composite segments are expanded afterwards.  Returns (entries, grid).
-    """
+def class_inventories(model: MultiClassModel, cfg: PipelineConfig,
+                      biphone_model: MultiClassModel | None = None):
+    """(model, min_duration, max_duration) per class inventory: the phoneme
+    model, then the biphone model if there is one."""
     inventories = [(model, *cfg.duration_bounds("phoneme"))]
     if biphone_model is not None:
         inventories.append((biphone_model, *cfg.duration_bounds("biphone")))
-    grid = build_probability_grid(roi, inventories, cfg.fps)
-    return expand_biphones(decode_sequence(grid)), grid
+    return inventories
+
+
+def decode_roi(roi: RoiVolume, model: MultiClassModel, cfg: PipelineConfig,
+               biphone_model: MultiClassModel | None = None):
+    """Best-window table + duration-constrained decode.
+
+    With a biphone model both inventories share one table, decoded in one
+    pass; composite segments are expanded afterwards.  Returns (entries,
+    table); `build_probability_grid` of the same inventories gives the
+    per-class grid that decodes the same (`decode_sequence`).
+    """
+    table = best_window_table(roi, class_inventories(model, cfg, biphone_model), cfg.fps)
+    return expand_biphones(decode_windows(table)), table
 
 
 def grid_to_heatmap(grid, label: str) -> np.ndarray:

@@ -36,6 +36,13 @@ SMO needs exactly symmetric.  Prediction and CV scoring take the exponent
 product (the GEMM-plus-norms form of SVM libraries such as ThunderSVM;
 Wen et al., JMLR 2018), and clamp and exponentiate it in place.
 
+The decoder needs only each row's best class.  `predict_best_probability`
+takes the sigmoid of each row's smallest affine score alone wherever a
+margin, derived in `_best_of_scores`, proves that it is the row's largest
+clipped probability, reached by that class alone, and the sigmoid of every
+cell elsewhere, so it has the bits of the full matrix's row maximum and
+first argmax.
+
 Training reads its grids, SMO stop and CV fraction from a PipelineConfig;
 the model records that config's feature echo.
 """
@@ -72,14 +79,18 @@ class KernelTable:
     once, and every class's dual coefficients summed into the rows it uses
     (a row repeated within or across classes counts each time); with the
     rows' bounding box, from which `_far_rows` bounds a row's distance to
-    all of them, the model's one gamma, and the rows augmented for the
-    prediction product (`_augmented_rows`)."""
+    all of them, the model's one gamma, the rows augmented for the
+    prediction product (`_augmented_rows`), and the classes' biases and
+    sigmoids as arrays."""
     rows: np.ndarray     # (U, k) distinct support vectors
     coef: np.ndarray     # (U, classes) summed dual coefficients
     low: np.ndarray      # (k,) per-dimension minimum of the rows
     high: np.ndarray     # (k,) per-dimension maximum of the rows
     gamma: float
     aug: np.ndarray      # (U, k + 2) rows (s, 1, gamma |s|^2)
+    bias: np.ndarray     # (classes,) each class model's bias
+    platt_a: np.ndarray  # (classes,) its sigmoid's A
+    platt_b: np.ndarray  # (classes,) its sigmoid's B
 
 
 def _kernel_table(models: list[BinarySvmModel]) -> KernelTable:
@@ -96,7 +107,10 @@ def _kernel_table(models: list[BinarySvmModel]) -> KernelTable:
     with np.errstate(over="ignore"):
         sq = gammas[0] * (rows * rows).sum(axis=1)
     return KernelTable(rows=rows, coef=coef, low=rows.min(axis=0), high=rows.max(axis=0),
-                       gamma=gammas[0], aug=np.column_stack([rows, np.ones(len(rows)), sq]))
+                       gamma=gammas[0], aug=np.column_stack([rows, np.ones(len(rows)), sq]),
+                       bias=np.array([m.bias for m in models]),
+                       platt_a=np.array([m.platt_a for m in models]),
+                       platt_b=np.array([m.platt_b for m in models]))
 
 
 @dataclass
@@ -111,6 +125,14 @@ class MultiClassModel:
         """The shared support-vector table prediction uses, built on first
         use; the class models are not to be changed after that."""
         return _kernel_table(self.models)
+
+    @cached_property
+    def feature_settings(self) -> tuple:
+        """(channel, delta_t_ms, uniform_length, mask_size) the model was
+        trained on, read from its config on first use; the config is not to
+        be changed after that."""
+        cfg = PipelineConfig.from_feature_echo(self.config)
+        return cfg.channel, cfg.delta_t_ms, cfg.uniform_length, cfg.mask_size
 
 
 def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -460,6 +482,11 @@ _KERNEL_BLOCK_CELLS = 1 << 16
 # smallest subnormal, 2^-1075 = e^-745.13, so it rounds to zero.
 _EXP_ZERO = 746.0
 
+# The largest gamma |s|^2 of a support vector a model file may hold, an
+# eighth of the largest double: below it a row no larger than the support
+# vectors scores without overflow (`_affine_scores`).
+_MAX_GAMMA_SQ = float(np.finfo(float).max) / 8
+
 
 def _augmented_rows(table: KernelTable, z: np.ndarray) -> np.ndarray:
     """(2 gamma z, -gamma |z|^2, -1) for standardized rows z: their product
@@ -527,28 +554,26 @@ def _far_rows(table: KernelTable, z: np.ndarray) -> np.ndarray:
     return (bound >= _EXP_ZERO) | huge
 
 
-def _probability_matrix(models: list[BinarySvmModel], table: KernelTable,
-                        z: np.ndarray) -> np.ndarray:
-    """(n, classes) calibrated probabilities of standardized rows z.  A far
-    row (`_far_rows`) has an all-+0.0 kernel row, so it takes the bias-only
-    probability without a kernel; the near rows are scored in blocks, each
-    one product of their augmented rows with the table's for the kernel
-    exponent, clamped at <= 0 and exponentiated in place, and one product
-    with the dual coefficients.  OpenBLAS rounds a row's dot products with
-    the shape of the product it is in, so a near row's probability depends,
-    within roundoff, on the near rows it shares a block with.
+def _affine_scores(table: KernelTable, z: np.ndarray) -> np.ndarray:
+    """(n, classes) scores t = A (f + bias) + B of standardized rows z, the
+    argument of each class's sigmoid.  A far row (`_far_rows`) has an
+    all-+0.0 kernel row, so it takes the bias-only scores without a kernel;
+    the near rows are scored in blocks, each one product of their augmented
+    rows with the table's for the kernel exponent, clamped at <= 0 and
+    exponentiated in place, and one product with the dual coefficients.
+    OpenBLAS rounds a row's dot products with the shape of the product it
+    is in, so a near row's scores depend, within roundoff, on the near rows
+    it shares a block with.
 
     The exponent's n + 2 terms sum in magnitude to at most
     2 gamma (|z|^2 + |s|^2) (1 + roundoff), so no partial sum overflows while
     gamma (|z|^2 + max |s|^2) is below an eighth of the largest double; a
     near row beyond that (only support vectors as large as it can keep it
     near) is an error rather than a NaN."""
-    bias = np.array([m.bias for m in models])
-    a = np.array([m.platt_a for m in models])
-    b = np.array([m.platt_b for m in models])
-    out = np.empty((z.shape[0], len(models)))
+    a, b = table.platt_a, table.platt_b
+    out = np.empty((z.shape[0], len(a)))
     far = _far_rows(table, z)
-    out[far] = _sigmoid_of_negative(a * (0.0 + bias) + b)
+    out[far] = a * (0.0 + table.bias) + b
     near = np.flatnonzero(~far)
     with np.errstate(over="ignore", invalid="ignore"):
         za = _augmented_rows(table, z[near])
@@ -564,11 +589,75 @@ def _probability_matrix(models: list[BinarySvmModel], table: KernelTable,
         np.minimum(u, 0.0, out=u)
         scores = np.exp(u, out=u) @ table.coef
         del u
-        scores += bias
+        scores += table.bias
         scores *= a
         scores += b
-        out[near[lo:lo + step]] = _sigmoid_of_negative(scores)
+        out[near[lo:lo + step]] = scores
     return out
+
+
+def _probability_matrix(table: KernelTable, z: np.ndarray) -> np.ndarray:
+    """(n, classes) calibrated probabilities of standardized rows z, the
+    sigmoid of their `_affine_scores`, taken in place."""
+    return _sigmoid_of_negative(_affine_scores(table, z))
+
+
+# The clip range of calibrated probabilities in the decoder, which keeps
+# every window's log-probability finite.
+PROB_FLOOR = 1e-12
+PROB_CEIL = 1.0 - 1e-12
+
+# `_best_of_scores` takes a row's best probability from its smallest score
+# alone when every other score exceeds it by more than
+# _SIGMOID_GAP_EPS * eps / (1 - p), p that score's probability.
+_SIGMOID_GAP_EPS = 16.0
+
+
+def _best_of_scores(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For affine scores t, a C-ordered (rows, classes) array that it
+    overwrites, each row's largest clipped probability
+    clip(sigmoid(-t), PROB_FLOOR, PROB_CEIL) and the first class that
+    reaches it, with the bits `_sigmoid_of_negative` of every cell, clipped,
+    gives.
+
+    The sigmoid falls as t rises, so the best class is the one of smallest
+    t, but its computed form is not monotone at the ulp scale, so the
+    shortcut is taken only where it provably holds.  With u = eps / 2 and
+    exp within 4 ulps, the computed sigmoid p^(t) of p(t) = 1 / (1 + e^t)
+    carries a relative error of at most 10 u: 8 u from e = exp(-|t|),
+    damped by d ln p / d ln e, which is at most 1 in size, and u each from
+    1 + e and the division.  The real ln p falls at rate 1 - p(t), which
+    rises with t, so p(t') <= p(t) exp(-(t' - t)(1 - p(t))) for t' > t.
+    Hence p^(t') < p^(t) once (t' - t)(1 - p(t)) > 2 atanh(10 u), about
+    10 eps: the margin 16 eps / (1 - p^(t)) is that with room for p^ in
+    place of p (their 1 - p differ by about 1e-3 relative at most, as
+    1 - p^ >= 1e-12 below PROB_CEIL) and for the margin's own rounding.
+    The computed test t' > fl(t + margin) implies t' > t + margin, since
+    fl rounds to one of the two floats around its argument.  So a row whose
+    p^ of its smallest t lies strictly inside (PROB_FLOOR, PROB_CEIL), and
+    whose other scores all exceed that t by the margin, has its best
+    probability there, reached by that class alone; every other row (exact
+    or near ties, a best class on a clip plateau, NaN) takes the sigmoid of
+    all its cells and the first argmax, as the clipped grid does."""
+    # cells are addressed in t.flat (argmin is about 3x faster than min on
+    # rows of tens of classes, and take than a gather by row and column)
+    first = np.arange(0, t.size, t.shape[1])
+    best = t.argmin(axis=1)
+    cell = first + best
+    t_min = t.take(cell)
+    p = _sigmoid_of_negative(t_min.copy())
+    # the second smallest score: the smallest once the best's is +inf
+    np.put(t, cell, np.inf)
+    runner_up = t.take(first + t.argmin(axis=1))
+    margin = _SIGMOID_GAP_EPS * np.finfo(float).eps / (1.0 - np.minimum(p, PROB_CEIL))
+    sure = (p > PROB_FLOOR) & (p < PROB_CEIL) & (runner_up > t_min + margin)
+    hard = np.flatnonzero(~sure)
+    if hard.size:
+        np.put(t, cell[hard], t_min[hard])
+        cells = np.clip(_sigmoid_of_negative(t[hard]), PROB_FLOOR, PROB_CEIL)
+        best[hard] = cells.argmax(axis=1)
+        p[hard] = cells.max(axis=1)
+    return p, best
 
 
 def _class_order(labels) -> list[str]:
@@ -676,7 +765,7 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     def cv_accuracy(models: list[BinarySvmModel]) -> float:
         if len(y_cv) == 0:
             return 0.0
-        pred = np.argmax(_probability_matrix(models, _kernel_table(models), x_cv), axis=1)
+        pred = np.argmax(_probability_matrix(_kernel_table(models), x_cv), axis=1)
         truth = np.array([class_labels.index(l) for l in y_cv])
         return float(np.mean(pred == truth))
 
@@ -696,17 +785,33 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
                    "cv_samples": len(y_cv), "train_samples": len(y_train)}
 
 
-def predict_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
-    """(n, classes) calibrated probabilities for a feature matrix, from one
-    kernel over the model's distinct support vectors.  A row that is not
-    finite once standardized is an error: it has no probability; so is a
-    near row too large to score (`_probability_matrix`)."""
+def _standardized(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
+    """Feature rows standardized by the model's statistics; a row that is
+    not finite once standardized is an error: it has no probability."""
     with np.errstate(over="ignore", invalid="ignore"):
         z = standardize(np.asarray(x, dtype=float), model.stats)
     bad = ~np.isfinite(z).all(axis=1)
     if bad.any():
         raise VsrError(f"feature row {int(np.argmax(bad))} is not finite once standardized")
-    return _probability_matrix(model.models, model.kernel_table, z)
+    return z
+
+
+def predict_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
+    """(n, classes) calibrated probabilities for a feature matrix, from one
+    kernel over the model's distinct support vectors.  A row that is not
+    finite once standardized is an error, and so is a near row too large to
+    score (`_affine_scores`)."""
+    return _probability_matrix(model.kernel_table, _standardized(model, x))
+
+
+def predict_best_probability(model: MultiClassModel,
+                             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature row's largest calibrated probability, clipped to
+    [PROB_FLOOR, PROB_CEIL], and the lowest class index that reaches it: the
+    row maximum and first argmax of
+    `np.clip(predict_probability_matrix(model, x), PROB_FLOOR, PROB_CEIL)`,
+    bit for bit, mostly from one sigmoid per row (`_best_of_scores`)."""
+    return _best_of_scores(_affine_scores(model.kernel_table, _standardized(model, x)))
 
 
 # the keys `save_model` writes, which are all a model file may hold
@@ -811,6 +916,11 @@ def _model_from_doc(doc) -> MultiClassModel:
         if models and gamma != models[0].gamma:
             raise VsrError(f"models[{i}].gamma {gamma!r} differs from models[0].gamma "
                            f"{models[0].gamma!r}; a model has one gamma")
+        with np.errstate(over="ignore"):
+            huge = ~(gamma * (sv * sv).sum(axis=1) <= _MAX_GAMMA_SQ)
+        if huge.any():
+            raise VsrError(f"models[{i}] ({labels[i]!r}) support vector {int(np.argmax(huge))} "
+                           "has gamma |s|^2 past an eighth of the largest double")
         models.append(BinarySvmModel(support_vectors=sv, dual_coef=alphas, bias=bias,
                                      gamma=gamma, platt_a=platt_a, platt_b=platt_b))
     config = _known_keys(doc.get("config") or {}, _CONFIG_KEYS, "config")

@@ -598,6 +598,25 @@ def pair_log_weights(grid):
     return pairs, np.stack(weights)
 
 
+def running_maximum(grid):
+    """Each window's largest probability over the classes whose bounds hold
+    its duration, counted from 0 (so a -1 cell counts as 0), and the lowest
+    class index whose cell holds it (0 when none does), as two
+    (largest dmax, frame_count) arrays indexed [d - 1, start], by plain
+    loops."""
+    lo, hi = np.asarray(grid.dmin, dtype=int), np.asarray(grid.dmax, dtype=int)
+    width, n = int(hi.max()), grid.frame_count
+    top = np.zeros((width, n))
+    best = np.zeros((width, n), dtype=np.intp)
+    for d in range(1, width + 1):
+        for start in range(n):
+            cells = [(float(grid.probs[c][start, d - lo[c]]), c)
+                     for c in range(len(lo)) if lo[c] <= d <= hi[c]]
+            top[d - 1, start] = max([0.0] + [p for p, _ in cells])
+            best[d - 1, start] = next((c for p, c in cells if p == top[d - 1, start]), 0)
+    return top, best
+
+
 def decode_sequence(grid):
     """Segment-level Viterbi over `pair_log_weights`.  At end frame e every
     pair whose score is within TIE_ULPS * e * eps * (|max| + 1) counts as tied; the

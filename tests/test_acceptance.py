@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
+Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  One
+more test checks the decoder's table on the held-out sentences.
 
 Criterion 8's second anchor (p(t=2.302, df=79) = 0.0112) is knowingly red:
 the correct one-tailed Student-t tail at df=79 is 0.011985, and 0.0112 only
@@ -20,8 +21,9 @@ import numpy as np
 import pytest
 
 from oracles import dct3, decision_values, idct3, prob
+from oracles import running_maximum as oracle_running_maximum
 from vsr3d.config import PipelineConfig
-from vsr3d.decoder import ProbabilityGrid, decode_sequence
+from vsr3d.decoder import ProbabilityGrid, decode_sequence, expand_biphones
 from vsr3d.evaluation import (AlignmentCounts, accuracy, align_nw, t_tail_probability)
 from vsr3d.features import pyramid_mask_indices, extract_labeled_samples
 from vsr3d.features import Transcript, TranscriptEntry
@@ -366,6 +368,28 @@ def test_criterion_10_end_to_end(acceptance_corpus, trained_models):
     report(10, "held-out mean accuracy >= 0.70 and biphones within 0.02",
            mean_p >= 0.70 and mean_b >= mean_p - 0.02 - 1e-12 and elapsed < 900.0,
            f"(phoneme {mean_p:.3f}, biphone-augmented {mean_b:.3f}, {elapsed:.0f}s)")
+
+
+def test_held_out_window_tables_are_the_grids_running_maximum(acceptance_corpus,
+                                                              trained_models):
+    """On the ten held-out sentences, with the phoneme model alone and with
+    both: the table `decode_roi` decodes holds the full grid's running
+    maximum and lowest best class, bit for bit, and decodes as the grid."""
+    from vsr3d.decoder import build_probability_grid
+    from vsr3d.pipeline import class_inventories
+
+    cfg, _, _, results, _ = acceptance_corpus
+    model, bimodel, _ = trained_models
+    for i in range(40, 50):
+        for biphone_model in (None, bimodel):
+            roi = results[i].roi
+            entries, table = decode_roi(roi, model, cfg, biphone_model)
+            grid = build_probability_grid(roi, class_inventories(model, cfg, biphone_model),
+                                          cfg.fps)
+            top, best = oracle_running_maximum(grid)
+            assert table.prob.tobytes() == top.tobytes(), i
+            assert np.array_equal(table.best, best), i
+            assert entries == expand_biphones(decode_sequence(grid)), i
 
 
 def test_criterion_11_linear_runtime(trained_models):

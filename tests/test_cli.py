@@ -673,6 +673,37 @@ class TestDecodeBiphones:
         assert not (tmp_path / "hyp.txt").exists()
 
 
+class TestSaveGrid:
+    def test_transcript_does_not_depend_on_save_grid(self, tiny_corpus, corpus_cfg_file,
+                                                     tmp_path):
+        """`--save-grid` adds a grid file and leaves the transcript's bytes
+        alone, from video and from `.vsr1`, with one inventory and two; the
+        saved grid holds every inventory's classes."""
+        from vsr3d.pipeline import segment_video
+
+        video = tiny_corpus / "corpus" / "sent_000"
+        cfg = PipelineConfig.load(corpus_cfg_file)
+        roi = tmp_path / "sent_000.vsr1"
+        write_roi(segment_video(read_video_dir(video), cfg).roi, roi)
+        model, bimodel = tmp_path / "model.json", tmp_path / "bimodel.json"
+        model.write_text(json.dumps(_model_doc()))
+        bidoc = _model_doc()
+        bidoc["classLabels"] = ["C0+C1", "C1+C0"]
+        for m, label in zip(bidoc["models"], bidoc["classLabels"]):
+            m["label"], m["plattB"] = label, -1.0
+        bimodel.write_text(json.dumps(bidoc))
+        for source in (video, roi):
+            for extra in ((), ("--biphone-model", str(bimodel))):
+                argv = ["decode", str(source), "--model", str(model), *extra,
+                        "--config", str(corpus_cfg_file)]
+                plain, saved, grid = (tmp_path / name for name in ("a.txt", "b.txt", "g.grd1"))
+                assert run_cli(*argv, "--out", str(plain)) == 0
+                assert run_cli(*argv, "--out", str(saved), "--save-grid", str(grid)) == 0
+                assert plain.read_bytes() == saved.read_bytes()
+                assert read_grid(grid).class_labels == ["C0", "C1"] + (["C0+C1", "C1+C0"]
+                                                                       if extra else [])
+
+
 class TestEmptyFeatureCsv:
     """A featurize run with no samples still writes every feature column,
     and reads back as a (0, features) array."""
@@ -1068,6 +1099,15 @@ class TestMalformedModelFiles:
         for m in doc["models"]:
             m["plattA"] = -1000.0
         assert self.decode(tmp_path, roi_path, doc) == 0
+
+    def test_huge_support_vector_exits_2(self, tmp_path, capsys, roi_path):
+        """A support vector whose gamma |s|^2 is past an eighth of the
+        largest double is rejected at load, naming its class and row."""
+        doc = _model_doc()
+        doc["models"][1]["supportVectors"][2][0] = 1e200
+        err = assert_one_line_data_error(self.decode(tmp_path, roi_path, doc), capsys,
+                                         "decode")
+        assert "models[1] ('C1') support vector 2 has gamma |s|^2 past an eighth" in err
 
     def test_overflowing_standardization_exits_2(self, tmp_path, capsys, roi_path):
         """A spread so small that standardized features overflow leaves

@@ -497,14 +497,45 @@ class TestGridBuilding:
         for got, want in zip(grid.probs, probs):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("first, second, config", [
+        ((3, 8), (6, 12), {}),                    # overlapping ranges
+        ((3, 12), (3, 12), {}),                   # every window tied across inventories
+        ((3, 5), (9, 12), {}),                    # disjoint ranges
+        ((3, 12), (6, 24), {"channel": "green"}),  # different feature settings
+        ((3, 12), (40, 50), {}),                  # no window fits the second range
+    ])
+    def test_window_table_is_the_grids_running_maximum(self, fixture_model_and_roi,
+                                                       corpus_config, first, second, config):
+        """The table `decode_roi` decodes holds, bit for bit, the grid's
+        running maximum over the class planes, and the lowest class that
+        reaches it (the earlier inventory on a tie between them); both
+        decode alike."""
+        from vsr3d.decoder import best_window_table, build_probability_grid, decode_windows
+
+        model, roi = fixture_model_and_roi
+        inventories = [(model, *first), (relabeled(model, "B", **config), *second)]
+        fps = corpus_config.fps
+        grid = build_probability_grid(roi, inventories, fps)
+        table = best_window_table(roi, inventories, fps)
+        top, best = oracles.running_maximum(grid)
+        assert table.class_labels == grid.class_labels
+        assert table.frame_count == grid.frame_count
+        assert table.prob.tobytes() == top.tobytes()
+        assert np.array_equal(table.best, best)
+        assert decode_windows(table) == decode_sequence(grid) == oracles.decode_sequence(grid)
+
     def test_rejects_duplicate_labels_and_no_inventory(self, fixture_model_and_roi):
-        from vsr3d.decoder import build_probability_grid
+        from vsr3d.decoder import best_window_table, build_probability_grid
 
         model, roi = fixture_model_and_roi
         with pytest.raises(VsrError, match="duplicate class labels"):
             build_probability_grid(roi, [(model, 3, 8), (relabeled(model, ""), 6, 12)], 25.0)
         with pytest.raises(VsrError, match="at least one class inventory"):
             build_probability_grid(roi, [], 25.0)
+        with pytest.raises(VsrError, match="duplicate class labels"):
+            best_window_table(roi, [(model, 3, 8), (relabeled(model, ""), 6, 12)], 25.0)
+        with pytest.raises(VsrError, match="at least one class inventory"):
+            best_window_table(roi, [], 25.0)
 
     def test_far_windows_decode_as_the_oracle(self, fixture_model_and_roi, corpus_config):
         """With its temporal coefficient's spread cut tenfold, the model puts

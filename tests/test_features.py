@@ -172,7 +172,7 @@ class TestTimeMaps:
     def test_stack_of_per_duration_maps(self, durations, length, s):
         """Block u of the stack is DCT_L[:s] @ Resample(d -> L) for the
         u-th duration d, with zeros from column d on."""
-        durations = np.array(sorted(durations))
+        durations = tuple(sorted(durations))
         s = min(s, length)
         stack = _time_maps(durations, length, s)
         assert stack.shape == (len(durations) * s, durations[-1])

@@ -12,9 +12,10 @@ from vsr3d import VsrError
 from vsr3d.config import PipelineConfig
 from vsr3d.features import StandardizationStats, fit_standardization, standardize
 from vsr3d import svm
-from vsr3d.svm import (BinarySvmModel, MultiClassModel, fit_platt, load_model,
-                       predict_probability_matrix, rbf_kernel_matrix, save_model,
-                       train_binary_smo, train_multiclass, _SmoState)
+from vsr3d.svm import (PROB_CEIL, PROB_FLOOR, BinarySvmModel, MultiClassModel, fit_platt,
+                       load_model, predict_best_probability, predict_probability_matrix,
+                       rbf_kernel_matrix, save_model, train_binary_smo, train_multiclass,
+                       _SmoState)
 
 from oracles import (OneProblemSmo, blocked_probability_matrix, decision_values,
                      dual_objective, platt_probability, predict_probabilities, rbf_kernel,
@@ -877,6 +878,172 @@ class TestFarRowSkip:
             predict_probability_matrix(tiny, np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
+def clipped_best(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maximum and first argmax of probabilities clipped as the decoder
+    clips its grid."""
+    cells = np.clip(p, PROB_FLOOR, PROB_CEIL)
+    return cells.max(axis=1), cells.argmax(axis=1)
+
+
+def sigmoid_calls(monkeypatch) -> list:
+    """Records the dimension of every array `_sigmoid_of_negative` takes:
+    1 for the one-per-row shortcut, 2 for rows scored on all their cells."""
+    sigmoid = svm._sigmoid_of_negative
+    dims = []
+
+    def recording(z):
+        dims.append(z.ndim)
+        return sigmoid(z)
+
+    monkeypatch.setattr(svm, "_sigmoid_of_negative", recording)
+    return dims
+
+
+def margin_of(t: float) -> float:
+    """`_best_of_scores`'s margin for a smallest score t."""
+    p = float(sigmoid_of_negative(np.array([t]))[0])
+    return svm._SIGMOID_GAP_EPS * np.finfo(float).eps / (1.0 - min(p, PROB_CEIL))
+
+
+# scores whose next float up has a larger computed sigmoid
+WOBBLES = [0.6931772263454855, 0.7279587147657196, 1.563122604077897]
+
+
+class TestBestProbability:
+    """A row's best clipped probability and first class, from one sigmoid
+    per row where the margin allows, have the bits of the full matrix."""
+
+    def test_scores_match_every_cell_bit_for_bit(self, monkeypatch):
+        """Rows of scores around a smallest one: exact ties, ties 1 to 4 ulps
+        off, gaps inside, at and past the margin, cells on both clip
+        plateaus (|t| past 27.7), infinities and NaN; the best probability
+        and class equal the row maximum and first argmax of the clipped
+        sigmoid of every cell, and both paths are taken."""
+        dims = sigmoid_calls(monkeypatch)
+
+        @settings(max_examples=300, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            rows = []
+            for _ in range(data.draw(st.integers(1, 6))):
+                base = data.draw(st.one_of(st.floats(-40.0, 40.0),
+                                           st.sampled_from([0.0, -0.0, 27.6, -27.6, 1e-300]),
+                                           st.sampled_from(WOBBLES)))
+                row = [base]
+                for _ in range(data.draw(st.integers(0, 6))):
+                    kind = data.draw(st.sampled_from(["tie", "ulps", "band", "far", "plateau",
+                                                      "special"]))
+                    if kind == "tie":
+                        row.append(base)
+                    elif kind == "ulps":
+                        t = base
+                        for _ in range(data.draw(st.integers(1, 4))):
+                            t = np.nextafter(t, data.draw(st.sampled_from([-np.inf, np.inf])))
+                        row.append(float(t))
+                    elif kind == "band":
+                        row.append(base + data.draw(st.sampled_from([0.5, 1.0, 2.0, 8.0]))
+                                   * data.draw(st.sampled_from([-1, 1])) * margin_of(base))
+                    elif kind == "far":
+                        row.append(base + data.draw(st.floats(1e-6, 50.0)))
+                    elif kind == "plateau":
+                        row.append(data.draw(st.sampled_from([-1.0, 1.0]))
+                                   * data.draw(st.floats(27.7, 800.0)))
+                    else:
+                        row.append(data.draw(st.sampled_from([np.inf, -np.inf, np.nan])))
+                rows.append(data.draw(st.permutations(row)))
+            width = max(map(len, rows))
+            # pad each row with copies of its own scores to one width
+            t = np.array([row + row[:1] * (width - len(row)) for row in rows])
+            want_p, want_c = clipped_best(sigmoid_of_negative(t))
+            got_p, got_c = svm._best_of_scores(t.copy())
+            assert got_p.tobytes() == want_p.tobytes()
+            assert np.array_equal(got_c, want_c)
+
+        check()
+        assert 1 in dims and 2 in dims
+
+    def test_models_match_the_clipped_matrix(self, monkeypatch):
+        """Through a model: class models that copy another's (exact ties),
+        nudge its sigmoid's B by 1 ulp or by about the margin, or sit on a
+        clip plateau, over rows near the support vectors and far from all
+        of them; `predict_best_probability` equals the row maximum and first
+        argmax of the clipped `predict_probability_matrix`, bit for bit."""
+        dims = sigmoid_calls(monkeypatch)
+
+        @settings(max_examples=150, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            dim = data.draw(st.integers(1, 3))
+            unit = st.floats(-1, 1)
+            pool = np.array(data.draw(st.lists(st.lists(unit, min_size=dim, max_size=dim),
+                                               min_size=1, max_size=5)))
+            gamma = data.draw(st.floats(0.05, 4))
+            models = []
+            for c in range(data.draw(st.integers(1, 6))):
+                kind = data.draw(st.sampled_from(["new", "copy", "ulp", "band", "plateau"]))
+                if not models or kind == "new":
+                    idx = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                                             max_size=4))
+                    models.append(BinarySvmModel(
+                        support_vectors=pool[idx],
+                        dual_coef=np.array([data.draw(st.floats(-2, 2)) for _ in idx]),
+                        bias=data.draw(st.floats(-1, 1)), gamma=gamma,
+                        platt_a=data.draw(st.floats(-3, -0.1)),
+                        platt_b=data.draw(st.floats(-3, 3))))
+                    continue
+                other = models[data.draw(st.integers(0, len(models) - 1))]
+                b = other.platt_b
+                if kind == "ulp":
+                    b = float(np.nextafter(b, data.draw(st.sampled_from([-np.inf, np.inf]))))
+                elif kind == "band":
+                    b += data.draw(st.sampled_from([-1, 1])) * 10.0 ** data.draw(
+                        st.integers(-16, -12))
+                elif kind == "plateau":
+                    b = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(30, 60))
+                models.append(dataclasses.replace(other, platt_b=b))
+            model = MultiClassModel(class_labels=[f"c{i}" for i in range(len(models))],
+                                    models=models,
+                                    stats=StandardizationStats(np.zeros(dim), np.ones(dim)))
+            x = np.array(data.draw(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=dim,
+                                                     max_size=dim), min_size=0, max_size=8)))
+            x = x.reshape(-1, dim)
+            for row in x:
+                if data.draw(st.booleans()):
+                    row[0] += data.draw(st.sampled_from([-1, 1])) * 10.0 ** data.draw(
+                        st.floats(2, 6))
+            want_p, want_c = clipped_best(predict_probability_matrix(model, x))
+            got_p, got_c = predict_best_probability(model, x)
+            assert got_p.tobytes() == want_p.tobytes()
+            assert np.array_equal(got_c, want_c)
+
+        check()
+        assert 1 in dims and 2 in dims
+
+    def test_pool_sized_rows_take_one_sigmoid_each(self, monkeypatch):
+        """At the pool's sizes, with half the rows far, the best
+        probabilities have the matrix's bits and no row needs its cells."""
+        dims = sigmoid_calls(monkeypatch)
+        for seed in range(4):
+            model, x = pool_sized_case(seed)
+            want_p, want_c = clipped_best(predict_probability_matrix(model, x))
+            dims.clear()
+            got_p, got_c = predict_best_probability(model, x)
+            assert got_p.tobytes() == want_p.tobytes()
+            assert np.array_equal(got_c, want_c)
+            assert dims == [1]
+
+    def test_margin_covers_the_sigmoids_ulp_wobble(self):
+        """The computed sigmoid is not monotone at the ulp scale (some
+        adjacent scores rise), but it always falls across the margin."""
+        t = np.concatenate([np.random.default_rng(3).uniform(-27.6, 27.6, 200_000), WOBBLES])
+        p = sigmoid_of_negative(t)
+        nxt = sigmoid_of_negative(np.nextafter(t, np.inf))
+        assert (nxt[-len(WOBBLES):] > p[-len(WOBBLES):]).all()
+        margin = svm._SIGMOID_GAP_EPS * np.finfo(float).eps / (1.0 - p)
+        beyond = sigmoid_of_negative(np.nextafter(t + margin, np.inf))
+        assert (beyond < p).all()
+
+
 class TestModelIo:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -907,6 +1074,26 @@ class TestModelIo:
         loaded = load_model(path)
         assert loaded.models[0].support_vectors[0, 0] == 1.0 / 3.0
         assert loaded.models[0].bias == -1.0 / 7.0
+
+    def test_huge_support_vector_rejected(self, tmp_path):
+        """A support vector whose gamma |s|^2 is past an eighth of the
+        largest double would make every near row too large to score; the
+        model file is rejected, naming the class and the row."""
+        models = [BinarySvmModel(support_vectors=np.array([[0.0, 0.0], [1e200, 0.0]]),
+                                 dual_coef=np.array([1.0, -1.0]), bias=0.0, gamma=0.5)
+                  for _ in range(2)]
+        models[0].support_vectors = np.array([[0.0, 1.0], [0.0, 0.0]])
+        mc = MultiClassModel(class_labels=["a", "b"], models=models,
+                             stats=StandardizationStats(np.zeros(2), np.ones(2)))
+        path = tmp_path / "m.json"
+        save_model(mc, path)
+        with pytest.raises(VsrError, match=r"models\[1\] \('b'\) support vector 1 has "
+                                           r"gamma \|s\|\^2 past an eighth"):
+            load_model(path)
+        scale = math.sqrt(svm._MAX_GAMMA_SQ / 0.5)
+        mc.models[1].support_vectors = np.array([[0.0, 0.0], [scale, 0.0]])
+        save_model(mc, path)
+        assert load_model(path).models[1].support_vectors[1, 0] == scale
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
