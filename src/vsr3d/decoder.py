@@ -20,9 +20,10 @@ So the decoder reads a WindowTable: each window's best probability and its
 lowest class.  `best_window_table` fills it straight from the class models,
 mostly with one sigmoid per window (`svm.predict_best_probability`), and
 `decode_sequence` derives it from a full per-class ProbabilityGrid (as
-`.grd1` files hold it); both give the same table bit for bit, and
-`decode_windows` decodes it.  Every class inventory (phonemes, biphones) is
-scored from one featurization of the union of their windows.
+`.grd1` files hold it); both merge classes by one rule, `_keep_best`, into
+the same table bit for bit, and `decode_windows` decodes it.  Every class
+inventory (phonemes, biphones) is scored from one featurization of the
+union of their windows.
 """
 
 from __future__ import annotations
@@ -74,8 +75,18 @@ class WindowTable:
 
     class_labels: list[str]
     frame_count: int
+    dmin: int           # the smallest duration bound
     prob: np.ndarray    # (width, frame_count) float
     best: np.ndarray    # (width, frame_count) class index
+
+
+def _keep_best(table: WindowTable, cells, p, c):
+    """Offers the table's windows `cells` (an index of its arrays) the
+    probabilities p of classes c: a window takes them where p beats its
+    probability, so on a tie the class offered first keeps it."""
+    old = table.prob[cells]
+    table.best[cells] = np.where(p > old, c, table.best[cells])
+    table.prob[cells] = np.maximum(old, p)
 
 
 def _checked_inventories(inventories):
@@ -145,19 +156,15 @@ def best_window_table(roi: RoiVolume, inventories, fps: float) -> WindowTable:
     the earlier one's class on a tie."""
     models, lows, highs, labels = _checked_inventories(inventories)
     n = roi.frame_count
-    table = WindowTable(class_labels=labels, frame_count=n, prob=np.zeros((max(highs), n)),
-                        best=np.zeros((max(highs), n), dtype=np.intp))
+    table = WindowTable(labels, n, min(lows), np.zeros((max(highs), n)),
+                        np.zeros((max(highs), n), dtype=np.intp))
     offsets = np.cumsum([0] + [len(model.class_labels) for model in models])
     scored = {i: (starts, durs, x)
               for i, starts, durs, x in _featurized(roi, models, lows, highs, fps)}
     for i in sorted(scored):   # inventory order, which the tie rule needs
         starts, durs, x = scored[i]
         p, c = predict_best_probability(models[i], x)
-        cell = (durs - 1, starts)
-        old = table.prob[cell]
-        won = p > old
-        table.best[cell] = np.where(won, offsets[i] + c, table.best[cell])
-        table.prob[cell] = np.maximum(old, p)
+        _keep_best(table, (durs - 1, starts), p, offsets[i] + c)
     return table
 
 
@@ -175,15 +182,12 @@ def decode_sequence(grid: ProbabilityGrid):
     for lab, a, b in zip(grid.class_labels, lo, hi):
         if not 1 <= a <= b:
             raise VsrError(f"class {lab!r} has invalid duration bounds [{a}, {b}]")
-    n = grid.frame_count
-    top = np.zeros((int(hi.max()), n))
-    best = np.zeros(top.shape, dtype=np.intp)
+    n, width = grid.frame_count, int(hi.max())
+    table = WindowTable(list(grid.class_labels), n, int(lo.min()), np.zeros((width, n)),
+                        np.zeros((width, n), dtype=np.intp))
     for c, (p, a, b) in enumerate(zip(grid.probs, lo, hi)):
-        # a class takes the windows it beats every earlier class on
-        best[a - 1:b][p.T > top[a - 1:b]] = c
-        np.maximum(top[a - 1:b], p.T, out=top[a - 1:b])
-    return decode_windows(WindowTable(class_labels=list(grid.class_labels), frame_count=n,
-                                      prob=top, best=best))
+        _keep_best(table, slice(a - 1, b), p.T, c)
+    return decode_windows(table)
 
 
 def decode_windows(table: WindowTable):
@@ -218,7 +222,8 @@ def decode_windows(table: WindowTable):
         back.append(d)
         best.append(score)
     if n < 1 or not np.isfinite(best[n]):
-        raise VsrError("no feasible tiling of the sequence (all weights vanish)")
+        raise VsrError(f"no feasible tiling of the sequence (length {n}) by windows of "
+                       f"{table.dmin} to {width} frames")
     entries = []
     while n > 0:
         d = back[n]

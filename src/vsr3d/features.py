@@ -73,8 +73,8 @@ def time_shift(volume: np.ndarray, delta_t_ms: float, fps: float) -> np.ndarray:
     """Delay an array of frames (time on the first axis) by delta_t_ms:
     output frame t samples the input at continuous time
     t - delta_t_ms*fps/1000, linearly interpolated and clamped at the
-    sequence boundaries.  A shift of whole frames (every sample time an
-    integer) is a frame gather."""
+    sequence boundaries.  On finite data a shift of whole frames (weights 1
+    and 0) gives the frame gather's values, up to the sign of a zero."""
     if delta_t_ms < 0:
         raise VsrError("delta_t_ms must be non-negative")
     volume = np.asarray(volume, dtype=float)
@@ -82,11 +82,8 @@ def time_shift(volume: np.ndarray, delta_t_ms: float, fps: float) -> np.ndarray:
     shift = delta_t_ms * fps / 1000.0
     tau = np.clip(np.arange(n, dtype=float) - shift, 0.0, n - 1.0)
     lo = np.floor(tau).astype(np.intp)
-    frac = tau - lo
-    if not frac.any():
-        return volume[lo]
     hi = np.minimum(lo + 1, n - 1)
-    frac = frac.reshape((n,) + (1,) * (volume.ndim - 1))
+    frac = (tau - lo).reshape((n,) + (1,) * (volume.ndim - 1))
     return volume[lo] * (1.0 - frac) + volume[hi] * frac
 
 
@@ -154,7 +151,9 @@ def _time_maps(durations: tuple[int, ...], length: int, s: int) -> np.ndarray:
     """The maps `DCT_L[:s] @ Resample(d -> L)` of the given ascending
     durations d, stacked as a (len(durations) * s, max duration) array: rows
     u * s to u * s + s - 1 belong to durations[u], zero from column d on.
-    Cached by its arguments, as a read-only array.
+    Cached by its arguments, as a read-only array (only decode repeats
+    them).  Maps keyed per duration would change bits: of the 76 in 3-12,
+    6-24, 3-24 and 1-25, d = 1 of 1-25 differs from its rows of the stack.
 
     Resample(d -> L) interpolates linearly, mapping frames [0, d-1] onto
     [0, L-1] (a single frame is replicated): output frame l takes each input

@@ -15,12 +15,12 @@ makes each one (`color_plane`, the one formula) when it is first asked for,
 frame by frame: the frame's footprint RGB is sampled for only the channels
 the planes read, and resampled with the frame's own taps.
 
-Bilinear sampling is split in two.  A plan depends only on the geometry:
-the pixel box the taps read, the corner indices relative to that box and
-the blend weights (`_box_taps`), and for a symmetry search window the
-candidates' valid terms (`_SymmetryPlan`).  Applying it takes, blends and
-sums the box's pixels of one image.  Per-frame searches and crops reuse one
-plan per distinct line, and convert only the pixels of its box.
+Bilinear sampling is written once: a `_Taps` plan (`_box_taps`) holds the
+pixel box its taps read, the corner indices in that box and the weights,
+and its `sample` blends the box's pixels of one image or a stack of planes.
+A plan depends only on the geometry, so searches and crops reuse one per
+distinct line (`_SymmetryPlan` adds a search window's valid terms) and
+convert only the pixels of its box.
 
 Coordinates: (row, col) with row increasing downward.  A symmetry line is
 anchored at the vertical image center; positive angles tilt it clockwise.
@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,54 +170,54 @@ def luminance(rgb: np.ndarray) -> np.ndarray:
     return raw_luma(rgb) / 255.0
 
 
-def _taps(rows, cols, h: int, w: int):
-    """Bilinear taps of points in an h x w image: the corner rows (r0, r1)
-    and columns (c0, c1) of each point, and the `_blend` weight pairs.
-    Coordinates are clamped to the image rectangle first (edge replication
-    outside)."""
+class _Taps(NamedTuple):
+    """Bilinear taps of points in an h x w image, relative to the pixel box
+    they read: `box`, a (row, column) slice pair; `corners`, the flat
+    indices in the box of each point's corners (r0, c0), (r0, c1), (r1, c0)
+    and (r1, c1); and `weights`, the pairs (1 - fr, fr) and (1 - fc, fc)."""
+
+    box: tuple
+    corners: list
+    weights: tuple
+
+    def sample(self, values: np.ndarray) -> np.ndarray:
+        """The points' samples of `values`, the box's pixels of one image
+        (bh, bw) or of k planes (k, bh, bw): (v00 fc0 + v01 fc1) fr0 +
+        (v10 fc0 + v11 fc1) fr1, in place in the four fresh gathers."""
+        flat = values.reshape(*values.shape[:-2], -1)
+        v00, v01, v10, v11 = (np.take(flat, i, axis=-1) for i in self.corners)
+        (fr0, fr1), (fc0, fc1) = self.weights
+        v00 *= fc0
+        v01 *= fc1
+        v00 += v01
+        v10 *= fc0
+        v11 *= fc1
+        v10 += v11
+        v00 *= fr0
+        v10 *= fr1
+        v00 += v10
+        return v00
+
+
+def _box_taps(rows, cols, h: int, w: int, box=None) -> _Taps:
+    """The `_Taps` of points (rows, cols) in an h x w image, relative to
+    `box`, which must hold every tap, or by default to the least box that
+    does.  Coordinates are clamped to the image rectangle first (edge
+    replication outside)."""
     rows = np.clip(rows, 0.0, h - 1.0)
     cols = np.clip(cols, 0.0, w - 1.0)
     r0 = np.floor(rows).astype(np.intp)
     c0 = np.floor(cols).astype(np.intp)
     r1, c1 = np.minimum(r0 + 1, h - 1), np.minimum(c0 + 1, w - 1)
     fr, fc = rows - r0, cols - c0
-    return (r0, r1), (c0, c1), ((1 - fr, fr), (1 - fc, fc))
-
-
-def _box_index(box, rs, cs):
-    """The flat index in `box`, a (row, column) slice pair, of the corners
-    (r0, c0), (r0, c1), (r1, c0), (r1, c1) of each tap of `_taps`."""
+    if box is None:
+        box = (slice(int(r0.min()), int(r1.max()) + 1),
+               slice(int(c0.min()), int(c1.max()) + 1))
     top, left = box[0].start, box[1].start
     bw = box[1].stop - left
-    starts, offsets = [(r - top) * bw for r in rs], [c - left for c in cs]
-    return [start + offset for start in starts for offset in offsets]
-
-
-def _box_taps(rows, cols, h: int, w: int):
-    """`_taps` relative to the pixel box they read: the box as a (row,
-    column) slice pair, the corner indices in it (`_box_index`) and the
-    weight pairs."""
-    rs, cs, weights = _taps(rows, cols, h, w)
-    box = (slice(int(rs[0].min()), int(rs[1].max()) + 1),
-           slice(int(cs[0].min()), int(cs[1].max()) + 1))
-    return box, _box_index(box, rs, cs), weights
-
-
-def _blend(v00, v01, v10, v11, fr, fc):
-    """Bilinear blend of the values at (r0, c0), (r0, c1), (r1, c0), (r1, c1)
-    for weights (1 - fr, fr) and (1 - fc, fc), each pair a tuple:
-    (v00 fc0 + v01 fc1) fr0 + (v10 fc0 + v11 fc1) fr1, computed in place in
-    the four value arrays (fresh gathers), and returned in v00's."""
-    v00 *= fc[0]
-    v01 *= fc[1]
-    v00 += v01
-    v10 *= fc[0]
-    v11 *= fc[1]
-    v10 += v11
-    v00 *= fr[0]
-    v10 *= fr[1]
-    v00 += v10
-    return v00
+    starts, offsets = [(r - top) * bw for r in (r0, r1)], [c - left for c in (c0, c1)]
+    return _Taps(box, [start + offset for start in starts for offset in offsets],
+                 ((1 - fr, fr), (1 - fc, fc)))
 
 
 def area_average_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -259,9 +260,9 @@ def build_image_pyramid(image: np.ndarray) -> list[np.ndarray]:
 
 class _SymmetryPlan:
     """The geometry of one symmetry search window over h x w images, built
-    once and applied to any number of them: the pixel box that the
-    candidates' bilinear taps read, the taps relative to that box, and the
-    candidates grouped by valid-row count with their valid terms in order.
+    once and applied to any number of them: the candidates' bilinear taps
+    (`taps`, relative to the pixel box they read), and the candidates grouped
+    by valid-row count with their valid terms in order.
 
     Candidate lines sit at every (column, angle) of the window.  Pairs sit at
     perpendicular offsets k - 0.5 (k = 1..band) so exact mirror images about
@@ -294,13 +295,13 @@ class _SymmetryPlan:
         # window; candidates with as many valid rows share one reduction
         self.groups = [(np.flatnonzero(n_valid == n), int(n))
                        for n in np.unique(n_valid[n_valid >= 0.25 * h])]
-        self.box = slice(0, 0), slice(0, 0)
+        self.taps = _Taps((slice(0, 0), slice(0, 0)), [], ())
         if self.groups:
             # the (candidate, row) of every valid term row, group by group
             cand, row = np.concatenate([np.nonzero((n_valid == n)[:, None] & valid)
                                         for _, n in self.groups], axis=1)
             angle = cand % len(angles)
-            self.box, self.corners, self.weights = _box_taps(
+            self.taps = _box_taps(
                 np.stack([lr[angle, row], rr[angle, row]]).reshape(2, -1),
                 np.stack([lc.reshape(-1, h, band)[cand, row],
                           rc.reshape(-1, h, band)[cand, row]]).reshape(2, -1), h, w)
@@ -311,8 +312,7 @@ class _SymmetryPlan:
         the plan's box in one image as floats."""
         costs = np.full(self.shape[0] * self.shape[1], np.inf)
         if self.groups:
-            flat = image.ravel()
-            left, right = _blend(*(np.take(flat, i) for i in self.corners), *self.weights)
+            left, right = self.taps.sample(image)
             left -= right
             sq = np.square(left, out=left)
             start = 0
@@ -330,7 +330,7 @@ def symmetry_costs(image: np.ndarray, columns, angles, band: int = 5) -> np.ndar
     plan built and applied once."""
     image = np.asarray(image, dtype=float)
     plan = _SymmetryPlan(*image.shape, columns, angles, band)
-    return plan.costs(image[plan.box])
+    return plan.costs(image[plan.taps.box])
 
 
 def _least_cost(costs: np.ndarray, columns, angles) -> SymmetryLine:
@@ -392,7 +392,7 @@ def find_symmetry_lines(video: VideoSequence) -> list[SymmetryLine]:
                                    [prev.angle_deg + a for a in REFINE_ANGLES]))
     for t in range(1, video.frame_count):
         plan = refine_plan(lines[-1])
-        gray = luminance(video.frames[t][plan.box].astype(float))
+        gray = luminance(video.frames[t][plan.taps.box].astype(float))
         lines.append(_least_cost(plan.costs(gray), plan.columns, plan.angles))
     return lines
 
@@ -458,14 +458,11 @@ _RGB_READ = {"lum": (), "red": (0,), "green": (1,), "blue": (2,), "pseudo_hue": 
              "u": (0, 1, 2), "ulum": (0, 1, 2)}
 
 
-def _sample_rgb(frame: np.ndarray, taps, channels) -> np.ndarray:
+def _sample_rgb(frame: np.ndarray, taps: _Taps, channels) -> np.ndarray:
     """(len(channels), ...) RGB channels (0 red, 1 green, 2 blue) of one
-    (H, W, 3) frame scaled to [0, 1] at the points of `_box_taps`: only
-    those channels of its box are converted to float."""
-    box, corners, weights = taps
-    planes = frame[box].transpose(2, 0, 1)[list(channels)].astype(float)
-    planes = planes.reshape(len(channels), -1) / 255.0
-    return _blend(*(np.take(planes, i, axis=1) for i in corners), *weights)
+    (H, W, 3) frame scaled to [0, 1] at the points of `taps`: only those
+    channels of its box are converted to float."""
+    return taps.sample(frame[taps.box].transpose(2, 0, 1)[list(channels)] / 255.0)
 
 
 def prepare_frames(video: VideoSequence, lines: list[SymmetryLine]):
@@ -498,9 +495,8 @@ def prepare_frames(video: VideoSequence, lines: list[SymmetryLine]):
     lum = np.empty((n, h, CROP_WIDTH))
     center_rgb = np.empty((3, n, h))
     for t, line in enumerate(lines):
-        box, corners, weights = crop_plan(line)
-        luma = raw_luma(video.frames[t][box]).reshape(-1)
-        lum[t] = _blend(*(np.take(luma, i) for i in corners), *weights)
+        taps = crop_plan(line)
+        lum[t] = taps.sample(raw_luma(video.frames[t][taps.box]))
         center_rgb[:, t] = _sample_rgb(video.frames[t], center_plan(line), (0, 1, 2))[..., 0]
     lo = lum.min(axis=(1, 2), keepdims=True)
     hi = lum.max(axis=(1, 2), keepdims=True)
@@ -735,8 +731,7 @@ def extract_roi(rgb_over, lum: np.ndarray, keypoints: MouthKeypoints,
     # are at the window's corners; taps grow with the coordinates, so the
     # extreme ones span the footprint
     rows, cols = window(slice(None), *(g[np.ix_([0, -1], [0, -1])] for g in (gy, gx)))
-    box, _, _ = _box_taps(np.array([rows.min(), rows.max()]),
-                          np.array([cols.min(), cols.max()]), h, w)
+    box = _box_taps(rows, cols, h, w).box
     sample, lum = rgb_over(box), lum[(..., *box)].copy()
 
     def make_planes(names) -> list[np.ndarray]:
@@ -744,11 +739,9 @@ def extract_roi(rgb_over, lum: np.ndarray, keypoints: MouthKeypoints,
         planes = [np.empty((n, roi_height, roi_width)) for _ in names]
         for t in range(n):
             rgb = sample(t, channels) if channels else {}
-            rs, cs, weights = _taps(*window(t, gy, gx), h, w)
-            corners = _box_index(box, rs, cs)
+            taps = _box_taps(*window(t, gy, gx), h, w, box)
             for plane, name in zip(planes, names):
-                flat = color_plane(name, rgb, lum[t]).reshape(-1)
-                plane[t] = _blend(*(np.take(flat, i) for i in corners), *weights)
+                plane[t] = taps.sample(color_plane(name, rgb, lum[t]))
         return planes
 
     return RoiVolume((n, roi_height, roi_width), make_planes)

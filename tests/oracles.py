@@ -55,8 +55,8 @@ from vsr3d.features import (_check_window, _dct_matrix, pyramid_mask_indices, st
                             subtract_sequence_mean, time_shift)
 from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CORNER_TRACK_SIGMA, CROP_HALF_WIDTH,
                                 LIP_SEED_RANGE, LUM_LINE_LENGTH, REFINE_ANGLES, REFINE_COLS,
-                                MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence, _blend,
-                                _box_taps, _minmax01, box_filter, color_plane,
+                                MouthKeypoints, RoiVolume, SymmetryLine, VideoSequence, _box_taps,
+                                _minmax01, box_filter, color_plane,
                                 detect_inner_lower_lip, gaussian_transition_matrix, luminance,
                                 viterbi_generic)
 from vsr3d import svm
@@ -489,19 +489,18 @@ def footprint_extract_roi(rgb: np.ndarray, lum: np.ndarray, keypoints: MouthKeyp
     rows = mid[:, 0, None, None] + (gx * uy + gy * ux) / scale
     cols = mid[:, 1, None, None] + (gx * ux - gy * uy) / scale
     n, h, w = lum.shape
-    box, _, _ = _box_taps(np.array([rows.min(), rows.max()]),
-                          np.array([cols.min(), cols.max()]), h, w)
-    rgb, lum = rgb[(..., *box)].copy(), lum[(..., *box)].copy()
+    taps = _box_taps(rows, cols, h, w)
+    rgb, lum = rgb[(..., *taps.box)].copy(), lum[(..., *taps.box)].copy()
 
     def make_planes(names) -> list[np.ndarray]:
-        _, taps, weights = _box_taps(rows, cols, h, w)
+        # the frames' boxes read as one tall image, frame t's below frame
+        # t - 1's: its corners move down by t boxes
         base = np.arange(n)[:, None, None] * lum[0].size
-        for i in taps:
-            i += base
+        tall = taps._replace(corners=[i + base for i in taps.corners])
         planes = []
         for name in names:
-            flat = color_plane(name, rgb, lum).reshape(-1)
-            planes.append(_blend(*(np.take(flat, i) for i in taps), *weights))
+            plane = color_plane(name, rgb, lum)
+            planes.append(tall.sample(plane.reshape(-1, plane.shape[-1])))
         return planes
 
     return RoiVolume((n, roi_height, roi_width), make_planes)

@@ -673,6 +673,25 @@ class TestDecodeBiphones:
         assert not (tmp_path / "hyp.txt").exists()
 
 
+class TestTooShortToTile:
+    @pytest.mark.parametrize("frames", [1, 2])
+    def test_error_names_the_length_and_the_durations(self, tmp_path, capsys, frames):
+        """A sequence shorter than the shortest window has no tiling: the
+        one line says so, not that weights vanish (a scored window has a
+        probability of at least PROB_FLOOR)."""
+        data = np.random.default_rng(3).uniform(size=(len(CHANNEL_NAMES), frames, 8, 10))
+        path, model = tmp_path / "short.vsr1", tmp_path / "model.json"
+        write_roi(roi_volume(data), path)
+        model.write_text(json.dumps(_model_doc()))
+        code = run_cli("decode", str(path), "--model", str(model),
+                       "--set", "min_duration=3", "--set", "max_duration=12",
+                       "--out", str(tmp_path / "hyp.txt"))
+        err = assert_one_line_data_error(code, capsys, "decode")
+        assert (f"no feasible tiling of the sequence (length {frames}) by windows of 3 to 12 "
+                "frames") in err
+        assert not (tmp_path / "hyp.txt").exists()
+
+
 class TestSaveGrid:
     def test_transcript_does_not_depend_on_save_grid(self, tiny_corpus, corpus_cfg_file,
                                                      tmp_path):

@@ -14,7 +14,7 @@ from vsr3d.fixtures import synth_sentence
 from vsr3d.pipeline import segment_video
 import vsr3d.segmentation
 from vsr3d.segmentation import (_RGB_READ, CROP_WIDTH, PLAN_CACHE_SIZE, MouthKeypoints,
-                                SymmetryLine, VideoSequence, _blend, _box_taps, _best_line,
+                                SymmetryLine, VideoSequence, _box_taps, _best_line,
                                 _smoothed_at, area_average_resize, box_filter,
                                 build_image_pyramid, build_min_luminance_line, color_plane,
                                 crop_grid,
@@ -590,20 +590,28 @@ class TestBilinearSample:
         assert_same_bits(stacked, np.ascontiguousarray(np.moveaxis(fancy, -1, 0)))
 
     @given(st.integers(0, 10**6), st.integers(1, 9), st.integers(1, 9),
-           st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=30))
+           st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=30), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_box_taps_read_what_the_whole_image_reads(self, seed, h, w, points):
+    def test_box_taps_read_what_the_whole_image_reads(self, seed, h, w, points, data):
         image = np.random.default_rng(seed).normal(size=(h, w))
         rows, cols = (np.array(c) for c in zip(*points))
-        box, corners, weights = _box_taps(rows, cols, h, w)
+        expected = oracles.stacked_bilinear_sample(image, rows, cols)
+        taps = _box_taps(rows, cols, h, w)
         # the box spans the taps exactly: floor of the least coordinate to
         # the pixel after the greatest, clamped like the coordinates
-        assert box == tuple(slice(int(c.min()), min(int(c.max()) + 1, n - 1) + 1)
-                            for c, n in ((np.clip(rows, 0, h - 1), h),
-                                         (np.clip(cols, 0, w - 1), w)))
-        flat = image[box].ravel()
-        assert_same_bits(_blend(*(np.take(flat, i) for i in corners), *weights),
-                         oracles.stacked_bilinear_sample(image, rows, cols))
+        assert taps.box == tuple(slice(int(c.min()), min(int(c.max()) + 1, n - 1) + 1)
+                                 for c, n in ((np.clip(rows, 0, h - 1), h),
+                                              (np.clip(cols, 0, w - 1), w)))
+        assert_same_bits(taps.sample(image[taps.box]), expected)
+        # a fixed box that encloses the taps, as the mouth window's footprint
+        box = tuple(slice(data.draw(st.integers(0, s.start)), data.draw(st.integers(s.stop, n)))
+                    for s, n in zip(taps.box, (h, w)))
+        fixed = _box_taps(rows, cols, h, w, box)
+        assert fixed.box == box
+        assert_same_bits(fixed.sample(image[box]), expected)
+        # a stack of planes samples each plane as one image does
+        stack = np.stack([image, -image])
+        assert_same_bits(fixed.sample(stack[(..., *box)]), np.stack([expected, -expected]))
 
 
 class TestExtractRoi:
