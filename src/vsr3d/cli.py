@@ -17,8 +17,9 @@ from .formats import (find_video_dirs, read_grid, read_features_csv, read_label_
                       read_roi, read_transcript, read_video_dir, write_confusion_csv,
                       write_eval_report, write_features_csv, write_grid, write_keypoints_csv,
                       write_pgm, write_roi, write_transcript)
-from .pipeline import (build_probability_grid, class_inventories, decode_roi, grid_to_heatmap,
-                       keypoint_rows, segment_video, train_from_features)
+from .pipeline import (build_probability_grid, class_inventories, decode_roi, decode_sequence,
+                       expand_biphones, grid_to_heatmap, keypoint_rows, segment_video,
+                       train_from_features)
 from .util import parse_json
 
 
@@ -221,10 +222,15 @@ def cmd_decode(args) -> int:
     model = load_model(args.model)
     biphone_model = load_model(args.biphone_model) if args.biphone_model else None
     roi = _input_roi(Path(args.input), cfg)
-    entries, _ = decode_roi(roi, model, cfg, biphone_model)
     if args.save_grid:
-        inventories = class_inventories(model, cfg, biphone_model)
-        write_grid(build_probability_grid(roi, inventories, cfg.fps), args.save_grid)
+        # the per-class grid decodes to the same entries as `decode_roi`'s
+        # table, so its windows are featurized and scored once
+        grid = build_probability_grid(roi, class_inventories(model, cfg, biphone_model),
+                                      cfg.fps)
+        write_grid(grid, args.save_grid)
+        entries = expand_biphones(decode_sequence(grid))
+    else:
+        entries, _ = decode_roi(roi, model, cfg, biphone_model)
     from .decoder import entries_to_transcript
 
     write_transcript(entries_to_transcript(entries, cfg.fps), args.out)

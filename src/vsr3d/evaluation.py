@@ -91,23 +91,21 @@ def align_nw(ref, hyp):
     ref = list(ref)
     hyp = list(hyp)
     n, m = len(ref), len(hyp)
-    cost = np.zeros((n + 1, m + 1), dtype=int)
-    cost[:, 0] = np.arange(n + 1)
-    cost[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        ci = cost[i]
-        cp = cost[i - 1]
-        for j in range(1, m + 1):
-            diag = cp[j - 1] + (ref[i - 1] != hyp[j - 1])
-            ci[j] = min(diag, cp[j] + 1, ci[j - 1] + 1)
+    # the DP over Python ints: numpy scalar indexing costs more than the DP
+    cost = [list(range(m + 1))]
+    for i, r in enumerate(ref, 1):
+        prev, row = cost[-1], [i]
+        for j, h in enumerate(hyp, 1):
+            row.append(min(prev[j - 1] + (r != h), prev[j] + 1, row[j - 1] + 1))
+        cost.append(row)
     pairs = []
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+        if i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
             pairs.append((ref[i - 1], hyp[j - 1]))
             i -= 1
             j -= 1
-        elif i > 0 and cost[i, j] == cost[i - 1, j] + 1:
+        elif i > 0 and cost[i][j] == cost[i - 1][j] + 1:
             pairs.append((ref[i - 1], None))
             i -= 1
         else:

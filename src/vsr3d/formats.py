@@ -121,17 +121,26 @@ def read_video_dir(path) -> VideoSequence:
         raise VsrError(f"{manifest}: fps= and frames= need numbers") from None
     if not (math.isfinite(fps) and fps > 0):
         raise VsrError(f"{manifest}: fps= must be finite and positive, got {fields['fps']}")
-    stack = []
+    if frames <= 0:
+        raise VsrError(f"{path}: zero frames")
+    # frame 0 sets the size of the one array every frame is read into.  It
+    # has at most one row per directory entry: past that many frames one is
+    # missing (the manifest is an entry too), so a corrupt frames= count
+    # ends in the missing frame's name, not in a huge allocation.
+    video = None
     for t in range(frames):
         frame_path = path / f"frame_{t:05d}.ppm"
-        if not frame_path.is_file():
-            raise VsrError(f"{path}: missing {frame_path.name}")
-        stack.append(read_ppm(frame_path))
-        if stack[-1].shape != stack[0].shape:
+        try:
+            frame = read_ppm(frame_path)
+        except (FileNotFoundError, IsADirectoryError):
+            raise VsrError(f"{path}: missing {frame_path.name}") from None
+        if video is None:
+            rows = min(frames, len(os.listdir(path)))
+            video = np.empty((rows, *frame.shape), dtype=np.uint8)
+        elif frame.shape != video.shape[1:]:
             raise VsrError(f"{frame_path}: frame size differs from frame 0")
-    if not stack:
-        raise VsrError(f"{path}: zero frames")
-    return VideoSequence(frames=np.stack(stack), fps=fps)
+        video[t] = frame
+    return VideoSequence(frames=video, fps=fps)
 
 
 def is_video_dir(path) -> bool:

@@ -28,13 +28,19 @@ kernel row underflows to +0.0 (Gray & Moore 2000 prune with the same bound)
 takes, without a kernel, the bias-only probability that such a row gives:
 numpy's exp is slow where it underflows.
 
-The RBF kernel has two forms.  Training builds its Gram matrix with
-`rbf_kernel_matrix`, |a|^2 + |b|^2 - 2 a.b from a symmetric product, which
-SMO needs exactly symmetric.  Prediction and CV scoring take the exponent
+Every kernel entry, the training Gram matrix, cross-validation scoring and
+prediction alike, comes from one routine, `rbf_kernel_matrix`: the exponent
 -gamma ||z - s||^2 from one product of augmented rows, (2 gamma z,
 -gamma |z|^2, -1) against (s, 1, gamma |s|^2), the norms folded into the
 product (the GEMM-plus-norms form of SVM libraries such as ThunderSVM;
-Wen et al., JMLR 2018), and clamp and exponentiate it in place.
+Wen et al., JMLR 2018), clamped at <= 0 and exponentiated in place.  That
+product and the products with the dual coefficients run in fixed blocks of
+8 rows and at most 256 terms (`_blocked_product`), so every row's values
+are its own: the same bits whatever rows share its block, wherever it sits
+in it, and at any BLAS thread count (cf. reproducible BLAS summation,
+Demmel & Nguyen, ARITH 2013).  The Gram matrix takes its lower triangle
+from the routine and copies it onto the upper, so it is exactly symmetric
+by construction.
 
 The decoder needs only each row's best class.  `predict_best_probability`
 takes the sigmoid of each row's smallest affine score alone wherever a
@@ -79,9 +85,9 @@ class KernelTable:
     once, and every class's dual coefficients summed into the rows it uses
     (a row repeated within or across classes counts each time); with the
     rows' bounding box, from which `_far_rows` bounds a row's distance to
-    all of them, the model's one gamma, the rows augmented for the
-    prediction product (`_augmented_rows`), and the classes' biases and
-    sigmoids as arrays."""
+    all of them, the model's one gamma, the rows augmented for the kernel
+    product (`_augmented_support`), and the classes' biases and sigmoids as
+    arrays."""
     rows: np.ndarray     # (U, k) distinct support vectors
     coef: np.ndarray     # (U, classes) summed dual coefficients
     low: np.ndarray      # (k,) per-dimension minimum of the rows
@@ -104,10 +110,8 @@ def _kernel_table(models: list[BinarySvmModel]) -> KernelTable:
     owner = np.repeat(np.arange(len(models)), [len(m.dual_coef) for m in models])
     coef = np.zeros((len(rows), len(models)))
     np.add.at(coef, (where.reshape(-1), owner), np.concatenate([m.dual_coef for m in models]))
-    with np.errstate(over="ignore"):
-        sq = gammas[0] * (rows * rows).sum(axis=1)
     return KernelTable(rows=rows, coef=coef, low=rows.min(axis=0), high=rows.max(axis=0),
-                       gamma=gammas[0], aug=np.column_stack([rows, np.ones(len(rows)), sq]),
+                       gamma=gammas[0], aug=_augmented_support(rows, gammas[0]),
                        bias=np.array([m.bias for m in models]),
                        platt_a=np.array([m.platt_a for m in models]),
                        platt_b=np.array([m.platt_b for m in models]))
@@ -135,22 +139,112 @@ class MultiClassModel:
         return cfg.channel, cfg.delta_t_ms, cfg.uniform_length, cfg.mask_size
 
 
-def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a_i - b_j||^2) for all pairs, with the squared
-    distance expanded as ||a_i||^2 + ||b_j||^2 - 2 a_i . b_j.  Built in
-    place, so at most two (len(a), len(b)) arrays are alive at once."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[1] != b.shape[1]:
-        raise VsrError("kernel dimension mismatch")
-    k = np.add.outer((a * a).sum(axis=1), (b * b).sum(axis=1))
-    ab = a @ b.T
-    ab *= 2.0
-    k -= ab
-    del ab
-    np.maximum(k, 0.0, out=k)
-    k *= -gamma
-    return np.exp(k, out=k)
+# A kernel is made and exponentiated a pass of rows at a time, each pass of at
+# most about this many cells (512 KiB per float64 temporary), so scoring
+# against the whole table of distinct support vectors needs no larger
+# temporaries than one class model's kernel.
+_KERNEL_BLOCK_CELLS = 1 << 16
+
+# Every product the kernel and the dual coefficients enter runs in blocks of
+# _BLOCK_ROWS rows, each entry a sum of at most _BLOCK_TERMS terms, partial
+# sums added in order (`_blocked_product`).  OpenBLAS gives a row of such a
+# product the same bits at every position in its block, beside any rows, and
+# at any thread count; taller blocks or longer sums do not keep that
+# (`TestBlockedProduct` pins it).
+_BLOCK_ROWS = 8
+_BLOCK_TERMS = 256
+
+
+def _padded(n: int) -> int:
+    """n rounded up to a whole number of _BLOCK_ROWS-row blocks."""
+    return -(-n // _BLOCK_ROWS) * _BLOCK_ROWS
+
+
+def _blocked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b (into `out` if given) for an a of a whole number of
+    _BLOCK_ROWS-row blocks: one product per block and per _BLOCK_TERMS
+    terms, the blocks of a row in one matmul call, and the partial sums
+    over the terms added in order.  So each row of the result depends on
+    that row of a and on b alone."""
+    rows, terms = a.shape
+    if out is None:
+        out = np.empty((rows, b.shape[1]))
+    blocks = a.reshape(-1, _BLOCK_ROWS, terms)
+    # splitting the first axis makes a view, even of a strided `out`
+    o = out.reshape(len(blocks), _BLOCK_ROWS, out.shape[1])
+    np.matmul(blocks[:, :, :_BLOCK_TERMS], b[:_BLOCK_TERMS], out=o)
+    for lo in range(_BLOCK_TERMS, terms, _BLOCK_TERMS):
+        o += np.matmul(blocks[:, :, lo:lo + _BLOCK_TERMS], b[lo:lo + _BLOCK_TERMS])
+    return out
+
+
+def _augmented_rows(z: np.ndarray, gamma: float) -> np.ndarray:
+    """(2 gamma z, -gamma |z|^2, -1) for rows z, then zero rows up to a whole
+    number of blocks (`_padded`): their product with support vectors
+    augmented as (s, 1, gamma |s|^2) is the kernel exponent
+    -gamma ||z - s||^2, up to roundoff.  2 gamma z is computed as
+    (z + z) gamma: the same bits, without forming 2 gamma, which overflows
+    for gamma past half the largest double."""
+    n = len(z)
+    za = np.empty((_padded(n), z.shape[1] + 2))
+    np.add(z, z, out=za[:n, :-2])
+    za[:n, :-2] *= gamma
+    za[:n, -2] = np.einsum("ij,ij->i", z, z)
+    za[:n, -2] *= -gamma
+    za[:n, -1] = -1.0
+    za[n:] = 0.0
+    return za
+
+
+def _augmented_support(s: np.ndarray, gamma: float) -> np.ndarray:
+    """Support vectors s augmented as (s, 1, gamma |s|^2), the right-hand
+    side of the kernel exponent's product (`_augmented_rows`)."""
+    with np.errstate(over="ignore"):
+        sq = gamma * (s * s).sum(axis=1)
+    return np.column_stack([s, np.ones(len(s)), sq])
+
+
+def rbf_kernel_matrix(za: np.ndarray, aug: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The RBF kernel exp(-gamma ||z_i - s_j||^2) of rows z against support
+    vectors s, from za = `_augmented_rows(z, gamma)` and
+    aug = `_augmented_support(s, gamma)`: the exponent is their product
+    (`_blocked_product`), clamped at <= 0 and exponentiated in place (in
+    `out` if given), one row per row of za, padding included.  Every kernel
+    entry training and prediction use is made here."""
+    out = _blocked_product(za, aug.T, out)
+    np.minimum(out, 0.0, out=out)
+    return np.exp(out, out=out)
+
+
+def _rows_per_pass(columns: int) -> int:
+    """Rows of a (rows, columns) kernel taken per elementwise pass: about
+    _KERNEL_BLOCK_CELLS cells, in whole blocks."""
+    return max(1, _KERNEL_BLOCK_CELLS // (columns * _BLOCK_ROWS)) * _BLOCK_ROWS
+
+
+def _gram_matrix(x: np.ndarray, gamma: float) -> np.ndarray:
+    """The training kernel of rows x against themselves, exactly symmetric:
+    its lower triangle from `rbf_kernel_matrix`, a pass of rows at a time
+    against the columns up to the pass's last row, and its upper triangle a
+    copy of the lower, made a pass at a time, so no n x n temporary is
+    made."""
+    n = len(x)
+    za = _augmented_rows(x, gamma)
+    aug = _augmented_support(x, gamma)
+    kernel = np.empty((len(za), n))
+    step = _rows_per_pass(n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rbf_kernel_matrix(za[lo:lo + step], aug[:hi], out=kernel[lo:lo + step, :hi])
+    kernel = kernel[:n]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        kernel[lo:hi, hi:] = kernel[hi:, lo:hi].T
+        square = kernel[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        square[upper] = square.T[upper]
+    return kernel
 
 
 def _sides(y: np.ndarray, alpha: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -163,9 +257,8 @@ class _SmoState:
     """SMO for P problems on one precomputed kernel matrix, solved in
     lockstep with second-order working-set selection (WSS2; Fan, Chen & Lin
     2005, JMLR 6:1889-1918).  The kernel must be exactly symmetric, as
-    `rbf_kernel_matrix(x, x, gamma)` of a float array is (numpy computes
-    x @ x.T by a symmetric rank-k update), since the gradient update reads
-    K's rows as its columns.
+    `_gram_matrix` makes it (its upper triangle is a copy of its lower),
+    since the gradient update reads K's rows as its columns.
 
     Problem p trains on the rows where `member[p]` holds, with labels `y[p]`
     (+-1).  Its other rows keep alpha = 0 and are never in I_up or I_low, so
@@ -220,7 +313,7 @@ class _SmoState:
         # three (P, n) scratch buffers and a boolean one, so a step allocates
         # no (P, n) array
         going = np.arange(len(self.y))
-        budget = np.asarray(budget)
+        budget = np.array(budget)    # a copy: its rows are moved in place
         iterations = np.zeros(len(going), dtype=np.int64)
         alpha = np.zeros(self.y.shape)
         # v = -y * G, y at alpha = 0, kept twice: vv[0] holds it on I_up and
@@ -247,15 +340,17 @@ class _SmoState:
             if stop.any():
                 for q in np.flatnonzero(stop):
                     self._finish(going[q], alpha[q], vu[q], iterations[q], v_max[q], v_min[q])
-                keep = ~stop
-                going, budget, iterations = going[keep], budget[keep], iterations[keep]
-                if not going.size:
+                # the running rows past the new end move into the stopped
+                # rows before it; problems are independent, so their order
+                # does not matter
+                m -= int(stop.sum())
+                if not m:
                     break
-                kept, m = np.flatnonzero(keep), len(going)
-                for arr in (alpha, vu, vl):
-                    arr.take(kept, axis=0, out=w[:m], mode="clip")
-                    arr[:m] = w[:m]
-                i[:m] = i[kept]
+                holes = np.flatnonzero(stop[:m])
+                movers = m + np.flatnonzero(~stop[m:])
+                for arr in (going, budget, iterations, i, alpha, vu, vl):
+                    arr[holes] = arr[movers]
+                going, budget, iterations = going[:m], budget[:m], iterations[:m]
                 alpha, r = alpha[:m], r[:m]
                 vu, vl, k = vv[0, :m], vv[1, :m], pair[:, :m]
                 i, j = k
@@ -364,7 +459,7 @@ def train_binary_smo(x: np.ndarray, y: np.ndarray, c: float, gamma: float,
     y = np.asarray(y, dtype=float)
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise VsrError("binary training needs at least one example of each label")
-    state = _SmoState(rbf_kernel_matrix(x, x, gamma), y[None], np.ones((1, len(y)), dtype=bool),
+    state = _SmoState(_gram_matrix(x, gamma), y[None], np.ones((1, len(y)), dtype=bool),
                       c, cfg.svm_tolerance)
     state.run([cfg.svm_max_passes * len(y)])
     return _binary_model(state, 0, x, gamma, stacklevel=2)
@@ -473,11 +568,6 @@ def fit_platt(scores, labels) -> tuple[float, float, str]:
     return a, b, "converged" if converged else stop
 
 
-# Rows are scored in blocks whose kernel has at most this many cells (512 KiB
-# per float64 temporary), so scoring against the whole table of distinct
-# support vectors needs no larger temporaries than one class model's kernel.
-_KERNEL_BLOCK_CELLS = 1 << 16
-
 # exp(-x) is exactly +0.0 for every x >= _EXP_ZERO: e^-746 is below half the
 # smallest subnormal, 2^-1075 = e^-745.13, so it rounds to zero.
 _EXP_ZERO = 746.0
@@ -488,26 +578,11 @@ _EXP_ZERO = 746.0
 _MAX_GAMMA_SQ = float(np.finfo(float).max) / 8
 
 
-def _augmented_rows(table: KernelTable, z: np.ndarray) -> np.ndarray:
-    """(2 gamma z, -gamma |z|^2, -1) for standardized rows z: their product
-    with the table's augmented rows (s, 1, gamma |s|^2) is the kernel
-    exponent -gamma ||z - s||^2, up to roundoff.  2 gamma z is computed as
-    (z + z) gamma: the same bits, without forming 2 gamma, which overflows
-    for gamma past half the largest double."""
-    za = np.empty((len(z), z.shape[1] + 2))
-    np.add(z, z, out=za[:, :-2])
-    za[:, :-2] *= table.gamma
-    za[:, -2] = np.einsum("ij,ij->i", z, z)
-    za[:, -2] *= -table.gamma
-    za[:, -1] = -1.0
-    return za
-
-
 def _far_rows(table: KernelTable, z: np.ndarray) -> np.ndarray:
     """Which standardized rows z provably have an all-zero kernel row
     against the table's support vectors: the exponent
-    `_augmented_rows(table, z) @ table.aug.T` is at most -_EXP_ZERO in every
-    entry, which exp maps to +0.0.
+    `_augmented_rows(z, table.gamma) @ table.aug.T` is at most -_EXP_ZERO in
+    every entry, which exp maps to +0.0.
 
     In dimension k a row lies at least g_k = max(z_k - high_k, low_k - z_k, 0)
     from every support vector s, so its squared distance D to each is at
@@ -558,12 +633,10 @@ def _affine_scores(table: KernelTable, z: np.ndarray) -> np.ndarray:
     """(n, classes) scores t = A (f + bias) + B of standardized rows z, the
     argument of each class's sigmoid.  A far row (`_far_rows`) has an
     all-+0.0 kernel row, so it takes the bias-only scores without a kernel;
-    the near rows are scored in blocks, each one product of their augmented
-    rows with the table's for the kernel exponent, clamped at <= 0 and
-    exponentiated in place, and one product with the dual coefficients.
-    OpenBLAS rounds a row's dot products with the shape of the product it
-    is in, so a near row's scores depend, within roundoff, on the near rows
-    it shares a block with.
+    the near rows are scored a pass at a time, each pass one kernel
+    (`rbf_kernel_matrix`) and one blocked product with the dual
+    coefficients.  Both products are blocked, so a near row's scores are
+    its own, whatever rows are near beside it.
 
     The exponent's n + 2 terms sum in magnitude to at most
     2 gamma (|z|^2 + |s|^2) (1 + roundoff), so no partial sum overflows while
@@ -576,23 +649,23 @@ def _affine_scores(table: KernelTable, z: np.ndarray) -> np.ndarray:
     out[far] = a * (0.0 + table.bias) + b
     near = np.flatnonzero(~far)
     with np.errstate(over="ignore", invalid="ignore"):
-        za = _augmented_rows(table, z[near])
+        za = _augmented_rows(z[near], table.gamma)
         big = ~np.isfinite(8.0 * (table.aug[:, -1].max() - za[:, -2]))
     if big.any():
         raise VsrError(f"feature row {int(near[np.argmax(big)])} is too large to score against "
                        "the model's support vectors")
-    step = max(1, _KERNEL_BLOCK_CELLS // len(table.rows))
+    step = _rows_per_pass(len(table.rows))
     for lo in range(0, len(near), step):
-        # one (rows, U) array per block: the exponent becomes the kernel in
-        # place and dies with the product, so the heap peak stays one block
-        u = za[lo:lo + step] @ table.aug.T
-        np.minimum(u, 0.0, out=u)
-        scores = np.exp(u, out=u) @ table.coef
-        del u
+        # one (rows, U) array per pass, which dies with the product, so the
+        # heap peak stays one pass
+        kernel = rbf_kernel_matrix(za[lo:lo + step], table.aug)
+        scores = _blocked_product(kernel, table.coef)
+        del kernel
         scores += table.bias
         scores *= a
         scores += b
-        out[near[lo:lo + step]] = scores
+        rows = near[lo:lo + step]
+        out[rows] = scores[:len(rows)]   # less the padding rows
     return out
 
 
@@ -731,17 +804,19 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
     def train_point(c: float, gamma: float) -> tuple[list[BinarySvmModel], dict]:
         """The class models of one grid point, every problem solved in one
         lockstep SMO on one kernel, and the solver's counters."""
-        kernel = rbf_kernel_matrix(x_train, x_train, gamma)
+        kernel = _gram_matrix(x_train, gamma)
         state = _SmoState(kernel, problem_y, problem_member, c, cfg.svm_tolerance)
         state.run(cfg.svm_max_passes * problem_member.sum(axis=1))
         # every problem's decision values on every training row, from the
-        # support vectors its model would keep (K is symmetric)
-        coef = state.alpha * state.y
-        coef[state.alpha <= 1e-12] = 0.0
-        if not coef.any(axis=1).all():
+        # support vectors its model would keep (K is symmetric), one
+        # blocked product over the problems padded to whole blocks
+        coef = np.zeros((_padded(len(problem_y)), len(y_train)))
+        signed = np.multiply(state.alpha, state.y, out=coef[:len(problem_y)])
+        signed[state.alpha <= 1e-12] = 0.0
+        if not signed.any(axis=1).all():
             raise VsrError("SMO produced no support vectors")
-        values = coef @ kernel
-        del coef
+        values = _blocked_product(coef, kernel)[:len(problem_y)]
+        del coef, signed
         values += state.b[:, None]
         rows = iter(range(len(problem_y)))
         models, early_stops = [], 0

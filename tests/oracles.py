@@ -2,13 +2,14 @@
 
 Nothing in `src/`, `scripts/` or `perfbench/` calls these: the scalar RBF
 kernel, the decision values of one class model a row at a time, the kernel
-matrix written as one expression (three matrix-sized temporaries), which
-the in-place
-`vsr3d.svm.rbf_kernel_matrix` must reproduce bit for bit, the sigmoid as one
+matrix in the subtractive form |a|^2 + |b|^2 - 2 a.b written as one
+expression, which the augmented product of `vsr3d.svm.rbf_kernel_matrix`
+must match within 1e-12, and that product written block by block, which
+it must reproduce bit for bit, the sigmoid as one
 expression, which the in-place `vsr3d.svm._sigmoid_of_negative` must
 reproduce bit for bit, the per-class probability path and the whole-block
-probabilities in the training kernel's form, which prediction's augmented
-product must match within 1e-12, the dual
+probabilities in the subtractive form, which prediction must match within
+1e-12, the dual
 objective, and the one-problem SMO loop that the lockstep solver in
 `vsr3d.svm` must reproduce bit for bit; the symmetry search that samples
 every candidate term of a window from the whole image, and the per-frame
@@ -32,8 +33,10 @@ brute-force decoding tests; the per-window 3D-DCT featurizer in pixel space
 (`preprocess_volume`'s time shift and sequence mean over the whole plane,
 then per window `resample_to_length`, `dct3` and the pyramid mask), which
 `vsr3d.features.featurize_many`, working on the frames' DCT projections,
-must match within 1e-12; and the whole 3D-DCT (`dct3`), its inverse and the
-ground-truth CSV reader of the feature and fixture tests.  `roi_volume` and
+must match within 1e-12; the whole 3D-DCT (`dct3`), its inverse and the
+ground-truth CSV reader of the feature and fixture tests; and the alignment
+DP in a numpy matrix, whose counts and pairs `vsr3d.evaluation.align_nw`
+must reproduce.  `roi_volume` and
 `roi_planes` build a RoiVolume from given planes and stack a volume's planes,
 for the tests that need either.
 """
@@ -60,8 +63,7 @@ from vsr3d.segmentation import (_D65_UN, _RGB_TO_XYZ, CORNER_TRACK_SIGMA, CROP_H
                                 detect_inner_lower_lip, gaussian_transition_matrix, luminance,
                                 viterbi_generic)
 from vsr3d import svm
-from vsr3d.svm import (BinarySvmModel, MultiClassModel, predict_probability_matrix,
-                       rbf_kernel_matrix)
+from vsr3d.svm import BinarySvmModel, MultiClassModel, predict_probability_matrix
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
@@ -73,12 +75,41 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
     return math.exp(-gamma * float(d @ d))
 
 
-def rbf_kernel_expression(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a_i - b_j||^2) for all pairs, as one expression."""
+def subtractive_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * ||a_i - b_j||^2) for all pairs, the squared distance
+    expanded as ||a_i||^2 + ||b_j||^2 - 2 a_i . b_j, as one expression."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     return np.exp(-gamma * np.maximum(sq, 0.0))
+
+
+def block_by_block_kernel(z: np.ndarray, s: np.ndarray, gamma: float) -> np.ndarray:
+    """`vsr3d.svm.rbf_kernel_matrix` of rows z against support vectors s
+    written out: the augmented rows as expressions, the exponent one
+    product per block of svm._BLOCK_ROWS rows (z padded with zero rows),
+    each a sum of svm._BLOCK_TERMS-term products added in order, then
+    exp(min(exponent, 0)); the padding rows are dropped."""
+    n, rows = len(z), svm._BLOCK_ROWS
+    za = np.zeros((-(-n // rows) * rows, z.shape[1] + 2))
+    za[:n] = np.column_stack([(z + z) * gamma, -gamma * np.einsum("ij,ij->i", z, z),
+                              -np.ones(n)])
+    aug = np.column_stack([s, np.ones(len(s)), gamma * (s * s).sum(axis=1)])
+    return np.exp(np.minimum(blocked_product(za, aug.T), 0.0))[:n]
+
+
+def blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`vsr3d.svm._blocked_product` as a loop: a @ b one svm._BLOCK_ROWS-row
+    block and svm._BLOCK_TERMS terms at a time, the partial sums added in
+    order."""
+    rows, step = svm._BLOCK_ROWS, svm._BLOCK_TERMS
+    out = np.empty((len(a), b.shape[1]))
+    for lo in range(0, len(a), rows):
+        block = a[lo:lo + rows, :step] @ b[:step]
+        for t in range(step, a.shape[1], step):
+            block += a[lo:lo + rows, t:t + step] @ b[t:t + step]
+        out[lo:lo + rows] = block
+    return out
 
 
 def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
@@ -87,9 +118,9 @@ def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[1] != model.support_vectors.shape[1]:
         raise VsrError("feature dimension does not match the model")
-    return np.array([model.dual_coef @ rbf_kernel_matrix(model.support_vectors, row[None, :],
-                                                         model.gamma)[:, 0] + model.bias
-                     for row in x])
+    return np.array([model.dual_coef @ subtractive_kernel_matrix(model.support_vectors,
+                                                                 row[None, :], model.gamma)[:, 0]
+                     + model.bias for row in x])
 
 
 def sigmoid_of_negative(z: np.ndarray) -> np.ndarray:
@@ -111,10 +142,10 @@ def predict_probabilities(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
 
 def blocked_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndarray:
     """`predict_probability_matrix` with every kernel row computed, far or
-    near, in the training kernel's form: all the rows in blocks of
-    svm._KERNEL_BLOCK_CELLS kernel cells, each block's `rbf_kernel_matrix`
-    over the distinct support vectors and one product with the summed dual
-    coefficients."""
+    near, in the subtractive form: all the rows in blocks of
+    svm._KERNEL_BLOCK_CELLS kernel cells, each block's
+    `subtractive_kernel_matrix` over the distinct support vectors and one
+    product with the summed dual coefficients."""
     z = standardize(np.asarray(x, dtype=float), model.stats)
     table = model.kernel_table
     gamma = model.models[0].gamma
@@ -124,7 +155,7 @@ def blocked_probability_matrix(model: MultiClassModel, x: np.ndarray) -> np.ndar
     out = np.empty((z.shape[0], len(model.models)))
     step = max(1, svm._KERNEL_BLOCK_CELLS // len(table.rows))
     for lo in range(0, z.shape[0], step):
-        scores = rbf_kernel_matrix(z[lo:lo + step], table.rows, gamma) @ table.coef
+        scores = subtractive_kernel_matrix(z[lo:lo + step], table.rows, gamma) @ table.coef
         out[lo:lo + step] = sigmoid_of_negative(a * (scores + bias) + b)
     return out
 
@@ -646,3 +677,42 @@ def decode_sequence(grid):
         n -= d
         entries.append((grid.class_labels[c], n, d))
     return entries[::-1]
+
+
+def align_nw(ref, hyp):
+    """`vsr3d.evaluation.align_nw` with its DP in a numpy int matrix,
+    indexed one scalar at a time: the same costs and backtrack preference,
+    so the same counts and pairs."""
+    from vsr3d.evaluation import AlignmentCounts
+
+    ref = list(ref)
+    hyp = list(hyp)
+    n, m = len(ref), len(hyp)
+    cost = np.zeros((n + 1, m + 1), dtype=int)
+    cost[:, 0] = np.arange(n + 1)
+    cost[0, :] = np.arange(m + 1)
+    for i in range(1, n + 1):
+        ci = cost[i]
+        cp = cost[i - 1]
+        for j in range(1, m + 1):
+            diag = cp[j - 1] + (ref[i - 1] != hyp[j - 1])
+            ci[j] = min(diag, cp[j] + 1, ci[j - 1] + 1)
+    pairs = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+            pairs.append((ref[i - 1], hyp[j - 1]))
+            i -= 1
+            j -= 1
+        elif i > 0 and cost[i, j] == cost[i - 1, j] + 1:
+            pairs.append((ref[i - 1], None))
+            i -= 1
+        else:
+            pairs.append((None, hyp[j - 1]))
+            j -= 1
+    pairs.reverse()
+    correct = sum(1 for r, h in pairs if r is not None and r == h)
+    subs = sum(1 for r, h in pairs if r is not None and h is not None and r != h)
+    dels = sum(1 for r, h in pairs if h is None)
+    ins = sum(1 for r, h in pairs if r is None)
+    return AlignmentCounts(T=n, C=correct, S=subs, D=dels, I=ins), pairs

@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,9 @@ from vsr3d.cli import main
 from vsr3d.config import CHANNEL_NAMES, PipelineConfig
 from vsr3d.decoder import decode_sequence
 from vsr3d.formats import (read_features_csv, read_grid, read_label_sequence, read_roi,
-                           read_video_dir, write_ppm, write_roi)
+                           read_video_dir, write_features_csv, write_ppm, write_roi)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -721,6 +727,90 @@ class TestSaveGrid:
                 assert plain.read_bytes() == saved.read_bytes()
                 assert read_grid(grid).class_labels == ["C0", "C1"] + (["C0+C1", "C1+C0"]
                                                                        if extra else [])
+
+
+# The README's pipeline on a corpus, in one process: segment, featurize both
+# inventories, train both models with reports, decode two sentences with one
+# inventory and with two, each with its grid, and score them; and a model
+# trained on a feature CSV large enough that BLAS splits its products over
+# threads, which decodes a sentence with its grid.
+_PIPELINE_RUN = """
+import shutil, sys
+from collections import Counter
+from pathlib import Path
+from vsr3d.cli import main
+
+corpus, out, cfg, wide = (Path(a) for a in sys.argv[1:])
+conf = ["--config", str(cfg)]
+
+def cli(*args):
+    assert main([str(a) for a in args]) == 0, args
+
+def merged(kind):
+    cli("featurize", corpus, "--kind", kind, "--out", out / kind, *conf)
+    lines = [line for f in sorted((out / kind).glob("*.features.csv"))
+             for line in f.read_text().splitlines()]
+    rows = [line for line in lines[1:] if not line.startswith("start,")]
+    seen = Counter(row.rsplit(",", 1)[1] for row in rows)
+    path = out / f"{kind}.csv"
+    path.write_text("\\n".join([lines[0]] + [r for r in rows if seen[r.rsplit(",", 1)[1]] > 1])
+                    + "\\n")
+    return path
+
+cli("segment", corpus, "--out", out / "seg", *conf)
+for kind in ("phoneme", "biphone"):
+    cli("train", "--features", merged(kind), "--out", out / f"{kind}.json",
+        "--report", out / f"{kind}.report.json", *conf)
+(out / "hyp").mkdir()
+(out / "ref").mkdir()
+for sent in ("sent_006", "sent_007"):
+    shutil.copy(corpus / sent / "transcript.txt", out / "ref" / f"{sent}.txt")
+    cli("decode", corpus / sent, "--model", out / "phoneme.json", "--out",
+        out / "hyp" / f"{sent}.txt", "--save-grid", out / f"{sent}.grd1", *conf)
+    cli("decode", out / "seg" / f"{sent}.vsr1", "--model", out / "phoneme.json",
+        "--biphone-model", out / "biphone.json", "--out", out / f"{sent}.bi.txt",
+        "--save-grid", out / f"{sent}.bi.grd1", *conf)
+cli("eval", "--ref", out / "ref", "--hyp", out / "hyp", "--out", out / "report.csv",
+    "--confusion", out / "confusion.csv")
+cli("train", "--features", wide, "--out", out / "wide.json", "--report", out / "wide.report.json",
+    *conf)
+cli("decode", out / "seg" / "sent_007.vsr1", "--model", out / "wide.json", "--out",
+    out / "wide.txt", "--save-grid", out / "wide.grd1", *conf)
+"""
+
+
+class TestBlasThreads:
+    def test_every_artifact_is_the_same_at_one_and_two_blas_threads(self, tiny_corpus,
+                                                                     corpus_cfg_file, tmp_path):
+        """Every kernel entry and every product with the dual coefficients
+        is taken in fixed row blocks, so the whole pipeline writes the same
+        bytes at any BLAS thread count: ROIs, keypoints, features, the
+        models and their reports, transcripts, grids and the scores.  The
+        corpus's training sets are too small for BLAS to use a second
+        thread; the 480-row feature CSV is not."""
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((480, 11))
+        labels = [f"W{int(v)}" for v in np.floor(3 * (np.tanh(x[:, 0] + 0.3 * x[:, 1]) + 1))]
+        wide = tmp_path / "wide.csv"
+        write_features_csv(x, [(0, 5)] * len(x), wide, labels)
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
+                                                  os.environ.get("PYTHONPATH", "")])}
+            argv = [tiny_corpus / "corpus", out, corpus_cfg_file, wide]
+            done = subprocess.run([sys.executable, "-c", _PIPELINE_RUN, *map(str, argv)],
+                                  env=env, capture_output=True, text=True, timeout=600)
+            assert done.returncode == 0, done.stderr
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        one, two = trees
+        assert len(one) > 40 and one.keys() == two.keys()
+        assert {Path("biphone.json"), Path("sent_007.bi.grd1"), Path("report.csv"),
+                Path("wide.json"), Path("wide.grd1")} <= one.keys()
+        assert [name for name in one if one[name] != two[name]] == []
 
 
 class TestEmptyFeatureCsv:

@@ -6,6 +6,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import align_nw as matrix_align_nw
 from vsr3d import VsrError
 from vsr3d.evaluation import (AlignmentCounts, JEFFERS_MAP, UNMAPPED_PHONEMES, accuracy,
                               align_nw, confusion_matrix, evaluate_sequences, map_to_visemes,
@@ -124,6 +125,13 @@ class TestAlignment:
         rebuilt_ref = [r for r, _ in pairs if r is not None]
         rebuilt_hyp = [h for _, h in pairs if h is not None]
         assert rebuilt_ref == ref and rebuilt_hyp == hyp
+
+    @given(st.lists(tokens, max_size=16), st.lists(tokens, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_numpy_matrix_dp(self, ref, hyp):
+        """The DP over Python lists keeps the costs and the backtrack
+        preference of the numpy-matrix DP: the same counts and pairs."""
+        assert align_nw(ref, hyp) == matrix_align_nw(ref, hyp)
 
 
 class TestAccuracy:

@@ -69,6 +69,25 @@ class TestVideoDir:
         with pytest.raises(VsrError):
             read_video_dir(tmp_path / "d")
 
+    @pytest.mark.parametrize("frames", [3, 10**12])
+    def test_frame_count_past_the_frames_names_the_missing_one(self, tmp_path, frames):
+        """A manifest that counts more frames than the directory holds, by
+        one or by far more than memory holds, ends in the first missing
+        frame's name; a frame of another size, or a directory in a frame's
+        place, is named too."""
+        video = VideoSequence(frames=np.zeros((2, 4, 5, 3), dtype=np.uint8), fps=25.0)
+        write_video_dir(video, tmp_path / "d")
+        (tmp_path / "d" / "manifest.txt").write_text(f"fps=25\nframes={frames}\n")
+        with pytest.raises(VsrError, match=r"d: missing frame_00002\.ppm$"):
+            read_video_dir(tmp_path / "d")
+        (tmp_path / "d" / "frame_00002.ppm").mkdir()
+        with pytest.raises(VsrError, match=r"d: missing frame_00002\.ppm$"):
+            read_video_dir(tmp_path / "d")
+        (tmp_path / "d" / "frame_00002.ppm").rmdir()
+        write_ppm(np.zeros((4, 6, 3), dtype=np.uint8), tmp_path / "d" / "frame_00002.ppm")
+        with pytest.raises(VsrError, match=r"frame_00002\.ppm: frame size differs from frame 0"):
+            read_video_dir(tmp_path / "d")
+
     def test_find_video_dirs(self, tmp_path):
         for name in ("b", "a"):
             video = VideoSequence(frames=np.zeros((1, 4, 4, 3), dtype=np.uint8), fps=25.0)

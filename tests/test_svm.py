@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +21,21 @@ from vsr3d.svm import (PROB_CEIL, PROB_FLOOR, BinarySvmModel, MultiClassModel, f
                        rbf_kernel_matrix, save_model, train_binary_smo, train_multiclass,
                        _SmoState)
 
-from oracles import (OneProblemSmo, blocked_probability_matrix, decision_values,
-                     dual_objective, platt_probability, predict_probabilities, rbf_kernel,
-                     rbf_kernel_expression, sigmoid_of_negative)
+from oracles import (OneProblemSmo, block_by_block_kernel, blocked_probability_matrix,
+                     blocked_product, decision_values, dual_objective, platt_probability,
+                     predict_probabilities, rbf_kernel, sigmoid_of_negative,
+                     subtractive_kernel_matrix)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+gram_matrix = svm._gram_matrix
+
+
+def kernel_of(a, b, gamma):
+    """`rbf_kernel_matrix` of rows a against support vectors b, less the
+    padding rows."""
+    return rbf_kernel_matrix(svm._augmented_rows(a, gamma), svm._augmented_support(b, gamma))[
+        :len(a)]
 
 
 def two_point_dual_brute_force(x1, x2, gamma, c):
@@ -84,30 +100,113 @@ class TestKernel:
         rng = np.random.default_rng(0)
         a = rng.random((4, 3))
         b = rng.random((5, 3))
-        k = rbf_kernel_matrix(a, b, 0.3)
+        k = kernel_of(a, b, 0.3)
+        assert k.shape == (4, 5)
         for i in range(4):
             for j in range(5):
                 assert k[i, j] == pytest.approx(rbf_kernel(a[i], b[j], 0.3), abs=1e-12)
 
     @pytest.mark.parametrize("rows, cols, dim", [(1, 1, 1), (300, 300, 10), (120, 700, 21)])
     def test_in_place_matches_expression_bytes(self, rows, cols, dim):
-        """The in-place build keeps the one-expression kernel's operations
-        and their order, so every entry has the same bits."""
+        """The in-place build (one matmul call per pass, the exponent
+        clamped and exponentiated in its own array) keeps the operations and
+        their order of the kernel written block by block, so every entry
+        has the same bits; and it is within 1e-12 of the subtractive
+        form."""
         rng = np.random.default_rng(rows + cols)
         a = rng.standard_normal((rows, dim))
         b = a if rows == cols else rng.standard_normal((cols, dim))
         for gamma in (2.0**-5, 0.3, 2.0**-3):
-            k = rbf_kernel_matrix(a, b, gamma)
-            assert k.tobytes() == rbf_kernel_expression(a, b, gamma).tobytes()
+            k = kernel_of(a, b, gamma)
+            assert k.tobytes() == block_by_block_kernel(a, b, gamma).tobytes()
+            assert np.abs(k - subtractive_kernel_matrix(a, b, gamma)).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 600), k=st.integers(1, 16),
            gamma=st.sampled_from(PipelineConfig().gamma_grid), seed=st.integers(0, 2**32 - 1))
     def test_gram_matrix_is_exactly_symmetric(self, n, k, gamma, seed):
-        """The SMO update reads the kernel's rows as its columns."""
+        """The SMO update reads the kernel's rows as its columns.  The lower
+        triangle is the routine's, row by row (its passes are whole
+        blocks), and every entry is within 1e-12 of the subtractive form."""
         x = np.random.default_rng(seed).standard_normal((n, k))
-        kernel = rbf_kernel_matrix(x, x, gamma)
+        kernel = gram_matrix(x, gamma)
         assert np.array_equal(kernel, kernel.T)
+        lower = np.tril(np.ones((n, n), dtype=bool))
+        assert np.array_equal(kernel[lower], kernel_of(x, x, gamma)[lower])
+        assert np.abs(kernel - subtractive_kernel_matrix(x, x, gamma)).max() <= 1e-12
+
+
+# (terms, columns) of the products the package takes: the kernel exponent
+# (11 features + 2 against the pool's support vectors or a training set), and
+# the products with the dual coefficients (support vectors against classes,
+# a training set against itself), at the pool's sizes and past them
+BLOCKED_SHAPES = [(13, 1), (13, 2), (13, 233), (13, 245), (13, 259), (13, 2500), (233, 8),
+                  (245, 59), (259, 259), (259, 231), (400, 400), (1000, 129), (2500, 160)]
+
+# Hashes of blocked products past the sizes where OpenBLAS splits a product
+# over threads, of a Gram matrix, and of a model trained and scored at the
+# pool's sizes, printed by a fresh process (the BLAS thread count is read at
+# load time).
+_THREAD_RUN = """
+import hashlib
+import numpy as np
+from vsr3d import svm
+from vsr3d.config import PipelineConfig
+
+rng = np.random.default_rng(5)
+out = []
+for terms, columns in [(13, 20000), (400, 400), (1000, 129), (2500, 160), (600, 2500)]:
+    a, b = rng.standard_normal((24, terms)), rng.standard_normal((terms, columns))
+    out.append(svm._blocked_product(a, b))
+out.append(svm._gram_matrix(rng.standard_normal((700, 11)), 0.125))
+x = rng.standard_normal((480, 11))
+labels = [f"c{int(v)}" for v in np.floor(3 * (np.tanh(x[:, 0] + 0.3 * x[:, 1]) + 1))]
+model, report = svm.train_multiclass(x, labels, PipelineConfig(c_grid=(64.0,),
+                                                               gamma_grid=(0.125,)))
+out += [m.dual_coef for m in model.models]
+out.append(np.array([(m.bias, m.platt_a, m.platt_b) for m in model.models]))
+out.append(svm.predict_probability_matrix(model, rng.standard_normal((500, 11))))
+print([hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in out], report["grid"])
+"""
+
+
+class TestBlockedProduct:
+    """The platform property every kernel and coefficient product rests on,
+    pinned as the exp underflow is: OpenBLAS gives a row of an 8-row product
+    of at most 256 terms the same bits wherever it sits in the block and
+    whatever rows are beside it, and at any thread count."""
+
+    @pytest.mark.parametrize("terms, columns", BLOCKED_SHAPES)
+    def test_a_row_has_its_bits_at_every_position_and_alone(self, terms, columns):
+        """Each row of `_blocked_product` equals that row moved to each
+        position of a block of zero rows, and the loop of one product per
+        block and per 256 terms."""
+        rng = np.random.default_rng(terms * columns)
+        a = rng.standard_normal((16, terms))
+        b = rng.standard_normal((terms, columns))
+        got = svm._blocked_product(a, b)
+        assert got.tobytes() == blocked_product(a, b).tobytes()
+        for i, row in enumerate(a):
+            for position in range(svm._BLOCK_ROWS):
+                block = np.zeros((svm._BLOCK_ROWS, terms))
+                block[position] = row
+                alone = svm._blocked_product(block, b)[position]
+                assert alone.tobytes() == got[i].tobytes(), (i, position)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        """Products, a Gram matrix and a trained and scored model, at sizes
+        where OpenBLAS runs a product on more than one thread, have the
+        same bytes at 1 and 2 threads."""
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
+                                                  os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs.append(done.stdout)
+        assert runs[0] == runs[1]
 
 
 class TestBinarySmo:
@@ -169,7 +268,7 @@ class TestBinarySmo:
         y = np.where(x[:, 1] > 0.5, 1.0, -1.0)
         if len(set(y)) < 2:
             y[0] = -y[0]
-        kernel = rbf_kernel_matrix(x, x, 1.0)
+        kernel = gram_matrix(x, 1.0)
         tol = PipelineConfig().svm_tolerance
 
         def solve(budget):
@@ -223,7 +322,7 @@ class TestSolverStop:
     @pytest.mark.parametrize("c", [1.0, 64.0, 1e4])
     def test_final_gap_within_tolerance(self, c):
         x, y, _ = overlapping_problem()
-        kernel = rbf_kernel_matrix(x, x, 0.5)
+        kernel = gram_matrix(x, 0.5)
         cfg = PipelineConfig(svm_tolerance=1e-3)
         state = _SmoState(kernel, y[None], np.ones((1, len(y)), dtype=bool), c,
                           cfg.svm_tolerance)
@@ -271,7 +370,7 @@ class TestLockstepSmo:
         x = rng.normal(size=(n, 3))
         if repeated:   # n rows drawn from the first n // 2
             x = x[rng.integers(0, n // 2, size=n)]
-        kernel = rbf_kernel_matrix(x, x, 0.5)
+        kernel = gram_matrix(x, 0.5)
         if repeated:
             diag = np.diag(kernel)
             denominators = diag[:, None] + diag - 2.0 * kernel
@@ -327,7 +426,7 @@ class TestLockstepSmo:
         rng = np.random.default_rng(seed)
         n = 24
         x = rng.normal(size=(n, 3))
-        kernel = rbf_kernel_matrix(x, x, 0.5) * 1e300
+        kernel = gram_matrix(x, 0.5) * 1e300
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         y[:2] = 1.0, -1.0
         state = _SmoState(kernel, y[None], np.ones((1, n), dtype=bool), 1e-300, 1e-300)
@@ -351,7 +450,7 @@ class TestSmoMemory:
         numpy's own, 64 KiB each.  Problems stop at different steps."""
         rng = np.random.default_rng(problems)
         x = rng.normal(size=(n, 3))
-        kernel = rbf_kernel_matrix(x, x, 0.5)
+        kernel = gram_matrix(x, 0.5)
         y = np.where(rng.random((problems, n)) < 0.5, 1.0, -1.0)
         y[:, :2] = 1.0, -1.0
         member = np.arange(n) % 3 != np.arange(problems)[:, None] % 4
@@ -723,13 +822,17 @@ def pool_sized_case(seed: int):
 def assert_near_rows_scored_alone(model, x, far):
     """The layout prediction scores in, for rows x standardized by the
     identity: the far rows have the whole-block oracle's bits (the bias-only
-    probability), the near rows the bits prediction gives them scored on
-    their own (so the far rows enter no product), and every row is within
-    1e-12 of the whole-block oracle, whose kernel has the training form."""
+    probability), every row has the bits prediction gives it alone and in
+    reverse order (so no row's probability depends on the rows scored with
+    it, and the far rows enter no product), and every row is within 1e-12 of
+    the whole-block oracle, whose kernel has the subtractive form."""
     got = predict_probability_matrix(model, x)
     dense = blocked_probability_matrix(model, x)
     assert got[far].tobytes() == dense[far].tobytes()
     assert got[~far].tobytes() == predict_probability_matrix(model, x[~far]).tobytes()
+    assert got[::-1].tobytes() == predict_probability_matrix(model, x[::-1]).tobytes()
+    for i in range(0, len(x), max(1, len(x) // 40)):
+        assert got[i].tobytes() == predict_probability_matrix(model, x[i:i + 1])[0].tobytes()
     assert np.abs(got - dense).max() <= 1e-12
 
 
@@ -787,8 +890,10 @@ class TestFarRowSkip:
             table = model.kernel_table
             far = svm._far_rows(table, x)
             assert_near_rows_scored_alone(model, x, far)
-            assert (rbf_kernel_matrix(x[far], table.rows, gamma) == 0.0).all()
-            assert (svm._augmented_rows(table, x[far]) @ table.aug.T <= -svm._EXP_ZERO).all()
+            assert (subtractive_kernel_matrix(x[far], table.rows, gamma) == 0.0).all()
+            assert (kernel_of(x[far], table.rows, gamma) == 0.0).all()
+            exponent = svm._augmented_rows(x[far], gamma) @ table.aug.T
+            assert (exponent[:far.sum()] <= -svm._EXP_ZERO).all()
             skipped.append(int(far.sum()))
 
         check()
@@ -797,12 +902,11 @@ class TestFarRowSkip:
     def test_near_rows_are_scored_as_their_own_blocks(self):
         """At the pool's sizes (11 features, about 240 distinct support
         vectors, 8 or 59 classes) with half the rows far: the far rows take
-        the bias-only probability an all-zero kernel row gives, and the near
-        rows are blocked among themselves, so they have the bits of the near
-        rows predicted alone; the augmented product rounds differently from
-        the training kernel's form, and OpenBLAS rounds a row's dot products
-        with the shape of the product, so a near row may differ from the
-        whole-block oracle, by roundoff only."""
+        the bias-only probability an all-zero kernel row gives, and each
+        near row has its own bits, whatever rows are near beside it; the
+        augmented product rounds differently from the subtractive form, so
+        a near row may differ from the whole-block oracle, by roundoff
+        only."""
         for seed in range(10):
             model, x = pool_sized_case(seed)
             far = svm._far_rows(model.kernel_table, x)
@@ -816,9 +920,9 @@ class TestFarRowSkip:
         augment = svm._augmented_rows
         received = []
 
-        def counting(table, z):
+        def counting(z, gamma):
             received.append(len(z))
-            return augment(table, z)
+            return augment(z, gamma)
 
         monkeypatch.setattr(svm, "_augmented_rows", counting)
         for seed in range(2):
