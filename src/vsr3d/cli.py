@@ -13,10 +13,10 @@ from pathlib import Path
 
 from . import VsrError, __version__
 from .config import PipelineConfig
-from .formats import (find_video_dirs, read_grid, read_features_csv, read_label_sequence,
-                      read_roi, read_transcript, read_video_dir, write_confusion_csv,
-                      write_eval_report, write_features_csv, write_grid, write_keypoints_csv,
-                      write_pgm, write_roi, write_transcript)
+from .formats import (find_video_dirs, is_video_dir, read_grid, read_features_csv,
+                      read_label_sequence, read_roi, read_transcript, read_video_dir,
+                      write_confusion_csv, write_eval_report, write_features_csv, write_grid,
+                      write_keypoints_csv, write_pgm, write_roi, write_transcript)
 from .pipeline import (build_probability_grid, class_inventories, decode_roi, decode_sequence,
                        expand_biphones, grid_to_heatmap, keypoint_rows, segment_video,
                        train_from_features)
@@ -165,6 +165,8 @@ def cmd_featurize(args) -> int:
     from .features import enumerate_subsequences, extract_labeled_samples, featurize_many
 
     cfg = _load_config(args)
+    if args.transcript and args.all_subsequences:
+        raise VsrError("--transcript labels features; --all-subsequences writes unlabeled ones")
     path = Path(args.input)
     if path.is_dir():
         if args.transcript:
@@ -173,7 +175,8 @@ def cmd_featurize(args) -> int:
         inputs = [(d.name, d, d / "transcript.txt") for d in find_video_dirs(path)]
     else:
         inputs = [(path.stem, path, args.transcript)]
-    multi = len(inputs) > 1
+    # a corpus root writes one file per sentence under --out, however many
+    multi = path.is_dir() and not is_video_dir(path)
     out = Path(args.out)
     if multi:
         out.mkdir(parents=True, exist_ok=True)

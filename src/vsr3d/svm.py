@@ -34,13 +34,14 @@ prediction alike, comes from one routine, `rbf_kernel_matrix`: the exponent
 -gamma |z|^2, -1) against (s, 1, gamma |s|^2), the norms folded into the
 product (the GEMM-plus-norms form of SVM libraries such as ThunderSVM;
 Wen et al., JMLR 2018), clamped at <= 0 and exponentiated in place.  That
-product and the products with the dual coefficients run in fixed blocks of
-8 rows and at most 256 terms (`_blocked_product`), so every row's values
-are its own: the same bits whatever rows share its block, wherever it sits
-in it, and at any BLAS thread count (cf. reproducible BLAS summation,
-Demmel & Nguyen, ARITH 2013).  The Gram matrix takes its lower triangle
-from the routine and copies it onto the upper, so it is exactly symmetric
-by construction.
+product and the products with the dual coefficients take any number of
+rows and run inside `_blocked_product` in fixed blocks of 8 rows and at
+most 256 terms, the rows past the last whole block in one zero-padded
+block, so every row's values are its own: the same bits whatever rows
+share its block, wherever it sits in it, and at any BLAS thread count (cf.
+reproducible BLAS summation, Demmel & Nguyen, ARITH 2013).  The Gram
+matrix takes its lower triangle from the routine and copies it onto the
+upper, so it is exactly symmetric by construction.
 
 The decoder needs only each row's best class.  `predict_best_probability`
 takes the sigmoid of each row's smallest affine score alone wherever a
@@ -155,23 +156,25 @@ _BLOCK_ROWS = 8
 _BLOCK_TERMS = 256
 
 
-def _padded(n: int) -> int:
-    """n rounded up to a whole number of _BLOCK_ROWS-row blocks."""
-    return -(-n // _BLOCK_ROWS) * _BLOCK_ROWS
-
-
 def _blocked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b (into `out` if given) for an a of a whole number of
-    _BLOCK_ROWS-row blocks: one product per block and per _BLOCK_TERMS
-    terms, the blocks of a row in one matmul call, and the partial sums
-    over the terms added in order.  So each row of the result depends on
-    that row of a and on b alone."""
+    """a @ b (into `out` if given) for an a of any number of rows: one
+    product per _BLOCK_ROWS-row block and per _BLOCK_TERMS terms, the whole
+    blocks in one matmul call, and the partial sums over the terms added in
+    order.  The rows past the last whole block are copied into one block of
+    zero rows, never taken as a shorter product (BLAS rounds those
+    differently), so each row of the result depends on that row of a and
+    on b alone."""
     rows, terms = a.shape
     if out is None:
         out = np.empty((rows, b.shape[1]))
-    blocks = a.reshape(-1, _BLOCK_ROWS, terms)
+    whole = rows - rows % _BLOCK_ROWS
+    if whole < rows:
+        tail = np.zeros((_BLOCK_ROWS, terms))
+        tail[:rows - whole] = a[whole:]
+        out[whole:] = _blocked_product(tail, b)[:rows - whole]
+    blocks = a[:whole].reshape(-1, _BLOCK_ROWS, terms)
     # splitting the first axis makes a view, even of a strided `out`
-    o = out.reshape(len(blocks), _BLOCK_ROWS, out.shape[1])
+    o = out[:whole].reshape(len(blocks), _BLOCK_ROWS, out.shape[1])
     np.matmul(blocks[:, :, :_BLOCK_TERMS], b[:_BLOCK_TERMS], out=o)
     for lo in range(_BLOCK_TERMS, terms, _BLOCK_TERMS):
         o += np.matmul(blocks[:, :, lo:lo + _BLOCK_TERMS], b[lo:lo + _BLOCK_TERMS])
@@ -179,20 +182,17 @@ def _blocked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
 
 
 def _augmented_rows(z: np.ndarray, gamma: float) -> np.ndarray:
-    """(2 gamma z, -gamma |z|^2, -1) for rows z, then zero rows up to a whole
-    number of blocks (`_padded`): their product with support vectors
-    augmented as (s, 1, gamma |s|^2) is the kernel exponent
+    """(2 gamma z, -gamma |z|^2, -1) for rows z: their product with support
+    vectors augmented as (s, 1, gamma |s|^2) is the kernel exponent
     -gamma ||z - s||^2, up to roundoff.  2 gamma z is computed as
     (z + z) gamma: the same bits, without forming 2 gamma, which overflows
     for gamma past half the largest double."""
-    n = len(z)
-    za = np.empty((_padded(n), z.shape[1] + 2))
-    np.add(z, z, out=za[:n, :-2])
-    za[:n, :-2] *= gamma
-    za[:n, -2] = np.einsum("ij,ij->i", z, z)
-    za[:n, -2] *= -gamma
-    za[:n, -1] = -1.0
-    za[n:] = 0.0
+    za = np.empty((len(z), z.shape[1] + 2))
+    np.add(z, z, out=za[:, :-2])
+    za[:, :-2] *= gamma
+    za[:, -2] = np.einsum("ij,ij->i", z, z)
+    za[:, -2] *= -gamma
+    za[:, -1] = -1.0
     return za
 
 
@@ -210,8 +210,8 @@ def rbf_kernel_matrix(za: np.ndarray, aug: np.ndarray,
     vectors s, from za = `_augmented_rows(z, gamma)` and
     aug = `_augmented_support(s, gamma)`: the exponent is their product
     (`_blocked_product`), clamped at <= 0 and exponentiated in place (in
-    `out` if given), one row per row of za, padding included.  Every kernel
-    entry training and prediction use is made here."""
+    `out` if given), one row per row of za, for any number of rows.  Every
+    kernel entry training and prediction use is made here."""
     out = _blocked_product(za, aug.T, out)
     np.minimum(out, 0.0, out=out)
     return np.exp(out, out=out)
@@ -219,28 +219,26 @@ def rbf_kernel_matrix(za: np.ndarray, aug: np.ndarray,
 
 def _rows_per_pass(columns: int) -> int:
     """Rows of a (rows, columns) kernel taken per elementwise pass: about
-    _KERNEL_BLOCK_CELLS cells, in whole blocks."""
+    _KERNEL_BLOCK_CELLS cells, in whole blocks, so only a call's last pass
+    has a part-filled block."""
     return max(1, _KERNEL_BLOCK_CELLS // (columns * _BLOCK_ROWS)) * _BLOCK_ROWS
 
 
 def _gram_matrix(x: np.ndarray, gamma: float) -> np.ndarray:
-    """The training kernel of rows x against themselves, exactly symmetric:
-    its lower triangle from `rbf_kernel_matrix`, a pass of rows at a time
-    against the columns up to the pass's last row, and its upper triangle a
-    copy of the lower, made a pass at a time, so no n x n temporary is
-    made."""
+    """The training kernel of rows x against themselves, exactly symmetric,
+    built a pass of rows at a time: the pass's rows from `rbf_kernel_matrix`
+    against the columns up to its last row, then copied onto the upper
+    triangle (the earlier rows' columns of the pass, and the pass's own
+    square above its diagonal), so no n x n temporary is made."""
     n = len(x)
     za = _augmented_rows(x, gamma)
     aug = _augmented_support(x, gamma)
-    kernel = np.empty((len(za), n))
+    kernel = np.empty((n, n))
     step = _rows_per_pass(n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        rbf_kernel_matrix(za[lo:lo + step], aug[:hi], out=kernel[lo:lo + step, :hi])
-    kernel = kernel[:n]
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        kernel[lo:hi, hi:] = kernel[hi:, lo:hi].T
+        rbf_kernel_matrix(za[lo:hi], aug[:hi], out=kernel[lo:hi, :hi])
+        kernel[:lo, lo:hi] = kernel[lo:hi, :lo].T
         square = kernel[lo:hi, lo:hi]
         upper = np.triu_indices(hi - lo, 1)
         square[upper] = square.T[upper]
@@ -664,8 +662,7 @@ def _affine_scores(table: KernelTable, z: np.ndarray) -> np.ndarray:
         scores += table.bias
         scores *= a
         scores += b
-        rows = near[lo:lo + step]
-        out[rows] = scores[:len(rows)]   # less the padding rows
+        out[near[lo:lo + step]] = scores
     return out
 
 
@@ -809,14 +806,13 @@ def train_multiclass(x: np.ndarray, labels, cfg: PipelineConfig):
         state.run(cfg.svm_max_passes * problem_member.sum(axis=1))
         # every problem's decision values on every training row, from the
         # support vectors its model would keep (K is symmetric), one
-        # blocked product over the problems padded to whole blocks
-        coef = np.zeros((_padded(len(problem_y)), len(y_train)))
-        signed = np.multiply(state.alpha, state.y, out=coef[:len(problem_y)])
-        signed[state.alpha <= 1e-12] = 0.0
-        if not signed.any(axis=1).all():
+        # blocked product over the problems
+        coef = np.multiply(state.alpha, state.y)
+        coef[state.alpha <= 1e-12] = 0.0
+        if not coef.any(axis=1).all():
             raise VsrError("SMO produced no support vectors")
-        values = _blocked_product(coef, kernel)[:len(problem_y)]
-        del coef, signed
+        values = _blocked_product(coef, kernel)
+        del coef
         values += state.b[:, None]
         rows = iter(range(len(problem_y)))
         models, early_stops = [], 0

@@ -101,15 +101,18 @@ def block_by_block_kernel(z: np.ndarray, s: np.ndarray, gamma: float) -> np.ndar
 def blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`vsr3d.svm._blocked_product` as a loop: a @ b one svm._BLOCK_ROWS-row
     block and svm._BLOCK_TERMS terms at a time, the partial sums added in
-    order."""
+    order, a padded with zero rows to whole blocks and the padding rows
+    dropped."""
     rows, step = svm._BLOCK_ROWS, svm._BLOCK_TERMS
+    n = len(a)
+    a = np.vstack([a, np.zeros((-n % rows, a.shape[1]))])
     out = np.empty((len(a), b.shape[1]))
     for lo in range(0, len(a), rows):
         block = a[lo:lo + rows, :step] @ b[:step]
         for t in range(step, a.shape[1], step):
             block += a[lo:lo + rows, t:t + step] @ b[t:t + step]
         out[lo:lo + rows] = block
-    return out
+    return out[:n]
 
 
 def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:

@@ -267,6 +267,27 @@ class TestPipelineCommands:
         code = run_cli("featurize", str(sent), "--transcript", str(sent / "transcript.txt"),
                        "--out", str(tmp_path / "x.csv"), *cfg_args)
         assert_one_line_data_error(code, capsys, "featurize")
+        # unlabeled windows take no transcript, even one that does not exist
+        code = run_cli("featurize", str(roi_file), "--all-subsequences", "--transcript",
+                       str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x.csv"), *cfg_args)
+        err = assert_one_line_data_error(code, capsys, "featurize")
+        assert "--transcript" in err and "--all-subsequences" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_featurize_one_sentence_corpus_root(self, tiny_corpus, corpus_cfg_file, tmp_path):
+        """A corpus root writes <out>/<name>.features.csv per sentence, as
+        `segment` writes per sentence, also when it holds one sentence, and
+        also into an --out directory that already exists."""
+        root = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus / "corpus" / "sent_003", root / "sent_003")
+        cfg_args = ("--config", str(corpus_cfg_file))
+        one = tmp_path / "one.csv"
+        assert run_cli("featurize", str(root / "sent_003"), "--out", str(one), *cfg_args) == 0
+        (tmp_path / "existing").mkdir()
+        for out in (tmp_path / "feats", tmp_path / "existing"):
+            assert run_cli("featurize", str(root), "--out", str(out), *cfg_args) == 0
+            assert [p.name for p in out.iterdir()] == ["sent_003.features.csv"]
+            assert (out / "sent_003.features.csv").read_bytes() == one.read_bytes()
 
     def test_eval_viseme_units(self, tmp_path, capsys):
         # each hypothesis phoneme differs from the reference but shares its

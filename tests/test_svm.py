@@ -6,10 +6,11 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vsr3d import VsrError
@@ -32,10 +33,8 @@ gram_matrix = svm._gram_matrix
 
 
 def kernel_of(a, b, gamma):
-    """`rbf_kernel_matrix` of rows a against support vectors b, less the
-    padding rows."""
-    return rbf_kernel_matrix(svm._augmented_rows(a, gamma), svm._augmented_support(b, gamma))[
-        :len(a)]
+    """`rbf_kernel_matrix` of rows a against support vectors b."""
+    return rbf_kernel_matrix(svm._augmented_rows(a, gamma), svm._augmented_support(b, gamma))
 
 
 def two_point_dual_brute_force(x1, x2, gamma, c):
@@ -123,13 +122,17 @@ class TestKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 600), k=st.integers(1, 16),
-           gamma=st.sampled_from(PipelineConfig().gamma_grid), seed=st.integers(0, 2**32 - 1))
-    def test_gram_matrix_is_exactly_symmetric(self, n, k, gamma, seed):
+           gamma=st.sampled_from(PipelineConfig().gamma_grid), seed=st.integers(0, 2**32 - 1),
+           cells=st.sampled_from([1, 1 << 10, 1 << 16]))
+    @example(n=203, k=11, gamma=0.125, seed=0, cells=1 << 10)
+    def test_gram_matrix_is_exactly_symmetric(self, n, k, gamma, seed, cells):
         """The SMO update reads the kernel's rows as its columns.  The lower
-        triangle is the routine's, row by row (its passes are whole
-        blocks), and every entry is within 1e-12 of the subtractive form."""
+        triangle is the routine's, row by row, with passes of one block up
+        to about 2^16 cells and a part-filled last block, and every entry
+        is within 1e-12 of the subtractive form."""
         x = np.random.default_rng(seed).standard_normal((n, k))
-        kernel = gram_matrix(x, gamma)
+        with mock.patch.object(svm, "_KERNEL_BLOCK_CELLS", cells):
+            kernel = gram_matrix(x, gamma)
         assert np.array_equal(kernel, kernel.T)
         lower = np.tril(np.ones((n, n), dtype=bool))
         assert np.array_equal(kernel[lower], kernel_of(x, x, gamma)[lower])
@@ -192,6 +195,37 @@ class TestBlockedProduct:
                 block[position] = row
                 alone = svm._blocked_product(block, b)[position]
                 assert alone.tobytes() == got[i].tobytes(), (i, position)
+
+    @pytest.mark.parametrize("terms, columns", [(13, 245), (257, 59)])
+    def test_any_row_count_has_each_row_alone_bits(self, terms, columns):
+        """`_blocked_product` takes any number of rows, into a fresh or a
+        strided `out`: each row has the bits of that row alone in a block
+        of zero rows, at its own position in its block, and the loop
+        oracle's; the columns beside a strided `out` are left as they
+        were."""
+        rng = np.random.default_rng(terms + columns)
+        b = rng.standard_normal((terms, columns))
+        for rows in [*range(1, 18), 257]:
+            a = rng.standard_normal((rows, terms))
+            fresh = svm._blocked_product(a, b)
+            wide = np.full((rows, columns + 5), np.nan)
+            strided = svm._blocked_product(a, b, out=wide[:, 2:-3])
+            assert fresh.shape == (rows, columns)
+            assert np.isnan(wide[:, :2]).all() and np.isnan(wide[:, -3:]).all()
+            assert fresh.tobytes() == blocked_product(a, b).tobytes()
+            for i, row in enumerate(a):
+                block = np.zeros((svm._BLOCK_ROWS, terms))
+                block[i % svm._BLOCK_ROWS] = row
+                alone = svm._blocked_product(block, b)[i % svm._BLOCK_ROWS]
+                assert alone.tobytes() == fresh[i].tobytes(), (rows, i)
+                assert alone.tobytes() == strided[i].tobytes(), (rows, i)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17])
+    def test_augmented_rows_are_one_per_row(self, n):
+        """The rows augmented for the kernel product are the rows z, with no
+        padding: the block is `_blocked_product`'s own."""
+        z = np.random.default_rng(n).standard_normal((n, 11))
+        assert svm._augmented_rows(z, 0.125).shape == (n, 13)
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         """Products, a Gram matrix and a trained and scored model, at sizes
@@ -893,7 +927,7 @@ class TestFarRowSkip:
             assert (subtractive_kernel_matrix(x[far], table.rows, gamma) == 0.0).all()
             assert (kernel_of(x[far], table.rows, gamma) == 0.0).all()
             exponent = svm._augmented_rows(x[far], gamma) @ table.aug.T
-            assert (exponent[:far.sum()] <= -svm._EXP_ZERO).all()
+            assert (exponent <= -svm._EXP_ZERO).all()
             skipped.append(int(far.sum()))
 
         check()
