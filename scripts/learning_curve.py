@@ -17,7 +17,6 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from vsr3d.config import PipelineConfig
 from vsr3d.features import Transcript, TranscriptEntry, extract_labeled_samples
 from vsr3d.fixtures import SynthConfig, corpus_sentence
 from vsr3d.pipeline import segment_video, train_from_features
@@ -38,9 +37,8 @@ def main():
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    cfg = PipelineConfig(delta_t_ms=0.0, min_duration=3, max_duration=12,
-                         c_grid=(64.0,), gamma_grid=(2.0**-3,))
-    scfg = SynthConfig(seed=args.seed, noise_sigma=4.0 / 255.0)
+    scfg = SynthConfig(seed=args.seed)
+    cfg = scfg.pipeline_config()
     xs, labels = [], []
     print(f"segmenting {args.sentences} sentences ...", file=sys.stderr)
     for i in range(args.sentences):

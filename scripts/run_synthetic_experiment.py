@@ -19,16 +19,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vsr3d import VsrError
-from vsr3d.config import PipelineConfig
 from vsr3d.evaluation import accuracy, align_nw, paired_t_test_one_tailed
 from vsr3d.features import Transcript, TranscriptEntry, extract_labeled_samples
 from vsr3d.fixtures import SynthConfig, corpus_sentence
 from vsr3d.pipeline import decode_roi, segment_video, train_from_features
-
-
-def build_corpus(seed, count, noise):
-    scfg = SynthConfig(seed=seed, noise_sigma=noise)
-    return [corpus_sentence(scfg, i) for i in range(count)]
 
 
 def main():
@@ -39,10 +33,9 @@ def main():
     ap.add_argument("--noise", type=float, default=4.0 / 255.0)
     args = ap.parse_args()
 
-    cfg = PipelineConfig(delta_t_ms=0.0, min_duration=3, max_duration=12,
-                         biphone_min_duration=6, biphone_max_duration=24,
-                         c_grid=(64.0,), gamma_grid=(2.0**-3,))
-    corpus = build_corpus(args.seed, args.train + args.test, args.noise)
+    scfg = SynthConfig(seed=args.seed, noise_sigma=args.noise)
+    cfg = scfg.pipeline_config()
+    corpus = [corpus_sentence(scfg, i) for i in range(args.train + args.test)]
     print(f"segmenting {len(corpus)} sentences ...")
     results = [segment_video(video, cfg) for video, _ in corpus]
 

@@ -12,7 +12,11 @@ import sys
 from pathlib import Path
 
 from . import VsrError, __version__
-from .config import PipelineConfig
+from .config import PipelineConfig, parse_json
+from .decoder import entries_to_transcript
+from .evaluation import evaluate_sequences, summary_accuracies
+from .features import enumerate_subsequences, extract_labeled_samples, featurize_many
+from .fixtures import SynthConfig, synth_corpus
 from .formats import (find_video_dirs, is_video_dir, read_grid, read_features_csv,
                       read_label_sequence, read_roi, read_transcript, read_video_dir,
                       write_confusion_csv, write_eval_report, write_features_csv, write_grid,
@@ -20,7 +24,7 @@ from .formats import (find_video_dirs, is_video_dir, read_grid, read_features_cs
 from .pipeline import (build_probability_grid, class_inventories, decode_roi, decode_sequence,
                        expand_biphones, grid_to_heatmap, keypoint_rows, segment_video,
                        train_from_features)
-from .util import parse_json
+from .svm import load_model, save_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,8 +129,6 @@ def build_parser() -> _Parser:
 
 
 def cmd_synth(args) -> int:
-    from .fixtures import SynthConfig, synth_corpus
-
     cfg = SynthConfig(seed=args.seed, class_count=args.classes,
                       sentence_length=args.sentence_length, noise_sigma=args.noise_sigma,
                       frame_width=args.width, frame_height=args.height)
@@ -162,8 +164,6 @@ def _input_roi(path: Path, cfg: PipelineConfig):
 
 
 def cmd_featurize(args) -> int:
-    from .features import enumerate_subsequences, extract_labeled_samples, featurize_many
-
     cfg = _load_config(args)
     if args.transcript and args.all_subsequences:
         raise VsrError("--transcript labels features; --all-subsequences writes unlabeled ones")
@@ -200,8 +200,6 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .svm import save_model
-
     cfg = _load_config(args)
     x, labels, _ = read_features_csv(args.features)
     if labels is None:
@@ -219,8 +217,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    from .svm import load_model
-
     cfg = _load_config(args)
     model = load_model(args.model)
     biphone_model = load_model(args.biphone_model) if args.biphone_model else None
@@ -234,8 +230,6 @@ def cmd_decode(args) -> int:
         entries = expand_biphones(decode_sequence(grid))
     else:
         entries, _ = decode_roi(roi, model, cfg, biphone_model)
-    from .decoder import entries_to_transcript
-
     write_transcript(entries_to_transcript(entries, cfg.fps), args.out)
     print(f"decoded {len(entries)} segments -> {args.out}")
     return 0
@@ -252,8 +246,6 @@ def _label_sequences(path) -> dict:
 
 
 def cmd_eval(args) -> int:
-    from .evaluation import evaluate_sequences, summary_accuracies
-
     refs = _label_sequences(args.ref)
     hyps = _label_sequences(args.hyp)
     if set(refs) != set(hyps):

@@ -15,15 +15,40 @@ import json
 import numbers
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import VsrError
-from .util import read_json
 
 CHANNEL_NAMES = ("lum", "u", "ulum", "pseudo_hue", "red", "green", "blue")
 
 # model-file key -> PipelineConfig field of the feature echo
 FEATURE_ECHO = {"channel": "channel", "deltaTms": "delta_t_ms", "l": "uniform_length",
                 "s": "mask_size"}
+
+
+def parse_json(text: str, where: str):
+    """The value of a JSON text.  Text that is not JSON (the error's cause
+    is then a `json.JSONDecodeError`), an integer too long to convert, or
+    nesting too deep to parse raises a one-line `VsrError` that begins with
+    `where`."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise VsrError(f"{where}: JSON nested too deeply to read") from None
+    except ValueError as e:
+        raise VsrError(f"{where}: {e}") from e
+
+
+def read_json(path, what: str):
+    """`parse_json` of a UTF-8 file; errors begin 'malformed {what} file
+    {path}'."""
+    where = f"malformed {what} file {path}"
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise VsrError(f"{where}: byte {e.start} is not UTF-8") from None
+    return parse_json(text, where)
 
 
 def _finite(value) -> float | None:
@@ -83,6 +108,11 @@ class PipelineConfig:
         for name in ("fps", "svm_tolerance"):
             if getattr(self, name) <= 0:
                 raise VsrError(f"{name} must be positive, got {getattr(self, name)}")
+        # transcripts count whole milliseconds, so a frame shorter than 1 ms
+        # can round to an entry whose start equals its end
+        if self.fps > 1000:
+            raise VsrError(f"fps must be at most 1000 (transcripts count whole milliseconds), "
+                           f"got {self.fps}")
         for name, lo in (("delta_t_ms", 0), ("uniform_length", 2), ("mask_size", 1),
                          ("roi_width", 1), ("roi_height", 1), ("svm_max_passes", 1)):
             if getattr(self, name) < lo:

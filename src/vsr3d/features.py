@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import VsrError
+from .evaluation import to_viseme
 from .segmentation import RoiVolume
 
 # joins the two labels of a biphone or bi-viseme sample, "A+B"
@@ -264,8 +265,6 @@ def extract_labeled_samples(roi: RoiVolume, transcript: Transcript, kind: str, c
     Jeffers map, dropping HH entries.  Returns (X, labels, spans), spans an
     (m, 2) array of the samples' (start, duration) windows.
     """
-    from .evaluation import to_viseme
-
     if kind not in ("phoneme", "viseme", "biphone", "bi-viseme"):
         raise VsrError(f"unknown sample kind {kind!r}")
     entries = transcript.entries

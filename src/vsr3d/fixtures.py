@@ -23,12 +23,15 @@ whose direction and shape come from the active class's motion triple.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import VsrError
+from .config import PipelineConfig
+from .formats import write_groundtruth_csv, write_transcript, write_video_dir
 from .segmentation import VideoSequence, box_filter
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -137,6 +140,18 @@ class SynthConfig:
 
     def label(self, class_index: int) -> str:
         return f"C{class_index}"
+
+    def pipeline_config(self) -> PipelineConfig:
+        """The operating point matched to this corpus, the way the published
+        defaults were matched to their recordings: windows as long as its
+        units, biphones twice that, no audio-visual lag, its frame rate, and
+        one pinned SVM point."""
+        return PipelineConfig(delta_t_ms=0.0, fps=self.fps,
+                              min_duration=self.min_unit_frames,
+                              max_duration=self.max_unit_frames,
+                              biphone_min_duration=2 * self.min_unit_frames,
+                              biphone_max_duration=2 * self.max_unit_frames,
+                              c_grid=(64.0,), gamma_grid=(2.0**-3,))
 
 
 @dataclass
@@ -330,14 +345,27 @@ def corpus_sentence(cfg: SynthConfig, i: int):
     return synth_sentence(cfg, units, sym_col, sym_angle, derive_seed(cfg.seed, 3, i))
 
 
+def pmap(fn, items, threads: int = 1) -> list:
+    """Order-preserving map, optionally over a thread pool.
+
+    Results are assembled in input order, so the output is identical for any
+    thread count.
+    """
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def synth_corpus(cfg: SynthConfig, sentences: int, out_dir, threads: int = 1):
     """Write `sentences` video directories (PPM frames + manifest +
     transcript + groundtruth.csv) under out_dir; returns the directory paths.
     """
-    from .formats import write_groundtruth_csv, write_transcript, write_video_dir
-
     if sentences < 1:
         raise VsrError("need at least one sentence")
+    if threads < 1:
+        raise VsrError(f"threads must be at least 1, got {threads}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -348,7 +376,5 @@ def synth_corpus(cfg: SynthConfig, sentences: int, out_dir, threads: int = 1):
         write_transcript(truth.transcript_rows, sent_dir / "transcript.txt")
         write_groundtruth_csv(truth, sent_dir / "groundtruth.csv")
         return sent_dir
-
-    from .util import pmap
 
     return pmap(build, range(sentences), threads)

@@ -43,6 +43,7 @@ import numpy as np
 
 from . import VsrError
 from .config import CHANNEL_NAMES
+from .decoder import ProbabilityGrid
 from .evaluation import ConfusionMatrix, summary_accuracies
 from .features import Transcript, TranscriptEntry, check_label
 from .segmentation import RoiVolume, VideoSequence
@@ -323,8 +324,6 @@ def write_grid(grid, path):
 
 
 def read_grid(path):
-    from .decoder import ProbabilityGrid
-
     with open(path, "rb") as fh:
         if fh.read(4) != b"GRD1":
             raise VsrError(f"{path}: bad grid magic")

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import VsrError
 from .config import CHANNEL_NAMES
-from .util import round_half_up
 
 CROP_HALF_WIDTH = 50           # columns kept on either side of the symmetry line
 CROP_WIDTH = 2 * CROP_HALF_WIDTH + 1
@@ -238,6 +237,10 @@ def area_average_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray
     out = reduce_rows(np.asarray(image, dtype=float), out_h)
     out = reduce_rows(np.ascontiguousarray(out.T), out_w).T
     return out
+
+
+def round_half_up(x: float) -> int:
+    return int(math.floor(x + 0.5))
 
 
 def build_image_pyramid(image: np.ndarray) -> list[np.ndarray]:

@@ -65,9 +65,8 @@ from functools import cached_property
 import numpy as np
 
 from . import VsrError
-from .config import FEATURE_ECHO, PipelineConfig
+from .config import FEATURE_ECHO, PipelineConfig, read_json
 from .features import StandardizationStats, check_label, fit_standardization, standardize
-from .util import read_json
 
 
 @dataclass

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from vsr3d.config import PipelineConfig
 from vsr3d.fixtures import SynthConfig, corpus_sentence
 
 
@@ -15,7 +14,7 @@ def reference_windows(frame_count, durations):
 
 @pytest.fixture(scope="session")
 def synth_cfg():
-    return SynthConfig(seed=42, noise_sigma=4.0 / 255.0)
+    return SynthConfig(seed=42)
 
 
 @pytest.fixture(scope="session")
@@ -25,18 +24,9 @@ def short_sentence(synth_cfg):
 
 
 @pytest.fixture(scope="session")
-def corpus_config():
-    """Pipeline configuration matched to the synthetic corpus (unit durations
-    3..12 frames, no audio-visual lag)."""
-    return PipelineConfig(
-        delta_t_ms=0.0,
-        min_duration=3,
-        max_duration=12,
-        biphone_min_duration=6,
-        biphone_max_duration=24,
-        c_grid=(64.0,),
-        gamma_grid=(2.0**-3,),
-    )
+def corpus_config(synth_cfg):
+    """Pipeline configuration matched to the synthetic corpus."""
+    return synth_cfg.pipeline_config()
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ matches a two-sample test with df around 158.  The implementation follows the
 mathematics; see the README's "Known red acceptance check" note.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -41,22 +42,11 @@ def report(num, desc, ok, detail=""):
     assert ok, f"criterion {num}: {desc} {detail}"
 
 
-def corpus_pipeline_config():
-    """Operating point matched to the synthetic corpus the same way the
-    published defaults were matched to their own recordings (duration limits
-    from corpus statistics, no audio-visual lag, pinned SVM point)."""
-    return PipelineConfig(
-        delta_t_ms=0.0, min_duration=3, max_duration=12,
-        biphone_min_duration=6, biphone_max_duration=24,
-        c_grid=(64.0,), gamma_grid=(2.0**-3,),
-    )
-
-
 @pytest.fixture(scope="module")
 def acceptance_corpus():
     """50 deterministic sentences (segmented), with per-sentence timing."""
-    cfg = corpus_pipeline_config()
-    scfg = SynthConfig(seed=SEED, noise_sigma=4.0 / 255.0)
+    scfg = SynthConfig(seed=SEED)
+    cfg = scfg.pipeline_config()
     frame_counts, truths, results, seg_seconds = [], [], [], []
     for i in range(50):
         video, truth = corpus_sentence(scfg, i)
@@ -395,9 +385,9 @@ def test_held_out_window_tables_are_the_grids_running_maximum(acceptance_corpus,
 def test_criterion_11_linear_runtime(trained_models):
     from vsr3d.decoder import build_probability_grid, decode_sequence as decode_grid
 
-    cfg = corpus_pipeline_config()
+    scfg = SynthConfig(seed=SEED)
+    cfg = scfg.pipeline_config()
     model, _, _ = trained_models
-    scfg = SynthConfig(seed=SEED, noise_sigma=4.0 / 255.0)
     per_frame = []
     for n in (50, 100, 200):
         rng = Rng(derive_seed(SEED, 90, n))
@@ -423,11 +413,7 @@ def test_criterion_11_linear_runtime(trained_models):
 
 
 def test_criterion_12_thread_determinism(tmp_path):
-    config = {
-        "delta_t_ms": 0.0, "min_duration": 3, "max_duration": 12,
-        "biphone_min_duration": 6, "biphone_max_duration": 24,
-        "c_grid": [64.0], "gamma_grid": [0.125],
-    }
+    config = dataclasses.asdict(SynthConfig().pipeline_config())
 
     def run_pipeline(workdir: Path, threads: str):
         workdir.mkdir()

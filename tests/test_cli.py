@@ -18,6 +18,7 @@ from oracles import roi_planes, roi_volume
 from vsr3d.cli import main
 from vsr3d.config import CHANNEL_NAMES, PipelineConfig
 from vsr3d.decoder import decode_sequence
+from vsr3d.fixtures import SynthConfig
 from vsr3d.formats import (read_features_csv, read_grid, read_label_sequence, read_roi,
                            read_video_dir, write_features_csv, write_ppm, write_roi)
 
@@ -42,13 +43,8 @@ def tiny_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def corpus_cfg_file(tiny_corpus):
-    cfg = {
-        "delta_t_ms": 0.0, "min_duration": 3, "max_duration": 12,
-        "biphone_min_duration": 6, "biphone_max_duration": 24,
-        "c_grid": [64.0], "gamma_grid": [0.125],
-    }
     path = tiny_corpus / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(dataclasses.asdict(SynthConfig().pipeline_config())))
     return path
 
 
@@ -133,6 +129,8 @@ class TestSynth:
         ("--noise-sigma", "nan", "noise_sigma"),
         ("--noise-sigma", "inf", "noise_sigma"),
         ("--noise-sigma", "-0.01", "noise_sigma"),
+        ("--threads", "0", "threads"),
+        ("--threads", "-2", "threads"),
     ])
     def test_malformed_argument_is_data_error(self, tmp_path, capsys, flag, value, field):
         """A value no corpus can be made from ends in exit 2 and one line
@@ -228,7 +226,7 @@ class TestPipelineCommands:
         assert run_cli("featurize", str(sent), "--kind", kind, "--all-subsequences",
                        "--out", str(out), "--config", str(corpus_cfg_file)) == 0
         x, labels, spans = read_features_csv(out)
-        lo, hi = {"phoneme": (3, 12), "biphone": (6, 24)}[kind]  # corpus_cfg_file's bounds
+        lo, hi = PipelineConfig.load(corpus_cfg_file).duration_bounds(kind)
         frames = read_video_dir(sent).frame_count
         assert len(spans) == x.shape[0]
         assert np.array_equal(spans, enumerate_subsequences(frames, range(lo, hi + 1)))
@@ -499,6 +497,19 @@ class TestMalformedTextInput:
         code = run_cli(command, str(video), *extra, "--out", str(out))
         err = assert_one_line_data_error(code, capsys, command)
         assert str(manifest) in err and "fps=50.0" in err and "fps=25.0" in err
+        assert not out.exists()
+
+    def test_fps_above_1000_writes_no_transcript(self, tmp_path, capsys):
+        """At 2500 fps a decoded segment can round to a transcript entry
+        whose start equals its end, which `eval` rejects: the rate is
+        refused before anything is written."""
+        roi, model, out = tmp_path / "h000.vsr1", tmp_path / "model.json", tmp_path / "hyp.txt"
+        write_roi(roi_volume(np.zeros((6, 48, 64), np.float32)), roi)
+        model.write_text(json.dumps(_model_doc()))
+        code = run_cli("decode", str(roi), "--model", str(model), "--set", "fps=2500",
+                       "--set", "min_duration=1", "--set", "max_duration=2", "--out", str(out))
+        err = assert_one_line_data_error(code, capsys, "decode")
+        assert "fps must be at most 1000" in err
         assert not out.exists()
 
     def test_bad_set_value_writes_no_model(self, tmp_path, capsys):

@@ -93,6 +93,13 @@ class TestRoundTrip:
         with pytest.raises(VsrError, match="2 <= biphone_min_duration"):
             PipelineConfig(biphone_min_duration=1)
 
+    def test_fps_at_most_1000(self):
+        """Transcripts count whole milliseconds, so a frame must last at
+        least one."""
+        assert PipelineConfig(fps=1000).fps == 1000.0
+        with pytest.raises(VsrError, match="fps must be at most 1000"):
+            PipelineConfig(fps=1000.5)
+
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")

@@ -1,14 +1,22 @@
+import dataclasses
 import hashlib
+import importlib
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import read_groundtruth_csv
 from vsr3d import VsrError
+from vsr3d.config import PipelineConfig
 from vsr3d.fixtures import (Rng, SynthConfig, default_motions, derive_seed, gaussian_array,
                             mouth_size, random_units, synth_corpus, synth_face_frame,
                             synth_sentence, make_skin_noise, uniform_array)
 from vsr3d.formats import read_transcript, read_video_dir
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestRng:
@@ -178,3 +186,29 @@ class TestSentenceAndCorpus:
         probs = predict_probability_matrix(model, x)
         predicted = [model.class_labels[i] for i in np.argmax(probs, axis=1)]
         assert predicted == labels
+
+
+class TestPipelineConfig:
+    """`SynthConfig.pipeline_config` is the one statement of the corpus's
+    operating point; the README and the benchmark keep copies that must not
+    drift from it."""
+
+    def test_derived_from_the_units_and_frame_rate(self):
+        cfg = SynthConfig(min_unit_frames=2, max_unit_frames=9, fps=30.0).pipeline_config()
+        assert cfg.duration_bounds("phoneme") == (2, 9)
+        assert cfg.duration_bounds("biphone") == (4, 18)
+        assert cfg.fps == 30.0 and cfg.delta_t_ms == 0.0
+        assert (cfg.c_grid, cfg.gamma_grid) == ((64.0,), (2.0**-3,))
+
+    def test_readme_block_is_the_derived_config(self):
+        blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.S)
+        assert len(blocks) == 1
+        assert PipelineConfig.from_dict(json.loads(blocks[0])) == SynthConfig().pipeline_config()
+
+    def test_perfbench_configs_are_the_derived_config(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        pool = importlib.import_module("pool")
+        derived = SynthConfig().pipeline_config()
+        assert pool.DECODE_CONFIG == derived
+        # the train workload searches one more gamma
+        assert dataclasses.replace(pool.TRAIN_CONFIG, gamma_grid=derived.gamma_grid) == derived

@@ -3,7 +3,8 @@
 every name the benchmark's tracer (`perfbench/spans.py`) wraps.  And its
 runtime is numpy and the standard library: no module imports anything else,
 `pyproject.toml` declares numpy alone, and a whole run in a fresh process
-loads no scipy, not even from inside a function."""
+loads no scipy, not even from inside a function.  Package modules import
+each other at module top."""
 
 import ast
 import importlib
@@ -81,6 +82,18 @@ def test_package_imports_only_numpy_and_stdlib(path):
     assert not third_party, f"{path.relative_to(ROOT)} imports {sorted(third_party)}"
 
 
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_at_module_top(path):
+    """No package module imports another inside a function: none breaks a
+    cycle, and an import at the top fails when the module loads, not only
+    when the command that reaches it runs."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    inner = [f"{fn.name}: from {'.' * node.level}{node.module or ''}"
+             for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level]
+    assert not inner, f"{path.relative_to(ROOT)} imports inside {inner}"
+
+
 def test_runtime_dependencies_are_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
@@ -103,15 +116,14 @@ _WHOLE_RUN = textwrap.dedent("""
         if info.name != "__main__":  # it runs the command line
             importlib.import_module(f"vsr3d.{info.name}")
     from vsr3d import evaluation, features, formats, pipeline
-    from vsr3d.config import PipelineConfig
     from vsr3d.fixtures import SynthConfig, corpus_sentence
 
-    cfg = PipelineConfig(delta_t_ms=0.0, min_duration=3, max_duration=12,
-                         c_grid=(64.0,), gamma_grid=(0.125,))
+    scfg = SynthConfig(seed=42)
+    cfg = scfg.pipeline_config()
     rois, xs, labels, refs = [], [], [], {}
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(3):
-            video, truth = corpus_sentence(SynthConfig(seed=42), i)
+            video, truth = corpus_sentence(scfg, i)
             path = Path(tmp) / f"{i}.vsr1"
             formats.write_roi(pipeline.segment_video(video, cfg).roi, path)
             rois.append(formats.read_roi(path))
